@@ -1,9 +1,9 @@
 """Reduced-order models of parameter-dependent systems near Hopf bifurcations.
 
 Builds invariant-manifold ROMs of follower-force benchmarks (Ziegler
-pendulums, Beck's column) with the bifurcation parameter carried as a
-trivial extra state, and uses them to predict bifurcation points and
-post-critical limit-cycle amplitudes.
+pendulums) and of polynomial second-order models, with the bifurcation
+parameter carried as a trivial extra state, and uses them to predict
+bifurcation points and post-critical limit-cycle amplitudes.
 """
 
 __version__ = "0.1.0"

@@ -122,13 +122,13 @@ def _flow_with_variations(sysr, x0, T, mu, rtol, atol, sensitivity=True):
     def rhs(t, y):
         x = y[:m2]
         Phi = y[m2:m2 + m2 * m2].reshape(m2, m2)
-        J = sysr.jacobian(x)
+        f, J, g = sysr.linearize(x)
         out = np.empty_like(y)
-        out[:m2] = sysr.rhs(t, x)
+        out[:m2] = f
         out[m2:m2 + m2 * m2] = (J @ Phi).ravel()
         if sensitivity:
             s = y[m2 + m2 * m2:]
-            out[m2 + m2 * m2:] = J @ s + sysr.dfdmu(x)
+            out[m2 + m2 * m2:] = J @ s + g
         return out
 
     y0 = np.concatenate([x0, np.eye(m2).ravel(),

@@ -1,4 +1,5 @@
-"""Benchmark model builders: Ziegler pendulums and Beck's column."""
+"""Benchmark model builders: Ziegler pendulums, a polynomial second-order
+model, their first-order recast, and static equilibrium."""
 
 from .dae import FirstOrderDAE
 from .equilibrium import static_equilibrium
@@ -15,11 +16,3 @@ __all__ = [
     "static_equilibrium",
 ]
 
-
-def __getattr__(name):
-    # beck pulls in the FE stack; import it lazily
-    if name in ("BeckModel", "FEMesh", "assemble_beck", "calibrate_damping"):
-        from . import beck
-
-        return getattr(beck, name)
-    raise AttributeError(name)

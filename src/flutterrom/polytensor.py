@@ -116,11 +116,6 @@ class MonomialTable:
             raise ValueError(f"point must have {self.nvars} components")
         return np.prod(z[None, :] ** self.exponents, axis=1)
 
-    def monomial_values_batch(self, Z):
-        """Rows of Z are points; returns (npoints, nmonomials)."""
-        Z = np.asarray(Z)
-        return np.prod(Z[:, None, :] ** self.exponents[None, :, :], axis=2)
-
 
 def polynomial_eval(table, coeffs, z):
     """Sum of coeffs[mid] * z^alpha(mid) over the whole table.
@@ -132,14 +127,6 @@ def polynomial_eval(table, coeffs, z):
         raise ValueError("one coefficient row per table monomial required")
     vals = table.monomial_values(z)
     return coeffs.T @ vals
-
-
-def polynomial_eval_batch(table, coeffs, Z):
-    """polynomial_eval at many points; returns (npoints, dim)."""
-    coeffs = np.asarray(coeffs)
-    if coeffs.shape[0] != len(table):
-        raise ValueError("one coefficient row per table monomial required")
-    return table.monomial_values_batch(Z) @ coeffs
 
 
 @dataclass

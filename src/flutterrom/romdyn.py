@@ -12,9 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.integrate import solve_ivp
 
 from .polytensor import polynomial_eval
@@ -40,24 +37,94 @@ class LimitCycleMeasurement:
 
 
 class RealizedReducedSystem:
-    """Real 2m-dimensional form of the reduced dynamics at fixed mu."""
+    """Real 2m-dimensional form of the reduced dynamics at fixed mu.
+
+    The reduced field is compiled once into the nonzero representative
+    rows of f, grouped by z-exponent; assigning mu substitutes it and sums
+    each group's mu powers into one coefficient per distinct z-monomial
+    (and one for d/dmu).  Every evaluation then builds the powers of
+    u = (z_reps, conj z_reps) by cumulative products and contracts that
+    one table.  complex_field and map_to_physical keep the direct
+    polynomial evaluation as the oracle.
+    """
 
     def __init__(self, rom, mu):
         if rom.conj_map is None:
             raise ValueError("ROM lacks conjugate-pair structure")
         self.rom = rom
-        self.mu = float(mu)
         self.reps = [s for s in range(rom.d) if rom.conj_map[s] > s]
-        self.m = len(self.reps)
+        self.m = m = len(self.reps)
         self.nv = rom.table.nvars
-        self._exps = rom.table.exponents
-        # df/dz tables for the analytic Jacobian
-        self._grad_cache = []
-        for s in range(self.nv):
-            mask = self._exps[:, s] > 0
-            lowered = self._exps[mask].copy()
-            lowered[:, s] -= 1
-            self._grad_cache.append((mask, lowered, self._exps[mask, s]))
+        if 2 * m != rom.d:
+            raise ValueError("every master coordinate needs a distinct conjugate partner")
+        # position of each master coordinate in u, and du/dx (rows x, columns u)
+        self._upos = np.empty(rom.d, dtype=np.int64)
+        self._upos[self.reps] = np.arange(m)
+        self._upos[rom.conj_map[self.reps]] = m + np.arange(m)
+        self._dudx = np.zeros((2 * m, 2 * m), dtype=complex)
+        for k in range(m):
+            self._dudx[2 * k, [k, m + k]] = 1.0
+            self._dudx[2 * k + 1, [k, m + k]] = 1j, -1j
+        self._f_support = self._support(rom.f[:, self.reps])
+        zexp = self._f_support[0]
+        # power-table gathers: row 0 evaluates the monomials, row 1 + p their
+        # derivatives by u_p (that variable's exponent lowered)
+        lowered = np.repeat(zexp[None], rom.d + 1, axis=0)
+        factors = np.ones((rom.d + 1, len(zexp)))
+        for s in range(rom.d):
+            p = 1 + self._upos[s]
+            lowered[p, :, s] = np.maximum(zexp[:, s] - 1, 0)
+            factors[p] = zexp[:, s]
+        self._f_index = self._power_index(lowered)
+        self._f_factors = factors
+        self._W_support = None
+        self.mu = mu
+
+    @property
+    def mu(self):
+        return self._mu
+
+    @mu.setter
+    def mu(self, value):
+        self._mu = float(value)
+        kmu, rows = self._f_support[2:]
+        dpowers = kmu * self._mu ** np.maximum(kmu - 1, 0)
+        self._f_coef = self._collapse(self._f_support, np.hstack(
+            [rows * (self._mu ** kmu)[:, None], rows * dpowers[:, None]]))
+        self._W_coef = None
+
+    def _support(self, coeffs):
+        """Nonzero rows of a coefficient table grouped by z-exponent.
+
+        Returns (distinct z-exponents, group of each row, mu exponent of
+        each row, the rows).
+        """
+        exps = self.rom.table.exponents
+        keep = np.flatnonzero(np.any(coeffs != 0, axis=1))
+        zexp, group = np.unique(exps[keep, :-1], axis=0, return_inverse=True)
+        return zexp, group.ravel(), exps[keep, -1], coeffs[keep]
+
+    @staticmethod
+    def _collapse(support, weighted_rows):
+        """Sum rows into one row per distinct z-monomial."""
+        zexp, group = support[:2]
+        out = np.zeros((len(zexp), weighted_rows.shape[1]), dtype=complex)
+        np.add.at(out, group, weighted_rows)
+        return out
+
+    def _power_index(self, zexp):
+        """Flat positions of u^e in the power table for (..., ngroups, d)
+        exponents, transposed to (..., d, ngroups)."""
+        return np.swapaxes(zexp * self.rom.d + self._upos, -1, -2)
+
+    def _monomials(self, X, index):
+        """Monomials gathered by index at each realified state of X."""
+        U = (np.asarray(X, dtype=float) @ self._dudx.view(float)).view(complex)
+        P = np.ones(U.shape[:-1] + (self.rom.order + 1, self.rom.d), dtype=complex)
+        P[..., 1:, :] = U[..., None, :]
+        np.multiply.accumulate(P, axis=-2, out=P)
+        P = P.reshape(U.shape[:-1] + (-1,))
+        return np.multiply.reduce(P[..., index], axis=-2)
 
     def complex_state(self, x):
         z = np.zeros(self.nv, dtype=complex)
@@ -78,48 +145,20 @@ class RealizedReducedSystem:
         return polynomial_eval(self.rom.table, self.rom.f, z)
 
     def rhs(self, t, x):
-        z = self.complex_state(x)
-        fz = self.complex_field(z)
-        out = np.empty(2 * self.m)
-        for kk, s in enumerate(self.reps):
-            out[2 * kk] = fz[s].real
-            out[2 * kk + 1] = fz[s].imag
-        return out
+        return (self._monomials(x, self._f_index[0]) @ self._f_coef[:, :self.m]).view(float)
 
-    def _complex_gradient(self, coeffs, z):
-        """d(poly)/dz_s for every variable, shape (rows, nvars)."""
-        out = np.zeros((coeffs.shape[1], self.nv), dtype=complex)
-        for s in range(self.nv):
-            mask, lowered, factors = self._grad_cache[s]
-            if not mask.any():
-                continue
-            vals = np.prod(z[None, :] ** lowered, axis=1) * factors
-            out[:, s] = coeffs[mask].T @ vals
-        return out
+    def linearize(self, x):
+        """(rhs, jacobian, dfdmu) at x from one power table."""
+        m = self.m
+        out = (self._monomials(x, self._f_index) * self._f_factors) @ self._f_coef
+        J = (self._dudx @ out[1:, :m]).view(float).T
+        return out[0, :m].view(float), J, out[0, m:].view(float)
 
     def jacobian(self, x):
-        z = self.complex_state(x)
-        gf = self._complex_gradient(self.rom.f, z)
-        J = np.zeros((2 * self.m, 2 * self.m))
-        for kk, r in enumerate(self.reps):
-            for ll, s in enumerate(self.reps):
-                sc = self.rom.conj_map[s]
-                da = gf[r, s] + gf[r, sc]
-                db = 1j * (gf[r, s] - gf[r, sc])
-                J[2 * kk, 2 * ll] = da.real
-                J[2 * kk, 2 * ll + 1] = db.real
-                J[2 * kk + 1, 2 * ll] = da.imag
-                J[2 * kk + 1, 2 * ll + 1] = db.imag
-        return J
+        return self.linearize(x)[1]
 
     def dfdmu(self, x):
-        z = self.complex_state(x)
-        gf = self._complex_gradient(self.rom.f, z)
-        out = np.empty(2 * self.m)
-        for kk, r in enumerate(self.reps):
-            out[2 * kk] = gf[r, -1].real
-            out[2 * kk + 1] = gf[r, -1].imag
-        return out
+        return (self._monomials(x, self._f_index[0]) @ self._f_coef[:, self.m:]).view(float)
 
     def map_to_physical(self, x, check_real=True):
         z = self.complex_state(x)
@@ -131,11 +170,14 @@ class RealizedReducedSystem:
         return y.real
 
     def map_batch(self, X):
-        Z = np.array([self.complex_state(x) for x in X])
-        from .polytensor import polynomial_eval_batch
-
-        Y = polynomial_eval_batch(self.rom.table, self.rom.W, Z)
-        return Y.real
+        """Real parts of the mapping at each row of X, shape (npoints, dim)."""
+        if self._W_support is None:
+            self._W_support = self._support(self.rom.W)
+            self._W_index = self._power_index(self._W_support[0])
+        if self._W_coef is None:
+            kmu, rows = self._W_support[2:]
+            self._W_coef = self._collapse(self._W_support, rows * (self._mu ** kmu)[:, None])
+        return (self._monomials(X, self._W_index) @ self._W_coef).real
 
 
 def integrate_reduced(rom, mu, z0, t_end, rtol=1e-10, atol=1e-12,
@@ -355,69 +397,3 @@ def measure_limit_cycle_fom(model, p, coord=0, amp0=1e-4, settle_rtol=1e-4,
     X = sol.sol(ts).T
     amplitude = np.max(np.abs(X), axis=0)
     return LimitCycleMeasurement(p, amplitude, T, True, n_periods)
-
-
-class NewmarkIntegrator:
-    """Implicit average-acceleration Newmark with Newton on the residual.
-
-    The model supplies internal_force(U), internal_tangent(U),
-    external_force(U, p) and external_tangent(U, p); the step residual is
-    M a + C v + F_int(U) - F_ext(U, p) = 0.
-    """
-
-    def __init__(self, model, p, dt, beta=0.25, gamma=0.5, newton_rtol=1e-10,
-                 max_newton=20):
-        self.model = model
-        self.p = p
-        self.dt = dt
-        self.beta = beta
-        self.gamma = gamma
-        self.newton_rtol = newton_rtol
-        self.max_newton = max_newton
-        self.M = model.mass()
-        self.C = model.damping()
-        self._sparse = sp.issparse(self.M)
-
-    def _solve(self, A, b):
-        if self._sparse:
-            return spla.spsolve(sp.csc_matrix(A), b)
-        return sla.solve(A, b)
-
-    def initial_acceleration(self, U, V):
-        rhs = (self.model.external_force(U, self.p) - self.model.internal_force(U)
-               - self.C @ V)
-        return self._solve(self.M, rhs)
-
-    def step(self, U, V, A):
-        dt, beta, gamma = self.dt, self.beta, self.gamma
-        a0 = 1.0 / (beta * dt**2)
-        a1 = gamma / (beta * dt)
-        U_new = U.copy()
-        force_scale = max(np.linalg.norm(self.model.external_force(U, self.p)),
-                          np.linalg.norm(self.model.internal_force(U)), 1.0)
-        for it in range(self.max_newton):
-            A_new = a0 * (U_new - U) - (1.0 / (beta * dt)) * V - (1.0 / (2 * beta) - 1.0) * A
-            V_new = V + dt * ((1.0 - gamma) * A + gamma * A_new)
-            res = (self.M @ A_new + self.C @ V_new + self.model.internal_force(U_new)
-                   - self.model.external_force(U_new, self.p))
-            if np.linalg.norm(res) <= self.newton_rtol * force_scale:
-                return U_new, V_new, A_new
-            Keff = (self.model.internal_tangent(U_new)
-                    - self.model.external_tangent(U_new, self.p)
-                    + a0 * self.M + a1 * self.C)
-            dU = self._solve(Keff, res)
-            U_new = U_new - dU
-        raise RuntimeError(f"Newmark Newton failed to converge in {self.max_newton} steps")
-
-    def run(self, U0, V0, n_steps, record_dof=None):
-        U, V = U0.copy(), V0.copy()
-        A = self.initial_acceleration(U, V)
-        track = np.zeros(n_steps + 1)
-        if record_dof is not None:
-            track[0] = U[record_dof]
-        states = None
-        for k in range(n_steps):
-            U, V, A = self.step(U, V, A)
-            if record_dof is not None:
-                track[k + 1] = U[record_dof]
-        return U, V, A, track

@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+import flutterrom.models
 from flutterrom.models import build_ziegler2, build_ziegler3, recast_to_dae, static_equilibrium
+
+
+def test_every_public_model_name_imports():
+    for name in flutterrom.models.__all__:
+        assert getattr(flutterrom.models, name) is not None
+    # a name outside the package is a plain AttributeError, not a failed import
+    assert not hasattr(flutterrom.models, "BeckModel")
 
 
 class TestZiegler2:

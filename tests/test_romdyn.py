@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -16,10 +18,10 @@ from flutterrom.spectral import solve_master_eigen
 from tests.conftest import hopf_normal_form_rom
 
 
-def ziegler_rom(mu0=2.27, order=5, xi_m=0.2):
+def ziegler_rom(mu0=2.27, order=5, xi_m=0.2, d=4):
     m = build_ziegler2(1, 1, 1, 1, 1, xi_m=xi_m)
     dae = recast_to_dae(m, mu0=mu0)
-    spec = solve_master_eigen(dae, d=4)
+    spec = solve_master_eigen(dae, d=d)
     rom = build_rom_firstorder(dae, spec, order=order)
     return m, dae, rom
 
@@ -70,6 +72,77 @@ class TestRealified:
         sysr = RealizedReducedSystem(rom, 0.05)
         y = sysr.map_to_physical(np.array([0.1, 0.02, -0.03, 0.01]))
         assert y.dtype == float
+
+
+def realified_oracle(sysr, x):
+    """rhs, Jacobian and dfdmu from the direct polynomial evaluation of f."""
+    rom = sysr.rom
+    z = sysr.complex_state(x)
+    fz = sysr.complex_field(z)
+    gf = replace(rom, W=rom.f).mapping_gradient(z)  # gf[r, s] = df_r/dz_s
+    reps = sysr.reps
+    J = np.zeros((2 * sysr.m, 2 * sysr.m))
+    for kk, r in enumerate(reps):
+        for ll, s in enumerate(reps):
+            sc = rom.conj_map[s]
+            da = gf[r, s] + gf[r, sc]
+            db = 1j * (gf[r, s] - gf[r, sc])
+            J[2 * kk:2 * kk + 2, 2 * ll] = da.real, da.imag
+            J[2 * kk:2 * kk + 2, 2 * ll + 1] = db.real, db.imag
+    f = np.column_stack([fz[reps].real, fz[reps].imag]).ravel()
+    g = np.column_stack([gf[reps, -1].real, gf[reps, -1].imag]).ravel()
+    return f, J, g
+
+
+def rel_diff(a, b):
+    return np.abs(a - b).max() / max(np.abs(b).max(), 1e-300)
+
+
+@pytest.fixture(scope="module", params=["ziegler-d2", "ziegler-d4", "hopf"])
+def compiled_case(request):
+    if request.param == "hopf":
+        return hopf_normal_form_rom(rho=0.1, omega=1.3, c_mu=0.7 - 0.2j, c3=-1.0 + 0.4j)
+    return ziegler_rom(d=int(request.param[-1]))[2]
+
+
+class TestCompiledEvaluator:
+    """The compiled realified evaluator against the direct polynomial oracles."""
+
+    @pytest.mark.parametrize("reassign", [False, True])
+    def test_against_oracles(self, compiled_case, reassign):
+        rom = compiled_case
+        sysr = RealizedReducedSystem(rom, 0.05)
+        rng = np.random.default_rng(3)
+        X = np.vstack([np.zeros(2 * sysr.m),
+                       0.2 * rng.standard_normal((5, 2 * sysr.m))])
+        if reassign:
+            sysr.map_batch(X)  # fills the mapping table at the old mu
+            sysr.mu = -0.08
+        for x in X:
+            f, J, g = realified_oracle(sysr, x)
+            assert rel_diff(sysr.rhs(0.0, x), f) <= 1e-13
+            assert rel_diff(sysr.jacobian(x), J) <= 1e-13
+            assert rel_diff(sysr.dfdmu(x), g) <= 1e-13
+        Yref = np.array([sysr.map_to_physical(x) for x in X])
+        assert rel_diff(sysr.map_batch(X), Yref) <= 1e-13
+
+    def test_linearize_matches_separate_calls(self, compiled_case):
+        sysr = RealizedReducedSystem(compiled_case, 0.05)
+        x = 0.2 * np.random.default_rng(4).standard_normal(2 * sysr.m)
+        f, J, g = sysr.linearize(x)
+        assert rel_diff(f, sysr.rhs(0.0, x)) <= 1e-14
+        assert rel_diff(J, sysr.jacobian(x)) <= 1e-14
+        assert rel_diff(g, sysr.dfdmu(x)) <= 1e-14
+
+    def test_mu_reassignment_matches_fresh_system(self, compiled_case):
+        sysr = RealizedReducedSystem(compiled_case, 0.05)
+        fresh = RealizedReducedSystem(compiled_case, 0.13)
+        x = 0.2 * np.random.default_rng(6).standard_normal(2 * sysr.m)
+        sysr.map_batch(x[None])
+        sysr.mu = 0.13
+        for a, b in zip(sysr.linearize(x), fresh.linearize(x)):
+            assert np.array_equal(a, b)
+        assert np.array_equal(sysr.map_batch(x[None]), fresh.map_batch(x[None]))
 
 
 class TestIntegrateReduced:
