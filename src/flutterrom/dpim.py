@@ -11,11 +11,25 @@ Both engines support imposed Jordan couplings in the linear reduced
 dynamics: the off-diagonal entries of Lam feed an extra within-order term
 whose dependency always points to an already-solved monomial thanks to the
 descending-lexicographic monomial ordering.
+
+The nonlinear right-hand side of each order is assembled from product
+index tables (`MonomialTable.product_ids`): per order split, each form is
+applied to the whole blocks of lower-order mapping coefficients at once
+and scattered by target monomial, and the gradient cross terms become one
+sparse weight matrix per pair of orders of f and W.  The parameter
+eigenvalue is exactly zero, so every monomial alpha + k e_mu shares sigma
+and the resonant set of alpha; the engines factor each of those systems
+once, keyed by the z-part of the exponent.  Each build records per-order
+statistics in `rom.meta["stats"]`: monomial and resonant counts,
+assembly, cross-term and solve times, new factorizations and the largest
+relative homological residual.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 import scipy.linalg as sla
@@ -66,12 +80,9 @@ def classify_resonances(table, lam_vec, r_tol=0.05, enforce_one_to_one=False):
         lam_cls[:4] = lam_vec[:4].real + 1j * om * np.sign(lam_vec[:4].imag)
     sigma = table.exponents @ lam_vec
     sigma_cls = table.exponents @ lam_cls
-    sets = []
-    for mid in range(len(table)):
-        res = [r for r in range(d)
-               if abs(sigma_cls[mid].imag - lam_cls[r].imag)
-               <= r_tol * max(1.0, abs(lam_cls[r].imag))]
-        sets.append(res)
+    lam_r = lam_cls[:d].imag
+    hit = np.abs(sigma_cls.imag[:, None] - lam_r) <= r_tol * np.maximum(1.0, np.abs(lam_r))
+    sets = [list(compress(range(d), row)) for row in hit.tolist()]
     return ResonanceSet(sigma, sets, lam_cls)
 
 
@@ -117,18 +128,11 @@ class ParametrisationROM:
     def linear_block(self, mu):
         """mu-dressed linear reduced dynamics J(mu) at the fixed point z = 0."""
         d = self.d
+        w = self.table.code_weights
+        ids = self.table.ids_of_codes(w[:d, None] + np.arange(self.order) * w[-1])
         J = np.zeros((d, d), dtype=complex)
-        for s in range(d):
-            alpha = np.zeros(self.table.nvars, dtype=np.int64)
-            alpha[s] = 1
-            for m in range(0, self.order):
-                alpha[-1] = m
-                if alpha.sum() > self.order:
-                    break
-                mid = self.table.get(alpha)
-                if mid is None:
-                    break
-                J[:, s] += self.f[mid, :d] * mu**m
+        for m in range(self.order):
+            J += self.f[ids[:, m], :d].T * mu**m
         return J
 
     def mapping_gradient(self, ztilde):
@@ -197,73 +201,127 @@ def _order1_ids(table):
     return list(table.ids_of_order(1))
 
 
-def _gradient_cross_lower(table, W, f, p, d):
+def _gradient_cross_lower(table, W, f, p):
     """N3: sum over lower orders of (dW/dz_s) f_s collecting at order p.
 
     Only reduced-dynamics coefficients of orders 2..p-1 enter (the linear
     part is the sigma term plus the Jordan correction handled separately).
+    Row kf of f (order qf) and row kW of W (order qW = p + 1 - qf) meet at
+    alpha(kW) + alpha(kf) - e_s with weight alpha_s(kW) f[kf, s]; per qf
+    those weights, summed over s, form one sparse matrix applied to the
+    order-qW block of W.  Returns one row per order-p monomial.
     """
-    out = {}
-    exps = table.exponents
-    nv = table.nvars
-    for qf in range(2, p - 1 + 1):
-        qW = p + 1 - qf
-        if qW < 2 or qW > table.max_order:
-            continue
-        for kf in table.ids_of_order(qf):
-            frow = f[kf]
-            nz = [s for s in range(nv) if frow[s] != 0]
-            if not nz:
-                continue
-            for kW in table.ids_of_order(qW):
-                aW = exps[kW]
-                for s in nz:
-                    if aW[s] == 0:
-                        continue
-                    target = aW + exps[kf]
-                    target[s] -= 1
-                    mid = table.index_of(target)
-                    acc = out.get(mid)
-                    if acc is None:
-                        acc = np.zeros(W.shape[1], dtype=complex)
-                        out[mid] = acc
-                    acc += aW[s] * frow[s] * W[kW]
+    n_p = table.count_of_order(p)
+    out = np.zeros((n_p, W.shape[1]), dtype=complex)
+    start = table.ids_of_order(p)[0]
+    for qf in range(2, p):
+        kf, kW = table.ids_of_order(qf), table.ids_of_order(p + 1 - qf)
+        fq, aW = f[kf], table.exponents[kW]
+        targets, sources, weights = [], [], []
+        for s in range(table.nvars):
+            rows, cols = np.flatnonzero(fq[:, s]), np.flatnonzero(aW[:, s])
+            codes = np.add.outer(table.codes[kW][cols] - table.code_weights[s],
+                                 table.codes[kf][rows])
+            targets.append(table.ids_of_codes(codes).ravel() - start)
+            sources.append(np.repeat(cols, len(rows)))
+            weights.append(np.multiply.outer(aW[cols, s], fq[rows, s]).ravel())
+        G = sp.csr_matrix((np.concatenate(weights),
+                           (np.concatenate(targets), np.concatenate(sources))),
+                          shape=(n_p, len(kW)))
+        out += G @ W[kW]
     return out
 
 
-def _jordan_within_order(table, W, mid, jordan_pairs):
-    """Extra gradient term from imposed off-diagonal linear couplings.
+def _jordan_within_order(table, p, jordan_pairs):
+    """Dependencies of the extra gradient term from imposed off-diagonal
+    linear couplings, over the order-p monomials.
 
     For each coupling f_s^(1,j) = tau (s < j), the monomial alpha(mid)
-    receives alpha_s(kW) * tau * W(kW) with alpha(kW) = alpha(mid)+e_s-e_j;
-    the table ordering guarantees kW was already solved.
+    receives alpha_s(kW) * tau * W(kW) with alpha(kW) = alpha(mid)+e_s-e_j
+    when alpha_j(mid) > 0; the table ordering guarantees kW was already
+    solved.  Returns one (kW or -1, weight) pair of arrays per coupling,
+    indexed by position within the order.
     """
-    alpha = table.exponents[mid]
-    out = np.zeros(W.shape[1], dtype=complex)
+    ids = np.array(table.ids_of_order(p))
+    exps = table.exponents[ids]
+    out = []
     for (s, j, tau) in jordan_pairs:
-        if alpha[j] == 0:
-            continue
-        dep = alpha.copy()
-        dep[s] += 1
-        dep[j] -= 1
-        kW = table.index_of(dep)
-        if kW >= mid:
+        has = exps[:, j] > 0
+        dep = np.full(len(ids), -1)
+        dep[has] = table.ids_of_codes(table.codes[ids[has]] + table.code_weights[s]
+                                      - table.code_weights[j])
+        if np.any(dep[has] >= ids[has]):
             raise AssertionError("monomial ordering violated the Jordan dependency")
-        out += dep[s] * tau * W[kW]
+        out.append((dep, (exps[:, s] + 1) * tau))
     return out
+
+
+def _jordan_term(jdeps, W, loc):
+    out = np.zeros(W.shape[1], dtype=complex)
+    for dep, weight in jdeps:
+        if dep[loc] >= 0:
+            out += weight[loc] * W[dep[loc]]
+    return out
+
+
+def _dense_solver(A):
+    """LU-factor A once; returns a function solving A x = b with the factors.
+
+    Calls LAPACK getrs directly: the per-monomial solves are tiny, and the
+    checked scipy wrappers cost ten times the solve itself.  A singular A
+    yields non-finite solutions, which _check_solve rejects.
+    """
+    lu, piv = sla.lu_factor(A)
+    getrs, = sla.get_lapack_funcs(("getrs",), (lu,))
+    return lambda b: getrs(lu, piv, b)[0]
 
 
 def _check_solve(residual_norm, rhs_norm, sigma, lam, table, mid):
-    if residual_norm > 1e-6 * max(rhs_norm, 1e-300):
+    """Relative homological residual; raises when it flags a missed resonance."""
+    rel = residual_norm / max(rhs_norm, 1e-300)
+    if not rel <= 1e-6:  # also catches NaN from a singular system
         near = lam[np.argmin(np.abs(lam - sigma))]
         alpha = tuple(int(e) for e in table.exponents[mid])
         raise ResonanceError(
             f"homological solve failed for monomial {alpha}: sigma = {sigma:.6g} "
             f"is unflagged-resonant with lambda = {near:.6g}; "
             "revisit the resonance tolerance")
+    return rel
+
+
+def _z_keys(table):
+    """Exponent codes with the parameter power dropped: monomials sharing one
+    share sigma and the resonant set, hence the homological matrix."""
+    return table.codes - table.exponents[:, -1] * table.code_weights[-1]
+
+
+def _order_record(p, ids, res, marks, factorizations, max_rel):
+    """Per-order build statistics; marks are the clock readings before
+    assembly, cross terms, solves and after the solves."""
+    t0, t1, t2, t3 = marks
+    return {"order": p, "monomials": len(ids),
+            "resonant": sum(1 for mid in ids if res.sets[mid]),
+            "assembly_s": t1 - t0, "cross_s": t2 - t1, "solve_s": t3 - t2,
+            "factorizations": factorizations, "max_rel_residual": float(max_rel)}
 
 
 # -- first-order engine -------------------------------------------------------
+
+def _quadratic_rhs(table, dae, W, p):
+    """Order-p coefficients of Q1(W, W) + Q2m W mu + q3 mu^2, one row per
+    order-p monomial."""
+    n_p = table.count_of_order(p)
+    rhs = np.zeros((n_p, dae.dim), dtype=complex)
+    for p1 in range(1, p):
+        rhs += dae.Q1.apply_outer(W[table.ids_of_order(p1)], W[table.ids_of_order(p - p1)],
+                                  table.product_ids(p1, p - p1), n_p)
+    # the last order-1 monomial is mu: its column of the product table maps
+    # each order-(p-1) alpha to alpha + e_mu
+    rhs[table.product_ids(p - 1, 1)[:, -1]] += W[table.ids_of_order(p - 1)] @ dae.Q2m.T
+    if p == 2:
+        rhs[-1] += dae.q3  # mu^2 is the last order-2 monomial
+    return rhs
+
 
 def build_rom_firstorder(dae: FirstOrderDAE, spectrum, order, r_tol=0.05,
                          enforce_one_to_one=None, style=STYLE_NORMAL_FORM,
@@ -294,55 +352,49 @@ def build_rom_firstorder(dae: FirstOrderDAE, spectrum, order, r_tol=0.05,
     W[o1[d]] = spectrum.Ypar
     # normal-form choice for the parameter column: f^(1, d+1) = 0
 
+    zkeys = _z_keys(table)
+    factors = {}  # z-part code -> (homological matrix, its factored solve)
+    stats = []
     for p in range(2, order + 1):
-        rhs = {mid: np.zeros(D, dtype=complex) for mid in table.ids_of_order(p)}
-        exps = table.exponents
-        for p1 in range(1, p):
-            for k1 in table.ids_of_order(p1):
-                for k2 in table.ids_of_order(p - p1):
-                    mid = table.index_of(exps[k1] + exps[k2])
-                    rhs[mid] += dae.Q1.apply(W[k1], W[k2])
-        for kW in table.ids_of_order(p - 1):
-            target = exps[kW].copy()
-            target[-1] += 1
-            rhs[table.index_of(target)] += dae.Q2m @ W[kW]
-        if p == 2:
-            mu2 = np.zeros(nv, dtype=np.int64)
-            mu2[-1] = 2
-            rhs[table.index_of(mu2)] += dae.q3
-
-        g_lower = _gradient_cross_lower(table, W, f, p, d)
-        for mid in table.ids_of_order(p):
-            gm = g_lower.get(mid, np.zeros(D, dtype=complex))
-            if jp:
-                gm = gm + _jordan_within_order(table, W, mid, jp)
+        ids = table.ids_of_order(p)
+        t0 = time.perf_counter()
+        rhs = _quadratic_rhs(table, dae, W, p)
+        t1 = time.perf_counter()
+        rhs -= _gradient_cross_lower(table, W, f, p) @ B.T
+        jdeps = _jordan_within_order(table, p, jp)
+        t2 = time.perf_counter()
+        n_fact, max_rel = len(factors), 0.0
+        for loc, mid in enumerate(ids):
             sigma = res.sigma[mid]
             R = res.sets[mid]
-            b = rhs[mid] - B @ gm
             nR = len(R)
-            S = sigma * B - At
-            if nR == 0:
-                sol = sla.solve(S, b)
-                resid = np.linalg.norm(S @ sol - b)
-                _check_solve(resid, np.linalg.norm(b), sigma, lam_vec[:d], table, mid)
-                W[mid] = sol
-            else:
-                Mtx = np.zeros((D + nR, D + nR), dtype=complex)
-                Mtx[:D, :D] = S
-                Mtx[:D, D:] = B @ spectrum.Y[:, R]
-                Mtx[D:, :D] = spectrum.X[:, R].conj().T @ B
-                rhs_full = np.concatenate([b, np.zeros(nR, dtype=complex)])
-                sol = sla.solve(Mtx, rhs_full)
-                resid = np.linalg.norm(Mtx @ sol - rhs_full)
-                _check_solve(resid, np.linalg.norm(rhs_full), sigma, lam_vec[:d], table, mid)
-                W[mid] = sol[:D]
-                f[mid, R] = sol[D:]
+            fact = factors.get(zkeys[mid])
+            if fact is None:
+                Mtx = sigma * B - At
+                if nR:
+                    Mtx = np.block([[Mtx, B @ spectrum.Y[:, R]],
+                                    [spectrum.X[:, R].conj().T @ B, np.zeros((nR, nR))]])
+                fact = factors[zkeys[mid]] = (Mtx, _dense_solver(Mtx))
+            Mtx, solve = fact
+            b = np.zeros(D + nR, dtype=complex)
+            b[:D] = rhs[loc]
+            if jp:
+                b[:D] -= B @ _jordan_term(jdeps, W, loc)
+            sol = solve(b)
+            rel = _check_solve(np.linalg.norm(Mtx @ sol - b), np.linalg.norm(b), sigma,
+                               lam_vec[:d], table, mid)
+            max_rel = max(max_rel, rel)
+            W[mid] = sol[:D]
+            f[mid, R] = sol[D:]
+        stats.append(_order_record(p, ids, res, (t0, t1, t2, time.perf_counter()),
+                                   len(factors) - n_fact, max_rel))
 
     rom_meta = {"engine": "first-order", "mu0": dae.mu0, "r_tol": r_tol,
                 "one_to_one": bool(enforce_one_to_one),
                 "jordan_pairs": [(int(i), int(j), complex(t).real) for i, j, t in jp],
                 "labels": list(dae.labels),
-                "displacement_indices": [int(i) for i in dae.displacement_indices]}
+                "displacement_indices": [int(i) for i in dae.displacement_indices],
+                "stats": stats}
     rom_meta.update(meta or {})
     return ParametrisationROM(table, W, f, lam_vec[:d].copy(), spectrum.Lam.copy(),
                               spectrum.conj_map, None, style, rom_meta)
@@ -351,41 +403,35 @@ def build_rom_firstorder(dae: FirstOrderDAE, spectrum, order, r_tol=0.05,
 # -- second-order engine ------------------------------------------------------
 
 class _BorderedSolver:
-    """Cached bordered solves of [[S, cols], [rows, Dblk]] per (sigma, R)."""
+    """Bordered solves of [[S, cols], [rows, Dblk]], S = sigma^2 M + sigma C + Kt,
+    with one factorization per key."""
 
     def __init__(self, M, C, Kt, use_sparse):
         self.M, self.C, self.Kt = M, C, Kt
         self.use_sparse = use_sparse
         self._cache = {}
 
-    def solve(self, sigma, R, cols, rows, Dblk, rhs):
-        n = self.M.shape[0]
-        nR = cols.shape[1]
-        key = (complex(np.round(sigma.real, 12), np.round(sigma.imag, 12)), tuple(R))
-        if self.use_sparse:
-            fact = self._cache.get(key)
-            if fact is None:
-                S = (sigma**2 * self.M + sigma * self.C + self.Kt).tocsc().astype(complex)
+    @property
+    def factorizations(self):
+        return len(self._cache)
+
+    def solve(self, key, sigma, cols, rows, Dblk, rhs):
+        fact = self._cache.get(key)
+        if fact is None:
+            S = sigma**2 * self.M + sigma * self.C + self.Kt
+            nR = cols.shape[1]
+            if self.use_sparse:
+                S = S.tocsc().astype(complex)
                 if nR:
-                    full = sp.bmat([[S, sp.csc_matrix(cols)],
-                                    [sp.csc_matrix(rows), sp.csc_matrix(Dblk)]],
-                                   format="csc")
-                else:
-                    full = S
-                fact = spla.splu(full)
-                self._cache[key] = fact
-            sol = fact.solve(rhs)
-            return sol
-        S = sigma**2 * self.M + sigma * self.C + self.Kt
-        if nR:
-            full = np.zeros((n + nR, n + nR), dtype=complex)
-            full[:n, :n] = S
-            full[:n, n:] = cols
-            full[n:, :n] = rows
-            full[n:, n:] = Dblk
-        else:
-            full = S
-        return sla.solve(full, rhs)
+                    S = sp.bmat([[S, sp.csc_matrix(cols)],
+                                 [sp.csc_matrix(rows), sp.csc_matrix(Dblk)]], format="csc")
+                fact = spla.splu(S).solve
+            else:
+                if nR:
+                    S = np.block([[S, cols], [rows, Dblk]])
+                fact = _dense_solver(S)
+            self._cache[key] = fact
+        return fact(rhs)
 
 
 def build_rom_secondorder(model, spectrum, order, r_tol=0.05,
@@ -449,58 +495,59 @@ def build_rom_secondorder(model, spectrum, order, r_tol=0.05,
     # border row U-coefficients: rows r of (Xv_r^H C + sum_r' Lam[r, r'] Xv_r'^H M)
     row_base = XvHC + Lam @ XvHM
     solver = _BorderedSolver(M, C, Kt, use_sparse)
-    exps = table.exponents
+    zkeys = _z_keys(table)
+    stats = []
 
     for p in range(2, order + 1):
-        U_coeffs = {mid: W[mid][:n] for q in range(1, p) for mid in table.ids_of_order(q)}
-        fnl = model.nl_rhs_series(table, U_coeffs, p)
-        g_lower = _gradient_cross_lower(table, W, f, p, d)
-        for mid in table.ids_of_order(p):
-            gm = g_lower.get(mid, np.zeros(2 * n, dtype=complex))
-            if jp:
-                gm = gm + _jordan_within_order(table, W, mid, jp)
+        ids = table.ids_of_order(p)
+        t0 = time.perf_counter()
+        fnl = model.nl_rhs_series(table, W[:, :n], p)
+        fnl[table.product_ids(p - 1, 1)[:, -1]] += (Ru @ W[table.ids_of_order(p - 1), :n].T).T
+        t1 = time.perf_counter()
+        g = _gradient_cross_lower(table, W, f, p)
+        jdeps = _jordan_within_order(table, p, jp)
+        t2 = time.perf_counter()
+        n_fact, max_rel = solver.factorizations, 0.0
+        for loc, mid in enumerate(ids):
+            gm = g[loc] + _jordan_term(jdeps, W, loc) if jp else g[loc]
             gU, gV = gm[:n], gm[n:]
             sigma = res.sigma[mid]
             R = res.sets[mid]
             nR = len(R)
 
-            b2 = np.array(fnl.get(mid, np.zeros(n, dtype=complex)), dtype=complex)
-            if exps[mid, -1] >= 1:
-                lower = exps[mid].copy()
-                lower[-1] -= 1
-                kW = table.index_of(lower)
-                b2 = b2 + Ru @ W[kW][:n]
-
-            Xi = b2 - M @ gV - sigma * (M @ gU) - C @ gU
+            Xi = fnl[loc] - M @ gV - sigma * (M @ gU) - C @ gU
             if nR:
                 cols = sigma * MYu[:, R] + CYu[:, R] + MYuLam[:, R]
                 rows = row_base[R] + sigma * XvHM[R]
                 Dblk = XvHM[R] @ Yu[:, R]
                 rhs_b = -(XvHM[R] @ gU)
                 rhs = np.concatenate([Xi, rhs_b])
-                sol = solver.solve(sigma, R, cols, rows, Dblk, rhs)
+                sol = solver.solve(zkeys[mid], sigma, cols, rows, Dblk, rhs)
                 U = sol[:n]
                 fR = sol[n:]
                 # residual check on the displacement block
                 Scheck = (sigma**2 * (M @ U) + sigma * (C @ U) + Kt @ U + cols @ fR)
                 resid = np.linalg.norm(Scheck - Xi)
-                _check_solve(resid, np.linalg.norm(Xi) + np.linalg.norm(fR),
-                             sigma, lam_vec[:d], table, mid)
+                rel = _check_solve(resid, np.linalg.norm(Xi) + np.linalg.norm(fR),
+                                   sigma, lam_vec[:d], table, mid)
                 f[mid, R] = fR
                 V = sigma * U + Yu[:, R] @ fR + gU
             else:
-                U = solver.solve(sigma, (), np.zeros((n, 0)), np.zeros((0, n)),
+                U = solver.solve(zkeys[mid], sigma, np.zeros((n, 0)), np.zeros((0, n)),
                                  np.zeros((0, 0)), Xi)
                 resid = np.linalg.norm(sigma**2 * (M @ U) + sigma * (C @ U) + Kt @ U - Xi)
-                _check_solve(resid, np.linalg.norm(Xi), sigma, lam_vec[:d], table, mid)
+                rel = _check_solve(resid, np.linalg.norm(Xi), sigma, lam_vec[:d], table, mid)
                 V = sigma * U + gU
+            max_rel = max(max_rel, rel)
             W[mid, :n] = U
             W[mid, n:] = V
+        stats.append(_order_record(p, ids, res, (t0, t1, t2, time.perf_counter()),
+                                   solver.factorizations - n_fact, max_rel))
 
     rom_meta = {"engine": "second-order", "mu0": getattr(model, "p0", 0.0),
                 "r_tol": r_tol, "one_to_one": bool(enforce_one_to_one),
                 "jordan_pairs": [(int(i), int(j), complex(t).real) for i, j, t in jp],
-                "n_disp": n}
+                "n_disp": n, "stats": stats}
     rom_meta.update(meta or {})
     return ParametrisationROM(table, W, f, lam_vec[:d].copy(), Lam.copy(),
                               spectrum.conj_map, n, style, rom_meta)

@@ -64,31 +64,28 @@ class PolynomialSecondOrderModel:
             f = f + self.H.apply(U, U, U)
         return f
 
-    def nl_rhs_series(self, table, U_coeffs, p):
+    def nl_rhs_series(self, table, U, p):
         """Order-p monomial coefficients of the nonlinear RHS force.
 
         With the equations written M U'' + C U' + Kt U = p Rt + p Ru U + F,
-        F = -Gt(U,U) - H(U,U,U); returns {monomial id: coefficient vector}
-        assembled from all lower-order mapping coefficients in U_coeffs.
+        F = -Gt(U,U) - H(U,U,U); returns one row per order-p monomial, in
+        table order, assembled from the displacement mapping coefficients
+        U (one row per table monomial; rows of order p and above are not
+        read).  Each order pair or triple is one product-table contraction.
         """
-        out = {mid: np.zeros(self.n, dtype=complex) for mid in table.ids_of_order(p)}
-        exps = table.exponents
+        n_p = table.count_of_order(p)
+        out = np.zeros((n_p, self.n), dtype=complex)
         if self.Gt is not None:
             for p1 in range(1, p):
-                for k1 in table.ids_of_order(p1):
-                    for k2 in table.ids_of_order(p - p1):
-                        mid = table.index_of(exps[k1] + exps[k2])
-                        out[mid] -= self.Gt.apply(U_coeffs[k1], U_coeffs[k2])
-        if self.H is not None and p >= 3:
+                out -= self.Gt.apply_outer(U[table.ids_of_order(p1)], U[table.ids_of_order(p - p1)],
+                                           table.product_ids(p1, p - p1), n_p)
+        if self.H is not None:
             for p1 in range(1, p - 1):
                 for p2 in range(1, p - p1):
                     p3 = p - p1 - p2
-                    for k1 in table.ids_of_order(p1):
-                        for k2 in table.ids_of_order(p2):
-                            for k3 in table.ids_of_order(p3):
-                                mid = table.index_of(exps[k1] + exps[k2] + exps[k3])
-                                out[mid] -= self.H.apply(U_coeffs[k1], U_coeffs[k2],
-                                                         U_coeffs[k3])
+                    out -= self.H.apply_outer(U[table.ids_of_order(p1)], U[table.ids_of_order(p2)],
+                                              U[table.ids_of_order(p3)],
+                                              table.product_ids(p1, p2, p3), n_p)
         return out
 
     def fom_rhs(self, p):

@@ -4,6 +4,14 @@ This is the arithmetic substrate shared by the model builders and the
 reduction engines: graded-lexicographic monomial enumeration over the
 normal coordinates plus the control-parameter slot, and coordinate-format
 bilinear/trilinear forms with vector, matrix and partial contractions.
+
+Each monomial also carries a mixed-radix integer code with radix
+max_order + 1, so that code(a + b) = code(a) + code(b).  The homological
+assembly uses it to build product index tables: the ids of every sum of
+one monomial of each of a few given orders come from one outer sum of
+codes and one vectorised lookup, and each form is then applied to whole
+blocks of mapping coefficients at once (`apply_outer`) instead of pair by
+pair.
 """
 
 from __future__ import annotations
@@ -13,21 +21,6 @@ from math import comb
 
 import numpy as np
 import scipy.sparse as sp
-
-
-@dataclass(frozen=True)
-class MultiIndex:
-    """Exponent tuple of one monomial; the last slot is the parameter."""
-
-    exponents: tuple[int, ...]
-
-    @property
-    def order(self) -> int:
-        return sum(self.exponents)
-
-    def __post_init__(self):
-        if any(e < 0 for e in self.exponents):
-            raise ValueError("exponents must be non-negative")
 
 
 def _compositions_desc(total, nvars):
@@ -65,8 +58,16 @@ class MonomialTable:
             starts.append(len(rows))
         self.exponents = np.array(rows, dtype=np.int64)
         self._order_starts = starts
-        self._lookup = {tuple(row): i for i, row in enumerate(rows)}
         self.orders = self.exponents.sum(axis=1)
+        # every exponent is <= max_order < radix, so codes are unique, and a
+        # sum of exponents whose order stays <= max_order has no carries
+        radix = self.max_order + 1
+        if radix ** self.nvars > np.iinfo(np.int64).max:
+            raise ValueError(f"{nvars} variables at order {max_order} overflow the monomial codes")
+        self.code_weights = radix ** np.arange(self.nvars - 1, -1, -1, dtype=np.int64)
+        self.codes = self.exponents @ self.code_weights
+        self._code_order = np.argsort(self.codes)
+        self._sorted_codes = self.codes[self._code_order]
 
     def __len__(self):
         return self.exponents.shape[0]
@@ -81,19 +82,41 @@ class MonomialTable:
             raise ValueError(f"order {p} outside table range")
         return range(self._order_starts[p - 1], self._order_starts[p])
 
-    def index_of(self, exps):
-        key = tuple(int(e) for e in exps)
-        try:
-            return self._lookup[key]
-        except KeyError:
-            raise ValueError(f"monomial {key} not in table") from None
+    def ids_of_codes(self, codes):
+        """Monomial ids of an array of codes; raises if any code is not in the table."""
+        codes = np.asarray(codes, dtype=np.int64)
+        pos = np.minimum(np.searchsorted(self._sorted_codes, codes), len(self) - 1)
+        if not np.array_equal(self._sorted_codes[pos], codes):
+            raise ValueError("monomial code not in table")
+        return self._code_order[pos]
+
+    def product_ids(self, *orders):
+        """Ids of alpha_1 + ... + alpha_k over all alpha_i of order orders[i].
+
+        Returns an integer array of shape (count_of_order(orders[0]), ...),
+        offset so that 0 is the first monomial of order sum(orders).
+        """
+        p = sum(orders)
+        if p > self.max_order:
+            raise ValueError(f"order {p} outside table range")
+        codes = 0
+        for q in orders:
+            codes = np.add.outer(codes, self.codes[self.ids_of_order(q)])
+        return self.ids_of_codes(codes) - self._order_starts[p - 1]
 
     def get(self, exps):
         """index_of without raising; returns None for unknown monomials."""
-        return self._lookup.get(tuple(int(e) for e in exps))
+        e = np.asarray(exps, dtype=np.int64)
+        # a vector outside the table could alias a table code: reject it first
+        if e.shape != (self.nvars,) or e.min() < 0 or not 1 <= e.sum() <= self.max_order:
+            return None
+        return int(self.ids_of_codes(e @ self.code_weights))
 
-    def multi_index(self, mid):
-        return MultiIndex(tuple(int(e) for e in self.exponents[mid]))
+    def index_of(self, exps):
+        mid = self.get(exps)
+        if mid is None:
+            raise ValueError(f"monomial {tuple(np.ravel(exps))} not in table")
+        return mid
 
     def conjugation_permutation(self, conj_map):
         """Monomial permutation induced by a variable conjugation map.
@@ -105,9 +128,9 @@ class MonomialTable:
         conj_map = np.asarray(conj_map, dtype=np.int64)
         if conj_map.shape != (self.nvars,):
             raise ValueError("conj_map must have one entry per variable")
-        swapped = np.empty_like(self.exponents)
-        swapped[:, conj_map] = self.exponents
-        return np.array([self._lookup[tuple(row)] for row in swapped], dtype=np.int64)
+        if not np.array_equal(np.sort(conj_map), np.arange(self.nvars)):
+            raise ValueError("conj_map must be a permutation of the variables")
+        return self.ids_of_codes(self.exponents @ self.code_weights[conj_map])
 
     def monomial_values(self, z):
         """Evaluate every monomial at the point z (length nvars)."""
@@ -127,6 +150,28 @@ def polynomial_eval(table, coeffs, z):
         raise ValueError("one coefficient row per table monomial required")
     vals = table.monomial_values(z)
     return coeffs.T @ vals
+
+
+def _scatter_products(form, slots, blocks, targets, n_targets):
+    """Sum of form(blocks[0][a], blocks[1][b], ...) into row targets[a, b, ...].
+
+    slots are the form's index arrays (i, j[, k]) and blocks the matching
+    row blocks.  All tuples of rows are visited at once per output
+    component: a Khatri-Rao product of the first blocks, contracted with
+    the last block by a matrix product, then scattered by target with
+    bincount.  Memory stays at a few arrays of the size of targets.
+    """
+    out = np.zeros((n_targets, form.dim_out), dtype=complex)
+    flat = np.ravel(targets)
+    for p in np.unique(form.p):
+        e = form.p == p
+        acc = blocks[0][:, slots[0][e]] * form.val[e]
+        for idx, U in zip(slots[1:-1], blocks[1:-1]):
+            acc = (acc[:, None, :] * U[:, idx[e]][None, :, :]).reshape(-1, acc.shape[1])
+        prod = (acc @ blocks[-1][:, slots[-1][e]].T).ravel()
+        out[:, p] = (np.bincount(flat, prod.real, n_targets)
+                     + 1j * np.bincount(flat, prod.imag, n_targets))
+    return out
 
 
 @dataclass
@@ -173,6 +218,10 @@ class SparseBilinearForm:
         if self.val.size:
             np.add.at(out, self.p, self.val * u[self.i] * v[self.j])
         return out
+
+    def apply_outer(self, U1, U2, targets, n_targets):
+        """Q(U1[a], U2[b]) summed into row targets[a, b] of an (n_targets, dim_out) array."""
+        return _scatter_products(self, (self.i, self.j), (U1, U2), targets, n_targets)
 
     def contract_left(self, u):
         """Matrix Q(u, .): rows p, columns the second slot."""
@@ -249,17 +298,18 @@ class SparseTrilinearForm:
             np.add.at(out, self.p, self.val * u[self.i] * v[self.j] * w[self.k])
         return out
 
+    def apply_outer(self, U1, U2, U3, targets, n_targets):
+        """H(U1[a], U2[b], U3[c]) summed into row targets[a, b, c] of an
+        (n_targets, dim_out) array."""
+        return _scatter_products(self, (self.i, self.j, self.k), (U1, U2, U3),
+                                 targets, n_targets)
+
     def contract_first_two(self, u, v):
         """Matrix H(u, v, .): rows p, columns the third slot."""
         u = self._check_vec(u, "u")
         v = self._check_vec(v, "v")
         return sp.coo_matrix((self.val * u[self.i] * v[self.j], (self.p, self.k)),
                              shape=(self.dim_out, self.dim_in)).tocsr()
-
-
-def enumerate_monomials(d_plus_1, o):
-    """Build the monomial table for d master coordinates plus the parameter."""
-    return MonomialTable(d_plus_1, o)
 
 
 def monomial_count(p, nvars):

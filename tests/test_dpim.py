@@ -1,10 +1,15 @@
+import dataclasses
 import json
+from collections import Counter
+from math import comb
 
 import numpy as np
 import pytest
 
+from flutterrom import dpim
 from flutterrom.dpim import (
     ParametrisationROM,
+    ResonanceError,
     build_rom_firstorder,
     build_rom_secondorder,
     classify_resonances,
@@ -105,6 +110,15 @@ class TestFirstOrderEngine:
         c1 = first_lyapunov_cubic_coefficient(dae, q, p)
         mid = rom.table.index_of((2, 1, 0))
         assert abs(rom.f[mid, 0] - c1) < 1e-10
+
+    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+    def test_unflagged_exact_resonance_raises(self):
+        # with nothing flagged, z^2 zb has sigma = i exactly: its homological
+        # matrix is exactly singular and the residual check must reject it
+        dae = hopf_oracle_system()
+        spec = solve_master_eigen(dae, d=2)
+        with pytest.raises(ResonanceError):
+            build_rom_firstorder(dae, spec, order=3, r_tol=-1.0)
 
     def test_resonant_monomial_structure(self):
         dae = hopf_oracle_system()
@@ -292,17 +306,237 @@ class TestSecondOrderEngine:
         model, _ = make_cubic_test_model(2.6)
         spec = solve_master_eigen(model, d=4)
         table = MonomialTable(5, 4)
-        U_coeffs = {mid: np.zeros(2, dtype=complex) for mid in range(len(table))}
+        U = np.zeros((len(table), 2), dtype=complex)
         for s, mid in enumerate(table.ids_of_order(1)):
             if s < 4:
-                U_coeffs[mid] = spec.Y[:2, s]
-        out = model.nl_rhs_series(table, U_coeffs, 3)
+                U[mid] = spec.Y[:2, s]
+        out = model.nl_rhs_series(table, U, 3)
         # with only order-1 mappings, order-3 terms exist (1+1+1) and are the
         # cubic applied to eigenvectors
-        a = table.exponents
-        mid = table.index_of((3, 0, 0, 0, 0))
+        loc = table.index_of((3, 0, 0, 0, 0)) - table.ids_of_order(3)[0]
         expect = -model.H.apply(spec.Y[:2, 0], spec.Y[:2, 0], spec.Y[:2, 0])
-        assert np.allclose(out[mid], expect, atol=1e-12)
+        assert np.allclose(out[loc], expect, atol=1e-12)
+
+
+# -- per-pair and per-triple loops: references for the product-table assembly --
+
+def naive_quadratic_rhs(table, dae, W, p):
+    start = table.ids_of_order(p)[0]
+    rhs = np.zeros((table.count_of_order(p), dae.dim), dtype=complex)
+    exps = table.exponents
+    for p1 in range(1, p):
+        for k1 in table.ids_of_order(p1):
+            for k2 in table.ids_of_order(p - p1):
+                rhs[table.index_of(exps[k1] + exps[k2]) - start] += dae.Q1.apply(W[k1], W[k2])
+    for kW in table.ids_of_order(p - 1):
+        target = exps[kW].copy()
+        target[-1] += 1
+        rhs[table.index_of(target) - start] += dae.Q2m @ W[kW]
+    if p == 2:
+        mu2 = np.zeros(table.nvars, dtype=np.int64)
+        mu2[-1] = 2
+        rhs[table.index_of(mu2) - start] += dae.q3
+    return rhs
+
+
+def naive_gradient_cross_lower(table, W, f, p):
+    start = table.ids_of_order(p)[0]
+    out = np.zeros((table.count_of_order(p), W.shape[1]), dtype=complex)
+    exps = table.exponents
+    for qf in range(2, p):
+        for kf in table.ids_of_order(qf):
+            nz = [s for s in range(table.nvars) if f[kf, s] != 0]
+            for kW in table.ids_of_order(p + 1 - qf):
+                for s in nz:
+                    if exps[kW, s] == 0:
+                        continue
+                    target = exps[kW] + exps[kf]
+                    target[s] -= 1
+                    out[table.index_of(target) - start] += exps[kW, s] * f[kf, s] * W[kW]
+    return out
+
+
+def naive_jordan_within_order(table, p, jordan_pairs):
+    ids = list(table.ids_of_order(p))
+    out = []
+    for s, j, tau in jordan_pairs:
+        dep = np.full(len(ids), -1)
+        weight = np.zeros(len(ids), dtype=complex)
+        for loc, mid in enumerate(ids):
+            alpha = table.exponents[mid].copy()
+            if alpha[j] == 0:
+                continue
+            alpha[s] += 1
+            alpha[j] -= 1
+            dep[loc] = table.index_of(alpha)
+            weight[loc] = alpha[s] * tau
+        out.append((dep, weight))
+    return out
+
+
+def naive_nl_rhs_series(model, table, U, p):
+    start = table.ids_of_order(p)[0]
+    out = np.zeros((table.count_of_order(p), model.n), dtype=complex)
+    exps = table.exponents
+    if model.Gt is not None:
+        for p1 in range(1, p):
+            for k1 in table.ids_of_order(p1):
+                for k2 in table.ids_of_order(p - p1):
+                    out[table.index_of(exps[k1] + exps[k2]) - start] -= model.Gt.apply(U[k1], U[k2])
+    if model.H is not None:
+        for p1 in range(1, p - 1):
+            for p2 in range(1, p - p1):
+                for k1 in table.ids_of_order(p1):
+                    for k2 in table.ids_of_order(p2):
+                        for k3 in table.ids_of_order(p - p1 - p2):
+                            mid = table.index_of(exps[k1] + exps[k2] + exps[k3])
+                            out[mid - start] -= model.H.apply(U[k1], U[k2], U[k3])
+    return out
+
+
+def use_naive_assembly(monkeypatch):
+    monkeypatch.setattr(dpim, "_quadratic_rhs", naive_quadratic_rhs)
+    monkeypatch.setattr(dpim, "_gradient_cross_lower", naive_gradient_cross_lower)
+    monkeypatch.setattr(dpim, "_jordan_within_order", naive_jordan_within_order)
+    monkeypatch.setattr(PolynomialSecondOrderModel, "nl_rhs_series", naive_nl_rhs_series)
+
+
+def rel_diff(a, b):
+    return np.abs(a - b).max() / max(np.abs(b).max(), 1e-300)
+
+
+def with_quadratic_force(model):
+    """The cubic test model plus a parameter-independent quadratic force."""
+    Gt = SparseBilinearForm.from_entries(2, 2, 2, [(0, 0, 1, 0.3), (1, 1, 1, -0.2),
+                                                   (1, 0, 0, 0.15)])
+    return dataclasses.replace(model, Gt=Gt)
+
+
+P_H = 2.076805  # Hopf point of build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2)
+
+
+class TestProductTableAssembly:
+    @pytest.mark.parametrize("case", ["hopf-o7", "jordan-o5"])
+    def test_firstorder_against_pairwise_loops(self, case, monkeypatch):
+        m = build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2)
+        if case == "hopf-o7":
+            dae = recast_to_dae(m, mu0=P_H)
+            spec, order = solve_master_eigen(dae, d=4), 7
+        else:
+            dae = recast_to_dae(m, mu0=2.0)
+            spec, order = enforce_jordan(solve_master_eigen(dae, d=4), (0, 2)), 5
+        rom = build_rom_firstorder(dae, spec, order)
+        use_naive_assembly(monkeypatch)
+        ref = build_rom_firstorder(dae, spec, order)
+        assert rel_diff(rom.W, ref.W) < 1e-12
+        assert rel_diff(rom.f, ref.f) < 1e-12
+
+    def test_secondorder_against_triplewise_loops(self, monkeypatch):
+        model, _ = make_cubic_test_model(2.6)
+        spec = solve_master_eigen(model, d=4)
+        rom = build_rom_secondorder(model, spec, order=7)
+        use_naive_assembly(monkeypatch)
+        ref = build_rom_secondorder(model, spec, order=7)
+        assert rel_diff(rom.W, ref.W) < 1e-12
+        assert rel_diff(rom.f, ref.f) < 1e-12
+
+    def test_nl_rhs_series_against_loops(self):
+        model = with_quadratic_force(make_cubic_test_model(2.6)[0])
+        table = MonomialTable(5, 5)
+        rng = np.random.default_rng(2)
+        U = rng.standard_normal((len(table), 2)) + 1j * rng.standard_normal((len(table), 2))
+        for p in range(2, 6):
+            got = model.nl_rhs_series(table, U, p)
+            assert rel_diff(got, naive_nl_rhs_series(model, table, U, p)) < 1e-12
+
+    def test_no_per_pair_calls(self, monkeypatch):
+        # guard against the per-pair loops coming back: builds apply no form
+        # pair by pair and look up O(order) monomials at most
+        m = build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2)
+        dae = recast_to_dae(m, mu0=P_H)
+        spec1 = solve_master_eigen(dae, d=4)
+        model = with_quadratic_force(make_cubic_test_model(2.6)[0])
+        spec2 = solve_master_eigen(model, d=4)
+        calls = Counter()
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for cls, attr, key in ((SparseBilinearForm, "apply", "bilinear"),
+                               (SparseTrilinearForm, "apply", "trilinear"),
+                               (MonomialTable, "index_of", "lookup"),
+                               (MonomialTable, "get", "lookup")):
+            monkeypatch.setattr(cls, attr, counted(key, getattr(cls, attr)))
+        order = 7
+        for build, system, spec in ((build_rom_firstorder, dae, spec1),
+                                    (build_rom_secondorder, model, spec2)):
+            calls.clear()
+            build(system, spec, order)
+            assert calls["bilinear"] == 0
+            assert calls["trilinear"] == 0
+            assert calls["lookup"] <= order
+
+
+class TestBuildStats:
+    @pytest.mark.parametrize("engine", ["first-order", "second-order"])
+    def test_per_order_stats(self, engine):
+        order = 7
+        if engine == "first-order":
+            m = build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2)
+            system = recast_to_dae(m, mu0=P_H)
+            build = build_rom_firstorder
+        else:
+            system, _ = make_cubic_test_model(2.6)
+            build = build_rom_secondorder
+        spec = solve_master_eigen(system, d=4)
+        rom = build(system, spec, order)
+        again = build(system, spec, order)
+        assert np.array_equal(rom.W, again.W) and np.array_equal(rom.f, again.f)
+
+        stats = rom.meta["stats"]
+        assert [r["order"] for r in stats] == list(range(2, order + 1))
+        res = classify_resonances(rom.table, np.append(rom.lam, 0.0),
+                                  enforce_one_to_one=True)
+        for r in stats:
+            ids = rom.table.ids_of_order(r["order"])
+            assert r["monomials"] == len(ids)
+            assert r["resonant"] == sum(1 for mid in ids if res.sets[mid])
+            assert min(r["assembly_s"], r["cross_s"], r["solve_s"]) >= 0
+            assert r["max_rel_residual"] < 1e-6
+        # one factorization per distinct z-part of orders 0..order
+        n_fact = sum(r["factorizations"] for r in stats)
+        assert n_fact == comb(order + 4, 4)
+        assert n_fact < sum(r["monomials"] for r in stats)
+
+        back = ParametrisationROM.from_dict(json.loads(json.dumps(rom.to_dict())))
+        assert back.meta["stats"] == stats
+
+
+def loop_resonance_sets(table, lam_cls, r_tol):
+    d = len(lam_cls) - 1
+    sigma_cls = table.exponents @ lam_cls
+    return [[r for r in range(d)
+             if abs(sigma_cls[mid].imag - lam_cls[r].imag)
+             <= r_tol * max(1.0, abs(lam_cls[r].imag))]
+            for mid in range(len(table))]
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("one_to_one", [False, True])
+def test_resonance_sets_match_loop(seed, one_to_one):
+    rng = np.random.default_rng(seed)
+    # frequencies near 1:1, 1:2 and 1:3 ratios so that many monomials are hit
+    w1 = rng.uniform(0.5, 2.0)
+    w2 = w1 * rng.choice([1.0, 2.0, 3.0, 0.5]) * (1 + 0.02 * rng.standard_normal())
+    re = 0.1 * rng.standard_normal(2)
+    lam = np.array([re[0] + 1j * w1, re[0] - 1j * w1, re[1] + 1j * w2, re[1] - 1j * w2, 0])
+    table = MonomialTable(5, 6)
+    for r_tol in (0.005, 0.05, 0.2):
+        res = classify_resonances(table, lam, r_tol, enforce_one_to_one=one_to_one)
+        assert res.sets == loop_resonance_sets(table, res.lam_classified, r_tol)
 
 
 class TestRomSerialization:

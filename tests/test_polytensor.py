@@ -9,7 +9,6 @@ from flutterrom.polytensor import (
     MonomialTable,
     SparseBilinearForm,
     SparseTrilinearForm,
-    enumerate_monomials,
     monomial_count,
     polynomial_eval,
 )
@@ -40,34 +39,34 @@ def dense_bilinear(Q):
 
 class TestEnumeration:
     def test_order2_count_three_vars(self):
-        table = enumerate_monomials(3, 2)
+        table = MonomialTable(3, 2)
         assert table.count_of_order(2) == 6  # binomial(2+2, 2)
 
     def test_order1_two_vars(self):
-        table = enumerate_monomials(2, 1)
+        table = MonomialTable(2, 1)
         assert len(table) == 2
         assert table.exponents.tolist() == [[1, 0], [0, 1]]  # {z1, mu}
 
     def test_order9_five_vars_brute_force(self):
         # frozen from the itertools oracle: 715 order-9 monomials in 5 vars
         assert brute_force_count(9, 5) == 715
-        table = enumerate_monomials(5, 9)
+        table = MonomialTable(5, 9)
         assert table.count_of_order(9) == 715
 
     @pytest.mark.parametrize("nvars", range(2, 7))
     @pytest.mark.parametrize("order", range(1, 11))
     def test_counts_match_binomial(self, nvars, order):
-        table = enumerate_monomials(nvars, order)
+        table = MonomialTable(nvars, order)
         assert table.count_of_order(order) == monomial_count(order, nvars)
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
-            enumerate_monomials(1, 3)
+            MonomialTable(1, 3)
         with pytest.raises(ValueError):
-            enumerate_monomials(3, 0)
+            MonomialTable(3, 0)
 
     def test_descending_lex_within_order(self):
-        table = enumerate_monomials(3, 2)
+        table = MonomialTable(3, 2)
         order2 = [tuple(table.exponents[m]) for m in table.ids_of_order(2)]
         assert order2 == [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)]
         # the parameter slot comes last
@@ -75,7 +74,7 @@ class TestEnumeration:
 
     def test_jordan_dependency_points_backwards(self):
         # alpha + e_s - e_j with s < j must already be processed
-        table = enumerate_monomials(5, 4)
+        table = MonomialTable(5, 4)
         for p in range(1, 5):
             ids = list(table.ids_of_order(p))
             for mid in ids:
@@ -92,18 +91,53 @@ class TestEnumeration:
     @given(st.integers(2, 5), st.integers(1, 6))
     @settings(max_examples=30, deadline=None)
     def test_lookup_bijection(self, nvars, order):
-        table = enumerate_monomials(nvars, order)
+        table = MonomialTable(nvars, order)
         for mid in range(len(table)):
             assert table.index_of(table.exponents[mid]) == mid
 
+    @pytest.mark.parametrize("nvars,order", [(2, 1), (2, 4), (3, 3), (4, 2)])
+    def test_lookup_outside_table_against_dict_oracle(self, nvars, order):
+        # every vector in [-1, order+1]^nvars: negative entries, order 0 and
+        # orders past the table must not alias a table code
+        table = MonomialTable(nvars, order)
+        oracle = {tuple(int(e) for e in row): mid for mid, row in enumerate(table.exponents)}
+        for e in itertools.product(range(-1, order + 2), repeat=nvars):
+            assert table.get(e) == oracle.get(e)
+            if e in oracle:
+                assert table.index_of(e) == oracle[e]
+            else:
+                with pytest.raises(ValueError):
+                    table.index_of(e)
+        for bad in ((1,) * (nvars - 1), (1,) * (nvars + 1)):
+            assert table.get(bad) is None
+            with pytest.raises(ValueError):
+                table.index_of(bad)
+
+    @pytest.mark.parametrize("orders", [(1, 1), (2, 3), (4, 1), (1, 2, 2), (2, 1, 1)])
+    def test_product_ids_brute_force(self, orders):
+        table = MonomialTable(4, 6)
+        got = table.product_ids(*orders)
+        start = table.ids_of_order(sum(orders))[0]
+        blocks = [list(table.ids_of_order(q)) for q in orders]
+        assert got.shape == tuple(len(b) for b in blocks)
+        for pos in itertools.product(*(range(len(b)) for b in blocks)):
+            alpha = sum(table.exponents[b[k]] for b, k in zip(blocks, pos))
+            assert got[pos] + start == table.index_of(alpha)
+
+    def test_product_ids_rejects_orders_past_the_table(self):
+        with pytest.raises(ValueError):
+            MonomialTable(3, 4).product_ids(2, 3)
+
     def test_conjugation_permutation(self):
-        table = enumerate_monomials(5, 3)
+        table = MonomialTable(5, 3)
         conj = [1, 0, 3, 2, 4]  # (z1, z1b, z2, z2b, mu)
         perm = table.conjugation_permutation(conj)
         # involution
         assert (perm[perm] == np.arange(len(table))).all()
         mid = table.index_of((2, 1, 0, 0, 0))
         assert perm[mid] == table.index_of((1, 2, 0, 0, 0))
+        with pytest.raises(ValueError):
+            table.conjugation_permutation([1, 1, 3, 2, 4])
 
 
 class TestBilinear:
@@ -171,6 +205,18 @@ class TestBilinear:
         expect = np.einsum("pij,i,jq->pq", T, u, A)
         assert np.allclose(Q.apply_matrix_right(u, A), expect, atol=1e-13)
 
+    def test_apply_outer_against_pairwise_apply(self):
+        rng = np.random.default_rng(11)
+        dim = 5
+        Q = random_bilinear(rng, dim, nnz=20, complex_vals=True)
+        U1 = rng.standard_normal((4, dim)) + 1j * rng.standard_normal((4, dim))
+        U2 = rng.standard_normal((3, dim)) + 1j * rng.standard_normal((3, dim))
+        targets = rng.integers(0, 6, (4, 3))
+        expect = np.zeros((6, dim), dtype=complex)
+        for a, b in np.ndindex(4, 3):
+            expect[targets[a, b]] += Q.apply(U1[a], U2[b])
+        assert np.allclose(Q.apply_outer(U1, U2, targets, 6), expect, rtol=0, atol=1e-13)
+
     def test_zero_form_gives_zero_matrix(self):
         Q = SparseBilinearForm(4, 4, 4)
         A = np.eye(4)
@@ -203,9 +249,23 @@ class TestTrilinear:
         assert np.allclose(H.contract_first_two(u, v_).toarray(), expect_mat, atol=1e-12)
 
 
+    def test_apply_outer_against_triplewise_apply(self):
+        rng = np.random.default_rng(12)
+        dim, nnz = 4, 15
+        H = SparseTrilinearForm(dim, dim, *(rng.integers(0, dim, nnz) for _ in range(4)),
+                                rng.standard_normal(nnz))
+        U = [rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
+             for n in (3, 2, 4)]
+        targets = rng.integers(0, 5, (3, 2, 4))
+        expect = np.zeros((5, dim), dtype=complex)
+        for a, b, c in np.ndindex(3, 2, 4):
+            expect[targets[a, b, c]] += H.apply(U[0][a], U[1][b], U[2][c])
+        assert np.allclose(H.apply_outer(*U, targets, 5), expect, rtol=0, atol=1e-12)
+
+
 class TestPolynomialEval:
     def test_order1_is_matvec(self):
-        table = enumerate_monomials(3, 2)
+        table = MonomialTable(3, 2)
         rng = np.random.default_rng(1)
         coeffs = np.zeros((len(table), 4), dtype=complex)
         W1 = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
@@ -215,12 +275,12 @@ class TestPolynomialEval:
         assert np.allclose(polynomial_eval(table, coeffs, z), W1.T @ z, atol=1e-13)
 
     def test_zero_point(self):
-        table = enumerate_monomials(4, 3)
+        table = MonomialTable(4, 3)
         coeffs = np.ones((len(table), 2), dtype=complex)
         assert np.allclose(polynomial_eval(table, coeffs, np.zeros(4)), 0)
 
     def test_naive_oracle_order3(self):
-        table = enumerate_monomials(4, 3)
+        table = MonomialTable(4, 3)
         rng = np.random.default_rng(5)
         coeffs = rng.standard_normal((len(table), 3)) + 1j * rng.standard_normal((len(table), 3))
         z = 0.3 * (rng.standard_normal(4) + 1j * rng.standard_normal(4))
@@ -233,7 +293,7 @@ class TestPolynomialEval:
         assert np.allclose(polynomial_eval(table, coeffs, z), naive, atol=1e-12)
 
     def test_linear_in_coeffs(self):
-        table = enumerate_monomials(3, 2)
+        table = MonomialTable(3, 2)
         rng = np.random.default_rng(9)
         c1 = rng.standard_normal((len(table), 2))
         c2 = rng.standard_normal((len(table), 2))
