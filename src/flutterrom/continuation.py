@@ -69,7 +69,7 @@ def find_hopf(rom, window=None, n_scan=201, tol=1e-12):
         return float(np.max(np.linalg.eigvals(rom.linear_block(mu)).real))
 
     mus = np.linspace(window[0], window[1], n_scan)
-    vals = np.array([max_re(mu) for mu in mus])
+    vals = np.max(np.linalg.eigvals(rom.linear_block(mus)).real, axis=1)
     bracket = None
     for i in range(len(mus) - 1):
         if vals[i] < 0 <= vals[i + 1]:
@@ -133,13 +133,11 @@ def _flow_with_variations(sysr, x0, T, mu, rtol, atol, sensitivity=True):
 
     y0 = np.concatenate([x0, np.eye(m2).ravel(),
                          np.zeros(m2 if sensitivity else 0)])
-    sol = solve_ivp(rhs, (0.0, T), y0, method="DOP853", rtol=rtol, atol=atol,
-                    dense_output=True)
-    yT = sol.y[:, -1]
+    yT = solve_ivp(rhs, (0.0, T), y0, method="DOP853", rtol=rtol, atol=atol).y[:, -1]
     xT = yT[:m2]
     Mono = yT[m2:m2 + m2 * m2].reshape(m2, m2)
     smu = yT[m2 + m2 * m2:] if sensitivity else None
-    return xT, Mono, smu, sol
+    return xT, Mono, smu
 
 
 def _initial_cycle(rom, mu, opts):
@@ -170,8 +168,8 @@ def _newton_fixed_mu(sysr, rom, x, T, mu, opts):
     for _ in range(opts.max_newton):
         nvec = sysr.rhs(0.0, x)
         nvec /= np.linalg.norm(nvec)
-        xT, Mono, _, _ = _flow_with_variations(sysr, x, T, mu, opts.rtol, opts.atol,
-                                               sensitivity=False)
+        xT, Mono, _ = _flow_with_variations(sysr, x, T, mu, opts.rtol, opts.atol,
+                                            sensitivity=False)
         F = np.concatenate([xT - x, [0.0]])
         if np.linalg.norm(F) < opts.newton_tol * max(1.0, np.linalg.norm(x)):
             return x, T, Mono
@@ -266,8 +264,8 @@ def continue_periodic(rom, mu_start=None, options=None):
             x_n, T_n, mu_n = qn[:m2], qn[m2], qn[m2 + 1]
             nvec = sysr.rhs(0.0, q[:m2])
             nvec /= np.linalg.norm(nvec)
-            xT, Mono, smu, _ = _flow_with_variations(sysr, x_n, T_n, mu_n,
-                                                     opts.rtol, opts.atol)
+            xT, Mono, smu = _flow_with_variations(sysr, x_n, T_n, mu_n,
+                                                  opts.rtol, opts.atol)
             F = np.concatenate([xT - x_n,
                                 [nvec @ (x_n - q[:m2])],
                                 [tangent @ (qn - q) - ds]])
@@ -341,9 +339,6 @@ class DiagramComparison:
     rel_error: np.ndarray
     threshold: float
     P_valid: float
-
-    def validity_span(self, P_H):
-        return self.P_valid - P_H
 
 
 def diagram_compare(diag_a, diag_b, coord_a, coord_b=None, threshold=0.05):

@@ -16,13 +16,24 @@ The nonlinear right-hand side of each order is assembled from product
 index tables (`MonomialTable.product_ids`): per order split, each form is
 applied to the whole blocks of lower-order mapping coefficients at once
 and scattered by target monomial, and the gradient cross terms become one
-sparse weight matrix per pair of orders of f and W.  The parameter
-eigenvalue is exactly zero, so every monomial alpha + k e_mu shares sigma
-and the resonant set of alpha; the engines factor each of those systems
-once, keyed by the z-part of the exponent.  Each build records per-order
-statistics in `rom.meta["stats"]`: monomial and resonant counts,
-assembly, cross-term and solve times, new factorizations and the largest
-relative homological residual.
+sparse weight matrix per pair of orders of f and W.
+
+The first-order engine then solves each order in stacks: the monomials of
+one resonant set share the matrix size, so each set is one stacked
+`scipy.linalg.solve`, and with Jordan couplings an order splits into waves
+whose Jordan terms read only earlier waves.  Every solve's relative
+residual is checked.  The second-order engine solves per monomial; the
+parameter eigenvalue is exactly zero, so every monomial alpha + k e_mu
+shares sigma and the resonant set of alpha, and it factors each of those
+systems once, keyed by the z-part of the exponent.  Each build records
+per-order statistics in `rom.meta["stats"]`: monomial and resonant
+counts, assembly, cross-term and solve times, factorizations (one per
+monomial in the first-order engine) and the largest relative homological
+residual.
+
+`invariance_residual` checks a ROM against its full model at a block of
+sample points at once, from one table of monomial values
+(`ParametrisationROM.mapping_and_flow`).
 """
 
 from __future__ import annotations
@@ -48,11 +59,13 @@ class ResonanceError(RuntimeError):
 
 @dataclass
 class ResonanceSet:
-    """Per-monomial sigma = alpha . diag(Lam) and the resonant master sets."""
+    """Per-monomial sigma = alpha . diag(Lam) and the resonant master sets;
+    keys encode each set as a bit mask (bit r for master r)."""
 
     sigma: np.ndarray
     sets: list
     lam_classified: np.ndarray
+    keys: np.ndarray
 
     def resonant(self, mid):
         return self.sets[mid]
@@ -83,7 +96,7 @@ def classify_resonances(table, lam_vec, r_tol=0.05, enforce_one_to_one=False):
     lam_r = lam_cls[:d].imag
     hit = np.abs(sigma_cls.imag[:, None] - lam_r) <= r_tol * np.maximum(1.0, np.abs(lam_r))
     sets = [list(compress(range(d), row)) for row in hit.tolist()]
-    return ResonanceSet(sigma, sets, lam_cls)
+    return ResonanceSet(sigma, sets, lam_cls, hit @ (1 << np.arange(d)))
 
 
 @dataclass
@@ -122,18 +135,19 @@ class ParametrisationROM:
     def evaluate_mapping(self, ztilde):
         return polynomial_eval(self.table, self.W, ztilde)
 
-    def reduced_rhs(self, ztilde):
-        return polynomial_eval(self.table, self.f, ztilde)
-
     def linear_block(self, mu):
-        """mu-dressed linear reduced dynamics J(mu) at the fixed point z = 0."""
+        """mu-dressed linear reduced dynamics J(mu) at the fixed point z = 0;
+        a 1-D array of loads gives one matrix per load, stacked."""
         d = self.d
         w = self.table.code_weights
         ids = self.table.ids_of_codes(w[:d, None] + np.arange(self.order) * w[-1])
-        J = np.zeros((d, d), dtype=complex)
+        mus = np.atleast_1d(mu)
+        # scalar powers, so that each matrix is the one a single load gives
+        powers = np.array([[x**m for m in range(self.order)] for x in mus])
+        J = np.zeros((len(mus), d, d), dtype=complex)
         for m in range(self.order):
-            J += self.f[ids[:, m], :d].T * mu**m
-        return J
+            J += self.f[ids[:, m], :d].T * powers[:, m, None, None]
+        return J if np.ndim(mu) else J[0]
 
     def mapping_gradient(self, ztilde):
         """dW/dz at ztilde, shape (dim, nvars)."""
@@ -149,6 +163,20 @@ class ParametrisationROM:
             vals = np.prod(ztilde[None, :] ** lowered, axis=1)
             grad[:, s] = (self.W[mask].T * (exps[mask, s] * vals)) @ np.ones(mask.sum())
         return grad
+
+    def mapping_and_flow(self, Z):
+        """W(z), f(z) and (dW/dz) f(z) at every row of Z, one row each.
+
+        All three come from one table of monomial values; the derivative
+        term reads the lowered-exponent columns of the same table.
+        """
+        vals = self.table.batch_values(Z)
+        mono = vals[:, :-1]
+        fz = mono @ self.f
+        dflow = np.zeros_like(mono)
+        for s, (ids, low, alpha_s) in enumerate(self.table.lowered):
+            dflow[:, ids] += alpha_s * vals[:, low] * fz[:, s, None]
+        return mono @ self.W, fz, dflow @ self.W
 
     def to_dict(self):
         def c2(arr):
@@ -256,12 +284,28 @@ def _jordan_within_order(table, p, jordan_pairs):
     return out
 
 
-def _jordan_term(jdeps, W, loc):
-    out = np.zeros(W.shape[1], dtype=complex)
+def _jordan_term(jdeps, W, locs):
+    """Jordan gradient term at the order-p positions locs, one row each."""
+    out = np.zeros((len(locs), W.shape[1]), dtype=complex)
     for dep, weight in jdeps:
-        if dep[loc] >= 0:
-            out += weight[loc] * W[dep[loc]]
+        has = dep[locs] >= 0
+        out[has] += weight[locs][has, None] * W[dep[locs][has]]
     return out
+
+
+def _jordan_waves(jdeps, start, n):
+    """Wave of each order-p position: one past the waves of the monomials its
+    Jordan term reads, so that a wave reads only earlier waves.  Without
+    couplings the whole order is wave 0."""
+    wave = np.zeros(n, dtype=np.int64)
+    while True:
+        deeper = wave.copy()
+        for dep, _ in jdeps:
+            has = dep >= 0
+            deeper[has] = np.maximum(deeper[has], wave[dep[has] - start] + 1)
+        if np.array_equal(deeper, wave):
+            return wave
+        wave = deeper
 
 
 def _dense_solver(A):
@@ -276,17 +320,24 @@ def _dense_solver(A):
     return lambda b: getrs(lu, piv, b)[0]
 
 
+def _resonance_error(sigma, lam, table, mid):
+    near = lam[np.argmin(np.abs(lam - sigma))]
+    alpha = tuple(int(e) for e in table.exponents[mid])
+    return ResonanceError(
+        f"homological solve failed for monomial {alpha}: sigma = {sigma:.6g} "
+        f"is unflagged-resonant with lambda = {near:.6g}; "
+        "revisit the resonance tolerance")
+
+
 def _check_solve(residual_norm, rhs_norm, sigma, lam, table, mid):
-    """Relative homological residual; raises when it flags a missed resonance."""
-    rel = residual_norm / max(rhs_norm, 1e-300)
-    if not rel <= 1e-6:  # also catches NaN from a singular system
-        near = lam[np.argmin(np.abs(lam - sigma))]
-        alpha = tuple(int(e) for e in table.exponents[mid])
-        raise ResonanceError(
-            f"homological solve failed for monomial {alpha}: sigma = {sigma:.6g} "
-            f"is unflagged-resonant with lambda = {near:.6g}; "
-            "revisit the resonance tolerance")
-    return rel
+    """Largest relative homological residual of one solve or of a stack of
+    them; raises at the first that flags a missed resonance."""
+    rel = np.atleast_1d(residual_norm / np.maximum(rhs_norm, 1e-300))
+    bad = np.flatnonzero(~(rel <= 1e-6))  # also catches NaN from a singular system
+    if bad.size:
+        raise _resonance_error(np.atleast_1d(sigma)[bad[0]], lam, table,
+                               np.atleast_1d(mid)[bad[0]])
+    return float(rel.max())
 
 
 def _z_keys(table):
@@ -323,6 +374,61 @@ def _quadratic_rhs(table, dae, W, p):
     return rhs
 
 
+def _stacked_solve(sigma, B, At, cols, rows, rhs, lam, table, mids):
+    """Homological solves of one resonant set, one monomial per stack entry.
+
+    Each system is [[sigma B - At, cols], [rows, 0]] (unbordered when the
+    set is empty) with right-hand side [rhs, 0]; returns the solutions and
+    the largest relative residual, which _check_solve bounds.
+    """
+    k, D = rhs.shape
+    n = D + cols.shape[1]
+    A = np.zeros((k, n, n), dtype=complex)
+    np.multiply(sigma[:, None, None], B, out=A[:, :D, :D])
+    A[:, :D, :D] -= At
+    A[:, :D, D:] = cols
+    A[:, D:, :D] = rows
+    b = np.zeros((k, n), dtype=complex)
+    b[:, :D] = rhs
+    try:
+        # scipy's LAPACK, which the per-key factorizations use too: each entry
+        # gets the bits of its own getrf/getrs; numpy's bundled build rounds
+        # differently
+        sol = sla.solve(A, b[..., None], assume_a="gen", check_finite=False)[..., 0]
+    except sla.LinAlgError:
+        bad = int(np.argmin(np.abs(np.linalg.det(A))))
+        raise _resonance_error(sigma[bad], lam, table, mids[bad]) from None
+    resid = np.linalg.norm((A @ sol[..., None])[..., 0] - b, axis=1)
+    return sol, _check_solve(resid, np.linalg.norm(b, axis=1), sigma, lam, table, mids)
+
+
+def _solve_order(table, res, spectrum, B, At, ids, rhs, jdeps, W, f):
+    """Solves the order-p monomials ids into W and f, one stack per Jordan
+    wave and resonant set; returns the largest relative residual.
+
+    rhs holds one row per order-p monomial; the Jordan term of a wave reads
+    the W rows that earlier waves wrote.
+    """
+    D = rhs.shape[1]
+    lam = np.diag(spectrum.Lam)
+    wave = _jordan_waves(jdeps, ids[0], len(ids))
+    max_rel = 0.0
+    for w in range(wave.max() + 1):
+        in_wave = np.flatnonzero(wave == w)
+        keys, group = np.unique(res.keys[ids[in_wave]], return_inverse=True)
+        for g in range(len(keys)):
+            locs = in_wave[group == g]
+            mids = ids[locs]
+            R = res.sets[mids[0]]
+            b = rhs[locs] - _jordan_term(jdeps, W, locs) @ B.T
+            sol, rel = _stacked_solve(res.sigma[mids], B, At, B @ spectrum.Y[:, R],
+                                      spectrum.X[:, R].conj().T @ B, b, lam, table, mids)
+            max_rel = max(max_rel, rel)
+            W[mids] = sol[:, :D]
+            f[np.ix_(mids, R)] = sol[:, D:]
+    return max_rel
+
+
 def build_rom_firstorder(dae: FirstOrderDAE, spectrum, order, r_tol=0.05,
                          enforce_one_to_one=None, style=STYLE_NORMAL_FORM,
                          meta=None):
@@ -352,42 +458,18 @@ def build_rom_firstorder(dae: FirstOrderDAE, spectrum, order, r_tol=0.05,
     W[o1[d]] = spectrum.Ypar
     # normal-form choice for the parameter column: f^(1, d+1) = 0
 
-    zkeys = _z_keys(table)
-    factors = {}  # z-part code -> (homological matrix, its factored solve)
     stats = []
     for p in range(2, order + 1):
-        ids = table.ids_of_order(p)
+        ids = np.asarray(table.ids_of_order(p))
         t0 = time.perf_counter()
         rhs = _quadratic_rhs(table, dae, W, p)
         t1 = time.perf_counter()
         rhs -= _gradient_cross_lower(table, W, f, p) @ B.T
         jdeps = _jordan_within_order(table, p, jp)
         t2 = time.perf_counter()
-        n_fact, max_rel = len(factors), 0.0
-        for loc, mid in enumerate(ids):
-            sigma = res.sigma[mid]
-            R = res.sets[mid]
-            nR = len(R)
-            fact = factors.get(zkeys[mid])
-            if fact is None:
-                Mtx = sigma * B - At
-                if nR:
-                    Mtx = np.block([[Mtx, B @ spectrum.Y[:, R]],
-                                    [spectrum.X[:, R].conj().T @ B, np.zeros((nR, nR))]])
-                fact = factors[zkeys[mid]] = (Mtx, _dense_solver(Mtx))
-            Mtx, solve = fact
-            b = np.zeros(D + nR, dtype=complex)
-            b[:D] = rhs[loc]
-            if jp:
-                b[:D] -= B @ _jordan_term(jdeps, W, loc)
-            sol = solve(b)
-            rel = _check_solve(np.linalg.norm(Mtx @ sol - b), np.linalg.norm(b), sigma,
-                               lam_vec[:d], table, mid)
-            max_rel = max(max_rel, rel)
-            W[mid] = sol[:D]
-            f[mid, R] = sol[D:]
+        max_rel = _solve_order(table, res, spectrum, B, At, ids, rhs, jdeps, W, f)
         stats.append(_order_record(p, ids, res, (t0, t1, t2, time.perf_counter()),
-                                   len(factors) - n_fact, max_rel))
+                                   len(ids), max_rel))
 
     rom_meta = {"engine": "first-order", "mu0": dae.mu0, "r_tol": r_tol,
                 "one_to_one": bool(enforce_one_to_one),
@@ -509,7 +591,7 @@ def build_rom_secondorder(model, spectrum, order, r_tol=0.05,
         t2 = time.perf_counter()
         n_fact, max_rel = solver.factorizations, 0.0
         for loc, mid in enumerate(ids):
-            gm = g[loc] + _jordan_term(jdeps, W, loc) if jp else g[loc]
+            gm = g[loc] + _jordan_term(jdeps, W, [loc])[0] if jp else g[loc]
             gU, gV = gm[:n], gm[n:]
             sigma = res.sigma[mid]
             R = res.sets[mid]
@@ -556,37 +638,34 @@ def build_rom_secondorder(model, spectrum, order, r_tol=0.05,
 # -- invariance diagnostics ---------------------------------------------------
 
 def invariance_residual(rom, system, ztilde):
-    """Norm of the invariance-equation defect at the sample point.
+    """Norm of the invariance-equation defect at the sample point(s).
 
     Substitutes the truncated mapping and reduced dynamics into the full
     model; the result decays like |z|^(order+1) inside the validity domain
-    and vanishes identically for linear systems at order 1.
+    and vanishes identically for linear systems at order 1.  A block of
+    points (one per row) gives one norm per point, evaluated together.
     """
     ztilde = np.asarray(ztilde, dtype=complex)
-    Wz = rom.evaluate_mapping(ztilde)
-    fz = rom.reduced_rhs(ztilde)
-    grad = rom.mapping_gradient(ztilde)
-    mu = ztilde[-1]
+    Z = np.atleast_2d(ztilde)
+    Wz, fz, dWf = rom.mapping_and_flow(Z)
+    mu = Z[:, -1, None]
 
     if isinstance(system, FirstOrderDAE):
-        B = system.B
-        At = system.tangent_matrix()
-        A0 = system.parameter_column()
-        lhs = B @ (grad @ fz)
-        rhs = (At @ Wz + A0 * mu + system.Q1.apply(Wz, Wz)
-               + (system.Q2m @ Wz) * mu + system.q3 * mu**2)
-        return float(np.linalg.norm(lhs - rhs))
-
-    n = system.ndof
-    M = system.mass()
-    C = system.damping()
-    Kt = system.tangent_stiffness()
-    U, V = Wz[:n], Wz[n:]
-    dU, dV = (grad @ fz)[:n], (grad @ fz)[n:]
-    r1 = M @ dU - M @ V
-    r2 = (M @ dV + C @ V + Kt @ U - mu * system.rt() - mu * (system.ru() @ U)
-          + system.nonlinear_force(U))
-    return float(np.linalg.norm(np.concatenate([r1, r2])))
+        lhs = dWf @ system.B.T
+        rhs = (Wz @ system.tangent_matrix().T + system.parameter_column() * mu
+               + system.Q1.apply(Wz, Wz) + (Wz @ system.Q2m.T) * mu + system.q3 * mu**2)
+        defect = lhs - rhs
+    else:
+        n = system.ndof
+        M, C, Kt, Ru = system.mass(), system.damping(), system.tangent_stiffness(), system.ru()
+        U, V = Wz[:, :n], Wz[:, n:]
+        dU, dV = dWf[:, :n], dWf[:, n:]
+        r1 = (M @ dU.T - M @ V.T).T
+        r2 = ((M @ dV.T + C @ V.T + Kt @ U.T).T - mu * system.rt() - mu * (Ru @ U.T).T
+              + system.nonlinear_force(U))
+        defect = np.concatenate([r1, r2], axis=1)
+    norms = np.linalg.norm(defect, axis=1)
+    return float(norms[0]) if ztilde.ndim == 1 else norms
 
 
 def conjugate_sample(rom, radius, rng):
@@ -606,36 +685,12 @@ def conjugate_sample(rom, radius, rng):
 
 
 def residual_slope(rom, system, radii=None, n_dirs=6, seed=0):
-    """Log-log slope of the invariance residual against the sample radius."""
+    """Log-log slope of the invariance residual against the sample radius;
+    the residual of a radius is the largest over its n_dirs sample points."""
     if radii is None:
         radii = np.logspace(-4, -2, 7)
     rng = np.random.default_rng(seed)
-    dirs = [conjugate_sample(rom, 1.0, rng) for _ in range(n_dirs)]
-    vals = []
-    for r in radii:
-        worst = max(invariance_residual(rom, system, r * z) for z in dirs)
-        vals.append(worst)
+    dirs = np.array([conjugate_sample(rom, 1.0, rng) for _ in range(n_dirs)])
+    vals = np.array([invariance_residual(rom, system, r * dirs).max() for r in radii])
     slope = np.polyfit(np.log(radii), np.log(vals), 1)[0]
-    return float(slope), np.array(vals)
-
-
-def validated_radius(rom, system, rel_tol=1e-2, radii=None, n_dirs=4, seed=1):
-    """Largest sampled z-radius with relative invariance defect below rel_tol."""
-    if radii is None:
-        radii = np.logspace(-3, 0.5, 15)
-    rng = np.random.default_rng(seed)
-    dirs = [conjugate_sample(rom, 1.0, rng) for _ in range(n_dirs)]
-    best = radii[0]
-    for r in radii:
-        rels = []
-        for z in dirs:
-            zz = r * z
-            resid = invariance_residual(rom, system, zz)
-            Wz = rom.evaluate_mapping(zz)
-            scale = max(np.linalg.norm(Wz), 1e-30)
-            rels.append(resid / scale)
-        if max(rels) < rel_tol:
-            best = r
-        else:
-            break
-    return float(best)
+    return float(slope), vals

@@ -56,8 +56,8 @@ class PolynomialSecondOrderModel:
         return self.Ru
 
     def nonlinear_force(self, U):
-        """LHS nonlinear force Gt(U,U) + H(U,U,U)."""
-        f = np.zeros(self.n, dtype=np.result_type(float, U.dtype))
+        """LHS nonlinear force Gt(U,U) + H(U,U,U); U may carry leading batch axes."""
+        f = np.zeros(U.shape, dtype=np.result_type(float, U.dtype))
         if self.Gt is not None:
             f = f + self.Gt.apply(U, U)
         if self.H is not None:

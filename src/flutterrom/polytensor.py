@@ -12,25 +12,42 @@ one monomial of each of a few given orders come from one outer sum of
 codes and one vectorised lookup, and each form is then applied to whole
 blocks of mapping coefficients at once (`apply_outer`) instead of pair by
 pair.
+
+The invariance check evaluates every monomial at a block of points at
+once (`MonomialTable.batch_values`): each monomial is its parent (alpha
+less one unit of its first nonzero variable) times that variable, order by
+order, and the partial derivatives read the lowered-exponent columns
+(`MonomialTable.lowered`) of the same table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import comb
 
 import numpy as np
 import scipy.sparse as sp
 
 
-def _compositions_desc(total, nvars):
-    """All exponent tuples summing to `total`, descending lexicographic."""
-    if nvars == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _compositions_desc(total - first, nvars - 1):
-            yield (first,) + rest
+def _graded_desc_lex(nvars, max_order):
+    """Exponent rows of orders 1..max_order, graded, then descending lex.
+
+    Starts from one partial row per order holding its remaining degree and
+    fixes one variable at a time: each partial row expands, in place, into
+    the rows with that variable at remaining, remaining - 1, ..., 0, which
+    keeps both the grading and the descending-lexicographic order.
+    """
+    rem = np.arange(1, max_order + 1, dtype=np.int64)
+    cols = []
+    for _ in range(nvars - 1):
+        reps = rem + 1
+        row = np.repeat(np.arange(len(rem)), reps)  # partial row each new row extends
+        step = np.arange(len(row)) - np.repeat(np.cumsum(reps) - reps, reps)
+        first = rem[row] - step
+        cols = [c[row] for c in cols] + [first]
+        rem = rem[row] - first
+    return np.column_stack(cols + [rem])
 
 
 class MonomialTable:
@@ -51,14 +68,9 @@ class MonomialTable:
         self.nvars = int(nvars)
         self.max_order = int(max_order)
 
-        rows = []
-        starts = [0]
-        for p in range(1, max_order + 1):
-            rows.extend(_compositions_desc(p, nvars))
-            starts.append(len(rows))
-        self.exponents = np.array(rows, dtype=np.int64)
-        self._order_starts = starts
-        self.orders = self.exponents.sum(axis=1)
+        self.exponents = _graded_desc_lex(self.nvars, self.max_order)
+        self._order_starts = [0] + np.cumsum(
+            [monomial_count(p, self.nvars) for p in range(1, self.max_order + 1)]).tolist()
         # every exponent is <= max_order < radix, so codes are unique, and a
         # sum of exponents whose order stays <= max_order has no carries
         radix = self.max_order + 1
@@ -132,6 +144,47 @@ class MonomialTable:
             raise ValueError("conj_map must be a permutation of the variables")
         return self.ids_of_codes(self.exponents @ self.code_weights[conj_map])
 
+    @cached_property
+    def lowered(self):
+        """Per variable s: (ids, lowered ids, alpha_s) over the monomials with
+        alpha_s > 0; the lowered id is that of alpha - e_s, or -1 for the
+        constant monomial, which is the last column of `batch_values`."""
+        out = []
+        for s in range(self.nvars):
+            ids = np.flatnonzero(self.exponents[:, s])
+            low = np.full(len(ids), -1)
+            inner = ids >= self.nvars  # order 1 lowers to the constant
+            low[inner] = self.ids_of_codes(self.codes[ids[inner]] - self.code_weights[s])
+            out.append((ids, low, self.exponents[ids, s]))
+        return out
+
+    @cached_property
+    def _parents(self):
+        """(parent id, variable) of each monomial: its first nonzero variable
+        and the id of alpha minus that variable (-1 for order 1)."""
+        var = np.argmax(self.exponents > 0, axis=1)
+        parent = np.full(len(self), -1)
+        parent[self.nvars:] = self.ids_of_codes(self.codes[self.nvars:]
+                                                - self.code_weights[var[self.nvars:]])
+        return parent, var
+
+    def batch_values(self, Z):
+        """Every monomial at each row of Z, shape (len(Z), len(self) + 1).
+
+        Order by order, a monomial's value is its parent's value times one
+        variable.  The extra last column holds the constant monomial 1, so
+        that the id -1 of `lowered` reads it.
+        """
+        Z = np.asarray(Z)
+        if Z.ndim != 2 or Z.shape[1] != self.nvars:
+            raise ValueError(f"points must be rows of {self.nvars} components")
+        parent, var = self._parents
+        vals = np.empty((len(Z), len(self) + 1), dtype=np.result_type(Z, float))
+        vals[:, -1] = 1.0
+        for lo, hi in zip(self._order_starts[:-1], self._order_starts[1:]):
+            vals[:, lo:hi] = vals[:, parent[lo:hi]] * Z[:, var[lo:hi]]
+        return vals
+
     def monomial_values(self, z):
         """Evaluate every monomial at the point z (length nvars)."""
         z = np.asarray(z)
@@ -150,6 +203,21 @@ def polynomial_eval(table, coeffs, z):
         raise ValueError("one coefficient row per table monomial required")
     vals = table.monomial_values(z)
     return coeffs.T @ vals
+
+
+def _check_vec(u, dim, name, batch=False):
+    """u as an array of length dim, or of rows of length dim when batch."""
+    u = np.asarray(u)
+    if u.shape[-1:] != (dim,) or (u.ndim > 1 and not batch):
+        raise ValueError(f"{name} must have length {dim}, got shape {u.shape}")
+    return u
+
+
+def _scatter_entries(form, terms):
+    """Sum of the per-entry terms (last axis) into their output rows form.p."""
+    out = np.zeros(terms.shape[:-1] + (form.dim_out,), dtype=terms.dtype)
+    np.add.at(out, (..., form.p), terms)
+    return out
 
 
 def _scatter_products(form, slots, blocks, targets, n_targets):
@@ -204,20 +272,11 @@ class SparseBilinearForm:
         p, i, j, v = zip(*entries)
         return cls(dim_out, dim_in1, dim_in2, np.array(p), np.array(i), np.array(j), np.array(v))
 
-    def _check_vec(self, u, dim, name):
-        u = np.asarray(u)
-        if u.shape != (dim,):
-            raise ValueError(f"{name} must have length {dim}, got shape {u.shape}")
-        return u
-
     def apply(self, u, v):
-        u = self._check_vec(u, self.dim_in1, "u")
-        v = self._check_vec(v, self.dim_in2, "v")
-        dtype = np.result_type(self.val.dtype if self.val.size else float, u.dtype, v.dtype)
-        out = np.zeros(self.dim_out, dtype=dtype)
-        if self.val.size:
-            np.add.at(out, self.p, self.val * u[self.i] * v[self.j])
-        return out
+        """Q(u, v); u and v may carry leading batch axes."""
+        u = _check_vec(u, self.dim_in1, "u", batch=True)
+        v = _check_vec(v, self.dim_in2, "v", batch=True)
+        return _scatter_entries(self, self.val * u[..., self.i] * v[..., self.j])
 
     def apply_outer(self, U1, U2, targets, n_targets):
         """Q(U1[a], U2[b]) summed into row targets[a, b] of an (n_targets, dim_out) array."""
@@ -225,13 +284,13 @@ class SparseBilinearForm:
 
     def contract_left(self, u):
         """Matrix Q(u, .): rows p, columns the second slot."""
-        u = self._check_vec(u, self.dim_in1, "u")
+        u = _check_vec(u, self.dim_in1, "u")
         return sp.coo_matrix((self.val * u[self.i], (self.p, self.j)),
                              shape=(self.dim_out, self.dim_in2)).tocsr()
 
     def contract_right(self, v):
         """Matrix Q(., v): rows p, columns the first slot."""
-        v = self._check_vec(v, self.dim_in2, "v")
+        v = _check_vec(v, self.dim_in2, "v")
         return sp.coo_matrix((self.val * v[self.j], (self.p, self.i)),
                              shape=(self.dim_out, self.dim_in1)).tocsr()
 
@@ -281,22 +340,12 @@ class SparseTrilinearForm:
         return cls(dim_out, dim_in, np.array(p), np.array(i), np.array(j),
                    np.array(k), np.array(v))
 
-    def _check_vec(self, u, name):
-        u = np.asarray(u)
-        if u.shape != (self.dim_in,):
-            raise ValueError(f"{name} must have length {self.dim_in}, got shape {u.shape}")
-        return u
-
     def apply(self, u, v, w):
-        u = self._check_vec(u, "u")
-        v = self._check_vec(v, "v")
-        w = self._check_vec(w, "w")
-        dtype = np.result_type(self.val.dtype if self.val.size else float,
-                               u.dtype, v.dtype, w.dtype)
-        out = np.zeros(self.dim_out, dtype=dtype)
-        if self.val.size:
-            np.add.at(out, self.p, self.val * u[self.i] * v[self.j] * w[self.k])
-        return out
+        """H(u, v, w); the arguments may carry leading batch axes."""
+        u = _check_vec(u, self.dim_in, "u", batch=True)
+        v = _check_vec(v, self.dim_in, "v", batch=True)
+        w = _check_vec(w, self.dim_in, "w", batch=True)
+        return _scatter_entries(self, self.val * u[..., self.i] * v[..., self.j] * w[..., self.k])
 
     def apply_outer(self, U1, U2, U3, targets, n_targets):
         """H(U1[a], U2[b], U3[c]) summed into row targets[a, b, c] of an
@@ -306,8 +355,8 @@ class SparseTrilinearForm:
 
     def contract_first_two(self, u, v):
         """Matrix H(u, v, .): rows p, columns the third slot."""
-        u = self._check_vec(u, "u")
-        v = self._check_vec(v, "v")
+        u = _check_vec(u, self.dim_in, "u")
+        v = _check_vec(v, self.dim_in, "v")
         return sp.coo_matrix((self.val * u[self.i] * v[self.j], (self.p, self.k)),
                              shape=(self.dim_out, self.dim_in)).tocsr()
 

@@ -317,14 +317,6 @@ class EigenTrajectory:
     events: dict
     warnings: list = field(default_factory=list)
 
-    def to_rows(self):
-        rows = []
-        for ip, P in enumerate(self.P):
-            for mode in range(self.lam.shape[1]):
-                lam = self.lam[ip, mode]
-                rows.append((P, mode, lam.real, lam.imag))
-        return rows
-
 
 def _pencil_eigs_at(model, P, k=None, sigma=None):
     M, C, K = model.linear_pencil(P)
@@ -341,8 +333,13 @@ def _max_real(model, P, **kw):
 
 
 def _pair_gap(model, P, **kw):
-    """Smallest eigenvalue distance among distinct upper-half-plane modes."""
-    w, _ = _pencil_eigs_at(model, P, **kw)
+    """_gap_of the spectrum at load P, from a fresh solve."""
+    return _gap_of(_pencil_eigs_at(model, P, **kw)[0])
+
+
+def _gap_of(w):
+    """Smallest eigenvalue distance among distinct upper-half-plane modes of
+    w, and the spectral scale max |w|."""
     scale = max(np.max(np.abs(w)), 1e-30)
     up = np.sort_complex(w[w.imag > 1e-12 * scale])
     if len(up) < 2:
@@ -393,9 +390,10 @@ def eigen_sweep(model, param_range, n_points, n_track=None, mac_threshold=0.8,
     """Track the spectrum over a load range and locate P_c, P_H, P_d.
 
     Mode identity is maintained by greedy modal-assurance matching between
-    neighbouring grid points; events are refined with fresh solves (gap
+    neighbouring grid points.  The event scans read the grid spectra the
+    tracking solved; the events are then refined with fresh solves (gap
     minimization for the coalescence, bisection for the Hopf and divergence
-    points), so they do not depend on the tracking.
+    points), so they do not depend on the mode matching.
     """
     P0, P1 = param_range
     grid = np.linspace(P0, P1, n_points)
@@ -448,7 +446,7 @@ def eigen_sweep(model, param_range, n_points, n_track=None, mac_threshold=0.8,
             break
 
     # coalescence: minimize the smallest pairwise eigenvalue gap
-    gaps = np.array([_pair_gap(model, P, **kw)[0] for P in grid])
+    gaps = np.array([_gap_of(w)[0] for w, _ in raw])
     events["P_c"] = None
     events["ep"] = False
     i_min = int(np.argmin(gaps))

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from flutterrom.continuation import ContinuationOptions, continue_periodic, find_hopf
 from flutterrom.models import build_ziegler2
@@ -27,3 +28,38 @@ def test_normal_form_branch_against_closed_form():
     assert np.abs(diag.periods() - 2 * np.pi / omega).max() < 1e-8
     trivial = max(np.abs(pt.floquet - 1.0).min() for pt in diag.points)
     assert trivial < 1e-6
+
+
+def find_hopf_pointwise(rom, n_scan=201, tol=1e-12):
+    """find_hopf with one eigensolve per scanned load."""
+    ref = max(abs(rom.meta.get("mu0", 0.0)), 1.0)
+    mus = np.linspace(-0.35 * ref, 0.35 * ref, n_scan)
+
+    def max_re(mu):
+        return float(np.max(np.linalg.eigvals(rom.linear_block(mu)).real))
+
+    vals = np.array([max_re(mu) for mu in mus])
+    i = next(i for i in range(n_scan - 1) if vals[i] < 0 <= vals[i + 1])
+    a, b = mus[i], mus[i + 1]
+    fa = max_re(a)
+    for _ in range(200):
+        m = 0.5 * (a + b)
+        fm = max_re(m)
+        if fa * fm <= 0:
+            b = m
+        else:
+            a, fa = m, fm
+        if b - a < tol:
+            break
+    return 0.5 * (a + b)
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_find_hopf_stacked_scan_matches_pointwise_scan(d):
+    _, _, rom = ziegler_rom(mu0=2.0768, order=5, d=d)
+    assert find_hopf(rom) == find_hopf_pointwise(rom)
+    mus = np.linspace(-0.7, 0.7, 11)
+    stack = rom.linear_block(mus)
+    assert stack.shape == (11, d, d)
+    for mu, J in zip(mus, stack):
+        assert np.array_equal(J, rom.linear_block(mu))

@@ -5,6 +5,7 @@ from math import comb
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from flutterrom import dpim
 from flutterrom.dpim import (
@@ -22,7 +23,12 @@ from flutterrom.models import (
     build_ziegler2,
     recast_to_dae,
 )
-from flutterrom.polytensor import MonomialTable, SparseBilinearForm, SparseTrilinearForm
+from flutterrom.polytensor import (
+    MonomialTable,
+    SparseBilinearForm,
+    SparseTrilinearForm,
+    polynomial_eval,
+)
 from flutterrom.spectral import enforce_jordan, solve_master_eigen
 
 
@@ -480,6 +486,183 @@ class TestProductTableAssembly:
             assert calls["lookup"] <= order
 
 
+# -- the per-monomial solve loop: reference for the stacked solves -----------
+
+def naive_solve_order(table, res, spectrum, B, At, ids, rhs, jdeps, W, f):
+    """One bordered LU solve per monomial, in table order, so that each
+    Jordan term reads monomials solved before it."""
+    D = rhs.shape[1]
+    max_rel = 0.0
+    for loc, mid in enumerate(ids):
+        sigma, R = res.sigma[mid], res.sets[mid]
+        nR = len(R)
+        Mtx = sigma * B - At
+        if nR:
+            Mtx = np.block([[Mtx, B @ spectrum.Y[:, R]],
+                            [spectrum.X[:, R].conj().T @ B, np.zeros((nR, nR))]])
+        b = np.zeros(D + nR, dtype=complex)
+        b[:D] = rhs[loc]
+        jordan = np.zeros(D, dtype=complex)
+        for dep, weight in jdeps:
+            if dep[loc] >= 0:
+                jordan += weight[loc] * W[dep[loc]]
+        b[:D] -= B @ jordan
+        sol = sla.lu_solve(sla.lu_factor(Mtx), b)
+        rel = np.linalg.norm(Mtx @ sol - b) / max(np.linalg.norm(b), 1e-300)
+        assert rel <= 1e-6
+        max_rel = max(max_rel, rel)
+        W[mid] = sol[:D]
+        f[mid, R] = sol[D:]
+    return max_rel
+
+
+def firstorder_case(case):
+    """(dae, spectrum, order) of the first-order builds the stacked solves are checked on."""
+    m = build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2)
+    if case.startswith("hopf"):
+        dae = recast_to_dae(m, mu0=P_H)
+        spec = solve_master_eigen(dae, d=4)
+    elif case.startswith("jordan"):
+        dae = recast_to_dae(m, mu0=2.0)
+        spec = enforce_jordan(solve_master_eigen(dae, d=4), (0, 2))
+    else:
+        dae = make_cubic_test_model(2.6)[1]
+        spec = solve_master_eigen(dae, d=4)
+    return dae, spec, int(case.rsplit("-o", 1)[1])
+
+
+def solve_groups(table, res, jordan_pairs):
+    """Distinct (order, wave, resonant set) of a build, with the waves found
+    by a forward pass: one past the deepest Jordan dependency."""
+    groups = set()
+    for p in range(2, table.max_order + 1):
+        ids = list(table.ids_of_order(p))
+        jdeps = naive_jordan_within_order(table, p, jordan_pairs)
+        wave = [0] * len(ids)
+        for loc in range(len(ids)):
+            for dep, _ in jdeps:
+                if dep[loc] >= 0:
+                    wave[loc] = max(wave[loc], wave[dep[loc] - ids[0]] + 1)
+            groups.add((p, wave[loc], tuple(res.sets[ids[loc]])))
+    return groups
+
+
+class TestStackedSolves:
+    @pytest.mark.parametrize("case", ["hopf-o7", "jordan-o5", "jordan-o7", "cubic-o7"])
+    def test_against_per_monomial_loop(self, case, monkeypatch):
+        dae, spec, order = firstorder_case(case)
+        rom = build_rom_firstorder(dae, spec, order)
+        monkeypatch.setattr(dpim, "_solve_order", naive_solve_order)
+        ref = build_rom_firstorder(dae, spec, order)
+        assert rel_diff(rom.W, ref.W) < 1e-12
+        assert rel_diff(rom.f, ref.f) < 1e-12
+
+    @pytest.mark.parametrize("case", ["hopf-o7", "jordan-o7"])
+    def test_one_solve_per_wave_and_resonant_set(self, case, monkeypatch):
+        dae, spec, order = firstorder_case(case)
+        calls = Counter()
+        solve = sla.solve
+
+        def counted(A, *args, **kwargs):
+            calls["solves"] += 1
+            calls["matrices"] += len(A)
+            return solve(A, *args, **kwargs)
+
+        monkeypatch.setattr(dpim.sla, "solve", counted)
+        rom = build_rom_firstorder(dae, spec, order)
+        res = classify_resonances(rom.table, np.append(rom.lam, 0.0), enforce_one_to_one=True)
+        groups = solve_groups(rom.table, res, spec.jordan_pairs)
+        assert calls["solves"] == len(groups)
+        assert calls["matrices"] == len(rom.table) - 5
+        if case.startswith("jordan"):
+            assert max(w for _, w, _ in groups) > 0  # the Jordan build has several waves
+
+    def test_residual_slope_one_batched_evaluation_per_radius(self, monkeypatch):
+        dae, spec, _ = firstorder_case("hopf-o5")
+        rom = build_rom_firstorder(dae, spec, 5)
+        calls = Counter()
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for cls, attr in ((ParametrisationROM, "mapping_and_flow"), (SparseBilinearForm, "apply")):
+            monkeypatch.setattr(cls, attr, counted(attr, getattr(cls, attr)))
+        radii = np.logspace(-2, -1, 4)
+        residual_slope(rom, dae, radii)
+        assert calls == {"mapping_and_flow": 4, "apply": 4}
+
+
+def pointwise_residual(rom, system, z):
+    """Invariance defect at one point through the direct evaluators."""
+    Wz = polynomial_eval(rom.table, rom.W, z)
+    fz = polynomial_eval(rom.table, rom.f, z)
+    flow = rom.mapping_gradient(z) @ fz
+    mu = z[-1]
+    if isinstance(system, FirstOrderDAE):
+        rhs = (system.tangent_matrix() @ Wz + system.parameter_column() * mu
+               + system.Q1.apply(Wz, Wz) + (system.Q2m @ Wz) * mu + system.q3 * mu**2)
+        return np.linalg.norm(system.B @ flow - rhs)
+    n = system.ndof
+    M, C, Kt = system.mass(), system.damping(), system.tangent_stiffness()
+    U, V, dU, dV = Wz[:n], Wz[n:], flow[:n], flow[n:]
+    r1 = M @ dU - M @ V
+    r2 = (M @ dV + C @ V + Kt @ U - mu * system.rt() - mu * (system.ru() @ U)
+          + system.nonlinear_force(U))
+    return np.linalg.norm(np.concatenate([r1, r2]))
+
+
+def invariance_cases():
+    dae, spec, _ = firstorder_case("hopf-o7")
+    model, _ = make_cubic_test_model(2.6)
+    spec2 = solve_master_eigen(model, d=4)
+    return [(build_rom_firstorder(dae, spec, 7), dae),
+            (build_rom_secondorder(model, spec2, 5), model)]
+
+
+class TestBatchedInvariance:
+    @pytest.fixture(scope="class")
+    def cases(self):
+        return invariance_cases()
+
+    @staticmethod
+    def points(rom, radius, n=6, seed=3):
+        rng = np.random.default_rng(seed)
+        return np.array([dpim.conjugate_sample(rom, radius, rng) for _ in range(n)])
+
+    def test_mapping_and_flow_against_direct_evaluation(self, cases):
+        for rom, _ in cases:
+            for radius in (1e-2, 0.3, 1.0):
+                Z = self.points(rom, radius)
+                Wz, fz, flow = rom.mapping_and_flow(Z)
+                for k, z in enumerate(Z):
+                    W_ref = polynomial_eval(rom.table, rom.W, z)
+                    f_ref = polynomial_eval(rom.table, rom.f, z)
+                    flow_ref = rom.mapping_gradient(z) @ f_ref
+                    assert rel_diff(Wz[k], W_ref) < 1e-13
+                    assert rel_diff(fz[k], f_ref) < 1e-13
+                    assert rel_diff(flow[k], flow_ref) < 1e-13
+
+    def test_residual_against_pointwise_formula(self, cases):
+        # the defect is a difference of terms of the size of W(z); where it
+        # has cancelled to round-off of those terms, that round-off is the bound
+        for rom, system in cases:
+            for radius in (1e-2, 0.1, 0.3, 0.5, 1.0):
+                Z = self.points(rom, radius)
+                got = invariance_residual(rom, system, Z)
+                assert got.shape == (len(Z),)
+                for k, z in enumerate(Z):
+                    ref = pointwise_residual(rom, system, z)
+                    floor = 1e-13 * np.linalg.norm(polynomial_eval(rom.table, rom.W, z))
+                    assert abs(got[k] - ref) <= max(1e-10 * ref, floor)
+                    # a single point is the one-row case
+                    one = invariance_residual(rom, system, z)
+                    assert isinstance(one, float)
+                    assert one == invariance_residual(rom, system, z[None])[0]
+
+
 class TestBuildStats:
     @pytest.mark.parametrize("engine", ["first-order", "second-order"])
     def test_per_order_stats(self, engine):
@@ -506,10 +689,14 @@ class TestBuildStats:
             assert r["resonant"] == sum(1 for mid in ids if res.sets[mid])
             assert min(r["assembly_s"], r["cross_s"], r["solve_s"]) >= 0
             assert r["max_rel_residual"] < 1e-6
-        # one factorization per distinct z-part of orders 0..order
         n_fact = sum(r["factorizations"] for r in stats)
-        assert n_fact == comb(order + 4, 4)
-        assert n_fact < sum(r["monomials"] for r in stats)
+        if engine == "first-order":
+            # stacked solves factor every monomial's matrix: 791 - 5 order-1 rows
+            assert n_fact == len(rom.table) - 5 == 786
+        else:
+            # one factorization per distinct z-part of orders 0..order
+            assert n_fact == comb(order + 4, 4)
+            assert n_fact < sum(r["monomials"] for r in stats)
 
         back = ParametrisationROM.from_dict(json.loads(json.dumps(rom.to_dict())))
         assert back.meta["stats"] == stats

@@ -19,6 +19,17 @@ def brute_force_count(p, nvars):
     return sum(1 for e in itertools.product(range(p + 1), repeat=nvars) if sum(e) == p)
 
 
+def compositions_desc(total, nvars):
+    """The recursive enumeration the table used before its vectorised one:
+    exponent tuples summing to `total`, descending lexicographic."""
+    if nvars == 1:
+        yield (total,)
+        return
+    for first in range(total, -1, -1):
+        for rest in compositions_desc(total - first, nvars - 1):
+            yield (first,) + rest
+
+
 def random_bilinear(rng, dim, nnz=12, complex_vals=False):
     p = rng.integers(0, dim, nnz)
     i = rng.integers(0, dim, nnz)
@@ -58,6 +69,18 @@ class TestEnumeration:
     def test_counts_match_binomial(self, nvars, order):
         table = MonomialTable(nvars, order)
         assert table.count_of_order(order) == monomial_count(order, nvars)
+
+    @pytest.mark.parametrize("nvars", range(2, 7))
+    def test_exponents_match_recursive_enumeration(self, nvars):
+        for order in range(1, 12):
+            table = MonomialTable(nvars, order)
+            rows = [r for p in range(1, order + 1) for r in compositions_desc(p, nvars)]
+            expect = np.array(rows, dtype=np.int64)
+            assert table.exponents.dtype == expect.dtype
+            assert np.array_equal(table.exponents, expect)
+            for p in range(1, order + 1):
+                assert [tuple(r) for r in table.exponents[table.ids_of_order(p)]] == \
+                    list(compositions_desc(p, nvars))
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
@@ -138,6 +161,57 @@ class TestEnumeration:
         assert perm[mid] == table.index_of((1, 2, 0, 0, 0))
         with pytest.raises(ValueError):
             table.conjugation_permutation([1, 1, 3, 2, 4])
+
+
+class TestBatchValues:
+    @pytest.mark.parametrize("nvars,order", [(2, 1), (3, 5), (5, 7)])
+    def test_against_pointwise_values(self, nvars, order):
+        table = MonomialTable(nvars, order)
+        rng = np.random.default_rng(nvars + order)
+        Z = 0.7 * (rng.standard_normal((4, nvars)) + 1j * rng.standard_normal((4, nvars)))
+        vals = table.batch_values(Z)
+        assert vals.shape == (4, len(table) + 1)
+        assert np.all(vals[:, -1] == 1.0)
+        expect = np.array([table.monomial_values(z) for z in Z])
+        assert np.abs(vals[:, :-1] - expect).max() <= 1e-14 * np.abs(expect).max()
+        # one row is the one-point case of the same block evaluation
+        assert np.array_equal(table.batch_values(Z[:1])[0], vals[0])
+
+    def test_lowered_ids_brute_force(self):
+        table = MonomialTable(4, 5)
+        for s, (ids, low, alpha_s) in enumerate(table.lowered):
+            assert ids.tolist() == [m for m in range(len(table)) if table.exponents[m, s] > 0]
+            assert np.array_equal(alpha_s, table.exponents[ids, s])
+            for mid, lid in zip(ids, low):
+                e = table.exponents[mid].copy()
+                e[s] -= 1
+                assert lid == (table.index_of(e) if e.sum() else -1)
+
+    def test_rejects_a_single_point(self):
+        with pytest.raises(ValueError):
+            MonomialTable(3, 2).batch_values(np.ones(3))
+
+
+class TestBatchedApply:
+    def test_bilinear_rows_match_single_applies(self):
+        rng = np.random.default_rng(21)
+        Q = random_bilinear(rng, 5, nnz=20, complex_vals=True)
+        U = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
+        V = rng.standard_normal((6, 5))
+        got = Q.apply(U, V)
+        assert got.shape == (6, 5)
+        for a in range(6):
+            assert np.array_equal(got[a], Q.apply(U[a], V[a]))
+
+    def test_trilinear_rows_match_single_applies(self):
+        rng = np.random.default_rng(22)
+        H = SparseTrilinearForm(3, 4, *(rng.integers(0, d, 12) for d in (3, 4, 4, 4)),
+                                rng.standard_normal(12))
+        U = rng.standard_normal((2, 5, 4)) + 1j * rng.standard_normal((2, 5, 4))
+        got = H.apply(U, U, U)
+        assert got.shape == (2, 5, 3)
+        for a, b in np.ndindex(2, 5):
+            assert np.array_equal(got[a, b], H.apply(U[a, b], U[a, b], U[a, b]))
 
 
 class TestBilinear:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from flutterrom import spectral
 from flutterrom.models import build_ziegler2, recast_to_dae
 from flutterrom.spectral import (
     JordanEnforcementError,
@@ -156,6 +157,48 @@ class TestExceptionalPoint:
         out = detect_exceptional_point(traj, m)
         assert out is not None
         assert out[0] < traj.events["P_H"]
+
+
+def coalescence_by_fresh_solves(model, grid):
+    """The coalescence events with a fresh pencil solve at every grid load."""
+    gaps = np.array([spectral._pair_gap(model, P)[0] for P in grid])
+    i_min = int(np.argmin(gaps))
+    a, b = grid[max(i_min - 1, 0)], grid[min(i_min + 1, len(grid) - 1)]
+    P_c, gap_min = spectral._golden_min(lambda P: spectral._pair_gap(model, P)[0], a, b,
+                                        xtol=1e-12 * max(abs(b), 1.0))
+    _, scale = spectral._pair_gap(model, P_c)
+    return {"P_c": P_c, "gap_at_Pc": gap_min, "ep": bool(gap_min < 1e-6 * scale)}
+
+
+class TestSweepSolves:
+    @pytest.mark.parametrize("xi_m,span", [(0.2, (1.5, 3.0)), (0.0, (1.0, 3.0))])
+    def test_each_grid_load_solved_once(self, xi_m, span, monkeypatch):
+        m = build_ziegler2(1, 1, 1, 1, 1, xi_m=xi_m)
+        n_points = 40
+        calls = {"pencil": 0, "refine": 0}
+        pencil = m.linear_pencil
+
+        def counted_pencil(P):
+            calls["pencil"] += 1
+            return pencil(P)
+
+        def counting(search):
+            def wrapper(f, *args, **kwargs):
+                def counted_f(P):
+                    calls["refine"] += 1
+                    return f(P)
+                return search(counted_f, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(m, "linear_pencil", counted_pencil)
+        monkeypatch.setattr(spectral, "_bisect", counting(spectral._bisect))
+        monkeypatch.setattr(spectral, "_golden_min", counting(spectral._golden_min))
+        traj = eigen_sweep(m, span, n_points)
+        # tracking, each refinement evaluation, and the scale solve at P_c
+        assert calls["pencil"] == n_points + calls["refine"] + 1
+        monkeypatch.undo()
+        expect = coalescence_by_fresh_solves(m, traj.P)
+        assert {k: traj.events[k] for k in expect} == expect
 
 
 class TestJordan:
