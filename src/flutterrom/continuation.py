@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.integrate import solve_ivp
 
-from .romdyn import RealizedReducedSystem
+from .romdyn import BlowUpError, RealizedReducedSystem, _measure_settled_cycle, _return_time
 
 
 class ContinuationError(RuntimeError):
@@ -115,51 +115,49 @@ class ContinuationOptions:
 
 
 def _flow_with_variations(sysr, x0, T, mu, rtol, atol, sensitivity=True):
-    """phi_T(x0), monodromy, and the mu-sensitivity of the flow."""
+    """phi_T(x0), monodromy, and the mu-sensitivity of the flow.
+
+    The state stores [Phi | s]^T row by row, so one product J [Phi | s]
+    advances both."""
     m2 = 2 * sysr.m
     sysr.mu = mu
 
     def rhs(t, y):
-        x = y[:m2]
-        Phi = y[m2:m2 + m2 * m2].reshape(m2, m2)
-        f, J, g = sysr.linearize(x)
+        f, J, g = sysr.linearize(y[:m2])
         out = np.empty_like(y)
         out[:m2] = f
-        out[m2:m2 + m2 * m2] = (J @ Phi).ravel()
+        dV = out[m2:].reshape(-1, m2)
+        np.dot(y[m2:].reshape(-1, m2), J.T, out=dV)
         if sensitivity:
-            s = y[m2 + m2 * m2:]
-            out[m2 + m2 * m2:] = J @ s + g
+            dV[-1] += g
         return out
 
     y0 = np.concatenate([x0, np.eye(m2).ravel(),
                          np.zeros(m2 if sensitivity else 0)])
     yT = solve_ivp(rhs, (0.0, T), y0, method="DOP853", rtol=rtol, atol=atol).y[:, -1]
     xT = yT[:m2]
-    Mono = yT[m2:m2 + m2 * m2].reshape(m2, m2)
+    Mono = yT[m2:m2 + m2 * m2].reshape(m2, m2).T
     smu = yT[m2 + m2 * m2:] if sensitivity else None
     return xT, Mono, smu
 
 
 def _initial_cycle(rom, mu, opts):
-    """Seed anchor/period from a settled integration at fixed mu."""
+    """Seed anchor/period from a settled integration at fixed mu, and the
+    seed record {periods, status} (an unsettled seed is "no-convergence")."""
     sysr = RealizedReducedSystem(rom, mu)
     T0 = 2 * np.pi / abs(rom.lam[0].imag)
-    x = sysr.real_state([opts.seed_amp] + [0.0] * (sysr.m - 1))
-    amp_prev = None
-    for k in range(opts.seed_settle_periods):
-        sol = solve_ivp(sysr.rhs, (0.0, T0), x, method="DOP853",
-                        rtol=opts.rtol, atol=opts.atol, dense_output=True)
-        x = sol.y[:, -1]
-        amp = np.max(np.abs(sol.sol(np.linspace(0, T0, 33))))
-        if amp < 1e-6 * opts.seed_amp:
-            raise ContinuationError(f"trajectory decays at mu = {mu}: no cycle to seed")
-        if amp_prev is not None and abs(amp - amp_prev) < 3e-4 * amp:
-            break
-        amp_prev = amp
-    from .romdyn import _return_time
-
-    T = _return_time(sysr.rhs, x, T0, opts.rtol, opts.atol)
-    return x, T
+    x0 = sysr.real_state([opts.seed_amp] + [0.0] * (sysr.m - 1))
+    try:
+        status, periods, x, _ = _measure_settled_cycle(
+            sysr.rhs, x0, T0, lambda X: float(np.max(np.abs(X))), 3e-4,
+            opts.seed_settle_periods, opts.rtol, opts.atol,
+            escape_radius=1e3 * max(opts.seed_amp, 1e-2))
+    except BlowUpError as exc:
+        raise ContinuationError(f"seed trajectory at mu = {mu}: {exc}") from exc
+    if status == "decayed":
+        raise ContinuationError(f"trajectory decays at mu = {mu}: no cycle to seed")
+    T, _ = _return_time(sysr.rhs, x, T0, opts.rtol, opts.atol)
+    return x, T, {"periods": periods, "status": status}
 
 
 def _newton_fixed_mu(sysr, rom, x, T, mu, opts):
@@ -223,7 +221,7 @@ def continue_periodic(rom, mu_start=None, options=None):
     sysr = RealizedReducedSystem(rom, mu_start)
     m2 = 2 * sysr.m
 
-    x, T = _initial_cycle(rom, mu_start, opts)
+    x, T, seed = _initial_cycle(rom, mu_start, opts)
     x, T, Mono = _newton_fixed_mu(sysr, rom, x, T, mu_start, opts)
 
     if opts.amp_cap is None:
@@ -233,7 +231,7 @@ def continue_periodic(rom, mu_start=None, options=None):
 
     points = []
     meta = {"mu0": rom.meta.get("mu0", 0.0), "order": rom.order,
-            "masters": rom.d // 2, "engine": rom.meta.get("engine", "")}
+            "masters": rom.d // 2, "engine": rom.meta.get("engine", ""), "seed": seed}
 
     def record(x, T, mu, Mono, event=""):
         mult, others, stable = _floquet_and_stability(Mono)

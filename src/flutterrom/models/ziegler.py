@@ -69,14 +69,27 @@ class ZieglerModel:
         return SparseTrilinearForm.from_entries(self.n, self.n, entries)
 
     def fom_rhs(self, P):
-        """First-order RHS on x = [theta, thetadot] for direct integration."""
+        """First-order RHS on x = [theta, thetadot] for direct integration.
+
+        rhs(t, x) = A x + S (D x)**3: A is the linear part with M^-1 folded
+        in, D takes the angle difference of each cubic term and S scatters
+        -M^-1 coeff P times its cube onto the accelerations.
+        """
+        n = self.n
         Minv = np.linalg.inv(self.M)
-        Keff = self.K - P * self.Ru
+        A = np.zeros((2 * n, 2 * n))
+        A[:n, n:] = np.eye(n)
+        A[n:, :n] = -Minv @ (self.K - P * self.Ru)
+        A[n:, n:] = -Minv @ self.C
+        D = np.zeros((len(self.cubic_terms), 2 * n))
+        S = np.zeros((2 * n, len(self.cubic_terms)))
+        for t, (row, a, b, coeff) in enumerate(self.cubic_terms):
+            D[t, a] += 1.0
+            D[t, b] -= 1.0
+            S[n:, t] = -coeff * P * Minv[:, row]
 
         def rhs(t, x):
-            th, v = x[:self.n], x[self.n:]
-            acc = Minv @ (-self.C @ v - Keff @ th - self.cubic_force(P, th))
-            return np.concatenate([v, acc])
+            return A.dot(x) + S.dot(D.dot(x) ** 3)
 
         return rhs
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 
 from .polytensor import polynomial_eval
 
@@ -31,6 +31,7 @@ class LimitCycleMeasurement:
     converged: bool
     transient_periods: int
     reason: str = ""
+    nfev: int = 0   # rhs evaluations: settling, return-time solve and final period
 
     def amp(self, coord):
         return float(self.amplitude[coord])
@@ -42,10 +43,11 @@ class RealizedReducedSystem:
     The reduced field is compiled once into the nonzero representative
     rows of f, grouped by z-exponent; assigning mu substitutes it and sums
     each group's mu powers into one coefficient per distinct z-monomial
-    (and one for d/dmu).  Every evaluation then builds the powers of
-    u = (z_reps, conj z_reps) by cumulative products and contracts that
-    one table.  complex_field and map_to_physical keep the direct
-    polynomial evaluation as the oracle.
+    (and one for d/dmu).  Every evaluation then builds the table of powers
+    u**k, k = 0..order, of u = (z_reps, conj z_reps) (numpy computes integer
+    powers by repeated multiplication) and contracts that one table, for
+    one state or a block of states.  complex_field and map_to_physical keep
+    the direct polynomial evaluation as the oracle.
     """
 
     def __init__(self, rom, mu):
@@ -65,6 +67,7 @@ class RealizedReducedSystem:
         for k in range(m):
             self._dudx[2 * k, [k, m + k]] = 1.0
             self._dudx[2 * k + 1, [k, m + k]] = 1j, -1j
+        self._exponents = np.arange(rom.order + 1, dtype=complex)  # no cast in u ** k
         self._f_support = self._support(rom.f[:, self.reps])
         zexp = self._f_support[0]
         # power-table gathers: row 0 evaluates the monomials, row 1 + p their
@@ -76,6 +79,7 @@ class RealizedReducedSystem:
             lowered[p, :, s] = np.maximum(zexp[:, s] - 1, 0)
             factors[p] = zexp[:, s]
         self._f_index = self._power_index(lowered)
+        self._f_index0 = self._power_index(zexp)
         self._f_factors = factors
         self._W_support = None
         self.mu = mu
@@ -91,6 +95,9 @@ class RealizedReducedSystem:
         dpowers = kmu * self._mu ** np.maximum(kmu - 1, 0)
         self._f_coef = self._collapse(self._f_support, np.hstack(
             [rows * (self._mu ** kmu)[:, None], rows * dpowers[:, None]]))
+        # contiguous copies of the field and d/dmu blocks for rhs and dfdmu
+        self._f_rhs = np.ascontiguousarray(self._f_coef[:, :self.m])
+        self._f_dmu = np.ascontiguousarray(self._f_coef[:, self.m:])
         self._W_coef = None
 
     def _support(self, coeffs):
@@ -114,17 +121,24 @@ class RealizedReducedSystem:
 
     def _power_index(self, zexp):
         """Flat positions of u^e in the power table for (..., ngroups, d)
-        exponents, transposed to (..., d, ngroups)."""
-        return np.swapaxes(zexp * self.rom.d + self._upos, -1, -2)
+        exponents, with the variable axis moved first: (d, ..., ngroups)."""
+        return np.ascontiguousarray(np.moveaxis(zexp * self.rom.d + self._upos, -1, 0))
+
+    def _powers(self, X):
+        """Flat power table at one realified state or at each row of X.
+
+        Each state becomes u = (z_reps, conj z_reps) through a complex view
+        of its (Re, Im) pairs (X may be a list or strided); u_s^k sits at
+        k*d + s, with the states on a trailing axis.
+        """
+        Z = np.ascontiguousarray(X, dtype=float).view(complex).T
+        U = np.concatenate((Z, Z.conj()))
+        P = U ** self._exponents.reshape((-1,) + (1,) * U.ndim)
+        return P.reshape((-1,) + Z.shape[1:])
 
     def _monomials(self, X, index):
-        """Monomials gathered by index at each realified state of X."""
-        U = (np.asarray(X, dtype=float) @ self._dudx.view(float)).view(complex)
-        P = np.ones(U.shape[:-1] + (self.rom.order + 1, self.rom.d), dtype=complex)
-        P[..., 1:, :] = U[..., None, :]
-        np.multiply.accumulate(P, axis=-2, out=P)
-        P = P.reshape(U.shape[:-1] + (-1,))
-        return np.multiply.reduce(P[..., index], axis=-2)
+        """Monomials gathered by index, (..., ngroups) plus the states' axis."""
+        return np.multiply.reduce(self._powers(X)[index], axis=0)
 
     def complex_state(self, x):
         z = np.zeros(self.nv, dtype=complex)
@@ -145,12 +159,12 @@ class RealizedReducedSystem:
         return polynomial_eval(self.rom.table, self.rom.f, z)
 
     def rhs(self, t, x):
-        return (self._monomials(x, self._f_index[0]) @ self._f_coef[:, :self.m]).view(float)
+        return self._monomials(x, self._f_index0).T.dot(self._f_rhs).view(float)
 
     def linearize(self, x):
         """(rhs, jacobian, dfdmu) at x from one power table."""
         m = self.m
-        out = (self._monomials(x, self._f_index) * self._f_factors) @ self._f_coef
+        out = (self._monomials(x, self._f_index) * self._f_factors).dot(self._f_coef)
         J = (self._dudx @ out[1:, :m]).view(float).T
         return out[0, :m].view(float), J, out[0, m:].view(float)
 
@@ -158,7 +172,7 @@ class RealizedReducedSystem:
         return self.linearize(x)[1]
 
     def dfdmu(self, x):
-        return (self._monomials(x, self._f_index[0]) @ self._f_coef[:, self.m:]).view(float)
+        return self._monomials(x, self._f_index0).T.dot(self._f_dmu).view(float)
 
     def map_to_physical(self, x, check_real=True):
         z = self.complex_state(x)
@@ -177,7 +191,7 @@ class RealizedReducedSystem:
         if self._W_coef is None:
             kmu, rows = self._W_support[2:]
             self._W_coef = self._collapse(self._W_support, rows * (self._mu ** kmu)[:, None])
-        return (self._monomials(X, self._W_index) @ self._W_coef).real
+        return (self._monomials(X, self._W_index).T @ self._W_coef).real
 
 
 def integrate_reduced(rom, mu, z0, t_end, rtol=1e-10, atol=1e-12,
@@ -212,7 +226,7 @@ def _return_time(rhs, anchor, T0, rtol, atol):
 
     The section function vanishes at the start, so the event search keeps
     all upward crossings and takes the first one past a fifth of the
-    nominal period.
+    nominal period.  Returns (return time, rhs evaluations).
     """
     nvec = rhs(0.0, anchor)
     nvec = nvec / np.linalg.norm(nvec)
@@ -224,23 +238,78 @@ def _return_time(rhs, anchor, T0, rtol, atol):
     sol = solve_ivp(rhs, (0.0, 3.0 * T0), anchor, method="DOP853", rtol=rtol,
                     atol=atol, events=section)
     hits = [t for t in sol.t_events[0] if t > 0.2 * T0]
-    return float(hits[0]) if hits else T0
+    return (float(hits[0]) if hits else T0), 1 + sol.nfev
 
 
-def _measure_settled_cycle(step_period, map_coord, T0, settle_rtol, max_periods,
-                           amp_floor):
-    """Shared settling loop: per-period amplitudes until stationary."""
-    amps = []
+def _measure_settled_cycle(rhs, x0, T0, observe, settle_rtol, max_periods, rtol, atol,
+                           escape_radius=np.inf):
+    """Settle loop: one DOP853 stepper sampled once per period until stationary.
+
+    Period k is sampled at k*T0 + linspace(0, T0, 65) from the dense output
+    of the steps that cover those times, and observe(samples) gives its
+    amplitude.  The cycle has settled when, from the fifth period on, the
+    amplitude changes by at most settle_rtol relative; it has decayed when
+    the largest state norm over a period's samples falls below 1e-3 |x0|
+    (reduced units for a ROM, physical ones for the FOM).  A period end
+    outside the escape radius, or a failed step, raises BlowUpError.
+
+    Returns (status, periods, state at the last period end, rhs evaluations).
+    """
+    solver = DOP853(rhs, 0.0, x0, np.inf, rtol=rtol, atol=atol)
+    grid = np.linspace(0.0, T0, 65)
+    floor = 1e-3 * np.linalg.norm(x0)
+    X = np.empty((len(grid), len(x0)))
+    X[-1] = x0
+    dense = prev = None
     for k in range(max_periods):
-        amp = step_period()
-        amps.append(amp)
-        if amp < amp_floor:
-            return "decayed", k + 1, amps
-        if k >= 4:
-            prev = amps[-2]
-            if abs(amp - prev) <= settle_rtol * max(amp, 1e-30):
-                return "settled", k + 1, amps
-    return "no-convergence", max_periods, amps
+        ts = k * T0 + grid
+        X[0] = X[-1]
+        done = 1
+        while done < len(ts):
+            while solver.t < ts[done]:
+                solver.step()
+                dense = None
+                if solver.status == "failed":
+                    raise BlowUpError(f"integration failed at t = {solver.t:.6g}: "
+                                      f"{solver.message}", t_blowup=solver.t)
+            upto = np.searchsorted(ts, solver.t, side="right")
+            if dense is None:
+                dense = solver.dense_output()
+            X[done:upto] = dense(ts[done:upto]).T
+            done = upto
+        if np.linalg.norm(X[-1]) > escape_radius:
+            raise BlowUpError("trajectory left the escape radius", t_blowup=ts[-1])
+        if np.linalg.norm(X, axis=1).max() < floor:
+            return "decayed", k + 1, X[-1].copy(), solver.nfev
+        amp = observe(X)
+        if k >= 4 and abs(amp - prev) <= settle_rtol * max(amp, 1e-30):
+            return "settled", k + 1, X[-1].copy(), solver.nfev
+        prev = amp
+    return "no-convergence", max_periods, X[-1].copy(), solver.nfev
+
+
+def _limit_cycle(rhs, x0, T0, physical, dim, param, coord, settle_rtol, max_periods,
+                 rtol, atol, n_sample, escape_radius=np.inf):
+    """Settle from x0 on the amplitude of physical coordinate `coord`, then
+    take max |physical(x)| per coordinate over one final period, refined by
+    a flow-orthogonal return-time solve.  Decay reports zero amplitude."""
+    zero = np.zeros(dim)
+    try:
+        status, periods, anchor, nfev = _measure_settled_cycle(
+            rhs, x0, T0, lambda X: float(np.max(np.abs(physical(X)[:, coord]))),
+            settle_rtol, max_periods, rtol, atol, escape_radius)
+    except BlowUpError:
+        return LimitCycleMeasurement(param, zero, 0.0, False, 0, "blow-up")
+    if status != "settled":
+        decayed = status == "decayed"
+        reason = "decayed to the fixed point" if decayed else "settling tolerance not reached"
+        return LimitCycleMeasurement(param, zero, 0.0, decayed, periods, reason, nfev)
+    T, nfev_return = _return_time(rhs, anchor, T0, rtol, atol)
+    sol = solve_ivp(rhs, (0.0, T), anchor, method="DOP853", rtol=rtol, atol=atol,
+                    dense_output=True)
+    amplitude = np.max(np.abs(physical(sol.sol(np.linspace(0.0, T, n_sample)).T)), axis=0)
+    return LimitCycleMeasurement(param, amplitude, T, True, periods, "",
+                                 nfev + nfev_return + sol.nfev)
 
 
 def measure_limit_cycle(rom, mu, coord=0, amp0=1e-4, settle_rtol=1e-4,
@@ -254,45 +323,10 @@ def measure_limit_cycle(rom, mu, coord=0, amp0=1e-4, settle_rtol=1e-4,
     return-time solve).  Decay to the fixed point reports zero amplitude.
     """
     sysr = RealizedReducedSystem(rom, mu)
-    T0 = 2 * np.pi / abs(rom.lam[0].imag)
-    x = sysr.real_state([amp0] + [0.0] * (sysr.m - 1))
-    escape_radius = 1e3 * max(amp0, 1e-2)
-
-    state = {"x": x}
-
-    def step_period():
-        sol = solve_ivp(sysr.rhs, (0.0, T0), state["x"], method="DOP853",
-                        rtol=rtol, atol=atol, dense_output=True)
-        ts = np.linspace(0.0, T0, 65)
-        X = sol.sol(ts).T
-        if np.linalg.norm(X[-1]) > escape_radius:
-            raise BlowUpError("reduced trajectory left the escape radius")
-        state["x"] = X[-1]
-        Y = sysr.map_batch(X)
-        return float(np.max(np.abs(Y[:, coord])))
-
-    try:
-        status, n_periods, amps = _measure_settled_cycle(
-            step_period, coord, T0, settle_rtol, max_periods, amp_floor=1e-3 * amp0)
-    except BlowUpError:
-        return LimitCycleMeasurement(mu, np.zeros(rom.dim), 0.0, False, 0, "blow-up")
-
-    if status == "decayed":
-        return LimitCycleMeasurement(mu, np.zeros(rom.dim), 0.0, True, n_periods,
-                                     "decayed to the fixed point")
-    if status == "no-convergence":
-        return LimitCycleMeasurement(mu, np.zeros(rom.dim), 0.0, False, n_periods,
-                                     "settling tolerance not reached")
-
-    # refine the period with a return-time solve on a flow-orthogonal section
-    anchor = state["x"]
-    T = _return_time(sysr.rhs, anchor, T0, rtol, atol)
-    sol = solve_ivp(sysr.rhs, (0.0, T), anchor, method="DOP853", rtol=rtol,
-                    atol=atol, dense_output=True)
-    ts = np.linspace(0.0, T, n_sample)
-    Y = sysr.map_batch(sol.sol(ts).T)
-    amplitude = np.max(np.abs(Y), axis=0)
-    return LimitCycleMeasurement(mu, amplitude, T, True, n_periods)
+    x0 = sysr.real_state([amp0] + [0.0] * (sysr.m - 1))
+    return _limit_cycle(sysr.rhs, x0, 2 * np.pi / abs(rom.lam[0].imag), sysr.map_batch,
+                        rom.dim, mu, coord, settle_rtol, max_periods, rtol, atol, n_sample,
+                        escape_radius=1e3 * max(amp0, 1e-2))
 
 
 def trace_unstable_manifold(rom, mu, n_radial=4, n_angle=12, r_scale=1e-3,
@@ -328,8 +362,9 @@ def trace_unstable_manifold(rom, mu, n_radial=4, n_angle=12, r_scale=1e-3,
 
 # -- full-order references ----------------------------------------------------
 
-def leading_mode_ic(model, p, scale=1e-4):
-    """Initial condition along the real part of the leading eigenvector."""
+def _leading_mode(model, p, scale):
+    """Leading oscillatory eigenvalue at load p, and the state with `scale`
+    times the real part of its normalised eigenvector as displacements."""
     from .spectral import _pencil_eigs_at
 
     w, vr = _pencil_eigs_at(model, p)
@@ -341,7 +376,12 @@ def leading_mode_ic(model, p, scale=1e-4):
     v = v / np.linalg.norm(v)
     x = np.zeros(2 * n)
     x[:n] = scale * v.real
-    return x
+    return w[lead], x
+
+
+def leading_mode_ic(model, p, scale=1e-4):
+    """Initial condition along the real part of the leading eigenvector."""
+    return _leading_mode(model, p, scale)[1]
 
 
 def integrate_fom(model, p, x0=None, t_end=100.0, rtol=1e-10, atol=1e-12,
@@ -359,41 +399,7 @@ def measure_limit_cycle_fom(model, p, coord=0, amp0=1e-4, settle_rtol=1e-4,
                             max_periods=2000, rtol=1e-10, atol=1e-12,
                             omega_ref=None, n_sample=1024):
     """FOM limit-cycle amplitude by direct time integration (ODE models)."""
-    from .spectral import _pencil_eigs_at
-
-    w, _ = _pencil_eigs_at(model, p)
-    scale_w = max(np.max(np.abs(w)), 1.0)
-    osc = np.where(w.imag > 1e-9 * scale_w)[0]
-    lead = osc[np.argmax(w[osc].real)]
-    omega = omega_ref or abs(w[lead].imag)
-    T0 = 2 * np.pi / omega
-    x0 = leading_mode_ic(model, p, amp0)
-    rhs = model.fom_rhs(p)
-    n = len(x0) // 2
-    state = {"x": x0}
-
-    def step_period():
-        sol = solve_ivp(rhs, (0.0, T0), state["x"], method="DOP853", rtol=rtol,
-                        atol=atol, dense_output=True)
-        ts = np.linspace(0.0, T0, 65)
-        X = sol.sol(ts).T
-        state["x"] = X[-1]
-        return float(np.max(np.abs(X[:, coord])))
-
-    status, n_periods, amps = _measure_settled_cycle(
-        step_period, coord, T0, settle_rtol, max_periods, amp_floor=1e-3 * amp0)
-    if status == "decayed":
-        return LimitCycleMeasurement(p, np.zeros(2 * n), 0.0, True, n_periods,
-                                     "decayed to equilibrium")
-    if status == "no-convergence":
-        return LimitCycleMeasurement(p, np.zeros(2 * n), 0.0, False, n_periods,
-                                     "settling tolerance not reached")
-
-    anchor = state["x"]
-    T = _return_time(rhs, anchor, T0, rtol, atol)
-    sol = solve_ivp(rhs, (0.0, T), anchor, method="DOP853", rtol=rtol, atol=atol,
-                    dense_output=True)
-    ts = np.linspace(0.0, T, n_sample)
-    X = sol.sol(ts).T
-    amplitude = np.max(np.abs(X), axis=0)
-    return LimitCycleMeasurement(p, amplitude, T, True, n_periods)
+    lam, x0 = _leading_mode(model, p, amp0)
+    omega = omega_ref or abs(lam.imag)
+    return _limit_cycle(model.fom_rhs(p), x0, 2 * np.pi / omega, lambda X: X, len(x0), p,
+                        coord, settle_rtol, max_periods, rtol, atol, n_sample)

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from flutterrom.continuation import ContinuationOptions, continue_periodic, find_hopf
+from flutterrom.continuation import (
+    ContinuationError,
+    ContinuationOptions,
+    _flow_with_variations,
+    continue_periodic,
+    find_hopf,
+)
 from flutterrom.models import build_ziegler2
 from flutterrom.spectral import eigen_sweep
 from tests.conftest import hopf_normal_form_rom
@@ -21,6 +27,7 @@ def test_normal_form_branch_against_closed_form():
     diag = continue_periodic(hopf_normal_form_rom(omega=omega),
                              options=ContinuationOptions(mu_max=0.3, max_points=40))
     assert diag.meta["truncated"] == ""
+    assert diag.meta["seed"]["status"] == "settled" and diag.meta["seed"]["periods"] >= 5
     mu = diag.mu()
     assert mu.max() > 0.3 and len(mu) > 5
     amp = diag.amplitude(0)
@@ -63,3 +70,42 @@ def test_find_hopf_stacked_scan_matches_pointwise_scan(d):
     assert stack.shape == (11, d, d)
     for mu, J in zip(mus, stack):
         assert np.array_equal(J, rom.linear_block(mu))
+
+
+def test_unsettled_seed_is_recorded():
+    # three periods cannot settle (the test starts at the fifth); started
+    # next to the cycle, Newton still polishes the seed onto it
+    opts = ContinuationOptions(mu_max=0.1, max_points=10, seed_amp=0.28,
+                               seed_settle_periods=3)
+    diag = continue_periodic(hopf_normal_form_rom(omega=1.3), options=opts)
+    assert diag.meta["seed"] == {"periods": 3, "status": "no-convergence"}
+    assert np.abs(diag.amplitude(0) / np.sqrt(diag.mu()) - 1.0).max() < 1e-4
+
+
+def test_decaying_seed_raises():
+    with pytest.raises(ContinuationError, match="decays"):
+        continue_periodic(hopf_normal_form_rom(), mu_start=-0.1)
+
+
+@pytest.mark.parametrize("sensitivity", [True, False])
+def test_flow_variations_against_differences(sensitivity):
+    from flutterrom.romdyn import RealizedReducedSystem
+
+    _, _, rom = ziegler_rom(mu0=2.0768, order=5)
+    sysr = RealizedReducedSystem(rom, 0.0)
+    x0 = np.array([0.05, -0.02, 0.01, 0.03])
+    T, mu, eps, tol = 4.0, 0.05, 1e-6, 1e-12
+
+    def flow(x, mu):
+        return _flow_with_variations(sysr, x, T, mu, tol, tol, sensitivity=False)[0]
+
+    xT, Mono, smu = _flow_with_variations(sysr, x0, T, mu, tol, tol, sensitivity)
+    assert np.abs(xT - flow(x0, mu)).max() < 1e-10
+    Mfd = np.column_stack([(flow(x0 + eps * e, mu) - flow(x0 - eps * e, mu)) / (2 * eps)
+                           for e in np.eye(4)])
+    assert np.abs(Mono - Mfd).max() < 1e-7 * np.abs(Mfd).max()
+    if sensitivity:
+        sfd = (flow(x0, mu + eps) - flow(x0, mu - eps)) / (2 * eps)
+        assert np.abs(smu - sfd).max() < 1e-7 * np.abs(sfd).max()
+    else:
+        assert smu is None

@@ -85,6 +85,38 @@ class TestZiegler3:
         assert np.allclose(m.K, Kref)
 
 
+def fom_rhs_by_loop(model, P, x):
+    """The equations of motion with the cubic terms summed one by one."""
+    n = model.n
+    th, v = x[:n], x[n:]
+    force = np.zeros(n)
+    for row, a, b, coeff in model.cubic_terms:
+        force[row] += coeff * P * (th[a] - th[b]) ** 3
+    acc = np.linalg.solve(model.M, -model.C @ v - (model.K - P * model.Ru) @ th - force)
+    return np.concatenate([v, acc])
+
+
+def ziegler_without_cubics():
+    m = build_ziegler3(1, 2, 0.5, 1, 3, 2, 1.5, xi_m=0.1, xi_k=0.02)
+    m.cubic_terms = []
+    return m
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2),
+    lambda: build_ziegler3(1, 2, 0.5, 1, 3, 2, 1.5, xi_m=0.1, xi_k=0.02),
+    ziegler_without_cubics,
+], ids=["ziegler2", "ziegler3", "no-cubics"])
+def test_fom_rhs_against_cubic_loop(make):
+    m = make()
+    rng = np.random.default_rng(12)
+    for P in (0.0, 1.7, 2.9):
+        rhs = m.fom_rhs(P)
+        for x in 0.5 * rng.standard_normal((6, 2 * m.n)):
+            ref = fom_rhs_by_loop(m, P, x)
+            assert np.abs(rhs(0.0, x) - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
 class TestRecast:
     def test_state_dimension(self):
         m = build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2)

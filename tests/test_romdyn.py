@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from flutterrom import romdyn
 from flutterrom.dpim import build_rom_firstorder
-from flutterrom.models import build_ziegler2, recast_to_dae
+from flutterrom.models import ZieglerModel, build_ziegler2, recast_to_dae
 from flutterrom.romdyn import (
     RealizedReducedSystem,
     integrate_fom,
@@ -145,6 +146,39 @@ class TestCompiledEvaluator:
         assert np.array_equal(sysr.map_batch(x[None]), fresh.map_batch(x[None]))
 
 
+class TestSingleState:
+    """One-state rhs/linearize against the batched path and the oracles."""
+
+    def states(self, sysr):
+        # a strided view (a row of a transposed sample block) and a list
+        X = 0.2 * np.random.default_rng(8).standard_normal((2 * sysr.m, 3))
+        assert not X[:, 1].flags.c_contiguous
+        return X.T, [X[:, 1], list(X[:, 2])]
+
+    def test_rhs_against_batch_and_complex_field(self, compiled_case):
+        sysr = RealizedReducedSystem(compiled_case, 0.05)
+        block, singles = self.states(sysr)
+        batch, dbatch = sysr.rhs(0.0, block), sysr.dfdmu(block)
+        assert batch.shape == dbatch.shape == block.shape
+        for row, drow, x in zip(batch[1:], dbatch[1:], singles):
+            f, _, g = realified_oracle(sysr, np.array(x))
+            assert rel_diff(sysr.rhs(0.0, x), row) <= 1e-13
+            assert rel_diff(sysr.rhs(0.0, x), f) <= 1e-13
+            assert rel_diff(sysr.dfdmu(x), drow) <= 1e-13
+            assert rel_diff(sysr.dfdmu(x), g) <= 1e-13
+
+    def test_linearize_against_batch_and_complex_field(self, compiled_case):
+        sysr = RealizedReducedSystem(compiled_case, -0.03)
+        block, singles = self.states(sysr)
+        batch = sysr.rhs(0.0, block)
+        for row, x in zip(batch[1:], singles):
+            f, J, g = sysr.linearize(x)
+            fo, Jo, go = realified_oracle(sysr, np.array(x))
+            assert rel_diff(f, row) <= 1e-13 and rel_diff(f, fo) <= 1e-13
+            assert rel_diff(J, Jo) <= 1e-13
+            assert rel_diff(g, go) <= 1e-13
+
+
 class TestIntegrateReduced:
     def test_zero_stays_zero(self, hopf_rom):
         sol = integrate_reduced(hopf_rom, 0.1, [0.0], 20.0)
@@ -249,3 +283,73 @@ class TestFom:
         meas = measure_limit_cycle_fom(m, P_H + 0.3, coord=1)
         assert meas.converged
         assert meas.amplitude[1] > 0.05
+
+
+def counting(calls, key, fn):
+    def counted(*args, **kwargs):
+        calls[key] += 1
+        return fn(*args, **kwargs)
+    return counted
+
+
+@pytest.fixture
+def settle_calls(monkeypatch):
+    """Counts settle steppers, solve_ivp calls and rhs evaluations (ROM and FOM)."""
+    calls = {"DOP853": 0, "solve_ivp": 0, "rhs": 0}
+    monkeypatch.setattr(romdyn, "DOP853", counting(calls, "DOP853", romdyn.DOP853))
+    monkeypatch.setattr(romdyn, "solve_ivp", counting(calls, "solve_ivp", romdyn.solve_ivp))
+    monkeypatch.setattr(RealizedReducedSystem, "rhs",
+                        counting(calls, "rhs", RealizedReducedSystem.rhs))
+    make_rhs = ZieglerModel.fom_rhs
+    monkeypatch.setattr(ZieglerModel, "fom_rhs",
+                        lambda model, P: counting(calls, "rhs", make_rhs(model, P)))
+    return calls
+
+
+class TestSettleLoop:
+    """One settle stepper per measurement, all rhs calls through the public
+    evaluators (the ones the benchmark's tracer wraps), counted in nfev."""
+
+    def check(self, calls, meas, plain):
+        assert calls["DOP853"] == 1
+        assert calls["solve_ivp"] <= 2
+        assert meas.nfev > 0 and meas.nfev == calls["rhs"]
+        # counting changes no result bit
+        assert np.array_equal(meas.amplitude, plain.amplitude)
+        assert (meas.period, meas.transient_periods, meas.nfev) == \
+            (plain.period, plain.transient_periods, plain.nfev)
+
+    def test_rom(self, settle_calls):
+        rom = hopf_normal_form_rom()
+        plain = measure_limit_cycle(rom, 0.04, amp0=1e-3)
+        settle_calls.update(dict.fromkeys(settle_calls, 0))
+        meas = measure_limit_cycle(rom, 0.04, amp0=1e-3)
+        assert meas.converged and settle_calls["solve_ivp"] == 2
+        self.check(settle_calls, meas, plain)
+
+    def test_rom_decay(self, settle_calls):
+        plain = measure_limit_cycle(hopf_normal_form_rom(), -0.05)
+        settle_calls.update(dict.fromkeys(settle_calls, 0))
+        meas = measure_limit_cycle(hopf_normal_form_rom(), -0.05)
+        assert meas.reason.startswith("decayed") and settle_calls["solve_ivp"] == 0
+        self.check(settle_calls, meas, plain)
+
+    def test_fom(self, settle_calls):
+        m = build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2)
+        plain = measure_limit_cycle_fom(m, 2.28, coord=1)
+        settle_calls.update(dict.fromkeys(settle_calls, 0))
+        meas = measure_limit_cycle_fom(m, 2.28, coord=1)
+        assert meas.converged and settle_calls["solve_ivp"] == 2
+        self.check(settle_calls, meas, plain)
+
+
+class TestDecayUnits:
+    def test_decay_from_reduced_norm(self):
+        # a one-mode ROM whose mapping shrinks the amplitude 1e4-fold: the
+        # physical amplitude is below 1e-3 amp0 from the start, yet the
+        # reduced state grows onto the cycle, so it must not count as decay
+        rom = hopf_normal_form_rom()
+        small = replace(rom, W=1e-4 * rom.W)
+        meas = measure_limit_cycle(small, 0.04, amp0=1e-3, settle_rtol=1e-7)
+        assert meas.converged and meas.reason == ""
+        assert abs(meas.amplitude[0] - 1e-4 * np.sqrt(0.04)) < 2e-5 * 1e-4 * np.sqrt(0.04)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -199,6 +201,36 @@ class TestSweepSolves:
         monkeypatch.undo()
         expect = coalescence_by_fresh_solves(m, traj.P)
         assert {k: traj.events[k] for k in expect} == expect
+
+
+class TestExceptionalPointReuse:
+    @pytest.mark.parametrize("xi_m,span", [(0.2, (1.5, 3.0)), (0.0, (1.0, 3.0))])
+    def test_reads_the_sweep_spectra(self, xi_m, span, monkeypatch):
+        m = build_ziegler2(1, 1, 1, 1, 1, xi_m=xi_m)
+        traj = eigen_sweep(m, span, 40)
+        assert traj.full_spectrum
+        calls = {"pencil": 0}
+        pencil = m.linear_pencil
+
+        def counted_pencil(P):
+            calls["pencil"] += 1
+            return pencil(P)
+
+        monkeypatch.setattr(m, "linear_pencil", counted_pencil)
+        reused = detect_exceptional_point(traj, m)
+        n_reused, calls["pencil"] = calls["pencil"], 0
+        # the re-solving path: one fresh solve per grid load
+        resolved = detect_exceptional_point(replace(traj, full_spectrum=False), m)
+        assert calls["pencil"] - n_reused == len(traj.P)
+        assert reused is not None and reused[0] == resolved[0]
+        assert reused[1] == resolved[1]
+
+    def test_partial_tracking_resolves(self):
+        m = build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2)
+        traj = eigen_sweep(m, (1.5, 3.0), 40, n_track=2)
+        assert not traj.full_spectrum
+        out = detect_exceptional_point(traj, m)
+        assert out is not None and abs(out[0] - 2.0) < 1e-8
 
 
 class TestJordan:
