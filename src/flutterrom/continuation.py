@@ -142,8 +142,9 @@ def _flow_with_variations(sysr, x0, T, mu, rtol, atol, sensitivity=True):
 
 
 def _initial_cycle(rom, mu, opts):
-    """Seed anchor/period from a settled integration at fixed mu, and the
-    seed record {periods, status} (an unsettled seed is "no-convergence")."""
+    """Seed anchor/period from an integration at fixed mu, and the seed
+    record {periods, status}; status is "settled", or "no-convergence" when
+    seed_settle_periods ran out first."""
     sysr = RealizedReducedSystem(rom, mu)
     T0 = 2 * np.pi / abs(rom.lam[0].imag)
     x0 = sysr.real_state([opts.seed_amp] + [0.0] * (sysr.m - 1))
@@ -213,6 +214,9 @@ def continue_periodic(rom, mu_start=None, options=None):
     follows the branch in (anchor, period, mu) with adaptive steps; each
     accepted point records physical amplitudes (all mapped coordinates),
     the period, Floquet multipliers, stability, and any event marker.
+    meta["seed"] records the seed integration; a seed that does not settle
+    within seed_settle_periods gives no points and a meta["truncated"]
+    reason.
     """
     opts = options or ContinuationOptions()
     if mu_start is None:
@@ -222,16 +226,19 @@ def continue_periodic(rom, mu_start=None, options=None):
     m2 = 2 * sysr.m
 
     x, T, seed = _initial_cycle(rom, mu_start, opts)
+    points = []
+    meta = {"mu0": rom.meta.get("mu0", 0.0), "order": rom.order,
+            "masters": rom.d // 2, "engine": rom.meta.get("engine", ""), "seed": seed}
+    if seed["status"] != "settled":
+        # Newton could polish an unsettled seed onto the fixed point
+        meta["truncated"] = f"seed did not settle in {seed['periods']} periods"
+        return BifurcationDiagram(points, meta)
     x, T, Mono = _newton_fixed_mu(sysr, rom, x, T, mu_start, opts)
 
     if opts.amp_cap is None:
         amp_cap = 40.0 * max(np.linalg.norm(x), 0.05)
     else:
         amp_cap = opts.amp_cap
-
-    points = []
-    meta = {"mu0": rom.meta.get("mu0", 0.0), "order": rom.order,
-            "masters": rom.d // 2, "engine": rom.meta.get("engine", ""), "seed": seed}
 
     def record(x, T, mu, Mono, event=""):
         mult, others, stable = _floquet_and_stability(Mono)

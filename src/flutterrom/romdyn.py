@@ -18,9 +18,10 @@ from .polytensor import polynomial_eval
 
 
 class BlowUpError(RuntimeError):
-    def __init__(self, message, t_blowup=None):
+    def __init__(self, message, t_blowup=None, nfev=0):
         super().__init__(message)
         self.t_blowup = t_blowup
+        self.nfev = nfev
 
 
 @dataclass
@@ -79,6 +80,8 @@ class RealizedReducedSystem:
             lowered[p, :, s] = np.maximum(zexp[:, s] - 1, 0)
             factors[p] = zexp[:, s]
         self._f_index = self._power_index(lowered)
+        # row 0 again, contiguous: gathering through the strided view
+        # self._f_index[:, 0] made rhs ~10% slower
         self._f_index0 = self._power_index(zexp)
         self._f_factors = factors
         self._W_support = None
@@ -93,11 +96,8 @@ class RealizedReducedSystem:
         self._mu = float(value)
         kmu, rows = self._f_support[2:]
         dpowers = kmu * self._mu ** np.maximum(kmu - 1, 0)
-        self._f_coef = self._collapse(self._f_support, np.hstack(
-            [rows * (self._mu ** kmu)[:, None], rows * dpowers[:, None]]))
-        # contiguous copies of the field and d/dmu blocks for rhs and dfdmu
-        self._f_rhs = np.ascontiguousarray(self._f_coef[:, :self.m])
-        self._f_dmu = np.ascontiguousarray(self._f_coef[:, self.m:])
+        self._f_rhs = self._collapse(self._f_support, rows * (self._mu ** kmu)[:, None])
+        self._f_dmu = self._collapse(self._f_support, rows * dpowers[:, None])
         self._W_coef = None
 
     def _support(self, coeffs):
@@ -163,10 +163,10 @@ class RealizedReducedSystem:
 
     def linearize(self, x):
         """(rhs, jacobian, dfdmu) at x from one power table."""
-        m = self.m
-        out = (self._monomials(x, self._f_index) * self._f_factors).dot(self._f_coef)
-        J = (self._dudx @ out[1:, :m]).view(float).T
-        return out[0, :m].view(float), J, out[0, m:].view(float)
+        mono = self._monomials(x, self._f_index) * self._f_factors
+        out = mono.dot(self._f_rhs)
+        J = (self._dudx @ out[1:]).view(float).T
+        return out[0].view(float), J, mono[0].dot(self._f_dmu).view(float)
 
     def jacobian(self, x):
         return self.linearize(x)[1]
@@ -267,18 +267,18 @@ def _measure_settled_cycle(rhs, x0, T0, observe, settle_rtol, max_periods, rtol,
         done = 1
         while done < len(ts):
             while solver.t < ts[done]:
-                solver.step()
+                message = solver.step()
                 dense = None
                 if solver.status == "failed":
-                    raise BlowUpError(f"integration failed at t = {solver.t:.6g}: "
-                                      f"{solver.message}", t_blowup=solver.t)
+                    raise BlowUpError(f"integration failed at t = {solver.t:.6g}: {message}",
+                                      solver.t, solver.nfev)
             upto = np.searchsorted(ts, solver.t, side="right")
             if dense is None:
                 dense = solver.dense_output()
             X[done:upto] = dense(ts[done:upto]).T
             done = upto
         if np.linalg.norm(X[-1]) > escape_radius:
-            raise BlowUpError("trajectory left the escape radius", t_blowup=ts[-1])
+            raise BlowUpError("trajectory left the escape radius", ts[-1], solver.nfev)
         if np.linalg.norm(X, axis=1).max() < floor:
             return "decayed", k + 1, X[-1].copy(), solver.nfev
         amp = observe(X)
@@ -298,8 +298,8 @@ def _limit_cycle(rhs, x0, T0, physical, dim, param, coord, settle_rtol, max_peri
         status, periods, anchor, nfev = _measure_settled_cycle(
             rhs, x0, T0, lambda X: float(np.max(np.abs(physical(X)[:, coord]))),
             settle_rtol, max_periods, rtol, atol, escape_radius)
-    except BlowUpError:
-        return LimitCycleMeasurement(param, zero, 0.0, False, 0, "blow-up")
+    except BlowUpError as exc:
+        return LimitCycleMeasurement(param, zero, 0.0, False, 0, "blow-up", exc.nfev)
     if status != "settled":
         decayed = status == "decayed"
         reason = "decayed to the fixed point" if decayed else "settling tolerance not reached"

@@ -316,7 +316,6 @@ class EigenTrajectory:
     lam: np.ndarray           # (npoints, ntrack), tracked mode identity
     events: dict
     warnings: list = field(default_factory=list)
-    full_spectrum: bool = False   # each row of lam holds the whole dense spectrum
 
 
 def _pencil_eigs_at(model, P, k=None, sigma=None):
@@ -447,13 +446,19 @@ def eigen_sweep(model, param_range, n_points, n_track=None, mac_threshold=0.8,
             break
 
     # coalescence: minimize the smallest pairwise eigenvalue gap
+    gaps = np.array([_gap_of(w)[0] for w, _ in raw])
     events["P_c"] = None
     events["ep"] = False
-    found = _refine_coalescence(model, grid, [_gap_of(w)[0] for w, _ in raw], kw)
-    if found is not None:
-        P_c, gap_min, scale = found
+    i_min = int(np.argmin(gaps))
+    if np.isfinite(gaps[i_min]):
+        a = grid[max(i_min - 1, 0)]
+        b = grid[min(i_min + 1, len(grid) - 1)]
+        f = lambda P: _pair_gap(model, P, **kw)[0]
+        P_c, gap_min = _golden_min(f, a, b, xtol=1e-12 * max(abs(b), 1.0))
+        _, scale = _pair_gap(model, P_c, **kw)
         events["P_c"] = P_c
         events["gap_at_Pc"] = gap_min
+        events["scale_at_Pc"] = scale
         events["ep"] = bool(gap_min < 1e-6 * scale)
 
     # divergence: imaginary part of the unstable mode vanishes
@@ -475,45 +480,25 @@ def eigen_sweep(model, param_range, n_points, n_track=None, mac_threshold=0.8,
                 break
             prev = val
 
-    full = n_track == len(raw[0][0]) == raw[0][1].shape[0]
-    return EigenTrajectory(grid, lam, events, warnings, full_spectrum=full)
-
-
-def _refine_coalescence(model, grid, gaps, kw):
-    """Golden-section refinement of the smallest grid gap between its
-    neighbours; returns (P_c, gap there, spectral scale) or None when no
-    grid load has two distinct upper-half-plane modes."""
-    i_min = int(np.argmin(gaps))
-    if not np.isfinite(gaps[i_min]):
-        return None
-    a = grid[max(i_min - 1, 0)]
-    b = grid[min(i_min + 1, len(grid) - 1)]
-    f = lambda P: _pair_gap(model, P, **kw)[0]
-    P_c, gap_min = _golden_min(f, a, b, xtol=1e-12 * max(abs(b), 1.0))
-    return P_c, gap_min, _pair_gap(model, P_c, **kw)[1]
+    return EigenTrajectory(grid, lam, events, warnings)
 
 
 def detect_exceptional_point(traj, model, rel_tol=1e-6, sparse_k=8, sigma=None):
-    """Refine the minimum-gap load; returns (P_c, pair) or None.
+    """Exceptional point of a sweep; returns (P_c, pair) or None.
 
-    The grid gaps come from the sweep's spectra when it tracked every mode
-    of a dense solve, and from fresh solves otherwise.  The pair holds the
-    two upper-half-plane eigenvalues at the refined point.  An exceptional
-    point is declared when the relative gap drops below rel_tol (for real
-    asymmetric Jacobians, coalescence implies a Jordan block).
+    P_c and the gap there are the sweep's refined coalescence events (its
+    minimum-gap search ran over the whole spectrum at every grid load, for
+    any n_track).  An exceptional point is declared when the relative gap
+    drops below rel_tol (for real asymmetric Jacobians, coalescence implies
+    a Jordan block); the pair holds the two closest upper-half-plane
+    eigenvalues of a fresh solve at P_c.
     """
-    kw = dict(k=sparse_k, sigma=sigma)
-    if traj.full_spectrum:
-        gaps = [_gap_of(w)[0] for w in traj.lam]
-    else:
-        gaps = [_pair_gap(model, P, **kw)[0] for P in traj.P]
-    found = _refine_coalescence(model, traj.P, gaps, kw)
-    if found is None:
+    ev = traj.events
+    P_c = ev["P_c"]
+    if P_c is None or ev["gap_at_Pc"] >= rel_tol * ev["scale_at_Pc"]:
         return None
-    P_c, gap_min, scale = found
-    if gap_min >= rel_tol * scale:
-        return None
-    w, _ = _pencil_eigs_at(model, P_c, **kw)
+    scale = ev["scale_at_Pc"]
+    w, _ = _pencil_eigs_at(model, P_c, k=sparse_k, sigma=sigma)
     up = np.sort_complex(w[w.imag > 1e-12 * scale])
     best = None
     for ia in range(len(up)):

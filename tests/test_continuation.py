@@ -72,14 +72,13 @@ def test_find_hopf_stacked_scan_matches_pointwise_scan(d):
         assert np.array_equal(J, rom.linear_block(mu))
 
 
-def test_unsettled_seed_is_recorded():
-    # three periods cannot settle (the test starts at the fifth); started
-    # next to the cycle, Newton still polishes the seed onto it
-    opts = ContinuationOptions(mu_max=0.1, max_points=10, seed_amp=0.28,
-                               seed_settle_periods=3)
+def test_unsettled_seed_truncates_the_branch():
+    # three periods cannot settle (the settle test starts at the fifth)
+    opts = ContinuationOptions(mu_max=0.1, max_points=10, seed_settle_periods=3)
     diag = continue_periodic(hopf_normal_form_rom(omega=1.3), options=opts)
     assert diag.meta["seed"] == {"periods": 3, "status": "no-convergence"}
-    assert np.abs(diag.amplitude(0) / np.sqrt(diag.mu()) - 1.0).max() < 1e-4
+    assert diag.meta["truncated"] == "seed did not settle in 3 periods"
+    assert diag.points == []
 
 
 def test_decaying_seed_raises():

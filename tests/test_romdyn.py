@@ -334,6 +334,15 @@ class TestSettleLoop:
         assert meas.reason.startswith("decayed") and settle_calls["solve_ivp"] == 0
         self.check(settle_calls, meas, plain)
 
+    def test_rom_blow_up(self, settle_calls):
+        # subcritical: the seed runs away in finite time and the stepper fails
+        rom = hopf_normal_form_rom(c3=1.0)
+        plain = measure_limit_cycle(rom, 0.04, amp0=1e-3)
+        settle_calls.update(dict.fromkeys(settle_calls, 0))
+        meas = measure_limit_cycle(rom, 0.04, amp0=1e-3)
+        assert meas.reason == "blow-up" and settle_calls["solve_ivp"] == 0
+        self.check(settle_calls, meas, plain)
+
     def test_fom(self, settle_calls):
         m = build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2)
         plain = measure_limit_cycle_fom(m, 2.28, coord=1)

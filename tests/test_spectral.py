@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -203,12 +201,21 @@ class TestSweepSolves:
         assert {k: traj.events[k] for k in expect} == expect
 
 
+def closest_upper_pair(w):
+    """The two closest upper-half-plane eigenvalues of w, first pair first."""
+    up = np.sort_complex(w[w.imag > 1e-12 * max(np.abs(w).max(), 1e-30)])
+    _, a, b = min(((abs(a - b), a, b) for i, a in enumerate(up) for b in up[i + 1:]),
+                  key=lambda g: g[0])
+    return a, b
+
+
 class TestExceptionalPointReuse:
-    @pytest.mark.parametrize("xi_m,span", [(0.2, (1.5, 3.0)), (0.0, (1.0, 3.0))])
-    def test_reads_the_sweep_spectra(self, xi_m, span, monkeypatch):
+    @pytest.mark.parametrize("xi_m,span,n_track", [(0.2, (1.5, 3.0), None),
+                                                   (0.2, (1.5, 3.0), 2),
+                                                   (0.0, (1.0, 3.0), None)])
+    def test_one_pencil_solve_at_the_sweep_pc(self, xi_m, span, n_track, monkeypatch):
         m = build_ziegler2(1, 1, 1, 1, 1, xi_m=xi_m)
-        traj = eigen_sweep(m, span, 40)
-        assert traj.full_spectrum
+        traj = eigen_sweep(m, span, 40, n_track=n_track)
         calls = {"pencil": 0}
         pencil = m.linear_pencil
 
@@ -217,20 +224,20 @@ class TestExceptionalPointReuse:
             return pencil(P)
 
         monkeypatch.setattr(m, "linear_pencil", counted_pencil)
-        reused = detect_exceptional_point(traj, m)
-        n_reused, calls["pencil"] = calls["pencil"], 0
-        # the re-solving path: one fresh solve per grid load
-        resolved = detect_exceptional_point(replace(traj, full_spectrum=False), m)
-        assert calls["pencil"] - n_reused == len(traj.P)
-        assert reused is not None and reused[0] == resolved[0]
-        assert reused[1] == resolved[1]
-
-    def test_partial_tracking_resolves(self):
-        m = build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2)
-        traj = eigen_sweep(m, (1.5, 3.0), 40, n_track=2)
-        assert not traj.full_spectrum
         out = detect_exceptional_point(traj, m)
-        assert out is not None and abs(out[0] - 2.0) < 1e-8
+        assert calls["pencil"] == 1
+        monkeypatch.undo()
+        # the same P_c and pair as a gap search over fresh solves at every grid load
+        assert out is not None and out[0] == coalescence_by_fresh_solves(m, traj.P)["P_c"]
+        assert out[1] == closest_upper_pair(spectral._pencil_eigs_at(m, out[0])[0])
+        if xi_m > 0:
+            assert abs(out[0] - 2.0) < 1e-8
+
+    def test_no_solve_without_coalescence(self, monkeypatch):
+        m = build_ziegler2(1, 1, 1, 1, 1, xi_k=0.1)
+        traj = eigen_sweep(m, (1.0, 3.0), 40)
+        monkeypatch.setattr(m, "linear_pencil", None)
+        assert detect_exceptional_point(traj, m) is None
 
 
 class TestJordan:
