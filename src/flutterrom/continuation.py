@@ -1,18 +1,23 @@
 """Periodic-orbit continuation on reduced models.
 
-Single-interval shooting with a flow-orthogonal phase condition and
-pseudo-arclength stepping in (anchor state, period, parameter increment);
-Floquet multipliers come from the variational integration used for the
-shooting Jacobian, and fold / Neimark-Sacker events are located from their
-test functions along the branch.
+Gauss-Legendre collocation (degree 4, uniform mesh over the scaled period)
+with a flow-orthogonal phase condition and pseudo-arclength stepping in
+(anchor state, period, parameter increment).  Each Newton iterate
+evaluates the reduced field and its derivatives at all collocation points
+in one batched call and condenses the stage values interval by interval;
+the product of the interval transfer matrices is the discrete monodromy,
+whose eigenvalues are the Floquet multipliers.  Fold / Neimark-Sacker
+events are located from their test functions along the branch, and a
+branch that shrinks back onto the fixed point ends at a Hopf point.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg as sla
 from scipy.integrate import solve_ivp
 
 from .romdyn import BlowUpError, RealizedReducedSystem, _measure_settled_cycle, _return_time
@@ -114,33 +119,6 @@ class ContinuationOptions:
     seed_settle_periods: int = 600
 
 
-def _flow_with_variations(sysr, x0, T, mu, rtol, atol, sensitivity=True):
-    """phi_T(x0), monodromy, and the mu-sensitivity of the flow.
-
-    The state stores [Phi | s]^T row by row, so one product J [Phi | s]
-    advances both."""
-    m2 = 2 * sysr.m
-    sysr.mu = mu
-
-    def rhs(t, y):
-        f, J, g = sysr.linearize(y[:m2])
-        out = np.empty_like(y)
-        out[:m2] = f
-        dV = out[m2:].reshape(-1, m2)
-        np.dot(y[m2:].reshape(-1, m2), J.T, out=dV)
-        if sensitivity:
-            dV[-1] += g
-        return out
-
-    y0 = np.concatenate([x0, np.eye(m2).ravel(),
-                         np.zeros(m2 if sensitivity else 0)])
-    yT = solve_ivp(rhs, (0.0, T), y0, method="DOP853", rtol=rtol, atol=atol).y[:, -1]
-    xT = yT[:m2]
-    Mono = yT[m2:m2 + m2 * m2].reshape(m2, m2).T
-    smu = yT[m2 + m2 * m2:] if sensitivity else None
-    return xT, Mono, smu
-
-
 def _initial_cycle(rom, mu, opts):
     """Seed anchor/period from an integration at fixed mu, and the seed
     record {periods, status}; status is "settled", or "no-convergence" when
@@ -161,26 +139,165 @@ def _initial_cycle(rom, mu, opts):
     return x, T, {"periods": periods, "status": status}
 
 
-def _newton_fixed_mu(sysr, rom, x, T, mu, opts):
-    """Polish (anchor, period) at fixed parameter by shooting Newton."""
-    m2 = 2 * sysr.m
-    for _ in range(opts.max_newton):
-        nvec = sysr.rhs(0.0, x)
+# the four Gauss-Legendre points on [0, 1]; column k of _LAGRANGE holds the
+# power coefficients of the Lagrange polynomial that is 1 at point k
+_NODES = 0.5 + 0.5 * np.array([-1.0, -1.0, 1.0, 1.0]) * np.sqrt(
+    3.0 / 7.0 + np.array([2.0, -2.0, -2.0, 2.0]) / 7.0 * np.sqrt(1.2))
+_LAGRANGE = np.linalg.inv(np.vander(_NODES, increasing=True))
+# intervals of the seed mesh, and the most any orbit gets
+_MESH0, _MESH_MAX = 16, 512
+
+
+def _basis(t, integrated=False):
+    """Lagrange basis of the collocation points at local times t (rows), or
+    its integral from 0 to t."""
+    p = np.arange(len(_NODES))
+    powers = t[:, None] ** (p + 1) / (p + 1) if integrated else t[:, None] ** p
+    return powers @ _LAGRANGE
+
+
+_A = _basis(_NODES, True)           # stage weights of the equivalent Gauss
+_B = _basis(np.ones(1), True)[0]    # Runge-Kutta step over one interval
+_ENDS = _basis(np.array([0.0, 1.0]))
+# max over [0, 1] of |int_0^t p| / |p(0)| for p = prod_i (t - c_i); the
+# extremes of the integral sit at the roots of p
+_RHO = np.abs(np.polyval(np.polyint(np.poly(_NODES)), _NODES)).max() / np.prod(_NODES)
+
+
+def _stage_times(N):
+    """Scaled times of the collocation points of a uniform N-interval mesh."""
+    return ((np.arange(N)[:, None] + _NODES) / N).ravel()
+
+
+class _Collocation(NamedTuple):
+    """Collocation equations at one iterate, linearised and condensed.
+
+    On interval j of the scaled period the orbit is the degree-4 polynomial
+    u(tau_j + h t) = x_j + h T sum_i (int_0^t l_i) f(K_ji), which satisfies
+    the ODE at the Gauss points (the stage values K_ji); x_{j+1} is its end
+    value.  G holds the stage residuals K - u(nodes).  Solving the stage
+    rows of every interval at once leaves dK_j = Z_j (dx_j, dT, dmu, 1) and
+    dx_j = Psi_j (dx_0, dT, dmu, 1), so Psi_N carries the discrete
+    monodromy and the T-, mu- and residual columns.
+    """
+    X: np.ndarray     # mesh values x_0 .. x_N, (N + 1, n)
+    F: np.ndarray     # f at the stage values, (N, 4, n)
+    G: np.ndarray     # stage residuals, (N, 4, n)
+    Z: np.ndarray     # (N, 4, n, n + 3)
+    Psi: np.ndarray   # (N + 1, n, n + 3)
+
+
+def _collocate(sysr, x0, K, T, mu):
+    """_Collocation of the anchor x0, stage values K (N, 4, n), T and mu."""
+    N, s, n = K.shape
+    h = 1.0 / N
+    sysr.mu = mu
+    F, J, g = sysr.linearize(K.reshape(-1, n))
+    F, J, g = F.reshape(N, s, n), J.reshape(N, s, n, n), g.reshape(N, s, n)
+    X = np.empty((N + 1, n))
+    X[0] = x0
+    X[1:] = x0 + np.cumsum(h * T * (_B @ F), axis=0)
+    G = K - X[:-1, None] - h * T * (_A @ F)
+    # stage rows: dK_i - h T sum_k a_ik (J_k dK_k + g_k dmu) - h dT sum_k a_ik F_k
+    #             = dx_j - G_i
+    M = (-h * T * _A[:, None, :, None]) * J.transpose(0, 2, 1, 3)[:, None]
+    M = M.reshape(N, s * n, s * n) + np.eye(s * n)
+    R = np.empty((N, s, n, n + 3))
+    R[..., :n] = np.eye(n)
+    R[..., n] = h * (_A @ F)
+    R[..., n + 1] = h * T * (_A @ g)
+    R[..., n + 2] = -G
+    Z = np.linalg.solve(M, R.reshape(N, s * n, n + 3)).reshape(N, s, n, n + 3)
+    # end rows: dx_{j+1} = dx_j + h T sum_i b_i (J_i dK_i + g_i dmu) + h dT sum_i b_i F_i,
+    # i.e. Gam_j (dx_j, dT, dmu, 1)
+    BJ = (h * T * _B[:, None, None] * J).transpose(0, 2, 1, 3).reshape(N, n, s * n)
+    # Psi_{j+1} = Gam_j Psi_j on (dx, dT, dmu, 1): prefix products by doubling
+    Psi = np.zeros((N + 1, n + 3, n + 3))
+    Psi[:, n:, n:] = np.eye(3)
+    Psi[0, :n, :n] = np.eye(n)
+    Psi[1:, :n] = BJ @ Z.reshape(N, s * n, n + 3)
+    Psi[1:, :n, :n] += np.eye(n)
+    Psi[1:, :n, n] += h * (_B @ F)
+    Psi[1:, :n, n + 1] += h * T * (_B @ g)
+    step = 1
+    while step <= N:
+        Psi[step:] = Psi[step:] @ Psi[:-step]
+        step *= 2
+    return _Collocation(X, F, G, Z, Psi[:, :n])
+
+
+def _sample(col, T, t):
+    """The collocation polynomial at scaled times t in [0, 1], (len(t), n)."""
+    N = len(col.F)
+    j = np.minimum((t * N).astype(int), N - 1)
+    w = _basis(t * N - j, True)
+    return col.X[j] + (T / N) * np.einsum("ti,tin->tn", w, col.F[j])
+
+
+def _mesh_size(sysr, col, T, rtol):
+    """Number of mesh intervals the orbit needs: its own, unless the error
+    estimate exceeds rtol (sysr.mu must be the orbit's mu).
+
+    Between the collocation points the defect d = u' - T f(u) has the shape
+    of prod_i (t - c_i), so from its values at both ends of an interval the
+    local error h int_0^t d is at most h _RHO |d(end)|, relative here to the
+    orbit's size.  It falls like h^5, which sets the refined mesh (aiming at
+    rtol / 2).
+    """
+    N = len(col.F)
+    du = T * (_ENDS @ col.F)
+    fx = T * sysr.rhs(0.0, col.X)
+    defect = max(np.abs(du[:, 0] - fx[:-1]).max(), np.abs(du[:, 1] - fx[1:]).max())
+    err = _RHO * defect / N / max(np.abs(col.X).max(), 1e-30)
+    if err <= rtol:
+        return N
+    return min(int(np.ceil(N * (2.0 * err / rtol) ** (1.0 / (len(_NODES) + 1)))), _MESH_MAX)
+
+
+def _correct(sysr, q, K, tangent, ds, qn, Kn, opts, radius, T_range):
+    """Newton on the collocation equations, the phase row and the last row
+    tangent . (qn - q) = ds, from the guess (qn, Kn).
+
+    The phase normal is f at q's anchor, taken at the top of each iterate.
+    The residual norm covers those rows, periodicity x_N = x_0 and the
+    stage residuals.  An iterate whose mu or anchor moves more than `radius` from q, or whose
+    period leaves T_range, is rejected.  Returns (qn, Kn, collocation at
+    qn, corrections, residual norm, reason); reason is "" on convergence.
+    """
+    n = len(q) - 2
+    res = np.inf
+    for it in range(opts.max_newton):
+        x_n, T_n, mu_n = qn[:n], qn[n], qn[n + 1]
+        nvec = sysr.rhs(0.0, q[:n])
         nvec /= np.linalg.norm(nvec)
-        xT, Mono, _ = _flow_with_variations(sysr, x, T, mu, opts.rtol, opts.atol,
-                                            sensitivity=False)
-        F = np.concatenate([xT - x, [0.0]])
-        if np.linalg.norm(F) < opts.newton_tol * max(1.0, np.linalg.norm(x)):
-            return x, T, Mono
-        fT = sysr.rhs(0.0, xT)
-        J = np.zeros((m2 + 1, m2 + 1))
-        J[:m2, :m2] = Mono - np.eye(m2)
-        J[:m2, m2] = fT
-        J[m2, :m2] = nvec
-        dq = sla.solve(J, -F)
-        x = x + dq[:m2]
-        T = T + dq[m2]
-    raise ContinuationError("seed shooting Newton failed")
+        col = _collocate(sysr, x_n, Kn, T_n, mu_n)
+        F = np.concatenate([col.X[-1] - x_n, [nvec @ (x_n - q[:n])],
+                            [tangent @ (qn - q) - ds]])
+        res = float(np.sqrt(F @ F + np.sum(col.G ** 2)))
+        if res < opts.newton_tol * max(1.0, np.linalg.norm(qn)):
+            return qn, Kn, col, it, res, ""
+        end = col.Psi[-1]
+        Jb = np.zeros((n + 2, n + 2))
+        Jb[:n, :n + 2] = end[:, :n + 2]
+        Jb[:n, :n] -= np.eye(n)
+        Jb[n, :n] = nvec
+        Jb[n + 1] = tangent
+        rhs = -F
+        rhs[:n] -= end[:, n + 2]
+        try:
+            dq = np.linalg.solve(Jb, rhs)
+        except np.linalg.LinAlgError:
+            return qn, Kn, col, it, res, "singular corrector matrix"
+        w = np.append(dq, 1.0)
+        dX = col.Psi[:-1] @ w
+        W = np.concatenate([dX, np.broadcast_to(w[n:], (len(dX), 3))], axis=1)
+        qn = qn + dq
+        Kn = Kn + np.einsum("jsac,jc->jsa", col.Z, W)
+        if abs(qn[n + 1] - q[n + 1]) > radius or np.linalg.norm(qn[:n] - q[:n]) > radius:
+            return qn, Kn, col, it + 1, res, "iterate left the trust region"
+        if not T_range[0] <= qn[n] <= T_range[1]:
+            return qn, Kn, col, it + 1, res, "iterate period left [T0/4, 4 T0]"
+    return qn, Kn, col, opts.max_newton, res, "no convergence"
 
 
 def _floquet_and_stability(Mono):
@@ -210,13 +327,20 @@ def _ns_test(others):
 def continue_periodic(rom, mu_start=None, options=None):
     """Pseudo-arclength continuation of the post-bifurcation cycle branch.
 
-    Starts just past the reduced Hopf point (from time integration), then
-    follows the branch in (anchor, period, mu) with adaptive steps; each
-    accepted point records physical amplitudes (all mapped coordinates),
-    the period, Floquet multipliers, stability, and any event marker.
-    meta["seed"] records the seed integration; a seed that does not settle
-    within seed_settle_periods gives no points and a meta["truncated"]
-    reason.
+    Starts just past the reduced Hopf point from a settled integration,
+    polished at fixed mu, then follows the branch in (anchor, period, mu)
+    with adaptive steps; each accepted point records physical amplitudes
+    (all mapped coordinates), the period, Floquet multipliers, stability,
+    and any event marker.  The mesh grows whenever the error estimate of
+    a corrected orbit exceeds rtol.  The branch ends with a "hopf"
+    event on its last point when the cycle shrinks back onto the fixed
+    point.
+
+    meta["seed"] records the seed integration; meta["trace"] holds one
+    record per attempted step (ds, Newton corrections, residual norm, mesh
+    intervals, accepted, reason, wall time); meta["truncated"] names why
+    the branch stopped short of mu_max ("" when it did not).  A seed that
+    does not settle within seed_settle_periods gives no points.
     """
     opts = options or ContinuationOptions()
     if mu_start is None:
@@ -226,82 +350,92 @@ def continue_periodic(rom, mu_start=None, options=None):
     m2 = 2 * sysr.m
 
     x, T, seed = _initial_cycle(rom, mu_start, opts)
-    points = []
+    points, trace = [], []
     meta = {"mu0": rom.meta.get("mu0", 0.0), "order": rom.order,
-            "masters": rom.d // 2, "engine": rom.meta.get("engine", ""), "seed": seed}
+            "masters": rom.d // 2, "engine": rom.meta.get("engine", ""), "seed": seed,
+            "trace": trace}
     if seed["status"] != "settled":
         # Newton could polish an unsettled seed onto the fixed point
         meta["truncated"] = f"seed did not settle in {seed['periods']} periods"
         return BifurcationDiagram(points, meta)
-    x, T, Mono = _newton_fixed_mu(sysr, rom, x, T, mu_start, opts)
+    # one period of the seed orbit fills the initial mesh
+    orbit = solve_ivp(sysr.rhs, (0.0, T), x, method="DOP853", rtol=opts.rtol,
+                      atol=opts.atol, dense_output=True)
+    K = orbit.sol(T * _stage_times(_MESH0)).T.reshape(_MESH0, len(_NODES), m2)
+    T_range = (T / 4.0, 4.0 * T)
 
-    if opts.amp_cap is None:
-        amp_cap = 40.0 * max(np.linalg.norm(x), 0.05)
-    else:
-        amp_cap = opts.amp_cap
+    def attempt(q, K, tangent, ds, tK, radius):
+        """Correct from the predictor; grow the mesh when the orbit needs it."""
+        t0 = time.perf_counter()
+        qn, Kn, col, it, res, reason = _correct(sysr, q, K, tangent, ds, q + ds * tangent,
+                                                K + ds * tK, opts, radius, T_range)
+        N = len(Kn) if reason else _mesh_size(sysr, col, qn[m2], opts.rtol)
+        if N > len(Kn):
+            reason = f"mesh refined to {N} intervals"
+        rec = {"ds": ds, "newton": it, "residual": res, "mesh": len(Kn), "accepted": not reason,
+               "reason": reason, "wall_s": time.perf_counter() - t0}
+        trace.append(rec)
+        return qn, Kn, col, it, rec, N
 
-    def record(x, T, mu, Mono, event=""):
-        mult, others, stable = _floquet_and_stability(Mono)
-        ts = np.linspace(0.0, T, opts.n_sample)
-        sysr.mu = mu
-        sol = solve_ivp(sysr.rhs, (0.0, T), x, method="DOP853", rtol=opts.rtol,
-                        atol=opts.atol, dense_output=True)
-        Y = sysr.map_batch(sol.sol(ts).T)
-        amp = np.max(np.abs(Y), axis=0)
-        points.append(BranchPoint(mu, x.copy(), T, amp, mult, stable, event))
+    def refine(col, T, N):
+        return _sample(col, T, _stage_times(N)).reshape(N, len(_NODES), m2)
+
+    def record(q, col):
+        mult, others, stable = _floquet_and_stability(col.Psi[-1, :, :m2])
+        sysr.mu = q[m2 + 1]
+        Y = sysr.map_batch(_sample(col, q[m2], np.linspace(0.0, 1.0, opts.n_sample)))
+        points.append(BranchPoint(q[m2 + 1], q[:m2].copy(), q[m2], np.max(np.abs(Y), axis=0),
+                                  mult, stable))
         return others
 
-    others = record(x, T, mu_start, Mono)
-    fold_prev = _fold_test(others)
-    ns_prev = _ns_test(others)
-
+    # the seed orbit at fixed mu: the arclength row becomes mu = mu_start
     q = np.concatenate([x, [T, mu_start]])
     tangent = np.zeros(m2 + 2)
     tangent[-1] = 1.0
+    tK = np.zeros_like(K)
+    while True:
+        q, K, q_col, it, rec, N = attempt(q, K, tangent, 0.0, tK, np.inf)
+        if N == len(K):
+            break
+        K = refine(q_col, q[m2], N)
+        tK = np.zeros_like(K)
+    if rec["reason"]:
+        meta["truncated"] = f"seed corrector: {rec['reason']}"
+        return BifurcationDiagram(points, meta)
+    if opts.amp_cap is None:
+        amp_cap = 40.0 * max(np.linalg.norm(q[:m2]), 0.05)
+    else:
+        amp_cap = opts.amp_cap
+    others = record(q, q_col)
+    fold_prev = _fold_test(others)
+    ns_prev = _ns_test(others)
+
     ds = opts.ds0
     truncated_reason = ""
-
     while len(points) < opts.max_points:
-        q_pred = q + ds * tangent
-        qn = q_pred.copy()
-        converged = False
-        for it in range(opts.max_newton):
-            x_n, T_n, mu_n = qn[:m2], qn[m2], qn[m2 + 1]
-            nvec = sysr.rhs(0.0, q[:m2])
-            nvec /= np.linalg.norm(nvec)
-            xT, Mono, smu = _flow_with_variations(sysr, x_n, T_n, mu_n,
-                                                  opts.rtol, opts.atol)
-            F = np.concatenate([xT - x_n,
-                                [nvec @ (x_n - q[:m2])],
-                                [tangent @ (qn - q) - ds]])
-            if np.linalg.norm(F) < opts.newton_tol * max(1.0, np.linalg.norm(qn)):
-                converged = True
-                break
-            fT = sysr.rhs(0.0, xT)
-            J = np.zeros((m2 + 2, m2 + 2))
-            J[:m2, :m2] = Mono - np.eye(m2)
-            J[:m2, m2] = fT
-            J[:m2, m2 + 1] = smu
-            J[m2, :m2] = nvec
-            J[m2 + 1] = tangent
-            dq = sla.solve(J, -F)
-            qn = qn + dq
-        if not converged:
+        qn, Kn, col, it, rec, N = attempt(q, K, tangent, ds, tK, 4.0 * ds)
+        if N > len(Kn):
+            K = refine(q_col, q[m2], N)
+            tK = np.zeros_like(K)
+            continue
+        if rec["reason"]:
             if ds > opts.ds_min:
                 ds = max(ds / 2.0, opts.ds_min)
                 continue
-            truncated_reason = "shooting Newton stalled at the minimum step"
+            truncated_reason = f"corrector failed at the minimum step: {rec['reason']}"
             break
-
-        x_n, T_n, mu_n = qn[:m2], qn[m2], qn[m2 + 1]
+        x_n, mu_n = qn[:m2], qn[m2 + 1]
+        if x_n @ q[:m2] <= 0 or np.linalg.norm(x_n) < opts.seed_amp:
+            rec.update(accepted=False, reason="cycle shrank onto the fixed point")
+            points[-1].event = "hopf"
+            truncated_reason = f"branch ended at a Hopf point near mu = {q[m2 + 1]:.6g}"
+            break
         if np.linalg.norm(x_n) > amp_cap:
             truncated_reason = "branch left the reduced-coordinate trust region"
-            break
-        if T_n <= 0:
-            truncated_reason = "period collapsed"
+            rec.update(accepted=False, reason=truncated_reason)
             break
 
-        others = record(x_n, T_n, mu_n, Mono)
+        others = record(qn, col)
         fold_now = _fold_test(others)
         ns_now = _ns_test(others)
         if fold_prev is not None and fold_prev * fold_now < 0 and abs(fold_prev) < 0.5:
@@ -314,7 +448,8 @@ def continue_periodic(rom, mu_start=None, options=None):
         nrm = np.linalg.norm(new_tangent)
         if nrm > 0:
             tangent = new_tangent / nrm
-        q = qn
+            tK = (Kn - K) / nrm
+        q, K, q_col = qn, Kn, col
         if mu_n > opts.mu_max:
             break
         if it + 1 <= opts.target_newton:

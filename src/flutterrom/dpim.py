@@ -50,9 +50,6 @@ import scipy.sparse.linalg as spla
 from .models.dae import FirstOrderDAE
 from .polytensor import MonomialTable, polynomial_eval
 
-STYLE_NORMAL_FORM = "normal-form"
-
-
 class ResonanceError(RuntimeError):
     pass
 
@@ -117,7 +114,6 @@ class ParametrisationROM:
     Lam: np.ndarray
     conj_map: np.ndarray | None = None
     n_disp: int | None = None
-    style: str = STYLE_NORMAL_FORM
     meta: dict = field(default_factory=dict)
 
     @property
@@ -185,7 +181,6 @@ class ParametrisationROM:
         return {
             "format": "flutterrom-rom",
             "version": 1,
-            "style": self.style,
             "nvars": self.table.nvars,
             "order": self.table.max_order,
             "n_disp": self.n_disp,
@@ -217,10 +212,10 @@ class ParametrisationROM:
         lam = fromc(data["eigenvalues"])
         Lam = np.array([fromc(r) for r in data["Lam"]])
         conj_map = data.get("conj_map")
+        # a stored "style" key (always "normal-form") is ignored
         return cls(table, W, f, lam, Lam,
                    None if conj_map is None else np.array(conj_map, dtype=np.int64),
-                   data.get("n_disp"), data.get("style", STYLE_NORMAL_FORM),
-                   data.get("meta", {}))
+                   data.get("n_disp"), data.get("meta", {}))
 
 
 # -- shared engine pieces -----------------------------------------------------
@@ -430,11 +425,8 @@ def _solve_order(table, res, spectrum, B, At, ids, rhs, jdeps, W, f):
 
 
 def build_rom_firstorder(dae: FirstOrderDAE, spectrum, order, r_tol=0.05,
-                         enforce_one_to_one=None, style=STYLE_NORMAL_FORM,
-                         meta=None):
+                         enforce_one_to_one=None, meta=None):
     """Parametrisation of the augmented quadratic DAE around its fixed point."""
-    if style != STYLE_NORMAL_FORM:
-        raise ValueError("only the complex normal-form style is implemented")
     d = spectrum.d
     nv = d + 1
     if enforce_one_to_one is None:
@@ -479,7 +471,7 @@ def build_rom_firstorder(dae: FirstOrderDAE, spectrum, order, r_tol=0.05,
                 "stats": stats}
     rom_meta.update(meta or {})
     return ParametrisationROM(table, W, f, lam_vec[:d].copy(), spectrum.Lam.copy(),
-                              spectrum.conj_map, None, style, rom_meta)
+                              spectrum.conj_map, None, rom_meta)
 
 
 # -- second-order engine ------------------------------------------------------
@@ -517,8 +509,7 @@ class _BorderedSolver:
 
 
 def build_rom_secondorder(model, spectrum, order, r_tol=0.05,
-                          enforce_one_to_one=None, style=STYLE_NORMAL_FORM,
-                          meta=None):
+                          enforce_one_to_one=None, meta=None):
     """Halved-size parametrisation for second-order mechanical systems.
 
     Requires parameter-independent quadratic/cubic forces (models whose
@@ -527,8 +518,6 @@ def build_rom_secondorder(model, spectrum, order, r_tol=0.05,
     a displacement-sized bordered system is solved and the velocity
     mapping is recovered algebraically afterwards.
     """
-    if style != STYLE_NORMAL_FORM:
-        raise ValueError("only the complex normal-form style is implemented")
     if getattr(model, "cubic_scales_with_load", False):
         raise ValueError("load-scaled cubic forces require the quadratic recast "
                          "and the first-order engine")
@@ -632,7 +621,7 @@ def build_rom_secondorder(model, spectrum, order, r_tol=0.05,
                 "n_disp": n, "stats": stats}
     rom_meta.update(meta or {})
     return ParametrisationROM(table, W, f, lam_vec[:d].copy(), Lam.copy(),
-                              spectrum.conj_map, n, style, rom_meta)
+                              spectrum.conj_map, n, rom_meta)
 
 
 # -- invariance diagnostics ---------------------------------------------------

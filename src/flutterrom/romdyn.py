@@ -60,14 +60,10 @@ class RealizedReducedSystem:
         self.nv = rom.table.nvars
         if 2 * m != rom.d:
             raise ValueError("every master coordinate needs a distinct conjugate partner")
-        # position of each master coordinate in u, and du/dx (rows x, columns u)
+        # position of each master coordinate in u
         self._upos = np.empty(rom.d, dtype=np.int64)
         self._upos[self.reps] = np.arange(m)
         self._upos[rom.conj_map[self.reps]] = m + np.arange(m)
-        self._dudx = np.zeros((2 * m, 2 * m), dtype=complex)
-        for k in range(m):
-            self._dudx[2 * k, [k, m + k]] = 1.0
-            self._dudx[2 * k + 1, [k, m + k]] = 1j, -1j
         self._exponents = np.arange(rom.order + 1, dtype=complex)  # no cast in u ** k
         self._f_support = self._support(rom.f[:, self.reps])
         zexp = self._f_support[0]
@@ -161,12 +157,28 @@ class RealizedReducedSystem:
     def rhs(self, t, x):
         return self._monomials(x, self._f_index0).T.dot(self._f_rhs).view(float)
 
-    def linearize(self, x):
-        """(rhs, jacobian, dfdmu) at x from one power table."""
-        mono = self._monomials(x, self._f_index) * self._f_factors
-        out = mono.dot(self._f_rhs)
-        J = (self._dudx @ out[1:]).view(float).T
-        return out[0].view(float), J, mono[0].dot(self._f_dmu).view(float)
+    def linearize(self, X):
+        """(rhs, jacobian, dfdmu) from one power table, at one realified state
+        or stacked over the rows of a block of states.
+
+        Every state goes through the same products, so a row of a block
+        gives the bits of the single-state call.  With u = (z, conj z),
+        d/d(Re z) = d/dz + d/dconj(z) and d/d(Im z) = i (d/dz - d/dconj(z)).
+        """
+        mono = self._monomials(X, self._f_index)
+        if mono.ndim == 3:
+            mono = np.moveaxis(mono, -1, 0)
+        mono = (mono * self._f_factors).reshape(-1, mono.shape[-1])
+        m, rows = self.m, len(self._f_factors)
+        out = (mono @ self._f_rhs).reshape(-1, rows, m)
+        dz, dzbar = out[:, 1:m + 1], out[:, m + 1:]
+        Jc = np.empty((len(out), 2 * m, m), dtype=complex)
+        Jc[:, 0::2] = dz + dzbar
+        Jc[:, 1::2] = (dz - dzbar) * 1j
+        f = out[:, 0].view(float)
+        J = Jc.view(float).transpose(0, 2, 1)
+        g = (mono @ self._f_dmu)[::rows].view(float)
+        return (f[0], J[0], g[0]) if np.ndim(X) == 1 else (f, J, g)
 
     def jacobian(self, x):
         return self.linearize(x)[1]

@@ -1,23 +1,178 @@
+import time
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
+from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from flutterrom.continuation import (
+    BifurcationDiagram,
+    BranchPoint,
     ContinuationError,
     ContinuationOptions,
-    _flow_with_variations,
+    _correct,
+    _floquet_and_stability,
+    _fold_test,
+    _initial_cycle,
+    _mesh_size,
+    _ns_test,
+    _sample,
+    _stage_times,
     continue_periodic,
     find_hopf,
 )
 from flutterrom.models import build_ziegler2
+from flutterrom.romdyn import RealizedReducedSystem
 from flutterrom.spectral import eigen_sweep
 from tests.conftest import hopf_normal_form_rom
 from tests.test_romdyn import ziegler_rom
 
 
-def test_find_hopf_matches_eigen_sweep():
+# -- single-interval shooting: the oracle of the collocation corrector ---------
+
+
+def _flow_with_variations(sysr, x0, T, mu, rtol, atol, sensitivity=True):
+    """phi_T(x0), monodromy, and the mu-sensitivity of the flow.
+
+    The state stores [Phi | s]^T row by row, so one product J [Phi | s]
+    advances both."""
+    m2 = 2 * sysr.m
+    sysr.mu = mu
+
+    def rhs(t, y):
+        f, J, g = sysr.linearize(y[:m2])
+        out = np.empty_like(y)
+        out[:m2] = f
+        dV = out[m2:].reshape(-1, m2)
+        np.dot(y[m2:].reshape(-1, m2), J.T, out=dV)
+        if sensitivity:
+            dV[-1] += g
+        return out
+
+    y0 = np.concatenate([x0, np.eye(m2).ravel(),
+                         np.zeros(m2 if sensitivity else 0)])
+    yT = solve_ivp(rhs, (0.0, T), y0, method="DOP853", rtol=rtol, atol=atol).y[:, -1]
+    xT = yT[:m2]
+    Mono = yT[m2:m2 + m2 * m2].reshape(m2, m2).T
+    smu = yT[m2 + m2 * m2:] if sensitivity else None
+    return xT, Mono, smu
+
+
+def _newton_fixed_mu(sysr, x, T, mu, opts):
+    """Polish (anchor, period) at fixed parameter by shooting Newton."""
+    m2 = 2 * sysr.m
+    for _ in range(opts.max_newton):
+        nvec = sysr.rhs(0.0, x)
+        nvec /= np.linalg.norm(nvec)
+        xT, Mono, _ = _flow_with_variations(sysr, x, T, mu, opts.rtol, opts.atol,
+                                            sensitivity=False)
+        F = np.concatenate([xT - x, [0.0]])
+        if np.linalg.norm(F) < opts.newton_tol * max(1.0, np.linalg.norm(x)):
+            return x, T, Mono
+        J = np.zeros((m2 + 1, m2 + 1))
+        J[:m2, :m2] = Mono - np.eye(m2)
+        J[:m2, m2] = sysr.rhs(0.0, xT)
+        J[m2, :m2] = nvec
+        dq = sla.solve(J, -F)
+        x = x + dq[:m2]
+        T = T + dq[m2]
+    raise ContinuationError("seed shooting Newton failed")
+
+
+def shooting_branch(rom, opts):
+    """The branch by single-interval shooting: each corrector iterate
+    integrates the variational system over one period, and each accepted
+    point is integrated once more for its amplitudes.  Same seed, rows,
+    convergence test and step rule as continue_periodic."""
+    mu_H = find_hopf(rom)
+    mu_start = mu_H + max(4 * opts.ds0, 0.01 * max(abs(mu_H), 1.0))
+    sysr = RealizedReducedSystem(rom, mu_start)
+    m2 = 2 * sysr.m
+    x, T, _ = _initial_cycle(rom, mu_start, opts)
+    x, T, Mono = _newton_fixed_mu(sysr, x, T, mu_start, opts)
+    amp_cap = 40.0 * max(np.linalg.norm(x), 0.05)
+    points = []
+
+    def record(x, T, mu, Mono):
+        mult, others, stable = _floquet_and_stability(Mono)
+        sysr.mu = mu
+        sol = solve_ivp(sysr.rhs, (0.0, T), x, method="DOP853", rtol=opts.rtol,
+                        atol=opts.atol, dense_output=True)
+        Y = sysr.map_batch(sol.sol(np.linspace(0.0, T, opts.n_sample)).T)
+        points.append(BranchPoint(mu, x.copy(), T, np.max(np.abs(Y), axis=0), mult, stable))
+        return others
+
+    others = record(x, T, mu_start, Mono)
+    fold_prev, ns_prev = _fold_test(others), _ns_test(others)
+    q = np.concatenate([x, [T, mu_start]])
+    tangent = np.zeros(m2 + 2)
+    tangent[-1] = 1.0
+    ds = opts.ds0
+    truncated = ""
+    while len(points) < opts.max_points:
+        qn = q + ds * tangent
+        converged = False
+        for it in range(opts.max_newton):
+            x_n, T_n, mu_n = qn[:m2], qn[m2], qn[m2 + 1]
+            nvec = sysr.rhs(0.0, q[:m2])
+            nvec /= np.linalg.norm(nvec)
+            xT, Mono, smu = _flow_with_variations(sysr, x_n, T_n, mu_n, opts.rtol, opts.atol)
+            F = np.concatenate([xT - x_n, [nvec @ (x_n - q[:m2])], [tangent @ (qn - q) - ds]])
+            if np.linalg.norm(F) < opts.newton_tol * max(1.0, np.linalg.norm(qn)):
+                converged = True
+                break
+            J = np.zeros((m2 + 2, m2 + 2))
+            J[:m2, :m2] = Mono - np.eye(m2)
+            J[:m2, m2] = sysr.rhs(0.0, xT)
+            J[:m2, m2 + 1] = smu
+            J[m2, :m2] = nvec
+            J[m2 + 1] = tangent
+            qn = qn + sla.solve(J, -F)
+        if not converged:
+            if ds > opts.ds_min:
+                ds = max(ds / 2.0, opts.ds_min)
+                continue
+            truncated = "shooting Newton stalled at the minimum step"
+            break
+        x_n, T_n, mu_n = qn[:m2], qn[m2], qn[m2 + 1]
+        if np.linalg.norm(x_n) > amp_cap:
+            truncated = "branch left the reduced-coordinate trust region"
+            break
+        others = record(x_n, T_n, mu_n, Mono)
+        fold_now, ns_now = _fold_test(others), _ns_test(others)
+        if fold_prev * fold_now < 0 and abs(fold_prev) < 0.5:
+            points[-1].event = "fold"
+        elif ns_prev * ns_now < 0 and ns_now > 0:
+            points[-1].event = "neimark-sacker"
+        fold_prev, ns_prev = fold_now, ns_now
+        tangent = (qn - q) / np.linalg.norm(qn - q)
+        q = qn
+        if mu_n > opts.mu_max:
+            break
+        if it + 1 <= opts.target_newton:
+            ds = min(ds * 1.4, opts.ds_max)
+        elif it + 1 >= opts.max_newton - 2:
+            ds = max(ds / 1.5, opts.ds_min)
+    return BifurcationDiagram(points, {"truncated": truncated})
+
+
+@pytest.fixture(scope="module")
+def branch_rom():
+    """The d = 4, order-5 ROM expanded at the sweep's Hopf point."""
     m = build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2)
     P_H = eigen_sweep(m, (1.5, 3.0), 40).events["P_H"]
-    _, _, rom = ziegler_rom(mu0=P_H, order=5)
+    return P_H, ziegler_rom(mu0=P_H, order=5)[2]
+
+
+@pytest.fixture(scope="module")
+def branch(branch_rom):
+    return continue_periodic(branch_rom[1],
+                             options=ContinuationOptions(mu_max=0.3, max_points=20))
+
+
+def test_find_hopf_matches_eigen_sweep(branch_rom):
+    P_H, rom = branch_rom
     assert abs(rom.meta["mu0"] + find_hopf(rom) - P_H) < 1e-6
 
 
@@ -88,8 +243,6 @@ def test_decaying_seed_raises():
 
 @pytest.mark.parametrize("sensitivity", [True, False])
 def test_flow_variations_against_differences(sensitivity):
-    from flutterrom.romdyn import RealizedReducedSystem
-
     _, _, rom = ziegler_rom(mu0=2.0768, order=5)
     sysr = RealizedReducedSystem(rom, 0.0)
     x0 = np.array([0.05, -0.02, 0.01, 0.03])
@@ -108,3 +261,84 @@ def test_flow_variations_against_differences(sensitivity):
         assert np.abs(smu - sfd).max() < 1e-7 * np.abs(sfd).max()
     else:
         assert smu is None
+
+
+def test_collocation_matches_shooting(branch_rom, branch):
+    shot = shooting_branch(branch_rom[1], ContinuationOptions(mu_max=0.3, max_points=20))
+    assert len(branch.points) == len(shot.points) == 16
+    assert branch.meta["truncated"] == shot.meta["truncated"] == ""
+    assert branch.events() == shot.events()
+    assert np.abs(branch.mu() - shot.mu()).max() < 1e-9
+    assert np.abs(branch.periods() / shot.periods() - 1.0).max() < 1e-7
+    for a, b in zip(branch.points, shot.points):
+        assert np.abs(a.amplitude - b.amplitude).max() < 1e-7 * np.abs(b.amplitude).max()
+        fa, fb = np.sort(np.abs(a.floquet)), np.sort(np.abs(b.floquet))
+        assert np.abs(fa / fb - 1.0).max() < 1e-7
+        assert a.stable == b.stable
+
+
+def test_mesh_meets_rtol_against_the_flow(branch_rom):
+    # the mesh the error estimate picks meets rtol on the orbit's samples,
+    # measured against a tight integration from the corrected anchor; the
+    # seed mesh it rejects does not
+    rom, mu = branch_rom[1], 0.1
+    opts = ContinuationOptions()
+    sysr = RealizedReducedSystem(rom, mu)
+    x, T, _ = _initial_cycle(rom, mu, opts)
+    q = np.append(x, [T, mu])
+    fixed_mu = np.eye(len(q))[-1]
+    orbit = solve_ivp(sysr.rhs, (0.0, T), x, method="DOP853", rtol=1e-13, atol=1e-15,
+                      dense_output=True)
+    t = np.linspace(0.0, 1.0, 401)
+
+    def corrected_error(K):
+        qn, _, col, _, _, reason = _correct(sysr, q, K, fixed_mu, 0.0, q, K, opts, np.inf,
+                                            (T / 4, 4 * T))
+        assert reason == ""
+        flow = solve_ivp(sysr.rhs, (0.0, qn[-2]), qn[:-2], method="DOP853", rtol=1e-13,
+                         atol=1e-15, dense_output=True).sol(qn[-2] * t).T
+        err = np.abs(_sample(col, qn[-2], t) - flow).max() / np.abs(flow).max()
+        return err, col, qn[-2]
+
+    err, col, Tn = corrected_error(orbit.sol(T * _stage_times(16)).T.reshape(16, 4, -1))
+    N = _mesh_size(sysr, col, Tn, opts.rtol)
+    assert err > opts.rtol and N > 16
+    refined = _sample(col, Tn, _stage_times(N)).reshape(N, 4, -1)
+    err, col, Tn = corrected_error(refined)
+    assert err <= opts.rtol
+    assert _mesh_size(sysr, col, Tn, opts.rtol) == N
+
+
+def test_trace_accounts_for_every_step(branch):
+    trace = branch.meta["trace"]
+    assert sum(rec["accepted"] for rec in trace) == len(branch.points)
+    for rec in trace:
+        assert set(rec) == {"ds", "newton", "residual", "mesh", "accepted", "reason", "wall_s"}
+        assert rec["accepted"] == (rec["reason"] == "")
+    # the trust region never fires on this branch; only the seed mesh grows
+    assert all(rec["reason"].startswith("mesh refined") for rec in trace if rec["reason"])
+    assert all(rec["ds"] == 0.0 for rec in trace if rec["reason"])
+    assert len({rec["mesh"] for rec in trace if rec["accepted"]}) == 1
+
+
+def test_branch_closes_at_the_second_hopf_point():
+    # the d = 2 branch runs from the ROM's first Hopf point to a second one
+    # where the cycle shrinks back onto the fixed point
+    m = build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2)
+    P_H = eigen_sweep(m, (1.5, 3.0), 40).events["P_H"]
+    _, _, rom = ziegler_rom(mu0=P_H, order=5, d=2)
+
+    def growth(mu):
+        return float(np.max(np.linalg.eigvals(rom.linear_block(mu)).real))
+
+    mu_H2 = brentq(growth, 0.1, 0.3, xtol=1e-12)
+    opts = ContinuationOptions(mu_max=0.4, max_points=40)
+    t0 = time.perf_counter()
+    diag = continue_periodic(rom, options=opts)
+    assert time.perf_counter() - t0 < 5.0
+    assert diag.meta["truncated"].startswith("branch ended at a Hopf point")
+    (mu_end, event), = diag.events()
+    assert event == "hopf" and diag.points[-1].event == "hopf"
+    assert abs(mu_end - mu_H2) < 2e-3
+    assert diag.mu().max() < opts.mu_max
+    assert sum(rec["accepted"] for rec in diag.meta["trace"]) == len(diag.points)

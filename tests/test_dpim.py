@@ -739,6 +739,15 @@ class TestRomSerialization:
         assert np.array_equal(rom.W, rom2.W)
         assert np.array_equal(rom.f, rom2.f)
 
+    def test_reads_files_with_the_dropped_style_field(self):
+        m = build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2)
+        dae = recast_to_dae(m, mu0=2.6)
+        rom = build_rom_firstorder(dae, solve_master_eigen(dae, d=2), order=2)
+        data = rom.to_dict()
+        assert "style" not in data
+        back = ParametrisationROM.from_dict({**data, "style": "normal-form"})
+        assert back.to_dict() == data
+
     def test_rejects_bad_version(self):
         m = build_ziegler2(1, 1, 1, 1, 1)
         dae = recast_to_dae(m, mu0=2.5)

@@ -135,6 +135,17 @@ class TestCompiledEvaluator:
         assert rel_diff(J, sysr.jacobian(x)) <= 1e-14
         assert rel_diff(g, sysr.dfdmu(x)) <= 1e-14
 
+    def test_batched_linearize_matches_single_states(self, compiled_case):
+        sysr = RealizedReducedSystem(compiled_case, 0.05)
+        X = 0.2 * np.random.default_rng(5).standard_normal((37, 2 * sysr.m))
+        f, J, g = sysr.linearize(X)
+        assert f.shape == g.shape == X.shape and J.shape == X.shape + X.shape[1:]
+        for k, x in enumerate(X):
+            fk, Jk, gk = sysr.linearize(x)
+            assert np.array_equal(fk, f[k]) and np.array_equal(Jk, J[k])
+            assert np.array_equal(gk, g[k])
+            assert np.array_equal(Jk, sysr.jacobian(x))
+
     def test_mu_reassignment_matches_fresh_system(self, compiled_case):
         sysr = RealizedReducedSystem(compiled_case, 0.05)
         fresh = RealizedReducedSystem(compiled_case, 0.13)
