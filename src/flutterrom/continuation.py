@@ -8,7 +8,9 @@ in one batched call and condenses the stage values interval by interval;
 the product of the interval transfer matrices is the discrete monodromy,
 whose eigenvalues are the Floquet multipliers.  Fold / Neimark-Sacker
 events are located from their test functions along the branch, and a
-branch that shrinks back onto the fixed point ends at a Hopf point.
+branch that shrinks back onto the fixed point ends at a Hopf point.  The
+branch starts there too: the Hopf seed is the critical eigenvector's
+ellipse scaled by the normal-form amplitude law, so nothing integrates.
 """
 
 from __future__ import annotations
@@ -18,9 +20,8 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from .romdyn import BlowUpError, RealizedReducedSystem, _measure_settled_cycle, _return_time
+from .romdyn import RealizedReducedSystem
 
 
 class ContinuationError(RuntimeError):
@@ -111,32 +112,8 @@ class ContinuationOptions:
     newton_tol: float = 1e-9
     amp_cap: float | None = None
     rtol: float = 1e-9
-    atol: float = 1e-12
-    weight_T: float = 1.0
-    weight_mu: float = 1.0
     n_sample: int = 512
-    seed_amp: float = 1e-3
-    seed_settle_periods: int = 600
-
-
-def _initial_cycle(rom, mu, opts):
-    """Seed anchor/period from an integration at fixed mu, and the seed
-    record {periods, status}; status is "settled", or "no-convergence" when
-    seed_settle_periods ran out first."""
-    sysr = RealizedReducedSystem(rom, mu)
-    T0 = 2 * np.pi / abs(rom.lam[0].imag)
-    x0 = sysr.real_state([opts.seed_amp] + [0.0] * (sysr.m - 1))
-    try:
-        status, periods, x, _ = _measure_settled_cycle(
-            sysr.rhs, x0, T0, lambda X: float(np.max(np.abs(X))), 3e-4,
-            opts.seed_settle_periods, opts.rtol, opts.atol,
-            escape_radius=1e3 * max(opts.seed_amp, 1e-2))
-    except BlowUpError as exc:
-        raise ContinuationError(f"seed trajectory at mu = {mu}: {exc}") from exc
-    if status == "decayed":
-        raise ContinuationError(f"trajectory decays at mu = {mu}: no cycle to seed")
-    T, _ = _return_time(sysr.rhs, x, T0, opts.rtol, opts.atol)
-    return x, T, {"periods": periods, "status": status}
+    seed_amp: float = 1e-3   # anchor norm under which a cycle has shrunk onto the fixed point
 
 
 # the four Gauss-Legendre points on [0, 1]; column k of _LAGRANGE holds the
@@ -144,8 +121,10 @@ def _initial_cycle(rom, mu, opts):
 _NODES = 0.5 + 0.5 * np.array([-1.0, -1.0, 1.0, 1.0]) * np.sqrt(
     3.0 / 7.0 + np.array([2.0, -2.0, -2.0, 2.0]) / 7.0 * np.sqrt(1.2))
 _LAGRANGE = np.linalg.inv(np.vander(_NODES, increasing=True))
-# intervals of the seed mesh, and the most any orbit gets
-_MESH0, _MESH_MAX = 16, 512
+# intervals of the seed mesh, the most any orbit gets, and the amplitude of
+# the Hopf seed's ellipse (its first residual is O(eps^3): at 1e-3 already
+# under newton_tol, so the correction would leave mu at mu_H)
+_MESH0, _MESH_MAX, _HOPF_EPS = 16, 512, 1e-2
 
 
 def _basis(t, integrated=False):
@@ -300,6 +279,42 @@ def _correct(sysr, q, K, tangent, ds, qn, Kn, opts, radius, T_range):
     return qn, Kn, col, opts.max_newton, res, "no convergence"
 
 
+def _hopf_seed(rom, mu_H, mu_start, opts):
+    """(anchor, stage values, period, record) of a cycle guess at mu_start,
+    built at the Hopf point mu_H without integrating.
+
+    The critical eigenpair (i omega, v) of the Jacobian at the fixed point
+    spans the ellipse eps Re(v e^{2 pi i tau}) of period 2 pi / omega.
+    Corrected with its amplitude along Re v fixed and mu free, it sits at
+    mu_eps, and r^2 ~ mu - mu_H scales it to mu_start.
+    """
+    sysr = RealizedReducedSystem(rom, mu_H)
+    n = 2 * sysr.m
+    w, V = np.linalg.eig(sysr.jacobian(np.zeros(n)))
+    k = np.flatnonzero(w.imag > 0)[np.argmax(w.real[w.imag > 0])]
+    v = V[:, k]   # LAPACK makes its largest component real: Re v, Im v independent
+    T = 2 * np.pi / w[k].imag
+    phase = np.exp(2j * np.pi * _stage_times(_MESH0))
+    K = _HOPF_EPS * (phase[:, None] * v).real.reshape(_MESH0, len(_NODES), n)
+    q = np.concatenate([_HOPF_EPS * v.real, [T, mu_H]])
+    tangent = np.concatenate([v.real / np.linalg.norm(v.real), [0.0, 0.0]])
+    q, K, _, it, res, reason = _correct(sysr, q, K, tangent, 0.0, q, K, opts, np.inf,
+                                        (T / 4.0, 4.0 * T))
+    if reason:
+        raise ContinuationError(f"Hopf seed corrector at mu = {mu_H:.6g}: {reason}")
+    shift = q[n + 1] - mu_H
+    if abs(shift) <= opts.newton_tol * max(1.0, abs(mu_H)):
+        raise ContinuationError(f"degenerate Hopf point at mu = {mu_H:.6g}: mu does not move "
+                                "with the cycle amplitude")
+    if (mu_start - mu_H) * shift <= 0:
+        raise ContinuationError(
+            f"trajectory {'decays' if mu_start <= mu_H else 'grows'} at mu = {mu_start}: the "
+            f"cycles of the Hopf point mu = {mu_H:.6g} lie {'above' if shift > 0 else 'below'} it")
+    scale = float(np.sqrt((mu_start - mu_H) / shift))
+    record = {"mu_H": float(mu_H), "newton": it, "residual": res, "scale": scale}
+    return scale * q[:n], scale * K, q[n], record
+
+
 def _floquet_and_stability(Mono):
     mult = np.linalg.eigvals(Mono)
     trivial = int(np.argmin(np.abs(mult - 1.0)))
@@ -327,41 +342,35 @@ def _ns_test(others):
 def continue_periodic(rom, mu_start=None, options=None):
     """Pseudo-arclength continuation of the post-bifurcation cycle branch.
 
-    Starts just past the reduced Hopf point from a settled integration,
-    polished at fixed mu, then follows the branch in (anchor, period, mu)
-    with adaptive steps; each accepted point records physical amplitudes
-    (all mapped coordinates), the period, Floquet multipliers, stability,
-    and any event marker.  The mesh grows whenever the error estimate of
-    a corrected orbit exceeds rtol.  The branch ends with a "hopf"
-    event on its last point when the cycle shrinks back onto the fixed
-    point.
+    Starts from the Hopf seed at the reduced Hopf point (find_hopf, also
+    when mu_start is given), corrected at mu_start with mu fixed, then
+    follows the branch in (anchor, period, mu) with adaptive steps; each
+    accepted point records physical amplitudes (all mapped coordinates),
+    the period, Floquet multipliers, stability, and any event marker.  The
+    mesh grows whenever the error estimate of a corrected orbit exceeds
+    rtol.  The branch ends with a "hopf" event on its last point when the
+    cycle shrinks back onto the fixed point (its anchor turns back or falls
+    below seed_amp).
 
-    meta["seed"] records the seed integration; meta["trace"] holds one
-    record per attempted step (ds, Newton corrections, residual norm, mesh
-    intervals, accepted, reason, wall time); meta["truncated"] names why
-    the branch stopped short of mu_max ("" when it did not).  A seed that
-    does not settle within seed_settle_periods gives no points.
+    meta["seed"] is the Hopf seed's record {mu_H, newton, residual, scale};
+    meta["trace"] holds one record per attempted step (ds, Newton
+    corrections, residual norm, mesh intervals, accepted, reason, wall
+    time), starting with the fixed-mu correction at ds = 0; meta["truncated"]
+    names why the branch stopped short of mu_max ("" when it did not).
+    Raises ContinuationError when no cycle lies on mu_start's side of mu_H.
     """
     opts = options or ContinuationOptions()
+    mu_H = find_hopf(rom)
     if mu_start is None:
-        mu_H = find_hopf(rom)
         mu_start = mu_H + max(4 * opts.ds0, 0.01 * max(abs(mu_H), 1.0))
     sysr = RealizedReducedSystem(rom, mu_start)
     m2 = 2 * sysr.m
 
-    x, T, seed = _initial_cycle(rom, mu_start, opts)
+    x, K, T, seed = _hopf_seed(rom, mu_H, mu_start, opts)
     points, trace = [], []
     meta = {"mu0": rom.meta.get("mu0", 0.0), "order": rom.order,
             "masters": rom.d // 2, "engine": rom.meta.get("engine", ""), "seed": seed,
             "trace": trace}
-    if seed["status"] != "settled":
-        # Newton could polish an unsettled seed onto the fixed point
-        meta["truncated"] = f"seed did not settle in {seed['periods']} periods"
-        return BifurcationDiagram(points, meta)
-    # one period of the seed orbit fills the initial mesh
-    orbit = solve_ivp(sysr.rhs, (0.0, T), x, method="DOP853", rtol=opts.rtol,
-                      atol=opts.atol, dense_output=True)
-    K = orbit.sol(T * _stage_times(_MESH0)).T.reshape(_MESH0, len(_NODES), m2)
     T_range = (T / 4.0, 4.0 * T)
 
     def attempt(q, K, tangent, ds, tK, radius):

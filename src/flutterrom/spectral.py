@@ -94,13 +94,6 @@ class Spectrum:
                         list(self.jordan_pairs), self.n_disp, dict(self.ops))
 
 
-def modal_assurance(a, b):
-    """|a* b|^2 / (|a|^2 |b|^2), the eigenvector correlation used for tracking."""
-    num = abs(np.vdot(a, b)) ** 2
-    den = (np.vdot(a, a).real * np.vdot(b, b).real)
-    return num / den if den > 0 else 0.0
-
-
 # -- raw pencil solves --------------------------------------------------------
 
 def _dense_pencil_eig(At, B):
@@ -315,7 +308,7 @@ class EigenTrajectory:
     P: np.ndarray
     lam: np.ndarray           # (npoints, ntrack), tracked mode identity
     events: dict
-    warnings: list = field(default_factory=list)
+    warnings: list = field(default_factory=list)   # weak matches, {P, mode, mac}
 
 
 def _pencil_eigs_at(model, P, k=None, sigma=None):
@@ -390,10 +383,12 @@ def eigen_sweep(model, param_range, n_points, n_track=None, mac_threshold=0.8,
     """Track the spectrum over a load range and locate P_c, P_H, P_d.
 
     Mode identity is maintained by greedy modal-assurance matching between
-    neighbouring grid points.  The event scans read the grid spectra the
-    tracking solved; the events are then refined with fresh solves (gap
-    minimization for the coalescence, bisection for the Hopf and divergence
-    points), so they do not depend on the mode matching.
+    neighbouring grid points, from one MAC matrix per step; a match below
+    mac_threshold adds a warning record {P, mode, mac}.  The event scans
+    read the grid spectra the tracking solved; the events are then refined
+    with fresh solves (gap minimization for the coalescence, bisection for
+    the Hopf and divergence points), so they do not depend on the mode
+    matching.
     """
     P0, P1 = param_range
     grid = np.linspace(P0, P1, n_points)
@@ -411,20 +406,15 @@ def eigen_sweep(model, param_range, n_points, n_track=None, mac_threshold=0.8,
 
     for P in grid[1:]:
         w, vr = _pencil_eigs_at(model, P, **kw)
+        # modal assurance |a* b|^2 / (|a|^2 |b|^2) of each (tracked, candidate) pair
+        mac = np.abs(vec_prev.conj().T @ vr) ** 2 / np.outer(
+            np.sum(np.abs(vec_prev) ** 2, axis=0), np.sum(np.abs(vr) ** 2, axis=0))
         cols = []
-        used = set()
         for m in range(n_track):
-            best, best_mac = None, -1.0
-            for cand in range(len(w)):
-                if cand in used:
-                    continue
-                macv = modal_assurance(vec_prev[:, m], vr[:, cand])
-                if macv > best_mac:
-                    best, best_mac = cand, macv
-            if best_mac < mac_threshold:
-                warnings.append(
-                    f"mode tracking weak at P = {P:.6g} (mode {m}, MAC = {best_mac:.3f})")
-            used.add(best)
+            best = int(np.argmax(mac[m]))
+            if mac[m, best] < mac_threshold:
+                warnings.append({"P": float(P), "mode": m, "mac": float(mac[m, best])})
+            mac[:, best] = -1.0
             cols.append(best)
         lam_rows.append(w[cols])
         vec_prev = vr[:, cols]

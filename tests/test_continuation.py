@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize_scalar
 
 from flutterrom.continuation import (
     BifurcationDiagram,
@@ -14,7 +14,7 @@ from flutterrom.continuation import (
     _correct,
     _floquet_and_stability,
     _fold_test,
-    _initial_cycle,
+    _hopf_seed,
     _mesh_size,
     _ns_test,
     _sample,
@@ -22,11 +22,48 @@ from flutterrom.continuation import (
     continue_periodic,
     find_hopf,
 )
-from flutterrom.models import build_ziegler2
-from flutterrom.romdyn import RealizedReducedSystem
-from flutterrom.spectral import eigen_sweep
+from flutterrom.dpim import build_rom_firstorder
+from flutterrom.models import build_ziegler2, recast_to_dae
+from flutterrom.romdyn import (
+    BlowUpError,
+    RealizedReducedSystem,
+    _measure_settled_cycle,
+    _return_time,
+)
+from flutterrom.spectral import (
+    detect_exceptional_point,
+    eigen_sweep,
+    enforce_jordan,
+    solve_master_eigen,
+)
 from tests.conftest import hopf_normal_form_rom
 from tests.test_romdyn import ziegler_rom
+
+
+ATOL = 1e-12  # absolute tolerance of the oracles' time integrations
+
+
+# -- the settled seed: the oracle of the Hopf seed -----------------------------
+
+
+def _initial_cycle(rom, mu, opts, max_periods=600):
+    """Seed anchor/period from an integration at fixed mu, settled from a
+    seed_amp perturbation of the leading coordinate, and the seed record
+    {periods, status}; status is "settled", or "no-convergence" when
+    max_periods ran out first."""
+    sysr = RealizedReducedSystem(rom, mu)
+    T0 = 2 * np.pi / abs(rom.lam[0].imag)
+    x0 = sysr.real_state([opts.seed_amp] + [0.0] * (sysr.m - 1))
+    try:
+        status, periods, x, _ = _measure_settled_cycle(
+            sysr.rhs, x0, T0, lambda X: float(np.max(np.abs(X))), 3e-4,
+            max_periods, opts.rtol, ATOL, escape_radius=1e3 * max(opts.seed_amp, 1e-2))
+    except BlowUpError as exc:
+        raise ContinuationError(f"seed trajectory at mu = {mu}: {exc}") from exc
+    if status == "decayed":
+        raise ContinuationError(f"trajectory decays at mu = {mu}: no cycle to seed")
+    T, _ = _return_time(sysr.rhs, x, T0, opts.rtol, ATOL)
+    return x, T, {"periods": periods, "status": status}
 
 
 # -- single-interval shooting: the oracle of the collocation corrector ---------
@@ -65,7 +102,7 @@ def _newton_fixed_mu(sysr, x, T, mu, opts):
     for _ in range(opts.max_newton):
         nvec = sysr.rhs(0.0, x)
         nvec /= np.linalg.norm(nvec)
-        xT, Mono, _ = _flow_with_variations(sysr, x, T, mu, opts.rtol, opts.atol,
+        xT, Mono, _ = _flow_with_variations(sysr, x, T, mu, opts.rtol, ATOL,
                                             sensitivity=False)
         F = np.concatenate([xT - x, [0.0]])
         if np.linalg.norm(F) < opts.newton_tol * max(1.0, np.linalg.norm(x)):
@@ -89,7 +126,7 @@ def shooting_branch(rom, opts):
     mu_start = mu_H + max(4 * opts.ds0, 0.01 * max(abs(mu_H), 1.0))
     sysr = RealizedReducedSystem(rom, mu_start)
     m2 = 2 * sysr.m
-    x, T, _ = _initial_cycle(rom, mu_start, opts)
+    x, _, T, _ = _hopf_seed(rom, mu_H, mu_start, opts)
     x, T, Mono = _newton_fixed_mu(sysr, x, T, mu_start, opts)
     amp_cap = 40.0 * max(np.linalg.norm(x), 0.05)
     points = []
@@ -98,7 +135,7 @@ def shooting_branch(rom, opts):
         mult, others, stable = _floquet_and_stability(Mono)
         sysr.mu = mu
         sol = solve_ivp(sysr.rhs, (0.0, T), x, method="DOP853", rtol=opts.rtol,
-                        atol=opts.atol, dense_output=True)
+                        atol=ATOL, dense_output=True)
         Y = sysr.map_batch(sol.sol(np.linspace(0.0, T, opts.n_sample)).T)
         points.append(BranchPoint(mu, x.copy(), T, np.max(np.abs(Y), axis=0), mult, stable))
         return others
@@ -117,7 +154,7 @@ def shooting_branch(rom, opts):
             x_n, T_n, mu_n = qn[:m2], qn[m2], qn[m2 + 1]
             nvec = sysr.rhs(0.0, q[:m2])
             nvec /= np.linalg.norm(nvec)
-            xT, Mono, smu = _flow_with_variations(sysr, x_n, T_n, mu_n, opts.rtol, opts.atol)
+            xT, Mono, smu = _flow_with_variations(sysr, x_n, T_n, mu_n, opts.rtol, ATOL)
             F = np.concatenate([xT - x_n, [nvec @ (x_n - q[:m2])], [tangent @ (qn - q) - ds]])
             if np.linalg.norm(F) < opts.newton_tol * max(1.0, np.linalg.norm(qn)):
                 converged = True
@@ -182,7 +219,9 @@ def test_normal_form_branch_against_closed_form():
     diag = continue_periodic(hopf_normal_form_rom(omega=omega),
                              options=ContinuationOptions(mu_max=0.3, max_points=40))
     assert diag.meta["truncated"] == ""
-    assert diag.meta["seed"]["status"] == "settled" and diag.meta["seed"]["periods"] >= 5
+    seed = diag.meta["seed"]
+    assert set(seed) == {"mu_H", "newton", "residual", "scale"}
+    assert abs(seed["mu_H"]) < 1e-9 and seed["newton"] >= 1 and seed["residual"] < 1e-9
     mu = diag.mu()
     assert mu.max() > 0.3 and len(mu) > 5
     amp = diag.amplitude(0)
@@ -227,18 +266,98 @@ def test_find_hopf_stacked_scan_matches_pointwise_scan(d):
         assert np.array_equal(J, rom.linear_block(mu))
 
 
-def test_unsettled_seed_truncates_the_branch():
-    # three periods cannot settle (the settle test starts at the fifth)
-    opts = ContinuationOptions(mu_max=0.1, max_points=10, seed_settle_periods=3)
-    diag = continue_periodic(hopf_normal_form_rom(omega=1.3), options=opts)
-    assert diag.meta["seed"] == {"periods": 3, "status": "no-convergence"}
-    assert diag.meta["truncated"] == "seed did not settle in 3 periods"
-    assert diag.points == []
+def test_degenerate_hopf_point_raises():
+    # without the cubic term every circle at mu = 0 is a cycle: mu does not
+    # move with the amplitude, so no amplitude law scales the seed
+    with pytest.raises(ContinuationError, match="degenerate Hopf point"):
+        continue_periodic(hopf_normal_form_rom(c3=0.0))
+
+
+def test_subcritical_hopf_point_raises():
+    # zdot = (mu + i) z + z|z|^2: the cycles lie at mu < 0, none past the Hopf point
+    with pytest.raises(ContinuationError, match="grows at mu = 0.2: .* lie below it"):
+        continue_periodic(hopf_normal_form_rom(c3=1.0), mu_start=0.2)
 
 
 def test_decaying_seed_raises():
     with pytest.raises(ContinuationError, match="decays"):
         continue_periodic(hopf_normal_form_rom(), mu_start=-0.1)
+
+
+def fixed_mu_cycle(sysr, x, K, T, mu, opts):
+    """The fixed-mu seed correction of continue_periodic: correct at mu,
+    growing the mesh until the orbit meets rtol.  Returns (q, collocation)."""
+    sysr.mu = mu
+    q = np.append(x, [T, mu])
+    fixed_mu = np.eye(len(q))[-1]
+    while True:
+        q, K, col, _, _, reason = _correct(sysr, q, K, fixed_mu, 0.0, q, K, opts, np.inf,
+                                           (T / 4, 4 * T))
+        assert reason == ""
+        N = _mesh_size(sysr, col, q[-2], opts.rtol)
+        if N == len(K):
+            return q, col
+        K = _sample(col, q[-2], _stage_times(N)).reshape(N, 4, -1)
+
+
+def orbit_max(col, T):
+    """max |x_i| over the collocation orbit per coordinate, each maximum
+    polished between the samples around it so that it does not depend on
+    where the anchor sits on the orbit."""
+    t = np.linspace(0.0, 1.0, 1025)
+    X = np.abs(_sample(col, T, t))
+    out = []
+    for i, k in enumerate(np.argmax(X, axis=0)):
+        res = minimize_scalar(lambda s: -abs(_sample(col, T, np.array([s % 1.0]))[0, i]),
+                              bounds=(t[k] - t[1], t[k] + t[1]), method="bounded",
+                              options={"xatol": 1e-12})
+        out.append(max(-res.fun, X[k, i]))
+    return np.array(out)
+
+
+@pytest.fixture(scope="module")
+def seed_roms(branch_rom):
+    """o5 ROMs of the branch's model: one-mode and two-mode at P_H, and the
+    Jordan-enforced two-mode expansion at the exceptional point P_c."""
+    P_H, two_mode = branch_rom
+    m = build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2)
+    P_c = detect_exceptional_point(eigen_sweep(m, (1.5, 3.0), 40), m)[0]
+    dae = recast_to_dae(m, mu0=P_c)
+    jordan = build_rom_firstorder(dae, enforce_jordan(solve_master_eigen(dae, d=4), (0, 2)), 5)
+    return {"one-mode": ziegler_rom(mu0=P_H, order=5, d=2)[2], "two-mode": two_mode,
+            "jordan": jordan}
+
+
+@pytest.mark.parametrize("label", ["one-mode", "two-mode", "jordan"])
+def test_hopf_seed_matches_settled_seed(seed_roms, label):
+    # both seeds, corrected at the same fixed mu, land on the same cycle
+    rom, opts = seed_roms[label], ContinuationOptions()
+    mu_H = find_hopf(rom)
+    mu = mu_H + max(4 * opts.ds0, 0.01 * max(abs(mu_H), 1.0))
+    sysr = RealizedReducedSystem(rom, mu)
+    x, K, T, seed = _hopf_seed(rom, mu_H, mu, opts)
+    assert seed["newton"] >= 1 and seed["scale"] > 1.0
+    q, col = fixed_mu_cycle(sysr, x, K, T, mu, opts)
+
+    xs, Ts, record = _initial_cycle(rom, mu, opts)
+    assert record["status"] == "settled"
+    orbit = solve_ivp(sysr.rhs, (0.0, Ts), xs, method="DOP853", rtol=opts.rtol, atol=ATOL,
+                      dense_output=True)
+    Ks = orbit.sol(Ts * _stage_times(16)).T.reshape(16, 4, -1)
+    qs, col_s = fixed_mu_cycle(sysr, xs, Ks, Ts, mu, opts)
+
+    assert abs(q[-2] / qs[-2] - 1.0) < 1e-9
+    assert np.abs(orbit_max(col, q[-2]) - orbit_max(col_s, qs[-2])).max() < 1e-8
+
+
+def test_hopf_seed_radius_on_the_normal_form():
+    # zdot = (mu + 1.3 i) z - z|z|^2: the cycle at mu has radius sqrt(mu)
+    rom, opts = hopf_normal_form_rom(omega=1.3), ContinuationOptions()
+    mu_H = find_hopf(rom)
+    for mu in (0.02, 0.08, 0.3):
+        x, _, T, _ = _hopf_seed(rom, mu_H, mu, opts)
+        assert abs(np.linalg.norm(x) - np.sqrt(mu)) < 1e-8
+        assert abs(T - 2 * np.pi / 1.3) < 1e-8
 
 
 @pytest.mark.parametrize("sensitivity", [True, False])

@@ -2,17 +2,24 @@ import numpy as np
 import pytest
 
 from flutterrom import spectral
-from flutterrom.models import build_ziegler2, recast_to_dae
+from flutterrom.models import build_ziegler2, build_ziegler3, recast_to_dae
 from flutterrom.spectral import (
     JordanEnforcementError,
     detect_exceptional_point,
     eigen_sweep,
     enforce_jordan,
-    modal_assurance,
     parameter_eigenvector,
     solve_master_eigen,
     solve_pencil_spectrum,
 )
+
+
+def modal_assurance(a, b):
+    """|a* b|^2 / (|a|^2 |b|^2), one pair at a time: the oracle of the MAC
+    matrix eigen_sweep tracks modes with."""
+    num = abs(np.vdot(a, b)) ** 2
+    den = (np.vdot(a, a).real * np.vdot(b, b).real)
+    return num / den if den > 0 else 0.0
 
 
 def char_quartic_roots(gamma2, delta2):
@@ -168,6 +175,48 @@ def coalescence_by_fresh_solves(model, grid):
                                         xtol=1e-12 * max(abs(b), 1.0))
     _, scale = spectral._pair_gap(model, P_c)
     return {"P_c": P_c, "gap_at_Pc": gap_min, "ep": bool(gap_min < 1e-6 * scale)}
+
+
+def track_pairwise(model, grid, mac_threshold):
+    """eigen_sweep's mode tracking with one modal_assurance call per
+    (tracked, candidate) pair: (tracked spectra, warning records)."""
+    w, vr = spectral._pencil_eigs_at(model, grid[0])
+    order = np.lexsort((-w.imag, np.abs(w.imag)))
+    rows, vec_prev, warnings = [w[order]], vr[:, order], []
+    for P in grid[1:]:
+        w, vr = spectral._pencil_eigs_at(model, P)
+        cols, used = [], set()
+        for m in range(len(order)):
+            best, best_mac = None, -1.0
+            for cand in range(len(w)):
+                if cand in used:
+                    continue
+                macv = modal_assurance(vec_prev[:, m], vr[:, cand])
+                if macv > best_mac:
+                    best, best_mac = cand, macv
+            if best_mac < mac_threshold:
+                warnings.append({"P": P, "mode": m, "mac": best_mac})
+            used.add(best)
+            cols.append(best)
+        rows.append(w[cols])
+        vec_prev = vr[:, cols]
+    return np.array(rows), warnings
+
+
+@pytest.mark.parametrize("mac_threshold", [0.8, 1.01])
+@pytest.mark.parametrize("model,span", [
+    (build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2), (1.5, 3.0)),
+    (build_ziegler3(1, 1, 1, 1, 1, 1, 1, xi_m=0.2), (0.0, 6.0)),
+])
+def test_mac_matrix_tracking_matches_pairwise_loop(model, span, mac_threshold):
+    traj = eigen_sweep(model, span, 60, mac_threshold=mac_threshold)
+    lam, warnings = track_pairwise(model, traj.P, mac_threshold)
+    assert np.array_equal(traj.lam, lam)
+    assert [(w["P"], w["mode"]) for w in traj.warnings] == [(w["P"], w["mode"]) for w in warnings]
+    for got, ref in zip(traj.warnings, warnings):
+        assert set(got) == {"P", "mode", "mac"} and abs(got["mac"] - ref["mac"]) < 1e-12
+    if mac_threshold > 1.0:
+        assert len(warnings) == (len(traj.P) - 1) * lam.shape[1]
 
 
 class TestSweepSolves:
