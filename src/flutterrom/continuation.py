@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .romdyn import RealizedReducedSystem
+from .romdyn import RealizedReducedSystem, periodic_peak
 
 
 class ContinuationError(RuntimeError):
@@ -393,8 +393,8 @@ def continue_periodic(rom, mu_start=None, options=None):
         mult, others, stable = _floquet_and_stability(col.Psi[-1, :, :m2])
         sysr.mu = q[m2 + 1]
         Y = sysr.map_batch(_sample(col, q[m2], np.linspace(0.0, 1.0, opts.n_sample)))
-        points.append(BranchPoint(q[m2 + 1], q[:m2].copy(), q[m2], np.max(np.abs(Y), axis=0),
-                                  mult, stable))
+        points.append(BranchPoint(q[m2 + 1], q[:m2].copy(), q[m2], periodic_peak(Y), mult,
+                                  stable))
         return others
 
     # the seed orbit at fixed mu: the arclength row becomes mu = mu_start

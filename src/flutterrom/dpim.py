@@ -18,18 +18,17 @@ applied to the whole blocks of lower-order mapping coefficients at once
 and scattered by target monomial, and the gradient cross terms become one
 sparse weight matrix per pair of orders of f and W.
 
-The first-order engine then solves each order in stacks: the monomials of
-one resonant set share the matrix size, so each set is one stacked
-`scipy.linalg.solve`, and with Jordan couplings an order splits into waves
-whose Jordan terms read only earlier waves.  Every solve's relative
-residual is checked.  The second-order engine solves per monomial; the
-parameter eigenvalue is exactly zero, so every monomial alpha + k e_mu
-shares sigma and the resonant set of alpha, and it factors each of those
-systems once, keyed by the z-part of the exponent.  Each build records
-per-order statistics in `rom.meta["stats"]`: monomial and resonant
-counts, assembly, cross-term and solve times, factorizations (one per
-monomial in the first-order engine) and the largest relative homological
-residual.
+Both engines then solve each order in stacks: the monomials of one
+resonant set share the matrix size, so each set is one stacked
+`scipy.linalg.solve` of bordered systems, and with Jordan couplings an
+order splits into waves whose Jordan terms read only earlier waves.  The
+first-order engine stacks sigma B - At; the second-order one stacks the
+displacement-sized sigma^2 M + sigma C + Kt with sigma-dependent borders
+and recovers the velocity rows from each stack's solutions.  Every
+bordered system's relative residual is checked.  Each build records
+per-order statistics in `rom.meta["stats"]`: monomial and resonant counts,
+assembly, cross-term and solve times, factorizations (one per monomial)
+and the largest relative homological residual.
 
 `invariance_residual` checks a ROM against its full model at a block of
 sample points at once, from one table of monomial values
@@ -45,7 +44,6 @@ from itertools import compress
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .models.dae import FirstOrderDAE
 from .polytensor import MonomialTable, polynomial_eval
@@ -303,18 +301,6 @@ def _jordan_waves(jdeps, start, n):
         wave = deeper
 
 
-def _dense_solver(A):
-    """LU-factor A once; returns a function solving A x = b with the factors.
-
-    Calls LAPACK getrs directly: the per-monomial solves are tiny, and the
-    checked scipy wrappers cost ten times the solve itself.  A singular A
-    yields non-finite solutions, which _check_solve rejects.
-    """
-    lu, piv = sla.lu_factor(A)
-    getrs, = sla.get_lapack_funcs(("getrs",), (lu,))
-    return lambda b: getrs(lu, piv, b)[0]
-
-
 def _resonance_error(sigma, lam, table, mid):
     near = lam[np.argmin(np.abs(lam - sigma))]
     alpha = tuple(int(e) for e in table.exponents[mid])
@@ -324,31 +310,69 @@ def _resonance_error(sigma, lam, table, mid):
         "revisit the resonance tolerance")
 
 
-def _check_solve(residual_norm, rhs_norm, sigma, lam, table, mid):
-    """Largest relative homological residual of one solve or of a stack of
-    them; raises at the first that flags a missed resonance."""
-    rel = np.atleast_1d(residual_norm / np.maximum(rhs_norm, 1e-300))
+def _check_solve(residual_norm, rhs_norm, sigma, lam, table, mids):
+    """Largest relative homological residual of a stack of solves; raises at
+    the first that flags a missed resonance."""
+    rel = residual_norm / np.maximum(rhs_norm, 1e-300)
     bad = np.flatnonzero(~(rel <= 1e-6))  # also catches NaN from a singular system
     if bad.size:
-        raise _resonance_error(np.atleast_1d(sigma)[bad[0]], lam, table,
-                               np.atleast_1d(mid)[bad[0]])
+        raise _resonance_error(sigma[bad[0]], lam, table, mids[bad[0]])
     return float(rel.max())
 
 
-def _z_keys(table):
-    """Exponent codes with the parameter power dropped: monomials sharing one
-    share sigma and the resonant set, hence the homological matrix."""
-    return table.codes - table.exponents[:, -1] * table.code_weights[-1]
-
-
-def _order_record(p, ids, res, marks, factorizations, max_rel):
+def _order_record(p, ids, res, marks, max_rel):
     """Per-order build statistics; marks are the clock readings before
     assembly, cross terms, solves and after the solves."""
     t0, t1, t2, t3 = marks
     return {"order": p, "monomials": len(ids),
             "resonant": sum(1 for mid in ids if res.sets[mid]),
             "assembly_s": t1 - t0, "cross_s": t2 - t1, "solve_s": t3 - t2,
-            "factorizations": factorizations, "max_rel_residual": float(max_rel)}
+            "factorizations": len(ids), "max_rel_residual": float(max_rel)}
+
+
+def _solve_groups(res, ids, jdeps):
+    """The order-p positions in solve order, one group per Jordan wave and
+    resonant set: yields (locs, mids, R).  A group's Jordan term reads only
+    rows that earlier groups wrote, so the caller writes each group before
+    taking the next."""
+    wave = _jordan_waves(jdeps, ids[0], len(ids))
+    for w in range(wave.max() + 1):
+        in_wave = np.flatnonzero(wave == w)
+        keys, group = np.unique(res.keys[ids[in_wave]], return_inverse=True)
+        for g in range(len(keys)):
+            locs = in_wave[group == g]
+            yield locs, ids[locs], res.sets[ids[locs[0]]]
+
+
+def _bordered(S, cols, rows, corner):
+    """Stack of bordered matrices [[S_k, cols_k], [rows_k, corner]]; the
+    borders broadcast over the stack."""
+    k, D = S.shape[:2]
+    n = D + corner.shape[-1]
+    A = np.empty((k, n, n), dtype=complex)
+    A[:, :D, :D] = S
+    A[:, :D, D:] = cols
+    A[:, D:, :D] = rows
+    A[:, D:, D:] = corner
+    return A
+
+
+def _stacked_solve(A, b, sigma, lam, table, mids):
+    """Homological solves of one group, one monomial per stack entry.
+
+    A is the stack of bordered matrices and b their right-hand sides;
+    returns the solutions and the largest residual of the whole bordered
+    systems relative to |b|, which _check_solve bounds.
+    """
+    try:
+        # scipy's LAPACK: each entry gets the bits of its own getrf/getrs;
+        # numpy's bundled build rounds differently
+        sol = sla.solve(A, b[..., None], assume_a="gen", check_finite=False)[..., 0]
+    except sla.LinAlgError:
+        bad = int(np.argmin(np.abs(np.linalg.det(A))))
+        raise _resonance_error(sigma[bad], lam, table, mids[bad]) from None
+    resid = np.linalg.norm((A @ sol[..., None])[..., 0] - b, axis=1)
+    return sol, _check_solve(resid, np.linalg.norm(b, axis=1), sigma, lam, table, mids)
 
 
 # -- first-order engine -------------------------------------------------------
@@ -369,58 +393,26 @@ def _quadratic_rhs(table, dae, W, p):
     return rhs
 
 
-def _stacked_solve(sigma, B, At, cols, rows, rhs, lam, table, mids):
-    """Homological solves of one resonant set, one monomial per stack entry.
-
-    Each system is [[sigma B - At, cols], [rows, 0]] (unbordered when the
-    set is empty) with right-hand side [rhs, 0]; returns the solutions and
-    the largest relative residual, which _check_solve bounds.
-    """
-    k, D = rhs.shape
-    n = D + cols.shape[1]
-    A = np.zeros((k, n, n), dtype=complex)
-    np.multiply(sigma[:, None, None], B, out=A[:, :D, :D])
-    A[:, :D, :D] -= At
-    A[:, :D, D:] = cols
-    A[:, D:, :D] = rows
-    b = np.zeros((k, n), dtype=complex)
-    b[:, :D] = rhs
-    try:
-        # scipy's LAPACK, which the per-key factorizations use too: each entry
-        # gets the bits of its own getrf/getrs; numpy's bundled build rounds
-        # differently
-        sol = sla.solve(A, b[..., None], assume_a="gen", check_finite=False)[..., 0]
-    except sla.LinAlgError:
-        bad = int(np.argmin(np.abs(np.linalg.det(A))))
-        raise _resonance_error(sigma[bad], lam, table, mids[bad]) from None
-    resid = np.linalg.norm((A @ sol[..., None])[..., 0] - b, axis=1)
-    return sol, _check_solve(resid, np.linalg.norm(b, axis=1), sigma, lam, table, mids)
-
-
 def _solve_order(table, res, spectrum, B, At, ids, rhs, jdeps, W, f):
-    """Solves the order-p monomials ids into W and f, one stack per Jordan
-    wave and resonant set; returns the largest relative residual.
+    """Solves the order-p monomials ids into W and f, one stacked bordered
+    system [[sigma B - At, B Y_R], [X_R^H B, 0]] per Jordan wave and resonant
+    set R; returns the largest relative residual.
 
     rhs holds one row per order-p monomial; the Jordan term of a wave reads
     the W rows that earlier waves wrote.
     """
     D = rhs.shape[1]
     lam = np.diag(spectrum.Lam)
-    wave = _jordan_waves(jdeps, ids[0], len(ids))
     max_rel = 0.0
-    for w in range(wave.max() + 1):
-        in_wave = np.flatnonzero(wave == w)
-        keys, group = np.unique(res.keys[ids[in_wave]], return_inverse=True)
-        for g in range(len(keys)):
-            locs = in_wave[group == g]
-            mids = ids[locs]
-            R = res.sets[mids[0]]
-            b = rhs[locs] - _jordan_term(jdeps, W, locs) @ B.T
-            sol, rel = _stacked_solve(res.sigma[mids], B, At, B @ spectrum.Y[:, R],
-                                      spectrum.X[:, R].conj().T @ B, b, lam, table, mids)
-            max_rel = max(max_rel, rel)
-            W[mids] = sol[:, :D]
-            f[np.ix_(mids, R)] = sol[:, D:]
+    for locs, mids, R in _solve_groups(res, ids, jdeps):
+        sigma = res.sigma[mids]
+        A = _bordered(sigma[:, None, None] * B - At, B @ spectrum.Y[:, R],
+                      spectrum.X[:, R].conj().T @ B, np.zeros((len(R), len(R))))
+        b = rhs[locs] - _jordan_term(jdeps, W, locs) @ B.T
+        sol, rel = _stacked_solve(A, np.pad(b, ((0, 0), (0, len(R)))), sigma, lam, table, mids)
+        max_rel = max(max_rel, rel)
+        W[mids] = sol[:, :D]
+        f[np.ix_(mids, R)] = sol[:, D:]
     return max_rel
 
 
@@ -460,8 +452,7 @@ def build_rom_firstorder(dae: FirstOrderDAE, spectrum, order, r_tol=0.05,
         jdeps = _jordan_within_order(table, p, jp)
         t2 = time.perf_counter()
         max_rel = _solve_order(table, res, spectrum, B, At, ids, rhs, jdeps, W, f)
-        stats.append(_order_record(p, ids, res, (t0, t1, t2, time.perf_counter()),
-                                   len(ids), max_rel))
+        stats.append(_order_record(p, ids, res, (t0, t1, t2, time.perf_counter()), max_rel))
 
     rom_meta = {"engine": "first-order", "mu0": dae.mu0, "r_tol": r_tol,
                 "one_to_one": bool(enforce_one_to_one),
@@ -476,36 +467,44 @@ def build_rom_firstorder(dae: FirstOrderDAE, spectrum, order, r_tol=0.05,
 
 # -- second-order engine ------------------------------------------------------
 
-class _BorderedSolver:
-    """Bordered solves of [[S, cols], [rows, Dblk]], S = sigma^2 M + sigma C + Kt,
-    with one factorization per key."""
+def _solve_order_secondorder(table, res, spectrum, mck, ids, fnl, g, jdeps, W, f):
+    """Displacement-sized counterpart of _solve_order.
 
-    def __init__(self, M, C, Kt, use_sparse):
-        self.M, self.C, self.Kt = M, C, Kt
-        self.use_sparse = use_sparse
-        self._cache = {}
+    With the gradient term g = [gU, gV] (cross terms plus the Jordan term)
+    and Xi = fnl - M gV - (sigma M + C) gU, each Jordan wave and resonant
+    set R is one stacked system
 
-    @property
-    def factorizations(self):
-        return len(self._cache)
+        [[sigma^2 M + sigma C + Kt, (sigma M + C) Yu_R + M (Yu Lam)_R],
+         [Xv_R^H (sigma M + C) + (Lam Xv^H M)_R, Xv_R^H M Yu_R]] [U; f_R]
+            = [Xi; -Xv_R^H M gU],
 
-    def solve(self, key, sigma, cols, rows, Dblk, rhs):
-        fact = self._cache.get(key)
-        if fact is None:
-            S = sigma**2 * self.M + sigma * self.C + self.Kt
-            nR = cols.shape[1]
-            if self.use_sparse:
-                S = S.tocsc().astype(complex)
-                if nR:
-                    S = sp.bmat([[S, sp.csc_matrix(cols)],
-                                 [sp.csc_matrix(rows), sp.csc_matrix(Dblk)]], format="csc")
-                fact = spla.splu(S).solve
-            else:
-                if nR:
-                    S = np.block([[S, cols], [rows, Dblk]])
-                fact = _dense_solver(S)
-            self._cache[key] = fact
-        return fact(rhs)
+    and the velocity rows follow as V = sigma U + Yu_R f_R + gU.  Returns
+    the largest relative residual.
+    """
+    M, C, Kt = mck
+    n = M.shape[0]
+    Yu, XvH = spectrum.Yu(), spectrum.Xv().conj().T
+    XvHM = XvH @ M
+    cols_base = C @ Yu + M @ Yu @ spectrum.Lam
+    rows_base = XvH @ C + spectrum.Lam @ XvHM
+    lam = np.diag(spectrum.Lam)
+    max_rel = 0.0
+    for locs, mids, R in _solve_groups(res, ids, jdeps):
+        sigma = res.sigma[mids]
+        s = sigma[:, None, None]
+        gm = g[locs] + _jordan_term(jdeps, W, locs)
+        gU, gV = gm[:, :n], gm[:, n:]
+        A = _bordered(s**2 * M + s * C + Kt, s * (M @ Yu[:, R]) + cols_base[:, R],
+                      s * XvHM[R] + rows_base[R], XvHM[R] @ Yu[:, R])
+        Xi = fnl[locs] - gV @ M.T - sigma[:, None] * (gU @ M.T) - gU @ C.T
+        sol, rel = _stacked_solve(A, np.concatenate([Xi, -gU @ XvHM[R].T], axis=1),
+                                  sigma, lam, table, mids)
+        max_rel = max(max_rel, rel)
+        U, fR = sol[:, :n], sol[:, n:]
+        W[mids, :n] = U
+        W[mids, n:] = sigma[:, None] * U + fR @ Yu[:, R].T + gU
+        f[np.ix_(mids, R)] = fR
+    return max_rel
 
 
 def build_rom_secondorder(model, spectrum, order, r_tol=0.05,
@@ -514,9 +513,9 @@ def build_rom_secondorder(model, spectrum, order, r_tol=0.05,
 
     Requires parameter-independent quadratic/cubic forces (models whose
     cubic scales with the load go through the quadratic recast and the
-    first-order engine) and no parameter-only quadratic term; per monomial
-    a displacement-sized bordered system is solved and the velocity
-    mapping is recovered algebraically afterwards.
+    first-order engine) and no parameter-only quadratic term; each monomial
+    solves a displacement-sized bordered system and its velocity mapping is
+    recovered algebraically afterwards.
     """
     if getattr(model, "cubic_scales_with_load", False):
         raise ValueError("load-scaled cubic forces require the quadratic recast "
@@ -529,16 +528,9 @@ def build_rom_secondorder(model, spectrum, order, r_tol=0.05,
     if enforce_one_to_one is None:
         enforce_one_to_one = d == 4
     n = model.ndof
-    M, C, Kt = model.mass(), model.damping(), model.tangent_stiffness()
+    mck = tuple(np.asarray(a) for a in (model.mass(), model.damping(),
+                                        model.tangent_stiffness()))
     Ru = model.ru()
-    use_sparse = sp.issparse(M)
-    if use_sparse:
-        M, C, Kt = sp.csc_matrix(M), sp.csc_matrix(C), sp.csc_matrix(Kt)
-    else:
-        M, C, Kt = np.asarray(M), np.asarray(C), np.asarray(Kt)
-
-    Yu = spectrum.Yu()
-    Xv = spectrum.Xv()
     Lam = spectrum.Lam
     jp = spectrum.jordan_pairs
     table = MonomialTable(nv, order)
@@ -554,23 +546,9 @@ def build_rom_secondorder(model, spectrum, order, r_tol=0.05,
         f[o1[s], :d] = Lam[:, s]
     W[o1[d]] = spectrum.Ypar
 
-    # velocity part of the linear mapping is Yu @ Lam (reduces to lam*Yu
-    # without Jordan couplings)
-    YuLam = Yu @ Lam
-    MYu = M @ Yu
-    CYu = C @ Yu
-    MYuLam = M @ YuLam
-    XvH = Xv.conj().T
-    XvHM = XvH @ M
-    XvHC = XvH @ C
-    # border row U-coefficients: rows r of (Xv_r^H C + sum_r' Lam[r, r'] Xv_r'^H M)
-    row_base = XvHC + Lam @ XvHM
-    solver = _BorderedSolver(M, C, Kt, use_sparse)
-    zkeys = _z_keys(table)
     stats = []
-
     for p in range(2, order + 1):
-        ids = table.ids_of_order(p)
+        ids = np.asarray(table.ids_of_order(p))
         t0 = time.perf_counter()
         fnl = model.nl_rhs_series(table, W[:, :n], p)
         fnl[table.product_ids(p - 1, 1)[:, -1]] += (Ru @ W[table.ids_of_order(p - 1), :n].T).T
@@ -578,42 +556,8 @@ def build_rom_secondorder(model, spectrum, order, r_tol=0.05,
         g = _gradient_cross_lower(table, W, f, p)
         jdeps = _jordan_within_order(table, p, jp)
         t2 = time.perf_counter()
-        n_fact, max_rel = solver.factorizations, 0.0
-        for loc, mid in enumerate(ids):
-            gm = g[loc] + _jordan_term(jdeps, W, [loc])[0] if jp else g[loc]
-            gU, gV = gm[:n], gm[n:]
-            sigma = res.sigma[mid]
-            R = res.sets[mid]
-            nR = len(R)
-
-            Xi = fnl[loc] - M @ gV - sigma * (M @ gU) - C @ gU
-            if nR:
-                cols = sigma * MYu[:, R] + CYu[:, R] + MYuLam[:, R]
-                rows = row_base[R] + sigma * XvHM[R]
-                Dblk = XvHM[R] @ Yu[:, R]
-                rhs_b = -(XvHM[R] @ gU)
-                rhs = np.concatenate([Xi, rhs_b])
-                sol = solver.solve(zkeys[mid], sigma, cols, rows, Dblk, rhs)
-                U = sol[:n]
-                fR = sol[n:]
-                # residual check on the displacement block
-                Scheck = (sigma**2 * (M @ U) + sigma * (C @ U) + Kt @ U + cols @ fR)
-                resid = np.linalg.norm(Scheck - Xi)
-                rel = _check_solve(resid, np.linalg.norm(Xi) + np.linalg.norm(fR),
-                                   sigma, lam_vec[:d], table, mid)
-                f[mid, R] = fR
-                V = sigma * U + Yu[:, R] @ fR + gU
-            else:
-                U = solver.solve(zkeys[mid], sigma, np.zeros((n, 0)), np.zeros((0, n)),
-                                 np.zeros((0, 0)), Xi)
-                resid = np.linalg.norm(sigma**2 * (M @ U) + sigma * (C @ U) + Kt @ U - Xi)
-                rel = _check_solve(resid, np.linalg.norm(Xi), sigma, lam_vec[:d], table, mid)
-                V = sigma * U + gU
-            max_rel = max(max_rel, rel)
-            W[mid, :n] = U
-            W[mid, n:] = V
-        stats.append(_order_record(p, ids, res, (t0, t1, t2, time.perf_counter()),
-                                   solver.factorizations - n_fact, max_rel))
+        max_rel = _solve_order_secondorder(table, res, spectrum, mck, ids, fnl, g, jdeps, W, f)
+        stats.append(_order_record(p, ids, res, (t0, t1, t2, time.perf_counter()), max_rel))
 
     rom_meta = {"engine": "second-order", "mu0": getattr(model, "p0", 0.0),
                 "r_tol": r_tol, "one_to_one": bool(enforce_one_to_one),

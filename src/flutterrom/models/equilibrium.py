@@ -3,20 +3,12 @@
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 
 class EquilibriumError(RuntimeError):
     def __init__(self, message, last_residual=None):
         super().__init__(message)
         self.last_residual = last_residual
-
-
-def _solve(K, r):
-    if sp.issparse(K):
-        return spla.spsolve(K.tocsc(), r)
-    return np.linalg.solve(K, r)
 
 
 def static_equilibrium(model, p_target, n_steps=4, max_iter=30, rtol=1e-10, U_init=None):
@@ -39,7 +31,7 @@ def static_equilibrium(model, p_target, n_steps=4, max_iter=30, rtol=1e-10, U_in
                 break
             Kt = model.tangent(U, p)
             try:
-                dU = _solve(Kt, res)
+                dU = np.linalg.solve(Kt, res)
             except Exception as exc:
                 raise EquilibriumError(
                     f"singular tangent at p = {p:.6g} (near divergence load?): {exc}",

@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .models.dae import FirstOrderDAE
 
@@ -74,9 +72,7 @@ class Spectrum:
         """(B, At) of the underlying first-order form, dense."""
         if "B" in self.ops and "At" in self.ops:
             return np.asarray(self.ops["B"]), np.asarray(self.ops["At"])
-        M = np.asarray(self.ops["M"].todense() if sp.issparse(self.ops["M"]) else self.ops["M"])
-        C = np.asarray(self.ops["C"].todense() if sp.issparse(self.ops["C"]) else self.ops["C"])
-        Kt = np.asarray(self.ops["Kt"].todense() if sp.issparse(self.ops["Kt"]) else self.ops["Kt"])
+        M, C, Kt = (np.asarray(self.ops[k]) for k in ("M", "C", "Kt"))
         n = M.shape[0]
         B = np.zeros((2 * n, 2 * n))
         B[:n, :n] = M
@@ -108,31 +104,6 @@ def _quadratic_eig_dense(M, C, K):
     A1 = np.block([[np.zeros((n, n)), M], [-K, -C]])
     B1 = np.block([[M, np.zeros((n, n))], [np.zeros((n, n)), M]])
     return _dense_pencil_eig(A1, B1)
-
-
-def _quadratic_eig_sparse(M, C, K, k, sigma):
-    """Subset of the quadratic spectrum near `sigma` by shift-invert."""
-    n = M.shape[0]
-    M = sp.csc_matrix(M)
-    C = sp.csc_matrix(C)
-    K = sp.csc_matrix(K)
-    Z = sp.csc_matrix((n, n))
-    A1 = sp.bmat([[Z, M], [-K, -C]], format="csc")
-    B1 = sp.bmat([[M, Z], [Z, M]], format="csc")
-    w, vr = spla.eigs(A1, k=k, M=B1, sigma=sigma)
-    wl, ul = spla.eigs(A1.T, k=k, M=B1.T, sigma=sigma)
-    # left vectors of the original pencil are conjugates of right vectors of
-    # the transposed one; match by eigenvalue
-    vl = np.zeros_like(ul)
-    used = set()
-    for s in range(len(w)):
-        dist = np.abs(wl - w[s])
-        for idx in np.argsort(dist):
-            if idx not in used:
-                used.add(idx)
-                vl[:, s] = np.conj(ul[:, idx])
-                break
-    return w, vl, vr
 
 
 def _canonicalize(vecs, disp_idx):
@@ -231,20 +202,12 @@ def solve_master_eigen(system, d):
                         ops={"B": B, "At": At})
 
     # second-order mechanical system
-    M = system.mass()
-    C = system.damping()
-    Kt = system.tangent_stiffness()
+    M, C, Kt = (np.asarray(a) for a in (system.mass(), system.damping(),
+                                        system.tangent_stiffness()))
     n = M.shape[0]
-    dense = not sp.issparse(M) and n <= 60
-    if dense:
-        w, vl, vr = _quadratic_eig_dense(np.asarray(M), np.asarray(C), np.asarray(Kt))
-    else:
-        sigma = system.shift_guess() if hasattr(system, "shift_guess") else 1.0j
-        w, vl, vr = _quadratic_eig_sparse(M, C, Kt, k=max(8, 2 * d), sigma=sigma)
+    w, vl, vr = _quadratic_eig_dense(M, C, Kt)
     reps = _select_masters(w, n_modes)
-    Bmat = sp.bmat([[sp.csc_matrix(M), None], [None, sp.csc_matrix(M)]], format="csc") \
-        if sp.issparse(M) else np.block([[np.asarray(M), np.zeros((n, n))],
-                                         [np.zeros((n, n)), np.asarray(M)]])
+    Bmat = np.block([[M, np.zeros((n, n))], [np.zeros((n, n)), M]])
     lam, Y, X, conj_map = _assemble_conjugate_masters(w, vl, vr, reps, Bmat, np.arange(n))
     # tie velocities analytically to displacements
     for s in range(d):
@@ -289,15 +252,9 @@ def parameter_eigenvector(system):
             near = w[np.argmin(np.abs(w))]
             raise SpectralError(
                 f"A_t singular: eigenvalue {near:.3e} is at/near zero") from exc
-    Kt = system.tangent_stiffness()
-    Rt = system.rt()
-    n = Kt.shape[0]
-    if sp.issparse(Kt):
-        u = spla.spsolve(sp.csc_matrix(Kt), Rt)
-    else:
-        u = sla.solve(np.asarray(Kt), Rt)
-    out = np.zeros(2 * n, dtype=complex)
-    out[:n] = u
+    Kt = np.asarray(system.tangent_stiffness())
+    out = np.zeros(2 * Kt.shape[0], dtype=complex)
+    out[:Kt.shape[0]] = sla.solve(Kt, system.rt())
     return out
 
 
@@ -311,23 +268,20 @@ class EigenTrajectory:
     warnings: list = field(default_factory=list)   # weak matches, {P, mode, mac}
 
 
-def _pencil_eigs_at(model, P, k=None, sigma=None):
-    M, C, K = model.linear_pencil(P)
-    if sp.issparse(M) or M.shape[0] > 60:
-        w, _, vr = _quadratic_eig_sparse(M, C, K, k=k or 8, sigma=sigma or 1.0j)
-    else:
-        w, _, vr = _quadratic_eig_dense(np.asarray(M), np.asarray(C), np.asarray(K))
+def _pencil_eigs_at(model, P):
+    """The whole spectrum and right vectors of the linear pencil at load P."""
+    w, _, vr = _quadratic_eig_dense(*(np.asarray(a) for a in model.linear_pencil(P)))
     return w, vr
 
 
-def _max_real(model, P, **kw):
-    w, _ = _pencil_eigs_at(model, P, **kw)
+def _max_real(model, P):
+    w, _ = _pencil_eigs_at(model, P)
     return float(np.max(w.real))
 
 
-def _pair_gap(model, P, **kw):
+def _pair_gap(model, P):
     """_gap_of the spectrum at load P, from a fresh solve."""
-    return _gap_of(_pencil_eigs_at(model, P, **kw)[0])
+    return _gap_of(_pencil_eigs_at(model, P)[0])
 
 
 def _gap_of(w):
@@ -378,8 +332,7 @@ def _golden_min(f, a, b, xtol, max_iter=200):
     return x, f(x)
 
 
-def eigen_sweep(model, param_range, n_points, n_track=None, mac_threshold=0.8,
-                sparse_k=8, sigma=None):
+def eigen_sweep(model, param_range, n_points, n_track=None, mac_threshold=0.8):
     """Track the spectrum over a load range and locate P_c, P_H, P_d.
 
     Mode identity is maintained by greedy modal-assurance matching between
@@ -388,14 +341,14 @@ def eigen_sweep(model, param_range, n_points, n_track=None, mac_threshold=0.8,
     read the grid spectra the tracking solved; the events are then refined
     with fresh solves (gap minimization for the coalescence, bisection for
     the Hopf and divergence points), so they do not depend on the mode
-    matching.
+    matching.  Every solve is dense and covers the whole spectrum, which
+    n_track (default: all of it) only trims for the tracked output.
     """
     P0, P1 = param_range
     grid = np.linspace(P0, P1, n_points)
-    kw = dict(k=sparse_k, sigma=sigma)
     warnings = []
 
-    w, vr = _pencil_eigs_at(model, grid[0], **kw)
+    w, vr = _pencil_eigs_at(model, grid[0])
     order = np.lexsort((-w.imag, np.abs(w.imag)))
     if n_track is None:
         n_track = len(w)
@@ -405,7 +358,7 @@ def eigen_sweep(model, param_range, n_points, n_track=None, mac_threshold=0.8,
     raw = [(w, vr)]
 
     for P in grid[1:]:
-        w, vr = _pencil_eigs_at(model, P, **kw)
+        w, vr = _pencil_eigs_at(model, P)
         # modal assurance |a* b|^2 / (|a|^2 |b|^2) of each (tracked, candidate) pair
         mac = np.abs(vec_prev.conj().T @ vr) ** 2 / np.outer(
             np.sum(np.abs(vec_prev) ** 2, axis=0), np.sum(np.abs(vr) ** 2, axis=0))
@@ -430,7 +383,7 @@ def eigen_sweep(model, param_range, n_points, n_track=None, mac_threshold=0.8,
     events["P_H"] = None
     for i in range(len(grid) - 1):
         if maxre[i] < 0 <= maxre[i + 1]:
-            f = lambda P: _max_real(model, P, **kw) - re_thr
+            f = lambda P: _max_real(model, P) - re_thr
             events["P_H"] = _bisect(f, grid[i], grid[i + 1],
                                     xtol=1e-8 * max(abs(grid[i + 1]), 1.0))
             break
@@ -443,9 +396,9 @@ def eigen_sweep(model, param_range, n_points, n_track=None, mac_threshold=0.8,
     if np.isfinite(gaps[i_min]):
         a = grid[max(i_min - 1, 0)]
         b = grid[min(i_min + 1, len(grid) - 1)]
-        f = lambda P: _pair_gap(model, P, **kw)[0]
+        f = lambda P: _pair_gap(model, P)[0]
         P_c, gap_min = _golden_min(f, a, b, xtol=1e-12 * max(abs(b), 1.0))
-        _, scale = _pair_gap(model, P_c, **kw)
+        _, scale = _pair_gap(model, P_c)
         events["P_c"] = P_c
         events["gap_at_Pc"] = gap_min
         events["scale_at_Pc"] = scale
@@ -457,7 +410,7 @@ def eigen_sweep(model, param_range, n_points, n_track=None, mac_threshold=0.8,
         im_thr = 1e-9 * scale0
 
         def im_of_unstable(P):
-            w, _ = _pencil_eigs_at(model, P, **kw)
+            w, _ = _pencil_eigs_at(model, P)
             return abs(w[np.argmax(w.real)].imag) - im_thr
 
         start = np.searchsorted(grid, events["P_H"])
@@ -473,7 +426,7 @@ def eigen_sweep(model, param_range, n_points, n_track=None, mac_threshold=0.8,
     return EigenTrajectory(grid, lam, events, warnings)
 
 
-def detect_exceptional_point(traj, model, rel_tol=1e-6, sparse_k=8, sigma=None):
+def detect_exceptional_point(traj, model, rel_tol=1e-6):
     """Exceptional point of a sweep; returns (P_c, pair) or None.
 
     P_c and the gap there are the sweep's refined coalescence events (its
@@ -488,7 +441,7 @@ def detect_exceptional_point(traj, model, rel_tol=1e-6, sparse_k=8, sigma=None):
     if P_c is None or ev["gap_at_Pc"] >= rel_tol * ev["scale_at_Pc"]:
         return None
     scale = ev["scale_at_Pc"]
-    w, _ = _pencil_eigs_at(model, P_c, k=sparse_k, sigma=sigma)
+    w, _ = _pencil_eigs_at(model, P_c)
     up = np.sort_complex(w[w.imag > 1e-12 * scale])
     best = None
     for ia in range(len(up)):

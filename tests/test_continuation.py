@@ -120,8 +120,10 @@ def _newton_fixed_mu(sysr, x, T, mu, opts):
 def shooting_branch(rom, opts):
     """The branch by single-interval shooting: each corrector iterate
     integrates the variational system over one period, and each accepted
-    point is integrated once more for its amplitudes.  Same seed, rows,
-    convergence test and step rule as continue_periodic."""
+    point is integrated once more for its amplitudes: each coordinate's
+    largest sample, refined on a 1000 times finer grid over the sample
+    spacing either side of it.  Same seed, rows, convergence test and step
+    rule as continue_periodic."""
     mu_H = find_hopf(rom)
     mu_start = mu_H + max(4 * opts.ds0, 0.01 * max(abs(mu_H), 1.0))
     sysr = RealizedReducedSystem(rom, mu_start)
@@ -136,8 +138,11 @@ def shooting_branch(rom, opts):
         sysr.mu = mu
         sol = solve_ivp(sysr.rhs, (0.0, T), x, method="DOP853", rtol=opts.rtol,
                         atol=ATOL, dense_output=True)
-        Y = sysr.map_batch(sol.sol(np.linspace(0.0, T, opts.n_sample)).T)
-        points.append(BranchPoint(mu, x.copy(), T, np.max(np.abs(Y), axis=0), mult, stable))
+        t, dt = np.linspace(0.0, T, opts.n_sample, retstep=True)
+        tops = t[np.argmax(np.abs(sysr.map_batch(sol.sol(t).T)), axis=0)]
+        amp = [np.abs(sysr.map_batch(sol.sol(np.mod(np.linspace(-dt, dt, 2001) + top, T)).T)
+                      [:, c]).max() for c, top in enumerate(tops)]
+        points.append(BranchPoint(mu, x.copy(), T, np.array(amp), mult, stable))
         return others
 
     others = record(x, T, mu_start, Mono)
@@ -226,6 +231,9 @@ def test_normal_form_branch_against_closed_form():
     assert mu.max() > 0.3 and len(mu) > 5
     amp = diag.amplitude(0)
     assert np.abs(amp / np.sqrt(mu) - 1.0).max() < 1e-4
+    # the polished orbit maximum, not the largest of 512 samples, which reads
+    # up to 1.9e-5 relative low depending on where the samples fall
+    assert np.abs(amp - np.sqrt(mu)).max() < 1e-6
     assert np.abs(diag.periods() - 2 * np.pi / omega).max() < 1e-8
     trivial = max(np.abs(pt.floquet - 1.0).min() for pt in diag.points)
     assert trivial < 1e-6

@@ -1,7 +1,6 @@
 import dataclasses
 import json
 from collections import Counter
-from math import comb
 
 import numpy as np
 import pytest
@@ -299,6 +298,24 @@ class TestSecondOrderEngine:
         fdiff = np.abs(rom1.f - rom2.f).max()
         assert fdiff < 1e-8 * max(np.abs(rom2.f).max(), 1.0)
 
+    def test_dual_engine_equivalence_jordan(self):
+        # at the exceptional point P_e = 2 with the Jordan coupling imposed
+        model, dae = make_cubic_test_model(2.0)
+        rom2 = build_rom_secondorder(model, enforce_jordan(solve_master_eigen(model, d=4),
+                                                           (0, 2)), order=5)
+        rom1 = build_rom_firstorder(dae, enforce_jordan(solve_master_eigen(dae, d=4), (0, 2)),
+                                    order=5)
+        assert rom2.meta["jordan_pairs"] == rom1.meta["jordan_pairs"] != []
+        assert rel_diff(rom1.W[:, :2], rom2.W[:, :2]) < 1e-7
+        assert rel_diff(rom1.f, rom2.f) < 1e-7
+
+    def test_rejects_unflagged_resonance(self):
+        # with nothing flagged, the z mu monomials have sigma = lambda exactly
+        model, _ = make_cubic_test_model(2.6)
+        spec = solve_master_eigen(model, d=4)
+        with pytest.raises(ResonanceError):
+            build_rom_secondorder(model, spec, 3, r_tol=-1.0)
+
     def test_invariance_residual_secondorder(self):
         model, _ = make_cubic_test_model(2.6)
         spec = solve_master_eigen(model, d=4)
@@ -516,6 +533,39 @@ def naive_solve_order(table, res, spectrum, B, At, ids, rhs, jdeps, W, f):
     return max_rel
 
 
+def naive_solve_order_secondorder(table, res, spectrum, mck, ids, fnl, g, jdeps, W, f):
+    """One bordered displacement-sized LU solve per monomial, in table order,
+    with the velocity rows recovered after each solve."""
+    M, C, Kt = mck
+    n = M.shape[0]
+    Yu, Lam = spectrum.Yu(), spectrum.Lam
+    XvHM = spectrum.Xv().conj().T @ M
+    row_base = spectrum.Xv().conj().T @ C + Lam @ XvHM
+    max_rel = 0.0
+    for loc, mid in enumerate(ids):
+        gm = g[loc].copy()
+        for dep, weight in jdeps:
+            if dep[loc] >= 0:
+                gm += weight[loc] * W[dep[loc]]
+        gU, gV = gm[:n], gm[n:]
+        sigma, R = res.sigma[mid], res.sets[mid]
+        nR = len(R)
+        Xi = fnl[loc] - M @ gV - sigma * (M @ gU) - C @ gU
+        Mtx = np.block([[sigma**2 * M + sigma * C + Kt,
+                         sigma * M @ Yu[:, R] + C @ Yu[:, R] + M @ (Yu @ Lam)[:, R]],
+                        [row_base[R] + sigma * XvHM[R], XvHM[R] @ Yu[:, R]]])
+        b = np.concatenate([Xi, -(XvHM[R] @ gU)])
+        sol = sla.lu_solve(sla.lu_factor(Mtx), b)
+        rel = np.linalg.norm(Mtx @ sol - b) / max(np.linalg.norm(b), 1e-300)
+        assert rel <= 1e-6
+        max_rel = max(max_rel, rel)
+        U, fR = sol[:n], sol[n:]
+        W[mid, :n] = U
+        W[mid, n:] = sigma * U + Yu[:, R] @ fR + gU
+        f[mid, R] = fR
+    return max_rel
+
+
 def firstorder_case(case):
     """(dae, spectrum, order) of the first-order builds the stacked solves are checked on."""
     m = build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2)
@@ -557,9 +607,9 @@ class TestStackedSolves:
         assert rel_diff(rom.W, ref.W) < 1e-12
         assert rel_diff(rom.f, ref.f) < 1e-12
 
-    @pytest.mark.parametrize("case", ["hopf-o7", "jordan-o7"])
-    def test_one_solve_per_wave_and_resonant_set(self, case, monkeypatch):
-        dae, spec, order = firstorder_case(case)
+    @staticmethod
+    def count_solves(monkeypatch):
+        """Counts of stacked solves and of the matrices they factor."""
         calls = Counter()
         solve = sla.solve
 
@@ -569,6 +619,12 @@ class TestStackedSolves:
             return solve(A, *args, **kwargs)
 
         monkeypatch.setattr(dpim.sla, "solve", counted)
+        return calls
+
+    @pytest.mark.parametrize("case", ["hopf-o7", "jordan-o7"])
+    def test_one_solve_per_wave_and_resonant_set(self, case, monkeypatch):
+        dae, spec, order = firstorder_case(case)
+        calls = self.count_solves(monkeypatch)
         rom = build_rom_firstorder(dae, spec, order)
         res = classify_resonances(rom.table, np.append(rom.lam, 0.0), enforce_one_to_one=True)
         groups = solve_groups(rom.table, res, spec.jordan_pairs)
@@ -576,6 +632,30 @@ class TestStackedSolves:
         assert calls["matrices"] == len(rom.table) - 5
         if case.startswith("jordan"):
             assert max(w for _, w, _ in groups) > 0  # the Jordan build has several waves
+
+    @pytest.mark.parametrize("case", ["hopf-o5", "hopf-o7", "jordan-o5"])
+    def test_secondorder_against_per_monomial_loop(self, case, monkeypatch):
+        order = int(case.rsplit("-o", 1)[1])
+        if case.startswith("hopf"):
+            model, _ = make_cubic_test_model(2.6)
+            spec = solve_master_eigen(model, d=4)
+        else:
+            model, _ = make_cubic_test_model(2.0)
+            spec = enforce_jordan(solve_master_eigen(model, d=4), (0, 2))
+        rom = build_rom_secondorder(model, spec, order)
+        monkeypatch.setattr(dpim, "_solve_order_secondorder", naive_solve_order_secondorder)
+        ref = build_rom_secondorder(model, spec, order)
+        assert rel_diff(rom.W, ref.W) < 1e-12
+        assert rel_diff(rom.f, ref.f) < 1e-12
+
+    def test_secondorder_one_solve_per_wave_and_resonant_set(self, monkeypatch):
+        model, _ = make_cubic_test_model(2.0)
+        spec = enforce_jordan(solve_master_eigen(model, d=4), (0, 2))
+        calls = self.count_solves(monkeypatch)
+        rom = build_rom_secondorder(model, spec, 5)
+        res = classify_resonances(rom.table, np.append(rom.lam, 0.0), enforce_one_to_one=True)
+        assert calls["solves"] == len(solve_groups(rom.table, res, spec.jordan_pairs))
+        assert calls["matrices"] == len(rom.table) - 5
 
     def test_residual_slope_one_batched_evaluation_per_radius(self, monkeypatch):
         dae, spec, _ = firstorder_case("hopf-o5")
@@ -689,14 +769,8 @@ class TestBuildStats:
             assert r["resonant"] == sum(1 for mid in ids if res.sets[mid])
             assert min(r["assembly_s"], r["cross_s"], r["solve_s"]) >= 0
             assert r["max_rel_residual"] < 1e-6
-        n_fact = sum(r["factorizations"] for r in stats)
-        if engine == "first-order":
-            # stacked solves factor every monomial's matrix: 791 - 5 order-1 rows
-            assert n_fact == len(rom.table) - 5 == 786
-        else:
-            # one factorization per distinct z-part of orders 0..order
-            assert n_fact == comb(order + 4, 4)
-            assert n_fact < sum(r["monomials"] for r in stats)
+        # stacked solves factor every monomial's matrix: 791 - 5 order-1 rows
+        assert sum(r["factorizations"] for r in stats) == len(rom.table) - 5 == 786
 
         back = ParametrisationROM.from_dict(json.loads(json.dumps(rom.to_dict())))
         assert back.meta["stats"] == stats

@@ -13,6 +13,7 @@ from flutterrom.romdyn import (
     integrate_reduced,
     measure_limit_cycle,
     measure_limit_cycle_fom,
+    periodic_peak,
     trace_unstable_manifold,
 )
 from flutterrom.spectral import solve_master_eigen
@@ -373,3 +374,19 @@ class TestDecayUnits:
         meas = measure_limit_cycle(small, 0.04, amp0=1e-3, settle_rtol=1e-7)
         assert meas.converged and meas.reason == ""
         assert abs(meas.amplitude[0] - 1e-4 * np.sqrt(0.04)) < 2e-5 * 1e-4 * np.sqrt(0.04)
+
+
+def test_periodic_peak_against_fine_sampling():
+    # a two-harmonic orbit at 50 phases: the raw sample maximum of 512
+    # samples misses by up to 3e-5 relative, the polished one by < 1e-7
+    t = np.linspace(0.0, 1.0, 512)
+    fine = np.linspace(0.0, 1.0, 100001)
+    for phase in np.linspace(0.0, 2 * np.pi, 50):
+        def orbit(s):
+            return np.stack([np.cos(2 * np.pi * s + phase)
+                             + 0.3 * np.cos(4 * np.pi * s + 2 * phase + 0.4),
+                             np.zeros_like(s)], axis=1)
+        ref = np.abs(orbit(fine)[:, 0]).max()
+        got = periodic_peak(orbit(t))
+        assert abs(got[0] / ref - 1.0) < 1e-7
+        assert got[1] == 0.0

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from flutterrom import spectral
-from flutterrom.models import build_ziegler2, build_ziegler3, recast_to_dae
+from flutterrom.models import ZieglerModel, build_ziegler2, build_ziegler3, recast_to_dae
 from flutterrom.spectral import (
     JordanEnforcementError,
     detect_exceptional_point,
@@ -142,6 +143,19 @@ class TestSweep:
         eps = 1e-6 * P_H
         from flutterrom.spectral import _max_real
         assert _max_real(m, P_H - eps) < 0 < _max_real(m, P_H + eps)
+
+    def test_whole_spectrum_above_60_dof(self):
+        # 31 uncoupled damped 2-DOF copies with distinct stiffness scales: the
+        # 62-DOF sweep tracks all 124 modes, and its Hopf point is the first
+        # copy's to lose stability
+        scales = 0.8 + 0.04 * np.random.default_rng(0).permutation(31)
+        copies = [build_ziegler2(1, 1, k, k, 1, xi_m=0.2) for k in scales]
+        m = ZieglerModel(62, *(block_diag(*(getattr(c, a) for c in copies))
+                               for a in ("M", "K", "C", "Ru")), L=1.0)
+        traj = eigen_sweep(m, (1.0, 3.0), 12)
+        assert traj.lam.shape == (12, 124)
+        own = [eigen_sweep(c, (1.0, 3.0), 12).events["P_H"] for c in copies]
+        assert abs(traj.events["P_H"] - min(p for p in own if p is not None)) < 1e-8
 
 
 class TestExceptionalPoint:
