@@ -22,6 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .romdyn import RealizedReducedSystem, periodic_peak
+from .spectral import _first_root
 
 
 class ContinuationError(RuntimeError):
@@ -60,48 +61,30 @@ class BifurcationDiagram:
         return [(pt.mu, pt.event) for pt in self.points if pt.event]
 
 
-def find_hopf(rom, window=None, n_scan=201, tol=1e-12):
+def find_hopf(rom):
     """Parameter increment where the mu-dressed linear part changes stability.
 
-    Bisects the maximum real part of the reduced Jacobian at the fixed
-    point; raises when no sign change exists in the scanned window (the
-    expected failure of pre-bifurcation one-mode reductions).
+    Scans the maximum real part of the reduced Jacobian at the fixed point
+    on 201 loads over mu in +-0.35 max(|mu0|, 1) (one stacked eigenvalue
+    solve), then bisects the first sign change to 1e-12 max(|mu|, 1) with
+    eigenvalue-only solves; raises when there is none (the expected failure
+    of pre-bifurcation one-mode reductions).
     """
-    if window is None:
-        ref = max(abs(rom.meta.get("mu0", 0.0)), 1.0)
-        window = (-0.35 * ref, 0.35 * ref)
+    def growth(mu):
+        return np.max(np.linalg.eigvals(rom.linear_block(mu)).real, axis=-1)
 
-    def max_re(mu):
-        return float(np.max(np.linalg.eigvals(rom.linear_block(mu)).real))
-
-    mus = np.linspace(window[0], window[1], n_scan)
-    vals = np.max(np.linalg.eigvals(rom.linear_block(mus)).real, axis=1)
-    bracket = None
-    for i in range(len(mus) - 1):
-        if vals[i] < 0 <= vals[i + 1]:
-            bracket = (mus[i], mus[i + 1])
-            break
-    if bracket is None:
+    ref = max(abs(rom.meta.get("mu0", 0.0)), 1.0)
+    mus = np.linspace(-0.35 * ref, 0.35 * ref, 201)
+    mu_H = _first_root(mus, growth(mus), growth, 1e-12)
+    if mu_H is None:
         raise ContinuationError(
-            f"no sign change of the reduced growth rate in window {window}; "
+            f"no sign change of the reduced growth rate in window {(mus[0], mus[-1])}; "
             "the reduction cannot locate the bifurcation from this expansion")
-    a, b = bracket
-    fa = max_re(a)
-    for _ in range(200):
-        m = 0.5 * (a + b)
-        fm = max_re(m)
-        if fa * fm <= 0:
-            b = m
-        else:
-            a, fa = m, fm
-        if b - a < tol:
-            break
-    return 0.5 * (a + b)
+    return mu_H
 
 
 @dataclass
 class ContinuationOptions:
-    mu_start: float | None = None
     mu_max: float = 1.0
     ds0: float = 0.02
     ds_min: float = 1e-5
@@ -447,17 +430,16 @@ def continue_periodic(rom, mu_start=None, options=None):
         others = record(qn, col)
         fold_now = _fold_test(others)
         ns_now = _ns_test(others)
-        if fold_prev is not None and fold_prev * fold_now < 0 and abs(fold_prev) < 0.5:
+        if fold_prev * fold_now < 0 and abs(fold_prev) < 0.5:
             points[-1].event = "fold"
-        elif ns_prev is not None and ns_prev * ns_now < 0 and ns_now > 0:
+        elif ns_prev * ns_now < 0 and ns_now > 0:
             points[-1].event = "neimark-sacker"
         fold_prev, ns_prev = fold_now, ns_now
 
-        new_tangent = qn - q
-        nrm = np.linalg.norm(new_tangent)
-        if nrm > 0:
-            tangent = new_tangent / nrm
-            tK = (Kn - K) / nrm
+        # an accepted step has tangent . (qn - q) = ds >= ds_min > 0
+        step = qn - q
+        nrm = np.linalg.norm(step)
+        tangent, tK = step / nrm, (Kn - K) / nrm
         q, K, q_col = qn, Kn, col
         if mu_n > opts.mu_max:
             break
@@ -493,8 +475,9 @@ class DiagramComparison:
 def diagram_compare(diag_a, diag_b, coord_a, coord_b=None, threshold=0.05):
     """Interpolated amplitude comparison; diag_b is the reference.
 
-    P_valid is the largest parameter value up to which the relative error
-    stays within the threshold (first-exceedance rule).
+    P_valid is the largest reference parameter, in ascending order, up to
+    which the relative error stays within the threshold (first-exceedance
+    rule); nan when the first compared point already exceeds it.
     """
     coord_b = coord_a if coord_b is None else coord_b
     Pa = diag_a.absolute_parameter()
@@ -503,16 +486,15 @@ def diagram_compare(diag_a, diag_b, coord_a, coord_b=None, threshold=0.05):
     hi = min(Pa.max(), Pb.max())
     if lo >= hi:
         raise ValueError("parameter ranges do not overlap")
-    mask = (Pb >= lo - 1e-12) & (Pb <= hi + 1e-12)
-    P = Pb[mask]
+    order_b = np.argsort(Pb)
+    Pb, amp_b = Pb[order_b], diag_b.amplitude(coord_b)[order_b]
+    keep = (Pb >= lo - 1e-12) & (Pb <= hi + 1e-12)
+    P, amp_b = Pb[keep], amp_b[keep]
     order_a = np.argsort(Pa)
     amp_a = np.interp(P, Pa[order_a], diag_a.amplitude(coord_a)[order_a])
-    amp_b = diag_b.amplitude(coord_b)[mask]
     scale = np.maximum(np.abs(amp_b), 1e-12)
     rel = np.abs(amp_a - amp_b) / scale
-    P_valid = P[0]
-    for pv, rv in zip(P, rel):
-        if rv > threshold:
-            break
-        P_valid = pv
+    over = np.flatnonzero(rel > threshold)
+    n_valid = over[0] if over.size else len(P)
+    P_valid = P[n_valid - 1] if n_valid else np.nan
     return DiagramComparison(P, rel, threshold, float(P_valid))

@@ -38,6 +38,7 @@ sample points at once, from one table of monomial values
 from __future__ import annotations
 
 import time
+import warnings
 from dataclasses import dataclass, field
 from itertools import compress
 
@@ -61,9 +62,6 @@ class ResonanceSet:
     sets: list
     lam_classified: np.ndarray
     keys: np.ndarray
-
-    def resonant(self, mid):
-        return self.sets[mid]
 
 
 def classify_resonances(table, lam_vec, r_tol=0.05, enforce_one_to_one=False):
@@ -362,13 +360,16 @@ def _stacked_solve(A, b, sigma, lam, table, mids):
 
     A is the stack of bordered matrices and b their right-hand sides;
     returns the solutions and the largest residual of the whole bordered
-    systems relative to |b|, which _check_solve bounds.
+    systems relative to |b|, which _check_solve bounds.  A singular or
+    ill-conditioned entry (LinAlgWarning) is a missed resonance.
     """
     try:
-        # scipy's LAPACK: each entry gets the bits of its own getrf/getrs;
-        # numpy's bundled build rounds differently
-        sol = sla.solve(A, b[..., None], assume_a="gen", check_finite=False)[..., 0]
-    except sla.LinAlgError:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", sla.LinAlgWarning)
+            # scipy's LAPACK: each entry gets the bits of its own getrf/getrs;
+            # numpy's bundled build rounds differently
+            sol = sla.solve(A, b[..., None], assume_a="gen", check_finite=False)[..., 0]
+    except (sla.LinAlgError, sla.LinAlgWarning):
         bad = int(np.argmin(np.abs(np.linalg.det(A))))
         raise _resonance_error(sigma[bad], lam, table, mids[bad]) from None
     resid = np.linalg.norm((A @ sol[..., None])[..., 0] - b, axis=1)

@@ -30,11 +30,6 @@ class PolynomialSecondOrderModel:
     Gt: SparseBilinearForm | None = None
     H: SparseTrilinearForm | None = None
     p0: float = 0.0
-    U0: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.U0 is None:
-            self.U0 = np.zeros(self.n)
 
     @property
     def ndof(self):

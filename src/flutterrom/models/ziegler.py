@@ -1,4 +1,5 @@
-"""Ziegler pendulums: 2-DOF and 3-DOF follower-force benchmarks.
+"""Ziegler pendulums: n-link follower-force chains, with the 2-DOF and
+3-DOF benchmarks as special cases.
 
 Equations of motion up to third order,
 
@@ -127,35 +128,37 @@ def _rayleigh(K, M, xi_m, xi_k):
     return 2.0 * (xi_k * K + xi_m * M)
 
 
+def build_ziegler(masses, stiffnesses, L, xi_m=0.0, xi_k=0.0):
+    """Ziegler chain of n rigid links of length L: point mass m_i at the tip
+    of link i, rotational spring k_i at its base, follower load at the free
+    end.
+
+    Angles are absolute, so M = L^2 * tail_sum[max(i, j)] with
+    tail_sum[k] = m_k + m_{k+1} + ..., K is tridiagonal, the follower load
+    gives Ru = L (I - 1 e_n^T) (its last row is zero) and each of the first
+    n - 1 rows gets the cubic term (i, i, n - 1, L/6).
+    """
+    _check_positive(**{f"m{i + 1}": v for i, v in enumerate(masses)},
+                    **{f"k{i + 1}": v for i, v in enumerate(stiffnesses)}, L=L)
+    m = np.asarray(masses, dtype=float)
+    k = np.asarray(stiffnesses, dtype=float)
+    n = len(m)
+    # each tail sum added front to back, as the 2- and 3-link closed forms did
+    tail = np.array([np.cumsum(m[i:])[-1] for i in range(n)])
+    M = L**2 * tail[np.maximum.outer(np.arange(n), np.arange(n))]
+    K = np.diag(k + np.append(k[1:], 0.0)) - np.diag(k[1:], 1) - np.diag(k[1:], -1)
+    Ru = np.eye(n)
+    Ru[:, -1] -= 1.0
+    return ZieglerModel(n, M, K, _rayleigh(K, M, xi_m, xi_k), L * Ru, L,
+                        cubic_terms=[(i, i, n - 1, L / 6.0) for i in range(n - 1)])
+
+
 def build_ziegler2(m1, m2, k1, k2, L, xi_m=0.0, xi_k=0.0):
-    _check_positive(m1=m1, m2=m2, k1=k1, k2=k2, L=L)
-    M = L**2 * np.array([[m1 + m2, m2], [m2, m2]], dtype=float)
-    K = np.array([[k1 + k2, -k2], [-k2, k2]], dtype=float)
-    Ru = L * np.array([[1.0, -1.0], [0.0, 0.0]])
-    C = _rayleigh(K, M, xi_m, xi_k)
-    return ZieglerModel(2, M, K, C, Ru, L, cubic_terms=[(0, 0, 1, L / 6.0)])
+    return build_ziegler([m1, m2], [k1, k2], L, xi_m, xi_k)
 
 
 def build_ziegler3(m1, m2, m3, k1, k2, k3, L, xi_m=0.0, xi_k=0.0):
-    _check_positive(m1=m1, m2=m2, m3=m3, k1=k1, k2=k2, k3=k3, L=L)
-    M = L**2 * np.array([
-        [m1 + m2 + m3, m2 + m3, m3],
-        [m2 + m3, m2 + m3, m3],
-        [m3, m3, m3],
-    ])
-    K = np.array([
-        [k1 + k2, -k2, 0.0],
-        [-k2, k2 + k3, -k3],
-        [0.0, -k3, k3],
-    ])
-    Ru = L * np.array([
-        [1.0, 0.0, -1.0],
-        [0.0, 1.0, -1.0],
-        [0.0, 0.0, 0.0],
-    ])
-    C = _rayleigh(K, M, xi_m, xi_k)
-    return ZieglerModel(3, M, K, C, Ru, L,
-                        cubic_terms=[(0, 0, 2, L / 6.0), (1, 1, 2, L / 6.0)])
+    return build_ziegler([m1, m2, m3], [k1, k2, k3], L, xi_m, xi_k)
 
 
 def recast_to_dae(model: ZieglerModel, mu0: float) -> FirstOrderDAE:

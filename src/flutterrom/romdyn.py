@@ -15,6 +15,7 @@ import numpy as np
 from scipy.integrate import DOP853, solve_ivp
 
 from .polytensor import polynomial_eval
+from .spectral import _pencil_eigs_at, _select_masters
 
 
 class BlowUpError(RuntimeError):
@@ -397,12 +398,8 @@ def trace_unstable_manifold(rom, mu, n_radial=4, n_angle=12, r_scale=1e-3,
 def _leading_mode(model, p, scale):
     """Leading oscillatory eigenvalue at load p, and the state with `scale`
     times the real part of its normalised eigenvector as displacements."""
-    from .spectral import _pencil_eigs_at
-
-    w, vr = _pencil_eigs_at(model, p)
-    scale_w = max(np.max(np.abs(w)), 1.0)
-    osc = np.where(w.imag > 1e-9 * scale_w)[0]
-    lead = osc[np.argmax(w[osc].real)]
+    w, vr = _pencil_eigs_at(model, p, right=True)
+    lead, = _select_masters(w, 1)
     n = vr.shape[0] // 2
     v = vr[:n, lead]
     v = v / np.linalg.norm(v)

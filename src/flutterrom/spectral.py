@@ -68,21 +68,6 @@ class Spectrum:
             raise SpectralError("not a second-order spectrum")
         return self.X[self.n_disp:]
 
-    def first_order_operators(self):
-        """(B, At) of the underlying first-order form, dense."""
-        if "B" in self.ops and "At" in self.ops:
-            return np.asarray(self.ops["B"]), np.asarray(self.ops["At"])
-        M, C, Kt = (np.asarray(self.ops[k]) for k in ("M", "C", "Kt"))
-        n = M.shape[0]
-        B = np.zeros((2 * n, 2 * n))
-        B[:n, :n] = M
-        B[n:, n:] = M
-        At = np.zeros((2 * n, 2 * n))
-        At[:n, n:] = M
-        At[n:, :n] = -Kt
-        At[n:, n:] = -C
-        return B, At
-
     def copy(self):
         return Spectrum(self.lam.copy(), self.Lam.copy(), self.Y.copy(), self.X.copy(),
                         self.Ypar.copy(),
@@ -92,18 +77,20 @@ class Spectrum:
 
 # -- raw pencil solves --------------------------------------------------------
 
-def _dense_pencil_eig(At, B):
-    w, vl, vr = sla.eig(At, B, left=True, right=True)
-    keep = np.isfinite(w)
-    return w[keep], vl[:, keep], vr[:, keep]
+def _first_order_pencil(M, C, K):
+    """(At, B) of lam^2 M + lam C + K on the state [u; lam u]."""
+    Z = np.zeros(M.shape)
+    return np.block([[Z, M], [-K, -C]]), np.block([[M, Z], [Z, M]])
 
 
-def _quadratic_eig_dense(M, C, K):
-    """All finite eigenpairs of (lam^2 M + lam C + K) u = 0 plus left vectors."""
-    n = M.shape[0]
-    A1 = np.block([[np.zeros((n, n)), M], [-K, -C]])
-    B1 = np.block([[M, np.zeros((n, n))], [np.zeros((n, n)), M]])
-    return _dense_pencil_eig(A1, B1)
+def _pencil_eig(At, B, left=False, right=False):
+    """Finite eigenvalues of (At, B), then the requested left and right
+    vectors, as sla.eig orders them; LAPACK computes only what is asked."""
+    out = sla.eig(At, B, left=left, right=right)
+    if not (left or right):
+        return out[np.isfinite(out)]
+    keep = np.isfinite(out[0])
+    return (out[0][keep],) + tuple(v[:, keep] for v in out[1:])
 
 
 def _canonicalize(vecs, disp_idx):
@@ -138,11 +125,11 @@ def _binormalize(X, Y, Bmat):
     return X
 
 
-def _select_masters(w, n_modes, im_floor=1e-9):
+def _select_masters(w, n_modes):
     """Representatives (Im > 0) of the master modes: the largest-real-part
     mode plus, for two-mode runs, the distinct mode with closest |Im|."""
     scale = max(np.max(np.abs(w)), 1.0)
-    osc = np.where(w.imag > im_floor * scale)[0]
+    osc = np.where(w.imag > 1e-9 * scale)[0]
     if len(osc) == 0:
         raise SpectralError("no oscillatory modes: leading eigenvalue is non-oscillatory")
     lead = osc[np.argmax(w[osc].real)]
@@ -188,34 +175,23 @@ def solve_master_eigen(system, d):
     """
     if d not in (2, 4):
         raise ValueError("d must be 2 (one master mode) or 4 (two master modes)")
-    n_modes = d // 2
-
     if isinstance(system, FirstOrderDAE):
-        At = system.tangent_matrix()
-        B = system.B
-        w, vl, vr = _dense_pencil_eig(At, B)
-        reps = _select_masters(w, n_modes)
-        lam, Y, X, conj_map = _assemble_conjugate_masters(
-            w, vl, vr, reps, B, np.asarray(system.displacement_indices))
-        Ypar = parameter_eigenvector(system)
-        return Spectrum(lam, np.diag(lam), Y, X, Ypar, conj_map,
-                        ops={"B": B, "At": At})
-
-    # second-order mechanical system
-    M, C, Kt = (np.asarray(a) for a in (system.mass(), system.damping(),
-                                        system.tangent_stiffness()))
-    n = M.shape[0]
-    w, vl, vr = _quadratic_eig_dense(M, C, Kt)
-    reps = _select_masters(w, n_modes)
-    Bmat = np.block([[M, np.zeros((n, n))], [np.zeros((n, n)), M]])
-    lam, Y, X, conj_map = _assemble_conjugate_masters(w, vl, vr, reps, Bmat, np.arange(n))
-    # tie velocities analytically to displacements
-    for s in range(d):
-        Y[n:, s] = lam[s] * Y[:n, s]
-    X = _binormalize(X, Y, Bmat)
-    Ypar = parameter_eigenvector(system)
-    return Spectrum(lam, np.diag(lam), Y, X, Ypar, conj_map, n_disp=n,
-                    ops={"M": M, "C": C, "Kt": Kt})
+        At, B = system.tangent_matrix(), system.B
+        n, disp = None, np.asarray(system.displacement_indices)
+    else:  # second-order mechanical system
+        At, B = _first_order_pencil(*(np.asarray(a) for a in (
+            system.mass(), system.damping(), system.tangent_stiffness())))
+        n = B.shape[0] // 2
+        disp = np.arange(n)
+    w, vl, vr = _pencil_eig(At, B, left=True, right=True)
+    lam, Y, X, conj_map = _assemble_conjugate_masters(
+        w, vl, vr, _select_masters(w, d // 2), B, disp)
+    if n is not None:
+        # tie velocities analytically to displacements
+        Y[n:] = lam * Y[:n]
+        X = _binormalize(X, Y, B)
+    return Spectrum(lam, np.diag(lam), Y, X, parameter_eigenvector(system), conj_map,
+                    n_disp=n, ops={"B": B, "At": At})
 
 
 def solve_pencil_spectrum(At, B, d):
@@ -226,7 +202,7 @@ def solve_pencil_spectrum(At, B, d):
     """
     At = np.asarray(At, dtype=float)
     B = np.asarray(B, dtype=float)
-    w, vl, vr = _dense_pencil_eig(At, B)
+    w, vl, vr = _pencil_eig(At, B, left=True, right=True)
     order = np.lexsort((np.abs(w.imag), -w.real))[:d]
     lam = w[order]
     Y = _canonicalize(vr[:, order].astype(complex), np.arange(At.shape[0]))
@@ -268,31 +244,27 @@ class EigenTrajectory:
     warnings: list = field(default_factory=list)   # weak matches, {P, mode, mac}
 
 
-def _pencil_eigs_at(model, P):
-    """The whole spectrum and right vectors of the linear pencil at load P."""
-    w, _, vr = _quadratic_eig_dense(*(np.asarray(a) for a in model.linear_pencil(P)))
-    return w, vr
+def _pencil_eigs_at(model, P, right=False):
+    """The whole finite spectrum of the linear pencil at load P, and its
+    right vectors when asked for."""
+    M, C, K = (np.asarray(a) for a in model.linear_pencil(P))
+    return _pencil_eig(*_first_order_pencil(M, C, K), right=right)
 
 
-def _max_real(model, P):
-    w, _ = _pencil_eigs_at(model, P)
-    return float(np.max(w.real))
-
-
-def _pair_gap(model, P):
-    """_gap_of the spectrum at load P, from a fresh solve."""
-    return _gap_of(_pencil_eigs_at(model, P)[0])
-
-
-def _gap_of(w):
-    """Smallest eigenvalue distance among distinct upper-half-plane modes of
-    w, and the spectral scale max |w|."""
-    scale = max(np.max(np.abs(w)), 1e-30)
+def _closest_pair(w):
+    """(gap, scale, pair): the smallest distance among the distinct
+    upper-half-plane eigenvalues of w, the spectral scale max |w|, and the
+    first closest pair in sorted order (inf and None below two modes)."""
+    scale = float(max(np.max(np.abs(w)), 1e-30))
     up = np.sort_complex(w[w.imag > 1e-12 * scale])
     if len(up) < 2:
-        return np.inf, scale
-    gaps = [abs(up[a] - up[b]) for a in range(len(up)) for b in range(a + 1, len(up))]
-    return float(min(gaps)), float(scale)
+        return np.inf, scale, None
+    ia, ib = np.triu_indices(len(up), 1)
+    diff = up[ia] - up[ib]
+    # libm's hypot, as abs() of one complex scalar; np.abs of an array rounds differently
+    gaps = np.hypot(diff.real, diff.imag)
+    k = int(np.argmin(gaps))
+    return float(gaps[k]), scale, (up[ia[k]], up[ib[k]])
 
 
 def _bisect(f, a, b, xtol, max_iter=200):
@@ -310,6 +282,17 @@ def _bisect(f, a, b, xtol, max_iter=200):
         if abs(b - a) <= xtol:
             break
     return 0.5 * (a + b)
+
+
+def _first_root(grid, vals, f, rtol):
+    """Root of f by bisection on the first grid interval where vals (f on
+    the grid) turn from negative to non-negative; None when they never do."""
+    vals = np.asarray(vals)
+    turns = np.flatnonzero((vals[:-1] < 0) & (vals[1:] >= 0))
+    if not turns.size:
+        return None
+    a, b = grid[turns[0]], grid[turns[0] + 1]
+    return _bisect(f, a, b, xtol=rtol * max(abs(b), 1.0))
 
 
 def _golden_min(f, a, b, xtol, max_iter=200):
@@ -339,26 +322,28 @@ def eigen_sweep(model, param_range, n_points, n_track=None, mac_threshold=0.8):
     neighbouring grid points, from one MAC matrix per step; a match below
     mac_threshold adds a warning record {P, mode, mac}.  The event scans
     read the grid spectra the tracking solved; the events are then refined
-    with fresh solves (gap minimization for the coalescence, bisection for
-    the Hopf and divergence points), so they do not depend on the mode
-    matching.  Every solve is dense and covers the whole spectrum, which
-    n_track (default: all of it) only trims for the tracked output.
+    with fresh eigenvalue-only solves (gap minimization for the
+    coalescence, bisection for the Hopf and divergence points), so they do
+    not depend on the mode matching.  Every solve is dense and covers the
+    whole spectrum, which n_track (default: all of it) only trims for the
+    tracked output; only the grid solves compute (right) eigenvectors.
+    events["ep"] flags a coalescence gap below 1e-6 of the spectral scale.
     """
     P0, P1 = param_range
     grid = np.linspace(P0, P1, n_points)
     warnings = []
 
-    w, vr = _pencil_eigs_at(model, grid[0])
+    w, vr = _pencil_eigs_at(model, grid[0], right=True)
     order = np.lexsort((-w.imag, np.abs(w.imag)))
     if n_track is None:
         n_track = len(w)
     order = order[:n_track]
     lam_rows = [w[order]]
     vec_prev = vr[:, order]
-    raw = [(w, vr)]
+    spectra = [w]
 
     for P in grid[1:]:
-        w, vr = _pencil_eigs_at(model, P)
+        w, vr = _pencil_eigs_at(model, P, right=True)
         # modal assurance |a* b|^2 / (|a|^2 |b|^2) of each (tracked, candidate) pair
         mac = np.abs(vec_prev.conj().T @ vr) ** 2 / np.outer(
             np.sum(np.abs(vec_prev) ** 2, axis=0), np.sum(np.abs(vr) ** 2, axis=0))
@@ -371,85 +356,69 @@ def eigen_sweep(model, param_range, n_points, n_track=None, mac_threshold=0.8):
             cols.append(best)
         lam_rows.append(w[cols])
         vec_prev = vr[:, cols]
-        raw.append((w, vr))
+        spectra.append(w)
 
     lam = np.array(lam_rows)
     events = {}
     scale0 = max(np.max(np.abs(lam[0])), 1.0)
     re_thr = 1e-11 * scale0
+    im_thr = 1e-9 * scale0
 
-    # Hopf point: sign change of the maximum real part
-    maxre = np.array([np.max(rw[0].real) for rw in raw]) - re_thr
-    events["P_H"] = None
-    for i in range(len(grid) - 1):
-        if maxre[i] < 0 <= maxre[i + 1]:
-            f = lambda P: _max_real(model, P) - re_thr
-            events["P_H"] = _bisect(f, grid[i], grid[i + 1],
-                                    xtol=1e-8 * max(abs(grid[i + 1]), 1.0))
-            break
+    def fresh(value):
+        """value of a fresh eigenvalue-only solve, as a function of the load."""
+        return lambda P: value(_pencil_eigs_at(model, P))
+
+    # Hopf point: the maximum real part turns non-negative
+    def max_real(w):
+        return np.max(w.real) - re_thr
+
+    events["P_H"] = _first_root(grid, [max_real(w) for w in spectra], fresh(max_real), 1e-8)
 
     # coalescence: minimize the smallest pairwise eigenvalue gap
-    gaps = np.array([_gap_of(w)[0] for w, _ in raw])
+    def gap(w):
+        return _closest_pair(w)[0]
+
+    gaps = np.array([gap(w) for w in spectra])
     events["P_c"] = None
     events["ep"] = False
     i_min = int(np.argmin(gaps))
     if np.isfinite(gaps[i_min]):
         a = grid[max(i_min - 1, 0)]
         b = grid[min(i_min + 1, len(grid) - 1)]
-        f = lambda P: _pair_gap(model, P)[0]
-        P_c, gap_min = _golden_min(f, a, b, xtol=1e-12 * max(abs(b), 1.0))
-        _, scale = _pair_gap(model, P_c)
+        P_c, gap_min = _golden_min(fresh(gap), a, b, xtol=1e-12 * max(abs(b), 1.0))
+        scale = _closest_pair(_pencil_eigs_at(model, P_c))[1]
         events["P_c"] = P_c
         events["gap_at_Pc"] = gap_min
         events["scale_at_Pc"] = scale
         events["ep"] = bool(gap_min < 1e-6 * scale)
 
-    # divergence: imaginary part of the unstable mode vanishes
+    # divergence: past P_H, the imaginary part of the unstable mode vanishes
     events["P_d"] = None
     if events["P_H"] is not None:
-        im_thr = 1e-9 * scale0
+        def real_unstable(w):
+            return im_thr - abs(w[np.argmax(w.real)].imag)
 
-        def im_of_unstable(P):
-            w, _ = _pencil_eigs_at(model, P)
-            return abs(w[np.argmax(w.real)].imag) - im_thr
-
-        start = np.searchsorted(grid, events["P_H"])
-        prev = None
-        for i in range(max(start, 1), len(grid)):
-            val = abs(raw[i][0][np.argmax(raw[i][0].real)].imag) - im_thr
-            if prev is not None and prev > 0 >= val:
-                events["P_d"] = _bisect(im_of_unstable, grid[i - 1], grid[i],
-                                        xtol=1e-8 * max(abs(grid[i]), 1.0))
-                break
-            prev = val
+        s = np.searchsorted(grid, events["P_H"])
+        events["P_d"] = _first_root(grid[s:], [real_unstable(w) for w in spectra[s:]],
+                                    fresh(real_unstable), 1e-8)
 
     return EigenTrajectory(grid, lam, events, warnings)
 
 
-def detect_exceptional_point(traj, model, rel_tol=1e-6):
+def detect_exceptional_point(traj, model):
     """Exceptional point of a sweep; returns (P_c, pair) or None.
 
-    P_c and the gap there are the sweep's refined coalescence events (its
-    minimum-gap search ran over the whole spectrum at every grid load, for
-    any n_track).  An exceptional point is declared when the relative gap
-    drops below rel_tol (for real asymmetric Jacobians, coalescence implies
-    a Jordan block); the pair holds the two closest upper-half-plane
-    eigenvalues of a fresh solve at P_c.
+    Reads the sweep's refined coalescence: its minimum-gap search ran over
+    the whole spectrum at every grid load, for any n_track, and
+    events["ep"] flags a relative gap below 1e-6 at P_c (for real
+    asymmetric Jacobians, coalescence implies a Jordan block).  The pair
+    holds the two closest upper-half-plane eigenvalues of one
+    eigenvalue-only solve at P_c.
     """
-    ev = traj.events
-    P_c = ev["P_c"]
-    if P_c is None or ev["gap_at_Pc"] >= rel_tol * ev["scale_at_Pc"]:
+    if not traj.events["ep"]:
         return None
-    scale = ev["scale_at_Pc"]
-    w, _ = _pencil_eigs_at(model, P_c)
-    up = np.sort_complex(w[w.imag > 1e-12 * scale])
-    best = None
-    for ia in range(len(up)):
-        for ib in range(ia + 1, len(up)):
-            gg = abs(up[ia] - up[ib])
-            if best is None or gg < best[0]:
-                best = (gg, up[ia], up[ib])
-    return P_c, (best[1], best[2])
+    P_c = traj.events["P_c"]
+    return P_c, _closest_pair(_pencil_eigs_at(model, P_c))[2]
 
 
 # -- Jordan enforcement -------------------------------------------------------
@@ -486,20 +455,22 @@ def _null_pair_construction(B, At, lam_bar, tau, Y_i):
     return v, w, xi, ul
 
 
-def enforce_jordan(spectrum, pair, tau=1.0, mirror_conjugate=True,
-                   gap_switch=1e-7, align_tol=0.5):
+def enforce_jordan(spectrum, pair, tau=1.0):
     """Impose a 2x2 Jordan coupling tau on a near-degenerate eigenvalue pair.
 
     Builds the modified triplet (Lam, Ybar, Xbar): Ybar_i = Y_i,
     Ybar_j = tau/(lam_i - lam_j) (Y_i - Y_j/gamma_ij) with
     gamma_ij = (Y_i* Y_j)/(Y_i* Y_i), left vectors from
     nu = ((X* B Y mu)*)^-1, giving Xbar* B Ybar = I and Xbar* At Ybar = Lam
-    with Lam_ij = tau.  When the raw gap is below gap_switch (relative),
-    the same objects are produced from SVD null/chain solves of
-    (At - mean(lam) B), which is the numerically stable formulation of the
-    identical construction; the pair then shares the mean eigenvalue.
+    with Lam_ij = tau, for the (B, At) in spectrum.ops.  When the raw gap is
+    below 1e-7 (relative), the same objects are produced from SVD
+    null/chain solves of (At - mean(lam) B), which is the numerically
+    stable formulation of the identical construction; the pair then shares
+    the mean eigenvalue.  A spectrum with a conj_map gets the conjugate
+    pair mirrored.
 
-    Refuses diabolic-like pairs whose eigenvectors are not nearly aligned.
+    Refuses diabolic-like pairs whose eigenvectors are not nearly aligned
+    (normalized overlap below 0.5).
     """
     i, j = pair
     if not i < j:
@@ -508,16 +479,16 @@ def enforce_jordan(spectrum, pair, tau=1.0, mirror_conjugate=True,
     lam_i, lam_j = spec.lam[i], spec.lam[j]
     Y_i, Y_j = spec.Y[:, i], spec.Y[:, j]
     align = abs(np.vdot(Y_i, Y_j)) / (np.linalg.norm(Y_i) * np.linalg.norm(Y_j))
-    if align < align_tol:
+    if align < 0.5:
         raise JordanEnforcementError(
             f"pair ({i}, {j}) has independent eigenvectors (alignment {align:.3f}); "
             "diabolic-like degeneracy, refusing to impose a Jordan block")
 
     gap = abs(lam_i - lam_j)
     lam_bar = 0.5 * (lam_i + lam_j)
-    B, At = spec.first_order_operators()
+    B, At = spec.ops["B"], spec.ops["At"]
 
-    if gap > gap_switch * max(abs(lam_bar), 1.0):
+    if gap > 1e-7 * max(abs(lam_bar), 1.0):
         gamma = np.vdot(Y_i, Y_j) / np.vdot(Y_i, Y_i)
         mu = np.eye(spec.d, dtype=complex)
         mu[i, j] = tau / (lam_i - lam_j)
@@ -544,7 +515,7 @@ def enforce_jordan(spectrum, pair, tau=1.0, mirror_conjugate=True,
 
     spec.jordan_pairs = list(spec.jordan_pairs) + [(i, j, tau)]
 
-    if mirror_conjugate and spec.conj_map is not None:
+    if spec.conj_map is not None:
         ic, jc = int(spec.conj_map[i]), int(spec.conj_map[j])
         if {ic, jc} != {i, j}:
             ic, jc = min(ic, jc), max(ic, jc)

@@ -20,12 +20,15 @@ from flutterrom.continuation import (
     _sample,
     _stage_times,
     continue_periodic,
+    diagram_compare,
+    diagram_from_measurements,
     find_hopf,
 )
 from flutterrom.dpim import build_rom_firstorder
 from flutterrom.models import build_ziegler2, recast_to_dae
 from flutterrom.romdyn import (
     BlowUpError,
+    LimitCycleMeasurement,
     RealizedReducedSystem,
     _measure_settled_cycle,
     _return_time,
@@ -274,6 +277,14 @@ def test_find_hopf_stacked_scan_matches_pointwise_scan(d):
         assert np.array_equal(J, rom.linear_block(mu))
 
 
+def test_find_hopf_on_the_normal_form():
+    # growth rate rho + mu: the Hopf point is mu = -rho, and none lies in the
+    # scanned window +-0.35 when |rho| exceeds it
+    assert abs(find_hopf(hopf_normal_form_rom(rho=-0.1)) - 0.1) < 1e-12
+    with pytest.raises(ContinuationError, match="no sign change"):
+        find_hopf(hopf_normal_form_rom(rho=-1.0))
+
+
 def test_degenerate_hopf_point_raises():
     # without the cubic term every circle at mu = 0 is a cycle: mu does not
     # move with the amplitude, so no amplitude law scales the seed
@@ -469,3 +480,63 @@ def test_branch_closes_at_the_second_hopf_point():
     assert abs(mu_end - mu_H2) < 2e-3
     assert diag.mu().max() < opts.mu_max
     assert sum(rec["accepted"] for rec in diag.meta["trace"]) == len(diag.points)
+
+
+# -- diagram comparison ----------------------------------------------------------
+
+
+def amplitude_diagram(mu, amp, mu0=0.0):
+    """Synthetic diagram with one amplitude coordinate per point."""
+    return BifurcationDiagram([BranchPoint(m, np.zeros(2), 1.0, np.array([a]),
+                                           np.zeros(0, dtype=complex), True)
+                               for m, a in zip(mu, amp)], {"mu0": mu0})
+
+
+def test_diagram_compare_first_exceedance():
+    # errors 0, 1%, 20%, 1%, 0 against the reference: valid up to the second
+    # point, the recovery after the first exceedance does not count
+    ref = amplitude_diagram([0.1, 0.2, 0.3, 0.4, 0.5], [1.0, 2.0, 3.0, 4.0, 5.0], mu0=2.0)
+    rom = amplitude_diagram([0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6],
+                            [0.5, 1.0, 2.02, 3.6, 4.04, 5.0, 6.0], mu0=2.0)
+    cmp = diagram_compare(rom, ref, 0, threshold=0.05)
+    assert np.allclose(cmp.P, [2.1, 2.2, 2.3, 2.4, 2.5])
+    assert np.allclose(cmp.rel_error, [0.0, 0.01, 0.2, 0.01, 0.0])
+    assert cmp.P_valid == cmp.P[1] and cmp.threshold == 0.05
+    # within the threshold everywhere: valid over the whole overlap
+    assert diagram_compare(rom, ref, 0, threshold=0.5).P_valid == cmp.P[-1]
+    # the reference in any order gives the same comparison
+    perm = [3, 0, 4, 2, 1]
+    shuffled = BifurcationDiagram([ref.points[i] for i in perm], ref.meta)
+    again = diagram_compare(rom, shuffled, 0, threshold=0.05)
+    assert np.array_equal(again.P, cmp.P) and np.array_equal(again.rel_error, cmp.rel_error)
+    assert again.P_valid == cmp.P_valid
+
+
+def test_diagram_compare_invalid_from_the_start():
+    ref = amplitude_diagram([0.1, 0.2, 0.3], [1.0, 2.0, 3.0])
+    rom = amplitude_diagram([0.1, 0.2, 0.3], [1.5, 2.0, 3.0])
+    assert np.isnan(diagram_compare(rom, ref, 0).P_valid)
+
+
+def test_diagram_compare_needs_overlap():
+    ref = amplitude_diagram([0.1, 0.2], [1.0, 2.0])
+    rom = amplitude_diagram([0.3, 0.4], [1.0, 2.0])
+    with pytest.raises(ValueError, match="do not overlap"):
+        diagram_compare(rom, ref, 0)
+    # offset expansion loads shift the absolute parameter: the same mu overlap
+    # vanishes when the reference sits one load unit higher
+    with pytest.raises(ValueError, match="do not overlap"):
+        diagram_compare(amplitude_diagram([0.1, 0.2], [1.0, 2.0], mu0=2.0),
+                        amplitude_diagram([0.1, 0.2], [1.0, 2.0], mu0=3.0), 0)
+
+
+def test_diagram_from_measurements_marks_unconverged():
+    meas = [LimitCycleMeasurement(0.1, np.array([0.3, 0.4]), 6.0, True, 12),
+            LimitCycleMeasurement(0.2, np.array([0.5, 0.6]), 6.1, False, 2000, "no-convergence")]
+    diag = diagram_from_measurements(meas, mu0=2.0, meta={"model": "fom"})
+    assert diag.meta == {"mu0": 2.0, "source": "time-integration", "model": "fom"}
+    assert np.allclose(diag.absolute_parameter(), [2.1, 2.2])
+    assert np.array_equal(diag.amplitude(1), [0.4, 0.6])
+    assert np.array_equal(diag.periods(), [6.0, 6.1])
+    assert diag.events() == [(0.2, "unconverged")]
+    assert all(pt.stable is None for pt in diag.points)

@@ -3,7 +3,13 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import flutterrom.models
-from flutterrom.models import build_ziegler2, build_ziegler3, recast_to_dae, static_equilibrium
+from flutterrom.models import (
+    build_ziegler,
+    build_ziegler2,
+    build_ziegler3,
+    recast_to_dae,
+    static_equilibrium,
+)
 
 
 def test_every_public_model_name_imports():
@@ -83,6 +89,35 @@ class TestZiegler3:
             [0, -k3, k3]])
         assert np.allclose(m.M, Mref)
         assert np.allclose(m.K, Kref)
+
+
+class TestZieglerChain:
+    def test_matrices_against_link_sums(self):
+        # energies summed link by link: mass j moves with L (th_1' + ... + th_j'),
+        # spring i stretches by th_i - th_(i-1), the follower load at the tip
+        # acts through th_i - th_n
+        rng = np.random.default_rng(5)
+        n = 5
+        masses, stiff = rng.uniform(0.5, 3.0, n), rng.uniform(0.5, 3.0, n)
+        L = rng.uniform(0.5, 2.0)
+        m = build_ziegler(masses, stiff, L, xi_m=0.1, xi_k=0.02)
+        lower = np.tril(np.ones((n, n)))
+        Mref = L**2 * sum(mj * np.outer(lower[j], lower[j]) for j, mj in enumerate(masses))
+        diff = np.eye(n) - np.eye(n, k=-1)
+        Kref = sum(ki * np.outer(diff[i], diff[i]) for i, ki in enumerate(stiff))
+        Ruref = L * np.array([np.eye(n)[i] - np.eye(n)[-1] for i in range(n)])
+        assert m.n == n and m.L == L
+        assert np.allclose(m.M, Mref, rtol=1e-14, atol=0)
+        assert np.allclose(m.K, Kref, rtol=1e-14, atol=1e-15)
+        assert np.array_equal(m.Ru, Ruref)
+        assert np.allclose(m.C, 2 * (0.02 * m.K + 0.1 * m.M), rtol=1e-14, atol=0)
+        assert m.cubic_terms == [(i, i, n - 1, L / 6.0) for i in range(n - 1)]
+
+    def test_rejects_nonpositive(self):
+        with pytest.raises(ValueError, match="m3 must be positive"):
+            build_ziegler([1, 1, 0, 1], [1, 1, 1, 1], 0.25)
+        with pytest.raises(ValueError, match="k2 must be positive"):
+            build_ziegler([1, 1], [1, -1], 0.5)
 
 
 def fom_rhs_by_loop(model, P, x):

@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from scipy.linalg import block_diag
 
 from flutterrom import spectral
-from flutterrom.models import ZieglerModel, build_ziegler2, build_ziegler3, recast_to_dae
+from flutterrom.models import (
+    ZieglerModel,
+    build_ziegler,
+    build_ziegler2,
+    build_ziegler3,
+    recast_to_dae,
+)
 from flutterrom.spectral import (
     JordanEnforcementError,
     detect_exceptional_point,
@@ -21,6 +28,18 @@ def modal_assurance(a, b):
     num = abs(np.vdot(a, b)) ** 2
     den = (np.vdot(a, a).real * np.vdot(b, b).real)
     return num / den if den > 0 else 0.0
+
+
+def pencil(model, P):
+    """(At, B) of the first-order form of the linear pencil at load P."""
+    M, C, K = model.linear_pencil(P)
+    Z = np.zeros_like(M)
+    return np.block([[Z, M], [-K, -C]]), np.block([[M, Z], [Z, M]])
+
+
+def pencil_eigvals(model, P):
+    w = sla.eigvals(*pencil(model, P))
+    return w[np.isfinite(w)]
 
 
 def char_quartic_roots(gamma2, delta2):
@@ -58,7 +77,7 @@ class TestMasterEigen:
         m = build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2)
         dae = recast_to_dae(m, mu0=2.6)
         spec = solve_master_eigen(dae, d=4)
-        B, At = spec.first_order_operators()
+        B, At = dae.B, dae.tangent_matrix()
         XBY = spec.X.conj().T @ B @ spec.Y
         assert np.max(np.abs(XBY - np.eye(4))) < 1e-8
         XAY = spec.X.conj().T @ At @ spec.Y
@@ -141,8 +160,8 @@ class TestSweep:
         traj = eigen_sweep(m, (0.5, 3.5), 60)
         P_H = traj.events["P_H"]
         eps = 1e-6 * P_H
-        from flutterrom.spectral import _max_real
-        assert _max_real(m, P_H - eps) < 0 < _max_real(m, P_H + eps)
+        max_real = [np.max(pencil_eigvals(m, P).real) for P in (P_H - eps, P_H + eps)]
+        assert max_real[0] < 0 < max_real[1]
 
     def test_whole_spectrum_above_60_dof(self):
         # 31 uncoupled damped 2-DOF copies with distinct stiffness scales: the
@@ -156,6 +175,19 @@ class TestSweep:
         assert traj.lam.shape == (12, 124)
         own = [eigen_sweep(c, (1.0, 3.0), 12).events["P_H"] for c in copies]
         assert abs(traj.events["P_H"] - min(p for p in own if p is not None)) < 1e-8
+
+    def test_chain_approaches_becks_column(self):
+        # the undamped chain of n equal links (unit total length, mass and
+        # EI) flutters at P_c -> 20.05 (Beck 1952) with an O(1/n) error:
+        # Richardson's 2 P_c(32) - P_c(16) lands within 1%
+        P_c = {}
+        for n in (16, 32):
+            traj = eigen_sweep(build_ziegler(np.full(n, 1.0 / n), np.full(n, float(n)), 1.0 / n),
+                               (15.0, 21.0), 13)
+            assert traj.events["ep"]
+            P_c[n] = traj.events["P_c"]
+        assert P_c[16] < P_c[32] < 20.05
+        assert abs(2 * P_c[32] - P_c[16] - 20.05) < 0.01 * 20.05
 
 
 class TestExceptionalPoint:
@@ -180,25 +212,37 @@ class TestExceptionalPoint:
         assert out[0] < traj.events["P_H"]
 
 
+def pair_gap(model, P):
+    """Gap of the closest upper-half-plane pair at load P, and max |w|."""
+    w = pencil_eigvals(model, P)
+    a, b = closest_upper_pair(w)
+    return abs(a - b), max(np.abs(w).max(), 1e-30)
+
+
 def coalescence_by_fresh_solves(model, grid):
     """The coalescence events with a fresh pencil solve at every grid load."""
-    gaps = np.array([spectral._pair_gap(model, P)[0] for P in grid])
+    gaps = np.array([pair_gap(model, P)[0] for P in grid])
     i_min = int(np.argmin(gaps))
     a, b = grid[max(i_min - 1, 0)], grid[min(i_min + 1, len(grid) - 1)]
-    P_c, gap_min = spectral._golden_min(lambda P: spectral._pair_gap(model, P)[0], a, b,
+    P_c, gap_min = spectral._golden_min(lambda P: pair_gap(model, P)[0], a, b,
                                         xtol=1e-12 * max(abs(b), 1.0))
-    _, scale = spectral._pair_gap(model, P_c)
+    _, scale = pair_gap(model, P_c)
     return {"P_c": P_c, "gap_at_Pc": gap_min, "ep": bool(gap_min < 1e-6 * scale)}
 
 
 def track_pairwise(model, grid, mac_threshold):
     """eigen_sweep's mode tracking with one modal_assurance call per
     (tracked, candidate) pair: (tracked spectra, warning records)."""
-    w, vr = spectral._pencil_eigs_at(model, grid[0])
+    def eig(P):
+        w, vr = sla.eig(*pencil(model, P))
+        keep = np.isfinite(w)
+        return w[keep], vr[:, keep]
+
+    w, vr = eig(grid[0])
     order = np.lexsort((-w.imag, np.abs(w.imag)))
     rows, vec_prev, warnings = [w[order]], vr[:, order], []
     for P in grid[1:]:
-        w, vr = spectral._pencil_eigs_at(model, P)
+        w, vr = eig(P)
         cols, used = [], set()
         for m in range(len(order)):
             best, best_mac = None, -1.0
@@ -263,6 +307,21 @@ class TestSweepSolves:
         expect = coalescence_by_fresh_solves(m, traj.P)
         assert {k: traj.events[k] for k in expect} == expect
 
+    def test_only_the_grid_solves_compute_vectors(self, monkeypatch):
+        m = build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2)
+        asked = []
+        eig = sla.eig
+
+        def recording(a, b=None, left=False, right=True, **kwargs):
+            asked.append((left, right))
+            return eig(a, b, left=left, right=right, **kwargs)
+
+        monkeypatch.setattr(sla, "eig", recording)
+        traj = eigen_sweep(m, (1.5, 3.0), 40)
+        assert detect_exceptional_point(traj, m) is not None
+        assert asked.count((False, True)) == 40
+        assert set(asked) == {(False, True), (False, False)}
+
 
 def closest_upper_pair(w):
     """The two closest upper-half-plane eigenvalues of w, first pair first."""
@@ -270,6 +329,17 @@ def closest_upper_pair(w):
     _, a, b = min(((abs(a - b), a, b) for i, a in enumerate(up) for b in up[i + 1:]),
                   key=lambda g: g[0])
     return a, b
+
+
+def test_closest_pair_matches_pairwise_loop():
+    rng = np.random.default_rng(3)
+    for n in (2, 3, 8, 40):
+        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        w = np.concatenate([z, z.conj(), rng.standard_normal(3)])
+        gap, scale, pair = spectral._closest_pair(w)
+        assert pair == closest_upper_pair(w)
+        assert gap == abs(pair[0] - pair[1]) and scale == np.abs(w).max()
+    assert spectral._closest_pair(np.array([1j, -1j, 2.0])) == (np.inf, 2.0, None)
 
 
 class TestExceptionalPointReuse:
@@ -292,7 +362,7 @@ class TestExceptionalPointReuse:
         monkeypatch.undo()
         # the same P_c and pair as a gap search over fresh solves at every grid load
         assert out is not None and out[0] == coalescence_by_fresh_solves(m, traj.P)["P_c"]
-        assert out[1] == closest_upper_pair(spectral._pencil_eigs_at(m, out[0])[0])
+        assert out[1] == closest_upper_pair(pencil_eigvals(m, out[0]))
         if xi_m > 0:
             assert abs(out[0] - 2.0) < 1e-8
 
@@ -311,7 +381,7 @@ class TestJordan:
 
     def test_companion_enforcement(self):
         spec, At, B = self.companion_spectrum()
-        out = enforce_jordan(spec, (0, 1), tau=1.0, mirror_conjugate=False)
+        out = enforce_jordan(spec, (0, 1), tau=1.0)
         XBY = out.X.conj().T @ B @ out.Y
         XAY = out.X.conj().T @ At @ out.Y
         assert np.max(np.abs(XBY - np.eye(2))) < 1e-8
@@ -321,7 +391,7 @@ class TestJordan:
     def test_conditioning_rescued(self):
         spec, At, B = self.companion_spectrum()
         raw_cond = np.linalg.cond(spec.Y)
-        out = enforce_jordan(spec, (0, 1), tau=1.0, mirror_conjugate=False)
+        out = enforce_jordan(spec, (0, 1), tau=1.0)
         new_cond = np.linalg.cond(out.Y)
         assert raw_cond > 1e8
         assert new_cond < 1e3
@@ -340,7 +410,7 @@ class TestJordan:
         spec = solve_pencil_spectrum(At, B, d=3)
         i, j = 0, 1
         assert abs(spec.lam[i] - spec.lam[j]) > 1e-7
-        out = enforce_jordan(spec, (i, j), tau=1.0, mirror_conjugate=False)
+        out = enforce_jordan(spec, (i, j), tau=1.0)
         XBY = out.X.conj().T @ B @ out.Y
         XAY = out.X.conj().T @ At @ out.Y
         assert np.max(np.abs(XBY - np.eye(3))) < 1e-9
@@ -348,7 +418,7 @@ class TestJordan:
 
     def test_norm_ratio_bounded(self):
         spec, At, B = self.companion_spectrum()
-        out = enforce_jordan(spec, (0, 1), tau=1.0, mirror_conjugate=False)
+        out = enforce_jordan(spec, (0, 1), tau=1.0)
         r = np.linalg.norm(out.Y[:, 1]) / np.linalg.norm(out.Y[:, 0])
         assert 1e-2 < r < 1e2
 
@@ -358,7 +428,7 @@ class TestJordan:
         B = np.eye(3)
         spec = solve_pencil_spectrum(At, B, d=3)
         with pytest.raises(JordanEnforcementError):
-            enforce_jordan(spec, (0, 1), tau=1.0, mirror_conjugate=False)
+            enforce_jordan(spec, (0, 1), tau=1.0)
 
     def test_no_pair_spectrum_unchanged(self):
         m = build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2)
@@ -374,7 +444,7 @@ class TestJordan:
         spec = solve_master_eigen(dae, d=4)
         raw_cond = np.linalg.cond(spec.Y[:, [0, 2]])
         out = enforce_jordan(spec, (0, 2), tau=1.0)
-        B, At = out.first_order_operators()
+        B, At = dae.B, dae.tangent_matrix()
         XBY = out.X.conj().T @ B @ out.Y
         XAY = out.X.conj().T @ At @ out.Y
         assert np.max(np.abs(XBY - np.eye(4))) < 1e-8
