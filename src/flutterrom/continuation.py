@@ -85,18 +85,23 @@ def find_hopf(rom):
 
 @dataclass
 class ContinuationOptions:
+    """Where the branch stops: past mu_max or after max_points points.
+
+    The step control, corrector and sampling settings are the module
+    constants _DS0 ... _SEED_AMP below.
+    """
+
     mu_max: float = 1.0
-    ds0: float = 0.02
-    ds_min: float = 1e-5
-    ds_max: float = 0.1
     max_points: int = 400
-    target_newton: int = 3
-    max_newton: int = 10
-    newton_tol: float = 1e-9
-    amp_cap: float | None = None
-    rtol: float = 1e-9
-    n_sample: int = 512
-    seed_amp: float = 1e-3   # anchor norm under which a cycle has shrunk onto the fixed point
+
+
+# first, smallest and largest arclength step; a step that converged within
+# _TARGET_NEWTON corrections grows, one that took _MAX_NEWTON - 2 or more shrinks
+_DS0, _DS_MIN, _DS_MAX = 0.02, 1e-5, 0.1
+_TARGET_NEWTON, _MAX_NEWTON, _NEWTON_TOL = 3, 10, 1e-9
+# mesh error target, samples of a recorded orbit, and the anchor norm under
+# which a cycle has shrunk onto the fixed point
+_RTOL, _N_SAMPLE, _SEED_AMP = 1e-9, 512, 1e-3
 
 
 # the four Gauss-Legendre points on [0, 1]; column k of _LAGRANGE holds the
@@ -106,7 +111,7 @@ _NODES = 0.5 + 0.5 * np.array([-1.0, -1.0, 1.0, 1.0]) * np.sqrt(
 _LAGRANGE = np.linalg.inv(np.vander(_NODES, increasing=True))
 # intervals of the seed mesh, the most any orbit gets, and the amplitude of
 # the Hopf seed's ellipse (its first residual is O(eps^3): at 1e-3 already
-# under newton_tol, so the correction would leave mu at mu_H)
+# under _NEWTON_TOL, so the correction would leave mu at mu_H)
 _MESH0, _MESH_MAX, _HOPF_EPS = 16, 512, 1e-2
 
 
@@ -216,7 +221,7 @@ def _mesh_size(sysr, col, T, rtol):
     return min(int(np.ceil(N * (2.0 * err / rtol) ** (1.0 / (len(_NODES) + 1)))), _MESH_MAX)
 
 
-def _correct(sysr, q, K, tangent, ds, qn, Kn, opts, radius, T_range):
+def _correct(sysr, q, K, tangent, ds, qn, Kn, radius, T_range):
     """Newton on the collocation equations, the phase row and the last row
     tangent . (qn - q) = ds, from the guess (qn, Kn).
 
@@ -228,7 +233,7 @@ def _correct(sysr, q, K, tangent, ds, qn, Kn, opts, radius, T_range):
     """
     n = len(q) - 2
     res = np.inf
-    for it in range(opts.max_newton):
+    for it in range(_MAX_NEWTON):
         x_n, T_n, mu_n = qn[:n], qn[n], qn[n + 1]
         nvec = sysr.rhs(0.0, q[:n])
         nvec /= np.linalg.norm(nvec)
@@ -236,7 +241,7 @@ def _correct(sysr, q, K, tangent, ds, qn, Kn, opts, radius, T_range):
         F = np.concatenate([col.X[-1] - x_n, [nvec @ (x_n - q[:n])],
                             [tangent @ (qn - q) - ds]])
         res = float(np.sqrt(F @ F + np.sum(col.G ** 2)))
-        if res < opts.newton_tol * max(1.0, np.linalg.norm(qn)):
+        if res < _NEWTON_TOL * max(1.0, np.linalg.norm(qn)):
             return qn, Kn, col, it, res, ""
         end = col.Psi[-1]
         Jb = np.zeros((n + 2, n + 2))
@@ -259,10 +264,10 @@ def _correct(sysr, q, K, tangent, ds, qn, Kn, opts, radius, T_range):
             return qn, Kn, col, it + 1, res, "iterate left the trust region"
         if not T_range[0] <= qn[n] <= T_range[1]:
             return qn, Kn, col, it + 1, res, "iterate period left [T0/4, 4 T0]"
-    return qn, Kn, col, opts.max_newton, res, "no convergence"
+    return qn, Kn, col, _MAX_NEWTON, res, "no convergence"
 
 
-def _hopf_seed(rom, mu_H, mu_start, opts):
+def _hopf_seed(rom, mu_H, mu_start):
     """(anchor, stage values, period, record) of a cycle guess at mu_start,
     built at the Hopf point mu_H without integrating.
 
@@ -274,19 +279,24 @@ def _hopf_seed(rom, mu_H, mu_start, opts):
     sysr = RealizedReducedSystem(rom, mu_H)
     n = 2 * sysr.m
     w, V = np.linalg.eig(sysr.jacobian(np.zeros(n)))
-    k = np.flatnonzero(w.imag > 0)[np.argmax(w.real[w.imag > 0])]
+    osc = np.flatnonzero(w.imag > 0)
+    if not osc.size:
+        raise ContinuationError(
+            f"no oscillatory eigenvalue pair at the Hopf point mu = {mu_H:.6g}: the growth "
+            "rate changes sign through a real eigenvalue, so no cycle branches off")
+    k = osc[np.argmax(w.real[osc])]
     v = V[:, k]   # LAPACK makes its largest component real: Re v, Im v independent
     T = 2 * np.pi / w[k].imag
     phase = np.exp(2j * np.pi * _stage_times(_MESH0))
     K = _HOPF_EPS * (phase[:, None] * v).real.reshape(_MESH0, len(_NODES), n)
     q = np.concatenate([_HOPF_EPS * v.real, [T, mu_H]])
     tangent = np.concatenate([v.real / np.linalg.norm(v.real), [0.0, 0.0]])
-    q, K, _, it, res, reason = _correct(sysr, q, K, tangent, 0.0, q, K, opts, np.inf,
+    q, K, _, it, res, reason = _correct(sysr, q, K, tangent, 0.0, q, K, np.inf,
                                         (T / 4.0, 4.0 * T))
     if reason:
         raise ContinuationError(f"Hopf seed corrector at mu = {mu_H:.6g}: {reason}")
     shift = q[n + 1] - mu_H
-    if abs(shift) <= opts.newton_tol * max(1.0, abs(mu_H)):
+    if abs(shift) <= _NEWTON_TOL * max(1.0, abs(mu_H)):
         raise ContinuationError(f"degenerate Hopf point at mu = {mu_H:.6g}: mu does not move "
                                 "with the cycle amplitude")
     if (mu_start - mu_H) * shift <= 0:
@@ -331,9 +341,9 @@ def continue_periodic(rom, mu_start=None, options=None):
     accepted point records physical amplitudes (all mapped coordinates),
     the period, Floquet multipliers, stability, and any event marker.  The
     mesh grows whenever the error estimate of a corrected orbit exceeds
-    rtol.  The branch ends with a "hopf" event on its last point when the
+    _RTOL.  The branch ends with a "hopf" event on its last point when the
     cycle shrinks back onto the fixed point (its anchor turns back or falls
-    below seed_amp).
+    below _SEED_AMP).
 
     meta["seed"] is the Hopf seed's record {mu_H, newton, residual, scale};
     meta["trace"] holds one record per attempted step (ds, Newton
@@ -345,11 +355,11 @@ def continue_periodic(rom, mu_start=None, options=None):
     opts = options or ContinuationOptions()
     mu_H = find_hopf(rom)
     if mu_start is None:
-        mu_start = mu_H + max(4 * opts.ds0, 0.01 * max(abs(mu_H), 1.0))
+        mu_start = mu_H + max(4 * _DS0, 0.01 * max(abs(mu_H), 1.0))
     sysr = RealizedReducedSystem(rom, mu_start)
     m2 = 2 * sysr.m
 
-    x, K, T, seed = _hopf_seed(rom, mu_H, mu_start, opts)
+    x, K, T, seed = _hopf_seed(rom, mu_H, mu_start)
     points, trace = [], []
     meta = {"mu0": rom.meta.get("mu0", 0.0), "order": rom.order,
             "masters": rom.d // 2, "engine": rom.meta.get("engine", ""), "seed": seed,
@@ -360,8 +370,8 @@ def continue_periodic(rom, mu_start=None, options=None):
         """Correct from the predictor; grow the mesh when the orbit needs it."""
         t0 = time.perf_counter()
         qn, Kn, col, it, res, reason = _correct(sysr, q, K, tangent, ds, q + ds * tangent,
-                                                K + ds * tK, opts, radius, T_range)
-        N = len(Kn) if reason else _mesh_size(sysr, col, qn[m2], opts.rtol)
+                                                K + ds * tK, radius, T_range)
+        N = len(Kn) if reason else _mesh_size(sysr, col, qn[m2], _RTOL)
         if N > len(Kn):
             reason = f"mesh refined to {N} intervals"
         rec = {"ds": ds, "newton": it, "residual": res, "mesh": len(Kn), "accepted": not reason,
@@ -375,7 +385,7 @@ def continue_periodic(rom, mu_start=None, options=None):
     def record(q, col):
         mult, others, stable = _floquet_and_stability(col.Psi[-1, :, :m2])
         sysr.mu = q[m2 + 1]
-        Y = sysr.map_batch(_sample(col, q[m2], np.linspace(0.0, 1.0, opts.n_sample)))
+        Y = sysr.map_batch(_sample(col, q[m2], np.linspace(0.0, 1.0, _N_SAMPLE)))
         points.append(BranchPoint(q[m2 + 1], q[:m2].copy(), q[m2], periodic_peak(Y), mult,
                                   stable))
         return others
@@ -394,15 +404,12 @@ def continue_periodic(rom, mu_start=None, options=None):
     if rec["reason"]:
         meta["truncated"] = f"seed corrector: {rec['reason']}"
         return BifurcationDiagram(points, meta)
-    if opts.amp_cap is None:
-        amp_cap = 40.0 * max(np.linalg.norm(q[:m2]), 0.05)
-    else:
-        amp_cap = opts.amp_cap
+    amp_cap = 40.0 * max(np.linalg.norm(q[:m2]), 0.05)
     others = record(q, q_col)
     fold_prev = _fold_test(others)
     ns_prev = _ns_test(others)
 
-    ds = opts.ds0
+    ds = _DS0
     truncated_reason = ""
     while len(points) < opts.max_points:
         qn, Kn, col, it, rec, N = attempt(q, K, tangent, ds, tK, 4.0 * ds)
@@ -411,13 +418,13 @@ def continue_periodic(rom, mu_start=None, options=None):
             tK = np.zeros_like(K)
             continue
         if rec["reason"]:
-            if ds > opts.ds_min:
-                ds = max(ds / 2.0, opts.ds_min)
+            if ds > _DS_MIN:
+                ds = max(ds / 2.0, _DS_MIN)
                 continue
             truncated_reason = f"corrector failed at the minimum step: {rec['reason']}"
             break
         x_n, mu_n = qn[:m2], qn[m2 + 1]
-        if x_n @ q[:m2] <= 0 or np.linalg.norm(x_n) < opts.seed_amp:
+        if x_n @ q[:m2] <= 0 or np.linalg.norm(x_n) < _SEED_AMP:
             rec.update(accepted=False, reason="cycle shrank onto the fixed point")
             points[-1].event = "hopf"
             truncated_reason = f"branch ended at a Hopf point near mu = {q[m2 + 1]:.6g}"
@@ -443,10 +450,10 @@ def continue_periodic(rom, mu_start=None, options=None):
         q, K, q_col = qn, Kn, col
         if mu_n > opts.mu_max:
             break
-        if it + 1 <= opts.target_newton:
-            ds = min(ds * 1.4, opts.ds_max)
-        elif it + 1 >= opts.max_newton - 2:
-            ds = max(ds / 1.5, opts.ds_min)
+        if it + 1 <= _TARGET_NEWTON:
+            ds = min(ds * 1.4, _DS_MAX)
+        elif it + 1 >= _MAX_NEWTON - 2:
+            ds = max(ds / 1.5, _DS_MIN)
 
     meta["truncated"] = truncated_reason
     return BifurcationDiagram(points, meta)
@@ -472,14 +479,14 @@ class DiagramComparison:
     P_valid: float
 
 
-def diagram_compare(diag_a, diag_b, coord_a, coord_b=None, threshold=0.05):
-    """Interpolated amplitude comparison; diag_b is the reference.
+def diagram_compare(diag_a, diag_b, coord, threshold=0.05):
+    """Interpolated amplitude comparison of one coordinate; diag_b is the
+    reference.
 
     P_valid is the largest reference parameter, in ascending order, up to
     which the relative error stays within the threshold (first-exceedance
     rule); nan when the first compared point already exceeds it.
     """
-    coord_b = coord_a if coord_b is None else coord_b
     Pa = diag_a.absolute_parameter()
     Pb = diag_b.absolute_parameter()
     lo = max(Pa.min(), Pb.min())
@@ -487,11 +494,11 @@ def diagram_compare(diag_a, diag_b, coord_a, coord_b=None, threshold=0.05):
     if lo >= hi:
         raise ValueError("parameter ranges do not overlap")
     order_b = np.argsort(Pb)
-    Pb, amp_b = Pb[order_b], diag_b.amplitude(coord_b)[order_b]
+    Pb, amp_b = Pb[order_b], diag_b.amplitude(coord)[order_b]
     keep = (Pb >= lo - 1e-12) & (Pb <= hi + 1e-12)
     P, amp_b = Pb[keep], amp_b[keep]
     order_a = np.argsort(Pa)
-    amp_a = np.interp(P, Pa[order_a], diag_a.amplitude(coord_a)[order_a])
+    amp_a = np.interp(P, Pa[order_a], diag_a.amplitude(coord)[order_a])
     scale = np.maximum(np.abs(amp_b), 1e-12)
     rel = np.abs(amp_a - amp_b) / scale
     over = np.flatnonzero(rel > threshold)

@@ -417,13 +417,12 @@ def _solve_order(table, res, spectrum, B, At, ids, rhs, jdeps, W, f):
     return max_rel
 
 
-def build_rom_firstorder(dae: FirstOrderDAE, spectrum, order, r_tol=0.05,
-                         enforce_one_to_one=None, meta=None):
-    """Parametrisation of the augmented quadratic DAE around its fixed point."""
+def build_rom_firstorder(dae: FirstOrderDAE, spectrum, order, r_tol=0.05):
+    """Parametrisation of the augmented quadratic DAE around its fixed point;
+    two-mode (d = 4) runs classify resonances with the 1:1 enforcement."""
     d = spectrum.d
     nv = d + 1
-    if enforce_one_to_one is None:
-        enforce_one_to_one = d == 4
+    one_to_one = d == 4
     table = MonomialTable(nv, order)
     D = dae.dim
     B = dae.B
@@ -432,7 +431,7 @@ def build_rom_firstorder(dae: FirstOrderDAE, spectrum, order, r_tol=0.05,
 
     lam_vec = np.zeros(nv, dtype=complex)
     lam_vec[:d] = np.diag(spectrum.Lam)
-    res = classify_resonances(table, lam_vec, r_tol, enforce_one_to_one)
+    res = classify_resonances(table, lam_vec, r_tol, one_to_one)
 
     W = np.zeros((len(table), D), dtype=complex)
     f = np.zeros((len(table), nv), dtype=complex)
@@ -456,12 +455,11 @@ def build_rom_firstorder(dae: FirstOrderDAE, spectrum, order, r_tol=0.05,
         stats.append(_order_record(p, ids, res, (t0, t1, t2, time.perf_counter()), max_rel))
 
     rom_meta = {"engine": "first-order", "mu0": dae.mu0, "r_tol": r_tol,
-                "one_to_one": bool(enforce_one_to_one),
+                "one_to_one": one_to_one,
                 "jordan_pairs": [(int(i), int(j), complex(t).real) for i, j, t in jp],
                 "labels": list(dae.labels),
                 "displacement_indices": [int(i) for i in dae.displacement_indices],
                 "stats": stats}
-    rom_meta.update(meta or {})
     return ParametrisationROM(table, W, f, lam_vec[:d].copy(), spectrum.Lam.copy(),
                               spectrum.conj_map, None, rom_meta)
 
@@ -508,15 +506,15 @@ def _solve_order_secondorder(table, res, spectrum, mck, ids, fnl, g, jdeps, W, f
     return max_rel
 
 
-def build_rom_secondorder(model, spectrum, order, r_tol=0.05,
-                          enforce_one_to_one=None, meta=None):
+def build_rom_secondorder(model, spectrum, order, r_tol=0.05):
     """Halved-size parametrisation for second-order mechanical systems.
 
     Requires parameter-independent quadratic/cubic forces (models whose
     cubic scales with the load go through the quadratic recast and the
     first-order engine) and no parameter-only quadratic term; each monomial
     solves a displacement-sized bordered system and its velocity mapping is
-    recovered algebraically afterwards.
+    recovered algebraically afterwards.  Two-mode (d = 4) runs classify
+    resonances with the 1:1 enforcement.
     """
     if getattr(model, "cubic_scales_with_load", False):
         raise ValueError("load-scaled cubic forces require the quadratic recast "
@@ -526,8 +524,7 @@ def build_rom_secondorder(model, spectrum, order, r_tol=0.05,
 
     d = spectrum.d
     nv = d + 1
-    if enforce_one_to_one is None:
-        enforce_one_to_one = d == 4
+    one_to_one = d == 4
     n = model.ndof
     mck = tuple(np.asarray(a) for a in (model.mass(), model.damping(),
                                         model.tangent_stiffness()))
@@ -537,7 +534,7 @@ def build_rom_secondorder(model, spectrum, order, r_tol=0.05,
     table = MonomialTable(nv, order)
     lam_vec = np.zeros(nv, dtype=complex)
     lam_vec[:d] = np.diag(Lam)
-    res = classify_resonances(table, lam_vec, r_tol, enforce_one_to_one)
+    res = classify_resonances(table, lam_vec, r_tol, one_to_one)
 
     W = np.zeros((len(table), 2 * n), dtype=complex)
     f = np.zeros((len(table), nv), dtype=complex)
@@ -561,10 +558,9 @@ def build_rom_secondorder(model, spectrum, order, r_tol=0.05,
         stats.append(_order_record(p, ids, res, (t0, t1, t2, time.perf_counter()), max_rel))
 
     rom_meta = {"engine": "second-order", "mu0": getattr(model, "p0", 0.0),
-                "r_tol": r_tol, "one_to_one": bool(enforce_one_to_one),
+                "r_tol": r_tol, "one_to_one": one_to_one,
                 "jordan_pairs": [(int(i), int(j), complex(t).real) for i, j, t in jp],
                 "n_disp": n, "stats": stats}
-    rom_meta.update(meta or {})
     return ParametrisationROM(table, W, f, lam_vec[:d].copy(), Lam.copy(),
                               spectrum.conj_map, n, rom_meta)
 
@@ -602,6 +598,10 @@ def invariance_residual(rom, system, ztilde):
     return float(norms[0]) if ztilde.ndim == 1 else norms
 
 
+# sample directions of residual_slope and the seed that draws them
+_SLOPE_DIRS, _SLOPE_SEED = 6, 0
+
+
 def conjugate_sample(rom, radius, rng):
     """Random conjugate-consistent sample point at the given radius."""
     nv = rom.table.nvars
@@ -618,13 +618,14 @@ def conjugate_sample(rom, radius, rng):
     return z
 
 
-def residual_slope(rom, system, radii=None, n_dirs=6, seed=0):
+def residual_slope(rom, system, radii=None):
     """Log-log slope of the invariance residual against the sample radius;
-    the residual of a radius is the largest over its n_dirs sample points."""
+    the residual of a radius is the largest over _SLOPE_DIRS sample points
+    (the same seeded directions for every ROM)."""
     if radii is None:
         radii = np.logspace(-4, -2, 7)
-    rng = np.random.default_rng(seed)
-    dirs = np.array([conjugate_sample(rom, 1.0, rng) for _ in range(n_dirs)])
+    rng = np.random.default_rng(_SLOPE_SEED)
+    dirs = np.array([conjugate_sample(rom, 1.0, rng) for _ in range(_SLOPE_DIRS)])
     vals = np.array([invariance_residual(rom, system, r * dirs).max() for r in radii])
     slope = np.polyfit(np.log(radii), np.log(vals), 1)[0]
     return float(slope), vals

@@ -1,8 +1,7 @@
 """Benchmark model builders: Ziegler pendulums, a polynomial second-order
-model, their first-order recast, and static equilibrium."""
+model, and their first-order recast."""
 
 from .dae import FirstOrderDAE
-from .equilibrium import static_equilibrium
 from .ziegler import (ZieglerModel, build_ziegler, build_ziegler2, build_ziegler3,
                       recast_to_dae)
 from .cubic2 import PolynomialSecondOrderModel
@@ -15,6 +14,5 @@ __all__ = [
     "build_ziegler2",
     "build_ziegler3",
     "recast_to_dae",
-    "static_equilibrium",
 ]
 

@@ -5,9 +5,8 @@ Covers desk-scale mechanical systems of the form
     M U'' + C U' + Kt U + Gt(U, U) + H(U, U, U) - p Rt - p Ru U = 0
 
 with parameter-independent nonlinear forces, the shape handled by the
-halved second-order reduction engine.  Used directly in tests (the
-dual-engine cross-check) and as the small-system reference for the
-quadrature-backed finite element model.
+halved second-order reduction engine, and the system of the dual-engine
+cross-check (second- against first-order engine).
 """
 
 from __future__ import annotations
@@ -82,14 +81,3 @@ class PolynomialSecondOrderModel:
                                               U[table.ids_of_order(p3)],
                                               table.product_ids(p1, p2, p3), n_p)
         return out
-
-    def fom_rhs(self, p):
-        Minv = np.linalg.inv(self.M)
-
-        def rhs(t, x):
-            U, V = x[:self.n], x[self.n:]
-            force = (p * self.Rt + p * self.Ru @ U - self.Kt @ U - self.C @ V
-                     - self.nonlinear_force(U))
-            return np.concatenate([V, Minv @ force])
-
-        return rhs

@@ -13,11 +13,9 @@ generic first-order engine rather than the second-order one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
-
 import numpy as np
 
-from ..polytensor import SparseBilinearForm, SparseTrilinearForm
+from ..polytensor import SparseBilinearForm
 from .dae import FirstOrderDAE
 
 
@@ -38,36 +36,9 @@ class ZieglerModel:
     cubic_terms: list[tuple[int, int, int, float]] = field(default_factory=list)
     cubic_scales_with_load: bool = True
 
-    @property
-    def ndof(self):
-        return self.n
-
-    def kg_matrix(self, P):
-        return -P * self.Ru
-
     def linear_pencil(self, P):
         """(M, C, K_eff) of the linearization about the upright equilibrium."""
         return self.M, self.C, self.K - P * self.Ru
-
-    def equilibrium(self, P):
-        # the upright position solves the truncated equations for any load
-        return np.zeros(self.n)
-
-    def cubic_force(self, P, theta):
-        """LHS cubic force vector at load P."""
-        f = np.zeros(self.n, dtype=np.result_type(float, theta.dtype))
-        for row, a, b, coeff in self.cubic_terms:
-            f[row] += coeff * P * (theta[a] - theta[b]) ** 3
-        return f
-
-    def cubic_form(self):
-        """Load-normalized cubic as an explicit trilinear form (P = 1 shape)."""
-        entries = []
-        for row, a, b, coeff in self.cubic_terms:
-            for i, j, k in product((a, b), repeat=3):
-                sign = (-1) ** ((i == b) + (j == b) + (k == b))
-                entries.append((row, i, j, k, sign * coeff))
-        return SparseTrilinearForm.from_entries(self.n, self.n, entries)
 
     def fom_rhs(self, P):
         """First-order RHS on x = [theta, thetadot] for direct integration.
@@ -98,22 +69,6 @@ class ZieglerModel:
         """Mechanical energy of the conservative truncation (valid at P = 0)."""
         th, v = x[:self.n], x[self.n:]
         return 0.5 * v @ self.M @ v + 0.5 * th @ self.K @ th
-
-    # protocol hooks for the shared static solver
-    def residual(self, U, p):
-        return (self.K - p * self.Ru) @ U + self.cubic_force(p, U)
-
-    def tangent(self, U, p):
-        Kt = self.K - p * self.Ru
-        for row, a, b, coeff in self.cubic_terms:
-            d = 3.0 * coeff * p * (U[a] - U[b]) ** 2
-            Kt = Kt.copy()
-            Kt[row, a] += d
-            Kt[row, b] -= d
-        return Kt
-
-    def load_vector(self, p):
-        return np.zeros(self.n)
 
 
 def _check_positive(**params):

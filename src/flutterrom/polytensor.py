@@ -3,7 +3,7 @@
 This is the arithmetic substrate shared by the model builders and the
 reduction engines: graded-lexicographic monomial enumeration over the
 normal coordinates plus the control-parameter slot, and coordinate-format
-bilinear/trilinear forms with vector, matrix and partial contractions.
+bilinear/trilinear forms with vector, blockwise and partial contractions.
 
 Each monomial also carries a mixed-radix integer code with radix
 max_order + 1, so that code(a + b) = code(a) + code(b).  The homological
@@ -294,20 +294,6 @@ class SparseBilinearForm:
         return sp.coo_matrix((self.val * v[self.j], (self.p, self.i)),
                              shape=(self.dim_out, self.dim_in1)).tocsr()
 
-    def apply_matrix_left(self, A, v):
-        """[Q(A, v)]_pq = Q_pij A_iq v_j  (matrix in the first slot)."""
-        A = np.asarray(A)
-        if A.shape[0] != self.dim_in1:
-            raise ValueError("matrix rows must match the first input dimension")
-        return self.contract_right(v) @ A
-
-    def apply_matrix_right(self, u, A):
-        """[Q(u, A)]_pq = Q_pij u_i A_jq  (matrix in the second slot)."""
-        A = np.asarray(A)
-        if A.shape[0] != self.dim_in2:
-            raise ValueError("matrix rows must match the second input dimension")
-        return self.contract_left(u) @ A
-
 
 @dataclass
 class SparseTrilinearForm:
@@ -352,13 +338,6 @@ class SparseTrilinearForm:
         (n_targets, dim_out) array."""
         return _scatter_products(self, (self.i, self.j, self.k), (U1, U2, U3),
                                  targets, n_targets)
-
-    def contract_first_two(self, u, v):
-        """Matrix H(u, v, .): rows p, columns the third slot."""
-        u = _check_vec(u, self.dim_in, "u")
-        v = _check_vec(v, self.dim_in, "v")
-        return sp.coo_matrix((self.val * u[self.i] * v[self.j], (self.p, self.k)),
-                             shape=(self.dim_out, self.dim_in)).tocsr()
 
 
 def monomial_count(p, nvars):

@@ -9,13 +9,22 @@ polynomial mapping and are real up to round-off for real models.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import DOP853, solve_ivp
 
 from .polytensor import polynomial_eval
 from .spectral import _pencil_eigs_at, _select_masters
+
+
+# the most periods a settle loop may take, the absolute tolerance and final
+# period samples of every cycle measurement, the relative tolerances of ROM
+# and FOM integrations, and the FOM's seed amplitude and settling tolerance
+# (the ROM's defaults)
+_MAX_PERIODS, _ATOL, _N_SAMPLE = 2000, 1e-12, 1024
+_ROM_RTOL, _FOM_RTOL = 1e-9, 1e-10
+_AMP0, _SETTLE_RTOL = 1e-4, 1e-4
 
 
 class BlowUpError(RuntimeError):
@@ -207,13 +216,12 @@ class RealizedReducedSystem:
     def dfdmu(self, x):
         return self._monomials(x, self._f_index0).T.dot(self._f_dmu).view(float)
 
-    def map_to_physical(self, x, check_real=True):
-        z = self.complex_state(x)
-        y = self.rom.evaluate_mapping(z)
-        if check_real:
-            scale = max(np.abs(y).max(), 1e-30)
-            if np.abs(y.imag).max() > 1e-8 * scale:
-                raise RuntimeError("mapped state has a non-negligible imaginary part")
+    def map_to_physical(self, x):
+        """The mapping at one realified state; raises when its imaginary
+        part exceeds 1e-8 of its size (W breaks conjugate symmetry)."""
+        y = self.rom.evaluate_mapping(self.complex_state(x))
+        if np.abs(y.imag).max() > 1e-8 * max(np.abs(y).max(), 1e-30):
+            raise RuntimeError("mapped state has a non-negligible imaginary part")
         return y.real
 
     def map_batch(self, X):
@@ -227,19 +235,17 @@ class RealizedReducedSystem:
         return (self._monomials(X, self._W_index).T @ self._W_coef).real
 
 
-def integrate_reduced(rom, mu, z0, t_end, rtol=1e-10, atol=1e-12,
-                      escape_radius=None, t_eval=None, dense_output=False):
+def integrate_reduced(rom, mu, z0, t_end, rtol=1e-10, atol=1e-12, t_eval=None,
+                      dense_output=False):
     """Adaptive integration of the realified reduced dynamics.
 
-    z0 is one complex amplitude per representative coordinate (or an
-    already-realified state vector).  Raises BlowUpError when the reduced
-    state leaves the escape radius.
+    z0 is one complex amplitude per representative coordinate.  Raises
+    BlowUpError when the reduced state leaves the escape radius
+    1e3 max(|x0|, 1e-2).
     """
     sysr = RealizedReducedSystem(rom, mu)
-    x0 = z0 if (np.ndim(z0) == 1 and len(z0) == 2 * sysr.m and not np.iscomplexobj(z0)) \
-        else sysr.real_state(z0)
-    if escape_radius is None:
-        escape_radius = 1e3 * max(np.linalg.norm(x0), 1e-2)
+    x0 = sysr.real_state(z0)
+    escape_radius = 1e3 * max(np.linalg.norm(x0), 1e-2)
 
     def escape(t, x):
         return np.linalg.norm(x) - escape_radius
@@ -321,8 +327,8 @@ def _measure_settled_cycle(rhs, x0, T0, observe, settle_rtol, max_periods, rtol,
     return "no-convergence", max_periods, X[-1].copy(), solver.nfev
 
 
-def _limit_cycle(rhs, x0, T0, physical, dim, param, coord, settle_rtol, max_periods,
-                 rtol, atol, n_sample, escape_radius=np.inf):
+def _limit_cycle(rhs, x0, T0, physical, dim, param, coord, settle_rtol, rtol,
+                 escape_radius=np.inf):
     """Settle from x0 on the amplitude of physical coordinate `coord`, then
     take max |physical(x)| per coordinate over one final period, refined by
     a flow-orthogonal return-time solve.  Decay reports zero amplitude."""
@@ -330,23 +336,22 @@ def _limit_cycle(rhs, x0, T0, physical, dim, param, coord, settle_rtol, max_peri
     try:
         status, periods, anchor, nfev = _measure_settled_cycle(
             rhs, x0, T0, lambda X: float(np.max(np.abs(physical(X)[:, coord]))),
-            settle_rtol, max_periods, rtol, atol, escape_radius)
+            settle_rtol, _MAX_PERIODS, rtol, _ATOL, escape_radius)
     except BlowUpError as exc:
         return LimitCycleMeasurement(param, zero, 0.0, False, 0, "blow-up", exc.nfev)
     if status != "settled":
         decayed = status == "decayed"
         reason = "decayed to the fixed point" if decayed else "settling tolerance not reached"
         return LimitCycleMeasurement(param, zero, 0.0, decayed, periods, reason, nfev)
-    T, nfev_return = _return_time(rhs, anchor, T0, rtol, atol)
-    sol = solve_ivp(rhs, (0.0, T), anchor, method="DOP853", rtol=rtol, atol=atol,
+    T, nfev_return = _return_time(rhs, anchor, T0, rtol, _ATOL)
+    sol = solve_ivp(rhs, (0.0, T), anchor, method="DOP853", rtol=rtol, atol=_ATOL,
                     dense_output=True)
-    amplitude = periodic_peak(physical(sol.sol(np.linspace(0.0, T, n_sample)).T))
+    amplitude = periodic_peak(physical(sol.sol(np.linspace(0.0, T, _N_SAMPLE)).T))
     return LimitCycleMeasurement(param, amplitude, T, True, periods, "",
                                  nfev + nfev_return + sol.nfev)
 
 
-def measure_limit_cycle(rom, mu, coord=0, amp0=1e-4, settle_rtol=1e-4,
-                        max_periods=2000, rtol=1e-9, atol=1e-12, n_sample=1024):
+def measure_limit_cycle(rom, mu, coord=0, amp0=_AMP0, settle_rtol=_SETTLE_RTOL):
     """Amplitude of the settled limit cycle in physical coordinates.
 
     Integrates from a small perturbation along the leading master
@@ -358,12 +363,12 @@ def measure_limit_cycle(rom, mu, coord=0, amp0=1e-4, settle_rtol=1e-4,
     sysr = RealizedReducedSystem(rom, mu)
     x0 = sysr.real_state([amp0] + [0.0] * (sysr.m - 1))
     return _limit_cycle(sysr.rhs, x0, 2 * np.pi / abs(rom.lam[0].imag), sysr.map_batch,
-                        rom.dim, mu, coord, settle_rtol, max_periods, rtol, atol, n_sample,
+                        rom.dim, mu, coord, settle_rtol, _ROM_RTOL,
                         escape_radius=1e3 * max(amp0, 1e-2))
 
 
 def trace_unstable_manifold(rom, mu, n_radial=4, n_angle=12, r_scale=1e-3,
-                            t_end=None, n_samples=400, rtol=1e-9, atol=1e-12):
+                            t_end=None, n_samples=400):
     """Family of trajectories spanned by the leading master coordinate.
 
     Returns a list of (trajectory id, times, physical coordinates) tuples;
@@ -383,7 +388,7 @@ def trace_unstable_manifold(rom, mu, n_radial=4, n_angle=12, r_scale=1e-3,
             z0 = [r * np.exp(1j * phi)] + [0.0] * (sysr.m - 1)
             ts = np.linspace(0.0, t_end, n_samples)
             try:
-                sol = integrate_reduced(rom, mu, z0, t_end, rtol=rtol, atol=atol,
+                sol = integrate_reduced(rom, mu, z0, t_end, rtol=_ROM_RTOL, atol=_ATOL,
                                         t_eval=ts)
                 Y = sysr.map_batch(sol.y.T)
                 out.append((tid, ts, Y, ""))
@@ -408,27 +413,9 @@ def _leading_mode(model, p, scale):
     return w[lead], x
 
 
-def leading_mode_ic(model, p, scale=1e-4):
-    """Initial condition along the real part of the leading eigenvector."""
-    return _leading_mode(model, p, scale)[1]
-
-
-def integrate_fom(model, p, x0=None, t_end=100.0, rtol=1e-10, atol=1e-12,
-                  t_eval=None):
-    """Direct integration of the full equations of motion (ODE models)."""
-    if x0 is None:
-        x0 = leading_mode_ic(model, p)
-    rhs = model.fom_rhs(p)
-    sol = solve_ivp(rhs, (0.0, t_end), x0, method="DOP853", rtol=rtol, atol=atol,
-                    t_eval=t_eval, dense_output=True)
-    return sol
-
-
-def measure_limit_cycle_fom(model, p, coord=0, amp0=1e-4, settle_rtol=1e-4,
-                            max_periods=2000, rtol=1e-10, atol=1e-12,
-                            omega_ref=None, n_sample=1024):
-    """FOM limit-cycle amplitude by direct time integration (ODE models)."""
-    lam, x0 = _leading_mode(model, p, amp0)
-    omega = omega_ref or abs(lam.imag)
-    return _limit_cycle(model.fom_rhs(p), x0, 2 * np.pi / omega, lambda X: X, len(x0), p,
-                        coord, settle_rtol, max_periods, rtol, atol, n_sample)
+def measure_limit_cycle_fom(model, p, coord=0):
+    """FOM limit-cycle amplitude by direct time integration (ODE models),
+    settled from _AMP0 times the leading eigenvector at load p."""
+    lam, x0 = _leading_mode(model, p, _AMP0)
+    return _limit_cycle(model.fom_rhs(p), x0, 2 * np.pi / abs(lam.imag), lambda X: X,
+                        len(x0), p, coord, _SETTLE_RTOL, _FOM_RTOL)

@@ -25,10 +25,6 @@ class JordanEnforcementError(RuntimeError):
     pass
 
 
-class TrackingError(RuntimeError):
-    pass
-
-
 @dataclass
 class Spectrum:
     """Master eigen-triplet of the augmented system.
@@ -53,10 +49,6 @@ class Spectrum:
     @property
     def d(self):
         return len(self.lam)
-
-    @property
-    def dim(self):
-        return self.Y.shape[0]
 
     def Yu(self):
         if self.n_disp is None:
@@ -311,8 +303,7 @@ def _golden_min(f, a, b, xtol, max_iter=200):
             a, c, fc = c, d_, fd
             d_ = a + invphi * (b - a)
             fd = f(d_)
-    x = 0.5 * (a + b)
-    return x, f(x)
+    return 0.5 * (a + b)
 
 
 def eigen_sweep(model, param_range, n_points, n_track=None, mac_threshold=0.8):
@@ -385,8 +376,8 @@ def eigen_sweep(model, param_range, n_points, n_track=None, mac_threshold=0.8):
     if np.isfinite(gaps[i_min]):
         a = grid[max(i_min - 1, 0)]
         b = grid[min(i_min + 1, len(grid) - 1)]
-        P_c, gap_min = _golden_min(fresh(gap), a, b, xtol=1e-12 * max(abs(b), 1.0))
-        scale = _closest_pair(_pencil_eigs_at(model, P_c))[1]
+        P_c = _golden_min(fresh(gap), a, b, xtol=1e-12 * max(abs(b), 1.0))
+        gap_min, scale, _ = _closest_pair(_pencil_eigs_at(model, P_c))
         events["P_c"] = P_c
         events["gap_at_Pc"] = gap_min
         events["scale_at_Pc"] = scale
@@ -423,13 +414,17 @@ def detect_exceptional_point(traj, model):
 
 # -- Jordan enforcement -------------------------------------------------------
 
-def _null_pair_construction(B, At, lam_bar, tau, Y_i):
+# the imposed off-diagonal coupling Lam_ij of a Jordan pair
+_TAU = 1.0
+
+
+def _null_pair_construction(B, At, lam_bar, Y_i):
     """Right/left Jordan chains of (At - lam_bar B) via SVD null spaces.
 
     Used when the raw eigenvalue gap is below working precision so the
     closed-form combination of the raw eigenvectors would be pure round-off.
     Returns (Ybar_i, Ybar_j, Xdir_i, Xdir_j) with the chain relations
-      (At - lam_bar B) Ybar_j = tau B Ybar_i,   (At - lam_bar B) Ybar_i = 0
+      (At - lam_bar B) Ybar_j = _TAU B Ybar_i,   (At - lam_bar B) Ybar_i = 0
     and the matching left relations, in the gauge Ybar_j orthogonal to
     Ybar_i and Ybar_i aligned with the raw eigenvector.
     """
@@ -445,24 +440,24 @@ def _null_pair_construction(B, At, lam_bar, tau, Y_i):
     s_inv = np.zeros_like(s)
     s_inv[:-1] = 1.0 / s[:-1]
     pinv = (Vh.conj().T * s_inv) @ U.conj().T
-    w = pinv @ (tau * (B @ v))
+    w = pinv @ (_TAU * (B @ v))
     w = w - (np.vdot(v, w) / np.vdot(v, v)) * v
     # left null and left chain
     ul = U[:, -1]
     pinvH = pinv.conj().T
-    xi = pinvH @ (np.conj(tau) * (B.conj().T @ ul))
+    xi = pinvH @ (np.conj(_TAU) * (B.conj().T @ ul))
     xi = xi - (np.vdot(ul, xi) / np.vdot(ul, ul)) * ul
     return v, w, xi, ul
 
 
-def enforce_jordan(spectrum, pair, tau=1.0):
-    """Impose a 2x2 Jordan coupling tau on a near-degenerate eigenvalue pair.
+def enforce_jordan(spectrum, pair):
+    """Impose a 2x2 Jordan coupling _TAU on a near-degenerate eigenvalue pair.
 
     Builds the modified triplet (Lam, Ybar, Xbar): Ybar_i = Y_i,
-    Ybar_j = tau/(lam_i - lam_j) (Y_i - Y_j/gamma_ij) with
+    Ybar_j = _TAU/(lam_i - lam_j) (Y_i - Y_j/gamma_ij) with
     gamma_ij = (Y_i* Y_j)/(Y_i* Y_i), left vectors from
     nu = ((X* B Y mu)*)^-1, giving Xbar* B Ybar = I and Xbar* At Ybar = Lam
-    with Lam_ij = tau, for the (B, At) in spectrum.ops.  When the raw gap is
+    with Lam_ij = _TAU, for the (B, At) in spectrum.ops.  When the raw gap is
     below 1e-7 (relative), the same objects are produced from SVD
     null/chain solves of (At - mean(lam) B), which is the numerically
     stable formulation of the identical construction; the pair then shares
@@ -491,17 +486,17 @@ def enforce_jordan(spectrum, pair, tau=1.0):
     if gap > 1e-7 * max(abs(lam_bar), 1.0):
         gamma = np.vdot(Y_i, Y_j) / np.vdot(Y_i, Y_i)
         mu = np.eye(spec.d, dtype=complex)
-        mu[i, j] = tau / (lam_i - lam_j)
-        mu[j, j] = -tau / (gamma * (lam_i - lam_j))
+        mu[i, j] = _TAU / (lam_i - lam_j)
+        mu[j, j] = -_TAU / (gamma * (lam_i - lam_j))
         Ybar = spec.Y @ mu
         G = spec.X.conj().T @ (B @ Ybar)
         nu = np.linalg.inv(G.conj().T)
         Xbar = spec.X @ nu
         spec.Y = Ybar
         spec.X = Xbar
-        spec.Lam[i, j] = tau
+        spec.Lam[i, j] = _TAU
     else:
-        v, w, xi, ul = _null_pair_construction(B, At, lam_bar, tau, Y_i)
+        v, w, xi, ul = _null_pair_construction(B, At, lam_bar, Y_i)
         Ypair = np.column_stack([v, w])
         Xdir = np.column_stack([xi, ul])
         G = Xdir.conj().T @ (B @ Ypair)
@@ -511,9 +506,9 @@ def enforce_jordan(spectrum, pair, tau=1.0):
         spec.X[:, [i, j]] = Xpair
         spec.lam[i] = spec.lam[j] = lam_bar
         spec.Lam[i, i] = spec.Lam[j, j] = lam_bar
-        spec.Lam[i, j] = tau
+        spec.Lam[i, j] = _TAU
 
-    spec.jordan_pairs = list(spec.jordan_pairs) + [(i, j, tau)]
+    spec.jordan_pairs = list(spec.jordan_pairs) + [(i, j, _TAU)]
 
     if spec.conj_map is not None:
         ic, jc = int(spec.conj_map[i]), int(spec.conj_map[j])
@@ -527,6 +522,6 @@ def enforce_jordan(spectrum, pair, tau=1.0):
             spec.lam[jc] = np.conj(spec.lam[j])
             spec.Lam[ic, ic] = np.conj(spec.Lam[i, i])
             spec.Lam[jc, jc] = np.conj(spec.Lam[j, j])
-            spec.Lam[ic, jc] = np.conj(tau)
-            spec.jordan_pairs.append((ic, jc, np.conj(tau)))
+            spec.Lam[ic, jc] = np.conj(_TAU)
+            spec.jordan_pairs.append((ic, jc, np.conj(_TAU)))
     return spec

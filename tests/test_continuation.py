@@ -10,6 +10,15 @@ from flutterrom.continuation import (
     BifurcationDiagram,
     BranchPoint,
     ContinuationError,
+    _DS0,
+    _DS_MAX,
+    _DS_MIN,
+    _MAX_NEWTON,
+    _N_SAMPLE,
+    _NEWTON_TOL,
+    _RTOL,
+    _SEED_AMP,
+    _TARGET_NEWTON,
     ContinuationOptions,
     _correct,
     _floquet_and_stability,
@@ -49,23 +58,23 @@ ATOL = 1e-12  # absolute tolerance of the oracles' time integrations
 # -- the settled seed: the oracle of the Hopf seed -----------------------------
 
 
-def _initial_cycle(rom, mu, opts, max_periods=600):
+def _initial_cycle(rom, mu, max_periods=600):
     """Seed anchor/period from an integration at fixed mu, settled from a
-    seed_amp perturbation of the leading coordinate, and the seed record
+    _SEED_AMP perturbation of the leading coordinate, and the seed record
     {periods, status}; status is "settled", or "no-convergence" when
     max_periods ran out first."""
     sysr = RealizedReducedSystem(rom, mu)
     T0 = 2 * np.pi / abs(rom.lam[0].imag)
-    x0 = sysr.real_state([opts.seed_amp] + [0.0] * (sysr.m - 1))
+    x0 = sysr.real_state([_SEED_AMP] + [0.0] * (sysr.m - 1))
     try:
         status, periods, x, _ = _measure_settled_cycle(
             sysr.rhs, x0, T0, lambda X: float(np.max(np.abs(X))), 3e-4,
-            max_periods, opts.rtol, ATOL, escape_radius=1e3 * max(opts.seed_amp, 1e-2))
+            max_periods, _RTOL, ATOL, escape_radius=1e3 * max(_SEED_AMP, 1e-2))
     except BlowUpError as exc:
         raise ContinuationError(f"seed trajectory at mu = {mu}: {exc}") from exc
     if status == "decayed":
         raise ContinuationError(f"trajectory decays at mu = {mu}: no cycle to seed")
-    T, _ = _return_time(sysr.rhs, x, T0, opts.rtol, ATOL)
+    T, _ = _return_time(sysr.rhs, x, T0, _RTOL, ATOL)
     return x, T, {"periods": periods, "status": status}
 
 
@@ -99,16 +108,16 @@ def _flow_with_variations(sysr, x0, T, mu, rtol, atol, sensitivity=True):
     return xT, Mono, smu
 
 
-def _newton_fixed_mu(sysr, x, T, mu, opts):
+def _newton_fixed_mu(sysr, x, T, mu):
     """Polish (anchor, period) at fixed parameter by shooting Newton."""
     m2 = 2 * sysr.m
-    for _ in range(opts.max_newton):
+    for _ in range(_MAX_NEWTON):
         nvec = sysr.rhs(0.0, x)
         nvec /= np.linalg.norm(nvec)
-        xT, Mono, _ = _flow_with_variations(sysr, x, T, mu, opts.rtol, ATOL,
+        xT, Mono, _ = _flow_with_variations(sysr, x, T, mu, _RTOL, ATOL,
                                             sensitivity=False)
         F = np.concatenate([xT - x, [0.0]])
-        if np.linalg.norm(F) < opts.newton_tol * max(1.0, np.linalg.norm(x)):
+        if np.linalg.norm(F) < _NEWTON_TOL * max(1.0, np.linalg.norm(x)):
             return x, T, Mono
         J = np.zeros((m2 + 1, m2 + 1))
         J[:m2, :m2] = Mono - np.eye(m2)
@@ -128,20 +137,20 @@ def shooting_branch(rom, opts):
     spacing either side of it.  Same seed, rows, convergence test and step
     rule as continue_periodic."""
     mu_H = find_hopf(rom)
-    mu_start = mu_H + max(4 * opts.ds0, 0.01 * max(abs(mu_H), 1.0))
+    mu_start = mu_H + max(4 * _DS0, 0.01 * max(abs(mu_H), 1.0))
     sysr = RealizedReducedSystem(rom, mu_start)
     m2 = 2 * sysr.m
-    x, _, T, _ = _hopf_seed(rom, mu_H, mu_start, opts)
-    x, T, Mono = _newton_fixed_mu(sysr, x, T, mu_start, opts)
+    x, _, T, _ = _hopf_seed(rom, mu_H, mu_start)
+    x, T, Mono = _newton_fixed_mu(sysr, x, T, mu_start)
     amp_cap = 40.0 * max(np.linalg.norm(x), 0.05)
     points = []
 
     def record(x, T, mu, Mono):
         mult, others, stable = _floquet_and_stability(Mono)
         sysr.mu = mu
-        sol = solve_ivp(sysr.rhs, (0.0, T), x, method="DOP853", rtol=opts.rtol,
+        sol = solve_ivp(sysr.rhs, (0.0, T), x, method="DOP853", rtol=_RTOL,
                         atol=ATOL, dense_output=True)
-        t, dt = np.linspace(0.0, T, opts.n_sample, retstep=True)
+        t, dt = np.linspace(0.0, T, _N_SAMPLE, retstep=True)
         tops = t[np.argmax(np.abs(sysr.map_batch(sol.sol(t).T)), axis=0)]
         amp = [np.abs(sysr.map_batch(sol.sol(np.mod(np.linspace(-dt, dt, 2001) + top, T)).T)
                       [:, c]).max() for c, top in enumerate(tops)]
@@ -153,18 +162,18 @@ def shooting_branch(rom, opts):
     q = np.concatenate([x, [T, mu_start]])
     tangent = np.zeros(m2 + 2)
     tangent[-1] = 1.0
-    ds = opts.ds0
+    ds = _DS0
     truncated = ""
     while len(points) < opts.max_points:
         qn = q + ds * tangent
         converged = False
-        for it in range(opts.max_newton):
+        for it in range(_MAX_NEWTON):
             x_n, T_n, mu_n = qn[:m2], qn[m2], qn[m2 + 1]
             nvec = sysr.rhs(0.0, q[:m2])
             nvec /= np.linalg.norm(nvec)
-            xT, Mono, smu = _flow_with_variations(sysr, x_n, T_n, mu_n, opts.rtol, ATOL)
+            xT, Mono, smu = _flow_with_variations(sysr, x_n, T_n, mu_n, _RTOL, ATOL)
             F = np.concatenate([xT - x_n, [nvec @ (x_n - q[:m2])], [tangent @ (qn - q) - ds]])
-            if np.linalg.norm(F) < opts.newton_tol * max(1.0, np.linalg.norm(qn)):
+            if np.linalg.norm(F) < _NEWTON_TOL * max(1.0, np.linalg.norm(qn)):
                 converged = True
                 break
             J = np.zeros((m2 + 2, m2 + 2))
@@ -175,8 +184,8 @@ def shooting_branch(rom, opts):
             J[m2 + 1] = tangent
             qn = qn + sla.solve(J, -F)
         if not converged:
-            if ds > opts.ds_min:
-                ds = max(ds / 2.0, opts.ds_min)
+            if ds > _DS_MIN:
+                ds = max(ds / 2.0, _DS_MIN)
                 continue
             truncated = "shooting Newton stalled at the minimum step"
             break
@@ -195,10 +204,10 @@ def shooting_branch(rom, opts):
         q = qn
         if mu_n > opts.mu_max:
             break
-        if it + 1 <= opts.target_newton:
-            ds = min(ds * 1.4, opts.ds_max)
-        elif it + 1 >= opts.max_newton - 2:
-            ds = max(ds / 1.5, opts.ds_min)
+        if it + 1 <= _TARGET_NEWTON:
+            ds = min(ds * 1.4, _DS_MAX)
+        elif it + 1 >= _MAX_NEWTON - 2:
+            ds = max(ds / 1.5, _DS_MIN)
     return BifurcationDiagram(points, {"truncated": truncated})
 
 
@@ -292,6 +301,14 @@ def test_degenerate_hopf_point_raises():
         continue_periodic(hopf_normal_form_rom(c3=0.0))
 
 
+def test_non_oscillatory_crossing_raises():
+    # zdot = mu z - z|z|^2 with omega = 0: the growth rate changes sign through
+    # a real double eigenvalue, so there is no oscillatory pair to seed from
+    with pytest.raises(ContinuationError, match="no oscillatory eigenvalue pair at the Hopf "
+                                               "point mu = "):
+        continue_periodic(hopf_normal_form_rom(omega=0.0))
+
+
 def test_subcritical_hopf_point_raises():
     # zdot = (mu + i) z + z|z|^2: the cycles lie at mu < 0, none past the Hopf point
     with pytest.raises(ContinuationError, match="grows at mu = 0.2: .* lie below it"):
@@ -303,17 +320,17 @@ def test_decaying_seed_raises():
         continue_periodic(hopf_normal_form_rom(), mu_start=-0.1)
 
 
-def fixed_mu_cycle(sysr, x, K, T, mu, opts):
+def fixed_mu_cycle(sysr, x, K, T, mu):
     """The fixed-mu seed correction of continue_periodic: correct at mu,
     growing the mesh until the orbit meets rtol.  Returns (q, collocation)."""
     sysr.mu = mu
     q = np.append(x, [T, mu])
     fixed_mu = np.eye(len(q))[-1]
     while True:
-        q, K, col, _, _, reason = _correct(sysr, q, K, fixed_mu, 0.0, q, K, opts, np.inf,
+        q, K, col, _, _, reason = _correct(sysr, q, K, fixed_mu, 0.0, q, K, np.inf,
                                            (T / 4, 4 * T))
         assert reason == ""
-        N = _mesh_size(sysr, col, q[-2], opts.rtol)
+        N = _mesh_size(sysr, col, q[-2], _RTOL)
         if N == len(K):
             return q, col
         K = _sample(col, q[-2], _stage_times(N)).reshape(N, 4, -1)
@@ -350,20 +367,20 @@ def seed_roms(branch_rom):
 @pytest.mark.parametrize("label", ["one-mode", "two-mode", "jordan"])
 def test_hopf_seed_matches_settled_seed(seed_roms, label):
     # both seeds, corrected at the same fixed mu, land on the same cycle
-    rom, opts = seed_roms[label], ContinuationOptions()
+    rom = seed_roms[label]
     mu_H = find_hopf(rom)
-    mu = mu_H + max(4 * opts.ds0, 0.01 * max(abs(mu_H), 1.0))
+    mu = mu_H + max(4 * _DS0, 0.01 * max(abs(mu_H), 1.0))
     sysr = RealizedReducedSystem(rom, mu)
-    x, K, T, seed = _hopf_seed(rom, mu_H, mu, opts)
+    x, K, T, seed = _hopf_seed(rom, mu_H, mu)
     assert seed["newton"] >= 1 and seed["scale"] > 1.0
-    q, col = fixed_mu_cycle(sysr, x, K, T, mu, opts)
+    q, col = fixed_mu_cycle(sysr, x, K, T, mu)
 
-    xs, Ts, record = _initial_cycle(rom, mu, opts)
+    xs, Ts, record = _initial_cycle(rom, mu)
     assert record["status"] == "settled"
-    orbit = solve_ivp(sysr.rhs, (0.0, Ts), xs, method="DOP853", rtol=opts.rtol, atol=ATOL,
+    orbit = solve_ivp(sysr.rhs, (0.0, Ts), xs, method="DOP853", rtol=_RTOL, atol=ATOL,
                       dense_output=True)
     Ks = orbit.sol(Ts * _stage_times(16)).T.reshape(16, 4, -1)
-    qs, col_s = fixed_mu_cycle(sysr, xs, Ks, Ts, mu, opts)
+    qs, col_s = fixed_mu_cycle(sysr, xs, Ks, Ts, mu)
 
     assert abs(q[-2] / qs[-2] - 1.0) < 1e-9
     assert np.abs(orbit_max(col, q[-2]) - orbit_max(col_s, qs[-2])).max() < 1e-8
@@ -371,10 +388,10 @@ def test_hopf_seed_matches_settled_seed(seed_roms, label):
 
 def test_hopf_seed_radius_on_the_normal_form():
     # zdot = (mu + 1.3 i) z - z|z|^2: the cycle at mu has radius sqrt(mu)
-    rom, opts = hopf_normal_form_rom(omega=1.3), ContinuationOptions()
+    rom = hopf_normal_form_rom(omega=1.3)
     mu_H = find_hopf(rom)
     for mu in (0.02, 0.08, 0.3):
-        x, _, T, _ = _hopf_seed(rom, mu_H, mu, opts)
+        x, _, T, _ = _hopf_seed(rom, mu_H, mu)
         assert abs(np.linalg.norm(x) - np.sqrt(mu)) < 1e-8
         assert abs(T - 2 * np.pi / 1.3) < 1e-8
 
@@ -420,9 +437,8 @@ def test_mesh_meets_rtol_against_the_flow(branch_rom):
     # measured against a tight integration from the corrected anchor; the
     # seed mesh it rejects does not
     rom, mu = branch_rom[1], 0.1
-    opts = ContinuationOptions()
     sysr = RealizedReducedSystem(rom, mu)
-    x, T, _ = _initial_cycle(rom, mu, opts)
+    x, T, _ = _initial_cycle(rom, mu)
     q = np.append(x, [T, mu])
     fixed_mu = np.eye(len(q))[-1]
     orbit = solve_ivp(sysr.rhs, (0.0, T), x, method="DOP853", rtol=1e-13, atol=1e-15,
@@ -430,7 +446,7 @@ def test_mesh_meets_rtol_against_the_flow(branch_rom):
     t = np.linspace(0.0, 1.0, 401)
 
     def corrected_error(K):
-        qn, _, col, _, _, reason = _correct(sysr, q, K, fixed_mu, 0.0, q, K, opts, np.inf,
+        qn, _, col, _, _, reason = _correct(sysr, q, K, fixed_mu, 0.0, q, K, np.inf,
                                             (T / 4, 4 * T))
         assert reason == ""
         flow = solve_ivp(sysr.rhs, (0.0, qn[-2]), qn[:-2], method="DOP853", rtol=1e-13,
@@ -439,12 +455,12 @@ def test_mesh_meets_rtol_against_the_flow(branch_rom):
         return err, col, qn[-2]
 
     err, col, Tn = corrected_error(orbit.sol(T * _stage_times(16)).T.reshape(16, 4, -1))
-    N = _mesh_size(sysr, col, Tn, opts.rtol)
-    assert err > opts.rtol and N > 16
+    N = _mesh_size(sysr, col, Tn, _RTOL)
+    assert err > _RTOL and N > 16
     refined = _sample(col, Tn, _stage_times(N)).reshape(N, 4, -1)
     err, col, Tn = corrected_error(refined)
-    assert err <= opts.rtol
-    assert _mesh_size(sysr, col, Tn, opts.rtol) == N
+    assert err <= _RTOL
+    assert _mesh_size(sysr, col, Tn, _RTOL) == N
 
 
 def test_trace_accounts_for_every_step(branch):

@@ -229,7 +229,7 @@ class TestInvariance:
         # expansion exactly at the exceptional point needs the imposed block
         m = build_ziegler2(1, 1, 1, 1, 1)
         dae = recast_to_dae(m, mu0=2.0)
-        spec = enforce_jordan(solve_master_eigen(dae, d=4), (0, 2), tau=1.0)
+        spec = enforce_jordan(solve_master_eigen(dae, d=4), (0, 2))
         rom = build_rom_firstorder(dae, spec, order=3)
         slope, _ = residual_slope(rom, dae, radii=np.logspace(-2, -1, 5))
         assert slope >= 4 - 0.3

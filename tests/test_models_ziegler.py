@@ -8,7 +8,6 @@ from flutterrom.models import (
     build_ziegler2,
     build_ziegler3,
     recast_to_dae,
-    static_equilibrium,
 )
 
 
@@ -26,10 +25,10 @@ class TestZiegler2:
         assert np.allclose(m.K, [[2, -1], [-1, 1]])
 
     def test_kg_matrix(self):
+        # the follower load's stiffness Kg = -P Ru enters the linear pencil
         m = build_ziegler2(1, 1, 1, 1, 1)
-        assert np.allclose(m.kg_matrix(1.0), [[-1, 1], [0, 0]])
-        # Ru reproduces -Kg/P
-        assert np.allclose(m.Ru, -m.kg_matrix(1.0))
+        assert np.allclose(-m.Ru, [[-1, 1], [0, 0]])
+        assert np.allclose(m.linear_pencil(1.0)[2] - m.K, -m.Ru)
 
     def test_zero_damping(self):
         m = build_ziegler2(1, 1, 1, 1, 1, xi_m=0.0, xi_k=0.0)
@@ -46,13 +45,15 @@ class TestZiegler2:
             build_ziegler2(1, 1, 1, -2, 1)
 
     def test_cubic_force_shape(self):
+        # one cubic term, +P L/6 (th_1 - th_2)^3 on row 0, seen through the
+        # accelerations of the FOM rhs at rest
         m = build_ziegler2(1, 1, 1, 1, 1)
+        assert m.cubic_terms == [(0, 0, 1, 1.0 / 6.0)]
         th = np.array([0.3, -0.1])
-        f = m.cubic_force(2.0, th)
-        assert np.allclose(f, [2.0 / 6.0 * (0.4) ** 3, 0.0])
-        # trilinear-form view agrees, with the load factored out
-        H = m.cubic_form()
-        assert np.allclose(2.0 * H.apply(th, th, th), f, atol=1e-14)
+        f = np.array([2.0 / 6.0 * (0.4) ** 3, 0.0])
+        acc = m.fom_rhs(2.0)(0.0, np.concatenate([th, np.zeros(2)]))[2:]
+        assert np.allclose(acc, -np.linalg.solve(m.M, (m.K - 2.0 * m.Ru) @ th + f),
+                           rtol=1e-14, atol=1e-15)
 
 
 class TestZiegler3:
@@ -66,12 +67,17 @@ class TestZiegler3:
 
     def test_kg(self):
         m = build_ziegler3(1, 1, 1, 1, 1, 1, 1)
-        assert np.allclose(m.kg_matrix(1.0), [[-1, 0, 1], [0, -1, 1], [0, 0, 0]])
+        assert np.allclose(-m.Ru, [[-1, 0, 1], [0, -1, 1], [0, 0, 0]])
 
     def test_equal_angles_give_zero_cubic(self):
+        # every cubic term is a power of th_i - th_3: equal angles leave only
+        # the linear accelerations
         m = build_ziegler3(2, 1, 0.5, 3, 2, 1, 1)
+        assert [(row, a, b) for row, a, b, _ in m.cubic_terms] == [(0, 0, 2), (1, 1, 2)]
         th = 0.37 * np.ones(3)
-        assert np.allclose(m.cubic_force(5.0, th), 0)
+        acc = m.fom_rhs(5.0)(0.0, np.concatenate([th, np.zeros(3)]))[3:]
+        assert np.allclose(acc, -np.linalg.solve(m.M, (m.K - 5.0 * m.Ru) @ th),
+                           rtol=1e-13, atol=1e-15)
 
     def test_matrices_random_parameters(self):
         # entry-by-entry against the closed forms, random positive parameters
@@ -210,15 +216,3 @@ class TestRecast:
         m = build_ziegler2(1, 1, 1, 1, 1)
         dae = recast_to_dae(m, mu0=2.0)
         assert np.allclose(dae.parameter_column(), 0)
-
-
-class TestStaticEquilibrium:
-    def test_ziegler_upright(self):
-        m = build_ziegler2(1, 1, 1, 1, 1)
-        U = static_equilibrium(m, 1.5)
-        assert np.allclose(U, 0, atol=1e-12)
-
-    def test_ziegler3_upright(self):
-        m = build_ziegler3(1, 1, 1, 1, 1, 1, 1)
-        U = static_equilibrium(m, 0.8)
-        assert np.allclose(U, 0, atol=1e-12)

@@ -256,28 +256,26 @@ class TestBilinear:
         assert np.allclose(lhs, rhs, atol=1e-12)
 
     def test_matrix_contractions_pull_out_identity(self):
-        # Q(y0, I) and Q(I, y0) reproduce Q(y0, y) and Q(y, y0)
+        # the matrices Q(y0, .) and Q(., y0) reproduce Q(y0, y) and Q(y, y0)
         rng = np.random.default_rng(3)
         dim = 6
         Q = random_bilinear(rng, dim)
         y0 = rng.standard_normal(dim)
         y = rng.standard_normal(dim)
-        I = np.eye(dim)
-        assert np.allclose(Q.apply_matrix_right(y0, I) @ y, Q.apply(y0, y), atol=1e-13)
-        assert np.allclose(Q.apply_matrix_left(I, y0) @ y, Q.apply(y, y0), atol=1e-13)
+        assert np.allclose(Q.contract_left(y0) @ y, Q.apply(y0, y), atol=1e-13)
+        assert np.allclose(Q.contract_right(y0) @ y, Q.apply(y, y0), atol=1e-13)
 
     def test_matrix_variant_dense_oracle(self):
         rng = np.random.default_rng(7)
         dim = 5
         Q = random_bilinear(rng, dim, complex_vals=True)
         T = dense_bilinear(Q)
-        A = rng.standard_normal((dim, dim))
         v = rng.standard_normal(dim)
-        expect = np.einsum("pij,iq,j->pq", T, A, v)
-        assert np.allclose(Q.apply_matrix_left(A, v), expect, atol=1e-13)
+        expect = np.einsum("pij,j->pi", T, v)
+        assert np.allclose(Q.contract_right(v).toarray(), expect, atol=1e-13)
         u = rng.standard_normal(dim)
-        expect = np.einsum("pij,i,jq->pq", T, u, A)
-        assert np.allclose(Q.apply_matrix_right(u, A), expect, atol=1e-13)
+        expect = np.einsum("pij,i->pj", T, u)
+        assert np.allclose(Q.contract_left(u).toarray(), expect, atol=1e-13)
 
     def test_apply_outer_against_pairwise_apply(self):
         rng = np.random.default_rng(11)
@@ -293,8 +291,8 @@ class TestBilinear:
 
     def test_zero_form_gives_zero_matrix(self):
         Q = SparseBilinearForm(4, 4, 4)
-        A = np.eye(4)
-        assert np.allclose(Q.apply_matrix_left(A, np.ones(4)), 0)
+        assert np.allclose(Q.contract_left(np.ones(4)).toarray(), 0)
+        assert np.allclose(Q.contract_right(np.ones(4)).toarray(), 0)
 
     def test_dimension_mismatch(self):
         Q = SparseBilinearForm(4, 4, 4)
@@ -319,8 +317,6 @@ class TestTrilinear:
         u, v_, w = (rng.standard_normal(dim) for _ in range(3))
         expect = np.einsum("pijk,i,j,k->p", T, u, v_, w)
         assert np.allclose(H.apply(u, v_, w), expect, atol=1e-12)
-        expect_mat = np.einsum("pijk,i,j->pk", T, u, v_)
-        assert np.allclose(H.contract_first_two(u, v_).toarray(), expect_mat, atol=1e-12)
 
 
     def test_apply_outer_against_triplewise_apply(self):

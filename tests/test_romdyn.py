@@ -8,8 +8,8 @@ from flutterrom import romdyn
 from flutterrom.dpim import build_rom_firstorder
 from flutterrom.models import ZieglerModel, build_ziegler2, recast_to_dae
 from flutterrom.romdyn import (
+    BlowUpError,
     RealizedReducedSystem,
-    integrate_fom,
     integrate_reduced,
     measure_limit_cycle,
     measure_limit_cycle_fom,
@@ -221,6 +221,18 @@ class TestIntegrateReduced:
         assert meas.converged
         assert meas.amplitude[1] > 0.05
 
+    @pytest.mark.parametrize("mu", [0.04, -0.04])
+    def test_blow_up_of_the_subcritical_normal_form(self, mu):
+        # zdot = (mu + i) z + z|z|^2 from r0 = 0.5, outside the unstable cycle
+        # r = sqrt(-mu) when there is one: r^2 = mu r0^2 E / (mu + r0^2 - r0^2 E)
+        # with E = exp(2 mu t) reaches the escape radius R = 1e3 r0 at t_R
+        rom = hopf_normal_form_rom(c3=1.0)
+        r0, R = 0.5, 500.0
+        t_R = np.log(R**2 * (mu + r0**2) / (r0**2 * (mu + R**2))) / (2 * mu)
+        with pytest.raises(BlowUpError, match="left the escape radius") as info:
+            integrate_reduced(rom, mu, [r0], 10.0)
+        assert abs(info.value.t_blowup - t_R) < 1e-9 * t_R
+
     def test_mapping_derivative_consistency(self):
         # d/dt W(z(t)) along a trajectory matches the velocity block of W in
         # the asymptotic regime (the defect is the order-(o+1) truncation)
@@ -236,6 +248,17 @@ class TestIntegrateReduced:
             y = sysr.map_to_physical(sol.sol(t))
             # theta-block derivative equals the velocity block
             assert np.abs(dy[:2] - y[2:4]).max() < 1e-8
+
+
+def test_map_to_physical_rejects_a_broken_conjugate_mapping():
+    # the conj(z) row of W no longer conjugates the z row: the mapped state
+    # of a real normal-form point is complex
+    rom = hopf_normal_form_rom()
+    x = np.array([0.1, 0.05])
+    assert np.allclose(RealizedReducedSystem(rom, 0.0).map_to_physical(x), x)
+    rom.W[rom.table.index_of((0, 1, 0))] = rom.W[rom.table.index_of((1, 0, 0))]
+    with pytest.raises(RuntimeError, match="non-negligible imaginary part"):
+        RealizedReducedSystem(rom, 0.0).map_to_physical(x)
 
 
 class TestUnstableManifold:
@@ -282,7 +305,7 @@ class TestFom:
         x0 = np.array([0.02, -0.01, 0.0, 0.0])
         om_min = 0.4142  # slowest eigenfrequency at P = 0
         T = 100 * 2 * np.pi / om_min
-        sol = integrate_fom(m, 0.0, x0=x0, t_end=T, rtol=1e-12, atol=1e-14)
+        sol = solve_ivp(m.fom_rhs(0.0), (0.0, T), x0, method="DOP853", rtol=1e-12, atol=1e-14)
         E0 = m.energy(x0)
         E1 = m.energy(sol.y[:, -1])
         assert abs(E1 - E0) / E0 < 1e-6

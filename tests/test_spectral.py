@@ -224,9 +224,9 @@ def coalescence_by_fresh_solves(model, grid):
     gaps = np.array([pair_gap(model, P)[0] for P in grid])
     i_min = int(np.argmin(gaps))
     a, b = grid[max(i_min - 1, 0)], grid[min(i_min + 1, len(grid) - 1)]
-    P_c, gap_min = spectral._golden_min(lambda P: pair_gap(model, P)[0], a, b,
-                                        xtol=1e-12 * max(abs(b), 1.0))
-    _, scale = pair_gap(model, P_c)
+    P_c = spectral._golden_min(lambda P: pair_gap(model, P)[0], a, b,
+                               xtol=1e-12 * max(abs(b), 1.0))
+    gap_min, scale = pair_gap(model, P_c)
     return {"P_c": P_c, "gap_at_Pc": gap_min, "ep": bool(gap_min < 1e-6 * scale)}
 
 
@@ -381,7 +381,7 @@ class TestJordan:
 
     def test_companion_enforcement(self):
         spec, At, B = self.companion_spectrum()
-        out = enforce_jordan(spec, (0, 1), tau=1.0)
+        out = enforce_jordan(spec, (0, 1))
         XBY = out.X.conj().T @ B @ out.Y
         XAY = out.X.conj().T @ At @ out.Y
         assert np.max(np.abs(XBY - np.eye(2))) < 1e-8
@@ -391,7 +391,7 @@ class TestJordan:
     def test_conditioning_rescued(self):
         spec, At, B = self.companion_spectrum()
         raw_cond = np.linalg.cond(spec.Y)
-        out = enforce_jordan(spec, (0, 1), tau=1.0)
+        out = enforce_jordan(spec, (0, 1))
         new_cond = np.linalg.cond(out.Y)
         assert raw_cond > 1e8
         assert new_cond < 1e3
@@ -410,7 +410,7 @@ class TestJordan:
         spec = solve_pencil_spectrum(At, B, d=3)
         i, j = 0, 1
         assert abs(spec.lam[i] - spec.lam[j]) > 1e-7
-        out = enforce_jordan(spec, (i, j), tau=1.0)
+        out = enforce_jordan(spec, (i, j))
         XBY = out.X.conj().T @ B @ out.Y
         XAY = out.X.conj().T @ At @ out.Y
         assert np.max(np.abs(XBY - np.eye(3))) < 1e-9
@@ -418,7 +418,7 @@ class TestJordan:
 
     def test_norm_ratio_bounded(self):
         spec, At, B = self.companion_spectrum()
-        out = enforce_jordan(spec, (0, 1), tau=1.0)
+        out = enforce_jordan(spec, (0, 1))
         r = np.linalg.norm(out.Y[:, 1]) / np.linalg.norm(out.Y[:, 0])
         assert 1e-2 < r < 1e2
 
@@ -428,7 +428,7 @@ class TestJordan:
         B = np.eye(3)
         spec = solve_pencil_spectrum(At, B, d=3)
         with pytest.raises(JordanEnforcementError):
-            enforce_jordan(spec, (0, 1), tau=1.0)
+            enforce_jordan(spec, (0, 1))
 
     def test_no_pair_spectrum_unchanged(self):
         m = build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2)
@@ -443,7 +443,7 @@ class TestJordan:
         dae = recast_to_dae(m, mu0=2.0)
         spec = solve_master_eigen(dae, d=4)
         raw_cond = np.linalg.cond(spec.Y[:, [0, 2]])
-        out = enforce_jordan(spec, (0, 2), tau=1.0)
+        out = enforce_jordan(spec, (0, 2))
         B, At = dae.B, dae.tangent_matrix()
         XBY = out.X.conj().T @ B @ out.Y
         XAY = out.X.conj().T @ At @ out.Y
