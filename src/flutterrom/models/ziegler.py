@@ -40,35 +40,84 @@ class ZieglerModel:
         """(M, C, K_eff) of the linearization about the upright equilibrium."""
         return self.M, self.C, self.K - P * self.Ru
 
+    def first_order(self, P0):
+        """The first-order system on x = [theta, thetadot] about load P0."""
+        return ZieglerFirstOrder(self, P0)
+
     def fom_rhs(self, P):
-        """First-order RHS on x = [theta, thetadot] for direct integration.
-
-        rhs(t, x) = A x + S (D x)**3: A is the linear part with M^-1 folded
-        in, D takes the angle difference of each cubic term and S scatters
-        -M^-1 coeff P times its cube onto the accelerations.
-        """
-        n = self.n
-        Minv = np.linalg.inv(self.M)
-        A = np.zeros((2 * n, 2 * n))
-        A[:n, n:] = np.eye(n)
-        A[n:, :n] = -Minv @ (self.K - P * self.Ru)
-        A[n:, n:] = -Minv @ self.C
-        D = np.zeros((len(self.cubic_terms), 2 * n))
-        S = np.zeros((2 * n, len(self.cubic_terms)))
-        for t, (row, a, b, coeff) in enumerate(self.cubic_terms):
-            D[t, a] += 1.0
-            D[t, b] -= 1.0
-            S[n:, t] = -coeff * P * Minv[:, row]
-
-        def rhs(t, x):
-            return A.dot(x) + S.dot(D.dot(x) ** 3)
-
-        return rhs
+        """First-order RHS rhs(t, x) at load P, for direct integration."""
+        return self.first_order(P).rhs
 
     def energy(self, x):
         """Mechanical energy of the conservative truncation (valid at P = 0)."""
         th, v = x[:self.n], x[self.n:]
         return 0.5 * v @ self.M @ v + 0.5 * th @ self.K @ th
+
+
+class ZieglerFirstOrder:
+    """First-order form x' = (A0 + P A1) x + P S1 (D x)**3 on
+    x = [theta, thetadot] of a ZieglerModel at load P = P0 + mu, with the
+    interface of romdyn.RealizedReducedSystem (settable mu, batched rhs and
+    linearize, map_batch, linear_block, meta["mu0"]).
+
+    M^-1 is folded into A0, A1 and S1; D takes the angle difference of each
+    cubic term and S1 scatters -M^-1 coeff times its cube onto the
+    accelerations.  Each state goes through its own matrix-vector products,
+    so a row of a block of states gives the bits of the single-state call.
+    """
+
+    def __init__(self, model, P0):
+        n = self.m = model.n   # half the state dimension
+        Minv, Z = np.linalg.inv(model.M), np.zeros((n, n))
+        self.A0 = np.block([[Z, np.eye(n)], [-Minv @ model.K, -Minv @ model.C]])
+        self.A1 = np.block([[Z, Z], [Minv @ model.Ru, Z]])
+        self.D = np.zeros((len(model.cubic_terms), 2 * n))
+        self.S1 = np.zeros((2 * n, len(model.cubic_terms)))
+        for t, (row, a, b, coeff) in enumerate(model.cubic_terms):
+            self.D[t, a] += 1.0
+            self.D[t, b] -= 1.0
+            self.S1[n:, t] = -coeff * Minv[:, row]
+        self.meta = {"mu0": float(P0)}
+        self.mu = 0.0
+
+    @property
+    def mu(self):
+        return self._mu
+
+    @mu.setter
+    def mu(self, value):
+        self._mu = float(value)
+        P = self.meta["mu0"] + self._mu
+        self._A = self.A0 + P * self.A1
+        self._S = P * self.S1
+
+    def linear_block(self, mu):
+        """A(P0 + mu); a 1-D array of increments gives one matrix per load."""
+        return self.A0 + np.multiply.outer(self.meta["mu0"] + np.asarray(mu), self.A1)
+
+    def rhs(self, t, x):
+        x = np.asarray(x, dtype=float)[..., None]
+        return (self._A @ x + self._S @ (self.D @ x) ** 3)[..., 0]
+
+    def linearize(self, X):
+        """(rhs, jacobian, d rhs / dP) at one state or at each row of X.
+
+        The Jacobian is A + 3 P S1 diag((D x)**2) D.
+        """
+        x = np.asarray(X, dtype=float)[..., None]
+        w = self.D @ x
+        cube = w ** 3
+        f = (self._A @ x + self._S @ cube)[..., 0]
+        J = self._A + (self._S * (3.0 * w ** 2).swapaxes(-1, -2)) @ self.D
+        g = (self.A1 @ x + self.S1 @ cube)[..., 0]
+        return f, J, g
+
+    def jacobian(self, x):
+        return self.linearize(x)[1]
+
+    def map_batch(self, X):
+        """The physical states are the states themselves."""
+        return np.asarray(X, dtype=float)
 
 
 def _check_positive(**params):

@@ -1,48 +1,51 @@
-"""Using built ROMs: realified reduced integration, limit-cycle amplitude
-measurement, unstable-manifold tracing, and full-order reference runs.
+"""Using built ROMs: realified reduced integration, limit cycles at a
+load, and unstable-manifold tracing.
 
 The reduced complex coordinates come in conjugate pairs; the realified
 state stacks (Re z, Im z) per representative coordinate with the parameter
 increment held constant during a run.  Physical outputs go through the
-polynomial mapping and are real up to round-off for real models.
+polynomial mapping and are real up to round-off for real models.  A limit
+cycle at a load, of a ROM or of the full-order model, is the last point of
+the collocation branch continued from the Hopf point up to that load.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import DOP853, solve_ivp
+from scipy.integrate import solve_ivp
 
 from .polytensor import polynomial_eval
-from .spectral import _pencil_eigs_at, _select_masters
 
 
-# the most periods a settle loop may take, the absolute tolerance and final
-# period samples of every cycle measurement, the relative tolerances of ROM
-# and FOM integrations, and the FOM's seed amplitude and settling tolerance
-# (the ROM's defaults)
-_MAX_PERIODS, _ATOL, _N_SAMPLE = 2000, 1e-12, 1024
-_ROM_RTOL, _FOM_RTOL = 1e-9, 1e-10
-_AMP0, _SETTLE_RTOL = 1e-4, 1e-4
+# the tolerances of trace_unstable_manifold's integrations
+_ROM_RTOL, _ATOL = 1e-9, 1e-12
 
 
 class BlowUpError(RuntimeError):
-    def __init__(self, message, t_blowup=None, nfev=0):
+    def __init__(self, message, t_blowup=None):
         super().__init__(message)
         self.t_blowup = t_blowup
-        self.nfev = nfev
 
 
 @dataclass
 class LimitCycleMeasurement:
+    """The limit cycle at one load, and the Newton corrections of the branch
+    that reached it.  With no cycle the amplitude is zero, reason says why
+    and converged whether the fixed point is stable there.
+    transient_periods is always 0 (nothing settles); it stays for callers.
+    """
+
     mu: float
     amplitude: np.ndarray
     period: float
     converged: bool
-    transient_periods: int
     reason: str = ""
-    nfev: int = 0   # rhs evaluations: settling, return-time solve and final period
+    floquet: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=complex))
+    stable: bool | None = None
+    newton: int = 0
+    transient_periods: int = 0
 
     def amp(self, coord):
         return float(self.amplitude[coord])
@@ -260,111 +263,29 @@ def integrate_reduced(rom, mu, z0, t_end, rtol=1e-10, atol=1e-12, t_eval=None,
     return sol
 
 
-def _return_time(rhs, anchor, T0, rtol, atol):
-    """First return to the flow-orthogonal section through the anchor.
-
-    The section function vanishes at the start, so the event search keeps
-    all upward crossings and takes the first one past a fifth of the
-    nominal period.  Returns (return time, rhs evaluations).
-    """
-    nvec = rhs(0.0, anchor)
-    nvec = nvec / np.linalg.norm(nvec)
-
-    def section(t, x):
-        return nvec @ (x - anchor)
-
-    section.direction = 1.0
-    sol = solve_ivp(rhs, (0.0, 3.0 * T0), anchor, method="DOP853", rtol=rtol,
-                    atol=atol, events=section)
-    hits = [t for t in sol.t_events[0] if t > 0.2 * T0]
-    return (float(hits[0]) if hits else T0), 1 + sol.nfev
-
-
-def _measure_settled_cycle(rhs, x0, T0, observe, settle_rtol, max_periods, rtol, atol,
-                           escape_radius=np.inf):
-    """Settle loop: one DOP853 stepper sampled once per period until stationary.
-
-    Period k is sampled at k*T0 + linspace(0, T0, 65) from the dense output
-    of the steps that cover those times, and observe(samples) gives its
-    amplitude.  The cycle has settled when, from the fifth period on, the
-    amplitude changes by at most settle_rtol relative; it has decayed when
-    the largest state norm over a period's samples falls below 1e-3 |x0|
-    (reduced units for a ROM, physical ones for the FOM).  A period end
-    outside the escape radius, or a failed step, raises BlowUpError.
-
-    Returns (status, periods, state at the last period end, rhs evaluations).
-    """
-    solver = DOP853(rhs, 0.0, x0, np.inf, rtol=rtol, atol=atol)
-    grid = np.linspace(0.0, T0, 65)
-    floor = 1e-3 * np.linalg.norm(x0)
-    X = np.empty((len(grid), len(x0)))
-    X[-1] = x0
-    dense = prev = None
-    for k in range(max_periods):
-        ts = k * T0 + grid
-        X[0] = X[-1]
-        done = 1
-        while done < len(ts):
-            while solver.t < ts[done]:
-                message = solver.step()
-                dense = None
-                if solver.status == "failed":
-                    raise BlowUpError(f"integration failed at t = {solver.t:.6g}: {message}",
-                                      solver.t, solver.nfev)
-            upto = np.searchsorted(ts, solver.t, side="right")
-            if dense is None:
-                dense = solver.dense_output()
-            X[done:upto] = dense(ts[done:upto]).T
-            done = upto
-        if np.linalg.norm(X[-1]) > escape_radius:
-            raise BlowUpError("trajectory left the escape radius", ts[-1], solver.nfev)
-        if np.linalg.norm(X, axis=1).max() < floor:
-            return "decayed", k + 1, X[-1].copy(), solver.nfev
-        amp = observe(X)
-        if k >= 4 and abs(amp - prev) <= settle_rtol * max(amp, 1e-30):
-            return "settled", k + 1, X[-1].copy(), solver.nfev
-        prev = amp
-    return "no-convergence", max_periods, X[-1].copy(), solver.nfev
-
-
-def _limit_cycle(rhs, x0, T0, physical, dim, param, coord, settle_rtol, rtol,
-                 escape_radius=np.inf):
-    """Settle from x0 on the amplitude of physical coordinate `coord`, then
-    take max |physical(x)| per coordinate over one final period, refined by
-    a flow-orthogonal return-time solve.  Decay reports zero amplitude."""
-    zero = np.zeros(dim)
+def _cycle_at(model, mu, param, dim):
+    """LimitCycleMeasurement at load increment mu of a ROM or system;
+    param is the load it reports."""
+    from .continuation import ContinuationError, ContinuationOptions, _branch
     try:
-        status, periods, anchor, nfev = _measure_settled_cycle(
-            rhs, x0, T0, lambda X: float(np.max(np.abs(physical(X)[:, coord]))),
-            settle_rtol, _MAX_PERIODS, rtol, _ATOL, escape_radius)
-    except BlowUpError as exc:
-        return LimitCycleMeasurement(param, zero, 0.0, False, 0, "blow-up", exc.nfev)
-    if status != "settled":
-        decayed = status == "decayed"
-        reason = "decayed to the fixed point" if decayed else "settling tolerance not reached"
-        return LimitCycleMeasurement(param, zero, 0.0, decayed, periods, reason, nfev)
-    T, nfev_return = _return_time(rhs, anchor, T0, rtol, _ATOL)
-    sol = solve_ivp(rhs, (0.0, T), anchor, method="DOP853", rtol=rtol, atol=_ATOL,
-                    dense_output=True)
-    amplitude = periodic_peak(physical(sol.sol(np.linspace(0.0, T, _N_SAMPLE)).T))
-    return LimitCycleMeasurement(param, amplitude, T, True, periods, "",
-                                 nfev + nfev_return + sol.nfev)
+        diag = _branch(model, ContinuationOptions(mu_max=mu))
+    except ContinuationError as exc:
+        reason, newton = str(exc), 0
+    else:
+        newton = sum(rec["newton"] for rec in diag.meta["trace"])
+        if diag.points and diag.points[-1].mu == mu:
+            pt = diag.points[-1]
+            return LimitCycleMeasurement(param, pt.amplitude, pt.period, True, "", pt.floquet,
+                                         pt.stable, newton)
+        reason = diag.meta["truncated"]
+    stable = np.linalg.eigvals(model.linear_block(mu)).real.max() < 0
+    return LimitCycleMeasurement(param, np.zeros(dim), 0.0, bool(stable), reason, newton=newton)
 
 
-def measure_limit_cycle(rom, mu, coord=0, amp0=_AMP0, settle_rtol=_SETTLE_RTOL):
-    """Amplitude of the settled limit cycle in physical coordinates.
-
-    Integrates from a small perturbation along the leading master
-    coordinate, detects settling from the per-period amplitude of the
-    monitored coordinate, then measures max |coordinate| per physical
-    coordinate over one final period (refined by a flow-orthogonal
-    return-time solve).  Decay to the fixed point reports zero amplitude.
-    """
-    sysr = RealizedReducedSystem(rom, mu)
-    x0 = sysr.real_state([amp0] + [0.0] * (sysr.m - 1))
-    return _limit_cycle(sysr.rhs, x0, 2 * np.pi / abs(rom.lam[0].imag), sysr.map_batch,
-                        rom.dim, mu, coord, settle_rtol, _ROM_RTOL,
-                        escape_radius=1e3 * max(amp0, 1e-2))
+def measure_limit_cycle(rom, mu, coord=0):
+    """The ROM's limit cycle at load increment mu, with max |coordinate| per
+    physical coordinate; coord selects nothing and stays for callers."""
+    return _cycle_at(rom, mu, mu, rom.dim)
 
 
 def trace_unstable_manifold(rom, mu, n_radial=4, n_angle=12, r_scale=1e-3,
@@ -398,24 +319,6 @@ def trace_unstable_manifold(rom, mu, n_radial=4, n_angle=12, r_scale=1e-3,
     return out
 
 
-# -- full-order references ----------------------------------------------------
-
-def _leading_mode(model, p, scale):
-    """Leading oscillatory eigenvalue at load p, and the state with `scale`
-    times the real part of its normalised eigenvector as displacements."""
-    w, vr = _pencil_eigs_at(model, p, right=True)
-    lead, = _select_masters(w, 1)
-    n = vr.shape[0] // 2
-    v = vr[:n, lead]
-    v = v / np.linalg.norm(v)
-    x = np.zeros(2 * n)
-    x[:n] = scale * v.real
-    return w[lead], x
-
-
 def measure_limit_cycle_fom(model, p, coord=0):
-    """FOM limit-cycle amplitude by direct time integration (ODE models),
-    settled from _AMP0 times the leading eigenvector at load p."""
-    lam, x0 = _leading_mode(model, p, _AMP0)
-    return _limit_cycle(model.fom_rhs(p), x0, 2 * np.pi / abs(lam.imag), lambda X: X,
-                        len(x0), p, coord, _SETTLE_RTOL, _FOM_RTOL)
+    """The full-order model's limit cycle at load p (see measure_limit_cycle)."""
+    return _cycle_at(model.first_order(p), 0.0, p, 2 * model.n)

@@ -30,18 +30,11 @@ from flutterrom.continuation import (
     _stage_times,
     continue_periodic,
     diagram_compare,
-    diagram_from_measurements,
     find_hopf,
 )
 from flutterrom.dpim import build_rom_firstorder
 from flutterrom.models import build_ziegler2, recast_to_dae
-from flutterrom.romdyn import (
-    BlowUpError,
-    LimitCycleMeasurement,
-    RealizedReducedSystem,
-    _measure_settled_cycle,
-    _return_time,
-)
+from flutterrom.romdyn import BlowUpError, RealizedReducedSystem
 from flutterrom.spectral import (
     detect_exceptional_point,
     eigen_sweep,
@@ -49,6 +42,7 @@ from flutterrom.spectral import (
     solve_master_eigen,
 )
 from tests.conftest import hopf_normal_form_rom
+from tests.oracles import measure_settled_cycle, return_time
 from tests.test_romdyn import ziegler_rom
 
 
@@ -67,14 +61,14 @@ def _initial_cycle(rom, mu, max_periods=600):
     T0 = 2 * np.pi / abs(rom.lam[0].imag)
     x0 = sysr.real_state([_SEED_AMP] + [0.0] * (sysr.m - 1))
     try:
-        status, periods, x, _ = _measure_settled_cycle(
+        status, periods, x = measure_settled_cycle(
             sysr.rhs, x0, T0, lambda X: float(np.max(np.abs(X))), 3e-4,
             max_periods, _RTOL, ATOL, escape_radius=1e3 * max(_SEED_AMP, 1e-2))
     except BlowUpError as exc:
         raise ContinuationError(f"seed trajectory at mu = {mu}: {exc}") from exc
     if status == "decayed":
         raise ContinuationError(f"trajectory decays at mu = {mu}: no cycle to seed")
-    T, _ = _return_time(sysr.rhs, x, T0, _RTOL, ATOL)
+    T = return_time(sysr.rhs, x, T0, _RTOL, ATOL)
     return x, T, {"periods": periods, "status": status}
 
 
@@ -134,13 +128,15 @@ def shooting_branch(rom, opts):
     integrates the variational system over one period, and each accepted
     point is integrated once more for its amplitudes: each coordinate's
     largest sample, refined on a 1000 times finer grid over the sample
-    spacing either side of it.  Same seed, rows, convergence test and step
-    rule as continue_periodic."""
+    spacing either side of it.  Same seed, first tangent (the null vector
+    of the seed's periodicity and phase rows), rows, convergence test, step
+    rule and landing (a step past mu_max corrected again at mu = mu_max,
+    from the secant through the last point) as continue_periodic."""
     mu_H = find_hopf(rom)
-    mu_start = mu_H + max(4 * _DS0, 0.01 * max(abs(mu_H), 1.0))
+    mu_start = min(opts.mu_max, mu_H + max(4 * _DS0, 0.01 * max(abs(mu_H), 1.0)))
     sysr = RealizedReducedSystem(rom, mu_start)
     m2 = 2 * sysr.m
-    x, _, T, _ = _hopf_seed(rom, mu_H, mu_start)
+    x, _, T, _ = _hopf_seed(sysr, mu_H, mu_start)
     x, T, Mono = _newton_fixed_mu(sysr, x, T, mu_start)
     amp_cap = 40.0 * max(np.linalg.norm(x), 0.05)
     points = []
@@ -160,8 +156,14 @@ def shooting_branch(rom, opts):
     others = record(x, T, mu_start, Mono)
     fold_prev, ns_prev = _fold_test(others), _ns_test(others)
     q = np.concatenate([x, [T, mu_start]])
-    tangent = np.zeros(m2 + 2)
-    tangent[-1] = 1.0
+    xT, Mono, smu = _flow_with_variations(sysr, x, T, mu_start, _RTOL, ATOL)
+    rows = np.zeros((m2 + 1, m2 + 2))
+    rows[:m2, :m2] = Mono - np.eye(m2)
+    rows[:m2, m2] = sysr.rhs(0.0, xT)
+    rows[:m2, m2 + 1] = smu
+    rows[m2, :m2] = sysr.rhs(0.0, x)
+    tangent = sla.null_space(rows)[:, 0]
+    tangent *= np.sign(tangent[-1])
     ds = _DS0
     truncated = ""
     while len(points) < opts.max_points:
@@ -193,6 +195,11 @@ def shooting_branch(rom, opts):
         if np.linalg.norm(x_n) > amp_cap:
             truncated = "branch left the reduced-coordinate trust region"
             break
+        if mu_n > opts.mu_max:
+            s = (opts.mu_max - q[m2 + 1]) / (mu_n - q[m2 + 1])
+            guess = q + s * (qn - q)
+            mu_n = opts.mu_max
+            x_n, T_n, Mono = _newton_fixed_mu(sysr, guess[:m2], guess[m2], mu_n)
         others = record(x_n, T_n, mu_n, Mono)
         fold_now, ns_now = _fold_test(others), _ns_test(others)
         if fold_prev * fold_now < 0 and abs(fold_prev) < 0.5:
@@ -200,10 +207,10 @@ def shooting_branch(rom, opts):
         elif ns_prev * ns_now < 0 and ns_now > 0:
             points[-1].event = "neimark-sacker"
         fold_prev, ns_prev = fold_now, ns_now
+        if mu_n == opts.mu_max:
+            break
         tangent = (qn - q) / np.linalg.norm(qn - q)
         q = qn
-        if mu_n > opts.mu_max:
-            break
         if it + 1 <= _TARGET_NEWTON:
             ds = min(ds * 1.4, _DS_MAX)
         elif it + 1 >= _MAX_NEWTON - 2:
@@ -240,7 +247,7 @@ def test_normal_form_branch_against_closed_form():
     assert set(seed) == {"mu_H", "newton", "residual", "scale"}
     assert abs(seed["mu_H"]) < 1e-9 and seed["newton"] >= 1 and seed["residual"] < 1e-9
     mu = diag.mu()
-    assert mu.max() > 0.3 and len(mu) > 5
+    assert mu[-1] == mu.max() == 0.3 and len(mu) > 5
     amp = diag.amplitude(0)
     assert np.abs(amp / np.sqrt(mu) - 1.0).max() < 1e-4
     # the polished orbit maximum, not the largest of 512 samples, which reads
@@ -310,14 +317,45 @@ def test_non_oscillatory_crossing_raises():
 
 
 def test_subcritical_hopf_point_raises():
-    # zdot = (mu + i) z + z|z|^2: the cycles lie at mu < 0, none past the Hopf point
-    with pytest.raises(ContinuationError, match="grows at mu = 0.2: .* lie below it"):
-        continue_periodic(hopf_normal_form_rom(c3=1.0), mu_start=0.2)
+    # zdot = (mu + i) z + z|z|^2: the cycles lie at mu < 0, none past the
+    # Hopf point; the seed sits at mu_H + 4 _DS0 = 0.08
+    with pytest.raises(ContinuationError, match="grows at mu = 0.08: .* lie below it"):
+        continue_periodic(hopf_normal_form_rom(c3=1.0), ContinuationOptions(mu_max=0.2))
 
 
 def test_decaying_seed_raises():
-    with pytest.raises(ContinuationError, match="decays"):
-        continue_periodic(hopf_normal_form_rom(), mu_start=-0.1)
+    # below the Hopf point the seed sits at mu_max, where no cycle exists
+    with pytest.raises(ContinuationError, match="decays at mu = -0.1"):
+        continue_periodic(hopf_normal_form_rom(), ContinuationOptions(mu_max=-0.1))
+
+
+def test_options_reject_a_branch_without_an_end():
+    # a nan mu_max never stops the branch, and no branch has zero points
+    for bad in (dict(mu_max=np.nan), dict(mu_max=np.inf), dict(max_points=0)):
+        with pytest.raises(ValueError, match="must be"):
+            ContinuationOptions(**bad)
+
+
+def test_max_points_stop_is_named():
+    # the normal form's branch needs more than three points to reach mu = 0.3
+    diag = continue_periodic(hopf_normal_form_rom(),
+                             ContinuationOptions(mu_max=0.3, max_points=3))
+    assert len(diag.points) == 3 and diag.mu().max() < 0.3
+    assert diag.meta["truncated"] == "max_points = 3 reached"
+
+
+@pytest.mark.parametrize("mu_max", [0.03, 0.08, 0.2537])
+def test_branch_ends_exactly_at_mu_max(mu_max):
+    # from the seed (clipped to mu_max at 0.03), through a step past mu_max
+    # corrected again there: the last point is the cycle at mu_max itself,
+    # radius sqrt(mu_max)
+    diag = continue_periodic(hopf_normal_form_rom(omega=1.3),
+                             ContinuationOptions(mu_max=mu_max))
+    assert diag.meta["truncated"] == ""
+    last = diag.points[-1]
+    assert last.mu == mu_max and np.all(diag.mu()[:-1] < mu_max)
+    assert abs(last.amplitude[0] - np.sqrt(mu_max)) < 1e-6
+    assert abs(last.period - 2 * np.pi / 1.3) < 1e-8
 
 
 def fixed_mu_cycle(sysr, x, K, T, mu):
@@ -371,7 +409,7 @@ def test_hopf_seed_matches_settled_seed(seed_roms, label):
     mu_H = find_hopf(rom)
     mu = mu_H + max(4 * _DS0, 0.01 * max(abs(mu_H), 1.0))
     sysr = RealizedReducedSystem(rom, mu)
-    x, K, T, seed = _hopf_seed(rom, mu_H, mu)
+    x, K, T, seed = _hopf_seed(sysr, mu_H, mu)
     assert seed["newton"] >= 1 and seed["scale"] > 1.0
     q, col = fixed_mu_cycle(sysr, x, K, T, mu)
 
@@ -391,7 +429,7 @@ def test_hopf_seed_radius_on_the_normal_form():
     rom = hopf_normal_form_rom(omega=1.3)
     mu_H = find_hopf(rom)
     for mu in (0.02, 0.08, 0.3):
-        x, _, T, _ = _hopf_seed(rom, mu_H, mu)
+        x, _, T, _ = _hopf_seed(RealizedReducedSystem(rom, 0.0), mu_H, mu)
         assert abs(np.linalg.norm(x) - np.sqrt(mu)) < 1e-8
         assert abs(T - 2 * np.pi / 1.3) < 1e-8
 
@@ -420,8 +458,9 @@ def test_flow_variations_against_differences(sensitivity):
 
 def test_collocation_matches_shooting(branch_rom, branch):
     shot = shooting_branch(branch_rom[1], ContinuationOptions(mu_max=0.3, max_points=20))
-    assert len(branch.points) == len(shot.points) == 16
+    assert len(branch.points) == len(shot.points) == 17
     assert branch.meta["truncated"] == shot.meta["truncated"] == ""
+    assert branch.mu()[-1] == shot.mu()[-1] == 0.3
     assert branch.events() == shot.events()
     assert np.abs(branch.mu() - shot.mu()).max() < 1e-9
     assert np.abs(branch.periods() / shot.periods() - 1.0).max() < 1e-7
@@ -469,9 +508,13 @@ def test_trace_accounts_for_every_step(branch):
     for rec in trace:
         assert set(rec) == {"ds", "newton", "residual", "mesh", "accepted", "reason", "wall_s"}
         assert rec["accepted"] == (rec["reason"] == "")
-    # the trust region never fires on this branch; only the seed mesh grows
-    assert all(rec["reason"].startswith("mesh refined") for rec in trace if rec["reason"])
-    assert all(rec["ds"] == 0.0 for rec in trace if rec["reason"])
+    # the trust region never fires on this branch; only the seed mesh grows,
+    # and the one step past mu_max is corrected again at mu_max
+    rejected = [rec for rec in trace if rec["reason"]]
+    assert rejected[-1]["reason"] == "stepped past mu_max" and rejected[-1]["ds"] > 0.0
+    assert trace[-1]["ds"] == 0.0 and trace[-1]["accepted"]
+    assert all(rec["reason"].startswith("mesh refined") for rec in rejected[:-1])
+    assert all(rec["ds"] == 0.0 for rec in rejected[:-1])
     assert len({rec["mesh"] for rec in trace if rec["accepted"]}) == 1
 
 
@@ -544,15 +587,3 @@ def test_diagram_compare_needs_overlap():
     with pytest.raises(ValueError, match="do not overlap"):
         diagram_compare(amplitude_diagram([0.1, 0.2], [1.0, 2.0], mu0=2.0),
                         amplitude_diagram([0.1, 0.2], [1.0, 2.0], mu0=3.0), 0)
-
-
-def test_diagram_from_measurements_marks_unconverged():
-    meas = [LimitCycleMeasurement(0.1, np.array([0.3, 0.4]), 6.0, True, 12),
-            LimitCycleMeasurement(0.2, np.array([0.5, 0.6]), 6.1, False, 2000, "no-convergence")]
-    diag = diagram_from_measurements(meas, mu0=2.0, meta={"model": "fom"})
-    assert diag.meta == {"mu0": 2.0, "source": "time-integration", "model": "fom"}
-    assert np.allclose(diag.absolute_parameter(), [2.1, 2.2])
-    assert np.array_equal(diag.amplitude(1), [0.4, 0.6])
-    assert np.array_equal(diag.periods(), [6.0, 6.1])
-    assert diag.events() == [(0.2, "unconverged")]
-    assert all(pt.stable is None for pt in diag.points)

@@ -3,12 +3,14 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import flutterrom.models
+from flutterrom.continuation import find_hopf
 from flutterrom.models import (
     build_ziegler,
     build_ziegler2,
     build_ziegler3,
     recast_to_dae,
 )
+from flutterrom.spectral import _pencil_eigs_at, eigen_sweep
 
 
 def test_every_public_model_name_imports():
@@ -156,6 +158,83 @@ def test_fom_rhs_against_cubic_loop(make):
         for x in 0.5 * rng.standard_normal((6, 2 * m.n)):
             ref = fom_rhs_by_loop(m, P, x)
             assert np.abs(rhs(0.0, x) - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+FIRST_ORDER_MODELS = {
+    "ziegler2": lambda: build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2),
+    "ziegler3": lambda: build_ziegler3(1, 2, 0.5, 1, 3, 2, 1.5, xi_m=0.1, xi_k=0.02),
+    # the chain n = 8: masses 1/n, springs n, L = 1/n
+    "chain8": lambda: build_ziegler(np.full(8, 0.125), np.full(8, 8.0), 0.125, xi_m=0.05),
+}
+
+
+@pytest.fixture(params=list(FIRST_ORDER_MODELS))
+def first_order(request):
+    """A model's first-order system about P0 = 2, at mu = 0.3."""
+    m = FIRST_ORDER_MODELS[request.param]()
+    system = m.first_order(2.0)
+    system.mu = 0.3
+    return m, system
+
+
+class TestFirstOrder:
+    def test_linearize_against_central_differences(self, first_order):
+        # rhs is linear in the load, so its differences in mu carry
+        # round-off only and may take a wide step
+        m, system = first_order
+        rng = np.random.default_rng(13)
+        eps, eps_mu = 1e-5, 1e-3
+        for x in 0.3 * rng.standard_normal((4, 2 * m.n)):
+            f, J, g = system.linearize(x)
+            Jfd = np.column_stack([(system.rhs(0.0, x + eps * e) - system.rhs(0.0, x - eps * e))
+                                   / (2 * eps) for e in np.eye(2 * m.n)])
+            system.mu = 0.3 + eps_mu
+            up = system.rhs(0.0, x)
+            system.mu = 0.3 - eps_mu
+            down = system.rhs(0.0, x)
+            system.mu = 0.3
+            assert np.array_equal(f, system.rhs(0.0, x))
+            assert np.abs(J - Jfd).max() <= 1e-9 * np.abs(J).max()
+            assert np.abs(g - (up - down) / (2 * eps_mu)).max() <= 1e-9 * np.abs(g).max()
+            assert np.array_equal(J, system.jacobian(x))
+
+    def test_batched_rows_match_single_states(self, first_order):
+        m, system = first_order
+        X = 0.3 * np.random.default_rng(14).standard_normal((37, 2 * m.n))
+        f, J, g = system.linearize(X)
+        assert f.shape == g.shape == X.shape and J.shape == X.shape + X.shape[1:]
+        assert np.array_equal(system.rhs(0.0, X), f)
+        for k, x in enumerate(X):
+            fk, Jk, gk = system.linearize(x)
+            assert np.array_equal(fk, f[k]) and np.array_equal(Jk, J[k])
+            assert np.array_equal(gk, g[k]) and np.array_equal(system.rhs(0.0, x), f[k])
+        assert np.array_equal(system.map_batch(X), X)
+
+    def test_rhs_at_the_load_against_cubic_loop(self, first_order):
+        m, system = first_order
+        for x in 0.5 * np.random.default_rng(15).standard_normal((6, 2 * m.n)):
+            ref = fom_rhs_by_loop(m, 2.3, x)
+            assert np.abs(system.rhs(0.0, x) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_linear_block_spectrum_is_the_pencil(self, first_order):
+        m, system = first_order
+        # not mu = 0: P = 2 is Ziegler-2's exceptional point, where round-off
+        # moves the eigenvalues by its square root
+        mus = np.array([-0.5, -0.25, 0.25, 0.5, 1.0])
+        stack = system.linear_block(mus)
+        assert stack.shape == (5, 2 * m.n, 2 * m.n)
+        for mu, A in zip(mus, stack):
+            assert np.array_equal(A, system.linear_block(mu))
+            # each eigenvalue has its partner in the other spectrum (the
+            # spectra are simple here)
+            dist = np.abs(np.linalg.eigvals(A)[:, None] - _pencil_eigs_at(m, 2.0 + mu))
+            assert max(dist.min(0).max(), dist.min(1).max()) <= 1e-10 * np.abs(A).max()
+
+    def test_find_hopf_on_the_full_model(self):
+        # the growth rate of A(P) changes sign at the sweep's Hopf point
+        m = build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2)
+        P_H = eigen_sweep(m, (1.5, 3.0), 40).events["P_H"]
+        assert abs(2.0 + find_hopf(m.first_order(2.0)) - P_H) < 1e-8
 
 
 class TestRecast:

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from flutterrom import romdyn
+from flutterrom.continuation import ContinuationOptions, continue_periodic
 from flutterrom.dpim import build_rom_firstorder
-from flutterrom.models import ZieglerModel, build_ziegler2, recast_to_dae
+from flutterrom.models import build_ziegler, build_ziegler2, recast_to_dae
 from flutterrom.romdyn import (
     BlowUpError,
     RealizedReducedSystem,
@@ -16,8 +16,9 @@ from flutterrom.romdyn import (
     periodic_peak,
     trace_unstable_manifold,
 )
-from flutterrom.spectral import solve_master_eigen
+from flutterrom.spectral import eigen_sweep, solve_master_eigen
 from tests.conftest import hopf_normal_form_rom
+from tests.oracles import return_time
 
 
 def ziegler_rom(mu0=2.27, order=5, xi_m=0.2, d=4):
@@ -200,7 +201,7 @@ class TestIntegrateReduced:
     def test_normal_form_radius(self, alpha):
         # zdot = (alpha + i) z - z|z|^2 settles on radius sqrt(alpha), period 2pi
         rom = hopf_normal_form_rom()
-        meas = measure_limit_cycle(rom, alpha, coord=0, amp0=1e-3, settle_rtol=1e-7)
+        meas = measure_limit_cycle(rom, alpha, coord=0)
         assert meas.converged
         assert abs(meas.amplitude[0] - np.sqrt(alpha)) < 2e-5 * np.sqrt(alpha)
         assert abs(meas.period - 2 * np.pi) < 1e-6
@@ -213,8 +214,6 @@ class TestIntegrateReduced:
     def test_spiral_out_to_cycle_post_hopf(self):
         # expansion at the Hopf point, small positive increment: bounded cycle
         m = build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2)
-        from flutterrom.spectral import eigen_sweep
-
         P_H = eigen_sweep(m, (1.5, 3.0), 40).events["P_H"]
         _, _, rom = ziegler_rom(mu0=P_H, order=5)
         meas = measure_limit_cycle(rom, 0.2, coord=1)
@@ -264,8 +263,6 @@ def test_map_to_physical_rejects_a_broken_conjugate_mapping():
 class TestUnstableManifold:
     def test_trajectories_converge_to_common_cycle(self):
         m = build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2)
-        from flutterrom.spectral import eigen_sweep
-
         P_H = eigen_sweep(m, (1.5, 3.0), 40).events["P_H"]
         _, _, rom = ziegler_rom(mu0=1.05 * P_H, order=7)
         mu = P_H * 1.05 * 0.0 + 0.3  # increment beyond the expansion point
@@ -312,91 +309,68 @@ class TestFom:
 
     def test_fom_cycle_exists_post_hopf(self):
         m = build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2)
-        from flutterrom.spectral import eigen_sweep
-
         P_H = eigen_sweep(m, (1.5, 3.0), 40).events["P_H"]
         meas = measure_limit_cycle_fom(m, P_H + 0.3, coord=1)
         assert meas.converged
         assert meas.amplitude[1] > 0.05
 
-
-def counting(calls, key, fn):
-    def counted(*args, **kwargs):
-        calls[key] += 1
-        return fn(*args, **kwargs)
-    return counted
-
-
-@pytest.fixture
-def settle_calls(monkeypatch):
-    """Counts settle steppers, solve_ivp calls and rhs evaluations (ROM and FOM)."""
-    calls = {"DOP853": 0, "solve_ivp": 0, "rhs": 0}
-    monkeypatch.setattr(romdyn, "DOP853", counting(calls, "DOP853", romdyn.DOP853))
-    monkeypatch.setattr(romdyn, "solve_ivp", counting(calls, "solve_ivp", romdyn.solve_ivp))
-    monkeypatch.setattr(RealizedReducedSystem, "rhs",
-                        counting(calls, "rhs", RealizedReducedSystem.rhs))
-    make_rhs = ZieglerModel.fom_rhs
-    monkeypatch.setattr(ZieglerModel, "fom_rhs",
-                        lambda model, P: counting(calls, "rhs", make_rhs(model, P)))
-    return calls
-
-
-class TestSettleLoop:
-    """One settle stepper per measurement, all rhs calls through the public
-    evaluators (the ones the benchmark's tracer wraps), counted in nfev."""
-
-    def check(self, calls, meas, plain):
-        assert calls["DOP853"] == 1
-        assert calls["solve_ivp"] <= 2
-        assert meas.nfev > 0 and meas.nfev == calls["rhs"]
-        # counting changes no result bit
-        assert np.array_equal(meas.amplitude, plain.amplitude)
-        assert (meas.period, meas.transient_periods, meas.nfev) == \
-            (plain.period, plain.transient_periods, plain.nfev)
-
-    def test_rom(self, settle_calls):
-        rom = hopf_normal_form_rom()
-        plain = measure_limit_cycle(rom, 0.04, amp0=1e-3)
-        settle_calls.update(dict.fromkeys(settle_calls, 0))
-        meas = measure_limit_cycle(rom, 0.04, amp0=1e-3)
-        assert meas.converged and settle_calls["solve_ivp"] == 2
-        self.check(settle_calls, meas, plain)
-
-    def test_rom_decay(self, settle_calls):
-        plain = measure_limit_cycle(hopf_normal_form_rom(), -0.05)
-        settle_calls.update(dict.fromkeys(settle_calls, 0))
-        meas = measure_limit_cycle(hopf_normal_form_rom(), -0.05)
-        assert meas.reason.startswith("decayed") and settle_calls["solve_ivp"] == 0
-        self.check(settle_calls, meas, plain)
-
-    def test_rom_blow_up(self, settle_calls):
-        # subcritical: the seed runs away in finite time and the stepper fails
-        rom = hopf_normal_form_rom(c3=1.0)
-        plain = measure_limit_cycle(rom, 0.04, amp0=1e-3)
-        settle_calls.update(dict.fromkeys(settle_calls, 0))
-        meas = measure_limit_cycle(rom, 0.04, amp0=1e-3)
-        assert meas.reason == "blow-up" and settle_calls["solve_ivp"] == 0
-        self.check(settle_calls, meas, plain)
-
-    def test_fom(self, settle_calls):
+    def test_cycle_against_a_long_run(self):
+        # the collocation cycle at P_H + 0.02 against 200 periods of DOP853
+        # from 1.1 times its anchor: the transient decays like |m|^k with
+        # |m| <= 0.67, far below 1e-8
         m = build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2)
-        plain = measure_limit_cycle_fom(m, 2.28, coord=1)
-        settle_calls.update(dict.fromkeys(settle_calls, 0))
-        meas = measure_limit_cycle_fom(m, 2.28, coord=1)
-        assert meas.converged and settle_calls["solve_ivp"] == 2
-        self.check(settle_calls, meas, plain)
+        P = eigen_sweep(m, (1.5, 3.0), 40).events["P_H"] + 0.02
+        pt = continue_periodic(m.first_order(P), ContinuationOptions(mu_max=0.0)).points[-1]
+        meas = measure_limit_cycle_fom(m, P, coord=1)
+        assert meas.converged and meas.reason == "" and meas.newton > 0
+        assert np.array_equal(meas.amplitude, pt.amplitude) and meas.period == pt.period
+        others = np.sort(np.abs(meas.floquet))[:-1]
+        assert np.abs(meas.floquet - 1.0).min() < 1e-6
+        assert others.max() <= 0.67 and meas.stable
+        assert abs(meas.amplitude[1] - 0.2708906) < 1e-7
+
+        rhs = m.fom_rhs(P)
+        run = solve_ivp(rhs, (0.0, 200 * pt.period), 1.1 * pt.anchor, method="DOP853",
+                        rtol=1e-12, atol=1e-14)
+        x = run.y[:, -1]
+        T = return_time(rhs, x, pt.period, 1e-12, 1e-14)
+        orbit = solve_ivp(rhs, (0.0, T), x, method="DOP853", rtol=1e-12, atol=1e-14,
+                          dense_output=True)
+        ref = periodic_peak(orbit.sol(np.linspace(0.0, T, 20001)).T)
+        assert abs(T / meas.period - 1.0) < 1e-8
+        assert np.abs(meas.amplitude / ref - 1.0).max() < 1e-8
 
 
 class TestDecayUnits:
     def test_decay_from_reduced_norm(self):
         # a one-mode ROM whose mapping shrinks the amplitude 1e4-fold: the
-        # physical amplitude is below 1e-3 amp0 from the start, yet the
-        # reduced state grows onto the cycle, so it must not count as decay
+        # branch's tests (an anchor below _SEED_AMP ends it at a Hopf point)
+        # act on the reduced state, which is unchanged, so the cycle is found
+        # and only its physical amplitude shrinks
         rom = hopf_normal_form_rom()
         small = replace(rom, W=1e-4 * rom.W)
-        meas = measure_limit_cycle(small, 0.04, amp0=1e-3, settle_rtol=1e-7)
+        meas = measure_limit_cycle(small, 0.04)
         assert meas.converged and meas.reason == ""
         assert abs(meas.amplitude[0] - 1e-4 * np.sqrt(0.04)) < 2e-5 * 1e-4 * np.sqrt(0.04)
+
+
+def test_chain_rom_against_fom_past_a_false_settle():
+    # chain n = 8 (masses 1/n, springs n, L = 1/n, xi_m = 0.05), d = 4 order-5
+    # ROM at P_H: at 0.5% of P_H the settle loop reported 0.20950 for the
+    # ROM, where both cycles are 0.180214 (Floquet pair |m| = 0.964); at 5%
+    # a cycle corrected at fixed load from the Hopf seed did not converge
+    n = 8
+    m = build_ziegler(np.full(n, 1.0 / n), np.full(n, float(n)), 1.0 / n, xi_m=0.05)
+    P_H = eigen_sweep(m, (1.0, 30.0), 60).events["P_H"]
+    dae = recast_to_dae(m, mu0=P_H)
+    rom = build_rom_firstorder(dae, solve_master_eigen(dae, d=4), order=5)
+    for frac, tol in ((0.005, 1e-5), (0.05, 1e-4)):
+        got = measure_limit_cycle(rom, frac * P_H, coord=n - 1)
+        ref = measure_limit_cycle_fom(m, P_H + frac * P_H, coord=n - 1)
+        assert got.converged and ref.converged and got.reason == ref.reason == ""
+        assert abs(got.amp(n - 1) / ref.amp(n - 1) - 1.0) < tol
+        assert abs(got.period / ref.period - 1.0) < tol
+        assert abs(ref.amp(n - 1) - {0.005: 0.1802144, 0.05: 0.5608973}[frac]) < 1e-7
 
 
 def test_periodic_peak_against_fine_sampling():
