@@ -7,7 +7,8 @@ or on a full-order system with its interface (ZieglerFirstOrder).  Each
 Newton iterate evaluates the field and its derivatives at all collocation
 points in one batched call and condenses the stage values interval by
 interval; the product of the interval transfer matrices is the discrete
-monodromy, whose eigenvalues are the Floquet multipliers.  Fold /
+monodromy, whose eigenvalues are the Floquet multipliers.  The corrector
+is Newton's method on fixed equations, quadratically convergent.  Fold /
 Neimark-Sacker events are located from their test functions along the
 branch, and a branch that shrinks back onto the fixed point ends at a Hopf
 point.  The branch starts there too: the Hopf seed is the critical
@@ -71,20 +72,21 @@ def find_hopf(model):
 
     Scans the maximum real part of the Jacobian at the fixed point on 201
     loads over mu in +-0.35 max(|mu0|, 1) (one stacked eigenvalue solve),
-    then bisects the first sign change to 1e-12 max(|mu|, 1) with
-    eigenvalue-only solves; raises when there is none (the expected failure
-    of pre-bifurcation one-mode reductions).
+    then refines the first sign change to 1e-12 max(|mu|, 1) with
+    eigenvalue-only solves (_first_root); raises when there is none (the
+    expected failure of pre-bifurcation one-mode reductions).
     """
     def growth(mu):
         return np.max(np.linalg.eigvals(model.linear_block(mu)).real, axis=-1)
 
-    ref = max(abs(model.meta.get("mu0", 0.0)), 1.0)
+    mu0 = model.meta.get("mu0", 0.0)
+    ref = max(abs(mu0), 1.0)
     mus = np.linspace(-0.35 * ref, 0.35 * ref, 201)
     mu_H = _first_root(mus, growth(mus), growth, 1e-12)
     if mu_H is None:
         raise ContinuationError(
-            f"no sign change of the reduced growth rate in window {(mus[0], mus[-1])}; "
-            "the reduction cannot locate the bifurcation from this expansion")
+            "no sign change of the growth rate at the fixed point over the scanned "
+            f"loads [{mu0 + mus[0]:.6g}, {mu0 + mus[-1]:.6g}]")
     return mu_H
 
 
@@ -107,9 +109,10 @@ class ContinuationOptions:
             raise ValueError(f"max_points must be at least 1, got {self.max_points}")
 
 
-# first, smallest and largest arclength step; a step that converged within
-# _TARGET_NEWTON corrections grows, one that took _MAX_NEWTON - 2 or more shrinks
-_DS0, _DS_MIN, _DS_MAX = 0.02, 1e-5, 0.1
+# first and smallest arclength step; a step that converged within
+# _TARGET_NEWTON corrections grows, to _DS0 at most (callers interpolate
+# between the points), one that took _MAX_NEWTON - 2 or more shrinks
+_DS0, _DS_MIN = 0.02, 1e-5
 _TARGET_NEWTON, _MAX_NEWTON, _NEWTON_TOL = 3, 10, 1e-9
 # mesh error target, samples of a recorded orbit, and the anchor norm under
 # which a cycle has shrunk onto the fixed point
@@ -248,24 +251,26 @@ def _correct(sysr, q, K, tangent, ds, qn, Kn, radius, T_range):
     """Newton on the collocation equations, the phase row and the last row
     tangent . (qn - q) = ds, from the guess (qn, Kn).
 
-    The phase normal is f at q's anchor, taken at the top of each iterate.
-    The residual norm covers those rows, periodicity x_N = x_0 and the
-    stage residuals.  An iterate whose mu or anchor moves more than `radius` from q, or whose
-    period leaves T_range, is rejected.  Returns (qn, Kn, collocation at
-    qn, corrections, residual norm, reason); reason is "" on convergence.
+    The phase normal is f at q's anchor and mu, fixed for all iterates, so
+    the Newton matrix is exact.  The residual norm covers those rows,
+    periodicity x_N = x_0 and the stage residuals.  An iterate whose mu or
+    anchor moves more than `radius` from q, or whose period leaves T_range,
+    is rejected.  Returns (qn, Kn, collocation at qn, corrections, residual
+    norm of each iterate evaluated, reason); reason is "" on convergence.
     """
     n = len(q) - 2
-    res = np.inf
+    sysr.mu = q[n + 1]
+    nvec = sysr.rhs(0.0, q[:n])
+    nvec /= np.linalg.norm(nvec)
+    residuals = []
     for it in range(_MAX_NEWTON):
         x_n, T_n, mu_n = qn[:n], qn[n], qn[n + 1]
-        nvec = sysr.rhs(0.0, q[:n])
-        nvec /= np.linalg.norm(nvec)
         col = _collocate(sysr, x_n, Kn, T_n, mu_n)
         F = np.concatenate([col.X[-1] - x_n, [nvec @ (x_n - q[:n])],
                             [tangent @ (qn - q) - ds]])
-        res = float(np.sqrt(F @ F + np.sum(col.G ** 2)))
-        if res < _NEWTON_TOL * max(1.0, np.linalg.norm(qn)):
-            return qn, Kn, col, it, res, ""
+        residuals.append(float(np.sqrt(F @ F + np.sum(col.G ** 2))))
+        if residuals[-1] < _NEWTON_TOL * max(1.0, np.linalg.norm(qn)):
+            return qn, Kn, col, it, residuals, ""
         end = col.Psi[-1]
         Jb = np.zeros((n + 2, n + 2))
         Jb[:n, :n + 2] = end[:, :n + 2]
@@ -277,17 +282,17 @@ def _correct(sysr, q, K, tangent, ds, qn, Kn, radius, T_range):
         try:
             dq = np.linalg.solve(Jb, rhs)
         except np.linalg.LinAlgError:
-            return qn, Kn, col, it, res, "singular corrector matrix"
+            return qn, Kn, col, it, residuals, "singular corrector matrix"
         w = np.append(dq, 1.0)
         dX = col.Psi[:-1] @ w
         W = np.concatenate([dX, np.broadcast_to(w[n:], (len(dX), 3))], axis=1)
         qn = qn + dq
         Kn = Kn + np.einsum("jsac,jc->jsa", col.Z, W)
         if abs(qn[n + 1] - q[n + 1]) > radius or np.linalg.norm(qn[:n] - q[:n]) > radius:
-            return qn, Kn, col, it + 1, res, "iterate left the trust region"
+            return qn, Kn, col, it + 1, residuals, "iterate left the trust region"
         if not T_range[0] <= qn[n] <= T_range[1]:
-            return qn, Kn, col, it + 1, res, "iterate period left [T0/4, 4 T0]"
-    return qn, Kn, col, _MAX_NEWTON, res, "no convergence"
+            return qn, Kn, col, it + 1, residuals, "iterate period left [T0/4, 4 T0]"
+    return qn, Kn, col, _MAX_NEWTON, residuals, "no convergence"
 
 
 def _hopf_seed(sysr, mu_H, mu_start):
@@ -328,7 +333,7 @@ def _hopf_seed(sysr, mu_H, mu_start):
             f"the cycles of the Hopf point mu = {mu_H:.6g} lie "
             f"{'above' if shift > 0 else 'below'} it")
     scale = float(np.sqrt((mu_start - mu_H) / shift))
-    record = {"mu_H": float(mu_H), "newton": it, "residual": res, "scale": scale}
+    record = {"mu_H": float(mu_H), "newton": it, "residual": res[-1], "scale": scale}
     return scale * q[:n], scale * K, q[n], record
 
 
@@ -364,10 +369,10 @@ def continue_periodic(model, options=None):
     (find_hopf) is corrected with mu fixed at min(mu_max, mu_H +
     max(4 _DS0, 0.01 max(|mu_H|, 1))); the first step leaves it along the
     branch's tangent (near mu_H, the amplitude law x ~ sqrt(mu - mu_H)),
-    then the branch is followed in (anchor, period, mu) with adaptive steps.
-    Each accepted point records physical amplitudes (all mapped
-    coordinates), the period, Floquet multipliers, stability, and any
-    event marker.  The mesh grows whenever the error estimate of a
+    then the branch is followed in (anchor, period, mu) with arclength
+    steps of at most _DS0.  Each accepted point records physical amplitudes
+    (all mapped coordinates), the period, Floquet multipliers, stability,
+    and any event marker.  The mesh grows whenever the error estimate of a
     corrected orbit exceeds _RTOL.  A step past mu_max is corrected again
     with mu fixed at mu_max, from the secant through the last point; that
     point, whose mu is mu_max exactly, ends the branch.  The branch ends
@@ -376,9 +381,10 @@ def continue_periodic(model, options=None):
 
     meta["seed"] is the Hopf seed's record {mu_H, newton, residual, scale};
     meta["trace"] holds one record per attempted correction (ds, Newton
-    corrections, residual norm, mesh intervals, accepted, reason, wall
-    time); the fixed-mu corrections have ds = 0.  meta["truncated"] names
-    why the branch stopped short of mu_max ("" when it did not).  Raises
+    corrections, residual norms of the iterates, mesh intervals, accepted,
+    reason, wall time); the fixed-mu corrections have ds = 0.
+    meta["truncated"] names why the branch stopped short of mu_max ("" when
+    it did not).  Raises
     ContinuationError when no cycle lies on the seed's side of mu_H.
     """
     opts = options or ContinuationOptions()
@@ -400,8 +406,8 @@ def continue_periodic(model, options=None):
         N = len(Kn) if reason else _mesh_size(sysr, col, qn[m2], _RTOL)
         if N > len(Kn):
             reason = f"mesh refined to {N} intervals"
-        rec = {"ds": ds, "newton": it, "residual": res, "mesh": len(Kn), "accepted": not reason,
-               "reason": reason, "wall_s": time.perf_counter() - t0}
+        rec = {"ds": ds, "newton": it, "residuals": res, "mesh": len(Kn),
+               "accepted": not reason, "reason": reason, "wall_s": time.perf_counter() - t0}
         trace.append(rec)
         return qn, Kn, col, it, rec, N
 
@@ -491,9 +497,9 @@ def continue_periodic(model, options=None):
         nrm = np.linalg.norm(step)
         tangent, tK = step / nrm, (Kn - K) / nrm
         q, K, q_col = qn, Kn, col
-        if it + 1 <= _TARGET_NEWTON:
-            ds = min(ds * 1.4, _DS_MAX)
-        elif it + 1 >= _MAX_NEWTON - 2:
+        if it <= _TARGET_NEWTON:
+            ds = min(ds * 1.4, _DS0)
+        elif it >= _MAX_NEWTON - 2:
             ds = max(ds / 1.5, _DS_MIN)
 
     meta["truncated"] = truncated_reason

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.optimize import brentq
 
 from .models.dae import FirstOrderDAE
 
@@ -259,32 +260,20 @@ def _closest_pair(w):
     return float(gaps[k]), scale, (up[ia[k]], up[ib[k]])
 
 
-def _bisect(f, a, b, xtol, max_iter=200):
-    fa = f(a)
-    fb = f(b)
-    if fa * fb > 0:
-        raise SpectralError(f"no sign change in [{a}, {b}]")
-    for _ in range(max_iter):
-        m = 0.5 * (a + b)
-        fm = f(m)
-        if fa * fm <= 0:
-            b, fb = m, fm
-        else:
-            a, fa = m, fm
-        if abs(b - a) <= xtol:
-            break
-    return 0.5 * (a + b)
-
-
 def _first_root(grid, vals, f, rtol):
-    """Root of f by bisection on the first grid interval where vals (f on
-    the grid) turn from negative to non-negative; None when they never do."""
+    """Root of f, to rtol max(|b|, 1), on the first grid interval [a, b]
+    where vals (f on the grid) turn from negative to non-negative; None when
+    they never do.  Brent's method: superlinear on the smooth growth rates
+    this serves, and it bisects wherever interpolation stalls."""
     vals = np.asarray(vals)
     turns = np.flatnonzero((vals[:-1] < 0) & (vals[1:] >= 0))
     if not turns.size:
         return None
     a, b = grid[turns[0]], grid[turns[0] + 1]
-    return _bisect(f, a, b, xtol=rtol * max(abs(b), 1.0))
+    try:
+        return brentq(f, a, b, xtol=rtol * max(abs(b), 1.0))
+    except ValueError as exc:   # the fresh values at a and b lost the sign change
+        raise SpectralError(f"no sign change in [{a}, {b}]") from exc
 
 
 def _golden_min(f, a, b, xtol, max_iter=200):
@@ -314,7 +303,7 @@ def eigen_sweep(model, param_range, n_points, n_track=None, mac_threshold=0.8):
     mac_threshold adds a warning record {P, mode, mac}.  The event scans
     read the grid spectra the tracking solved; the events are then refined
     with fresh eigenvalue-only solves (gap minimization for the
-    coalescence, bisection for the Hopf and divergence points), so they do
+    coalescence, Brent roots for the Hopf and divergence points), so they do
     not depend on the mode matching.  Every solve is dense and covers the
     whole spectrum, which n_track (default: all of it) only trims for the
     tracked output; only the grid solves compute (right) eigenvectors.

@@ -6,12 +6,12 @@ import scipy.linalg as sla
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq, minimize_scalar
 
+from flutterrom import continuation
 from flutterrom.continuation import (
     BifurcationDiagram,
     BranchPoint,
     ContinuationError,
     _DS0,
-    _DS_MAX,
     _DS_MIN,
     _MAX_NEWTON,
     _N_SAMPLE,
@@ -129,9 +129,10 @@ def shooting_branch(rom, opts):
     point is integrated once more for its amplitudes: each coordinate's
     largest sample, refined on a 1000 times finer grid over the sample
     spacing either side of it.  Same seed, first tangent (the null vector
-    of the seed's periodicity and phase rows), rows, convergence test, step
-    rule and landing (a step past mu_max corrected again at mu = mu_max,
-    from the secant through the last point) as continue_periodic."""
+    of the seed's periodicity and phase rows), rows (the phase normal is f
+    at the last point's anchor and mu, once per step), convergence test,
+    step rule and landing (a step past mu_max corrected again at mu =
+    mu_max, from the secant through the last point) as continue_periodic."""
     mu_H = find_hopf(rom)
     mu_start = min(opts.mu_max, mu_H + max(4 * _DS0, 0.01 * max(abs(mu_H), 1.0)))
     sysr = RealizedReducedSystem(rom, mu_start)
@@ -168,11 +169,12 @@ def shooting_branch(rom, opts):
     truncated = ""
     while len(points) < opts.max_points:
         qn = q + ds * tangent
+        sysr.mu = q[m2 + 1]
+        nvec = sysr.rhs(0.0, q[:m2])
+        nvec /= np.linalg.norm(nvec)
         converged = False
         for it in range(_MAX_NEWTON):
             x_n, T_n, mu_n = qn[:m2], qn[m2], qn[m2 + 1]
-            nvec = sysr.rhs(0.0, q[:m2])
-            nvec /= np.linalg.norm(nvec)
             xT, Mono, smu = _flow_with_variations(sysr, x_n, T_n, mu_n, _RTOL, ATOL)
             F = np.concatenate([xT - x_n, [nvec @ (x_n - q[:m2])], [tangent @ (qn - q) - ds]])
             if np.linalg.norm(F) < _NEWTON_TOL * max(1.0, np.linalg.norm(qn)):
@@ -211,9 +213,9 @@ def shooting_branch(rom, opts):
             break
         tangent = (qn - q) / np.linalg.norm(qn - q)
         q = qn
-        if it + 1 <= _TARGET_NEWTON:
-            ds = min(ds * 1.4, _DS_MAX)
-        elif it + 1 >= _MAX_NEWTON - 2:
+        if it <= _TARGET_NEWTON:
+            ds = min(ds * 1.4, _DS0)
+        elif it >= _MAX_NEWTON - 2:
             ds = max(ds / 1.5, _DS_MIN)
     return BifurcationDiagram(points, {"truncated": truncated})
 
@@ -269,17 +271,7 @@ def find_hopf_pointwise(rom, n_scan=201, tol=1e-12):
     vals = np.array([max_re(mu) for mu in mus])
     i = next(i for i in range(n_scan - 1) if vals[i] < 0 <= vals[i + 1])
     a, b = mus[i], mus[i + 1]
-    fa = max_re(a)
-    for _ in range(200):
-        m = 0.5 * (a + b)
-        fm = max_re(m)
-        if fa * fm <= 0:
-            b = m
-        else:
-            a, fa = m, fm
-        if b - a < tol:
-            break
-    return 0.5 * (a + b)
+    return brentq(max_re, a, b, xtol=tol * max(abs(b), 1.0))
 
 
 @pytest.mark.parametrize("d", [2, 4])
@@ -506,8 +498,9 @@ def test_trace_accounts_for_every_step(branch):
     trace = branch.meta["trace"]
     assert sum(rec["accepted"] for rec in trace) == len(branch.points)
     for rec in trace:
-        assert set(rec) == {"ds", "newton", "residual", "mesh", "accepted", "reason", "wall_s"}
+        assert set(rec) == {"ds", "newton", "residuals", "mesh", "accepted", "reason", "wall_s"}
         assert rec["accepted"] == (rec["reason"] == "")
+        assert len(rec["residuals"]) == rec["newton"] + 1
     # the trust region never fires on this branch; only the seed mesh grows,
     # and the one step past mu_max is corrected again at mu_max
     rejected = [rec for rec in trace if rec["reason"]]
@@ -516,6 +509,37 @@ def test_trace_accounts_for_every_step(branch):
     assert all(rec["reason"].startswith("mesh refined") for rec in rejected[:-1])
     assert all(rec["ds"] == 0.0 for rec in rejected[:-1])
     assert len({rec["mesh"] for rec in trace if rec["accepted"]}) == 1
+
+
+def test_arclength_steps_converge_quadratically(branch):
+    # the phase normal is fixed for a whole correction, so the Newton matrix
+    # is the exact Jacobian of the rows: every residual is at most the square
+    # of the one before (about ten times below it on this branch)
+    steps = [rec for rec in branch.meta["trace"] if rec["accepted"] and rec["ds"] > 0.0]
+    assert len(steps) == len(branch.points) - 2
+    for rec in steps:
+        r = rec["residuals"]
+        assert all(after <= before ** 2 for before, after in zip(r, r[1:])), r
+
+
+def test_step_grows_back_to_ds0_after_a_failure(monkeypatch):
+    # the first arclength attempt fails once: the step halves, then grows
+    # back to _DS0 within three accepted steps and never past it
+    correct, failed = continuation._correct, []
+
+    def fail_first_step(sysr, q, K, tangent, ds, *args):
+        out = correct(sysr, q, K, tangent, ds, *args)
+        if ds > 0.0 and not failed:
+            failed.append(ds)
+            return (*out[:5], "forced failure")
+        return out
+
+    monkeypatch.setattr(continuation, "_correct", fail_first_step)
+    diag = continue_periodic(hopf_normal_form_rom(omega=1.3), ContinuationOptions(mu_max=0.3))
+    assert failed == [_DS0] and diag.meta["truncated"] == ""
+    steps = [rec["ds"] for rec in diag.meta["trace"] if rec["accepted"] and rec["ds"] > 0.0]
+    assert steps[0] == _DS0 / 2.0
+    assert _DS0 in steps[1:4] and max(steps) == _DS0
 
 
 def test_branch_closes_at_the_second_hopf_point():

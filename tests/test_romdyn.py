@@ -219,6 +219,9 @@ class TestIntegrateReduced:
         meas = measure_limit_cycle(rom, 0.2, coord=1)
         assert meas.converged
         assert meas.amplitude[1] > 0.05
+        # the solver's work, pinned as a count: seed, 2-3 corrections per
+        # arclength step, and the landing at mu = 0.2
+        assert meas.newton == 27
 
     @pytest.mark.parametrize("mu", [0.04, -0.04])
     def test_blow_up_of_the_subcritical_normal_form(self, mu):
@@ -313,6 +316,21 @@ class TestFom:
         meas = measure_limit_cycle_fom(m, P_H + 0.3, coord=1)
         assert meas.converged
         assert meas.amplitude[1] > 0.05
+
+    def test_newton_count_of_a_cycle(self):
+        # the solver's work, pinned as a count: the Newton corrections of the
+        # branch from the Hopf point to P_H + 0.2
+        m = build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2)
+        P_H = eigen_sweep(m, (1.5, 3.0), 40).events["P_H"]
+        assert measure_limit_cycle_fom(m, P_H + 0.2).newton == 41
+
+    def test_no_hopf_point_in_the_scanned_window(self):
+        # expanded at p = 3.3, find_hopf scans the loads within 0.35 p of it,
+        # and P_H = 2.077 lies below them: the reason names that window
+        m = build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2)
+        meas = measure_limit_cycle_fom(m, 3.3)
+        assert meas.amplitude.max() == 0.0 and not meas.converged
+        assert "loads [2.145, 4.455]" in meas.reason and "reduc" not in meas.reason
 
     def test_cycle_against_a_long_run(self):
         # the collocation cycle at P_H + 0.02 against 200 periods of DOP853

@@ -298,7 +298,7 @@ class TestSweepSolves:
             return wrapper
 
         monkeypatch.setattr(m, "linear_pencil", counted_pencil)
-        monkeypatch.setattr(spectral, "_bisect", counting(spectral._bisect))
+        monkeypatch.setattr(spectral, "brentq", counting(spectral.brentq))
         monkeypatch.setattr(spectral, "_golden_min", counting(spectral._golden_min))
         traj = eigen_sweep(m, span, n_points)
         # tracking, each refinement evaluation, and the scale solve at P_c
