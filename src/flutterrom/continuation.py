@@ -236,15 +236,26 @@ def _mesh_size(sysr, col, T, rtol):
     return min(int(np.ceil(N * (2.0 * err / rtol) ** (1.0 / (len(_NODES) + 1)))), _MESH_MAX)
 
 
+def _stage_change(col, w):
+    """Stage values' change dK_j = Z_j (Psi_j w, w_T, w_mu, w_1) for the
+    update w = (dx_0, dT, dmu, weight of the residual column)."""
+    n = col.X.shape[1]
+    dX = col.Psi[:-1] @ w
+    W = np.concatenate([dX, np.broadcast_to(w[n:], (len(dX), 3))], axis=1)
+    return np.einsum("jsac,jc->jsa", col.Z, W)
+
+
 def _tangent(sysr, q, col):
     """Unit tangent (dx_0, dT, dmu) of the branch at the corrected orbit q,
     oriented to increasing mu: the null vector of its periodicity and phase
-    rows (sysr.mu must be q's mu)."""
+    rows (sysr.mu must be q's mu); and the stage values' part of it, the
+    linearised collocation's response with the residual column weighted 0."""
     n = len(q) - 2
     A = np.vstack([col.Psi[-1, :, :n + 2] - np.eye(n, n + 2),
                    np.append(sysr.rhs(0.0, q[:n]), [0.0, 0.0])])
     t = np.linalg.svd(A)[2][-1]
-    return np.copysign(1.0, t[-1]) * t
+    t = np.copysign(1.0, t[-1]) * t
+    return t, _stage_change(col, np.append(t, 0.0))
 
 
 def _correct(sysr, q, K, tangent, ds, qn, Kn, radius, T_range):
@@ -283,11 +294,8 @@ def _correct(sysr, q, K, tangent, ds, qn, Kn, radius, T_range):
             dq = np.linalg.solve(Jb, rhs)
         except np.linalg.LinAlgError:
             return qn, Kn, col, it, residuals, "singular corrector matrix"
-        w = np.append(dq, 1.0)
-        dX = col.Psi[:-1] @ w
-        W = np.concatenate([dX, np.broadcast_to(w[n:], (len(dX), 3))], axis=1)
         qn = qn + dq
-        Kn = Kn + np.einsum("jsac,jc->jsa", col.Z, W)
+        Kn = Kn + _stage_change(col, np.append(dq, 1.0))
         if abs(qn[n + 1] - q[n + 1]) > radius or np.linalg.norm(qn[:n] - q[:n]) > radius:
             return qn, Kn, col, it + 1, residuals, "iterate left the trust region"
         if not T_range[0] <= qn[n] <= T_range[1]:
@@ -441,7 +449,7 @@ def continue_periodic(model, options=None):
     others = record(q, q_col)
     fold_prev = _fold_test(others)
     ns_prev = _ns_test(others)
-    tangent, tK = _tangent(sysr, q, q_col), np.zeros_like(K)
+    tangent, tK = _tangent(sysr, q, q_col)
 
     ds = _DS0
     truncated_reason = ""

@@ -7,6 +7,12 @@ systems with parameter-independent quadratic/cubic forces, where the
 velocity mappings are recovered a posteriori and only displacement-sized
 linear systems are factored.
 
+One order loop (`_build`) serves both engines: it holds the monomial
+table, the resonance classification, the order-1 mapping from the master
+spectrum, the gradient cross terms, the Jordan dependencies, the per-order
+statistics and the ROM assembly.  An engine supplies only two things: its
+order-p nonlinear series and its stacked solve of one order.
+
 Both engines support imposed Jordan couplings in the linear reduced
 dynamics: the off-diagonal entries of Lam feed an extra within-order term
 whose dependency always points to an already-solved monomial thanks to the
@@ -216,10 +222,6 @@ class ParametrisationROM:
 
 # -- shared engine pieces -----------------------------------------------------
 
-def _order1_ids(table):
-    return list(table.ids_of_order(1))
-
-
 def _gradient_cross_lower(table, W, f, p):
     """N3: sum over lower orders of (dW/dz_s) f_s collecting at order p.
 
@@ -376,6 +378,55 @@ def _stacked_solve(A, b, sigma, lam, table, mids):
     return sol, _check_solve(resid, np.linalg.norm(b, axis=1), sigma, lam, table, mids)
 
 
+# -- the order loop -----------------------------------------------------------
+
+def _build(spectrum, order, r_tol, series, solve, meta, n_disp=None):
+    """Solves the homological equations order by order, for either engine.
+
+    The engine supplies its order-p nonlinear series, series(table, W, p),
+    one row per order-p monomial, and its stacked solve,
+    solve(table, res, ids, rhs, g, jdeps, W, f), which writes the order-p
+    rows of W and f from that series, the gradient cross terms g and the
+    Jordan dependencies and returns the largest relative residual; meta
+    holds the engine's own keys.  Two-mode (d = 4) runs classify resonances
+    with the 1:1 enforcement.
+    """
+    d = spectrum.d
+    nv = d + 1
+    one_to_one = d == 4
+    table = MonomialTable(nv, order)
+    jp = spectrum.jordan_pairs
+    lam_vec = np.zeros(nv, dtype=complex)
+    lam_vec[:d] = np.diag(spectrum.Lam)
+    res = classify_resonances(table, lam_vec, r_tol, one_to_one)
+
+    W = np.zeros((len(table), spectrum.Y.shape[0]), dtype=complex)
+    f = np.zeros((len(table), nv), dtype=complex)
+    o1 = table.ids_of_order(1)
+    for s in range(d):
+        W[o1[s]] = spectrum.Y[:, s]
+        f[o1[s], :d] = spectrum.Lam[:, s]
+    W[o1[d]] = spectrum.Ypar
+    # normal-form choice for the parameter column: f^(1, d+1) = 0
+
+    stats = []
+    for p in range(2, order + 1):
+        ids = np.asarray(table.ids_of_order(p))
+        t0 = time.perf_counter()
+        rhs = series(table, W, p)
+        t1 = time.perf_counter()
+        g = _gradient_cross_lower(table, W, f, p)
+        jdeps = _jordan_within_order(table, p, jp)
+        t2 = time.perf_counter()
+        max_rel = solve(table, res, ids, rhs, g, jdeps, W, f)
+        stats.append(_order_record(p, ids, res, (t0, t1, t2, time.perf_counter()), max_rel))
+
+    meta.update(r_tol=r_tol, one_to_one=one_to_one,
+                jordan_pairs=[(int(i), int(j), complex(t).real) for i, j, t in jp], stats=stats)
+    return ParametrisationROM(table, W, f, lam_vec[:d].copy(), spectrum.Lam.copy(),
+                              spectrum.conj_map, n_disp, meta)
+
+
 # -- first-order engine -------------------------------------------------------
 
 def _quadratic_rhs(table, dae, W, p):
@@ -418,50 +469,16 @@ def _solve_order(table, res, spectrum, B, At, ids, rhs, jdeps, W, f):
 
 
 def build_rom_firstorder(dae: FirstOrderDAE, spectrum, order, r_tol=0.05):
-    """Parametrisation of the augmented quadratic DAE around its fixed point;
-    two-mode (d = 4) runs classify resonances with the 1:1 enforcement."""
-    d = spectrum.d
-    nv = d + 1
-    one_to_one = d == 4
-    table = MonomialTable(nv, order)
-    D = dae.dim
-    B = dae.B
-    At = np.asarray(spectrum.ops["At"])
-    jp = spectrum.jordan_pairs
+    """Parametrisation of the augmented quadratic DAE around its fixed point."""
+    B, At = dae.B, np.asarray(spectrum.ops["At"])
 
-    lam_vec = np.zeros(nv, dtype=complex)
-    lam_vec[:d] = np.diag(spectrum.Lam)
-    res = classify_resonances(table, lam_vec, r_tol, one_to_one)
+    def solve(table, res, ids, rhs, g, jdeps, W, f):
+        return _solve_order(table, res, spectrum, B, At, ids, rhs - g @ B.T, jdeps, W, f)
 
-    W = np.zeros((len(table), D), dtype=complex)
-    f = np.zeros((len(table), nv), dtype=complex)
-    o1 = _order1_ids(table)
-    for s in range(d):
-        W[o1[s]] = spectrum.Y[:, s]
-        f[o1[s], :d] = spectrum.Lam[:, s]
-    W[o1[d]] = spectrum.Ypar
-    # normal-form choice for the parameter column: f^(1, d+1) = 0
-
-    stats = []
-    for p in range(2, order + 1):
-        ids = np.asarray(table.ids_of_order(p))
-        t0 = time.perf_counter()
-        rhs = _quadratic_rhs(table, dae, W, p)
-        t1 = time.perf_counter()
-        rhs -= _gradient_cross_lower(table, W, f, p) @ B.T
-        jdeps = _jordan_within_order(table, p, jp)
-        t2 = time.perf_counter()
-        max_rel = _solve_order(table, res, spectrum, B, At, ids, rhs, jdeps, W, f)
-        stats.append(_order_record(p, ids, res, (t0, t1, t2, time.perf_counter()), max_rel))
-
-    rom_meta = {"engine": "first-order", "mu0": dae.mu0, "r_tol": r_tol,
-                "one_to_one": one_to_one,
-                "jordan_pairs": [(int(i), int(j), complex(t).real) for i, j, t in jp],
-                "labels": list(dae.labels),
-                "displacement_indices": [int(i) for i in dae.displacement_indices],
-                "stats": stats}
-    return ParametrisationROM(table, W, f, lam_vec[:d].copy(), spectrum.Lam.copy(),
-                              spectrum.conj_map, None, rom_meta)
+    meta = {"engine": "first-order", "mu0": dae.mu0,
+            "displacement_indices": [int(i) for i in dae.displacement_indices]}
+    return _build(spectrum, order, r_tol, lambda table, W, p: _quadratic_rhs(table, dae, W, p),
+                  solve, meta)
 
 
 # -- second-order engine ------------------------------------------------------
@@ -511,58 +528,27 @@ def build_rom_secondorder(model, spectrum, order, r_tol=0.05):
 
     Requires parameter-independent quadratic/cubic forces (models whose
     cubic scales with the load go through the quadratic recast and the
-    first-order engine) and no parameter-only quadratic term; each monomial
-    solves a displacement-sized bordered system and its velocity mapping is
-    recovered algebraically afterwards.  Two-mode (d = 4) runs classify
-    resonances with the 1:1 enforcement.
+    first-order engine); each monomial solves a displacement-sized bordered
+    system and its velocity mapping is recovered algebraically afterwards.
     """
     if getattr(model, "cubic_scales_with_load", False):
         raise ValueError("load-scaled cubic forces require the quadratic recast "
                          "and the first-order engine")
-    if getattr(model, "q3", None) is not None and np.any(np.asarray(model.q3) != 0):
-        raise ValueError("parameter-quadratic terms are outside the second-order engine")
-
-    d = spectrum.d
-    nv = d + 1
-    one_to_one = d == 4
     n = model.ndof
     mck = tuple(np.asarray(a) for a in (model.mass(), model.damping(),
                                         model.tangent_stiffness()))
     Ru = model.ru()
-    Lam = spectrum.Lam
-    jp = spectrum.jordan_pairs
-    table = MonomialTable(nv, order)
-    lam_vec = np.zeros(nv, dtype=complex)
-    lam_vec[:d] = np.diag(Lam)
-    res = classify_resonances(table, lam_vec, r_tol, one_to_one)
 
-    W = np.zeros((len(table), 2 * n), dtype=complex)
-    f = np.zeros((len(table), nv), dtype=complex)
-    o1 = _order1_ids(table)
-    for s in range(d):
-        W[o1[s]] = spectrum.Y[:, s]
-        f[o1[s], :d] = Lam[:, s]
-    W[o1[d]] = spectrum.Ypar
-
-    stats = []
-    for p in range(2, order + 1):
-        ids = np.asarray(table.ids_of_order(p))
-        t0 = time.perf_counter()
+    def series(table, W, p):
         fnl = model.nl_rhs_series(table, W[:, :n], p)
         fnl[table.product_ids(p - 1, 1)[:, -1]] += (Ru @ W[table.ids_of_order(p - 1), :n].T).T
-        t1 = time.perf_counter()
-        g = _gradient_cross_lower(table, W, f, p)
-        jdeps = _jordan_within_order(table, p, jp)
-        t2 = time.perf_counter()
-        max_rel = _solve_order_secondorder(table, res, spectrum, mck, ids, fnl, g, jdeps, W, f)
-        stats.append(_order_record(p, ids, res, (t0, t1, t2, time.perf_counter()), max_rel))
+        return fnl
 
-    rom_meta = {"engine": "second-order", "mu0": getattr(model, "p0", 0.0),
-                "r_tol": r_tol, "one_to_one": one_to_one,
-                "jordan_pairs": [(int(i), int(j), complex(t).real) for i, j, t in jp],
-                "n_disp": n, "stats": stats}
-    return ParametrisationROM(table, W, f, lam_vec[:d].copy(), Lam.copy(),
-                              spectrum.conj_map, n, rom_meta)
+    def solve(table, res, ids, fnl, g, jdeps, W, f):
+        return _solve_order_secondorder(table, res, spectrum, mck, ids, fnl, g, jdeps, W, f)
+
+    meta = {"engine": "second-order", "mu0": getattr(model, "p0", 0.0), "n_disp": n}
+    return _build(spectrum, order, r_tol, series, solve, meta, n)
 
 
 # -- invariance diagnostics ---------------------------------------------------

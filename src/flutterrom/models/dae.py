@@ -12,7 +12,7 @@ form and q3 the coefficient vector of the parameter-only quadratic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -30,7 +30,6 @@ class FirstOrderDAE:
     q3: np.ndarray
     y0: np.ndarray
     mu0: float
-    labels: list[str] = field(default_factory=list)
     displacement_indices: np.ndarray | None = None
 
     def __post_init__(self):

@@ -213,7 +213,5 @@ def recast_to_dae(model: ZieglerModel, mu0: float) -> FirstOrderDAE:
         Q2m[i_lin, b] = 1.0
 
     Q1 = SparseBilinearForm.from_entries(D, D, D, q1_entries)
-    labels = ([f"theta{i+1}" for i in range(n)] + [f"thetadot{i+1}" for i in range(n)]
-              + [s for t in range(nc) for s in (f"w_sq{t+1}", f"w_lin{t+1}")])
     return FirstOrderDAE(B, A, Q1, Q2m, q3=np.zeros(D), y0=np.zeros(D), mu0=float(mu0),
-                         labels=labels, displacement_indices=np.arange(n))
+                         displacement_indices=np.arange(n))

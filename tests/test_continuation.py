@@ -260,6 +260,23 @@ def test_normal_form_branch_against_closed_form():
     assert trivial < 1e-6
 
 
+def test_fold_of_the_quintic_normal_form():
+    # zdot = (mu + i) z - z|z|^2 + z|z|^4: cycles r^2 = (1 -+ sqrt(1 - 4 mu)) / 2,
+    # a stable lower and an unstable upper branch meeting at the fold
+    # mu = 1/4, r = 1/sqrt(2)
+    diag = continue_periodic(hopf_normal_form_rom(c5=1.0, order=5),
+                             options=ContinuationOptions(mu_max=0.3, max_points=60))
+    events = diag.events()
+    assert [event for _, event in events] == ["fold"]
+    assert abs(events[0][0] - 0.25) < 1e-3
+    k = next(i for i, pt in enumerate(diag.points) if pt.event)
+    assert all(pt.stable for pt in diag.points[:k])
+    assert not any(pt.stable for pt in diag.points[k:])
+    for pt in diag.points:
+        r = np.sqrt((1.0 + (-1.0 if pt.stable else 1.0) * np.sqrt(1.0 - 4.0 * pt.mu)) / 2.0)
+        assert abs(pt.amplitude[0] - r) < 1e-8
+
+
 def find_hopf_pointwise(rom, n_scan=201, tol=1e-12):
     """find_hopf with one eigensolve per scanned load."""
     ref = max(abs(rom.meta.get("mu0", 0.0)), 1.0)
@@ -520,6 +537,14 @@ def test_arclength_steps_converge_quadratically(branch):
     for rec in steps:
         r = rec["residuals"]
         assert all(after <= before ** 2 for before, after in zip(r, r[1:])), r
+
+
+def test_first_step_off_the_seed_converges_like_the_rest(branch):
+    # the seed's tangent carries the stage values' part, so the first
+    # arclength step starts from an O(ds^2) residual like every later step
+    steps = [rec for rec in branch.meta["trace"] if rec["ds"] > 0.0]
+    assert steps[0]["newton"] <= 2
+    assert steps[0]["residuals"][0] <= max(rec["residuals"][0] for rec in steps[1:])
 
 
 def test_step_grows_back_to_ds0_after_a_failure(monkeypatch):

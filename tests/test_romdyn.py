@@ -221,7 +221,7 @@ class TestIntegrateReduced:
         assert meas.amplitude[1] > 0.05
         # the solver's work, pinned as a count: seed, 2-3 corrections per
         # arclength step, and the landing at mu = 0.2
-        assert meas.newton == 27
+        assert meas.newton == 26
 
     @pytest.mark.parametrize("mu", [0.04, -0.04])
     def test_blow_up_of_the_subcritical_normal_form(self, mu):
@@ -322,7 +322,7 @@ class TestFom:
         # branch from the Hopf point to P_H + 0.2
         m = build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2)
         P_H = eigen_sweep(m, (1.5, 3.0), 40).events["P_H"]
-        assert measure_limit_cycle_fom(m, P_H + 0.2).newton == 41
+        assert measure_limit_cycle_fom(m, P_H + 0.2).newton == 40
 
     def test_no_hopf_point_in_the_scanned_window(self):
         # expanded at p = 3.3, find_hopf scans the loads within 0.35 p of it,
