@@ -13,8 +13,9 @@ Neimark-Sacker events are located from their test functions along the
 branch, and a branch that shrinks back onto the fixed point ends at a Hopf
 point.  The branch starts there too: the Hopf seed is the critical
 eigenvector's ellipse scaled by the normal-form amplitude law, so nothing
-integrates.  It ends at exactly mu_max: romdyn's limit cycles are its last
-points.
+integrates.  It ends at exactly mu_max.  romdyn's limit cycle at a load is
+the seed corrected at that load itself (_land), or the last point of a
+branch where that landing is refused.
 """
 
 from __future__ import annotations
@@ -258,6 +259,9 @@ def _tangent(sysr, q, col):
     return t, _stage_change(col, np.append(t, 0.0))
 
 
+# a diverging iterate overflows; its residual is not finite, which ends the
+# correction with a reason instead of a numpy warning
+@np.errstate(over="ignore", invalid="ignore")
 def _correct(sysr, q, K, tangent, ds, qn, Kn, radius, T_range):
     """Newton on the collocation equations, the phase row and the last row
     tangent . (qn - q) = ds, from the guess (qn, Kn).
@@ -265,9 +269,10 @@ def _correct(sysr, q, K, tangent, ds, qn, Kn, radius, T_range):
     The phase normal is f at q's anchor and mu, fixed for all iterates, so
     the Newton matrix is exact.  The residual norm covers those rows,
     periodicity x_N = x_0 and the stage residuals.  An iterate whose mu or
-    anchor moves more than `radius` from q, or whose period leaves T_range,
-    is rejected.  Returns (qn, Kn, collocation at qn, corrections, residual
-    norm of each iterate evaluated, reason); reason is "" on convergence.
+    anchor moves more than `radius` from q, whose period leaves T_range, or
+    whose residual is not finite, is rejected.  Returns (qn, Kn, collocation
+    at qn, corrections, residual norm of each iterate evaluated, reason);
+    reason is "" on convergence.
     """
     n = len(q) - 2
     sysr.mu = q[n + 1]
@@ -280,6 +285,8 @@ def _correct(sysr, q, K, tangent, ds, qn, Kn, radius, T_range):
         F = np.concatenate([col.X[-1] - x_n, [nvec @ (x_n - q[:n])],
                             [tangent @ (qn - q) - ds]])
         residuals.append(float(np.sqrt(F @ F + np.sum(col.G ** 2))))
+        if not np.isfinite(residuals[-1]):
+            return qn, Kn, col, it, residuals, "iterate not finite"
         if residuals[-1] < _NEWTON_TOL * max(1.0, np.linalg.norm(qn)):
             return qn, Kn, col, it, residuals, ""
         end = col.Psi[-1]
@@ -369,6 +376,59 @@ def _ns_test(others):
     return float(max(abs(m) for m in cplx) - 1.0)
 
 
+def _realize(model, mu):
+    """A ROM's RealizedReducedSystem at mu; a system is its own."""
+    return RealizedReducedSystem(model, mu) if isinstance(model, ParametrisationROM) else model
+
+
+def _attempt(sysr, trace, T_range, q, K, tangent, ds, tK, radius):
+    """Correct from the predictor (q + ds tangent, K + ds tK) and append the
+    attempt's record to trace.  Returns _correct's (qn, Kn, collocation,
+    corrections), the record, and the number of mesh intervals the orbit
+    needs: its own unless the error estimate exceeds _RTOL."""
+    t0 = time.perf_counter()
+    qn, Kn, col, it, res, reason = _correct(sysr, q, K, tangent, ds, q + ds * tangent,
+                                            K + ds * tK, radius, T_range)
+    N = len(Kn) if reason else _mesh_size(sysr, col, qn[-2], _RTOL)
+    if N > len(Kn):
+        reason = f"mesh refined to {N} intervals"
+    rec = {"ds": ds, "newton": it, "residuals": res, "mesh": len(Kn),
+           "accepted": not reason, "reason": reason, "wall_s": time.perf_counter() - t0}
+    trace.append(rec)
+    return qn, Kn, col, it, rec, N
+
+
+def _refine(col, T, N):
+    """Stage values of the collocated orbit on a uniform N-interval mesh."""
+    return _sample(col, T, _stage_times(N)).reshape(N, len(_NODES), col.X.shape[1])
+
+
+def _fixed_mu(sysr, trace, T_range, q, K):
+    """Correct at q's mu with mu fixed (the arclength row becomes mu = q's
+    mu), growing the mesh until the orbit meets _RTOL.  Returns (q, K,
+    collocation, record of the last attempt); the record's reason is "" on
+    convergence."""
+    m2 = len(q) - 2
+    e_mu, mu = np.eye(m2 + 2)[-1], q[m2 + 1]
+    while True:
+        q, K, col, _, rec, N = _attempt(sysr, trace, T_range, q, K, e_mu, 0.0,
+                                        np.zeros_like(K), np.inf)
+        q[m2 + 1] = mu
+        if N == len(K):
+            return q, K, col, rec
+        K = _refine(col, q[m2], N)
+
+
+def _branch_point(sysr, q, col):
+    """BranchPoint of the corrected orbit q, and its Floquet multipliers
+    other than the trivial one."""
+    m2 = len(q) - 2
+    mult, others, stable = _floquet_and_stability(col.Psi[-1, :, :m2])
+    sysr.mu = q[m2 + 1]
+    Y = sysr.map_batch(_sample(col, q[m2], np.linspace(0.0, 1.0, _N_SAMPLE)))
+    return BranchPoint(q[m2 + 1], q[:m2].copy(), q[m2], periodic_peak(Y), mult, stable), others
+
+
 def continue_periodic(model, options=None):
     """Pseudo-arclength continuation of the post-bifurcation cycle branch.
 
@@ -397,7 +457,7 @@ def continue_periodic(model, options=None):
     """
     opts = options or ContinuationOptions()
     mu_H = find_hopf(model)
-    sysr = RealizedReducedSystem(model, mu_H) if isinstance(model, ParametrisationROM) else model
+    sysr = _realize(model, mu_H)
     m2 = 2 * sysr.m
     mu_start = min(opts.mu_max, mu_H + max(4 * _DS0, 0.01 * max(abs(mu_H), 1.0)))
 
@@ -406,47 +466,13 @@ def continue_periodic(model, options=None):
     meta = {"mu0": model.meta.get("mu0", 0.0), "seed": seed, "trace": trace}
     T_range = (T / 4.0, 4.0 * T)
 
-    def attempt(q, K, tangent, ds, tK, radius):
-        """Correct from the predictor; grow the mesh when the orbit needs it."""
-        t0 = time.perf_counter()
-        qn, Kn, col, it, res, reason = _correct(sysr, q, K, tangent, ds, q + ds * tangent,
-                                                K + ds * tK, radius, T_range)
-        N = len(Kn) if reason else _mesh_size(sysr, col, qn[m2], _RTOL)
-        if N > len(Kn):
-            reason = f"mesh refined to {N} intervals"
-        rec = {"ds": ds, "newton": it, "residuals": res, "mesh": len(Kn),
-               "accepted": not reason, "reason": reason, "wall_s": time.perf_counter() - t0}
-        trace.append(rec)
-        return qn, Kn, col, it, rec, N
-
-    def refine(col, T, N):
-        return _sample(col, T, _stage_times(N)).reshape(N, len(_NODES), m2)
-
-    def fixed_mu(q, K):
-        """Correct at q's mu with mu fixed (the arclength row becomes
-        mu = q's mu), growing the mesh until the orbit meets _RTOL."""
-        e_mu, mu = np.eye(m2 + 2)[-1], q[m2 + 1]
-        while True:
-            q, K, col, _, rec, N = attempt(q, K, e_mu, 0.0, np.zeros_like(K), np.inf)
-            q[m2 + 1] = mu
-            if N == len(K):
-                return q, K, col, rec
-            K = refine(col, q[m2], N)
-
-    def record(q, col):
-        mult, others, stable = _floquet_and_stability(col.Psi[-1, :, :m2])
-        sysr.mu = q[m2 + 1]
-        Y = sysr.map_batch(_sample(col, q[m2], np.linspace(0.0, 1.0, _N_SAMPLE)))
-        points.append(BranchPoint(q[m2 + 1], q[:m2].copy(), q[m2], periodic_peak(Y), mult,
-                                  stable))
-        return others
-
-    q, K, q_col, rec = fixed_mu(np.concatenate([x, [T, mu_start]]), K)
+    q, K, q_col, rec = _fixed_mu(sysr, trace, T_range, np.concatenate([x, [T, mu_start]]), K)
     if rec["reason"]:
         meta["truncated"] = f"seed corrector: {rec['reason']}"
         return BifurcationDiagram(points, meta)
     amp_cap = 40.0 * max(np.linalg.norm(q[:m2]), 0.05)
-    others = record(q, q_col)
+    pt, others = _branch_point(sysr, q, q_col)
+    points.append(pt)
     fold_prev = _fold_test(others)
     ns_prev = _ns_test(others)
     tangent, tK = _tangent(sysr, q, q_col)
@@ -457,9 +483,10 @@ def continue_periodic(model, options=None):
         if len(points) == opts.max_points:
             truncated_reason = f"max_points = {opts.max_points} reached"
             break
-        qn, Kn, col, it, rec, N = attempt(q, K, tangent, ds, tK, 4.0 * ds)
+        qn, Kn, col, it, rec, N = _attempt(sysr, trace, T_range, q, K, tangent, ds, tK,
+                                           4.0 * ds)
         if N > len(Kn):
-            K = refine(q_col, q[m2], N)
+            K = _refine(q_col, q[m2], N)
             tK = np.zeros_like(K)
             continue
         if rec["reason"]:
@@ -484,12 +511,13 @@ def continue_periodic(model, options=None):
             s = (opts.mu_max - q[m2 + 1]) / (qn[m2 + 1] - q[m2 + 1])
             qn, Kn = q + s * (qn - q), K + s * (Kn - K)
             qn[m2 + 1] = opts.mu_max
-            qn, Kn, col, rec = fixed_mu(qn, Kn)
+            qn, Kn, col, rec = _fixed_mu(sysr, trace, T_range, qn, Kn)
             if rec["reason"]:
                 truncated_reason = f"corrector failed at mu_max: {rec['reason']}"
                 break
 
-        others = record(qn, col)
+        pt, others = _branch_point(sysr, qn, col)
+        points.append(pt)
         fold_now = _fold_test(others)
         ns_now = _ns_test(others)
         if fold_prev * fold_now < 0 and abs(fold_prev) < 0.5:
@@ -517,6 +545,32 @@ def continue_periodic(model, options=None):
 # the limit-cycle measurements' handle on continue_periodic, bound at import:
 # the benchmark's tracer wraps the public name and counts its calls as branches
 _branch = continue_periodic
+
+
+def _land(model, mu):
+    """The cycle at load increment mu, from the Hopf seed corrected at mu
+    itself: no branch is walked.
+
+    Returns (BranchPoint, Newton corrections), or (None, corrections) when
+    the landing is refused: the correction failed, the anchor is below
+    _SEED_AMP (the fixed point), or the cycle's stability equals the fixed
+    point's at mu.  Near its Hopf point a branch pairs a stable cycle with
+    an unstable fixed point or the reverse, so the last test rejects a
+    landing past a fold.  Raises ContinuationError where continue_periodic
+    would (its seed lies on the same side of mu_H).
+    """
+    mu_H = find_hopf(model)
+    sysr = _realize(model, mu_H)
+    x, K, T, _ = _hopf_seed(sysr, mu_H, mu)
+    trace = []
+    q, _, col, rec = _fixed_mu(sysr, trace, (T / 4.0, 4.0 * T), np.concatenate([x, [T, mu]]), K)
+    newton = sum(r["newton"] for r in trace)
+    if rec["reason"] or np.linalg.norm(q[:-2]) < _SEED_AMP:
+        return None, newton
+    pt, _ = _branch_point(sysr, q, col)
+    if pt.stable == (np.linalg.eigvals(model.linear_block(mu)).real.max() < 0):
+        return None, newton
+    return pt, newton
 
 
 @dataclass

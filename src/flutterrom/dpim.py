@@ -475,8 +475,7 @@ def build_rom_firstorder(dae: FirstOrderDAE, spectrum, order, r_tol=0.05):
     def solve(table, res, ids, rhs, g, jdeps, W, f):
         return _solve_order(table, res, spectrum, B, At, ids, rhs - g @ B.T, jdeps, W, f)
 
-    meta = {"engine": "first-order", "mu0": dae.mu0,
-            "displacement_indices": [int(i) for i in dae.displacement_indices]}
+    meta = {"engine": "first-order", "mu0": dae.mu0}
     return _build(spectrum, order, r_tol, lambda table, W, p: _quadratic_rhs(table, dae, W, p),
                   solve, meta)
 
@@ -547,7 +546,7 @@ def build_rom_secondorder(model, spectrum, order, r_tol=0.05):
     def solve(table, res, ids, fnl, g, jdeps, W, f):
         return _solve_order_secondorder(table, res, spectrum, mck, ids, fnl, g, jdeps, W, f)
 
-    meta = {"engine": "second-order", "mu0": getattr(model, "p0", 0.0), "n_disp": n}
+    meta = {"engine": "second-order", "mu0": getattr(model, "p0", 0.0)}
     return _build(spectrum, order, r_tol, series, solve, meta, n)
 
 

@@ -5,8 +5,10 @@ The reduced complex coordinates come in conjugate pairs; the realified
 state stacks (Re z, Im z) per representative coordinate with the parameter
 increment held constant during a run.  Physical outputs go through the
 polynomial mapping and are real up to round-off for real models.  A limit
-cycle at a load, of a ROM or of the full-order model, is the last point of
-the collocation branch continued from the Hopf point up to that load.
+cycle at a load, of a ROM or of the full-order model, is the Hopf seed
+corrected by collocation at that load; where that correction is refused,
+it is the last point of the branch continued from the Hopf point up to
+that load.
 """
 
 from __future__ import annotations
@@ -31,10 +33,12 @@ class BlowUpError(RuntimeError):
 
 @dataclass
 class LimitCycleMeasurement:
-    """The limit cycle at one load, and the Newton corrections of the branch
-    that reached it.  With no cycle the amplitude is zero, reason says why
-    and converged whether the fixed point is stable there.
-    transient_periods is always 0 (nothing settles); it stays for callers.
+    """The limit cycle at one load, and newton, every Newton correction the
+    measurement made: the seed's correction at the load plus, where that
+    was refused, the branch walked there.  With no cycle the amplitude is
+    zero, reason says why and converged whether the fixed point is stable
+    there.  transient_periods is always 0 (nothing settles); it stays for
+    callers.
     """
 
     mu: float
@@ -265,26 +269,37 @@ def integrate_reduced(rom, mu, z0, t_end, rtol=1e-10, atol=1e-12, t_eval=None,
 
 def _cycle_at(model, mu, param, dim):
     """LimitCycleMeasurement at load increment mu of a ROM or system;
-    param is the load it reports."""
-    from .continuation import ContinuationError, ContinuationOptions, _branch
+    param is the load it reports.
+
+    The cycle is the Hopf seed corrected at mu itself (continuation._land).
+    Where that landing is refused, the branch continued from the Hopf point
+    up to mu gives it, or the reason it stops short.  An error of the seed
+    is final: the branch's seed lies on the same side of the Hopf point.
+    """
+    from .continuation import ContinuationError, ContinuationOptions, _branch, _land
+    newton = 0
     try:
-        diag = _branch(model, ContinuationOptions(mu_max=mu))
+        pt, newton = _land(model, mu)
+        if pt is None:
+            diag = _branch(model, ContinuationOptions(mu_max=mu))
+            newton += sum(rec["newton"] for rec in diag.meta["trace"])
+            reason = diag.meta["truncated"]
+            if diag.points and diag.points[-1].mu == mu:
+                pt = diag.points[-1]
     except ContinuationError as exc:
-        reason, newton = str(exc), 0
-    else:
-        newton = sum(rec["newton"] for rec in diag.meta["trace"])
-        if diag.points and diag.points[-1].mu == mu:
-            pt = diag.points[-1]
-            return LimitCycleMeasurement(param, pt.amplitude, pt.period, True, "", pt.floquet,
-                                         pt.stable, newton)
-        reason = diag.meta["truncated"]
+        pt, reason = None, str(exc)
+    if pt is not None:
+        return LimitCycleMeasurement(param, pt.amplitude, pt.period, True, "", pt.floquet,
+                                     pt.stable, newton)
     stable = np.linalg.eigvals(model.linear_block(mu)).real.max() < 0
     return LimitCycleMeasurement(param, np.zeros(dim), 0.0, bool(stable), reason, newton=newton)
 
 
 def measure_limit_cycle(rom, mu, coord=0):
     """The ROM's limit cycle at load increment mu, with max |coordinate| per
-    physical coordinate; coord selects nothing and stays for callers."""
+    physical coordinate: the Hopf seed corrected at mu, or the branch
+    continued up to mu where that is refused (_cycle_at).  coord selects
+    nothing and stays for callers."""
     return _cycle_at(rom, mu, mu, rom.dim)
 
 

@@ -1,9 +1,11 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from flutterrom import continuation
 from flutterrom.continuation import ContinuationOptions, continue_periodic
 from flutterrom.dpim import build_rom_firstorder
 from flutterrom.models import build_ziegler, build_ziegler2, recast_to_dae
@@ -16,9 +18,10 @@ from flutterrom.romdyn import (
     periodic_peak,
     trace_unstable_manifold,
 )
-from flutterrom.spectral import eigen_sweep, solve_master_eigen
+from flutterrom.spectral import detect_exceptional_point, eigen_sweep, solve_master_eigen
 from tests.conftest import hopf_normal_form_rom
 from tests.oracles import return_time
+from tests.test_paper_claims import rom_at
 
 
 def ziegler_rom(mu0=2.27, order=5, xi_m=0.2, d=4):
@@ -219,9 +222,9 @@ class TestIntegrateReduced:
         meas = measure_limit_cycle(rom, 0.2, coord=1)
         assert meas.converged
         assert meas.amplitude[1] > 0.05
-        # the solver's work, pinned as a count: seed, 2-3 corrections per
-        # arclength step, and the landing at mu = 0.2
-        assert meas.newton == 26
+        # the solver's work, pinned as a count: the Hopf seed corrected at
+        # mu = 0.2 itself, no branch walked
+        assert meas.newton == 5
 
     @pytest.mark.parametrize("mu", [0.04, -0.04])
     def test_blow_up_of_the_subcritical_normal_form(self, mu):
@@ -319,10 +322,10 @@ class TestFom:
 
     def test_newton_count_of_a_cycle(self):
         # the solver's work, pinned as a count: the Newton corrections of the
-        # branch from the Hopf point to P_H + 0.2
+        # Hopf seed corrected at P_H + 0.2 itself
         m = build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2)
         P_H = eigen_sweep(m, (1.5, 3.0), 40).events["P_H"]
-        assert measure_limit_cycle_fom(m, P_H + 0.2).newton == 40
+        assert measure_limit_cycle_fom(m, P_H + 0.2).newton == 4
 
     def test_no_hopf_point_in_the_scanned_window(self):
         # expanded at p = 3.3, find_hopf scans the loads within 0.35 p of it,
@@ -405,3 +408,120 @@ def test_periodic_peak_against_fine_sampling():
         got = periodic_peak(orbit(t))
         assert abs(got[0] / ref - 1.0) < 1e-7
         assert got[1] == 0.0
+
+
+def count_walks(monkeypatch):
+    """The loads at which a measurement falls back to walking a branch."""
+    walks = []
+
+    def walk(model, options):
+        walks.append(options.mu_max)
+        return continue_periodic(model, options)
+
+    monkeypatch.setattr(continuation, "_branch", walk)
+    return walks
+
+
+class TestLanding:
+    """A cycle at a load is the Hopf seed corrected at that load; the branch
+    walked there from the Hopf point is the oracle and the fallback."""
+
+    @pytest.fixture(scope="class")
+    def ziegler2(self):
+        """Ziegler-2 (xi_m = 0.2), its Hopf point P_H and the o5 ROMs of the
+        paper's claims with their expansion loads."""
+        model = build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2)
+        traj = eigen_sweep(model, (1.5, 3.0), 40)
+        P_H, P_c = traj.events["P_H"], detect_exceptional_point(traj, model)[0]
+        roms = {"one-mode": (rom_at(model, P_H, 2), P_H), "two-mode": (rom_at(model, P_H, 4), P_H),
+                "jordan": (rom_at(model, P_c, 4, (0, 2)), P_c)}
+        return model, P_H, roms
+
+    @pytest.mark.parametrize("label", ["fom", "one-mode", "two-mode", "jordan"])
+    def test_landing_matches_the_walked_branch(self, ziegler2, label, monkeypatch):
+        # both orbits sit on meshes that meet _RTOL, on different meshes
+        # where the walk's seed lies below the load: measured <= 3.1e-8
+        model, P_H, roms = ziegler2
+        walks = count_walks(monkeypatch)
+        short = []
+        for mu in (0.02, 0.05, 0.1, 0.2, 0.3):
+            if label == "fom":
+                system, inc = model.first_order(P_H + mu), 0.0
+                meas = measure_limit_cycle_fom(model, P_H + mu)
+            else:
+                system, P = roms[label]
+                inc = P_H + mu - P
+                meas = measure_limit_cycle(system, inc)
+            diag = continue_periodic(system, ContinuationOptions(mu_max=inc))
+            pt = diag.points[-1]
+            if pt.mu != inc:
+                # no cycle at the load: the measurement is the walk's
+                short.append(inc)
+                assert meas.amplitude.max() == 0.0 and meas.reason == diag.meta["truncated"]
+                continue
+            assert meas.reason == "" and meas.stable == pt.stable
+            assert np.abs(meas.amplitude - pt.amplitude).max() < 1e-7 * pt.amplitude.max()
+            assert abs(meas.period / pt.period - 1.0) < 1e-7
+        # only the one-mode ROM has loads without a cycle (mu = 0.2, 0.3), and
+        # only those walk
+        assert len(short) == (2 if label == "one-mode" else 0)
+        assert walks == short
+
+    def test_one_mode_past_its_second_hopf_point_keeps_the_walk_reason(self, ziegler2):
+        model, P_H, roms = ziegler2
+        meas = measure_limit_cycle(roms["one-mode"][0], 0.2)
+        assert meas.amplitude.max() == 0.0
+        assert meas.reason.startswith("branch ended at a Hopf point near mu = 0.18")
+
+    @pytest.mark.parametrize("mu", [0.1, 0.2, 0.24])
+    def test_quintic_normal_form_lands_on_its_small_branch(self, mu, monkeypatch):
+        # zdot = (mu + i) z - z|z|^2 + z|z|^4: stable cycle r^2 = (1 - sqrt(1 - 4 mu)) / 2
+        # up to the fold at mu = 1/4
+        walks = count_walks(monkeypatch)
+        meas = measure_limit_cycle(hopf_normal_form_rom(c5=1.0, order=5), mu)
+        assert meas.reason == "" and meas.stable and walks == []
+        assert abs(meas.amplitude[0] - np.sqrt((1.0 - np.sqrt(1.0 - 4.0 * mu)) / 2.0)) < 1e-8
+
+    def test_landing_on_the_unstable_branch_is_refused(self, monkeypatch):
+        # the seed at mu = 0.2 moved onto the unstable upper cycle
+        # r^2 = (1 + sqrt(1 - 4 mu)) / 2, which has the stability of the
+        # fixed point there: the walk from the Hopf point gives the lower one
+        mu, seed, branch_point = 0.2, continuation._hopf_seed, continuation._branch_point
+        upper, lower = (np.sqrt((1.0 + s * np.sqrt(1.0 - 4.0 * mu)) / 2.0) for s in (1, -1))
+        recorded = []
+
+        def upper_seed(sysr, mu_H, mu_start):
+            x, K, T, rec = seed(sysr, mu_H, mu_start)
+            scale = upper / np.linalg.norm(x) if mu_start == mu else 1.0
+            return scale * x, scale * K, T, rec
+
+        def record(sysr, q, col):
+            pt, others = branch_point(sysr, q, col)
+            recorded.append(pt)
+            return pt, others
+
+        monkeypatch.setattr(continuation, "_hopf_seed", upper_seed)
+        monkeypatch.setattr(continuation, "_branch_point", record)
+        walks = count_walks(monkeypatch)
+        meas = measure_limit_cycle(hopf_normal_form_rom(c5=1.0, order=5), mu)
+        # the first point recorded is the landing
+        assert abs(recorded[0].amplitude[0] - upper) < 1e-8 and not recorded[0].stable
+        assert walks == [mu]
+        assert meas.reason == "" and meas.stable
+        assert abs(meas.amplitude[0] - lower) < 1e-8
+
+    def test_subcritical_seed_error_names_the_requested_load(self):
+        # zdot = (mu + i) z + z|z|^2 has its cycles below the Hopf point; the
+        # walk's seed would have sat at 0.08
+        meas = measure_limit_cycle(hopf_normal_form_rom(c3=1.0), 0.3)
+        assert meas.amplitude.max() == 0.0 and meas.newton == 0 and not meas.converged
+        assert "grows at mu = 0.3: " in meas.reason and "lie below it" in meas.reason
+
+    def test_past_the_fold_no_cycle_and_no_warning(self):
+        # the quintic normal form has no cycle past its fold at mu = 1/4; the
+        # walk turns back there, and its correctors overflow on the upper
+        # branch: they must stop with a reason, not a numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            meas = measure_limit_cycle(hopf_normal_form_rom(c5=1.0, order=5), 0.3)
+        assert meas.amplitude.max() == 0.0 and meas.reason != ""
