@@ -1,21 +1,21 @@
 """Periodic-orbit continuation on reduced and full-order models.
 
-Gauss-Legendre collocation (degree 4, uniform mesh over the scaled period)
-with a flow-orthogonal phase condition and pseudo-arclength stepping in
-(anchor state, period, parameter increment), on a ROM's realified system
-or on a full-order system with its interface (ZieglerFirstOrder).  Each
-Newton iterate evaluates the field and its derivatives at all collocation
-points in one batched call and condenses the stage values interval by
-interval; the product of the interval transfer matrices is the discrete
-monodromy, whose eigenvalues are the Floquet multipliers.  The corrector
-is Newton's method on fixed equations, quadratically convergent.  Fold /
-Neimark-Sacker events are located from their test functions along the
-branch, and a branch that shrinks back onto the fixed point ends at a Hopf
-point.  The branch starts there too: the Hopf seed is the critical
-eigenvector's ellipse scaled by the normal-form amplitude law, so nothing
-integrates.  It ends at exactly mu_max.  romdyn's limit cycle at a load is
-the seed corrected at that load itself (_land), or the last point of a
-branch where that landing is refused.
+Gauss-Legendre collocation (seven points per interval, degree 7, uniform
+mesh over the scaled period) with a flow-orthogonal phase condition and
+pseudo-arclength stepping in (anchor state, period, parameter increment),
+on a ROM's realified system or on a full-order system with its interface
+(ZieglerFirstOrder).  Each Newton iterate evaluates the field and its
+derivatives at all collocation points in one batched call and condenses
+the stage values interval by interval; the product of the interval
+transfer matrices is the discrete monodromy, whose eigenvalues are the
+Floquet multipliers.  The corrector is Newton's method on fixed equations,
+quadratically convergent.  Fold / Neimark-Sacker events are located from
+their test functions along the branch, and a branch that shrinks back onto
+the fixed point ends at a Hopf point.  The branch starts there too: the
+Hopf seed is the critical eigenvector's ellipse scaled by the normal-form
+amplitude law, so nothing integrates.  It ends at exactly mu_max.
+romdyn's limit cycle at a load is the seed corrected at that load itself
+(_land), or the last point of a branch where that landing is refused.
 """
 
 from __future__ import annotations
@@ -120,15 +120,15 @@ _TARGET_NEWTON, _MAX_NEWTON, _NEWTON_TOL = 3, 10, 1e-9
 _RTOL, _N_SAMPLE, _SEED_AMP = 1e-9, 512, 1e-3
 
 
-# the four Gauss-Legendre points on [0, 1]; column k of _LAGRANGE holds the
+# the seven Gauss-Legendre points on [0, 1]; column k of _LAGRANGE holds the
 # power coefficients of the Lagrange polynomial that is 1 at point k
-_NODES = 0.5 + 0.5 * np.array([-1.0, -1.0, 1.0, 1.0]) * np.sqrt(
-    3.0 / 7.0 + np.array([2.0, -2.0, -2.0, 2.0]) / 7.0 * np.sqrt(1.2))
+_NODES = 0.5 + 0.5 * np.polynomial.legendre.leggauss(7)[0]
 _LAGRANGE = np.linalg.inv(np.vander(_NODES, increasing=True))
-# intervals of the seed mesh, the most any orbit gets, and the amplitude of
-# the Hopf seed's ellipse (its first residual is O(eps^3): at 1e-3 already
-# under _NEWTON_TOL, so the correction would leave mu at mu_H)
-_MESH0, _MESH_MAX, _HOPF_EPS = 16, 512, 1e-2
+# intervals of the seed mesh, the most any orbit gets (a budget of 2048
+# collocation points, which bounds the (N, s, n, n + 3) stage tensor), and
+# the amplitude of the Hopf seed's ellipse (its first residual is O(eps^3):
+# at 1e-3 already under _NEWTON_TOL, so the correction would leave mu at mu_H)
+_MESH0, _MESH_MAX, _HOPF_EPS = 6, 2048 // len(_NODES), 1e-2
 
 
 def _basis(t, integrated=False):
@@ -155,7 +155,7 @@ def _stage_times(N):
 class _Collocation(NamedTuple):
     """Collocation equations at one iterate, linearised and condensed.
 
-    On interval j of the scaled period the orbit is the degree-4 polynomial
+    On interval j of the scaled period the orbit is the degree-7 polynomial
     u(tau_j + h t) = x_j + h T sum_i (int_0^t l_i) f(K_ji), which satisfies
     the ODE at the Gauss points (the stage values K_ji); x_{j+1} is its end
     value.  G holds the stage residuals K - u(nodes).  Solving the stage
@@ -164,14 +164,14 @@ class _Collocation(NamedTuple):
     monodromy and the T-, mu- and residual columns.
     """
     X: np.ndarray     # mesh values x_0 .. x_N, (N + 1, n)
-    F: np.ndarray     # f at the stage values, (N, 4, n)
-    G: np.ndarray     # stage residuals, (N, 4, n)
-    Z: np.ndarray     # (N, 4, n, n + 3)
+    F: np.ndarray     # f at the stage values, (N, s, n), s = len(_NODES)
+    G: np.ndarray     # stage residuals, (N, s, n)
+    Z: np.ndarray     # (N, s, n, n + 3)
     Psi: np.ndarray   # (N + 1, n, n + 3)
 
 
 def _collocate(sysr, x0, K, T, mu):
-    """_Collocation of the anchor x0, stage values K (N, 4, n), T and mu."""
+    """_Collocation of the anchor x0, stage values K (N, s, n), T and mu."""
     N, s, n = K.shape
     h = 1.0 / N
     sysr.mu = mu
@@ -217,24 +217,31 @@ def _sample(col, T, t):
     return col.X[j] + (T / N) * np.einsum("ti,tin->tn", w, col.F[j])
 
 
-def _mesh_size(sysr, col, T, rtol):
-    """Number of mesh intervals the orbit needs: its own, unless the error
-    estimate exceeds rtol (sysr.mu must be the orbit's mu).
+def _mesh_error(sysr, col, T):
+    """Estimate of the orbit's interior error, relative to its size (sysr.mu
+    must be the orbit's mu).
 
     Between the collocation points the defect d = u' - T f(u) has the shape
     of prod_i (t - c_i), so from its values at both ends of an interval the
-    local error h int_0^t d is at most h _RHO |d(end)|, relative here to the
-    orbit's size.  It falls like h^5, which sets the refined mesh (aiming at
-    rtol / 2).
+    local error h int_0^t d is at most h _RHO |d(end)|.
     """
     N = len(col.F)
     du = T * (_ENDS @ col.F)
     fx = T * sysr.rhs(0.0, col.X)
     defect = max(np.abs(du[:, 0] - fx[:-1]).max(), np.abs(du[:, 1] - fx[1:]).max())
-    err = _RHO * defect / N / max(np.abs(col.X).max(), 1e-30)
+    return _RHO * defect / N / max(np.abs(col.X).max(), 1e-30)
+
+
+def _mesh_size(sysr, col, T, rtol):
+    """Number of mesh intervals the orbit needs: its own, unless _mesh_error
+    exceeds rtol.  With s collocation points the error falls like h^(s+1),
+    which sets the refined mesh (aiming at rtol / 2).  The count is not
+    capped: callers refuse an orbit that needs more than _MESH_MAX.
+    """
+    N, err = len(col.F), _mesh_error(sysr, col, T)
     if err <= rtol:
         return N
-    return min(int(np.ceil(N * (2.0 * err / rtol) ** (1.0 / (len(_NODES) + 1)))), _MESH_MAX)
+    return int(np.ceil(N * (2.0 * err / rtol) ** (1.0 / (len(_NODES) + 1))))
 
 
 def _stage_change(col, w):
@@ -385,12 +392,16 @@ def _attempt(sysr, trace, T_range, q, K, tangent, ds, tK, radius):
     """Correct from the predictor (q + ds tangent, K + ds tK) and append the
     attempt's record to trace.  Returns _correct's (qn, Kn, collocation,
     corrections), the record, and the number of mesh intervals the orbit
-    needs: its own unless the error estimate exceeds _RTOL."""
+    needs: its own unless the error estimate exceeds _RTOL.  An orbit that
+    needs more than _MESH_MAX intervals is refused, and the record's reason
+    says so."""
     t0 = time.perf_counter()
     qn, Kn, col, it, res, reason = _correct(sysr, q, K, tangent, ds, q + ds * tangent,
                                             K + ds * tK, radius, T_range)
     N = len(Kn) if reason else _mesh_size(sysr, col, qn[-2], _RTOL)
-    if N > len(Kn):
+    if N > _MESH_MAX:
+        reason = f"orbit needs {N} mesh intervals, more than {_MESH_MAX}"
+    elif N > len(Kn):
         reason = f"mesh refined to {N} intervals"
     rec = {"ds": ds, "newton": it, "residuals": res, "mesh": len(Kn),
            "accepted": not reason, "reason": reason, "wall_s": time.perf_counter() - t0}
@@ -407,14 +418,14 @@ def _fixed_mu(sysr, trace, T_range, q, K):
     """Correct at q's mu with mu fixed (the arclength row becomes mu = q's
     mu), growing the mesh until the orbit meets _RTOL.  Returns (q, K,
     collocation, record of the last attempt); the record's reason is "" on
-    convergence."""
+    convergence, and names the mesh an orbit would need past _MESH_MAX."""
     m2 = len(q) - 2
     e_mu, mu = np.eye(m2 + 2)[-1], q[m2 + 1]
     while True:
         q, K, col, _, rec, N = _attempt(sysr, trace, T_range, q, K, e_mu, 0.0,
                                         np.zeros_like(K), np.inf)
         q[m2 + 1] = mu
-        if N == len(K):
+        if N == len(K) or N > _MESH_MAX:
             return q, K, col, rec
         K = _refine(col, q[m2], N)
 
@@ -441,9 +452,10 @@ def continue_periodic(model, options=None):
     steps of at most _DS0.  Each accepted point records physical amplitudes
     (all mapped coordinates), the period, Floquet multipliers, stability,
     and any event marker.  The mesh grows whenever the error estimate of a
-    corrected orbit exceeds _RTOL.  A step past mu_max is corrected again
-    with mu fixed at mu_max, from the secant through the last point; that
-    point, whose mu is mu_max exactly, ends the branch.  The branch ends
+    corrected orbit exceeds _RTOL; an orbit that would need more than
+    _MESH_MAX intervals ends the branch.  A step past mu_max is corrected
+    again with mu fixed at mu_max, from the secant through the last point;
+    that point, whose mu is mu_max exactly, ends the branch.  The branch ends
     with a "hopf" event on its last point when the cycle shrinks back onto
     the fixed point (its anchor turns back or falls below _SEED_AMP).
 
@@ -485,6 +497,9 @@ def continue_periodic(model, options=None):
             break
         qn, Kn, col, it, rec, N = _attempt(sysr, trace, T_range, q, K, tangent, ds, tK,
                                            4.0 * ds)
+        if N > _MESH_MAX:
+            truncated_reason = rec["reason"]
+            break
         if N > len(Kn):
             K = _refine(q_col, q[m2], N)
             tK = np.zeros_like(K)

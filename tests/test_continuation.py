@@ -1,10 +1,12 @@
+import re
 import time
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from scipy.integrate import solve_ivp
+from scipy.integrate import cumulative_trapezoid, solve_ivp
 from scipy.optimize import brentq, minimize_scalar
+from scipy.special import roots_legendre
 
 from flutterrom import continuation
 from flutterrom.continuation import (
@@ -14,7 +16,9 @@ from flutterrom.continuation import (
     _DS0,
     _DS_MIN,
     _MAX_NEWTON,
+    _MESH0,
     _N_SAMPLE,
+    _NODES,
     _NEWTON_TOL,
     _RTOL,
     _SEED_AMP,
@@ -34,7 +38,7 @@ from flutterrom.continuation import (
 )
 from flutterrom.dpim import build_rom_firstorder
 from flutterrom.models import build_ziegler2, recast_to_dae
-from flutterrom.romdyn import BlowUpError, RealizedReducedSystem
+from flutterrom.romdyn import BlowUpError, RealizedReducedSystem, measure_limit_cycle
 from flutterrom.spectral import (
     detect_exceptional_point,
     eigen_sweep,
@@ -380,7 +384,7 @@ def fixed_mu_cycle(sysr, x, K, T, mu):
         N = _mesh_size(sysr, col, q[-2], _RTOL)
         if N == len(K):
             return q, col
-        K = _sample(col, q[-2], _stage_times(N)).reshape(N, 4, -1)
+        K = _sample(col, q[-2], _stage_times(N)).reshape(N, len(_NODES), -1)
 
 
 def orbit_max(col, T):
@@ -426,7 +430,7 @@ def test_hopf_seed_matches_settled_seed(seed_roms, label):
     assert record["status"] == "settled"
     orbit = solve_ivp(sysr.rhs, (0.0, Ts), xs, method="DOP853", rtol=_RTOL, atol=ATOL,
                       dense_output=True)
-    Ks = orbit.sol(Ts * _stage_times(16)).T.reshape(16, 4, -1)
+    Ks = orbit.sol(Ts * _stage_times(_MESH0)).T.reshape(_MESH0, len(_NODES), -1)
     qs, col_s = fixed_mu_cycle(sysr, xs, Ks, Ts, mu)
 
     assert abs(q[-2] / qs[-2] - 1.0) < 1e-9
@@ -502,13 +506,107 @@ def test_mesh_meets_rtol_against_the_flow(branch_rom):
         err = np.abs(_sample(col, qn[-2], t) - flow).max() / np.abs(flow).max()
         return err, col, qn[-2]
 
-    err, col, Tn = corrected_error(orbit.sol(T * _stage_times(16)).T.reshape(16, 4, -1))
+    seed = orbit.sol(T * _stage_times(_MESH0)).T.reshape(_MESH0, len(_NODES), -1)
+    err, col, Tn = corrected_error(seed)
     N = _mesh_size(sysr, col, Tn, _RTOL)
-    assert err > _RTOL and N > 16
-    refined = _sample(col, Tn, _stage_times(N)).reshape(N, 4, -1)
+    assert err > _RTOL and N > _MESH0
+    refined = _sample(col, Tn, _stage_times(N)).reshape(N, len(_NODES), -1)
     err, col, Tn = corrected_error(refined)
     assert err <= _RTOL
     assert _mesh_size(sysr, col, Tn, _RTOL) == N
+
+
+def test_collocation_constants_against_gauss_legendre():
+    # nodes: the roots of P_s mapped to [0, 1]; weights and stage weights:
+    # the Gauss order conditions, exact for polynomials of degree 2s - 1 and
+    # s - 1; _RHO: a brute-force maximum of the integrated node polynomial
+    s = len(_NODES)
+    assert np.abs(_NODES - 0.5 * (1.0 + roots_legendre(s)[0])).max() < 1e-15
+    for k in range(1, 2 * s + 1):
+        assert abs(continuation._B @ _NODES ** (k - 1) - 1.0 / k) < 1e-12
+    for k in range(1, s + 1):
+        assert np.abs(continuation._A @ _NODES ** (k - 1) - _NODES ** k / k).max() < 1e-12
+    t = np.linspace(0.0, 1.0, 200_001)
+    integral = cumulative_trapezoid(np.prod(t[:, None] - _NODES, axis=1), t, initial=0.0)
+    rho = np.abs(integral).max() / np.prod(_NODES)
+    assert abs(continuation._RHO / rho - 1.0) < 1e-8
+
+
+@pytest.fixture(scope="module")
+def ziegler2_fom(branch_rom):
+    """Ziegler-2's full-order system at its Hopf load."""
+    return build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2).first_order(branch_rom[0])
+
+
+@pytest.mark.parametrize("case", ["rom", "fom"])
+def test_mesh_error_estimate_is_sharp(branch_rom, ziegler2_fom, case, monkeypatch):
+    # the estimate is within a factor 2 of the interior error of the
+    # collocation polynomial on every mesh, so the error falls like
+    # h^(s+1) as the mesh rule assumes; the correction runs to 1e-13 so
+    # that each orbit is its mesh's own collocation solution, not the
+    # resampled converged orbit (whose residual is already under 1e-9)
+    model, mu = (branch_rom[1], 0.1) if case == "rom" else (ziegler2_fom, 0.2)
+    sysr = continuation._realize(model, mu)
+    mu_H = find_hopf(model)
+    x, K, T, _ = _hopf_seed(sysr, mu_H, mu)
+    q, col = fixed_mu_cycle(sysr, x, K, T, mu)
+    monkeypatch.setattr(continuation, "_NEWTON_TOL", 1e-13)
+    fixed_mu = np.eye(len(q))[-1]
+    t = np.linspace(0.0, 1.0, 4001)
+    for N in (4, 6, 8, 10):
+        KN = continuation._refine(col, q[-2], N)
+        qn, _, colN, _, _, reason = _correct(sysr, q, KN, fixed_mu, 0.0, q, KN, np.inf,
+                                             (T / 4, 4 * T))
+        assert reason == ""
+        flow = solve_ivp(sysr.rhs, (0.0, qn[-2]), qn[:-2], method="DOP853", rtol=1e-13,
+                         atol=1e-15, dense_output=True).sol(qn[-2] * t).T
+        err = np.abs(_sample(colN, qn[-2], t) - flow).max() / np.abs(flow).max()
+        estimate = continuation._mesh_error(sysr, colN, qn[-2])
+        assert 0.5 < estimate / err < 2.0, (N, estimate, err)
+
+
+def test_an_orbit_past_the_mesh_cap_is_refused(branch_rom, ziegler2_fom, monkeypatch):
+    # an orbit that needs more intervals than _MESH_MAX is refused with a
+    # named reason; the branch stops there, it does not halve the step
+    full = continue_periodic(ziegler2_fom, ContinuationOptions(mu_max=0.3, max_points=40))
+    meshes = [rec["mesh"] for rec in full.meta["trace"] if rec["accepted"]]
+    cap = max(meshes) - 1
+    monkeypatch.setattr(continuation, "_MESH_MAX", cap)
+    capped = continue_periodic(ziegler2_fom, ContinuationOptions(mu_max=0.3, max_points=40))
+    reason = capped.meta["truncated"]
+    assert re.fullmatch(rf"orbit needs \d+ mesh intervals, more than {cap}", reason)
+    assert capped.meta["trace"][-1]["reason"] == reason
+    assert 0 < len(capped.points) < len(full.points)
+    assert capped.mu().tolist() == full.mu()[:len(capped.points)].tolist()
+    # the cap at the seed mesh, below the 7 intervals the d = 4 ROM's orbits
+    # need: no branch, and no cycle at a load
+    monkeypatch.setattr(continuation, "_MESH_MAX", _MESH0)
+    rom = branch_rom[1]
+    diag = continue_periodic(rom, ContinuationOptions(mu_max=0.1))
+    assert diag.points == []
+    assert re.fullmatch(rf"seed corrector: orbit needs \d+ mesh intervals, more than {_MESH0}",
+                        diag.meta["truncated"])
+    meas = measure_limit_cycle(rom, 0.1)
+    assert not meas.converged and meas.reason == diag.meta["truncated"]
+
+
+def test_branch_mesh_stays_small(branch_rom, monkeypatch):
+    # a work guard: every batch of states continue_periodic hands to
+    # linearize on the d = 4 branch is an accepted or a rejected mesh of at
+    # most 64 collocation points (4-point collocation needs 220)
+    sizes = []
+    linearize = RealizedReducedSystem.linearize
+
+    def counted(self, X):
+        sizes.append(len(X) if np.ndim(X) == 2 else 1)
+        return linearize(self, X)
+
+    monkeypatch.setattr(RealizedReducedSystem, "linearize", counted)
+    diag = continue_periodic(branch_rom[1], ContinuationOptions(mu_max=0.3, max_points=20))
+    assert len(diag.points) == 17
+    accepted = {rec["mesh"] * len(_NODES) for rec in diag.meta["trace"] if rec["accepted"]}
+    assert max(accepted) <= 64 and accepted <= set(sizes)
+    assert max(sizes) <= 64
 
 
 def test_trace_accounts_for_every_step(branch):
