@@ -12,10 +12,10 @@ Floquet multipliers.  The corrector is Newton's method on fixed equations,
 quadratically convergent.  Fold / Neimark-Sacker events are located from
 their test functions along the branch, and a branch that shrinks back onto
 the fixed point ends at a Hopf point.  The branch starts there too: the
-Hopf seed is the critical eigenvector's ellipse scaled by the normal-form
-amplitude law, so nothing integrates.  It ends at exactly mu_max.
-romdyn's limit cycle at a load is the seed corrected at that load itself
-(_land), or the last point of a branch where that landing is refused.
+corrected Hopf cycle (the critical eigenvector's ellipse) scaled by the
+normal-form amplitude law, so nothing integrates.  It ends at exactly
+mu_max.  romdyn's limit cycle at a load is the branch that starts at that
+load (_cycle_at), or the end of the one walked up to it where that is refused.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dpim import ParametrisationROM
-from .romdyn import RealizedReducedSystem, periodic_peak
+from .romdyn import LimitCycleMeasurement, RealizedReducedSystem, periodic_peak
 from .spectral import _first_root
 
 
@@ -317,15 +317,17 @@ def _correct(sysr, q, K, tangent, ds, qn, Kn, radius, T_range):
     return qn, Kn, col, _MAX_NEWTON, residuals, "no convergence"
 
 
-def _hopf_seed(sysr, mu_H, mu_start):
-    """(anchor, stage values, period, record) of a cycle guess at mu_start,
-    built at the Hopf point mu_H of the system without integrating.
+def _hopf_cycle(model):
+    """(system, (anchor, period, mu_eps), stage values, record) of the small
+    cycle at the model's Hopf point mu_H (find_hopf), without integrating.
+    The system is the model, or a ROM's RealizedReducedSystem.
 
     The critical eigenpair (i omega, v) of the Jacobian at the fixed point
-    spans the ellipse eps Re(v e^{2 pi i tau}) of period 2 pi / omega.
-    Corrected with its amplitude along Re v fixed and mu free, it sits at
-    mu_eps, and r^2 ~ mu - mu_H scales it to mu_start.
+    spans the ellipse eps Re(v e^{2 pi i tau}) of period 2 pi / omega,
+    corrected with its amplitude along Re v fixed and mu free.
     """
+    mu_H = find_hopf(model)
+    sysr = RealizedReducedSystem(model, mu_H) if isinstance(model, ParametrisationROM) else model
     n = 2 * sysr.m
     sysr.mu = mu_H
     w, V = np.linalg.eig(sysr.jacobian(np.zeros(n)))
@@ -345,18 +347,25 @@ def _hopf_seed(sysr, mu_H, mu_start):
                                         (T / 4.0, 4.0 * T))
     if reason:
         raise ContinuationError(f"Hopf seed corrector at mu = {mu_H:.6g}: {reason}")
-    shift = q[n + 1] - mu_H
-    if abs(shift) <= _NEWTON_TOL * max(1.0, abs(mu_H)):
+    if abs(q[n + 1] - mu_H) <= _NEWTON_TOL * max(1.0, abs(mu_H)):
         raise ContinuationError(f"degenerate Hopf point at mu = {mu_H:.6g}: mu does not move "
                                 "with the cycle amplitude")
-    if (mu_start - mu_H) * shift <= 0:
+    return sysr, q, K, {"mu_H": float(mu_H), "newton": it, "residual": res[-1]}
+
+
+def _hopf_seed(hopf, mu):
+    """(anchor, stage values, period, record) of a cycle guess at load mu:
+    the Hopf cycle at mu_eps scaled by the amplitude law r^2 ~ mu - mu_H."""
+    _, q, K, record = hopf
+    n, mu_H = len(q) - 2, record["mu_H"]
+    shift = q[n + 1] - mu_H
+    if (mu - mu_H) * shift <= 0:
         raise ContinuationError(
-            f"trajectory {'decays' if mu_start <= mu_H else 'grows'} at mu = {mu_start:.6g}: "
+            f"trajectory {'decays' if mu <= mu_H else 'grows'} at mu = {mu:.6g}: "
             f"the cycles of the Hopf point mu = {mu_H:.6g} lie "
             f"{'above' if shift > 0 else 'below'} it")
-    scale = float(np.sqrt((mu_start - mu_H) / shift))
-    record = {"mu_H": float(mu_H), "newton": it, "residual": res[-1], "scale": scale}
-    return scale * q[:n], scale * K, q[n], record
+    scale = float(np.sqrt((mu - mu_H) / shift))
+    return scale * q[:n], scale * K, q[n], dict(record, scale=scale)
 
 
 def _floquet_and_stability(Mono):
@@ -381,11 +390,6 @@ def _ns_test(others):
     if not cplx:
         return -1.0
     return float(max(abs(m) for m in cplx) - 1.0)
-
-
-def _realize(model, mu):
-    """A ROM's RealizedReducedSystem at mu; a system is its own."""
-    return RealizedReducedSystem(model, mu) if isinstance(model, ParametrisationROM) else model
 
 
 def _attempt(sysr, trace, T_range, q, K, tangent, ds, tK, radius):
@@ -468,12 +472,22 @@ def continue_periodic(model, options=None):
     ContinuationError when no cycle lies on the seed's side of mu_H.
     """
     opts = options or ContinuationOptions()
-    mu_H = find_hopf(model)
-    sysr = _realize(model, mu_H)
-    m2 = 2 * sysr.m
-    mu_start = min(opts.mu_max, mu_H + max(4 * _DS0, 0.01 * max(abs(mu_H), 1.0)))
+    hopf = _hopf_cycle(model)
+    return _walk(model, hopf, _first_load(hopf, opts.mu_max), opts)
 
-    x, K, T, seed = _hopf_seed(sysr, mu_H, mu_start)
+
+def _first_load(hopf, mu_max):
+    # continue_periodic's first load
+    mu_H = hopf[3]["mu_H"]
+    return min(mu_max, mu_H + max(4 * _DS0, 0.01 * max(abs(mu_H), 1.0)))
+
+
+def _walk(model, hopf, mu_start, opts):
+    """continue_periodic's branch from _hopf_cycle's result hopf, its first
+    point corrected at mu_start; a branch that starts at mu_max takes no tangent."""
+    sysr = hopf[0]
+    m2 = 2 * sysr.m
+    x, K, T, seed = _hopf_seed(hopf, mu_start)
     points, trace = [], []
     meta = {"mu0": model.meta.get("mu0", 0.0), "seed": seed, "trace": trace}
     T_range = (T / 4.0, 4.0 * T)
@@ -487,7 +501,8 @@ def continue_periodic(model, options=None):
     points.append(pt)
     fold_prev = _fold_test(others)
     ns_prev = _ns_test(others)
-    tangent, tK = _tangent(sysr, q, q_col)
+    if q[m2 + 1] < opts.mu_max:
+        tangent, tK = _tangent(sysr, q, q_col)
 
     ds = _DS0
     truncated_reason = ""
@@ -557,35 +572,38 @@ def continue_periodic(model, options=None):
     return BifurcationDiagram(points, meta)
 
 
-# the limit-cycle measurements' handle on continue_periodic, bound at import:
-# the benchmark's tracer wraps the public name and counts its calls as branches
-_branch = continue_periodic
+def _cycle_at(model, mu, param, dim):
+    """LimitCycleMeasurement at load increment mu of a ROM or system; param
+    is the load it reports.
 
-
-def _land(model, mu):
-    """The cycle at load increment mu, from the Hopf seed corrected at mu
-    itself: no branch is walked.
-
-    Returns (BranchPoint, Newton corrections), or (None, corrections) when
-    the landing is refused: the correction failed, the anchor is below
-    _SEED_AMP (the fixed point), or the cycle's stability equals the fixed
-    point's at mu.  Near its Hopf point a branch pairs a stable cycle with
-    an unstable fixed point or the reverse, so the last test rejects a
-    landing past a fold.  Raises ContinuationError where continue_periodic
-    would (its seed lies on the same side of mu_H).
+    The landing, the branch that starts at mu, is refused when its
+    correction failed, its anchor is below _SEED_AMP (the fixed point), or
+    its stability equals the fixed point's at mu (near its Hopf point a
+    branch pairs a stable cycle with an unstable fixed point or the
+    reverse, so this rejects a landing past a fold).  Then continue_periodic's
+    branch up to mu gives the cycle or the reason it stops short.  A seed
+    error is final: both seeds lie on the same side of mu_H.
     """
-    mu_H = find_hopf(model)
-    sysr = _realize(model, mu_H)
-    x, K, T, _ = _hopf_seed(sysr, mu_H, mu)
-    trace = []
-    q, _, col, rec = _fixed_mu(sysr, trace, (T / 4.0, 4.0 * T), np.concatenate([x, [T, mu]]), K)
-    newton = sum(r["newton"] for r in trace)
-    if rec["reason"] or np.linalg.norm(q[:-2]) < _SEED_AMP:
-        return None, newton
-    pt, _ = _branch_point(sysr, q, col)
-    if pt.stable == (np.linalg.eigvals(model.linear_block(mu)).real.max() < 0):
-        return None, newton
-    return pt, newton
+    opts = ContinuationOptions(mu_max=mu)
+    stable = np.linalg.eigvals(model.linear_block(mu)).real.max() < 0
+    walks = []
+    try:
+        hopf = _hopf_cycle(model)
+        walks.append(_walk(model, hopf, mu, opts))
+        land = walks[0].points
+        if not land or np.linalg.norm(land[0].anchor) < _SEED_AMP or land[0].stable == stable:
+            walks.append(_walk(model, hopf, _first_load(hopf, mu), opts))
+        # a branch ends at mu_max exactly unless it names why not
+        reason = walks[-1].meta["truncated"]
+    except ContinuationError as exc:
+        reason = str(exc)
+    newton = sum(rec["newton"] for diag in walks for rec in diag.meta["trace"])
+    if reason:
+        return LimitCycleMeasurement(param, np.zeros(dim), 0.0, bool(stable), reason,
+                                     newton=newton)
+    pt = walks[-1].points[-1]
+    return LimitCycleMeasurement(param, pt.amplitude, pt.period, True, "", pt.floquet,
+                                 pt.stable, newton)
 
 
 @dataclass

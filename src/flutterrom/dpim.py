@@ -525,12 +525,13 @@ def _solve_order_secondorder(table, res, spectrum, mck, ids, fnl, g, jdeps, W, f
 def build_rom_secondorder(model, spectrum, order, r_tol=0.05):
     """Halved-size parametrisation for second-order mechanical systems.
 
-    Requires parameter-independent quadratic/cubic forces (models whose
-    cubic scales with the load go through the quadratic recast and the
-    first-order engine); each monomial solves a displacement-sized bordered
-    system and its velocity mapping is recovered algebraically afterwards.
+    Requires parameter-independent quadratic/cubic forces (nl_rhs_series;
+    models without it, whose cubic scales with the load, go through the
+    quadratic recast and the first-order engine); each monomial solves a
+    displacement-sized bordered system and its velocity mapping is
+    recovered algebraically afterwards.
     """
-    if getattr(model, "cubic_scales_with_load", False):
+    if not hasattr(model, "nl_rhs_series"):
         raise ValueError("load-scaled cubic forces require the quadratic recast "
                          "and the first-order engine")
     n = model.ndof

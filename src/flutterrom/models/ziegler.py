@@ -34,7 +34,6 @@ class ZieglerModel:
     Ru: np.ndarray
     L: float
     cubic_terms: list[tuple[int, int, int, float]] = field(default_factory=list)
-    cubic_scales_with_load: bool = True
 
     def linear_pencil(self, P):
         """(M, C, K_eff) of the linearization about the upright equilibrium."""

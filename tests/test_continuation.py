@@ -27,6 +27,7 @@ from flutterrom.continuation import (
     _correct,
     _floquet_and_stability,
     _fold_test,
+    _hopf_cycle,
     _hopf_seed,
     _mesh_size,
     _ns_test,
@@ -137,11 +138,11 @@ def shooting_branch(rom, opts):
     at the last point's anchor and mu, once per step), convergence test,
     step rule and landing (a step past mu_max corrected again at mu =
     mu_max, from the secant through the last point) as continue_periodic."""
-    mu_H = find_hopf(rom)
+    hopf = _hopf_cycle(rom)
+    sysr, mu_H = hopf[0], hopf[3]["mu_H"]
     mu_start = min(opts.mu_max, mu_H + max(4 * _DS0, 0.01 * max(abs(mu_H), 1.0)))
-    sysr = RealizedReducedSystem(rom, mu_start)
     m2 = 2 * sysr.m
-    x, _, T, _ = _hopf_seed(sysr, mu_H, mu_start)
+    x, _, T, _ = _hopf_seed(hopf, mu_start)
     x, T, Mono = _newton_fixed_mu(sysr, x, T, mu_start)
     amp_cap = 40.0 * max(np.linalg.norm(x), 0.05)
     points = []
@@ -419,10 +420,10 @@ def seed_roms(branch_rom):
 def test_hopf_seed_matches_settled_seed(seed_roms, label):
     # both seeds, corrected at the same fixed mu, land on the same cycle
     rom = seed_roms[label]
-    mu_H = find_hopf(rom)
+    hopf = _hopf_cycle(rom)
+    sysr, mu_H = hopf[0], hopf[3]["mu_H"]
     mu = mu_H + max(4 * _DS0, 0.01 * max(abs(mu_H), 1.0))
-    sysr = RealizedReducedSystem(rom, mu)
-    x, K, T, seed = _hopf_seed(sysr, mu_H, mu)
+    x, K, T, seed = _hopf_seed(hopf, mu)
     assert seed["newton"] >= 1 and seed["scale"] > 1.0
     q, col = fixed_mu_cycle(sysr, x, K, T, mu)
 
@@ -439,10 +440,9 @@ def test_hopf_seed_matches_settled_seed(seed_roms, label):
 
 def test_hopf_seed_radius_on_the_normal_form():
     # zdot = (mu + 1.3 i) z - z|z|^2: the cycle at mu has radius sqrt(mu)
-    rom = hopf_normal_form_rom(omega=1.3)
-    mu_H = find_hopf(rom)
+    hopf = _hopf_cycle(hopf_normal_form_rom(omega=1.3))
     for mu in (0.02, 0.08, 0.3):
-        x, _, T, _ = _hopf_seed(RealizedReducedSystem(rom, 0.0), mu_H, mu)
+        x, _, T, _ = _hopf_seed(hopf, mu)
         assert abs(np.linalg.norm(x) - np.sqrt(mu)) < 1e-8
         assert abs(T - 2 * np.pi / 1.3) < 1e-8
 
@@ -546,9 +546,9 @@ def test_mesh_error_estimate_is_sharp(branch_rom, ziegler2_fom, case, monkeypatc
     # that each orbit is its mesh's own collocation solution, not the
     # resampled converged orbit (whose residual is already under 1e-9)
     model, mu = (branch_rom[1], 0.1) if case == "rom" else (ziegler2_fom, 0.2)
-    sysr = continuation._realize(model, mu)
-    mu_H = find_hopf(model)
-    x, K, T, _ = _hopf_seed(sysr, mu_H, mu)
+    hopf = _hopf_cycle(model)
+    sysr = hopf[0]
+    x, K, T, _ = _hopf_seed(hopf, mu)
     q, col = fixed_mu_cycle(sysr, x, K, T, mu)
     monkeypatch.setattr(continuation, "_NEWTON_TOL", 1e-13)
     fixed_mu = np.eye(len(q))[-1]

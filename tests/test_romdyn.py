@@ -1,5 +1,6 @@
 import warnings
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -375,16 +376,23 @@ class TestDecayUnits:
         assert abs(meas.amplitude[0] - 1e-4 * np.sqrt(0.04)) < 2e-5 * 1e-4 * np.sqrt(0.04)
 
 
-def test_chain_rom_against_fom_past_a_false_settle():
-    # chain n = 8 (masses 1/n, springs n, L = 1/n, xi_m = 0.05), d = 4 order-5
-    # ROM at P_H: at 0.5% of P_H the settle loop reported 0.20950 for the
-    # ROM, where both cycles are 0.180214 (Floquet pair |m| = 0.964); at 5%
-    # a cycle corrected at fixed load from the Hopf seed did not converge
+@pytest.fixture(scope="module")
+def chain8():
+    """The chain n = 8 (masses 1/n, springs n, L = 1/n, xi_m = 0.05), its
+    Hopf point P_H and its d = 4 order-5 ROM at P_H."""
     n = 8
     m = build_ziegler(np.full(n, 1.0 / n), np.full(n, float(n)), 1.0 / n, xi_m=0.05)
     P_H = eigen_sweep(m, (1.0, 30.0), 60).events["P_H"]
     dae = recast_to_dae(m, mu0=P_H)
-    rom = build_rom_firstorder(dae, solve_master_eigen(dae, d=4), order=5)
+    return m, P_H, build_rom_firstorder(dae, solve_master_eigen(dae, d=4), order=5)
+
+
+def test_chain_rom_against_fom_past_a_false_settle(chain8):
+    # at 0.5% of P_H the settle loop reported 0.20950 for the ROM, where
+    # both cycles are 0.180214 (Floquet pair |m| = 0.964); at 5% a cycle
+    # corrected at fixed load from the Hopf seed did not converge
+    m, P_H, rom = chain8
+    n = m.n
     for frac, tol in ((0.005, 1e-5), (0.05, 1e-4)):
         got = measure_limit_cycle(rom, frac * P_H, coord=n - 1)
         ref = measure_limit_cycle_fom(m, P_H + frac * P_H, coord=n - 1)
@@ -411,14 +419,17 @@ def test_periodic_peak_against_fine_sampling():
 
 
 def count_walks(monkeypatch):
-    """The loads at which a measurement falls back to walking a branch."""
-    walks = []
+    """The loads up to which a branch is walked from below them: a
+    measurement's fallback (its landing is the branch that starts at the
+    load) or continue_periodic's own."""
+    walks, walk = [], continuation._walk
 
-    def walk(model, options):
-        walks.append(options.mu_max)
-        return continue_periodic(model, options)
+    def counted(model, hopf, mu_start, options):
+        if mu_start < options.mu_max:
+            walks.append(options.mu_max)
+        return walk(model, hopf, mu_start, options)
 
-    monkeypatch.setattr(continuation, "_branch", walk)
+    monkeypatch.setattr(continuation, "_walk", counted)
     return walks
 
 
@@ -440,19 +451,24 @@ class TestLanding:
     @pytest.mark.parametrize("label", ["fom", "one-mode", "two-mode", "jordan"])
     def test_landing_matches_the_walked_branch(self, ziegler2, label, monkeypatch):
         # both orbits sit on meshes that meet _RTOL, on different meshes
-        # where the walk's seed lies below the load: measured <= 3.1e-8
+        # where the walk's seed lies below the load: measured <= 3.1e-8;
+        # at mu <= 0.05 the walk starts at the load, so it is the landing
         model, P_H, roms = ziegler2
-        walks = count_walks(monkeypatch)
-        short = []
+        cases = []
         for mu in (0.02, 0.05, 0.1, 0.2, 0.3):
             if label == "fom":
                 system, inc = model.first_order(P_H + mu), 0.0
-                meas = measure_limit_cycle_fom(model, P_H + mu)
+                measure = partial(measure_limit_cycle_fom, model, P_H + mu)
             else:
                 system, P = roms[label]
                 inc = P_H + mu - P
-                meas = measure_limit_cycle(system, inc)
-            diag = continue_periodic(system, ContinuationOptions(mu_max=inc))
+                measure = partial(measure_limit_cycle, system, inc)
+            cases.append((mu, inc, measure, continue_periodic(system,
+                                                              ContinuationOptions(mu_max=inc))))
+        walks = count_walks(monkeypatch)
+        short = []
+        for mu, inc, measure, diag in cases:
+            meas = measure()
             pt = diag.points[-1]
             if pt.mu != inc:
                 # no cycle at the load: the measurement is the walk's
@@ -462,6 +478,10 @@ class TestLanding:
             assert meas.reason == "" and meas.stable == pt.stable
             assert np.abs(meas.amplitude - pt.amplitude).max() < 1e-7 * pt.amplitude.max()
             assert abs(meas.period / pt.period - 1.0) < 1e-7
+            if mu <= 0.05:
+                assert len(diag.points) == 1 and meas.period == pt.period
+                assert np.array_equal(meas.amplitude, pt.amplitude)
+                assert np.array_equal(meas.floquet, pt.floquet)
         # only the one-mode ROM has loads without a cycle (mu = 0.2, 0.3), and
         # only those walk
         assert len(short) == (2 if label == "one-mode" else 0)
@@ -490,8 +510,8 @@ class TestLanding:
         upper, lower = (np.sqrt((1.0 + s * np.sqrt(1.0 - 4.0 * mu)) / 2.0) for s in (1, -1))
         recorded = []
 
-        def upper_seed(sysr, mu_H, mu_start):
-            x, K, T, rec = seed(sysr, mu_H, mu_start)
+        def upper_seed(hopf, mu_start):
+            x, K, T, rec = seed(hopf, mu_start)
             scale = upper / np.linalg.norm(x) if mu_start == mu else 1.0
             return scale * x, scale * K, T, rec
 
@@ -525,3 +545,29 @@ class TestLanding:
             warnings.simplefilter("error")
             meas = measure_limit_cycle(hopf_normal_form_rom(c5=1.0, order=5), 0.3)
         assert meas.amplitude.max() == 0.0 and meas.reason != ""
+
+
+    @pytest.mark.parametrize("case", ["one-mode", "chain"])
+    def test_one_hopf_analysis_per_walking_measurement(self, ziegler2, chain8, case,
+                                                        monkeypatch):
+        # the landing is refused and the branch is walked up to the load;
+        # both start from the measurement's one Hopf point and Hopf cycle
+        if case == "one-mode":
+            rom, mu = ziegler2[2]["one-mode"][0], 0.2
+        else:
+            _, P_H, rom = chain8
+            mu = 0.02 * P_H
+        calls = {"find_hopf": 0, "_hopf_cycle": 0}
+
+        def counter(name, fn):
+            def counted(model):
+                calls[name] += 1
+                return fn(model)
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(continuation, name, counter(name, getattr(continuation, name)))
+        walks = count_walks(monkeypatch)
+        measure_limit_cycle(rom, mu)
+        assert walks == [mu]
+        assert calls == {"find_hopf": 1, "_hopf_cycle": 1}
