@@ -317,10 +317,17 @@ def _correct(sysr, q, K, tangent, ds, qn, Kn, radius, T_range):
     return qn, Kn, col, _MAX_NEWTON, residuals, "no convergence"
 
 
+class _HopfCycle(NamedTuple):
+    """The small cycle at a model's Hopf point mu_H, corrected at mu_eps."""
+    sysr: object        # the model, or a ROM's RealizedReducedSystem
+    q: np.ndarray       # (anchor, period, mu_eps)
+    K: np.ndarray       # stage values
+    record: dict        # {mu_H, newton, residual}
+
+
 def _hopf_cycle(model):
-    """(system, (anchor, period, mu_eps), stage values, record) of the small
-    cycle at the model's Hopf point mu_H (find_hopf), without integrating.
-    The system is the model, or a ROM's RealizedReducedSystem.
+    """_HopfCycle at the model's Hopf point mu_H (find_hopf), without
+    integrating.
 
     The critical eigenpair (i omega, v) of the Jacobian at the fixed point
     spans the ellipse eps Re(v e^{2 pi i tau}) of period 2 pi / omega,
@@ -350,13 +357,13 @@ def _hopf_cycle(model):
     if abs(q[n + 1] - mu_H) <= _NEWTON_TOL * max(1.0, abs(mu_H)):
         raise ContinuationError(f"degenerate Hopf point at mu = {mu_H:.6g}: mu does not move "
                                 "with the cycle amplitude")
-    return sysr, q, K, {"mu_H": float(mu_H), "newton": it, "residual": res[-1]}
+    return _HopfCycle(sysr, q, K, {"mu_H": float(mu_H), "newton": it, "residual": res[-1]})
 
 
 def _hopf_seed(hopf, mu):
     """(anchor, stage values, period, record) of a cycle guess at load mu:
     the Hopf cycle at mu_eps scaled by the amplitude law r^2 ~ mu - mu_H."""
-    _, q, K, record = hopf
+    q, K, record = hopf.q, hopf.K, hopf.record
     n, mu_H = len(q) - 2, record["mu_H"]
     shift = q[n + 1] - mu_H
     if (mu - mu_H) * shift <= 0:
@@ -478,14 +485,14 @@ def continue_periodic(model, options=None):
 
 def _first_load(hopf, mu_max):
     # continue_periodic's first load
-    mu_H = hopf[3]["mu_H"]
+    mu_H = hopf.record["mu_H"]
     return min(mu_max, mu_H + max(4 * _DS0, 0.01 * max(abs(mu_H), 1.0)))
 
 
 def _walk(model, hopf, mu_start, opts):
-    """continue_periodic's branch from _hopf_cycle's result hopf, its first
+    """continue_periodic's branch from the _HopfCycle hopf, its first
     point corrected at mu_start; a branch that starts at mu_max takes no tangent."""
-    sysr = hopf[0]
+    sysr = hopf.sysr
     m2 = 2 * sysr.m
     x, K, T, seed = _hopf_seed(hopf, mu_start)
     points, trace = [], []

@@ -139,7 +139,7 @@ def shooting_branch(rom, opts):
     step rule and landing (a step past mu_max corrected again at mu =
     mu_max, from the secant through the last point) as continue_periodic."""
     hopf = _hopf_cycle(rom)
-    sysr, mu_H = hopf[0], hopf[3]["mu_H"]
+    sysr, mu_H = hopf.sysr, hopf.record["mu_H"]
     mu_start = min(opts.mu_max, mu_H + max(4 * _DS0, 0.01 * max(abs(mu_H), 1.0)))
     m2 = 2 * sysr.m
     x, _, T, _ = _hopf_seed(hopf, mu_start)
@@ -421,7 +421,7 @@ def test_hopf_seed_matches_settled_seed(seed_roms, label):
     # both seeds, corrected at the same fixed mu, land on the same cycle
     rom = seed_roms[label]
     hopf = _hopf_cycle(rom)
-    sysr, mu_H = hopf[0], hopf[3]["mu_H"]
+    sysr, mu_H = hopf.sysr, hopf.record["mu_H"]
     mu = mu_H + max(4 * _DS0, 0.01 * max(abs(mu_H), 1.0))
     x, K, T, seed = _hopf_seed(hopf, mu)
     assert seed["newton"] >= 1 and seed["scale"] > 1.0
@@ -547,7 +547,7 @@ def test_mesh_error_estimate_is_sharp(branch_rom, ziegler2_fom, case, monkeypatc
     # resampled converged orbit (whose residual is already under 1e-9)
     model, mu = (branch_rom[1], 0.1) if case == "rom" else (ziegler2_fom, 0.2)
     hopf = _hopf_cycle(model)
-    sysr = hopf[0]
+    sysr = hopf.sysr
     x, K, T, _ = _hopf_seed(hopf, mu)
     q, col = fixed_mu_cycle(sysr, x, K, T, mu)
     monkeypatch.setattr(continuation, "_NEWTON_TOL", 1e-13)

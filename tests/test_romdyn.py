@@ -419,14 +419,16 @@ def test_periodic_peak_against_fine_sampling():
 
 
 def count_walks(monkeypatch):
-    """The loads up to which a branch is walked from below them: a
-    measurement's fallback (its landing is the branch that starts at the
-    load) or continue_periodic's own."""
-    walks, walk = [], continuation._walk
+    """The loads up to which a branch is walked other than by a landing (the
+    branch that starts at the load): every walk that starts below its last
+    load, and every second walk from one Hopf cycle, so a measurement's
+    fallback counts even when it starts at the load itself."""
+    walks, walked, walk = [], [], continuation._walk
 
     def counted(model, hopf, mu_start, options):
-        if mu_start < options.mu_max:
+        if mu_start < options.mu_max or any(h is hopf for h in walked):
             walks.append(options.mu_max)
+        walked.append(hopf)
         return walk(model, hopf, mu_start, options)
 
     monkeypatch.setattr(continuation, "_walk", counted)
