@@ -1,21 +1,34 @@
 """Periodic-orbit continuation on reduced and full-order models.
 
-Gauss-Legendre collocation (seven points per interval, degree 7, uniform
-mesh over the scaled period) with a flow-orthogonal phase condition and
-pseudo-arclength stepping in (anchor state, period, parameter increment),
-on a ROM's realified system or on a full-order system with its interface
-(ZieglerFirstOrder).  Each Newton iterate evaluates the field and its
-derivatives at all collocation points in one batched call and condenses
-the stage values interval by interval; the product of the interval
-transfer matrices is the discrete monodromy, whose eigenvalues are the
-Floquet multipliers.  The corrector is Newton's method on fixed equations,
-quadratically convergent.  Fold / Neimark-Sacker events are located from
-their test functions along the branch, and a branch that shrinks back onto
-the fixed point ends at a Hopf point.  The branch starts there too: the
-corrected Hopf cycle (the critical eigenvector's ellipse) scaled by the
-normal-form amplitude law, so nothing integrates.  It ends at exactly
-mu_max.  romdyn's limit cycle at a load is the branch that starts at that
-load (_cycle_at), or the end of the one walked up to it where that is refused.
+Pseudo-arclength stepping in (anchor state, period, parameter increment)
+with a flow-orthogonal phase condition, and one of two correctors:
+
+- A ROM (ParametrisationROM) keeps in f only the monomials of charge
+  |alpha| - |beta| = 1, so f(e^{i theta} z, mu) = e^{i theta} f(z, mu) and
+  each of its cycles is a rotating wave z(t) = e^{2 pi i t / T} z*: the
+  algebraic equations f(x, mu) = (2 pi / T) R x on its realified state,
+  where R turns each (Re, Im) pair by 90 degrees.  A correction is one
+  single-state linearize and one (2m + 2)-square solve; the Floquet
+  multipliers are exp(T eig(J(x*) - (2 pi / T) R)), and the amplitudes come
+  from the orbit's harmonics, which reach only the mapping's order.  A ROM
+  whose f has a monomial of another charge is refused (ValueError).
+- A system with RealizedReducedSystem's interface (the full-order
+  ZieglerFirstOrder) is collocated: Gauss-Legendre collocation (seven
+  points per interval, degree 7, uniform mesh over the scaled period).
+  Each Newton iterate evaluates the field and its derivatives at all
+  collocation points in one batched call and condenses the stage values
+  interval by interval; the product of the interval transfer matrices is
+  the discrete monodromy, whose eigenvalues are the Floquet multipliers.
+
+Either corrector is Newton's method on fixed equations, quadratically
+convergent, and one walk (_walk) drives both.  Fold / Neimark-Sacker
+events are located from their test functions along the branch, and a
+branch that shrinks back onto the fixed point ends at a Hopf point.  The
+branch starts there too: the corrected Hopf cycle (the critical
+eigenvector's ellipse, or circle for a ROM) scaled by the normal-form
+amplitude law, so nothing integrates.  It ends at exactly mu_max.
+romdyn's limit cycle at a load is the branch that starts at that load
+(_cycle_at), or the end of the one walked up to it where that is refused.
 """
 
 from __future__ import annotations
@@ -115,9 +128,12 @@ class ContinuationOptions:
 # between the points), one that took _MAX_NEWTON - 2 or more shrinks
 _DS0, _DS_MIN = 0.02, 1e-5
 _TARGET_NEWTON, _MAX_NEWTON, _NEWTON_TOL = 3, 10, 1e-9
-# mesh error target, samples of a recorded orbit, and the anchor norm under
-# which a cycle has shrunk onto the fixed point
+# mesh error target, samples of a recorded collocated orbit, and the anchor
+# norm under which a cycle has shrunk onto the fixed point
 _RTOL, _N_SAMPLE, _SEED_AMP = 1e-9, 512, 1e-3
+# phases that locate a rotating wave's peaks, and the Newton steps that
+# polish them (from a phase within pi / _N_COARSE of the peak)
+_N_COARSE, _PEAK_NEWTON = 64, 5
 
 
 # the seven Gauss-Legendre points on [0, 1]; column k of _LAGRANGE holds the
@@ -253,33 +269,74 @@ def _stage_change(col, w):
     return np.einsum("jsac,jc->jsa", col.Z, W)
 
 
+def _rotating(sysr):
+    """Whether sysr's cycles are rotating waves: a ROM's realified system."""
+    return isinstance(sysr, RealizedReducedSystem)
+
+
+def _linearize(sysr, q, K):
+    """The orbit q = (x, T, mu) with stage values K, linearised: its
+    collocation, or for a rotating wave (f, J, dfdmu) at (x, mu)."""
+    n = len(q) - 2
+    if _rotating(sysr):
+        sysr.mu = q[n + 1]
+        return sysr.linearize(q[:n])
+    return _collocate(sysr, q[:n], K, q[n], q[n + 1])
+
+
+def _periodicity(sysr, q, col):
+    """The periodicity rows of the orbit q from its linearisation col:
+    (residual, derivative by (x, T, mu), residual column, sum of the
+    squared stage residuals).
+
+    A collocated orbit's rows are x_N - x_0; its residual column is the
+    condensed stage residuals' share of x_N.  A rotating wave's rows are
+    T f - 2 pi R x, where R is i on each (Re z, Im z) pair: scaled by T,
+    they are the drift of the anchor over one period (to first order),
+    measured as the collocation's are.
+    """
+    n = len(q) - 2
+    if _rotating(sysr):
+        f, J, g = col
+        R = np.zeros((n, n))
+        pairs = np.arange(0, n, 2)
+        R[pairs, pairs + 1], R[pairs + 1, pairs] = -1.0, 1.0
+        rows = np.column_stack([q[n] * J - 2.0 * np.pi * R, f, q[n] * g])
+        return q[n] * f - 2.0 * np.pi * R @ q[:n], rows, 0.0, 0.0
+    end = col.Psi[-1]
+    return col.X[-1] - q[:n], end[:, :n + 2] - np.eye(n, n + 2), end[:, n + 2], np.sum(col.G ** 2)
+
+
 def _tangent(sysr, q, col):
     """Unit tangent (dx_0, dT, dmu) of the branch at the corrected orbit q,
     oriented to increasing mu: the null vector of its periodicity and phase
     rows (sysr.mu must be q's mu); and the stage values' part of it, the
-    linearised collocation's response with the residual column weighted 0."""
+    linearised collocation's response with the residual column weighted 0
+    (none for a rotating wave)."""
     n = len(q) - 2
-    A = np.vstack([col.Psi[-1, :, :n + 2] - np.eye(n, n + 2),
-                   np.append(sysr.rhs(0.0, q[:n]), [0.0, 0.0])])
-    t = np.linalg.svd(A)[2][-1]
+    rows = _periodicity(sysr, q, col)[1]
+    t = np.linalg.svd(np.vstack([rows, np.append(sysr.rhs(0.0, q[:n]), [0.0, 0.0])]))[2][-1]
     t = np.copysign(1.0, t[-1]) * t
-    return t, _stage_change(col, np.append(t, 0.0))
+    return t, np.zeros(0) if _rotating(sysr) else _stage_change(col, np.append(t, 0.0))
 
 
 # a diverging iterate overflows; its residual is not finite, which ends the
 # correction with a reason instead of a numpy warning
 @np.errstate(over="ignore", invalid="ignore")
 def _correct(sysr, q, K, tangent, ds, qn, Kn, radius, T_range):
-    """Newton on the collocation equations, the phase row and the last row
+    """Newton on the periodicity rows (_periodicity) of the collocation
+    equations or of a rotating wave, the phase row and the last row
     tangent . (qn - q) = ds, from the guess (qn, Kn).
 
     The phase normal is f at q's anchor and mu, fixed for all iterates, so
-    the Newton matrix is exact.  The residual norm covers those rows,
-    periodicity x_N = x_0 and the stage residuals.  An iterate whose mu or
+    the Newton matrix is exact; for a rotating wave f(x) is (2 pi / T) R x,
+    so the row fixes the anchor's phase against q's.  The residual norm
+    covers those rows and the stage residuals.  An iterate whose mu or
     anchor moves more than `radius` from q, whose period leaves T_range, or
-    whose residual is not finite, is rejected.  Returns (qn, Kn, collocation
+    whose residual is not finite, is rejected.  Returns (qn, Kn, _linearize
     at qn, corrections, residual norm of each iterate evaluated, reason);
-    reason is "" on convergence.
+    reason is "" on convergence.  A rotating wave has no stage values: its
+    Kn passes through.
     """
     n = len(q) - 2
     sysr.mu = q[n + 1]
@@ -287,29 +344,23 @@ def _correct(sysr, q, K, tangent, ds, qn, Kn, radius, T_range):
     nvec /= np.linalg.norm(nvec)
     residuals = []
     for it in range(_MAX_NEWTON):
-        x_n, T_n, mu_n = qn[:n], qn[n], qn[n + 1]
-        col = _collocate(sysr, x_n, Kn, T_n, mu_n)
-        F = np.concatenate([col.X[-1] - x_n, [nvec @ (x_n - q[:n])],
-                            [tangent @ (qn - q) - ds]])
-        residuals.append(float(np.sqrt(F @ F + np.sum(col.G ** 2))))
+        col = _linearize(sysr, qn, Kn)
+        periodic, rows, column, stages = _periodicity(sysr, qn, col)
+        F = np.concatenate([periodic, [nvec @ (qn[:n] - q[:n])], [tangent @ (qn - q) - ds]])
+        residuals.append(float(np.sqrt(F @ F + stages)))
         if not np.isfinite(residuals[-1]):
             return qn, Kn, col, it, residuals, "iterate not finite"
         if residuals[-1] < _NEWTON_TOL * max(1.0, np.linalg.norm(qn)):
             return qn, Kn, col, it, residuals, ""
-        end = col.Psi[-1]
-        Jb = np.zeros((n + 2, n + 2))
-        Jb[:n, :n + 2] = end[:, :n + 2]
-        Jb[:n, :n] -= np.eye(n)
-        Jb[n, :n] = nvec
-        Jb[n + 1] = tangent
         rhs = -F
-        rhs[:n] -= end[:, n + 2]
+        rhs[:n] -= column
         try:
-            dq = np.linalg.solve(Jb, rhs)
+            dq = np.linalg.solve(np.vstack([rows, np.append(nvec, [0.0, 0.0]), tangent]), rhs)
         except np.linalg.LinAlgError:
             return qn, Kn, col, it, residuals, "singular corrector matrix"
         qn = qn + dq
-        Kn = Kn + _stage_change(col, np.append(dq, 1.0))
+        if not _rotating(sysr):
+            Kn = Kn + _stage_change(col, np.append(dq, 1.0))
         if abs(qn[n + 1] - q[n + 1]) > radius or np.linalg.norm(qn[:n] - q[:n]) > radius:
             return qn, Kn, col, it + 1, residuals, "iterate left the trust region"
         if not T_range[0] <= qn[n] <= T_range[1]:
@@ -317,11 +368,31 @@ def _correct(sysr, q, K, tangent, ds, qn, Kn, radius, T_range):
     return qn, Kn, col, _MAX_NEWTON, residuals, "no convergence"
 
 
+def _realize(rom, mu):
+    """The ROM's RealizedReducedSystem at mu, once every monomial of its
+    reduced field is checked to have charge 1 (a representative coordinate
+    counts +1, its conjugate -1, mu 0), so that its cycles are rotating
+    waves; raises ValueError naming the first monomial that is not."""
+    sysr = RealizedReducedSystem(rom, mu)
+    charge = np.zeros(rom.d, dtype=int)
+    charge[sysr.reps] = 1
+    charge[rom.conj_map[sysr.reps]] = -1
+    exps = rom.table.exponents
+    off = (exps[:, :rom.d] @ charge != 1)[:, None] & (rom.f[:, sysr.reps] != 0)
+    if off.any():
+        k, r = np.argwhere(off)[0]
+        raise ValueError(
+            f"f of coordinate {sysr.reps[r]} has the monomial {tuple(exps[k].tolist())} of "
+            f"charge {exps[k, :rom.d] @ charge}: the reduced field is not S1-equivariant, "
+            "so its cycles are not rotating waves")
+    return sysr
+
+
 class _HopfCycle(NamedTuple):
     """The small cycle at a model's Hopf point mu_H, corrected at mu_eps."""
     sysr: object        # the model, or a ROM's RealizedReducedSystem
     q: np.ndarray       # (anchor, period, mu_eps)
-    K: np.ndarray       # stage values
+    K: np.ndarray       # stage values, empty for a rotating wave
     record: dict        # {mu_H, newton, residual}
 
 
@@ -331,10 +402,11 @@ def _hopf_cycle(model):
 
     The critical eigenpair (i omega, v) of the Jacobian at the fixed point
     spans the ellipse eps Re(v e^{2 pi i tau}) of period 2 pi / omega,
-    corrected with its amplitude along Re v fixed and mu free.
+    corrected with its amplitude along Re v fixed and mu free; for a ROM
+    (checked by _realize) its anchor eps Re v is the rotating wave's.
     """
+    sysr = _realize(model, 0.0) if isinstance(model, ParametrisationROM) else model
     mu_H = find_hopf(model)
-    sysr = RealizedReducedSystem(model, mu_H) if isinstance(model, ParametrisationROM) else model
     n = 2 * sysr.m
     sysr.mu = mu_H
     w, V = np.linalg.eig(sysr.jacobian(np.zeros(n)))
@@ -346,8 +418,11 @@ def _hopf_cycle(model):
     k = osc[np.argmax(w.real[osc])]
     v = V[:, k]   # LAPACK makes its largest component real: Re v, Im v independent
     T = 2 * np.pi / w[k].imag
-    phase = np.exp(2j * np.pi * _stage_times(_MESH0))
-    K = _HOPF_EPS * (phase[:, None] * v).real.reshape(_MESH0, len(_NODES), n)
+    if _rotating(sysr):
+        K = np.zeros(0)
+    else:
+        phase = np.exp(2j * np.pi * _stage_times(_MESH0))
+        K = _HOPF_EPS * (phase[:, None] * v).real.reshape(_MESH0, len(_NODES), n)
     q = np.concatenate([_HOPF_EPS * v.real, [T, mu_H]])
     tangent = np.concatenate([v.real / np.linalg.norm(v.real), [0.0, 0.0]])
     q, K, _, it, res, reason = _correct(sysr, q, K, tangent, 0.0, q, K, np.inf,
@@ -375,8 +450,7 @@ def _hopf_seed(hopf, mu):
     return scale * q[:n], scale * K, q[n], dict(record, scale=scale)
 
 
-def _floquet_and_stability(Mono):
-    mult = np.linalg.eigvals(Mono)
+def _floquet_and_stability(mult):
     trivial = int(np.argmin(np.abs(mult - 1.0)))
     others = np.delete(mult, trivial)
     stable = bool(np.all(np.abs(others) < 1.0))
@@ -409,7 +483,7 @@ def _attempt(sysr, trace, T_range, q, K, tangent, ds, tK, radius):
     t0 = time.perf_counter()
     qn, Kn, col, it, res, reason = _correct(sysr, q, K, tangent, ds, q + ds * tangent,
                                             K + ds * tK, radius, T_range)
-    N = len(Kn) if reason else _mesh_size(sysr, col, qn[-2], _RTOL)
+    N = len(Kn) if reason or _rotating(sysr) else _mesh_size(sysr, col, qn[-2], _RTOL)
     if N > _MESH_MAX:
         reason = f"orbit needs {N} mesh intervals, more than {_MESH_MAX}"
     elif N > len(Kn):
@@ -441,39 +515,79 @@ def _fixed_mu(sysr, trace, T_range, q, K):
         K = _refine(col, q[m2], N)
 
 
+def _wave_peak(sysr, x):
+    """Largest |coordinate| of the mapped orbit W(e^{i theta} z*) of the
+    rotating wave with anchor x (sysr.mu must be its mu).
+
+    A monomial of W turns with e^{i k theta}, |k| <= the order o, so each
+    coordinate is a trigonometric polynomial Re sum_k c_k e^{i k theta},
+    k = 0 .. o, whose coefficients 2 max(o + 1, 8) equispaced phases give
+    exactly.  Its largest value over _N_COARSE phases starts Newton's
+    method on its derivative, which polishes the peak to round-off.
+    """
+    order = sysr.rom.order
+    N = 2 * max(order + 1, 8)
+    Z = np.exp(2j * np.pi * np.arange(N) / N)[:, None] * (x[0::2] + 1j * x[1::2])
+    Y = sysr.map_batch(np.stack([Z.real, Z.imag], axis=-1).reshape(N, -1))
+    k = np.arange(order + 1)[:, None]
+    c = np.fft.rfft(Y, axis=0)[:order + 1] * np.where(k > 0, 2.0 / N, 1.0 / N)
+    grid = 2 * np.pi * np.arange(_N_COARSE) / _N_COARSE
+    coarse = np.abs((np.exp(1j * grid[:, None] * k.T) @ c).real)
+    theta = grid[np.argmax(coarse, axis=0)]
+    for _ in range(_PEAK_NEWTON):
+        e = c * np.exp(1j * k * theta)
+        slope, curv = (1j * k * e).real.sum(axis=0), (-k ** 2 * e).real.sum(axis=0)
+        # the curvature is 0 only on a coordinate that stays 0
+        theta = theta - slope / np.where(curv == 0.0, 1.0, curv)
+    # a Newton step that left the peak's basin keeps the best phase sampled
+    peak = np.abs((c * np.exp(1j * k * theta)).real.sum(axis=0))
+    return np.maximum(peak, coarse.max(axis=0))
+
+
 def _branch_point(sysr, q, col):
     """BranchPoint of the corrected orbit q, and its Floquet multipliers
     other than the trivial one."""
     m2 = len(q) - 2
-    mult, others, stable = _floquet_and_stability(col.Psi[-1, :, :m2])
     sysr.mu = q[m2 + 1]
-    Y = sysr.map_batch(_sample(col, q[m2], np.linspace(0.0, 1.0, _N_SAMPLE)))
-    return BranchPoint(q[m2 + 1], q[:m2].copy(), q[m2], periodic_peak(Y), mult, stable), others
+    if _rotating(sysr):
+        mult = np.exp(np.linalg.eigvals(_periodicity(sysr, q, col)[1][:, :m2]))
+        amp = _wave_peak(sysr, q[:m2])
+    else:
+        mult = np.linalg.eigvals(col.Psi[-1, :, :m2])
+        amp = periodic_peak(sysr.map_batch(_sample(col, q[m2], np.linspace(0.0, 1.0, _N_SAMPLE))))
+    mult, others, stable = _floquet_and_stability(mult)
+    return BranchPoint(q[m2 + 1], q[:m2].copy(), q[m2], amp, mult, stable), others
 
 
 def continue_periodic(model, options=None):
     """Pseudo-arclength continuation of the post-bifurcation cycle branch.
 
-    model is a ROM (wrapped once in a RealizedReducedSystem) or a system
-    with that interface.  The Hopf seed at the model's Hopf point mu_H
-    (find_hopf) is corrected with mu fixed at min(mu_max, mu_H +
+    model is a ROM, whose cycles are solved as rotating waves of its
+    realified system (RealizedReducedSystem; a ROM whose f is not
+    S1-equivariant raises ValueError), or a system with that interface,
+    whose cycles are collocated.  The Hopf seed at the model's Hopf point
+    mu_H (find_hopf) is corrected with mu fixed at min(mu_max, mu_H +
     max(4 _DS0, 0.01 max(|mu_H|, 1))); the first step leaves it along the
     branch's tangent (near mu_H, the amplitude law x ~ sqrt(mu - mu_H)),
     then the branch is followed in (anchor, period, mu) with arclength
     steps of at most _DS0.  Each accepted point records physical amplitudes
     (all mapped coordinates), the period, Floquet multipliers, stability,
-    and any event marker.  The mesh grows whenever the error estimate of a
-    corrected orbit exceeds _RTOL; an orbit that would need more than
-    _MESH_MAX intervals ends the branch.  A step past mu_max is corrected
-    again with mu fixed at mu_max, from the secant through the last point;
-    that point, whose mu is mu_max exactly, ends the branch.  The branch ends
-    with a "hopf" event on its last point when the cycle shrinks back onto
-    the fixed point (its anchor turns back or falls below _SEED_AMP).
+    and any event marker.  On a collocated orbit the mesh grows whenever
+    its error estimate exceeds _RTOL, and an orbit that would need more
+    than _MESH_MAX intervals ends the branch.  A step past mu_max is
+    corrected again with mu fixed at mu_max, from the secant through the
+    last point; that point, whose mu is mu_max exactly, ends the branch.
+    The branch ends with a "hopf" event on its last point when the cycle
+    shrinks back onto the fixed point (its anchor turns back or falls below
+    _SEED_AMP).
 
     meta["seed"] is the Hopf seed's record {mu_H, newton, residual, scale};
     meta["trace"] holds one record per attempted correction (ds, Newton
     corrections, residual norms of the iterates, mesh intervals, accepted,
-    reason, wall time); the fixed-mu corrections have ds = 0.
+    reason, wall time); the fixed-mu corrections have ds = 0.  For a ROM
+    the mesh is 0 intervals, no record is a mesh refinement, and the
+    residuals are those of the rotating-wave equations scaled by the period,
+    the phase row and the arclength row.
     meta["truncated"] names why the branch stopped short of mu_max ("" when
     it did not).  Raises
     ContinuationError when no cycle lies on the seed's side of mu_H.
@@ -491,7 +605,10 @@ def _first_load(hopf, mu_max):
 
 def _walk(model, hopf, mu_start, opts):
     """continue_periodic's branch from the _HopfCycle hopf, its first
-    point corrected at mu_start; a branch that starts at mu_max takes no tangent."""
+    point corrected at mu_start; a branch that starts at mu_max takes no
+    tangent.  The corrector, the tangent and the branch points are those of
+    hopf.sysr: rotating waves for a ROM's realified system, collocation for
+    any other system."""
     sysr = hopf.sysr
     m2 = 2 * sysr.m
     x, K, T, seed = _hopf_seed(hopf, mu_start)
@@ -588,29 +705,47 @@ def _cycle_at(model, mu, param, dim):
     its stability equals the fixed point's at mu (near its Hopf point a
     branch pairs a stable cycle with an unstable fixed point or the
     reverse, so this rejects a landing past a fold).  Then continue_periodic's
-    branch up to mu gives the cycle or the reason it stops short.  A seed
-    error is final: both seeds lie on the same side of mu_H.
+    branch up to mu gives the cycle or the reason it stops short; where that
+    branch would start at mu itself, it is the landing again, and the
+    refusal is final.  A seed error is final: both seeds lie on the same
+    side of mu_H.  newton counts the Hopf cycle's correction too.
     """
     opts = ContinuationOptions(mu_max=mu)
     stable = np.linalg.eigvals(model.linear_block(mu)).real.max() < 0
-    walks = []
+    hopf, walks = None, []
     try:
         hopf = _hopf_cycle(model)
         walks.append(_walk(model, hopf, mu, opts))
-        land = walks[0].points
-        if not land or np.linalg.norm(land[0].anchor) < _SEED_AMP or land[0].stable == stable:
+        reason = _refusal(walks[0], mu, stable)
+        if reason and _first_load(hopf, mu) < mu:
             walks.append(_walk(model, hopf, _first_load(hopf, mu), opts))
-        # a branch ends at mu_max exactly unless it names why not
-        reason = walks[-1].meta["truncated"]
+            # a branch ends at mu_max exactly unless it names why not
+            reason = walks[-1].meta["truncated"]
     except ContinuationError as exc:
         reason = str(exc)
     newton = sum(rec["newton"] for diag in walks for rec in diag.meta["trace"])
+    newton += hopf.record["newton"] if hopf else 0
     if reason:
         return LimitCycleMeasurement(param, np.zeros(dim), 0.0, bool(stable), reason,
                                      newton=newton)
     pt = walks[-1].points[-1]
     return LimitCycleMeasurement(param, pt.amplitude, pt.period, True, "", pt.floquet,
                                  pt.stable, newton)
+
+
+def _refusal(land, mu, stable):
+    """Why the landing (the branch that starts at mu) is refused, "" when
+    it is not; stable is the fixed point's stability at mu."""
+    if land.meta["truncated"]:
+        return land.meta["truncated"]
+    pt = land.points[0]
+    if np.linalg.norm(pt.anchor) < _SEED_AMP:
+        return (f"the cycle at mu = {mu:.6g} has shrunk onto the fixed point: its anchor "
+                f"{np.linalg.norm(pt.anchor):.3g} is below {_SEED_AMP:g}")
+    if pt.stable == stable:
+        return (f"the cycle at mu = {mu:.6g} is {'stable' if stable else 'unstable'} like the "
+                "fixed point there: it lies past a fold")
+    return ""
 
 
 @dataclass

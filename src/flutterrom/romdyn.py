@@ -5,9 +5,10 @@ The reduced complex coordinates come in conjugate pairs; the realified
 state stacks (Re z, Im z) per representative coordinate with the parameter
 increment held constant during a run.  Physical outputs go through the
 polynomial mapping and are real up to round-off for real models.  A limit
-cycle at a load, of a ROM or of the full-order model, comes from
-continuation's collocation: the branch that starts at that load, or where
-that landing is refused, the branch continued from the Hopf point up to it.
+cycle at a load comes from continuation: the branch that starts at that
+load, or where that landing is refused, the branch continued from the Hopf
+point up to it.  A ROM's cycles are rotating waves of its realified system,
+solved as algebraic equations; the full-order model's are collocated.
 """
 
 from __future__ import annotations
@@ -33,11 +34,11 @@ class BlowUpError(RuntimeError):
 @dataclass
 class LimitCycleMeasurement:
     """The limit cycle at one load, and newton, every Newton correction the
-    measurement made: the landing's (the branch that starts at the load)
-    plus, where that was refused, the branch walked up to it.  With no
-    cycle the amplitude is zero, reason says why and converged whether the
-    fixed point is stable there.  transient_periods is always 0 (nothing
-    settles); it stays for callers.
+    measurement made: the Hopf cycle's, the landing's (the branch that
+    starts at the load) and, where that was refused, the branch walked up
+    to it.  With no cycle the amplitude is zero, reason says why and
+    converged whether the fixed point is stable there.  transient_periods
+    is always 0 (nothing settles); it stays for callers.
     """
 
     mu: float
@@ -125,6 +126,8 @@ class RealizedReducedSystem:
 
     @mu.setter
     def mu(self, value):
+        if getattr(self, "_mu", None) == float(value):
+            return   # the tables of this mu are in place
         self._mu = float(value)
         kmu, rows = self._f_support[2:]
         dpowers = kmu * self._mu ** np.maximum(kmu - 1, 0)
@@ -267,9 +270,9 @@ def integrate_reduced(rom, mu, z0, t_end, rtol=1e-10, atol=1e-12, t_eval=None,
 
 
 def measure_limit_cycle(rom, mu, coord=0):
-    """The ROM's limit cycle at load increment mu, with max |coordinate| per
-    physical coordinate (continuation._cycle_at).  coord selects nothing
-    and stays for callers."""
+    """The ROM's limit cycle at load increment mu, a rotating wave, with max
+    |coordinate| per physical coordinate (continuation._cycle_at).  coord
+    selects nothing and stays for callers."""
     from .continuation import _cycle_at
     return _cycle_at(rom, mu, mu, rom.dim)
 

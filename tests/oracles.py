@@ -1,15 +1,44 @@
-"""Time-integration oracles of the collocation periodic-orbit solver.
+"""Oracles of the library's periodic-orbit solvers.
 
-The library finds limit cycles by collocation only.  These integrate
-instead: a settle loop that runs a trajectory until its per-period
-amplitude stops changing, and the first return to a flow-orthogonal
-section, which gives the period of a settled orbit.
+The library finds a system's limit cycles by collocation and a ROM's as
+rotating waves.  The time-integration oracles integrate instead: a settle
+loop that runs a trajectory until its per-period amplitude stops changing,
+and the first return to a flow-orthogonal section, which gives the period
+of a settled orbit.  The ROM oracle, CollocatedROM, hands a ROM's realified
+system to continuation as a system, so that its cycles are collocated.
 """
 
 import numpy as np
 from scipy.integrate import DOP853, solve_ivp
 
-from flutterrom.romdyn import BlowUpError
+from flutterrom.romdyn import BlowUpError, RealizedReducedSystem
+
+
+class CollocatedROM:
+    """A ROM's RealizedReducedSystem presented as a system: continuation
+    collocates its cycles, as it does the full-order model's.
+
+    It has the realified system's interface (settable mu, rhs, linearize,
+    jacobian, map_batch, m) and the ROM's linear_block and meta, which
+    find_hopf scans.  continue_periodic(CollocatedROM(rom), options) is the
+    ROM's branch by collocation, and continuation._cycle_at(
+    CollocatedROM(rom), mu, mu, rom.dim) its limit cycle at load mu.
+    """
+
+    def __init__(self, rom, mu=0.0):
+        self.sysr = RealizedReducedSystem(rom, mu)
+        self.linear_block, self.meta = rom.linear_block, rom.meta
+
+    def __getattr__(self, name):
+        return getattr(self.sysr, name)
+
+    @property
+    def mu(self):
+        return self.sysr.mu
+
+    @mu.setter
+    def mu(self, value):
+        self.sysr.mu = value
 
 
 def return_time(rhs, anchor, T0, rtol, atol):

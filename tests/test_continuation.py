@@ -47,7 +47,7 @@ from flutterrom.spectral import (
     solve_master_eigen,
 )
 from tests.conftest import hopf_normal_form_rom
-from tests.oracles import measure_settled_cycle, return_time
+from tests.oracles import CollocatedROM, measure_settled_cycle, return_time
 from tests.test_romdyn import ziegler_rom
 
 
@@ -148,7 +148,7 @@ def shooting_branch(rom, opts):
     points = []
 
     def record(x, T, mu, Mono):
-        mult, others, stable = _floquet_and_stability(Mono)
+        mult, others, stable = _floquet_and_stability(np.linalg.eigvals(Mono))
         sysr.mu = mu
         sol = solve_ivp(sysr.rhs, (0.0, T), x, method="DOP853", rtol=_RTOL,
                         atol=ATOL, dense_output=True)
@@ -418,24 +418,29 @@ def seed_roms(branch_rom):
 
 @pytest.mark.parametrize("label", ["one-mode", "two-mode", "jordan"])
 def test_hopf_seed_matches_settled_seed(seed_roms, label):
-    # both seeds, corrected at the same fixed mu, land on the same cycle
+    # both seeds, corrected at the same fixed mu, land on the same cycle: the
+    # Hopf seed as a rotating wave, the settled seed by collocation
     rom = seed_roms[label]
     hopf = _hopf_cycle(rom)
     sysr, mu_H = hopf.sysr, hopf.record["mu_H"]
     mu = mu_H + max(4 * _DS0, 0.01 * max(abs(mu_H), 1.0))
     x, K, T, seed = _hopf_seed(hopf, mu)
     assert seed["newton"] >= 1 and seed["scale"] > 1.0
-    q, col = fixed_mu_cycle(sysr, x, K, T, mu)
+    q, _, _, rec = continuation._fixed_mu(sysr, [], (T / 4, 4 * T), np.append(x, [T, mu]), K)
+    assert rec["reason"] == ""
 
     xs, Ts, record = _initial_cycle(rom, mu)
     assert record["status"] == "settled"
-    orbit = solve_ivp(sysr.rhs, (0.0, Ts), xs, method="DOP853", rtol=_RTOL, atol=ATOL,
+    collocated = CollocatedROM(rom, mu)
+    orbit = solve_ivp(collocated.rhs, (0.0, Ts), xs, method="DOP853", rtol=_RTOL, atol=ATOL,
                       dense_output=True)
     Ks = orbit.sol(Ts * _stage_times(_MESH0)).T.reshape(_MESH0, len(_NODES), -1)
-    qs, col_s = fixed_mu_cycle(sysr, xs, Ks, Ts, mu)
+    qs, col_s = fixed_mu_cycle(collocated, xs, Ks, Ts, mu)
 
     assert abs(q[-2] / qs[-2] - 1.0) < 1e-9
-    assert np.abs(orbit_max(col, q[-2]) - orbit_max(col_s, qs[-2])).max() < 1e-8
+    # the rotating wave's (Re z, Im z) both peak at |z|
+    peaks = np.repeat(np.abs(q[:-2:2] + 1j * q[1:-2:2]), 2)
+    assert np.abs(peaks - orbit_max(col_s, qs[-2])).max() < 1e-8
 
 
 def test_hopf_seed_radius_on_the_normal_form():
@@ -470,18 +475,23 @@ def test_flow_variations_against_differences(sensitivity):
 
 
 def test_collocation_matches_shooting(branch_rom, branch):
-    shot = shooting_branch(branch_rom[1], ContinuationOptions(mu_max=0.3, max_points=20))
-    assert len(branch.points) == len(shot.points) == 17
-    assert branch.meta["truncated"] == shot.meta["truncated"] == ""
-    assert branch.mu()[-1] == shot.mu()[-1] == 0.3
-    assert branch.events() == shot.events()
-    assert np.abs(branch.mu() - shot.mu()).max() < 1e-9
-    assert np.abs(branch.periods() / shot.periods() - 1.0).max() < 1e-7
-    for a, b in zip(branch.points, shot.points):
-        assert np.abs(a.amplitude - b.amplitude).max() < 1e-7 * np.abs(b.amplitude).max()
-        fa, fb = np.sort(np.abs(a.floquet)), np.sort(np.abs(b.floquet))
-        assert np.abs(fa / fb - 1.0).max() < 1e-7
-        assert a.stable == b.stable
+    # the ROM's branch of rotating waves, and its branch by collocation (the
+    # ROM oracle), against single-interval shooting
+    rom = branch_rom[1]
+    opts = ContinuationOptions(mu_max=0.3, max_points=20)
+    shot = shooting_branch(rom, opts)
+    for diag in (branch, continue_periodic(CollocatedROM(rom), opts)):
+        assert len(diag.points) == len(shot.points) == 17
+        assert diag.meta["truncated"] == shot.meta["truncated"] == ""
+        assert diag.mu()[-1] == shot.mu()[-1] == 0.3
+        assert diag.events() == shot.events()
+        assert np.abs(diag.mu() - shot.mu()).max() < 1e-9
+        assert np.abs(diag.periods() / shot.periods() - 1.0).max() < 1e-7
+        for a, b in zip(diag.points, shot.points):
+            assert np.abs(a.amplitude - b.amplitude).max() < 1e-7 * np.abs(b.amplitude).max()
+            fa, fb = np.sort(np.abs(a.floquet)), np.sort(np.abs(b.floquet))
+            assert np.abs(fa / fb - 1.0).max() < 1e-7
+            assert a.stable == b.stable
 
 
 def test_mesh_meets_rtol_against_the_flow(branch_rom):
@@ -489,7 +499,7 @@ def test_mesh_meets_rtol_against_the_flow(branch_rom):
     # measured against a tight integration from the corrected anchor; the
     # seed mesh it rejects does not
     rom, mu = branch_rom[1], 0.1
-    sysr = RealizedReducedSystem(rom, mu)
+    sysr = CollocatedROM(rom, mu)
     x, T, _ = _initial_cycle(rom, mu)
     q = np.append(x, [T, mu])
     fixed_mu = np.eye(len(q))[-1]
@@ -544,8 +554,9 @@ def test_mesh_error_estimate_is_sharp(branch_rom, ziegler2_fom, case, monkeypatc
     # collocation polynomial on every mesh, so the error falls like
     # h^(s+1) as the mesh rule assumes; the correction runs to 1e-13 so
     # that each orbit is its mesh's own collocation solution, not the
-    # resampled converged orbit (whose residual is already under 1e-9)
-    model, mu = (branch_rom[1], 0.1) if case == "rom" else (ziegler2_fom, 0.2)
+    # resampled converged orbit (whose residual is already under 1e-9); the
+    # ROM is collocated through its oracle
+    model, mu = (CollocatedROM(branch_rom[1]), 0.1) if case == "rom" else (ziegler2_fom, 0.2)
     hopf = _hopf_cycle(model)
     sysr = hopf.sysr
     x, K, T, _ = _hopf_seed(hopf, mu)
@@ -578,22 +589,26 @@ def test_an_orbit_past_the_mesh_cap_is_refused(branch_rom, ziegler2_fom, monkeyp
     assert capped.meta["trace"][-1]["reason"] == reason
     assert 0 < len(capped.points) < len(full.points)
     assert capped.mu().tolist() == full.mu()[:len(capped.points)].tolist()
-    # the cap at the seed mesh, below the 7 intervals the d = 4 ROM's orbits
-    # need: no branch, and no cycle at a load
+    # the cap at the seed mesh, below the 7 intervals the d = 4 ROM's
+    # collocated orbits need: no branch, and no cycle at a load; the ROM's
+    # own cycles are rotating waves, on no mesh
     monkeypatch.setattr(continuation, "_MESH_MAX", _MESH0)
     rom = branch_rom[1]
-    diag = continue_periodic(rom, ContinuationOptions(mu_max=0.1))
+    diag = continue_periodic(CollocatedROM(rom), ContinuationOptions(mu_max=0.1))
     assert diag.points == []
     assert re.fullmatch(rf"seed corrector: orbit needs \d+ mesh intervals, more than {_MESH0}",
                         diag.meta["truncated"])
-    meas = measure_limit_cycle(rom, 0.1)
+    meas = continuation._cycle_at(CollocatedROM(rom), 0.1, 0.1, rom.dim)
     assert not meas.converged and meas.reason == diag.meta["truncated"]
+    assert measure_limit_cycle(rom, 0.1).reason == ""
 
 
 def test_branch_mesh_stays_small(branch_rom, monkeypatch):
-    # a work guard: every batch of states continue_periodic hands to
-    # linearize on the d = 4 branch is an accepted or a rejected mesh of at
-    # most 64 collocation points (4-point collocation needs 220)
+    # a work guard: on the d = 4 ROM's branch every state continue_periodic
+    # hands to linearize is a single one, one per corrector iterate (and one
+    # for the Jacobian at the fixed point); on its collocated oracle every
+    # batch is an accepted or a rejected mesh of at most 64 collocation
+    # points (4-point collocation needs 220)
     sizes = []
     linearize = RealizedReducedSystem.linearize
 
@@ -602,28 +617,44 @@ def test_branch_mesh_stays_small(branch_rom, monkeypatch):
         return linearize(self, X)
 
     monkeypatch.setattr(RealizedReducedSystem, "linearize", counted)
-    diag = continue_periodic(branch_rom[1], ContinuationOptions(mu_max=0.3, max_points=20))
+    opts = ContinuationOptions(mu_max=0.3, max_points=20)
+    diag = continue_periodic(branch_rom[1], opts)
+    assert len(diag.points) == 17
+    iterates = sum(len(rec["residuals"]) for rec in diag.meta["trace"])
+    assert sizes == [1] * (iterates + diag.meta["seed"]["newton"] + 2)
+
+    sizes.clear()
+    diag = continue_periodic(CollocatedROM(branch_rom[1]), opts)
     assert len(diag.points) == 17
     accepted = {rec["mesh"] * len(_NODES) for rec in diag.meta["trace"] if rec["accepted"]}
     assert max(accepted) <= 64 and accepted <= set(sizes)
     assert max(sizes) <= 64
 
 
-def test_trace_accounts_for_every_step(branch):
-    trace = branch.meta["trace"]
-    assert sum(rec["accepted"] for rec in trace) == len(branch.points)
-    for rec in trace:
-        assert set(rec) == {"ds", "newton", "residuals", "mesh", "accepted", "reason", "wall_s"}
-        assert rec["accepted"] == (rec["reason"] == "")
-        assert len(rec["residuals"]) == rec["newton"] + 1
-    # the trust region never fires on this branch; only the seed mesh grows,
-    # and the one step past mu_max is corrected again at mu_max
-    rejected = [rec for rec in trace if rec["reason"]]
-    assert rejected[-1]["reason"] == "stepped past mu_max" and rejected[-1]["ds"] > 0.0
-    assert trace[-1]["ds"] == 0.0 and trace[-1]["accepted"]
-    assert all(rec["reason"].startswith("mesh refined") for rec in rejected[:-1])
-    assert all(rec["ds"] == 0.0 for rec in rejected[:-1])
-    assert len({rec["mesh"] for rec in trace if rec["accepted"]}) == 1
+def test_trace_accounts_for_every_step(branch_rom, branch):
+    # the ROM's branch of rotating waves and its collocated branch
+    collocated = continue_periodic(CollocatedROM(branch_rom[1]),
+                                   ContinuationOptions(mu_max=0.3, max_points=20))
+    for diag in (branch, collocated):
+        trace = diag.meta["trace"]
+        assert sum(rec["accepted"] for rec in trace) == len(diag.points)
+        for rec in trace:
+            assert set(rec) == {"ds", "newton", "residuals", "mesh", "accepted", "reason",
+                                "wall_s"}
+            assert rec["accepted"] == (rec["reason"] == "")
+            assert len(rec["residuals"]) == rec["newton"] + 1
+        # the trust region never fires on this branch; only the seed mesh
+        # grows, and the one step past mu_max is corrected again at mu_max
+        rejected = [rec for rec in trace if rec["reason"]]
+        assert rejected[-1]["reason"] == "stepped past mu_max" and rejected[-1]["ds"] > 0.0
+        assert trace[-1]["ds"] == 0.0 and trace[-1]["accepted"]
+        assert all(rec["reason"].startswith("mesh refined") for rec in rejected[:-1])
+        assert all(rec["ds"] == 0.0 for rec in rejected[:-1])
+        assert len({rec["mesh"] for rec in trace if rec["accepted"]}) == 1
+    # a rotating wave has no mesh (0 intervals), so nothing is refined
+    assert len([rec for rec in branch.meta["trace"] if rec["reason"]]) == 1
+    assert {rec["mesh"] for rec in branch.meta["trace"]} == {0}
+    assert len([rec for rec in collocated.meta["trace"] if rec["reason"]]) > 1
 
 
 def test_arclength_steps_converge_quadratically(branch):

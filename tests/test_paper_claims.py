@@ -5,8 +5,8 @@ xi_m = 0.2): order-5 ROMs predict the theta2 amplitude of the post-flutter
 limit cycle at loads P_H + mu, and expanding them past the Hopf point
 widens the loads they predict well.  Ziegler-3 (the same parameters): the
 two-mode ROM predicts all three angles.  Both sides are limit cycles at
-exactly that load, from the same collocation solver: the ROM's reduced
-system against the full model's first-order system.
+exactly that load: the ROM's rotating wave against the full model's
+collocated cycle.
 """
 
 import numpy as np

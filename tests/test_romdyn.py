@@ -21,7 +21,7 @@ from flutterrom.romdyn import (
 )
 from flutterrom.spectral import detect_exceptional_point, eigen_sweep, solve_master_eigen
 from tests.conftest import hopf_normal_form_rom
-from tests.oracles import return_time
+from tests.oracles import CollocatedROM, return_time
 from tests.test_paper_claims import rom_at
 
 
@@ -223,8 +223,9 @@ class TestIntegrateReduced:
         meas = measure_limit_cycle(rom, 0.2, coord=1)
         assert meas.converged
         assert meas.amplitude[1] > 0.05
-        # the solver's work, pinned as a count: the Hopf seed corrected at
-        # mu = 0.2 itself, no branch walked
+        # the solver's work, pinned as a count: the Hopf cycle's correction
+        # (1) and the rotating wave corrected at mu = 0.2 itself (3), no
+        # branch walked
         assert meas.newton == 4
 
     @pytest.mark.parametrize("mu", [0.04, -0.04])
@@ -323,10 +324,10 @@ class TestFom:
 
     def test_newton_count_of_a_cycle(self):
         # the solver's work, pinned as a count: the Newton corrections of the
-        # Hopf seed corrected at P_H + 0.2 itself
+        # Hopf cycle (1) and of the Hopf seed corrected at P_H + 0.2 itself (4)
         m = build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2)
         P_H = eigen_sweep(m, (1.5, 3.0), 40).events["P_H"]
-        assert measure_limit_cycle_fom(m, P_H + 0.2).newton == 4
+        assert measure_limit_cycle_fom(m, P_H + 0.2).newton == 5
 
     def test_no_hopf_point_in_the_scanned_window(self):
         # expanded at p = 3.3, find_hopf scans the loads within 0.35 p of it,
@@ -435,20 +436,21 @@ def count_walks(monkeypatch):
     return walks
 
 
+@pytest.fixture(scope="module")
+def ziegler2():
+    """Ziegler-2 (xi_m = 0.2), its Hopf point P_H and the o5 ROMs of the
+    paper's claims with their expansion loads."""
+    model = build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2)
+    traj = eigen_sweep(model, (1.5, 3.0), 40)
+    P_H, P_c = traj.events["P_H"], detect_exceptional_point(traj, model)[0]
+    roms = {"one-mode": (rom_at(model, P_H, 2), P_H), "two-mode": (rom_at(model, P_H, 4), P_H),
+            "jordan": (rom_at(model, P_c, 4, (0, 2)), P_c)}
+    return model, P_H, roms
+
+
 class TestLanding:
     """A cycle at a load is the Hopf seed corrected at that load; the branch
     walked there from the Hopf point is the oracle and the fallback."""
-
-    @pytest.fixture(scope="class")
-    def ziegler2(self):
-        """Ziegler-2 (xi_m = 0.2), its Hopf point P_H and the o5 ROMs of the
-        paper's claims with their expansion loads."""
-        model = build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2)
-        traj = eigen_sweep(model, (1.5, 3.0), 40)
-        P_H, P_c = traj.events["P_H"], detect_exceptional_point(traj, model)[0]
-        roms = {"one-mode": (rom_at(model, P_H, 2), P_H), "two-mode": (rom_at(model, P_H, 4), P_H),
-                "jordan": (rom_at(model, P_c, 4, (0, 2)), P_c)}
-        return model, P_H, roms
 
     @pytest.mark.parametrize("label", ["fom", "one-mode", "two-mode", "jordan"])
     def test_landing_matches_the_walked_branch(self, ziegler2, label, monkeypatch):
@@ -532,11 +534,33 @@ class TestLanding:
         assert meas.reason == "" and meas.stable
         assert abs(meas.amplitude[0] - lower) < 1e-8
 
+    def test_a_refusal_is_final_where_the_walk_would_start_at_the_load(self, monkeypatch):
+        # at mu = 1e-7 the landing's anchor sqrt(mu) = 3.2e-4 lies below
+        # _SEED_AMP, so it is refused; the branch up to mu would start at mu
+        # itself and repeat the landing, so nothing is walked and no cycle
+        # is reported
+        starts, walk = [], continuation._walk
+
+        def recorded(model, hopf, mu_start, options):
+            starts.append(mu_start)
+            return walk(model, hopf, mu_start, options)
+
+        monkeypatch.setattr(continuation, "_walk", recorded)
+        meas = measure_limit_cycle(hopf_normal_form_rom(), 1e-7)
+        assert starts == [1e-7]
+        assert meas.amplitude.max() == 0.0 and meas.period == 0.0 and not meas.converged
+        assert meas.reason == ("the cycle at mu = 1e-07 has shrunk onto the fixed point: its "
+                               "anchor 0.000316 is below 0.001")
+        # the Hopf cycle's one correction; the scaled seed already solves the
+        # normal form's landing
+        assert meas.newton == 1
+
     def test_subcritical_seed_error_names_the_requested_load(self):
         # zdot = (mu + i) z + z|z|^2 has its cycles below the Hopf point; the
-        # walk's seed would have sat at 0.08
+        # walk's seed would have sat at 0.08; the one correction counted is
+        # the Hopf cycle's
         meas = measure_limit_cycle(hopf_normal_form_rom(c3=1.0), 0.3)
-        assert meas.amplitude.max() == 0.0 and meas.newton == 0 and not meas.converged
+        assert meas.amplitude.max() == 0.0 and meas.newton == 1 and not meas.converged
         assert "grows at mu = 0.3: " in meas.reason and "lie below it" in meas.reason
 
     def test_past_the_fold_no_cycle_and_no_warning(self):
@@ -573,3 +597,75 @@ class TestLanding:
         measure_limit_cycle(rom, mu)
         assert walks == [mu]
         assert calls == {"find_hopf": 1, "_hopf_cycle": 1}
+
+
+def hausdorff(a, b):
+    """Largest distance from a point of either set to the other set."""
+    dist = np.abs(np.subtract.outer(a, b))
+    return max(dist.min(axis=1).max(), dist.min(axis=0).max())
+
+
+class TestRotatingWaves:
+    """A ROM's cycles are rotating waves; its collocated cycles
+    (tests.oracles.CollocatedROM) are the oracle."""
+
+    @pytest.mark.parametrize("label", ["one-mode", "two-mode", "jordan", "chain"])
+    def test_against_collocation(self, ziegler2, chain8, label, monkeypatch):
+        # the Ziegler-2 ROMs at P_H + 0.02 ... 0.2, and the chain at 2% and
+        # 5% of P_H, where the landing is refused and the branch is walked
+        if label == "chain":
+            _, P_H, rom = chain8
+            cases = [(rom, frac * P_H, True) for frac in (0.02, 0.05)]
+        else:
+            _, P_H, roms = ziegler2
+            rom, P = roms[label]
+            # the one-mode ROM has no cycle at P_H + 0.2
+            cases = [(rom, P_H + mu - P, label != "one-mode" or mu < 0.2)
+                     for mu in (0.02, 0.05, 0.1, 0.2)]
+        for rom, mu, has_cycle in cases:
+            walks = count_walks(monkeypatch)
+            got = measure_limit_cycle(rom, mu)
+            assert walks == ([mu] if label == "chain" or not has_cycle else [])
+            ref = continuation._cycle_at(CollocatedROM(rom), mu, mu, rom.dim)
+            assert (got.reason == "") == (ref.reason == "") == has_cycle
+            assert got.converged == ref.converged and got.stable == ref.stable
+            if not has_cycle:
+                assert got.amplitude.max() == ref.amplitude.max() == 0.0
+                continue
+            assert abs(got.period / ref.period - 1.0) < 1e-10
+            assert np.abs(got.amplitude - ref.amplitude).max() < 1e-7 * ref.amplitude.max()
+            assert hausdorff(got.floquet, ref.floquet) < 1e-7
+
+    def test_a_field_off_charge_one_is_refused(self):
+        # z^3 turns three times as fast as z: the field is not S1-equivariant,
+        # so neither a branch nor a cycle is solved
+        rom = hopf_normal_form_rom()
+        rom.f[rom.table.index_of((3, 0, 0)), 0] = 0.1
+        for run in (partial(measure_limit_cycle, rom, 0.04), partial(continue_periodic, rom)):
+            with pytest.raises(ValueError, match=r"monomial \(3, 0, 0\) of charge 3: .* not "
+                                                 "S1-equivariant"):
+                run()
+
+    @pytest.mark.parametrize("label", ["one-mode", "two-mode"])
+    def test_peak_against_fine_sampling(self, ziegler2, label):
+        # the orbit's harmonics polished by Newton against periodic_peak of
+        # 2^16 samples of the mapped orbit, at d = 2 and d = 4
+        rom = ziegler2[2][label][0]
+        pt = continue_periodic(rom, ContinuationOptions(mu_max=0.1)).points[-1]
+        sysr = RealizedReducedSystem(rom, 0.1)
+        # the orbit's realified states, (Re z, Im z) per pair, in 17 blocks
+        Z = np.exp(2j * np.pi * np.arange(2 ** 16 + 1) / 2 ** 16)[:, None] * pt.anchor.view(complex)
+        ref = periodic_peak(np.concatenate([sysr.map_batch(block.view(float))
+                                            for block in np.array_split(Z, 17)]))
+        assert np.abs(pt.amplitude - ref).max() < 1e-9 * ref.max()
+
+    def test_no_rom_cycle_is_collocated(self, ziegler2, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a ROM cycle was collocated")
+
+        monkeypatch.setattr(continuation, "_collocate", refuse)
+        roms = ziegler2[2]
+        assert measure_limit_cycle(roms["two-mode"][0], 0.1).reason == ""
+        assert measure_limit_cycle(roms["one-mode"][0], 0.2).amplitude.max() == 0.0
+        diag = continue_periodic(roms["jordan"][0], ContinuationOptions(mu_max=0.3))
+        assert diag.meta["truncated"] == ""
