@@ -22,13 +22,20 @@ with a flow-orthogonal phase condition, and one of two correctors:
 
 Either corrector is Newton's method on fixed equations, quadratically
 convergent, and one walk (_walk) drives both.  Fold / Neimark-Sacker
-events are located from their test functions along the branch, and a
-branch that shrinks back onto the fixed point ends at a Hopf point.  The
-branch starts there too: the corrected Hopf cycle (the critical
-eigenvector's ellipse, or circle for a ROM) scaled by the normal-form
-amplitude law, so nothing integrates.  It ends at exactly mu_max.
-romdyn's limit cycle at a load is the branch that starts at that load
-(_cycle_at), or the end of the one walked up to it where that is refused.
+events are located from their test functions along the branch; a branch
+ends at the first point past a fold, where it turns back, and at a Hopf
+point where it shrinks back onto the fixed point.  The branch starts at a
+Hopf point too: the corrected Hopf cycle (the critical eigenvector's
+ellipse, or circle for a ROM) scaled by the normal-form amplitude law, so
+nothing integrates.  It ends at exactly mu_max.
+
+The Hopf points are the crossings of the fixed point's stability
+intervals (_stability_scan); find_hopf is the lowest one where it turns
+unstable, the start of continue_periodic's branch.  romdyn's limit cycle
+at a load (_cycle_at) comes from the last crossing at or below the load:
+past a return to stability that crossing's cycles lie below it, which
+alone shows there is no cycle.  Otherwise it is the branch that starts at
+that load, or the end of the one walked up to it where that is refused.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ import numpy as np
 
 from .dpim import ParametrisationROM
 from .romdyn import LimitCycleMeasurement, RealizedReducedSystem, periodic_peak
-from .spectral import _first_root
+from .spectral import _root_in
 
 
 class ContinuationError(RuntimeError):
@@ -82,26 +89,45 @@ class BifurcationDiagram:
 
 def find_hopf(model):
     """Parameter increment where the mu-dressed linear part of a ROM or
-    system changes stability.
-
-    Scans the maximum real part of the Jacobian at the fixed point on 201
-    loads over mu in +-0.35 max(|mu0|, 1) (one stacked eigenvalue solve),
-    then refines the first sign change to 1e-12 max(|mu|, 1) with
-    eigenvalue-only solves (_first_root); raises when there is none (the
-    expected failure of pre-bifurcation one-mode reductions).
+    system first turns unstable: the lowest rising crossing of
+    _stability_scan, which scans below its first window only when that has
+    none; raises when there is none (the expected failure of
+    pre-bifurcation one-mode reductions).
     """
-    def growth(mu):
-        return np.max(np.linalg.eigvals(model.linear_block(mu)).real, axis=-1)
+    return next(c for c, rising in _stability_scan(model, np.inf) if rising)
+
+
+def _stability_scan(model, mu):
+    """The stability intervals of the fixed point: every load increment
+    where the growth rate (the largest real part of the Jacobian's
+    eigenvalues) changes sign, ascending, as (crossing, rising).
+
+    Scans 201 loads over mu within +-0.35 max(|mu0|, 1) (one stacked
+    eigenvalue solve), and the 201 loads of the window directly below when
+    no rising crossing lies at or below mu; each sign change is refined to
+    1e-12 max(|mu|, 1) with eigenvalue-only solves (spectral._root_in).
+    Raises when no crossing rises.
+    """
+    def growth(mus):
+        return np.max(np.linalg.eigvals(model.linear_block(mus)).real, axis=-1)
 
     mu0 = model.meta.get("mu0", 0.0)
     ref = max(abs(mu0), 1.0)
-    mus = np.linspace(-0.35 * ref, 0.35 * ref, 201)
-    mu_H = _first_root(mus, growth(mus), growth, 1e-12)
-    if mu_H is None:
+    top = np.linspace(-0.35 * ref, 0.35 * ref, 201)
+    crossings = []
+    for mus in (top, top - 0.7 * ref):
+        neg = growth(mus) < 0
+        turns = np.flatnonzero(neg[:-1] != neg[1:])
+        # the second window lies below the first
+        crossings = [(_root_in(growth, mus[i], mus[i + 1], 1e-12), bool(neg[i]))
+                     for i in turns] + crossings
+        if any(rising and c <= mu for c, rising in crossings):
+            break
+    if not any(rising for _, rising in crossings):
         raise ContinuationError(
             "no sign change of the growth rate at the fixed point over the scanned "
-            f"loads [{mu0 + mus[0]:.6g}, {mu0 + mus[-1]:.6g}]")
-    return mu_H
+            f"loads [{mu0 + mus[0]:.6g}, {mu0 + top[-1]:.6g}]")
+    return crossings
 
 
 @dataclass
@@ -394,11 +420,12 @@ class _HopfCycle(NamedTuple):
     q: np.ndarray       # (anchor, period, mu_eps)
     K: np.ndarray       # stage values, empty for a rotating wave
     record: dict        # {mu_H, newton, residual}
+    rising: bool        # whether the fixed point turns unstable as mu passes mu_H
 
 
-def _hopf_cycle(model):
-    """_HopfCycle at the model's Hopf point mu_H (find_hopf), without
-    integrating.
+def _hopf_cycle(model, mu_H, rising=True):
+    """_HopfCycle at the model's Hopf point mu_H, a crossing of
+    _stability_scan that rises (find_hopf's) or not, without integrating.
 
     The critical eigenpair (i omega, v) of the Jacobian at the fixed point
     spans the ellipse eps Re(v e^{2 pi i tau}) of period 2 pi / omega,
@@ -406,7 +433,6 @@ def _hopf_cycle(model):
     (checked by _realize) its anchor eps Re v is the rotating wave's.
     """
     sysr = _realize(model, 0.0) if isinstance(model, ParametrisationROM) else model
-    mu_H = find_hopf(model)
     n = 2 * sysr.m
     sysr.mu = mu_H
     w, V = np.linalg.eig(sysr.jacobian(np.zeros(n)))
@@ -432,18 +458,23 @@ def _hopf_cycle(model):
     if abs(q[n + 1] - mu_H) <= _NEWTON_TOL * max(1.0, abs(mu_H)):
         raise ContinuationError(f"degenerate Hopf point at mu = {mu_H:.6g}: mu does not move "
                                 "with the cycle amplitude")
-    return _HopfCycle(sysr, q, K, {"mu_H": float(mu_H), "newton": it, "residual": res[-1]})
+    return _HopfCycle(sysr, q, K, {"mu_H": float(mu_H), "newton": it, "residual": res[-1]},
+                      rising)
 
 
 def _hopf_seed(hopf, mu):
     """(anchor, stage values, period, record) of a cycle guess at load mu:
-    the Hopf cycle at mu_eps scaled by the amplitude law r^2 ~ mu - mu_H."""
+    the Hopf cycle at mu_eps scaled by the amplitude law r^2 ~ mu - mu_H.
+    Raises when mu and the Hopf point's cycles lie on opposite sides of
+    mu_H."""
     q, K, record = hopf.q, hopf.K, hopf.record
     n, mu_H = len(q) - 2, record["mu_H"]
     shift = q[n + 1] - mu_H
     if (mu - mu_H) * shift <= 0:
+        # the fixed point is stable below a rising crossing, above a falling one
+        fate = "decays" if (mu <= mu_H) == hopf.rising else "grows"
         raise ContinuationError(
-            f"trajectory {'decays' if mu <= mu_H else 'grows'} at mu = {mu:.6g}: "
+            f"trajectory {fate} at mu = {mu:.6g}: "
             f"the cycles of the Hopf point mu = {mu_H:.6g} lie "
             f"{'above' if shift > 0 else 'below'} it")
     scale = float(np.sqrt((mu - mu_H) / shift))
@@ -579,7 +610,8 @@ def continue_periodic(model, options=None):
     last point; that point, whose mu is mu_max exactly, ends the branch.
     The branch ends with a "hopf" event on its last point when the cycle
     shrinks back onto the fixed point (its anchor turns back or falls below
-    _SEED_AMP).
+    _SEED_AMP), and with a "fold" event on the first point past a fold,
+    where the branch turns back (fold test function, _fold_test).
 
     meta["seed"] is the Hopf seed's record {mu_H, newton, residual, scale};
     meta["trace"] holds one record per attempted correction (ds, Newton
@@ -593,7 +625,7 @@ def continue_periodic(model, options=None):
     ContinuationError when no cycle lies on the seed's side of mu_H.
     """
     opts = options or ContinuationOptions()
-    hopf = _hopf_cycle(model)
+    hopf = _hopf_cycle(model, find_hopf(model))
     return _walk(model, hopf, _first_load(hopf, opts.mu_max), opts)
 
 
@@ -676,6 +708,8 @@ def _walk(model, hopf, mu_start, opts):
         ns_now = _ns_test(others)
         if fold_prev * fold_now < 0 and abs(fold_prev) < 0.5:
             points[-1].event = "fold"
+            truncated_reason = f"branch turned back at a fold near mu = {qn[m2 + 1]:.6g}"
+            break
         elif ns_prev * ns_now < 0 and ns_now > 0:
             points[-1].event = "neimark-sacker"
         fold_prev, ns_prev = fold_now, ns_now
@@ -700,21 +734,29 @@ def _cycle_at(model, mu, param, dim):
     """LimitCycleMeasurement at load increment mu of a ROM or system; param
     is the load it reports.
 
-    The landing, the branch that starts at mu, is refused when its
-    correction failed, its anchor is below _SEED_AMP (the fixed point), or
-    its stability equals the fixed point's at mu (near its Hopf point a
-    branch pairs a stable cycle with an unstable fixed point or the
-    reverse, so this rejects a landing past a fold).  Then continue_periodic's
-    branch up to mu gives the cycle or the reason it stops short; where that
-    branch would start at mu itself, it is the landing again, and the
-    refusal is final.  A seed error is final: both seeds lie on the same
-    side of mu_H.  newton counts the Hopf cycle's correction too.
+    The cycle comes from the Hopf point at the last crossing of
+    _stability_scan at or below mu, or at the first crossing when none lies
+    below: past a return to stability, that crossing's cycles lie below it,
+    so its seed (_hopf_seed) names why there is no cycle at mu.  The
+    landing, the branch that starts at mu, is refused when its correction
+    failed, its anchor is below _SEED_AMP (the fixed point), or its
+    stability equals the fixed point's at mu (near its Hopf point a branch
+    pairs a stable cycle with an unstable fixed point or the reverse, so
+    this rejects a landing past a fold).  Then continue_periodic's branch
+    from that Hopf point up to mu gives the cycle or the reason it stops
+    short; where that branch would start at mu itself, it is the landing
+    again, and the refusal is final.  A seed error is final and comes
+    before any walk: both seeds lie on the same side of the Hopf point.
+    newton counts the Hopf cycle's correction too.
     """
     opts = ContinuationOptions(mu_max=mu)
     stable = np.linalg.eigvals(model.linear_block(mu)).real.max() < 0
     hopf, walks = None, []
     try:
-        hopf = _hopf_cycle(model)
+        crossings = _stability_scan(model, mu)
+        below = [c for c in crossings if c[0] <= mu]
+        hopf = _hopf_cycle(model, *(below[-1] if below else crossings[0]))
+        _hopf_seed(hopf, mu)   # raises where no cycle of that Hopf point reaches mu
         walks.append(_walk(model, hopf, mu, opts))
         reason = _refusal(walks[0], mu, stable)
         if reason and _first_load(hopf, mu) < mu:

@@ -261,15 +261,19 @@ def _closest_pair(w):
 
 
 def _first_root(grid, vals, f, rtol):
-    """Root of f, to rtol max(|b|, 1), on the first grid interval [a, b]
-    where vals (f on the grid) turn from negative to non-negative; None when
-    they never do.  Brent's method: superlinear on the smooth growth rates
-    this serves, and it bisects wherever interpolation stalls."""
+    """Root of f (_root_in) on the first grid interval where vals (f on the
+    grid) turn from negative to non-negative; None when they never do."""
     vals = np.asarray(vals)
     turns = np.flatnonzero((vals[:-1] < 0) & (vals[1:] >= 0))
     if not turns.size:
         return None
-    a, b = grid[turns[0]], grid[turns[0] + 1]
+    return _root_in(f, grid[turns[0]], grid[turns[0] + 1], rtol)
+
+
+def _root_in(f, a, b, rtol):
+    """Root of f in the grid interval [a, b], over which f changes sign, to
+    rtol max(|b|, 1).  Brent's method: superlinear on the smooth growth rates
+    this serves, and it bisects wherever interpolation stalls."""
     try:
         return brentq(f, a, b, xtol=rtol * max(abs(b), 1.0))
     except ValueError as exc:   # the fresh values at a and b lost the sign change

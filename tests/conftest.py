@@ -12,10 +12,10 @@ from flutterrom.dpim import ParametrisationROM  # noqa: E402
 from flutterrom.polytensor import MonomialTable  # noqa: E402
 
 
-def hopf_normal_form_rom(rho=0.0, omega=1.0, c_mu=1.0, c3=-1.0, c5=0.0, order=3):
+def hopf_normal_form_rom(rho=0.0, omega=1.0, c_mu=1.0, c3=-1.0, c5=0.0, order=3, c_mu2=0.0):
     """Hand-built one-mode ROM with reduced dynamics
 
-        zdot = (rho + i omega + c_mu mu) z + c3 z|z|^2 + c5 z|z|^4
+        zdot = (rho + i omega + c_mu mu + c_mu2 mu^2) z + c3 z|z|^2 + c5 z|z|^4
 
     mapped to two physical coordinates (Re z, Im z), so the limit-cycle
     amplitude of coordinate 0 equals the z radius.
@@ -32,6 +32,9 @@ def hopf_normal_form_rom(rho=0.0, omega=1.0, c_mu=1.0, c3=-1.0, c5=0.0, order=3)
     f[mid_zb, 1] = np.conj(lam0)
     f[table.index_of((1, 0, 1)), 0] = c_mu
     f[table.index_of((0, 1, 1)), 1] = np.conj(c_mu)
+    if c_mu2:
+        f[table.index_of((1, 0, 2)), 0] = c_mu2
+        f[table.index_of((0, 1, 2)), 1] = np.conj(c_mu2)
     if order >= 3:
         f[table.index_of((2, 1, 0)), 0] = c3
         f[table.index_of((1, 2, 0)), 1] = np.conj(c3)

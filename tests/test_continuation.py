@@ -138,7 +138,7 @@ def shooting_branch(rom, opts):
     at the last point's anchor and mu, once per step), convergence test,
     step rule and landing (a step past mu_max corrected again at mu =
     mu_max, from the secant through the last point) as continue_periodic."""
-    hopf = _hopf_cycle(rom)
+    hopf = _hopf_cycle(rom, find_hopf(rom))
     sysr, mu_H = hopf.sysr, hopf.record["mu_H"]
     mu_start = min(opts.mu_max, mu_H + max(4 * _DS0, 0.01 * max(abs(mu_H), 1.0)))
     m2 = 2 * sysr.m
@@ -308,11 +308,18 @@ def test_find_hopf_stacked_scan_matches_pointwise_scan(d):
 
 
 def test_find_hopf_on_the_normal_form():
-    # growth rate rho + mu: the Hopf point is mu = -rho, and none lies in the
-    # scanned window +-0.35 when |rho| exceeds it
+    # growth rate rho + mu: the Hopf point is mu = -rho; the scan covers
+    # +-0.35 and, where that holds none, the window [-1.05, -0.35] below it
     assert abs(find_hopf(hopf_normal_form_rom(rho=-0.1)) - 0.1) < 1e-12
+    assert abs(find_hopf(hopf_normal_form_rom(rho=0.5)) + 0.5) < 1e-12
     with pytest.raises(ContinuationError, match="no sign change"):
         find_hopf(hopf_normal_form_rom(rho=-1.0))
+    # without the load term the growth rate stays -0.1: a measurement names
+    # the loads scanned
+    meas = measure_limit_cycle(hopf_normal_form_rom(rho=-0.1, c_mu=0.0), 0.1)
+    assert meas.amplitude.max() == 0.0 and meas.converged and meas.newton == 0
+    assert meas.reason == ("no sign change of the growth rate at the fixed point over the "
+                           "scanned loads [-1.05, 0.35]")
 
 
 def test_degenerate_hopf_point_raises():
@@ -421,7 +428,7 @@ def test_hopf_seed_matches_settled_seed(seed_roms, label):
     # both seeds, corrected at the same fixed mu, land on the same cycle: the
     # Hopf seed as a rotating wave, the settled seed by collocation
     rom = seed_roms[label]
-    hopf = _hopf_cycle(rom)
+    hopf = _hopf_cycle(rom, find_hopf(rom))
     sysr, mu_H = hopf.sysr, hopf.record["mu_H"]
     mu = mu_H + max(4 * _DS0, 0.01 * max(abs(mu_H), 1.0))
     x, K, T, seed = _hopf_seed(hopf, mu)
@@ -445,7 +452,8 @@ def test_hopf_seed_matches_settled_seed(seed_roms, label):
 
 def test_hopf_seed_radius_on_the_normal_form():
     # zdot = (mu + 1.3 i) z - z|z|^2: the cycle at mu has radius sqrt(mu)
-    hopf = _hopf_cycle(hopf_normal_form_rom(omega=1.3))
+    rom = hopf_normal_form_rom(omega=1.3)
+    hopf = _hopf_cycle(rom, find_hopf(rom))
     for mu in (0.02, 0.08, 0.3):
         x, _, T, _ = _hopf_seed(hopf, mu)
         assert abs(np.linalg.norm(x) - np.sqrt(mu)) < 1e-8
@@ -557,7 +565,7 @@ def test_mesh_error_estimate_is_sharp(branch_rom, ziegler2_fom, case, monkeypatc
     # resampled converged orbit (whose residual is already under 1e-9); the
     # ROM is collocated through its oracle
     model, mu = (CollocatedROM(branch_rom[1]), 0.1) if case == "rom" else (ziegler2_fom, 0.2)
-    hopf = _hopf_cycle(model)
+    hopf = _hopf_cycle(model, find_hopf(model))
     sysr = hopf.sysr
     x, K, T, _ = _hopf_seed(hopf, mu)
     q, col = fixed_mu_cycle(sysr, x, K, T, mu)

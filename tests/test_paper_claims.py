@@ -116,12 +116,15 @@ def test_two_mode_expanded_past_the_hopf_point_is_closer(past_hopf):
 
 
 def test_one_mode_expanded_past_the_hopf_point_reaches_the_high_loads(past_hopf):
-    # at delta = 0 the one-mode branch closes near mu = 0.187, so it has no
-    # cycle at mu = 0.2 and 0.3; expanded at delta = 0.1 it has both
+    # at delta = 0 the one-mode branch closes at its second Hopf point near
+    # mu = 0.187, so it has no cycle at mu = 0.2 and 0.3, which that point's
+    # Hopf cycle alone (2 corrections) decides; expanded at delta = 0.1 it
+    # has both
     _, cycles = past_hopf
     for k in (PAST_MUS.index(0.2), PAST_MUS.index(0.3)):
         at_hopf, past = cycles[2, 0.0][k], cycles[2, 0.1][k]
-        assert at_hopf.amp(THETA2) == 0.0 and at_hopf.reason.startswith("branch ended")
+        assert at_hopf.amp(THETA2) == 0.0 and at_hopf.newton == 2
+        assert at_hopf.reason.endswith("the cycles of the Hopf point mu = 0.18734 lie below it")
         assert past.reason == "" and past.amp(THETA2) > 0
 
 

@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from flutterrom import continuation
-from flutterrom.continuation import ContinuationOptions, continue_periodic
+from flutterrom.continuation import ContinuationOptions, continue_periodic, find_hopf
 from flutterrom.dpim import build_rom_firstorder
 from flutterrom.models import build_ziegler, build_ziegler2, recast_to_dae
 from flutterrom.romdyn import (
@@ -21,7 +21,7 @@ from flutterrom.romdyn import (
 )
 from flutterrom.spectral import detect_exceptional_point, eigen_sweep, solve_master_eigen
 from tests.conftest import hopf_normal_form_rom
-from tests.oracles import CollocatedROM, return_time
+from tests.oracles import CollocatedROM, measure_settled_cycle, return_time
 from tests.test_paper_claims import rom_at
 
 
@@ -330,12 +330,32 @@ class TestFom:
         assert measure_limit_cycle_fom(m, P_H + 0.2).newton == 5
 
     def test_no_hopf_point_in_the_scanned_window(self):
-        # expanded at p = 3.3, find_hopf scans the loads within 0.35 p of it,
-        # and P_H = 2.077 lies below them: the reason names that window
+        # expanded at p = 3.3, the loads within 0.35 p of it, [2.145, 4.455],
+        # hold no Hopf point: the scan goes on over the 201 loads directly
+        # below them and finds P_H = 2.077; the cycle is the end of the branch
+        # walked up from there, as continue_periodic walks it.  The oracle
+        # settles from 2% off its anchor (nontrivial multipliers <= 0.64):
+        # from near the fixed point DOP853 settles on another, larger cycle
+        # (theta2 2.97, period 9.96)
         m = build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2)
         meas = measure_limit_cycle_fom(m, 3.3)
-        assert meas.amplitude.max() == 0.0 and not meas.converged
-        assert "loads [2.145, 4.455]" in meas.reason and "reduc" not in meas.reason
+        assert meas.converged and meas.reason == "" and meas.stable
+        pt = continue_periodic(m.first_order(3.3), ContinuationOptions(mu_max=0.0)).points[-1]
+        assert np.array_equal(meas.amplitude, pt.amplitude) and meas.period == pt.period
+
+        rhs = m.fom_rhs(3.3)
+        status, _, x = measure_settled_cycle(rhs, 1.02 * pt.anchor, pt.period,
+                                             lambda X: float(np.abs(X[:, 1]).max()),
+                                             1e-10, 200, 1e-12, 1e-14)
+        assert status == "settled"
+        T = return_time(rhs, x, pt.period, 1e-12, 1e-14)
+        orbit = solve_ivp(rhs, (0.0, T), x, method="DOP853", rtol=1e-12, atol=1e-14,
+                          dense_output=True)
+        ref = periodic_peak(orbit.sol(np.linspace(0.0, T, 20001)).T)
+        assert abs(T / meas.period - 1.0) < 1e-9
+        # measured 7.7e-8, the read of the collocated orbit's 512 samples
+        assert abs(meas.amplitude[1] / ref[1] - 1.0) < 2e-7
+        assert abs(meas.amplitude[1] - 1.78206) < 1e-5
 
     def test_cycle_against_a_long_run(self):
         # the collocation cycle at P_H + 0.02 against 200 periods of DOP853
@@ -475,9 +495,14 @@ class TestLanding:
             meas = measure()
             pt = diag.points[-1]
             if pt.mu != inc:
-                # no cycle at the load: the measurement is the walk's
+                # no cycle at the load: the walk ends at the Hopf point where
+                # the fixed point turns stable again, and the measurement
+                # names that point without walking
                 short.append(inc)
-                assert meas.amplitude.max() == 0.0 and meas.reason == diag.meta["truncated"]
+                assert diag.meta["truncated"] == "branch ended at a Hopf point near mu = 0.187332"
+                assert meas.amplitude.max() == 0.0 and meas.reason == (
+                    f"trajectory decays at mu = {inc:.6g}: the cycles of the Hopf point "
+                    "mu = 0.18734 lie below it")
                 continue
             assert meas.reason == "" and meas.stable == pt.stable
             assert np.abs(meas.amplitude - pt.amplitude).max() < 1e-7 * pt.amplitude.max()
@@ -487,15 +512,23 @@ class TestLanding:
                 assert np.array_equal(meas.amplitude, pt.amplitude)
                 assert np.array_equal(meas.floquet, pt.floquet)
         # only the one-mode ROM has loads without a cycle (mu = 0.2, 0.3), and
-        # only those walk
+        # no load walks
         assert len(short) == (2 if label == "one-mode" else 0)
-        assert walks == short
+        assert walks == []
 
-    def test_one_mode_past_its_second_hopf_point_keeps_the_walk_reason(self, ziegler2):
-        model, P_H, roms = ziegler2
-        meas = measure_limit_cycle(roms["one-mode"][0], 0.2)
-        assert meas.amplitude.max() == 0.0
-        assert meas.reason.startswith("branch ended at a Hopf point near mu = 0.18")
+    def test_one_mode_past_its_second_hopf_point_names_it_without_a_walk(self, ziegler2,
+                                                                          monkeypatch):
+        # the scan's last crossing below the load is the return to stability
+        # near mu = 0.1873, whose cycles lie below it: its Hopf cycle's two
+        # corrections decide that there is no cycle, and no branch is entered
+        entered = []
+        monkeypatch.setattr(continuation, "_walk", lambda *args: entered.append(args))
+        for mu in (0.2, 0.3):
+            meas = measure_limit_cycle(ziegler2[2]["one-mode"][0], mu)
+            assert meas.amplitude.max() == 0.0 and meas.converged and meas.newton == 2
+            assert meas.reason == (f"trajectory decays at mu = {mu:g}: the cycles of the Hopf "
+                                   "point mu = 0.18734 lie below it")
+        assert entered == []
 
     @pytest.mark.parametrize("mu", [0.1, 0.2, 0.24])
     def test_quintic_normal_form_lands_on_its_small_branch(self, mu, monkeypatch):
@@ -563,32 +596,56 @@ class TestLanding:
         assert meas.amplitude.max() == 0.0 and meas.newton == 1 and not meas.converged
         assert "grows at mu = 0.3: " in meas.reason and "lie below it" in meas.reason
 
+    def test_normal_form_with_two_hopf_points(self, monkeypatch):
+        # zdot = (mu - mu^2 / a + i) z - z|z|^2: the fixed point is unstable
+        # on (0, a), where the cycles are r^2 = mu (1 - mu / a); past a the
+        # Hopf point a alone shows that there is none
+        a = 0.25
+        rom = hopf_normal_form_rom(c_mu2=-1.0 / a)
+        assert abs(find_hopf(rom)) < 1e-12
+        for mu in (0.02, 0.05, 0.1, 0.15, 0.2, 0.24):
+            meas = measure_limit_cycle(rom, mu)
+            assert meas.reason == "" and meas.stable
+            assert abs(meas.amplitude[0] - np.sqrt(mu * (1.0 - mu / a))) < 1e-8
+        walks = count_walks(monkeypatch)
+        for mu in (0.26, 0.3):
+            meas = measure_limit_cycle(rom, mu)
+            assert meas.amplitude.max() == 0.0 and meas.converged and meas.newton == 1
+            assert meas.reason == (f"trajectory decays at mu = {mu:g}: the cycles of the Hopf "
+                                   "point mu = 0.25 lie below it")
+        assert walks == []
+
     def test_past_the_fold_no_cycle_and_no_warning(self):
-        # the quintic normal form has no cycle past its fold at mu = 1/4; the
-        # walk turns back there, and its correctors overflow on the upper
-        # branch: they must stop with a reason, not a numpy warning
+        # the quintic normal form has no cycle past its fold at mu = 1/4: the
+        # landing at 0.3 is refused, and the walk ends at the first point
+        # past the fold, without a numpy warning; the count is the Hopf
+        # cycle's, the landing's and the walk's corrections (it was 636, to
+        # "max_points = 400 reached", when the walk went on down the
+        # unstable upper branch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             meas = measure_limit_cycle(hopf_normal_form_rom(c5=1.0, order=5), 0.3)
-        assert meas.amplitude.max() == 0.0 and meas.reason != ""
+        assert meas.amplitude.max() == 0.0
+        assert meas.reason == "branch turned back at a fold near mu = 0.249731"
+        assert meas.newton == 58
 
 
     @pytest.mark.parametrize("case", ["one-mode", "chain"])
     def test_one_hopf_analysis_per_walking_measurement(self, ziegler2, chain8, case,
                                                         monkeypatch):
         # the landing is refused and the branch is walked up to the load;
-        # both start from the measurement's one Hopf point and Hopf cycle
+        # both start from the measurement's one stability scan and Hopf cycle
         if case == "one-mode":
-            rom, mu = ziegler2[2]["one-mode"][0], 0.2
+            rom, mu = ziegler2[2]["one-mode"][0], 0.15
         else:
             _, P_H, rom = chain8
             mu = 0.02 * P_H
-        calls = {"find_hopf": 0, "_hopf_cycle": 0}
+        calls = {"_stability_scan": 0, "_hopf_cycle": 0}
 
         def counter(name, fn):
-            def counted(model):
+            def counted(*args):
                 calls[name] += 1
-                return fn(model)
+                return fn(*args)
             return counted
 
         for name in calls:
@@ -596,7 +653,7 @@ class TestLanding:
         walks = count_walks(monkeypatch)
         measure_limit_cycle(rom, mu)
         assert walks == [mu]
-        assert calls == {"find_hopf": 1, "_hopf_cycle": 1}
+        assert calls == {"_stability_scan": 1, "_hopf_cycle": 1}
 
 
 def hausdorff(a, b):
@@ -625,12 +682,13 @@ class TestRotatingWaves:
         for rom, mu, has_cycle in cases:
             walks = count_walks(monkeypatch)
             got = measure_limit_cycle(rom, mu)
-            assert walks == ([mu] if label == "chain" or not has_cycle else [])
+            assert walks == ([mu] if label == "chain" else [])
             ref = continuation._cycle_at(CollocatedROM(rom), mu, mu, rom.dim)
             assert (got.reason == "") == (ref.reason == "") == has_cycle
             assert got.converged == ref.converged and got.stable == ref.stable
             if not has_cycle:
                 assert got.amplitude.max() == ref.amplitude.max() == 0.0
+                assert got.reason == ref.reason
                 continue
             assert abs(got.period / ref.period - 1.0) < 1e-10
             assert np.abs(got.amplitude - ref.amplitude).max() < 1e-7 * ref.amplitude.max()
