@@ -36,6 +36,14 @@ at a load (_cycle_at) comes from the last crossing at or below the load:
 past a return to stability that crossing's cycles lie below it, which
 alone shows there is no cycle.  Otherwise it is the branch that starts at
 that load, or the end of the one walked up to it where that is refused.
+
+A ROM's linear analysis is a property of the ROM, not of a load: each scan
+window's crossings, its realified system and each Hopf cycle are computed
+once and kept on the ROM (_analysis) while its f, W, conj_map and
+meta["mu0"] stay as they were.  The results do not depend on that memo: a
+reused Hopf cycle's correction still counts in every measurement's newton
+and branch's meta["seed"], as if it had been made again.  A system (the
+full-order model at one load) is analysed afresh on every call.
 """
 
 from __future__ import annotations
@@ -97,6 +105,29 @@ def find_hopf(model):
     return next(c for c, rising in _stability_scan(model, np.inf) if rising)
 
 
+def _analysis(model):
+    """The memo of a ROM's linear analysis (ParametrisationROM._analysis):
+    "scan", the crossings of each _stability_scan window scanned so far;
+    "sysr", its realified system; and ("hopf", mu_H, rising), each
+    _HopfCycle.  It is emptied whenever the data it was computed from (f, W,
+    conj_map, meta["mu0"]) no longer equal the copies kept under "key",
+    so a ROM edited in place is analysed again.  A system gets an empty
+    memo that nothing keeps."""
+    if not isinstance(model, ParametrisationROM):
+        return {}
+    key = (model.f, model.W, model.conj_map, model.meta.get("mu0", 0.0))
+    memo = model._analysis
+    if "key" not in memo or not all(map(np.array_equal, memo["key"], key)):
+        memo.clear()
+        memo["key"] = tuple(_read_only(np.array(a)) for a in key)
+    return memo
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
 def _stability_scan(model, mu):
     """The stability intervals of the fixed point: every load increment
     where the growth rate (the largest real part of the Jacobian's
@@ -106,7 +137,8 @@ def _stability_scan(model, mu):
     eigenvalue solve), and the 201 loads of the window directly below when
     no rising crossing lies at or below mu; each sign change is refined to
     1e-12 max(|mu|, 1) with eigenvalue-only solves (spectral._root_in).
-    Raises when no crossing rises.
+    A ROM scans each window once (_analysis).  Raises when no crossing
+    rises.
     """
     def growth(mus):
         return np.max(np.linalg.eigvals(model.linear_block(mus)).real, axis=-1)
@@ -114,13 +146,15 @@ def _stability_scan(model, mu):
     mu0 = model.meta.get("mu0", 0.0)
     ref = max(abs(mu0), 1.0)
     top = np.linspace(-0.35 * ref, 0.35 * ref, 201)
+    windows = _analysis(model).setdefault("scan", [])
     crossings = []
-    for mus in (top, top - 0.7 * ref):
-        neg = growth(mus) < 0
-        turns = np.flatnonzero(neg[:-1] != neg[1:])
+    for k, mus in enumerate((top, top - 0.7 * ref)):
+        if k == len(windows):
+            neg = growth(mus) < 0
+            windows.append(tuple((_root_in(growth, mus[i], mus[i + 1], 1e-12), bool(neg[i]))
+                                 for i in np.flatnonzero(neg[:-1] != neg[1:])))
         # the second window lies below the first
-        crossings = [(_root_in(growth, mus[i], mus[i + 1], 1e-12), bool(neg[i]))
-                     for i in turns] + crossings
+        crossings = list(windows[k]) + crossings
         if any(rising and c <= mu for c, rising in crossings):
             break
     if not any(rising for _, rising in crossings):
@@ -430,9 +464,16 @@ def _hopf_cycle(model, mu_H, rising=True):
     The critical eigenpair (i omega, v) of the Jacobian at the fixed point
     spans the ellipse eps Re(v e^{2 pi i tau}) of period 2 pi / omega,
     corrected with its amplitude along Re v fixed and mu free; for a ROM
-    (checked by _realize) its anchor eps Re v is the rotating wave's.
+    (checked by _realize) its anchor eps Re v is the rotating wave's.  A
+    ROM realifies itself and corrects each Hopf cycle once (_analysis); the
+    cycle's q and K are read-only.
     """
-    sysr = _realize(model, 0.0) if isinstance(model, ParametrisationROM) else model
+    memo = _analysis(model)
+    if ("hopf", mu_H, rising) in memo:
+        return memo["hopf", mu_H, rising]
+    sysr = model
+    if isinstance(model, ParametrisationROM):
+        sysr = memo["sysr"] = memo.get("sysr") or _realize(model, 0.0)
     n = 2 * sysr.m
     sysr.mu = mu_H
     w, V = np.linalg.eig(sysr.jacobian(np.zeros(n)))
@@ -458,8 +499,10 @@ def _hopf_cycle(model, mu_H, rising=True):
     if abs(q[n + 1] - mu_H) <= _NEWTON_TOL * max(1.0, abs(mu_H)):
         raise ContinuationError(f"degenerate Hopf point at mu = {mu_H:.6g}: mu does not move "
                                 "with the cycle amplitude")
-    return _HopfCycle(sysr, q, K, {"mu_H": float(mu_H), "newton": it, "residual": res[-1]},
-                      rising)
+    memo["hopf", mu_H, rising] = hopf = _HopfCycle(
+        sysr, _read_only(q), _read_only(K),
+        {"mu_H": float(mu_H), "newton": it, "residual": res[-1]}, rising)
+    return hopf
 
 
 def _hopf_seed(hopf, mu):
@@ -613,7 +656,9 @@ def continue_periodic(model, options=None):
     _SEED_AMP), and with a "fold" event on the first point past a fold,
     where the branch turns back (fold test function, _fold_test).
 
-    meta["seed"] is the Hopf seed's record {mu_H, newton, residual, scale};
+    meta["seed"] is the Hopf seed's record {mu_H, newton, residual, scale},
+    whose newton is the Hopf cycle's correction, also where the ROM had
+    already corrected that cycle (_analysis);
     meta["trace"] holds one record per attempted correction (ds, Newton
     corrections, residual norms of the iterates, mesh intervals, accepted,
     reason, wall time); the fixed-mu corrections have ds = 0.  For a ROM
@@ -747,7 +792,9 @@ def _cycle_at(model, mu, param, dim):
     short; where that branch would start at mu itself, it is the landing
     again, and the refusal is final.  A seed error is final and comes
     before any walk: both seeds lie on the same side of the Hopf point.
-    newton counts the Hopf cycle's correction too.
+    newton counts the Hopf cycle's correction too, also where an earlier
+    measurement of the ROM made it (_analysis), so that it does not depend
+    on what was measured before.
     """
     opts = ContinuationOptions(mu_max=mu)
     stable = np.linalg.eigvals(model.linear_block(mu)).real.max() < 0

@@ -117,6 +117,9 @@ class ParametrisationROM:
     conj_map: np.ndarray | None = None
     n_disp: int | None = None
     meta: dict = field(default_factory=dict)
+    # continuation's memo of the ROM's linear analysis (continuation._analysis):
+    # not an input, not saved, and dataclasses.replace starts a copy without it
+    _analysis: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def d(self):

@@ -36,7 +36,9 @@ class LimitCycleMeasurement:
     """The limit cycle at one load, and newton, every Newton correction the
     measurement made: the Hopf cycle's, the landing's (the branch that
     starts at the load) and, where that was refused, the branch walked up
-    to it.  With no cycle the amplitude is zero, reason says why and
+    to it.  The Hopf cycle's count even where an earlier measurement of the
+    same ROM corrected it and this one reused it, so newton does not
+    depend on what was measured before.  With no cycle the amplitude is zero, reason says why and
     converged whether the fixed point is stable there.  transient_periods
     is always 0 (nothing settles); it stays for callers.
     """

@@ -1,15 +1,8 @@
-import os
+import numpy as np
+import pytest
 
-# one BLAS thread unless the caller chose otherwise, set before numpy loads:
-# the many small products of the suite run slower on a thread pool
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-os.environ.setdefault("OMP_NUM_THREADS", "1")
-
-import numpy as np  # noqa: E402
-import pytest  # noqa: E402
-
-from flutterrom.dpim import ParametrisationROM  # noqa: E402
-from flutterrom.polytensor import MonomialTable  # noqa: E402
+from flutterrom.dpim import ParametrisationROM
+from flutterrom.polytensor import MonomialTable
 
 
 def hopf_normal_form_rom(rho=0.0, omega=1.0, c_mu=1.0, c3=-1.0, c5=0.0, order=3, c_mu2=0.0):

@@ -442,9 +442,13 @@ def test_periodic_peak_against_fine_sampling():
 def count_walks(monkeypatch):
     """The loads up to which a branch is walked other than by a landing (the
     branch that starts at the load): every walk that starts below its last
-    load, and every second walk from one Hopf cycle, so a measurement's
-    fallback counts even when it starts at the load itself."""
-    walks, walked, walk = [], [], continuation._walk
+    load, and every second walk from one Hopf cycle within one measurement,
+    so a measurement's fallback counts even when it starts at the load
+    itself.  A ROM keeps its Hopf cycles, so the next measurement's landing
+    walks from the same one: each measurement (_cycle_at) starts a new
+    count."""
+    walks, walked = [], []
+    walk, cycle_at = continuation._walk, continuation._cycle_at
 
     def counted(model, hopf, mu_start, options):
         if mu_start < options.mu_max or any(h is hopf for h in walked):
@@ -452,7 +456,12 @@ def count_walks(monkeypatch):
         walked.append(hopf)
         return walk(model, hopf, mu_start, options)
 
+    def measured(*args):
+        walked.clear()
+        return cycle_at(*args)
+
     monkeypatch.setattr(continuation, "_walk", counted)
+    monkeypatch.setattr(continuation, "_cycle_at", measured)
     return walks
 
 
@@ -656,6 +665,112 @@ class TestLanding:
         assert calls == {"_stability_scan": 1, "_hopf_cycle": 1}
 
 
+def same_bits(a, b):
+    """Whether two results (measurements, branch points, dicts, lists,
+    arrays, numbers) are equal bit for bit; the wall times of a trace are
+    skipped."""
+    if hasattr(a, "__dataclass_fields__"):
+        a, b = vars(a), vars(b)
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_bits(a[k], b[k]) for k in a if k != "wall_s")
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(same_bits, a, b))
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    return type(a) is type(b) and a == b
+
+
+class TestLinearAnalysis:
+    """A ROM's stability intervals, realified system and Hopf cycles are
+    computed once per ROM (continuation._analysis), and no result depends on
+    whether they were."""
+
+    @pytest.mark.parametrize("label", ["one-mode", "two-mode", "jordan", "chain"])
+    def test_one_analysis_for_four_loads(self, ziegler2, chain8, label, monkeypatch):
+        # four loads on one fresh ROM: one 201-load linear_block stack, one
+        # realified system whose f and W supports compile once, and one
+        # correction per Hopf cycle (the corrections whose tangent fixes the
+        # amplitude instead of mu): one Hopf point serves every load but the
+        # one-mode ROM's last, past its second one; each measurement and the
+        # branch after them equal those of a cold copy bit for bit, newton
+        # and meta["seed"] included
+        if label == "chain":
+            _, P_H, rom = chain8
+            loads, mu_max = [frac * P_H for frac in (0.005, 0.01, 0.02, 0.05)], 0.05 * P_H
+        else:
+            _, P_H, roms = ziegler2
+            rom, P = roms[label]
+            loads, mu_max = [P_H + mu - P for mu in (0.02, 0.05, 0.1, 0.2)], 0.3
+        once = {"stacks": 1, "supports": 2, "hopf": 2 if label == "one-mode" else 1}
+        calls = {"stacks": 0, "supports": 0, "hopf": 0}
+        linear_block, support = type(rom).linear_block, RealizedReducedSystem._support
+        correct = continuation._correct
+
+        def counted_block(self, mu):
+            calls["stacks"] += np.ndim(mu) == 1 and len(mu) == 201
+            return linear_block(self, mu)
+
+        def counted_support(self, coeffs):
+            calls["supports"] += 1
+            return support(self, coeffs)
+
+        def counted_correct(sysr, q, K, tangent, *args):
+            calls["hopf"] += int(tangent[-1] == 0.0)
+            return correct(sysr, q, K, tangent, *args)
+
+        monkeypatch.setattr(type(rom), "linear_block", counted_block)
+        monkeypatch.setattr(RealizedReducedSystem, "_support", counted_support)
+        monkeypatch.setattr(continuation, "_correct", counted_correct)
+        warm = replace(rom)
+        measured = [measure_limit_cycle(warm, mu) for mu in loads]
+        assert calls == once
+        diag = continue_periodic(warm, ContinuationOptions(mu_max=mu_max, max_points=40))
+        assert calls == once
+        assert diag.meta["seed"]["newton"] >= 1 and len(diag.points) > 1
+
+        for mu, meas in zip(loads, measured):
+            cold = measure_limit_cycle(replace(rom), mu)
+            assert same_bits(meas, cold), mu
+        cold = continue_periodic(replace(rom), ContinuationOptions(mu_max=mu_max, max_points=40))
+        assert same_bits(diag.points, cold.points) and same_bits(diag.meta, cold.meta)
+        # the memo's arrays are read-only; a copy starts without it, and the
+        # ROM file does not hold it
+        hopf = continuation._hopf_cycle(warm, find_hopf(warm))
+        with pytest.raises(ValueError, match="read-only"):
+            hopf.q[0] = 0.0
+        assert replace(warm)._analysis == {} and "_analysis" not in warm.to_dict()
+
+    def test_an_edited_rom_is_analysed_again(self):
+        # zdot = (mu + i) z + c3 z|z|^2 has the cycle rho = sqrt(mu / |c3|):
+        # a measurement after c3 changes in place is a fresh ROM's; so is one
+        # after the mapping doubles in place
+        rom, mu = hopf_normal_form_rom(), 0.04
+        assert abs(measure_limit_cycle(rom, mu).amplitude[0] - np.sqrt(mu)) < 1e-8
+        rom.f[rom.table.index_of((2, 1, 0)), 0] = -4.0
+        rom.f[rom.table.index_of((1, 2, 0)), 1] = -4.0
+        meas = measure_limit_cycle(rom, mu)
+        assert same_bits(meas, measure_limit_cycle(hopf_normal_form_rom(c3=-4.0), mu))
+        assert meas.reason == "" and abs(meas.amplitude[0] - np.sqrt(mu / 4.0)) < 1e-8
+        rom.W *= 2.0
+        assert abs(measure_limit_cycle(rom, mu).amplitude[0] - 2.0 * np.sqrt(mu / 4.0)) < 2e-8
+
+    def test_a_new_expansion_load_is_analysed_again(self):
+        # the growth rate 2 + mu crosses 0 at mu = -2, outside the windows of
+        # a ROM expanded at 0 (scale 1) and inside those of one expanded at
+        # 10 (scale 10): the scan follows meta["mu0"], and the cycle is
+        # r = sqrt(mu + 2)
+        rom, mu = hopf_normal_form_rom(rho=2.0), 0.04
+        assert measure_limit_cycle(rom, mu).reason == (
+            "no sign change of the growth rate at the fixed point over the scanned loads "
+            "[-1.05, 0.35]")
+        rom.meta["mu0"] = 10.0
+        meas = measure_limit_cycle(rom, mu)
+        fresh = hopf_normal_form_rom(rho=2.0)
+        fresh.meta["mu0"] = 10.0
+        assert same_bits(meas, measure_limit_cycle(fresh, mu))
+        assert meas.reason == "" and abs(meas.amplitude[0] - np.sqrt(mu + 2.0)) < 1e-8
+
+
 def hausdorff(a, b):
     """Largest distance from a point of either set to the other set."""
     dist = np.abs(np.subtract.outer(a, b))
@@ -696,13 +811,17 @@ class TestRotatingWaves:
 
     def test_a_field_off_charge_one_is_refused(self):
         # z^3 turns three times as fast as z: the field is not S1-equivariant,
-        # so neither a branch nor a cycle is solved
-        rom = hopf_normal_form_rom()
-        rom.f[rom.table.index_of((3, 0, 0)), 0] = 0.1
-        for run in (partial(measure_limit_cycle, rom, 0.04), partial(continue_periodic, rom)):
-            with pytest.raises(ValueError, match=r"monomial \(3, 0, 0\) of charge 3: .* not "
-                                                 "S1-equivariant"):
-                run()
+        # so neither a branch nor a cycle is solved, also where the ROM was
+        # measured before the edit
+        for measured_first in (False, True):
+            rom = hopf_normal_form_rom()
+            if measured_first:
+                assert measure_limit_cycle(rom, 0.04).reason == ""
+            rom.f[rom.table.index_of((3, 0, 0)), 0] = 0.1
+            for run in (partial(measure_limit_cycle, rom, 0.04), partial(continue_periodic, rom)):
+                with pytest.raises(ValueError, match=r"monomial \(3, 0, 0\) of charge 3: .* "
+                                                     "not S1-equivariant"):
+                    run()
 
     @pytest.mark.parametrize("label", ["one-mode", "two-mode"])
     def test_peak_against_fine_sampling(self, ziegler2, label):
