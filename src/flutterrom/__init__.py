@@ -6,4 +6,9 @@ parameter carried as a trivial extra state, and uses them to predict
 bifurcation points and post-critical limit-cycle amplitudes.
 """
 
+import logging
+
 __version__ = "0.1.0"
+
+# silent unless the application configures logging
+logging.getLogger("flutterrom").addHandler(logging.NullHandler())

@@ -42,12 +42,16 @@ window's crossings, its realified system and each Hopf cycle are computed
 once and kept on the ROM (_analysis) while its f, W, conj_map and
 meta["mu0"] stay as they were.  The results do not depend on that memo: a
 reused Hopf cycle's correction still counts in every measurement's newton
-and branch's meta["seed"], as if it had been made again.  A system (the
-full-order model at one load) is analysed afresh on every call.
+and branch's meta["seed"], as if it had been made again.  The same memo
+is kept on each full-order system a ZieglerModel holds for
+romdyn.measure_limit_cycle_fom (romdyn._held_system); a system a caller
+builds is analysed afresh on every call.  Each measurement logs one DEBUG
+record (load, newton, reason) to the "flutterrom" logger.
 """
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -57,6 +61,8 @@ import numpy as np
 from .dpim import ParametrisationROM
 from .romdyn import LimitCycleMeasurement, RealizedReducedSystem, periodic_peak
 from .spectral import _root_in
+
+_log = logging.getLogger(__name__)
 
 
 class ContinuationError(RuntimeError):
@@ -106,17 +112,27 @@ def find_hopf(model):
 
 
 def _analysis(model):
-    """The memo of a ROM's linear analysis (ParametrisationROM._analysis):
-    "scan", the crossings of each _stability_scan window scanned so far;
-    "sysr", its realified system; and ("hopf", mu_H, rising), each
-    _HopfCycle.  It is emptied whenever the data it was computed from (f, W,
-    conj_map, meta["mu0"]) no longer equal the copies kept under "key",
-    so a ROM edited in place is analysed again.  A system gets an empty
+    """The memo of a model's linear analysis: "scan", the crossings of each
+    _stability_scan window scanned so far; "sysr", a ROM's realified
+    system; and ("hopf", mu_H, rising), each _HopfCycle.
+
+    A ROM keeps it (ParametrisationROM._analysis), emptied whenever the data
+    it was computed from (f, W, conj_map, meta["mu0"]) no longer equal the
+    copies kept under "key", so a ROM edited in place is analysed again.  So
+    does a system a ZieglerModel holds (romdyn._held_system), which the
+    model drops when its matrices change; any other system gets an empty
     memo that nothing keeps."""
-    if not isinstance(model, ParametrisationROM):
+    memo = getattr(model, "_analysis", None)
+    if memo is None:
         return {}
-    key = (model.f, model.W, model.conj_map, model.meta.get("mu0", 0.0))
-    memo = model._analysis
+    if isinstance(model, ParametrisationROM):
+        _keyed(memo, (model.f, model.W, model.conj_map, model.meta.get("mu0", 0.0)))
+    return memo
+
+
+def _keyed(memo, key):
+    """memo, emptied unless the data under key equal the read-only copies
+    it keeps of them under "key"."""
     if "key" not in memo or not all(map(np.array_equal, memo["key"], key)):
         memo.clear()
         memo["key"] = tuple(_read_only(np.array(a)) for a in key)
@@ -128,27 +144,32 @@ def _read_only(a):
     return a
 
 
+def _window(mu0):
+    """Half-width of _stability_scan's top window about the load mu0."""
+    return 0.35 * max(abs(mu0), 1.0)
+
+
 def _stability_scan(model, mu):
     """The stability intervals of the fixed point: every load increment
     where the growth rate (the largest real part of the Jacobian's
     eigenvalues) changes sign, ascending, as (crossing, rising).
 
-    Scans 201 loads over mu within +-0.35 max(|mu0|, 1) (one stacked
-    eigenvalue solve), and the 201 loads of the window directly below when
-    no rising crossing lies at or below mu; each sign change is refined to
-    1e-12 max(|mu|, 1) with eigenvalue-only solves (spectral._root_in).
-    A ROM scans each window once (_analysis).  Raises when no crossing
-    rises.
+    Scans 201 loads over mu within +-_window(mu0) = +-0.35 max(|mu0|, 1)
+    (one stacked eigenvalue solve), and the 201 loads of the window directly
+    below when no rising crossing lies at or below mu; each sign change is
+    refined to 1e-12 max(|mu|, 1) with eigenvalue-only solves
+    (spectral._root_in).  A ROM or held system scans each window once
+    (_analysis).  Raises when no crossing rises.
     """
     def growth(mus):
         return np.max(np.linalg.eigvals(model.linear_block(mus)).real, axis=-1)
 
     mu0 = model.meta.get("mu0", 0.0)
-    ref = max(abs(mu0), 1.0)
-    top = np.linspace(-0.35 * ref, 0.35 * ref, 201)
+    half = _window(mu0)
+    top = np.linspace(-half, half, 201)
     windows = _analysis(model).setdefault("scan", [])
     crossings = []
-    for k, mus in enumerate((top, top - 0.7 * ref)):
+    for k, mus in enumerate((top, top - 2.0 * half)):
         if k == len(windows):
             neg = growth(mus) < 0
             windows.append(tuple((_root_in(growth, mus[i], mus[i + 1], 1e-12), bool(neg[i]))
@@ -334,6 +355,14 @@ def _rotating(sysr):
     return isinstance(sysr, RealizedReducedSystem)
 
 
+def _load(sysr, mu):
+    """The load mu as a reason names it: "mu = mu", or for a system whose
+    meta names its absolute load (ZieglerFirstOrder's "P"), "P = mu0 + mu",
+    which does not depend on the load mu0 the system is anchored at."""
+    meta = getattr(sysr, "meta", {})
+    return f"{meta['load']} = {meta['mu0'] + mu:.6g}" if "load" in meta else f"mu = {mu:.6g}"
+
+
 def _linearize(sysr, q, K):
     """The orbit q = (x, T, mu) with stage values K, linearised: its
     collocation, or for a rotating wave (f, J, dfdmu) at (x, mu)."""
@@ -465,8 +494,8 @@ def _hopf_cycle(model, mu_H, rising=True):
     spans the ellipse eps Re(v e^{2 pi i tau}) of period 2 pi / omega,
     corrected with its amplitude along Re v fixed and mu free; for a ROM
     (checked by _realize) its anchor eps Re v is the rotating wave's.  A
-    ROM realifies itself and corrects each Hopf cycle once (_analysis); the
-    cycle's q and K are read-only.
+    ROM realifies itself and corrects each Hopf cycle once, and so does a
+    held system (_analysis); the cycle's q and K are read-only.
     """
     memo = _analysis(model)
     if ("hopf", mu_H, rising) in memo:
@@ -480,7 +509,7 @@ def _hopf_cycle(model, mu_H, rising=True):
     osc = np.flatnonzero(w.imag > 0)
     if not osc.size:
         raise ContinuationError(
-            f"no oscillatory eigenvalue pair at the Hopf point mu = {mu_H:.6g}: the growth "
+            f"no oscillatory eigenvalue pair at the Hopf point {_load(sysr, mu_H)}: the growth "
             "rate changes sign through a real eigenvalue, so no cycle branches off")
     k = osc[np.argmax(w.real[osc])]
     v = V[:, k]   # LAPACK makes its largest component real: Re v, Im v independent
@@ -495,10 +524,10 @@ def _hopf_cycle(model, mu_H, rising=True):
     q, K, _, it, res, reason = _correct(sysr, q, K, tangent, 0.0, q, K, np.inf,
                                         (T / 4.0, 4.0 * T))
     if reason:
-        raise ContinuationError(f"Hopf seed corrector at mu = {mu_H:.6g}: {reason}")
+        raise ContinuationError(f"Hopf seed corrector at {_load(sysr, mu_H)}: {reason}")
     if abs(q[n + 1] - mu_H) <= _NEWTON_TOL * max(1.0, abs(mu_H)):
-        raise ContinuationError(f"degenerate Hopf point at mu = {mu_H:.6g}: mu does not move "
-                                "with the cycle amplitude")
+        raise ContinuationError(f"degenerate Hopf point at {_load(sysr, mu_H)}: mu does not "
+                                "move with the cycle amplitude")
     memo["hopf", mu_H, rising] = hopf = _HopfCycle(
         sysr, _read_only(q), _read_only(K),
         {"mu_H": float(mu_H), "newton": it, "residual": res[-1]}, rising)
@@ -517,8 +546,8 @@ def _hopf_seed(hopf, mu):
         # the fixed point is stable below a rising crossing, above a falling one
         fate = "decays" if (mu <= mu_H) == hopf.rising else "grows"
         raise ContinuationError(
-            f"trajectory {fate} at mu = {mu:.6g}: "
-            f"the cycles of the Hopf point mu = {mu_H:.6g} lie "
+            f"trajectory {fate} at {_load(hopf.sysr, mu)}: "
+            f"the cycles of the Hopf point {_load(hopf.sysr, mu_H)} lie "
             f"{'above' if shift > 0 else 'below'} it")
     scale = float(np.sqrt((mu - mu_H) / shift))
     return scale * q[:n], scale * K, q[n], dict(record, scale=scale)
@@ -730,7 +759,7 @@ def _walk(model, hopf, mu_start, opts):
         if x_n @ q[:m2] <= 0 or np.linalg.norm(x_n) < _SEED_AMP:
             rec.update(accepted=False, reason="cycle shrank onto the fixed point")
             points[-1].event = "hopf"
-            truncated_reason = f"branch ended at a Hopf point near mu = {q[m2 + 1]:.6g}"
+            truncated_reason = f"branch ended at a Hopf point near {_load(sysr, q[m2 + 1])}"
             break
         if np.linalg.norm(x_n) > amp_cap:
             truncated_reason = "branch left the reduced-coordinate trust region"
@@ -753,7 +782,7 @@ def _walk(model, hopf, mu_start, opts):
         ns_now = _ns_test(others)
         if fold_prev * fold_now < 0 and abs(fold_prev) < 0.5:
             points[-1].event = "fold"
-            truncated_reason = f"branch turned back at a fold near mu = {qn[m2 + 1]:.6g}"
+            truncated_reason = f"branch turned back at a fold near {_load(sysr, qn[m2 + 1])}"
             break
         elif ns_prev * ns_now < 0 and ns_now > 0:
             points[-1].event = "neimark-sacker"
@@ -793,8 +822,9 @@ def _cycle_at(model, mu, param, dim):
     again, and the refusal is final.  A seed error is final and comes
     before any walk: both seeds lie on the same side of the Hopf point.
     newton counts the Hopf cycle's correction too, also where an earlier
-    measurement of the ROM made it (_analysis), so that it does not depend
-    on what was measured before.
+    measurement of the ROM or held system made it (_analysis), so that it
+    does not depend on what was measured before.  Logs one DEBUG record:
+    param, newton and reason.
     """
     opts = ContinuationOptions(mu_max=mu)
     stable = np.linalg.eigvals(model.linear_block(mu)).real.max() < 0
@@ -805,7 +835,7 @@ def _cycle_at(model, mu, param, dim):
         hopf = _hopf_cycle(model, *(below[-1] if below else crossings[0]))
         _hopf_seed(hopf, mu)   # raises where no cycle of that Hopf point reaches mu
         walks.append(_walk(model, hopf, mu, opts))
-        reason = _refusal(walks[0], mu, stable)
+        reason = _refusal(hopf.sysr, walks[0], mu, stable)
         if reason and _first_load(hopf, mu) < mu:
             walks.append(_walk(model, hopf, _first_load(hopf, mu), opts))
             # a branch ends at mu_max exactly unless it names why not
@@ -814,6 +844,7 @@ def _cycle_at(model, mu, param, dim):
         reason = str(exc)
     newton = sum(rec["newton"] for diag in walks for rec in diag.meta["trace"])
     newton += hopf.record["newton"] if hopf else 0
+    _log.debug("limit cycle at %r: newton %d, reason %r", param, newton, reason)
     if reason:
         return LimitCycleMeasurement(param, np.zeros(dim), 0.0, bool(stable), reason,
                                      newton=newton)
@@ -822,18 +853,18 @@ def _cycle_at(model, mu, param, dim):
                                  pt.stable, newton)
 
 
-def _refusal(land, mu, stable):
-    """Why the landing (the branch that starts at mu) is refused, "" when
-    it is not; stable is the fixed point's stability at mu."""
+def _refusal(sysr, land, mu, stable):
+    """Why the landing (the branch of sysr that starts at mu) is refused, ""
+    when it is not; stable is the fixed point's stability at mu."""
     if land.meta["truncated"]:
         return land.meta["truncated"]
     pt = land.points[0]
     if np.linalg.norm(pt.anchor) < _SEED_AMP:
-        return (f"the cycle at mu = {mu:.6g} has shrunk onto the fixed point: its anchor "
+        return (f"the cycle at {_load(sysr, mu)} has shrunk onto the fixed point: its anchor "
                 f"{np.linalg.norm(pt.anchor):.3g} is below {_SEED_AMP:g}")
     if pt.stable == stable:
-        return (f"the cycle at mu = {mu:.6g} is {'stable' if stable else 'unstable'} like the "
-                "fixed point there: it lies past a fold")
+        return (f"the cycle at {_load(sysr, mu)} is {'stable' if stable else 'unstable'} like "
+                "the fixed point there: it lies past a fold")
     return ""
 
 

@@ -34,6 +34,10 @@ class ZieglerModel:
     Ru: np.ndarray
     L: float
     cubic_terms: list[tuple[int, int, int, float]] = field(default_factory=list)
+    # the first-order systems romdyn.measure_limit_cycle_fom measures on, with
+    # their linear analyses (romdyn._held_system): not an input, and
+    # dataclasses.replace starts a copy without them
+    _systems: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def linear_pencil(self, P):
         """(M, C, K_eff) of the linearization about the upright equilibrium."""
@@ -57,13 +61,16 @@ class ZieglerFirstOrder:
     """First-order form x' = (A0 + P A1) x + P S1 (D x)**3 on
     x = [theta, thetadot] of a ZieglerModel at load P = P0 + mu, with the
     interface of romdyn.RealizedReducedSystem (settable mu, batched rhs and
-    linearize, map_batch, linear_block, meta["mu0"]).
+    linearize, map_batch, linear_block, meta["mu0"]); meta["load"] = "P"
+    makes continuation's reasons name absolute loads P0 + mu.
 
     M^-1 is folded into A0, A1 and S1; D takes the angle difference of each
     cubic term and S1 scatters -M^-1 coeff times its cube onto the
     accelerations.  Each state goes through its own matrix-vector products,
     so a row of a block of states gives the bits of the single-state call.
     """
+
+    _analysis = None   # continuation's memo, once a ZieglerModel holds the system
 
     def __init__(self, model, P0):
         n = self.m = model.n   # half the state dimension
@@ -76,7 +83,7 @@ class ZieglerFirstOrder:
             self.D[t, a] += 1.0
             self.D[t, b] -= 1.0
             self.S1[n:, t] = -coeff * Minv[:, row]
-        self.meta = {"mu0": float(P0)}
+        self.meta = {"mu0": float(P0), "load": "P"}
         self.mu = 0.0
 
     @property

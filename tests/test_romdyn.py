@@ -1,3 +1,4 @@
+import logging
 import warnings
 from dataclasses import replace
 from functools import partial
@@ -6,10 +7,11 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from flutterrom import continuation
+from flutterrom import continuation, romdyn
 from flutterrom.continuation import ContinuationOptions, continue_periodic, find_hopf
 from flutterrom.dpim import build_rom_firstorder
 from flutterrom.models import build_ziegler, build_ziegler2, recast_to_dae
+from flutterrom.models.ziegler import ZieglerFirstOrder
 from flutterrom.romdyn import (
     BlowUpError,
     RealizedReducedSystem,
@@ -299,10 +301,20 @@ class TestUnstableManifold:
 
 class TestFom:
     def test_decay_below_hopf(self):
+        # the Hopf cycle's one correction decides it; measured after
+        # P_H + 0.1, 1.8 lies in that load's scan window and shares its
+        # system, whose reason and count are a fresh model's
         m = build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2)
         meas = measure_limit_cycle_fom(m, 1.8, coord=1)
-        assert meas.converged
+        assert meas.converged and meas.newton == 1
         assert meas.amplitude.max() == 0.0
+        assert meas.reason == ("trajectory decays at P = 1.8: the cycles of the Hopf point "
+                               "P = 2.07681 lie above it")
+        warm = replace(m)
+        measure_limit_cycle_fom(warm, eigen_sweep(m, (1.5, 3.0), 40).events["P_H"] + 0.1)
+        again = measure_limit_cycle_fom(warm, 1.8, coord=1)
+        assert len(warm._systems["systems"]) == 1
+        assert (again.reason, again.newton) == (meas.reason, meas.newton)
 
     def test_energy_conservation_free_vibration(self):
         # undamped, no load: energy drift < 1e-6 over 100 periods
@@ -485,12 +497,15 @@ class TestLanding:
     def test_landing_matches_the_walked_branch(self, ziegler2, label, monkeypatch):
         # both orbits sit on meshes that meet _RTOL, on different meshes
         # where the walk's seed lies below the load: measured <= 3.1e-8;
-        # at mu <= 0.05 the walk starts at the load, so it is the landing
+        # at mu <= 0.05 the walk starts at the load, so it is the landing.
+        # The FOM is measured on the system the model holds for the load,
+        # whose branch is the oracle
         model, P_H, roms = ziegler2
         cases = []
         for mu in (0.02, 0.05, 0.1, 0.2, 0.3):
             if label == "fom":
-                system, inc = model.first_order(P_H + mu), 0.0
+                system = romdyn._held_system(model, P_H + mu)
+                inc = P_H + mu - system.meta["mu0"]
                 measure = partial(measure_limit_cycle_fom, model, P_H + mu)
             else:
                 system, P = roms[label]
@@ -769,6 +784,120 @@ class TestLinearAnalysis:
         fresh.meta["mu0"] = 10.0
         assert same_bits(meas, measure_limit_cycle(fresh, mu))
         assert meas.reason == "" and abs(meas.amplitude[0] - np.sqrt(mu + 2.0)) < 1e-8
+
+
+def fom_gaps(a, b):
+    """Relative gaps in amplitude, period and Floquet multipliers between two
+    measurements whose every other field is equal (asserted)."""
+    assert (a.mu, a.reason, a.converged, a.stable, a.newton) == (
+        b.mu, b.reason, b.converged, b.stable, b.newton)
+
+    def gap(x, y):
+        x, y = np.atleast_1d(x), np.atleast_1d(y)
+        return np.abs(x - y).max(initial=0.0) / max(np.abs(y).max(initial=0.0), 1e-300)
+
+    return gap(a.amplitude, b.amplitude), gap(a.period, b.period), gap(a.floquet, b.floquet)
+
+
+class TestFomAnalysis:
+    """measure_limit_cycle_fom measures on a first-order system the model
+    holds, so the loads in one scan window share its stability scan and its
+    Hopf cycle; a warm measurement differs from a cold one by round-off."""
+
+    def test_warm_within_round_off_of_cold_on_ziegler2(self, ziegler2):
+        # ascending, then descending on one model: every load up to P_H + 0.3
+        # is measured on the system anchored at P_H + 0.02; 3.3 lies outside
+        # its window and gets its own system, whose top window has no Hopf
+        # point (found in the window below).  Measured <= 1.7e-15
+        model, P_H, _ = ziegler2
+        loads = [P_H + mu for mu in (0.02, 0.05, 0.1, 0.2, 0.3)] + [3.3]
+        warm, cold = replace(model), {}
+        for p in loads + loads[::-1]:
+            meas = measure_limit_cycle_fom(warm, p)
+            if p not in cold:
+                cold[p] = measure_limit_cycle_fom(replace(model), p)
+            assert meas.reason == "" and meas.converged
+            assert max(fom_gaps(meas, cold[p])) < 1e-13, p
+        anchors = [system.meta["mu0"] for system in warm._systems["systems"]]
+        assert anchors == [P_H + 0.02, 3.3]
+
+    def test_warm_within_round_off_of_cold_on_the_chain(self, chain8):
+        # the chain's cold measurement alone moves this much under a one-ulp
+        # change of the load (amplitude 1.0e-12, Floquet multipliers 2.6e-12)
+        # or a 1e-14 shift of its Hopf point: the landing stops at a residual
+        # near its round-off floor.  Measured: amplitude <= 5.4e-13, period
+        # <= 2.7e-14, Floquet multipliers <= 4.0e-12
+        m, P_H, _ = chain8
+        warm = replace(m)
+        for frac in (0.005, 0.02, 0.05):
+            p = P_H + frac * P_H
+            amp, period, floquet = fom_gaps(measure_limit_cycle_fom(warm, p),
+                                            measure_limit_cycle_fom(replace(m), p))
+            assert amp < 1e-12 and period < 1e-12 and floquet < 1e-11, frac
+        assert len(warm._systems["systems"]) == 1
+
+    def test_one_analysis_for_four_loads(self, ziegler2, monkeypatch):
+        # one 201-load linear_block stack and one Hopf-cycle correction (the
+        # correction whose tangent fixes the amplitude instead of mu) for four
+        # loads; newton still counts that correction at every load
+        model, P_H, _ = ziegler2
+        calls = {"stacks": 0, "hopf": 0}
+        linear_block, correct = ZieglerFirstOrder.linear_block, continuation._correct
+
+        def counted_block(self, mu):
+            calls["stacks"] += np.ndim(mu) == 1 and len(mu) == 201
+            return linear_block(self, mu)
+
+        def counted_correct(sysr, q, K, tangent, *args):
+            calls["hopf"] += int(tangent[-1] == 0.0)
+            return correct(sysr, q, K, tangent, *args)
+
+        monkeypatch.setattr(ZieglerFirstOrder, "linear_block", counted_block)
+        monkeypatch.setattr(continuation, "_correct", counted_correct)
+        warm = replace(model)
+        measured = [measure_limit_cycle_fom(warm, P_H + mu) for mu in (0.02, 0.05, 0.1, 0.2)]
+        assert calls == {"stacks": 1, "hopf": 1}
+        assert [meas.newton for meas in measured] == [4, 5, 5, 5]
+        # the memo's arrays are read-only, and a copy of the model starts cold
+        system = warm._systems["systems"][0]
+        hopf = continuation._hopf_cycle(system, find_hopf(system))
+        for a in (hopf.q, hopf.K):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+        assert replace(warm)._systems == {} and "_systems" not in repr(warm)
+
+    @pytest.mark.parametrize("name", ["C", "Ru"])
+    def test_an_edited_model_is_analysed_again(self, ziegler2, name):
+        # a 10% edit in place moves the Hopf point: the measurement after it
+        # is a fresh model's, bit for bit
+        model, P_H, _ = ziegler2
+        model, p = replace(model, **{name: getattr(model, name).copy()}), P_H + 0.1
+        before = measure_limit_cycle_fom(model, p)
+        getattr(model, name)[...] *= 1.1
+        after = measure_limit_cycle_fom(model, p)
+        assert same_bits(after, measure_limit_cycle_fom(replace(model), p))
+        assert after.amplitude[1] != before.amplitude[1]
+
+    def test_logging_changes_no_bit(self, ziegler2, caplog):
+        # one DEBUG record per measurement, with its load, newton and reason
+        model, P_H, roms = ziegler2
+        rom, P = roms["two-mode"]
+        loads = [P_H + mu for mu in (0.02, 0.05, 0.1, 0.2)]
+
+        def measure_all():
+            fom, warm_rom = replace(model), replace(rom)
+            return ([measure_limit_cycle_fom(fom, p) for p in loads]
+                    + [measure_limit_cycle(warm_rom, p - P) for p in loads])
+
+        quiet = measure_all()
+        assert caplog.records == []
+        with caplog.at_level(logging.DEBUG, logger="flutterrom"):
+            loud = measure_all()
+        assert same_bits(loud, quiet)
+        records = [r for r in caplog.records if r.name.startswith("flutterrom")]
+        assert [r.args for r in records] == [(meas.mu, meas.newton, meas.reason)
+                                             for meas in quiet]
+        assert all(r.levelno == logging.DEBUG for r in records)
 
 
 def hausdorff(a, b):
