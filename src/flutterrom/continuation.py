@@ -37,13 +37,14 @@ past a return to stability that crossing's cycles lie below it, which
 alone shows there is no cycle.  Otherwise it is the branch that starts at
 that load, or the end of the one walked up to it where that is refused.
 
-A ROM's linear analysis is a property of the ROM, not of a load: each scan
-window's crossings, its realified system and each Hopf cycle are computed
-once and kept on the ROM (_analysis) while its f, W, conj_map and
-meta["mu0"] stay as they were.  The results do not depend on that memo: a
-reused Hopf cycle's correction still counts in every measurement's newton
-and branch's meta["seed"], as if it had been made again.  The same memo
-is kept on each full-order system a ZieglerModel holds for
+A ROM's linear analysis is a property of the ROM, not of a load: the
+crossings of each scanned tile of the load axis, its realified system and
+each Hopf cycle are computed once and kept on the ROM (_analysis) while its
+f, W, conj_map and meta["mu0"] stay as they were.  The tiles are fixed by
+meta["mu0"] alone (_tile), and a reused Hopf cycle's correction still counts
+in every measurement's newton and branch's meta["seed"], so no result
+depends on that memo or on what was measured before.  The same memo is kept
+on the one full-order system a ZieglerModel holds for
 romdyn.measure_limit_cycle_fom (romdyn._held_system); a system a caller
 builds is analysed afresh on every call.  Each measurement logs one DEBUG
 record (load, newton, reason) to the "flutterrom" logger.
@@ -88,9 +89,6 @@ class BifurcationDiagram:
     def mu(self):
         return np.array([pt.mu for pt in self.points])
 
-    def absolute_parameter(self):
-        return self.meta.get("mu0", 0.0) + self.mu()
-
     def amplitude(self, coord):
         return np.array([pt.amplitude[coord] for pt in self.points])
 
@@ -104,22 +102,22 @@ class BifurcationDiagram:
 def find_hopf(model):
     """Parameter increment where the mu-dressed linear part of a ROM or
     system first turns unstable: the lowest rising crossing of
-    _stability_scan, which scans below its first window only when that has
-    none; raises when there is none (the expected failure of
+    _stability_scan over tile 0, and over the tile below only when tile 0
+    has none; raises when there is none (the expected failure of
     pre-bifurcation one-mode reductions).
     """
-    return next(c for c, rising in _stability_scan(model, np.inf) if rising)
+    return next(c for c, rising in _stability_scan(model, 0) if rising)
 
 
 def _analysis(model):
     """The memo of a model's linear analysis: "scan", the crossings of each
-    _stability_scan window scanned so far; "sysr", a ROM's realified
-    system; and ("hopf", mu_H, rising), each _HopfCycle.
+    tile _stability_scan has scanned, by tile index; "sysr", a ROM's
+    realified system; and ("hopf", mu_H, rising), each _HopfCycle.
 
     A ROM keeps it (ParametrisationROM._analysis), emptied whenever the data
     it was computed from (f, W, conj_map, meta["mu0"]) no longer equal the
     copies kept under "key", so a ROM edited in place is analysed again.  So
-    does a system a ZieglerModel holds (romdyn._held_system), which the
+    does the system a ZieglerModel holds (romdyn._held_system), which the
     model drops when its matrices change; any other system gets an empty
     memo that nothing keeps."""
     memo = getattr(model, "_analysis", None)
@@ -145,43 +143,68 @@ def _read_only(a):
 
 
 def _window(mu0):
-    """Half-width of _stability_scan's top window about the load mu0."""
+    """Half-width of tile 0, the load increments within +-_window(mu0) of
+    the load mu0; every other tile spans 2 _window of the absolute load at
+    its inner edge (_tile)."""
     return 0.35 * max(abs(mu0), 1.0)
 
 
-def _stability_scan(model, mu):
+def _tile(mu0, k):
+    """Edges (lo, hi) of tile k of the load-increment axis about the load
+    mu0.  Tile 0 is +-_window(mu0); tile k != 0 shares its inner edge e, the
+    one towards tile 0, with its neighbour there and reaches 2 _window(mu0 +
+    e) beyond it.  So the tiles cover the axis, and mu0 alone fixes them."""
+    lo, hi = -_window(mu0), _window(mu0)
+    for _ in range(k):
+        lo, hi = hi, hi + 2.0 * _window(mu0 + hi)
+    for _ in range(-k):
+        lo, hi = lo - 2.0 * _window(mu0 + lo), lo
+    return lo, hi
+
+
+def _tile_of(mu0, mu):
+    """Index of the tile (_tile) that holds the load increment mu: tile 0
+    holds both its edges, every other tile only its inner one."""
+    k = 0
+    while mu > _tile(mu0, k)[1]:
+        k += 1
+    while mu < _tile(mu0, k)[0]:
+        k -= 1
+    return k
+
+
+def _stability_scan(model, tile, mu=np.inf):
     """The stability intervals of the fixed point: every load increment
     where the growth rate (the largest real part of the Jacobian's
     eigenvalues) changes sign, ascending, as (crossing, rising).
 
-    Scans 201 loads over mu within +-_window(mu0) = +-0.35 max(|mu0|, 1)
-    (one stacked eigenvalue solve), and the 201 loads of the window directly
-    below when no rising crossing lies at or below mu; each sign change is
-    refined to 1e-12 max(|mu|, 1) with eigenvalue-only solves
-    (spectral._root_in).  A ROM or held system scans each window once
-    (_analysis).  Raises when no crossing rises.
+    Scans the 201 loads of tile `tile` (_tile; one stacked eigenvalue solve),
+    and the 201 loads of the tile below when no rising crossing lies at or
+    below mu; each sign change is refined to 1e-12 max(|mu|, 1) with
+    eigenvalue-only solves (spectral._root_in).  A ROM or held system scans
+    each tile once (_analysis).  Raises when no crossing rises.
     """
     def growth(mus):
         return np.max(np.linalg.eigvals(model.linear_block(mus)).real, axis=-1)
 
     mu0 = model.meta.get("mu0", 0.0)
-    half = _window(mu0)
-    top = np.linspace(-half, half, 201)
-    windows = _analysis(model).setdefault("scan", [])
+    tiles = _analysis(model).setdefault("scan", {})
     crossings = []
-    for k, mus in enumerate((top, top - 2.0 * half)):
-        if k == len(windows):
+    for k in (tile, tile - 1):
+        lo, hi = _tile(mu0, k)
+        if k not in tiles:
+            mus = np.linspace(lo, hi, 201)
             neg = growth(mus) < 0
-            windows.append(tuple((_root_in(growth, mus[i], mus[i + 1], 1e-12), bool(neg[i]))
-                                 for i in np.flatnonzero(neg[:-1] != neg[1:])))
-        # the second window lies below the first
-        crossings = list(windows[k]) + crossings
+            tiles[k] = tuple((_root_in(growth, mus[i], mus[i + 1], 1e-12), bool(neg[i]))
+                             for i in np.flatnonzero(neg[:-1] != neg[1:]))
+        # the second tile lies below the first
+        crossings = list(tiles[k]) + crossings
         if any(rising and c <= mu for c, rising in crossings):
             break
     if not any(rising for _, rising in crossings):
         raise ContinuationError(
             "no sign change of the growth rate at the fixed point over the scanned "
-            f"loads [{mu0 + mus[0]:.6g}, {mu0 + top[-1]:.6g}]")
+            f"loads [{mu0 + lo:.6g}, {mu0 + _tile(mu0, tile)[1]:.6g}]")
     return crossings
 
 
@@ -422,10 +445,11 @@ def _correct(sysr, q, K, tangent, ds, qn, Kn, radius, T_range):
     so the row fixes the anchor's phase against q's.  The residual norm
     covers those rows and the stage residuals.  An iterate whose mu or
     anchor moves more than `radius` from q, whose period leaves T_range, or
-    whose residual is not finite, is rejected.  Returns (qn, Kn, _linearize
-    at qn, corrections, residual norm of each iterate evaluated, reason);
-    reason is "" on convergence.  A rotating wave has no stage values: its
-    Kn passes through.
+    whose residual is not finite, is rejected.  The iteration stops below
+    _NEWTON_TOL max(1, |(anchor, period)|), which does not depend on where
+    mu = 0 lies.  Returns (qn, Kn, _linearize at qn, corrections, residual
+    norm of each iterate evaluated, reason); reason is "" on convergence.  A
+    rotating wave has no stage values: its Kn passes through.
     """
     n = len(q) - 2
     sysr.mu = q[n + 1]
@@ -439,7 +463,7 @@ def _correct(sysr, q, K, tangent, ds, qn, Kn, radius, T_range):
         residuals.append(float(np.sqrt(F @ F + stages)))
         if not np.isfinite(residuals[-1]):
             return qn, Kn, col, it, residuals, "iterate not finite"
-        if residuals[-1] < _NEWTON_TOL * max(1.0, np.linalg.norm(qn)):
+        if residuals[-1] < _NEWTON_TOL * max(1.0, np.linalg.norm(qn[:n + 1])):
             return qn, Kn, col, it, residuals, ""
         rhs = -F
         rhs[:n] -= column
@@ -495,7 +519,9 @@ def _hopf_cycle(model, mu_H, rising=True):
     corrected with its amplitude along Re v fixed and mu free; for a ROM
     (checked by _realize) its anchor eps Re v is the rotating wave's.  A
     ROM realifies itself and corrects each Hopf cycle once, and so does a
-    held system (_analysis); the cycle's q and K are read-only.
+    held system (_analysis); the cycle's q and K are read-only.  The Hopf
+    point is degenerate when mu moves by no more than _correct's stopping
+    tolerance.
     """
     memo = _analysis(model)
     if ("hopf", mu_H, rising) in memo:
@@ -525,7 +551,7 @@ def _hopf_cycle(model, mu_H, rising=True):
                                         (T / 4.0, 4.0 * T))
     if reason:
         raise ContinuationError(f"Hopf seed corrector at {_load(sysr, mu_H)}: {reason}")
-    if abs(q[n + 1] - mu_H) <= _NEWTON_TOL * max(1.0, abs(mu_H)):
+    if abs(q[n + 1] - mu_H) <= _NEWTON_TOL * max(1.0, np.linalg.norm(q[:n + 1])):
         raise ContinuationError(f"degenerate Hopf point at {_load(sysr, mu_H)}: mu does not "
                                 "move with the cycle amplitude")
     memo["hopf", mu_H, rising] = hopf = _HopfCycle(
@@ -809,28 +835,28 @@ def _cycle_at(model, mu, param, dim):
     is the load it reports.
 
     The cycle comes from the Hopf point at the last crossing of
-    _stability_scan at or below mu, or at the first crossing when none lies
-    below: past a return to stability, that crossing's cycles lie below it,
-    so its seed (_hopf_seed) names why there is no cycle at mu.  The
-    landing, the branch that starts at mu, is refused when its correction
-    failed, its anchor is below _SEED_AMP (the fixed point), or its
-    stability equals the fixed point's at mu (near its Hopf point a branch
-    pairs a stable cycle with an unstable fixed point or the reverse, so
-    this rejects a landing past a fold).  Then continue_periodic's branch
-    from that Hopf point up to mu gives the cycle or the reason it stops
-    short; where that branch would start at mu itself, it is the landing
-    again, and the refusal is final.  A seed error is final and comes
-    before any walk: both seeds lie on the same side of the Hopf point.
-    newton counts the Hopf cycle's correction too, also where an earlier
-    measurement of the ROM or held system made it (_analysis), so that it
-    does not depend on what was measured before.  Logs one DEBUG record:
-    param, newton and reason.
+    _stability_scan (mu's tile, and the one below) at or below mu, or at the
+    first crossing when none lies below: past a return to stability, that
+    crossing's cycles lie below it, so its seed (_hopf_seed) names why there
+    is no cycle at mu.  The landing, the branch that starts at mu, is
+    refused when its correction failed, its anchor is below _SEED_AMP (the
+    fixed point), or its stability equals the fixed point's at mu (near its
+    Hopf point a branch pairs a stable cycle with an unstable fixed point or
+    the reverse, so this rejects a landing past a fold).  Then
+    continue_periodic's branch from that Hopf point up to mu gives the cycle
+    or the reason it stops short; where that branch would start at mu
+    itself, it is the landing again, and the refusal is final.  A seed error
+    is final and comes before any walk: both seeds lie on the same side of
+    the Hopf point.  newton counts the Hopf cycle's correction too, also
+    where an earlier measurement of the ROM or held system made it
+    (_analysis), so that it does not depend on what was measured before.
+    Logs one DEBUG record: param, newton and reason.
     """
     opts = ContinuationOptions(mu_max=mu)
     stable = np.linalg.eigvals(model.linear_block(mu)).real.max() < 0
     hopf, walks = None, []
     try:
-        crossings = _stability_scan(model, mu)
+        crossings = _stability_scan(model, _tile_of(model.meta.get("mu0", 0.0), mu), mu)
         below = [c for c in crossings if c[0] <= mu]
         hopf = _hopf_cycle(model, *(below[-1] if below else crossings[0]))
         _hopf_seed(hopf, mu)   # raises where no cycle of that Hopf point reaches mu
@@ -866,39 +892,3 @@ def _refusal(sysr, land, mu, stable):
         return (f"the cycle at {_load(sysr, mu)} is {'stable' if stable else 'unstable'} like "
                 "the fixed point there: it lies past a fold")
     return ""
-
-
-@dataclass
-class DiagramComparison:
-    P: np.ndarray
-    rel_error: np.ndarray
-    threshold: float
-    P_valid: float
-
-
-def diagram_compare(diag_a, diag_b, coord, threshold=0.05):
-    """Interpolated amplitude comparison of one coordinate; diag_b is the
-    reference.
-
-    P_valid is the largest reference parameter, in ascending order, up to
-    which the relative error stays within the threshold (first-exceedance
-    rule); nan when the first compared point already exceeds it.
-    """
-    Pa = diag_a.absolute_parameter()
-    Pb = diag_b.absolute_parameter()
-    lo = max(Pa.min(), Pb.min())
-    hi = min(Pa.max(), Pb.max())
-    if lo >= hi:
-        raise ValueError("parameter ranges do not overlap")
-    order_b = np.argsort(Pb)
-    Pb, amp_b = Pb[order_b], diag_b.amplitude(coord)[order_b]
-    keep = (Pb >= lo - 1e-12) & (Pb <= hi + 1e-12)
-    P, amp_b = Pb[keep], amp_b[keep]
-    order_a = np.argsort(Pa)
-    amp_a = np.interp(P, Pa[order_a], diag_a.amplitude(coord)[order_a])
-    scale = np.maximum(np.abs(amp_b), 1e-12)
-    rel = np.abs(amp_a - amp_b) / scale
-    over = np.flatnonzero(rel > threshold)
-    n_valid = over[0] if over.size else len(P)
-    P_valid = P[n_valid - 1] if n_valid else np.nan
-    return DiagramComparison(P, rel, threshold, float(P_valid))

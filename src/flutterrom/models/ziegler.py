@@ -34,9 +34,9 @@ class ZieglerModel:
     Ru: np.ndarray
     L: float
     cubic_terms: list[tuple[int, int, int, float]] = field(default_factory=list)
-    # the first-order systems romdyn.measure_limit_cycle_fom measures on, with
-    # their linear analyses (romdyn._held_system): not an input, and
-    # dataclasses.replace starts a copy without them
+    # the one first-order system romdyn.measure_limit_cycle_fom measures on,
+    # with its linear analysis (romdyn._held_system): not an input, and
+    # dataclasses.replace starts a copy without it
     _systems: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def linear_pencil(self, P):

@@ -9,7 +9,7 @@ cycle at a load comes from continuation: the branch that starts at that
 load, or where that landing is refused, the branch continued from the Hopf
 point up to it.  A ROM's cycles are rotating waves of its realified system,
 solved as algebraic equations; the full-order model's are collocated.
-Each ROM, and each full-order system a ZieglerModel holds, keeps its
+Each ROM, and the one full-order system a ZieglerModel holds, keeps its
 linear analysis (stability scan, Hopf cycles; continuation._analysis).
 """
 
@@ -314,42 +314,29 @@ def trace_unstable_manifold(rom, mu, n_radial=4, n_angle=12, r_scale=1e-3,
 
 def measure_limit_cycle_fom(model, p, coord=0):
     """The full-order model's limit cycle at load p (see measure_limit_cycle),
-    collocated on a first-order system the model holds (_held_system): the
-    first whose top stability-scan window contains p, |p - P0| <= 0.35
-    max(|P0|, 1) about its load P0 (continuation._window), else a new
-    model.first_order(p).  It keeps its scan and Hopf cycles, which do not
-    depend on the load, so later loads in its window skip both.
-
-    A system anchored at another load changes the result by round-off only,
-    as amplified by the corrector's stopping residual: amplitude, period and
-    Floquet multipliers within 1.7e-15 relative on Ziegler-2, 4e-12 on the
-    8-link chain (where a one-ulp change of p moves them as much); reason,
-    converged, stable and newton are the same.  Reasons name absolute loads
-    P.  The exception is a load whose Hopf point lies outside the held
-    system's scan windows but inside a fresh one's: Ziegler-2 at 1.56 after
-    1.5 names "no sign change ... [-0.075, 2.025]", where a fresh model names
-    the Hopf point 2.07681 above it (no cycle either way).
+    collocated on the one first-order system the model holds
+    (_held_system), whose mu is the load P.  That system keeps its stability
+    scan per tile of the load axis (continuation._tile) and its Hopf cycles,
+    so later loads skip both where they were computed; the tiles do not move
+    with the loads measured, so the result does not depend on what the
+    model measured before, bit for bit.  Reasons name loads P.
 
     Past some loads the model is bistable: at p = 3.3 (Ziegler-2, xi_m =
     0.2) this reports the Hopf branch's cycle (theta2 1.78206), not the
     larger one (theta2 2.97) that DOP853 settles on from near the fixed point.
     """
     from .continuation import _cycle_at
-    system = _held_system(model, p)
-    return _cycle_at(system, p - system.meta["mu0"], p, 2 * model.n)
+    return _cycle_at(_held_system(model), float(p), p, 2 * model.n)
 
 
-def _held_system(model, p):
-    """measure_limit_cycle_fom's system for load p.  model._systems holds
-    them, keyed on read-only copies of M, K, C, Ru and cubic_terms, so an
-    edit of any of those in place drops them all."""
-    from .continuation import _keyed, _window
+def _held_system(model):
+    """measure_limit_cycle_fom's system, model.first_order(0.0), held in
+    model._systems with its linear analysis and keyed on read-only copies of
+    M, K, C, Ru and cubic_terms, so an edit of any of those in place drops
+    it."""
+    from .continuation import _keyed
     held = _keyed(model._systems, (model.M, model.K, model.C, model.Ru, model.cubic_terms))
-    systems = held.setdefault("systems", [])
-    for system in systems:
-        if abs(p - system.meta["mu0"]) <= _window(system.meta["mu0"]):
-            return system
-    system = model.first_order(p)
-    system._analysis = {}
-    systems.append(system)
-    return system
+    if "system" not in held:
+        held["system"] = model.first_order(0.0)
+        held["system"]._analysis = {}
+    return held["system"]

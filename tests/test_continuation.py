@@ -34,8 +34,10 @@ from flutterrom.continuation import (
     _ns_test,
     _sample,
     _stage_times,
+    _tile,
+    _tile_of,
+    _window,
     continue_periodic,
-    diagram_compare,
     find_hopf,
 )
 from flutterrom.dpim import build_rom_firstorder
@@ -308,9 +310,29 @@ def test_find_hopf_stacked_scan_matches_pointwise_scan(d):
         assert np.array_equal(J, rom.linear_block(mu))
 
 
+@pytest.mark.parametrize("mu0", [0.0, 2.0768, 15.69, -3.0])
+def test_tiles_of_the_load_axis(mu0):
+    # tile 0 is +-_window(mu0) exactly; each other tile reaches 2 _window of
+    # the absolute load at its inner edge beyond it; neighbours share an
+    # edge, which belongs to the tile nearer tile 0 alone
+    assert _tile(mu0, 0) == (-_window(mu0), _window(mu0))
+    assert _tile_of(mu0, -_window(mu0)) == _tile_of(mu0, _window(mu0)) == 0
+    for k in range(-4, 4):
+        lo, hi = _tile(mu0, k)
+        assert lo < hi and _tile(mu0, k + 1)[0] == hi
+        if k:
+            inner = lo if k > 0 else hi
+            assert abs((hi - lo) / (2.0 * _window(mu0 + inner)) - 1.0) < 1e-14
+        assert _tile_of(mu0, hi) == (k if k >= 0 else k + 1)
+        assert _tile_of(mu0, np.nextafter(hi, -np.inf)) == k
+        assert _tile_of(mu0, np.nextafter(hi, np.inf)) == k + 1
+        assert _tile_of(mu0, 0.5 * (lo + hi)) == k
+
+
 def test_find_hopf_on_the_normal_form():
     # growth rate rho + mu: the Hopf point is mu = -rho; the scan covers
-    # +-0.35 and, where that holds none, the window [-1.05, -0.35] below it
+    # tile 0, +-0.35, and where that holds none, the tile [-1.05, -0.35]
+    # below it
     assert abs(find_hopf(hopf_normal_form_rom(rho=-0.1)) - 0.1) < 1e-12
     assert abs(find_hopf(hopf_normal_form_rom(rho=0.5)) + 0.5) < 1e-12
     with pytest.raises(ContinuationError, match="no sign change"):
@@ -729,51 +751,3 @@ def test_branch_closes_at_the_second_hopf_point():
     assert abs(mu_end - mu_H2) < 2e-3
     assert diag.mu().max() < opts.mu_max
     assert sum(rec["accepted"] for rec in diag.meta["trace"]) == len(diag.points)
-
-
-# -- diagram comparison ----------------------------------------------------------
-
-
-def amplitude_diagram(mu, amp, mu0=0.0):
-    """Synthetic diagram with one amplitude coordinate per point."""
-    return BifurcationDiagram([BranchPoint(m, np.zeros(2), 1.0, np.array([a]),
-                                           np.zeros(0, dtype=complex), True)
-                               for m, a in zip(mu, amp)], {"mu0": mu0})
-
-
-def test_diagram_compare_first_exceedance():
-    # errors 0, 1%, 20%, 1%, 0 against the reference: valid up to the second
-    # point, the recovery after the first exceedance does not count
-    ref = amplitude_diagram([0.1, 0.2, 0.3, 0.4, 0.5], [1.0, 2.0, 3.0, 4.0, 5.0], mu0=2.0)
-    rom = amplitude_diagram([0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6],
-                            [0.5, 1.0, 2.02, 3.6, 4.04, 5.0, 6.0], mu0=2.0)
-    cmp = diagram_compare(rom, ref, 0, threshold=0.05)
-    assert np.allclose(cmp.P, [2.1, 2.2, 2.3, 2.4, 2.5])
-    assert np.allclose(cmp.rel_error, [0.0, 0.01, 0.2, 0.01, 0.0])
-    assert cmp.P_valid == cmp.P[1] and cmp.threshold == 0.05
-    # within the threshold everywhere: valid over the whole overlap
-    assert diagram_compare(rom, ref, 0, threshold=0.5).P_valid == cmp.P[-1]
-    # the reference in any order gives the same comparison
-    perm = [3, 0, 4, 2, 1]
-    shuffled = BifurcationDiagram([ref.points[i] for i in perm], ref.meta)
-    again = diagram_compare(rom, shuffled, 0, threshold=0.05)
-    assert np.array_equal(again.P, cmp.P) and np.array_equal(again.rel_error, cmp.rel_error)
-    assert again.P_valid == cmp.P_valid
-
-
-def test_diagram_compare_invalid_from_the_start():
-    ref = amplitude_diagram([0.1, 0.2, 0.3], [1.0, 2.0, 3.0])
-    rom = amplitude_diagram([0.1, 0.2, 0.3], [1.5, 2.0, 3.0])
-    assert np.isnan(diagram_compare(rom, ref, 0).P_valid)
-
-
-def test_diagram_compare_needs_overlap():
-    ref = amplitude_diagram([0.1, 0.2], [1.0, 2.0])
-    rom = amplitude_diagram([0.3, 0.4], [1.0, 2.0])
-    with pytest.raises(ValueError, match="do not overlap"):
-        diagram_compare(rom, ref, 0)
-    # offset expansion loads shift the absolute parameter: the same mu overlap
-    # vanishes when the reference sits one load unit higher
-    with pytest.raises(ValueError, match="do not overlap"):
-        diagram_compare(amplitude_diagram([0.1, 0.2], [1.0, 2.0], mu0=2.0),
-                        amplitude_diagram([0.1, 0.2], [1.0, 2.0], mu0=3.0), 0)

@@ -301,9 +301,9 @@ class TestUnstableManifold:
 
 class TestFom:
     def test_decay_below_hopf(self):
-        # the Hopf cycle's one correction decides it; measured after
-        # P_H + 0.1, 1.8 lies in that load's scan window and shares its
-        # system, whose reason and count are a fresh model's
+        # the Hopf cycle's one correction decides it; 1.8 shares its tile
+        # [1.785, 3.0345] with P_H + 0.1, and measured after that load on
+        # one model it is a fresh model's measurement bit for bit
         m = build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2)
         meas = measure_limit_cycle_fom(m, 1.8, coord=1)
         assert meas.converged and meas.newton == 1
@@ -312,9 +312,7 @@ class TestFom:
                                "P = 2.07681 lie above it")
         warm = replace(m)
         measure_limit_cycle_fom(warm, eigen_sweep(m, (1.5, 3.0), 40).events["P_H"] + 0.1)
-        again = measure_limit_cycle_fom(warm, 1.8, coord=1)
-        assert len(warm._systems["systems"]) == 1
-        assert (again.reason, again.newton) == (meas.reason, meas.newton)
+        assert same_bits(measure_limit_cycle_fom(warm, 1.8, coord=1), meas)
 
     def test_energy_conservation_free_vibration(self):
         # undamped, no load: energy drift < 1e-6 over 100 periods
@@ -342,18 +340,23 @@ class TestFom:
         assert measure_limit_cycle_fom(m, P_H + 0.2).newton == 5
 
     def test_no_hopf_point_in_the_scanned_window(self):
-        # expanded at p = 3.3, the loads within 0.35 p of it, [2.145, 4.455],
-        # hold no Hopf point: the scan goes on over the 201 loads directly
-        # below them and finds P_H = 2.077; the cycle is the end of the branch
-        # walked up from there, as continue_periodic walks it.  The oracle
+        # the tile of p = 3.3, [3.0345, 5.15865], holds no Hopf point: the
+        # scan goes on over the tile below, [1.785, 3.0345], and finds
+        # P_H = 2.077; the cycle is the end of the branch walked up from
+        # there (held_branch).  A system expanded at 3.3, whose tile 0
+        # [2.145, 4.455] holds no Hopf point either, walks the same branch
+        # from its own scan's P_H: measured 6.4e-15 relative.  The oracle
         # settles from 2% off its anchor (nontrivial multipliers <= 0.64):
         # from near the fixed point DOP853 settles on another, larger cycle
         # (theta2 2.97, period 9.96)
         m = build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2)
         meas = measure_limit_cycle_fom(m, 3.3)
         assert meas.converged and meas.reason == "" and meas.stable
-        pt = continue_periodic(m.first_order(3.3), ContinuationOptions(mu_max=0.0)).points[-1]
+        pt = held_branch(m, 3.3).points[-1]
         assert np.array_equal(meas.amplitude, pt.amplitude) and meas.period == pt.period
+        expanded = continue_periodic(m.first_order(3.3), ContinuationOptions(mu_max=0.0))
+        assert np.abs(expanded.points[-1].amplitude / pt.amplitude - 1.0).max() < 1e-12
+        assert abs(expanded.points[-1].period / pt.period - 1.0) < 1e-12
 
         rhs = m.fom_rhs(3.3)
         status, _, x = measure_settled_cycle(rhs, 1.02 * pt.anchor, pt.period,
@@ -375,7 +378,7 @@ class TestFom:
         # |m| <= 0.67, far below 1e-8
         m = build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2)
         P = eigen_sweep(m, (1.5, 3.0), 40).events["P_H"] + 0.02
-        pt = continue_periodic(m.first_order(P), ContinuationOptions(mu_max=0.0)).points[-1]
+        pt = held_branch(m, P).points[-1]
         meas = measure_limit_cycle_fom(m, P, coord=1)
         assert meas.converged and meas.reason == "" and meas.newton > 0
         assert np.array_equal(meas.amplitude, pt.amplitude) and meas.period == pt.period
@@ -394,6 +397,19 @@ class TestFom:
         ref = periodic_peak(orbit.sol(np.linspace(0.0, T, 20001)).T)
         assert abs(T / meas.period - 1.0) < 1e-8
         assert np.abs(meas.amplitude / ref - 1.0).max() < 1e-8
+
+
+def held_branch(model, p):
+    """The FOM branch that measure_limit_cycle_fom(model, p) walks, or lands
+    on, up to load p: on the system the model holds, from the Hopf point of
+    the last rising crossing at or below p of that system's stability scan
+    (find_hopf scans tile 0, the loads within 0.35 of P = 0)."""
+    system = romdyn._held_system(model)
+    crossings = continuation._stability_scan(system, continuation._tile_of(0.0, p), p)
+    mu_H = [c for c, rising in crossings if rising and c <= p][-1]
+    hopf = continuation._hopf_cycle(system, mu_H)
+    return continuation._walk(system, hopf, continuation._first_load(hopf, p),
+                              ContinuationOptions(mu_max=p))
 
 
 class TestDecayUnits:
@@ -498,21 +514,21 @@ class TestLanding:
         # both orbits sit on meshes that meet _RTOL, on different meshes
         # where the walk's seed lies below the load: measured <= 3.1e-8;
         # at mu <= 0.05 the walk starts at the load, so it is the landing.
-        # The FOM is measured on the system the model holds for the load,
-        # whose branch is the oracle
+        # The FOM is measured on the system the model holds, whose mu is the
+        # load P and whose branch (held_branch) is the oracle
         model, P_H, roms = ziegler2
         cases = []
         for mu in (0.02, 0.05, 0.1, 0.2, 0.3):
             if label == "fom":
-                system = romdyn._held_system(model, P_H + mu)
-                inc = P_H + mu - system.meta["mu0"]
-                measure = partial(measure_limit_cycle_fom, model, P_H + mu)
+                inc = P_H + mu
+                measure = partial(measure_limit_cycle_fom, model, inc)
+                diag = held_branch(model, inc)
             else:
                 system, P = roms[label]
                 inc = P_H + mu - P
                 measure = partial(measure_limit_cycle, system, inc)
-            cases.append((mu, inc, measure, continue_periodic(system,
-                                                              ContinuationOptions(mu_max=inc))))
+                diag = continue_periodic(system, ContinuationOptions(mu_max=inc))
+            cases.append((mu, inc, measure, diag))
         walks = count_walks(monkeypatch)
         short = []
         for mu, inc, measure, diag in cases:
@@ -755,6 +771,21 @@ class TestLinearAnalysis:
             hopf.q[0] = 0.0
         assert replace(warm)._analysis == {} and "_analysis" not in warm.to_dict()
 
+    def test_warm_is_cold_across_tiles(self, ziegler2):
+        # the two-mode ROM at P_H: P_H + 0.02 lies in tile 0, +-0.7269 about
+        # P_H, and P_H + 1.0 and 1.4 in the tile above it, whose scan holds
+        # no crossing, so they scan tile 0 too; ascending, then descending,
+        # each measurement is a cold copy's bit for bit
+        _, P_H, roms = ziegler2
+        rom, P = roms["two-mode"]
+        loads = [P_H + mu - P for mu in (0.02, 1.0, 1.4)]
+        warm = replace(rom)
+        for mu in loads + loads[::-1]:
+            meas = measure_limit_cycle(warm, mu)
+            assert same_bits(meas, measure_limit_cycle(replace(rom), mu)), mu
+            assert meas.reason == "" and meas.converged, mu
+        assert warm._analysis["scan"] == {0: warm._analysis["scan"][0], 1: ()}
+
     def test_an_edited_rom_is_analysed_again(self):
         # zdot = (mu + i) z + c3 z|z|^2 has the cycle rho = sqrt(mu / |c3|):
         # a measurement after c3 changes in place is a fresh ROM's; so is one
@@ -770,10 +801,10 @@ class TestLinearAnalysis:
         assert abs(measure_limit_cycle(rom, mu).amplitude[0] - 2.0 * np.sqrt(mu / 4.0)) < 2e-8
 
     def test_a_new_expansion_load_is_analysed_again(self):
-        # the growth rate 2 + mu crosses 0 at mu = -2, outside the windows of
-        # a ROM expanded at 0 (scale 1) and inside those of one expanded at
-        # 10 (scale 10): the scan follows meta["mu0"], and the cycle is
-        # r = sqrt(mu + 2)
+        # the growth rate 2 + mu crosses 0 at mu = -2, outside the tiles a
+        # ROM expanded at 0 scans (+-0.35 and [-1.05, -0.35]) and inside
+        # tile 0 of one expanded at 10 (+-3.5): the tiles follow meta["mu0"],
+        # and the cycle is r = sqrt(mu + 2)
         rom, mu = hopf_normal_form_rom(rho=2.0), 0.04
         assert measure_limit_cycle(rom, mu).reason == (
             "no sign change of the growth rate at the fixed point over the scanned loads "
@@ -786,55 +817,51 @@ class TestLinearAnalysis:
         assert meas.reason == "" and abs(meas.amplitude[0] - np.sqrt(mu + 2.0)) < 1e-8
 
 
-def fom_gaps(a, b):
-    """Relative gaps in amplitude, period and Floquet multipliers between two
-    measurements whose every other field is equal (asserted)."""
-    assert (a.mu, a.reason, a.converged, a.stable, a.newton) == (
-        b.mu, b.reason, b.converged, b.stable, b.newton)
-
-    def gap(x, y):
-        x, y = np.atleast_1d(x), np.atleast_1d(y)
-        return np.abs(x - y).max(initial=0.0) / max(np.abs(y).max(initial=0.0), 1e-300)
-
-    return gap(a.amplitude, b.amplitude), gap(a.period, b.period), gap(a.floquet, b.floquet)
-
-
 class TestFomAnalysis:
-    """measure_limit_cycle_fom measures on a first-order system the model
-    holds, so the loads in one scan window share its stability scan and its
-    Hopf cycle; a warm measurement differs from a cold one by round-off."""
+    """measure_limit_cycle_fom measures on the one first-order system the
+    model holds, so the loads in one tile share its stability scan and its
+    Hopf cycle; a warm measurement is a cold one bit for bit."""
 
     def test_warm_within_round_off_of_cold_on_ziegler2(self, ziegler2):
-        # ascending, then descending on one model: every load up to P_H + 0.3
-        # is measured on the system anchored at P_H + 0.02; 3.3 lies outside
-        # its window and gets its own system, whose top window has no Hopf
-        # point (found in the window below).  Measured <= 1.7e-15
+        # ascending, then descending on one model, each load against a
+        # fresh model: P_H + 0.02 ... 0.3 share P_H's tile [1.785, 3.0345];
+        # 3.3 lies in the tile above it and finds P_H in P_H's tile; 1.5 and
+        # 1.56 lie in the tile below it, [1.05, 1.785], and neither that tile
+        # nor the one below holds a crossing
         model, P_H, _ = ziegler2
-        loads = [P_H + mu for mu in (0.02, 0.05, 0.1, 0.2, 0.3)] + [3.3]
+        loads = sorted([P_H + mu for mu in (0.02, 0.05, 0.1, 0.2, 0.3)] + [3.3, 1.5, 1.56])
         warm, cold = replace(model), {}
         for p in loads + loads[::-1]:
             meas = measure_limit_cycle_fom(warm, p)
             if p not in cold:
                 cold[p] = measure_limit_cycle_fom(replace(model), p)
-            assert meas.reason == "" and meas.converged
-            assert max(fom_gaps(meas, cold[p])) < 1e-13, p
-        anchors = [system.meta["mu0"] for system in warm._systems["systems"]]
-        assert anchors == [P_H + 0.02, 3.3]
+            assert same_bits(meas, cold[p]), p
+            assert meas.converged and (meas.reason == "") == (p > P_H), p
+        assert sorted(warm._systems["system"]._analysis["scan"]) == [1, 2, 3, 4]
 
     def test_warm_within_round_off_of_cold_on_the_chain(self, chain8):
-        # the chain's cold measurement alone moves this much under a one-ulp
-        # change of the load (amplitude 1.0e-12, Floquet multipliers 2.6e-12)
-        # or a 1e-14 shift of its Hopf point: the landing stops at a residual
-        # near its round-off floor.  Measured: amplitude <= 5.4e-13, period
-        # <= 2.7e-14, Floquet multipliers <= 4.0e-12
+        # the loads 0.5%, 2% and 5% past P_H share P_H's tile
+        # [14.9085, 25.3444]
         m, P_H, _ = chain8
         warm = replace(m)
         for frac in (0.005, 0.02, 0.05):
             p = P_H + frac * P_H
-            amp, period, floquet = fom_gaps(measure_limit_cycle_fom(warm, p),
-                                            measure_limit_cycle_fom(replace(m), p))
-            assert amp < 1e-12 and period < 1e-12 and floquet < 1e-11, frac
-        assert len(warm._systems["systems"]) == 1
+            assert same_bits(measure_limit_cycle_fom(warm, p),
+                             measure_limit_cycle_fom(replace(m), p)), frac
+        assert list(warm._systems["system"]._analysis["scan"]) == [7]
+
+    def test_a_load_after_another_is_a_fresh_models(self, ziegler2):
+        # 1.56 measured after 1.5 on one model is a fresh model's 1.56:
+        # both loads lie in the tile [1.05, 1.785], which with the one below
+        # it holds no crossing, whatever the model measured before
+        model = ziegler2[0]
+        warm = replace(model)
+        measure_limit_cycle_fom(warm, 1.5)
+        meas = measure_limit_cycle_fom(warm, 1.56)
+        assert same_bits(meas, measure_limit_cycle_fom(replace(model), 1.56))
+        assert meas.converged and meas.newton == 0 and meas.amplitude.max() == 0.0
+        assert meas.reason == ("no sign change of the growth rate at the fixed point over the "
+                               "scanned loads [0.35, 1.785]")
 
     def test_one_analysis_for_four_loads(self, ziegler2, monkeypatch):
         # one 201-load linear_block stack and one Hopf-cycle correction (the
@@ -859,8 +886,8 @@ class TestFomAnalysis:
         assert calls == {"stacks": 1, "hopf": 1}
         assert [meas.newton for meas in measured] == [4, 5, 5, 5]
         # the memo's arrays are read-only, and a copy of the model starts cold
-        system = warm._systems["systems"][0]
-        hopf = continuation._hopf_cycle(system, find_hopf(system))
+        memo = warm._systems["system"]._analysis
+        hopf, = (cycle for key, cycle in memo.items() if key[0] == "hopf")
         for a in (hopf.q, hopf.K):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.0
