@@ -41,7 +41,7 @@ A ROM's linear analysis is a property of the ROM, not of a load: the
 crossings of each scanned tile of the load axis, its realified system and
 each Hopf cycle are computed once and kept on the ROM (_analysis) while its
 f, W, conj_map and meta["mu0"] stay as they were.  The tiles are fixed by
-meta["mu0"] alone (_tile), and a reused Hopf cycle's correction still counts
+meta["mu0"] alone (_tiles), and a reused Hopf cycle's correction still counts
 in every measurement's newton and branch's meta["seed"], so no result
 depends on that memo or on what was measured before.  The same memo is kept
 on the one full-order system a ZieglerModel holds for
@@ -102,11 +102,11 @@ class BifurcationDiagram:
 def find_hopf(model):
     """Parameter increment where the mu-dressed linear part of a ROM or
     system first turns unstable: the lowest rising crossing of
-    _stability_scan over tile 0, and over the tile below only when tile 0
-    has none; raises when there is none (the expected failure of
-    pre-bifurcation one-mode reductions).
+    _stability_scan in tile 0, or where tile 0 has none, in the tiles below
+    it; raises when there is none (the expected failure of pre-bifurcation
+    one-mode reductions).
     """
-    return next(c for c, rising in _stability_scan(model, 0) if rising)
+    return next(c for c, rising in _stability_scan(model) if rising)
 
 
 def _analysis(model):
@@ -143,46 +143,43 @@ def _read_only(a):
 
 
 def _window(mu0):
-    """Half-width of tile 0, the load increments within +-_window(mu0) of
-    the load mu0; every other tile spans 2 _window of the absolute load at
-    its inner edge (_tile)."""
+    """Half-width of tile 0 (_tiles), the load increments within
+    +-_window(mu0) of the load mu0."""
     return 0.35 * max(abs(mu0), 1.0)
 
 
-def _tile(mu0, k):
-    """Edges (lo, hi) of tile k of the load-increment axis about the load
-    mu0.  Tile 0 is +-_window(mu0); tile k != 0 shares its inner edge e, the
-    one towards tile 0, with its neighbour there and reaches 2 _window(mu0 +
-    e) beyond it.  So the tiles cover the axis, and mu0 alone fixes them."""
-    lo, hi = -_window(mu0), _window(mu0)
-    for _ in range(k):
-        lo, hi = hi, hi + 2.0 * _window(mu0 + hi)
-    for _ in range(-k):
-        lo, hi = lo - 2.0 * _window(mu0 + lo), lo
-    return lo, hi
+def _tiles(mu0, mu):
+    """(k, lo, hi) of the tile of the load-increment axis that holds mu
+    (tile 0 when mu is not finite), then of each tile below it.
+
+    Tile 0 is +-_window(mu0); tile k != 0 shares its inner edge e, the one
+    towards tile 0, with its neighbour there and spans 2 _window(mu0 + e)
+    beyond it.  So the tiles cover the axis and mu0 alone fixes them.  Tile
+    0 holds both its edges, every other tile only its outer one.
+    """
+    mu = mu if np.isfinite(mu) else 0.0
+    edges = [-_window(mu0), _window(mu0)]   # tile k >= 0 is edges[k:k + 2]
+    while mu > edges[-1]:
+        edges.append(edges[-1] + 2.0 * _window(mu0 + edges[-1]))
+    k, hi = len(edges) - 2, edges[-1]
+    while True:
+        lo = edges[k] if k >= 0 else hi - 2.0 * _window(mu0 + hi)
+        if lo <= mu:
+            yield k, lo, hi
+        k, hi = k - 1, lo
 
 
-def _tile_of(mu0, mu):
-    """Index of the tile (_tile) that holds the load increment mu: tile 0
-    holds both its edges, every other tile only its inner one."""
-    k = 0
-    while mu > _tile(mu0, k)[1]:
-        k += 1
-    while mu < _tile(mu0, k)[0]:
-        k -= 1
-    return k
-
-
-def _stability_scan(model, tile, mu=np.inf):
+def _stability_scan(model, mu=np.inf):
     """The stability intervals of the fixed point: every load increment
     where the growth rate (the largest real part of the Jacobian's
     eigenvalues) changes sign, ascending, as (crossing, rising).
 
-    Scans the 201 loads of tile `tile` (_tile; one stacked eigenvalue solve),
-    and the 201 loads of the tile below when no rising crossing lies at or
-    below mu; each sign change is refined to 1e-12 max(|mu|, 1) with
-    eigenvalue-only solves (spectral._root_in).  A ROM or held system scans
-    each tile once (_analysis).  Raises when no crossing rises.
+    Scans the 201 loads of mu's tile (_tiles; one stacked eigenvalue solve),
+    then those of each tile below it, until a rising crossing lies at or
+    below mu or a tile below mu's reaches down to the load mu0 + mu = 0;
+    each sign change is refined to 1e-12 max(|mu|, 1) with eigenvalue-only
+    solves (spectral._root_in).  A ROM or held system scans each tile once
+    (_analysis).  Raises when no crossing rises.
     """
     def growth(mus):
         return np.max(np.linalg.eigvals(model.linear_block(mus)).real, axis=-1)
@@ -190,21 +187,20 @@ def _stability_scan(model, tile, mu=np.inf):
     mu0 = model.meta.get("mu0", 0.0)
     tiles = _analysis(model).setdefault("scan", {})
     crossings = []
-    for k in (tile, tile - 1):
-        lo, hi = _tile(mu0, k)
+    for n, (k, lo, hi) in enumerate(_tiles(mu0, mu)):
         if k not in tiles:
             mus = np.linspace(lo, hi, 201)
             neg = growth(mus) < 0
             tiles[k] = tuple((_root_in(growth, mus[i], mus[i + 1], 1e-12), bool(neg[i]))
                              for i in np.flatnonzero(neg[:-1] != neg[1:]))
-        # the second tile lies below the first
+        # each tile lies below the one before
         crossings = list(tiles[k]) + crossings
-        if any(rising and c <= mu for c, rising in crossings):
+        if any(rising and c <= mu for c, rising in crossings) or (n and mu0 + lo <= 0.0):
             break
     if not any(rising for _, rising in crossings):
         raise ContinuationError(
             "no sign change of the growth rate at the fixed point over the scanned "
-            f"loads [{mu0 + lo:.6g}, {mu0 + _tile(mu0, tile)[1]:.6g}]")
+            f"loads [{mu0 + lo:.6g}, {mu0 + next(_tiles(mu0, mu))[2]:.6g}]")
     return crossings
 
 
@@ -835,7 +831,7 @@ def _cycle_at(model, mu, param, dim):
     is the load it reports.
 
     The cycle comes from the Hopf point at the last crossing of
-    _stability_scan (mu's tile, and the one below) at or below mu, or at the
+    _stability_scan (mu's tile, and those below) at or below mu, or at the
     first crossing when none lies below: past a return to stability, that
     crossing's cycles lie below it, so its seed (_hopf_seed) names why there
     is no cycle at mu.  The landing, the branch that starts at mu, is
@@ -856,7 +852,7 @@ def _cycle_at(model, mu, param, dim):
     stable = np.linalg.eigvals(model.linear_block(mu)).real.max() < 0
     hopf, walks = None, []
     try:
-        crossings = _stability_scan(model, _tile_of(model.meta.get("mu0", 0.0), mu), mu)
+        crossings = _stability_scan(model, mu)
         below = [c for c in crossings if c[0] <= mu]
         hopf = _hopf_cycle(model, *(below[-1] if below else crossings[0]))
         _hopf_seed(hopf, mu)   # raises where no cycle of that Hopf point reaches mu

@@ -316,7 +316,7 @@ def measure_limit_cycle_fom(model, p, coord=0):
     """The full-order model's limit cycle at load p (see measure_limit_cycle),
     collocated on the one first-order system the model holds
     (_held_system), whose mu is the load P.  That system keeps its stability
-    scan per tile of the load axis (continuation._tile) and its Hopf cycles,
+    scan per tile of the load axis (continuation._tiles) and its Hopf cycles,
     so later loads skip both where they were computed; the tiles do not move
     with the loads measured, so the result does not depend on what the
     model measured before, bit for bit.  Reasons name loads P.

@@ -1,6 +1,7 @@
 import re
 import time
 from dataclasses import replace
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -34,8 +35,7 @@ from flutterrom.continuation import (
     _ns_test,
     _sample,
     _stage_times,
-    _tile,
-    _tile_of,
+    _tiles,
     _window,
     continue_periodic,
     find_hopf,
@@ -314,19 +314,23 @@ def test_find_hopf_stacked_scan_matches_pointwise_scan(d):
 def test_tiles_of_the_load_axis(mu0):
     # tile 0 is +-_window(mu0) exactly; each other tile reaches 2 _window of
     # the absolute load at its inner edge beyond it; neighbours share an
-    # edge, which belongs to the tile nearer tile 0 alone
-    assert _tile(mu0, 0) == (-_window(mu0), _window(mu0))
-    assert _tile_of(mu0, -_window(mu0)) == _tile_of(mu0, _window(mu0)) == 0
-    for k in range(-4, 4):
-        lo, hi = _tile(mu0, k)
-        assert lo < hi and _tile(mu0, k + 1)[0] == hi
+    # edge, which belongs to the tile nearer tile 0 alone; the walk down
+    # from any load passes the same tiles, edge for edge
+    w = _window(mu0)
+    assert next(_tiles(mu0, 0.0)) == next(_tiles(mu0, np.inf)) == (0, -w, w)
+    assert next(_tiles(mu0, -w))[0] == 0
+    tiles = list(islice(_tiles(mu0, 5.0 * w), 9))
+    assert tiles[0][0] >= 2 and tiles[-1][0] <= -2
+    for (k, lo, hi), below in zip(tiles, tiles[1:]):
+        assert lo < hi and below == (k - 1, below[1], lo)
+    for i, (k, lo, hi) in enumerate(tiles):
         if k:
             inner = lo if k > 0 else hi
             assert abs((hi - lo) / (2.0 * _window(mu0 + inner)) - 1.0) < 1e-14
-        assert _tile_of(mu0, hi) == (k if k >= 0 else k + 1)
-        assert _tile_of(mu0, np.nextafter(hi, -np.inf)) == k
-        assert _tile_of(mu0, np.nextafter(hi, np.inf)) == k + 1
-        assert _tile_of(mu0, 0.5 * (lo + hi)) == k
+        assert next(_tiles(mu0, hi))[0] == (k if k >= 0 else k + 1)
+        assert next(_tiles(mu0, np.nextafter(hi, -np.inf)))[0] == k
+        assert next(_tiles(mu0, np.nextafter(hi, np.inf)))[0] == k + 1
+        assert list(islice(_tiles(mu0, 0.5 * (lo + hi)), 9 - i)) == tiles[i:]
 
 
 def test_find_hopf_on_the_normal_form():

@@ -377,11 +377,17 @@ class TestFom:
         # from 1.1 times its anchor: the transient decays like |m|^k with
         # |m| <= 0.67, far below 1e-8
         m = build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2)
-        P = eigen_sweep(m, (1.5, 3.0), 40).events["P_H"] + 0.02
+        P_H = eigen_sweep(m, (1.5, 3.0), 40).events["P_H"]
+        P = P_H + 0.02
         pt = held_branch(m, P).points[-1]
         meas = measure_limit_cycle_fom(m, P, coord=1)
         assert meas.converged and meas.reason == "" and meas.newton > 0
         assert np.array_equal(meas.amplitude, pt.amplitude) and meas.period == pt.period
+        # a system expanded at P_H, which finds P_H in its own tile 0:
+        # measured 1.1e-15
+        expanded = continue_periodic(m.first_order(P_H), ContinuationOptions(mu_max=P - P_H))
+        assert np.abs(expanded.points[-1].amplitude / pt.amplitude - 1.0).max() < 1e-12
+        assert abs(expanded.points[-1].period / pt.period - 1.0) < 1e-12
         others = np.sort(np.abs(meas.floquet))[:-1]
         assert np.abs(meas.floquet - 1.0).min() < 1e-6
         assert others.max() <= 0.67 and meas.stable
@@ -403,9 +409,10 @@ def held_branch(model, p):
     """The FOM branch that measure_limit_cycle_fom(model, p) walks, or lands
     on, up to load p: on the system the model holds, from the Hopf point of
     the last rising crossing at or below p of that system's stability scan
-    (find_hopf scans tile 0, the loads within 0.35 of P = 0)."""
+    (find_hopf scans tile 0, the loads within 0.35 of P = 0, and the tile
+    below it)."""
     system = romdyn._held_system(model)
-    crossings = continuation._stability_scan(system, continuation._tile_of(0.0, p), p)
+    crossings = continuation._stability_scan(system, p)
     mu_H = [c for c, rising in crossings if rising and c <= p][-1]
     hopf = continuation._hopf_cycle(system, mu_H)
     return continuation._walk(system, hopf, continuation._first_load(hopf, p),
@@ -515,25 +522,33 @@ class TestLanding:
         # where the walk's seed lies below the load: measured <= 3.1e-8;
         # at mu <= 0.05 the walk starts at the load, so it is the landing.
         # The FOM is measured on the system the model holds, whose mu is the
-        # load P and whose branch (held_branch) is the oracle
+        # load P and whose branch (held_branch) is the oracle; the branch of
+        # a system expanded at P_H, which finds P_H in its own tile 0, is
+        # that branch within 1e-12 (measured <= 1.6e-15)
         model, P_H, roms = ziegler2
         cases = []
         for mu in (0.02, 0.05, 0.1, 0.2, 0.3):
+            expanded = None
             if label == "fom":
                 inc = P_H + mu
                 measure = partial(measure_limit_cycle_fom, model, inc)
                 diag = held_branch(model, inc)
+                expanded = continue_periodic(model.first_order(P_H),
+                                             ContinuationOptions(mu_max=mu)).points[-1]
             else:
                 system, P = roms[label]
                 inc = P_H + mu - P
                 measure = partial(measure_limit_cycle, system, inc)
                 diag = continue_periodic(system, ContinuationOptions(mu_max=inc))
-            cases.append((mu, inc, measure, diag))
+            cases.append((mu, inc, measure, diag, expanded))
         walks = count_walks(monkeypatch)
         short = []
-        for mu, inc, measure, diag in cases:
+        for mu, inc, measure, diag, expanded in cases:
             meas = measure()
             pt = diag.points[-1]
+            if expanded is not None:
+                assert np.abs(expanded.amplitude / pt.amplitude - 1.0).max() < 1e-12, mu
+                assert abs(expanded.period / pt.period - 1.0) < 1e-12, mu
             if pt.mu != inc:
                 # no cycle at the load: the walk ends at the Hopf point where
                 # the fixed point turns stable again, and the measurement
@@ -786,6 +801,22 @@ class TestLinearAnalysis:
             assert meas.reason == "" and meas.converged, mu
         assert warm._analysis["scan"] == {0: warm._analysis["scan"][0], 1: ()}
 
+    def test_a_load_tiles_above_the_expansion_load(self, ziegler2):
+        # the two-mode ROM at P_H, at P_H + 3 in tile 2, [2.6895, 6.0259],
+        # whose crossing at 3.45367 lies above the load: the scan goes down
+        # through tile 1 to the Hopf point in tile 0, and the branch walked
+        # up from it turns back at its fold, after a load in tile 0 as on a
+        # cold copy
+        _, P_H, roms = ziegler2
+        rom, P = roms["two-mode"]
+        warm = replace(rom)
+        measure_limit_cycle(warm, P_H + 0.02 - P)
+        meas = measure_limit_cycle(warm, P_H + 3.0 - P)
+        assert same_bits(meas, measure_limit_cycle(replace(rom), P_H + 3.0 - P))
+        assert meas.amplitude.max() == 0.0 and meas.newton == 333
+        assert meas.reason == "branch turned back at a fold near mu = 2.83361"
+        assert sorted(warm._analysis["scan"]) == [0, 1, 2]
+
     def test_an_edited_rom_is_analysed_again(self):
         # zdot = (mu + i) z + c3 z|z|^2 has the cycle rho = sqrt(mu / |c3|):
         # a measurement after c3 changes in place is a fresh ROM's; so is one
@@ -827,7 +858,8 @@ class TestFomAnalysis:
         # fresh model: P_H + 0.02 ... 0.3 share P_H's tile [1.785, 3.0345];
         # 3.3 lies in the tile above it and finds P_H in P_H's tile; 1.5 and
         # 1.56 lie in the tile below it, [1.05, 1.785], and neither that tile
-        # nor the one below holds a crossing
+        # nor those below it down to tile 0, which reaches P = 0, holds a
+        # crossing
         model, P_H, _ = ziegler2
         loads = sorted([P_H + mu for mu in (0.02, 0.05, 0.1, 0.2, 0.3)] + [3.3, 1.5, 1.56])
         warm, cold = replace(model), {}
@@ -837,7 +869,7 @@ class TestFomAnalysis:
                 cold[p] = measure_limit_cycle_fom(replace(model), p)
             assert same_bits(meas, cold[p]), p
             assert meas.converged and (meas.reason == "") == (p > P_H), p
-        assert sorted(warm._systems["system"]._analysis["scan"]) == [1, 2, 3, 4]
+        assert sorted(warm._systems["system"]._analysis["scan"]) == [0, 1, 2, 3, 4]
 
     def test_warm_within_round_off_of_cold_on_the_chain(self, chain8):
         # the loads 0.5%, 2% and 5% past P_H share P_H's tile
@@ -852,8 +884,9 @@ class TestFomAnalysis:
 
     def test_a_load_after_another_is_a_fresh_models(self, ziegler2):
         # 1.56 measured after 1.5 on one model is a fresh model's 1.56:
-        # both loads lie in the tile [1.05, 1.785], which with the one below
-        # it holds no crossing, whatever the model measured before
+        # both loads lie in the tile [1.05, 1.785], which with the tiles
+        # below it down to P = -0.35 holds no crossing, whatever the model
+        # measured before
         model = ziegler2[0]
         warm = replace(model)
         measure_limit_cycle_fom(warm, 1.5)
@@ -861,7 +894,21 @@ class TestFomAnalysis:
         assert same_bits(meas, measure_limit_cycle_fom(replace(model), 1.56))
         assert meas.converged and meas.newton == 0 and meas.amplitude.max() == 0.0
         assert meas.reason == ("no sign change of the growth rate at the fixed point over the "
-                               "scanned loads [0.35, 1.785]")
+                               "scanned loads [-0.35, 1.785]")
+
+    def test_a_load_tiles_above_its_hopf_point_finds_it(self, ziegler2):
+        # 5.5 lies in the tile [5.15865, 8.7697], two tiles above P_H's: the
+        # scan goes down to P_H, and the branch walked up from it turns back
+        # at its fold, after 3.3 (which scans P_H's tile and the one above
+        # it) as on a fresh model
+        model = ziegler2[0]
+        warm = replace(model)
+        measure_limit_cycle_fom(warm, 3.3)
+        meas = measure_limit_cycle_fom(warm, 5.5)
+        assert same_bits(meas, measure_limit_cycle_fom(replace(model), 5.5))
+        assert meas.amplitude.max() == 0.0 and meas.newton == 379
+        assert meas.reason == "branch turned back at a fold near P = 3.67758"
+        assert sorted(warm._systems["system"]._analysis["scan"]) == [3, 4, 5]
 
     def test_one_analysis_for_four_loads(self, ziegler2, monkeypatch):
         # one 201-load linear_block stack and one Hopf-cycle correction (the
