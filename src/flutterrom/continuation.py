@@ -169,6 +169,11 @@ def _tiles(mu0, mu):
         k, hi = k - 1, lo
 
 
+def _growth(mus, model):
+    """Largest real part of the fixed point's spectrum at each load of mus."""
+    return np.max(np.linalg.eigvals(model.linear_block(mus)).real, axis=-1)
+
+
 def _stability_scan(model, mu=np.inf):
     """The stability intervals of the fixed point: every load increment
     where the growth rate (the largest real part of the Jacobian's
@@ -181,17 +186,15 @@ def _stability_scan(model, mu=np.inf):
     solves (spectral._root_in).  A ROM or held system scans each tile once
     (_analysis).  Raises when no crossing rises.
     """
-    def growth(mus):
-        return np.max(np.linalg.eigvals(model.linear_block(mus)).real, axis=-1)
-
     mu0 = model.meta.get("mu0", 0.0)
     tiles = _analysis(model).setdefault("scan", {})
     crossings = []
     for n, (k, lo, hi) in enumerate(_tiles(mu0, mu)):
         if k not in tiles:
             mus = np.linspace(lo, hi, 201)
-            neg = growth(mus) < 0
-            tiles[k] = tuple((_root_in(growth, mus[i], mus[i + 1], 1e-12), bool(neg[i]))
+            neg = _growth(mus, model) < 0
+            tiles[k] = tuple((_root_in(_growth, mus[i], mus[i + 1], 1e-12, (model,)),
+                              bool(neg[i]))
                              for i in np.flatnonzero(neg[:-1] != neg[1:]))
         # each tile lies below the one before
         crossings = list(tiles[k]) + crossings

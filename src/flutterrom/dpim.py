@@ -19,10 +19,14 @@ whose dependency always points to an already-solved monomial thanks to the
 descending-lexicographic monomial ordering.
 
 The nonlinear right-hand side of each order is assembled from product
-index tables (`MonomialTable.product_ids`): per order split, each form is
-applied to the whole blocks of lower-order mapping coefficients at once
-and scattered by target monomial, and the gradient cross terms become one
-sparse weight matrix per pair of orders of f and W.
+index tables (`MonomialTable.product_ids`), which the table keeps and
+composes from its raise tables, so a build looks monomial codes up only
+once per raise table: per order split, each form is applied to the whole
+blocks of lower-order mapping coefficients at once and scattered by
+target monomial.  The gradient cross terms read the derivative blocks of
+W from the raise tables, contract them with the nonzero rows of f by one
+matrix product per pair of orders and scatter through the same product
+tables.
 
 Both engines then solve each order in stacks: the monomials of one
 resonant set share the matrix size, so each set is one stacked
@@ -46,11 +50,9 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass, field
-from itertools import compress
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 
 from .models.dae import FirstOrderDAE
 from .polytensor import MonomialTable, polynomial_eval
@@ -94,8 +96,16 @@ def classify_resonances(table, lam_vec, r_tol=0.05, enforce_one_to_one=False):
     sigma_cls = table.exponents @ lam_cls
     lam_r = lam_cls[:d].imag
     hit = np.abs(sigma_cls.imag[:, None] - lam_r) <= r_tol * np.maximum(1.0, np.abs(lam_r))
-    sets = [list(compress(range(d), row)) for row in hit.tolist()]
-    return ResonanceSet(sigma, sets, lam_cls, hit @ (1 << np.arange(d)))
+    keys = hit @ (1 << np.arange(d))
+    # each distinct key is decoded once; every monomial gets its own list
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    decoded = [_masters(key, d) for key in distinct]
+    return ResonanceSet(sigma, [list(decoded[k]) for k in inverse.tolist()], lam_cls, keys)
+
+
+def _masters(key, d):
+    """The master set a resonance key encodes: bit r is master r."""
+    return [r for r in range(d) if int(key) >> r & 1]
 
 
 @dataclass
@@ -230,29 +240,28 @@ def _gradient_cross_lower(table, W, f, p):
 
     Only reduced-dynamics coefficients of orders 2..p-1 enter (the linear
     part is the sigma term plus the Jordan correction handled separately).
-    Row kf of f (order qf) and row kW of W (order qW = p + 1 - qf) meet at
-    alpha(kW) + alpha(kf) - e_s with weight alpha_s(kW) f[kf, s]; per qf
-    those weights, summed over s, form one sparse matrix applied to the
-    order-qW block of W.  Returns one row per order-p monomial.
+    Per order qf of f, the derivative block of W over the monomials a of
+    order p - qf is dW[a, s] = (a_s + 1) W[a + e_s], read through the raise
+    table (p - qf, 1); one matrix product contracts it over s with the
+    nonzero order-qf rows of f, and the term of a and row kf lands on
+    a + alpha(kf), read from the product table (p - qf, qf) and summed
+    there by one bincount per output column.  Returns one row per order-p
+    monomial.
     """
     n_p = table.count_of_order(p)
     out = np.zeros((n_p, W.shape[1]), dtype=complex)
-    start = table.ids_of_order(p)[0]
     for qf in range(2, p):
-        kf, kW = table.ids_of_order(qf), table.ids_of_order(p + 1 - qf)
-        fq, aW = f[kf], table.exponents[kW]
-        targets, sources, weights = [], [], []
-        for s in range(table.nvars):
-            rows, cols = np.flatnonzero(fq[:, s]), np.flatnonzero(aW[:, s])
-            codes = np.add.outer(table.codes[kW][cols] - table.code_weights[s],
-                                 table.codes[kf][rows])
-            targets.append(table.ids_of_codes(codes).ravel() - start)
-            sources.append(np.repeat(cols, len(rows)))
-            weights.append(np.multiply.outer(aW[cols, s], fq[rows, s]).ravel())
-        G = sp.csr_matrix((np.concatenate(weights),
-                           (np.concatenate(targets), np.concatenate(sources))),
-                          shape=(n_p, len(kW)))
-        out += G @ W[kW]
+        fq = f[table.ids_of_order(qf)]
+        rows = np.flatnonzero(np.any(fq, axis=1))
+        if not len(rows):
+            continue
+        raised = table.product_ids(p - qf, 1) + table.ids_of_order(p - qf + 1)[0]
+        dW = W[raised] * (table.exponents[table.ids_of_order(p - qf)] + 1)[:, :, None]
+        terms = dW.transpose(2, 0, 1) @ fq[rows].T  # (column, a, row of f)
+        # real and imaginary parts side by side: one bincount sums both
+        targets = np.ravel(2 * table.product_ids(p - qf, qf)[:, rows, None] + np.arange(2))
+        for c, col in enumerate(terms):
+            out[:, c] += np.bincount(targets, col.view(float).ravel(), 2 * n_p).view(complex)
     return out
 
 
@@ -262,19 +271,23 @@ def _jordan_within_order(table, p, jordan_pairs):
 
     For each coupling f_s^(1,j) = tau (s < j), the monomial alpha(mid)
     receives alpha_s(kW) * tau * W(kW) with alpha(kW) = alpha(mid)+e_s-e_j
-    when alpha_j(mid) > 0; the table ordering guarantees kW was already
-    solved.  Returns one (kW or -1, weight) pair of arrays per coupling,
-    indexed by position within the order.
+    when alpha_j(mid) > 0, found by lowering alpha by e_j (`lowered`) and
+    raising the result by e_s (the raise table of order p - 1); the table
+    ordering guarantees kW was already solved.  Returns one (kW or -1,
+    weight) pair of arrays per coupling, indexed by position within the
+    order.
     """
-    ids = np.array(table.ids_of_order(p))
-    exps = table.exponents[ids]
+    ids = table.ids_of_order(p)
+    exps = table.exponents[ids.start:ids.stop]
+    raised = table.product_ids(p - 1, 1) + ids.start
+    below = table.ids_of_order(p - 1).start
     out = []
     for (s, j, tau) in jordan_pairs:
-        has = exps[:, j] > 0
+        has, low, _ = table.lowered[j]
+        here = (has >= ids.start) & (has < ids.stop)
         dep = np.full(len(ids), -1)
-        dep[has] = table.ids_of_codes(table.codes[ids[has]] + table.code_weights[s]
-                                      - table.code_weights[j])
-        if np.any(dep[has] >= ids[has]):
+        dep[has[here] - ids.start] = raised[low[here] - below, s]
+        if np.any(dep >= np.asarray(ids)):
             raise AssertionError("monomial ordering violated the Jordan dependency")
         out.append((dep, (exps[:, s] + 1) * tau))
     return out
@@ -328,7 +341,7 @@ def _order_record(p, ids, res, marks, max_rel):
     assembly, cross terms, solves and after the solves."""
     t0, t1, t2, t3 = marks
     return {"order": p, "monomials": len(ids),
-            "resonant": sum(1 for mid in ids if res.sets[mid]),
+            "resonant": int(np.count_nonzero(res.keys[ids])),
             "assembly_s": t1 - t0, "cross_s": t2 - t1, "solve_s": t3 - t2,
             "factorizations": len(ids), "max_rel_residual": float(max_rel)}
 
@@ -338,13 +351,14 @@ def _solve_groups(res, ids, jdeps):
     resonant set: yields (locs, mids, R).  A group's Jordan term reads only
     rows that earlier groups wrote, so the caller writes each group before
     taking the next."""
+    d = len(res.lam_classified) - 1
     wave = _jordan_waves(jdeps, ids[0], len(ids))
     for w in range(wave.max() + 1):
         in_wave = np.flatnonzero(wave == w)
         keys, group = np.unique(res.keys[ids[in_wave]], return_inverse=True)
-        for g in range(len(keys)):
+        for g, key in enumerate(keys):
             locs = in_wave[group == g]
-            yield locs, ids[locs], res.sets[ids[locs[0]]]
+            yield locs, ids[locs], _masters(key, d)
 
 
 def _bordered(S, cols, rows, corner):
@@ -371,8 +385,8 @@ def _stacked_solve(A, b, sigma, lam, table, mids):
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", sla.LinAlgWarning)
-            # scipy's LAPACK: each entry gets the bits of its own getrf/getrs;
-            # numpy's bundled build rounds differently
+            # scipy's solve estimates each entry's condition and warns on an
+            # ill-conditioned one; numpy's raises only on an exactly singular one
             sol = sla.solve(A, b[..., None], assume_a="gen", check_finite=False)[..., 0]
     except (sla.LinAlgError, sla.LinAlgWarning):
         bad = int(np.argmin(np.abs(np.linalg.det(A))))

@@ -6,18 +6,22 @@ normal coordinates plus the control-parameter slot, and coordinate-format
 bilinear/trilinear forms with vector, blockwise and partial contractions.
 
 Each monomial also carries a mixed-radix integer code with radix
-max_order + 1, so that code(a + b) = code(a) + code(b).  The homological
-assembly uses it to build product index tables: the ids of every sum of
-one monomial of each of a few given orders come from one outer sum of
-codes and one vectorised lookup, and each form is then applied to whole
-blocks of mapping coefficients at once (`apply_outer`) instead of pair by
-pair.
+max_order + 1, so that code(a + b) = code(a) + code(b).  Codes are looked
+up only to build the raise tables, the ids of alpha + e_s over the
+monomials of one order and every variable s (one outer sum of codes and
+one vectorised lookup per order).  Everything else is read from them:
+each monomial's parent (alpha less one unit of its first nonzero
+variable), the lowered ids alpha - e_s, and the product index tables of
+the homological assembly, the ids of every sum of one monomial of each of
+a few given orders (`MonomialTable.product_ids`).  A pair table is a
+gather from a raise table through the parents and is kept on the table;
+the forms are then applied to whole blocks of mapping coefficients at
+once (`apply_outer`) instead of pair by pair.
 
 The invariance check evaluates every monomial at a block of points at
-once (`MonomialTable.batch_values`): each monomial is its parent (alpha
-less one unit of its first nonzero variable) times that variable, order by
-order, and the partial derivatives read the lowered-exponent columns
-(`MonomialTable.lowered`) of the same table.
+once (`MonomialTable.batch_values`): each monomial is its parent times one
+variable, order by order, and the partial derivatives read the
+lowered-exponent columns (`MonomialTable.lowered`) of the same table.
 """
 
 from __future__ import annotations
@@ -80,6 +84,7 @@ class MonomialTable:
         self.codes = self.exponents @ self.code_weights
         self._code_order = np.argsort(self.codes)
         self._sorted_codes = self.codes[self._code_order]
+        self._pairs = {}  # product_ids memo of pair tables (a, b) with a >= b
 
     def __len__(self):
         return self.exponents.shape[0]
@@ -106,15 +111,39 @@ class MonomialTable:
         """Ids of alpha_1 + ... + alpha_k over all alpha_i of order orders[i].
 
         Returns an integer array of shape (count_of_order(orders[0]), ...),
-        offset so that 0 is the first monomial of order sum(orders).
+        offset so that 0 is the first monomial of order sum(orders); the
+        table of a pair is read-only.
+
+        Only the raise tables (a, 1) look codes up, one lookup each.  A
+        pair (a, b) with a >= b > 1 is a gather from the raise table
+        (a + b - 1, 1): each beta of order b is its parent times one
+        variable, so alpha + beta raises alpha + parent(beta) by that
+        variable.  (b, a) is the transpose of (a, b), and the table of
+        three or more orders gathers the last order's pair table through
+        the table of the others.  Pair tables are kept on the table, so a
+        build makes each once.
         """
         p = sum(orders)
         if p > self.max_order:
             raise ValueError(f"order {p} outside table range")
-        codes = 0
-        for q in orders:
-            codes = np.add.outer(codes, self.codes[self.ids_of_order(q)])
-        return self.ids_of_codes(codes) - self._order_starts[p - 1]
+        if len(orders) > 2:
+            head = self.product_ids(*orders[:-1])
+            return self.product_ids(p - orders[-1], orders[-1])[head]
+        a, b = orders
+        if a < b:
+            return self.product_ids(b, a).T
+        if (a, b) not in self._pairs:
+            if b == 1:
+                codes = np.add.outer(self.codes[self.ids_of_order(a)], self.code_weights)
+                ids = self.ids_of_codes(codes) - self._order_starts[p - 1]
+            else:
+                parent, var = self._parents
+                lo, hi = self._order_starts[b - 1], self._order_starts[b]
+                inner = self.product_ids(a, b - 1)[:, parent[lo:hi] - self._order_starts[b - 2]]
+                ids = self.product_ids(p - 1, 1)[inner, var[lo:hi]]
+            ids.flags.writeable = False
+            self._pairs[a, b] = ids
+        return self._pairs[a, b]
 
     def get(self, exps):
         """index_of without raising; returns None for unknown monomials."""
@@ -144,28 +173,39 @@ class MonomialTable:
             raise ValueError("conj_map must be a permutation of the variables")
         return self.ids_of_codes(self.exponents @ self.code_weights[conj_map])
 
+    def _raised(self):
+        """(order-q ids, their raise table) for q = 1 .. max_order - 1; the
+        raise table holds global ids."""
+        for q in range(1, self.max_order):
+            lo, hi = self._order_starts[q - 1], self._order_starts[q]
+            yield np.arange(lo, hi), self.product_ids(q, 1) + hi
+
     @cached_property
     def lowered(self):
         """Per variable s: (ids, lowered ids, alpha_s) over the monomials with
         alpha_s > 0; the lowered id is that of alpha - e_s, or -1 for the
-        constant monomial, which is the last column of `batch_values`."""
+        constant monomial, which is the last column of `batch_values`.
+        Every alpha + e_s of a raise table lowers back to alpha."""
+        low = np.full((len(self), self.nvars), -1)
+        for ids, up in self._raised():
+            low[up, np.arange(self.nvars)] = ids[:, None]
         out = []
         for s in range(self.nvars):
             ids = np.flatnonzero(self.exponents[:, s])
-            low = np.full(len(ids), -1)
-            inner = ids >= self.nvars  # order 1 lowers to the constant
-            low[inner] = self.ids_of_codes(self.codes[ids[inner]] - self.code_weights[s])
-            out.append((ids, low, self.exponents[ids, s]))
+            out.append((ids, low[ids, s], self.exponents[ids, s]))
         return out
 
     @cached_property
     def _parents(self):
         """(parent id, variable) of each monomial: its first nonzero variable
-        and the id of alpha minus that variable (-1 for order 1)."""
+        and the id of alpha minus that variable (-1 for order 1).  Each
+        monomial is in its parent's row of a raise table once, at a variable
+        no later than the parent's own first nonzero one."""
         var = np.argmax(self.exponents > 0, axis=1)
         parent = np.full(len(self), -1)
-        parent[self.nvars:] = self.ids_of_codes(self.codes[self.nvars:]
-                                                - self.code_weights[var[self.nvars:]])
+        for ids, up in self._raised():
+            rows, cols = np.nonzero(np.arange(self.nvars) <= var[ids, None])
+            parent[up[rows, cols]] = ids[rows]
         return parent, var
 
     def batch_values(self, Z):

@@ -270,12 +270,14 @@ def _first_root(grid, vals, f, rtol):
     return _root_in(f, grid[turns[0]], grid[turns[0] + 1], rtol)
 
 
-def _root_in(f, a, b, rtol):
-    """Root of f in the grid interval [a, b], over which f changes sign, to
-    rtol max(|b|, 1).  Brent's method: superlinear on the smooth growth rates
-    this serves, and it bisects wherever interpolation stalls."""
+def _root_in(f, a, b, rtol, args=()):
+    """Root of f(., *args) in the grid interval [a, b], over which it changes
+    sign, to rtol max(|b|, 1).  Brent's method: superlinear on the smooth
+    growth rates this serves, and it bisects wherever interpolation stalls.
+    scipy keeps the function it wraps in a reference cycle, so a model passed
+    in args, not captured by f, is freed when its last reference goes."""
     try:
-        return brentq(f, a, b, xtol=rtol * max(abs(b), 1.0))
+        return brentq(f, a, b, args=args, xtol=rtol * max(abs(b), 1.0))
     except ValueError as exc:   # the fresh values at a and b lost the sign change
         raise SpectralError(f"no sign change in [{a}, {b}]") from exc
 

@@ -477,6 +477,32 @@ class TestProductTableAssembly:
             got = model.nl_rhs_series(table, U, p)
             assert rel_diff(got, naive_nl_rhs_series(model, table, U, p)) < 1e-12
 
+    def test_gradient_cross_lower_random_against_loops(self):
+        # random W, and an f whose order-3 and order-5 rows are all zero and
+        # whose other rows have a few entries, the parameter column among them
+        table = MonomialTable(5, 7)
+        rng = np.random.default_rng(5)
+        W = rng.standard_normal((len(table), 3)) + 1j * rng.standard_normal((len(table), 3))
+        f = np.zeros((len(table), 5), dtype=complex)
+        for q in (2, 4, 6):
+            ids = np.asarray(table.ids_of_order(q))
+            rows = rng.choice(ids, 4, replace=False)
+            f[rows, rng.integers(0, 5, 4)] = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            f[rows[0], -1] = 0.7 - 0.2j
+        for p in range(2, 8):
+            got = dpim._gradient_cross_lower(table, W, f, p)
+            ref = naive_gradient_cross_lower(table, W, f, p)
+            assert got.shape == ref.shape
+            assert rel_diff(got, ref) < 1e-13
+
+    def test_gradient_cross_lower_jordan_against_loops(self):
+        dae = recast_to_dae(build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2), mu0=2.0)
+        spec = enforce_jordan(solve_master_eigen(dae, d=4), (0, 2))
+        rom = build_rom_firstorder(dae, spec, 5)
+        for p in range(3, 6):
+            got = dpim._gradient_cross_lower(rom.table, rom.W, rom.f, p)
+            assert rel_diff(got, naive_gradient_cross_lower(rom.table, rom.W, rom.f, p)) < 1e-13
+
     def test_no_per_pair_calls(self, monkeypatch):
         # guard against the per-pair loops coming back: builds apply no form
         # pair by pair and look up O(order) monomials at most

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flutterrom.dpim import build_rom_firstorder
+from flutterrom.models import build_ziegler2, recast_to_dae
 from flutterrom.polytensor import (
     MonomialTable,
     SparseBilinearForm,
@@ -12,6 +14,7 @@ from flutterrom.polytensor import (
     monomial_count,
     polynomial_eval,
 )
+from flutterrom.spectral import solve_master_eigen
 
 
 def brute_force_count(p, nvars):
@@ -138,18 +141,26 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("orders", [(1, 1), (2, 3), (4, 1), (1, 2, 2), (2, 1, 1)])
     def test_product_ids_brute_force(self, orders):
-        table = MonomialTable(4, 6)
-        got = table.product_ids(*orders)
-        start = table.ids_of_order(sum(orders))[0]
-        blocks = [list(table.ids_of_order(q)) for q in orders]
-        assert got.shape == tuple(len(b) for b in blocks)
-        for pos in itertools.product(*(range(len(b)) for b in blocks)):
-            alpha = sum(table.exponents[b[k]] for b, k in zip(blocks, pos))
-            assert got[pos] + start == table.index_of(alpha)
+        assert_product_ids_brute_force(MonomialTable(4, 6), orders)
+
+    @pytest.mark.parametrize("orders", [(3, 3, 3), (1, 4, 2), (2, 2, 1, 1)])
+    def test_product_ids_brute_force_order9(self, orders):
+        # gathers through gathered pair tables, several levels deep
+        assert_product_ids_brute_force(MonomialTable(5, 9), orders)
 
     def test_product_ids_rejects_orders_past_the_table(self):
         with pytest.raises(ValueError):
             MonomialTable(3, 4).product_ids(2, 3)
+
+    def test_parents_brute_force(self):
+        table = MonomialTable(4, 6)
+        parent, var = table._parents
+        for mid, alpha in enumerate(table.exponents):
+            s = next(v for v in range(4) if alpha[v])
+            low = alpha.copy()
+            low[s] -= 1
+            assert var[mid] == s
+            assert parent[mid] == (table.index_of(low) if low.sum() else -1)
 
     def test_conjugation_permutation(self):
         table = MonomialTable(5, 3)
@@ -161,6 +172,60 @@ class TestEnumeration:
         assert perm[mid] == table.index_of((1, 2, 0, 0, 0))
         with pytest.raises(ValueError):
             table.conjugation_permutation([1, 1, 3, 2, 4])
+
+
+def assert_product_ids_brute_force(table, orders):
+    """product_ids(*orders) against the sum of exponents of every tuple of
+    monomials, looked up in a dict of the table's rows."""
+    ids = {tuple(row): mid for mid, row in enumerate(table.exponents.tolist())}
+    got = table.product_ids(*orders)
+    start = table.ids_of_order(sum(orders))[0]
+    blocks = [table.exponents[table.ids_of_order(q)] for q in orders]
+    assert got.shape == tuple(len(b) for b in blocks)
+    for pos in itertools.product(*(range(len(b)) for b in blocks)):
+        alpha = sum(b[k] for b, k in zip(blocks, pos))
+        assert got[pos] + start == ids[tuple(alpha.tolist())]
+
+
+class TestProductMemo:
+    def test_one_lookup_per_raise_table_in_a_build(self, monkeypatch):
+        # a first-order o9 build looks codes up once per raise table (q, 1),
+        # q = 1 .. 8, and never for a pair table or a Jordan dependency
+        dae = recast_to_dae(build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2), mu0=2.076805)
+        spec = solve_master_eigen(dae, d=4)
+        shapes = []
+        lookup = MonomialTable.ids_of_codes
+
+        def counted(self, codes):
+            shapes.append(np.shape(codes))
+            return lookup(self, codes)
+
+        monkeypatch.setattr(MonomialTable, "ids_of_codes", counted)
+        rom = build_rom_firstorder(dae, spec, 9)
+        assert sorted(shapes) == sorted((rom.table.count_of_order(q), 5) for q in range(1, 9))
+
+    def test_memo_is_read_only_and_transposes(self):
+        table = MonomialTable(5, 9)
+        for p in range(2, 10):
+            for a in range(1, p):
+                ids = table.product_ids(a, p - a)
+                assert not ids.flags.writeable
+                with pytest.raises(ValueError):
+                    ids[0, 0] = 0
+                assert np.array_equal(table.product_ids(p - a, a), ids.T)
+        # each pair (a, b) with a >= b is kept once and handed out again
+        assert sorted(table._pairs) == [(a, b) for a in range(1, 9) for b in range(1, a + 1)
+                                        if a + b <= 9]
+        assert table.product_ids(4, 3) is table.product_ids(4, 3)
+
+    def test_tables_do_not_share_a_memo(self):
+        small, large, twin = MonomialTable(4, 6), MonomialTable(5, 6), MonomialTable(4, 6)
+        for orders in ((2, 2), (3, 1), (2, 2, 2)):
+            for table in (small, large, twin):
+                assert_product_ids_brute_force(table, orders)
+        assert small._pairs is not twin._pairs
+        assert small.product_ids(2, 2) is not twin.product_ids(2, 2)
+        assert small.product_ids(2, 2).shape != large.product_ids(2, 2).shape
 
 
 class TestBatchValues:
