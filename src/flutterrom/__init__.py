@@ -10,5 +10,8 @@ import logging
 
 __version__ = "0.1.0"
 
-# silent unless the application configures logging
-logging.getLogger("flutterrom").addHandler(logging.NullHandler())
+# silent unless the application configures logging; once, however often the
+# package is imported again
+_log = logging.getLogger("flutterrom")
+if not any(isinstance(h, logging.NullHandler) for h in _log.handlers):
+    _log.addHandler(logging.NullHandler())

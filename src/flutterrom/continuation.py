@@ -655,8 +655,8 @@ def _wave_peak(sysr, x):
     """
     order = sysr.rom.order
     N = 2 * max(order + 1, 8)
-    Z = np.exp(2j * np.pi * np.arange(N) / N)[:, None] * (x[0::2] + 1j * x[1::2])
-    Y = sysr.map_batch(np.stack([Z.real, Z.imag], axis=-1).reshape(N, -1))
+    Z = np.exp(2j * np.pi * np.arange(N) / N)[:, None] * np.ascontiguousarray(x).view(complex)
+    Y = sysr.map_batch(Z.view(float))
     k = np.arange(order + 1)[:, None]
     c = np.fft.rfft(Y, axis=0)[:order + 1] * np.where(k > 0, 2.0 / N, 1.0 / N)
     grid = 2 * np.pi * np.arange(_N_COARSE) / _N_COARSE

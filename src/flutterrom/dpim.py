@@ -55,7 +55,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .models.dae import FirstOrderDAE
-from .polytensor import MonomialTable, polynomial_eval
+from .polytensor import MonomialTable
 
 class ResonanceError(RuntimeError):
     pass
@@ -142,9 +142,6 @@ class ParametrisationROM:
     @property
     def dim(self):
         return self.W.shape[1]
-
-    def evaluate_mapping(self, ztilde):
-        return polynomial_eval(self.table, self.W, ztilde)
 
     def linear_block(self, mu):
         """mu-dressed linear reduced dynamics J(mu) at the fixed point z = 0;
@@ -551,10 +548,8 @@ def build_rom_secondorder(model, spectrum, order, r_tol=0.05):
     if not hasattr(model, "nl_rhs_series"):
         raise ValueError("load-scaled cubic forces require the quadratic recast "
                          "and the first-order engine")
-    n = model.ndof
-    mck = tuple(np.asarray(a) for a in (model.mass(), model.damping(),
-                                        model.tangent_stiffness()))
-    Ru = model.ru()
+    n, Ru = model.n, model.Ru
+    mck = tuple(np.asarray(a) for a in (model.M, model.C, model.Kt))
 
     def series(table, W, p):
         fnl = model.nl_rhs_series(table, W[:, :n], p)
@@ -589,12 +584,11 @@ def invariance_residual(rom, system, ztilde):
                + system.Q1.apply(Wz, Wz) + (Wz @ system.Q2m.T) * mu + system.q3 * mu**2)
         defect = lhs - rhs
     else:
-        n = system.ndof
-        M, C, Kt, Ru = system.mass(), system.damping(), system.tangent_stiffness(), system.ru()
+        n, M, C, Kt, Ru = system.n, system.M, system.C, system.Kt, system.Ru
         U, V = Wz[:, :n], Wz[:, n:]
         dU, dV = dWf[:, :n], dWf[:, n:]
         r1 = (M @ dU.T - M @ V.T).T
-        r2 = ((M @ dV.T + C @ V.T + Kt @ U.T).T - mu * system.rt() - mu * (Ru @ U.T).T
+        r2 = ((M @ dV.T + C @ V.T + Kt @ U.T).T - mu * system.Rt - mu * (Ru @ U.T).T
               + system.nonlinear_force(U))
         defect = np.concatenate([r1, r2], axis=1)
     norms = np.linalg.norm(defect, axis=1)
@@ -607,16 +601,14 @@ _SLOPE_DIRS, _SLOPE_SEED = 6, 0
 
 def conjugate_sample(rom, radius, rng):
     """Random conjugate-consistent sample point at the given radius."""
-    nv = rom.table.nvars
-    z = np.zeros(nv, dtype=complex)
+    z = np.zeros(rom.table.nvars, dtype=complex)
     if rom.conj_map is None:
         raise ValueError("ROM has no conjugate structure")
     reps = [s for s in range(rom.d) if rom.conj_map[s] > s]
     raw = rng.standard_normal(2 * len(reps) + 1)
     raw /= np.linalg.norm(raw)
-    for m, s in enumerate(reps):
-        z[s] = radius * (raw[2 * m] + 1j * raw[2 * m + 1])
-        z[rom.conj_map[s]] = np.conj(z[s])
+    z[reps] = (radius * raw[:-1]).view(complex)
+    z[rom.conj_map[reps]] = z[reps].conj()
     z[-1] = radius * raw[-1]
     return z
 

@@ -6,7 +6,8 @@ Covers desk-scale mechanical systems of the form
 
 with parameter-independent nonlinear forces, the shape handled by the
 halved second-order reduction engine, and the system of the dual-engine
-cross-check (second- against first-order engine).
+cross-check (second- against first-order engine).  The spectral analysis
+and the engine read the fields (n, M, C, Kt, Rt, Ru) directly.
 """
 
 from __future__ import annotations
@@ -29,25 +30,6 @@ class PolynomialSecondOrderModel:
     Gt: SparseBilinearForm | None = None
     H: SparseTrilinearForm | None = None
     p0: float = 0.0
-
-    @property
-    def ndof(self):
-        return self.n
-
-    def mass(self):
-        return self.M
-
-    def damping(self):
-        return self.C
-
-    def tangent_stiffness(self):
-        return self.Kt
-
-    def rt(self):
-        return self.Rt
-
-    def ru(self):
-        return self.Ru
 
     def nonlinear_force(self, U):
         """LHS nonlinear force Gt(U,U) + H(U,U,U); U may carry leading batch axes."""

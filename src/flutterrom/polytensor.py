@@ -3,7 +3,8 @@
 This is the arithmetic substrate shared by the model builders and the
 reduction engines: graded-lexicographic monomial enumeration over the
 normal coordinates plus the control-parameter slot, and coordinate-format
-bilinear/trilinear forms with vector, blockwise and partial contractions.
+bilinear and trilinear forms, one body (`_SparseForm`) over two or three
+slots, with vector, blockwise and partial contractions.
 
 Each monomial also carries a mixed-radix integer code with radix
 max_order + 1, so that code(a + b) = code(a) + code(b).  Codes are looked
@@ -253,38 +254,59 @@ def _check_vec(u, dim, name, batch=False):
     return u
 
 
-def _scatter_entries(form, terms):
-    """Sum of the per-entry terms (last axis) into their output rows form.p."""
-    out = np.zeros(terms.shape[:-1] + (form.dim_out,), dtype=terms.dtype)
-    np.add.at(out, (..., form.p), terms)
-    return out
+class _SparseForm:
+    """Coordinate-format multilinear form [F(u, v, ...)]_p = sum over its
+    entries of val u_i v_j ...; a subclass lists its argument slots in
+    _slots, as (index field, input dimension field) pairs."""
 
+    def __post_init__(self):
+        names = ("p",) + tuple(slot for slot, _ in self._slots)
+        for name in names:
+            setattr(self, name, np.asarray(getattr(self, name), dtype=np.int64))
+        self.val = np.asarray(self.val)
+        if any(len(getattr(self, name)) != len(self.val) for name in names):
+            raise ValueError("entry arrays must have equal length")
 
-def _scatter_products(form, slots, blocks, targets, n_targets):
-    """Sum of form(blocks[0][a], blocks[1][b], ...) into row targets[a, b, ...].
+    def apply(self, *args):
+        """F(u, v, ...); the arguments may carry leading batch axes."""
+        if len(args) != len(self._slots):
+            raise TypeError(f"{type(self).__name__}.apply takes {len(self._slots)} arguments")
+        terms = self.val
+        for name, x, (slot, dim) in zip("uvw", args, self._slots):
+            x = _check_vec(x, getattr(self, dim), name, batch=True)
+            terms = terms * x[..., getattr(self, slot)]
+        out = np.zeros(terms.shape[:-1] + (self.dim_out,), dtype=terms.dtype)
+        np.add.at(out, (..., self.p), terms)
+        return out
 
-    slots are the form's index arrays (i, j[, k]) and blocks the matching
-    row blocks.  All tuples of rows are visited at once per output
-    component: a Khatri-Rao product of the first blocks, contracted with
-    the last block by a matrix product, then scattered by target with
-    bincount.  Memory stays at a few arrays of the size of targets.
-    """
-    out = np.zeros((n_targets, form.dim_out), dtype=complex)
-    flat = np.ravel(targets)
-    for p in np.unique(form.p):
-        e = form.p == p
-        acc = blocks[0][:, slots[0][e]] * form.val[e]
-        for idx, U in zip(slots[1:-1], blocks[1:-1]):
-            acc = (acc[:, None, :] * U[:, idx[e]][None, :, :]).reshape(-1, acc.shape[1])
-        prod = (acc @ blocks[-1][:, slots[-1][e]].T).ravel()
-        out[:, p] = (np.bincount(flat, prod.real, n_targets)
-                     + 1j * np.bincount(flat, prod.imag, n_targets))
-    return out
+    def apply_outer(self, *args):
+        """apply_outer(U1, U2, ..., targets, n_targets): F(U1[a], U2[b], ...)
+        summed into row targets[a, b, ...] of an (n_targets, dim_out) array.
+
+        All tuples of rows are visited at once per output component: a
+        Khatri-Rao product of the first blocks, contracted with the last
+        block by a matrix product, then scattered by target with bincount.
+        Memory stays at a few arrays of the size of targets.
+        """
+        *blocks, targets, n_targets = args
+        slots = [getattr(self, slot) for slot, _ in self._slots]
+        out = np.zeros((n_targets, self.dim_out), dtype=complex)
+        flat = np.ravel(targets)
+        for p in np.unique(self.p):
+            e = self.p == p
+            acc = blocks[0][:, slots[0][e]] * self.val[e]
+            for idx, U in zip(slots[1:-1], blocks[1:-1]):
+                acc = (acc[:, None, :] * U[:, idx[e]][None, :, :]).reshape(-1, acc.shape[1])
+            prod = (acc @ blocks[-1][:, slots[-1][e]].T).ravel()
+            out[:, p] = (np.bincount(flat, prod.real, n_targets)
+                         + 1j * np.bincount(flat, prod.imag, n_targets))
+        return out
 
 
 @dataclass
-class SparseBilinearForm:
-    """Coordinate-format bilinear form  [Q(u, v)]_p = Q_pij u_i v_j."""
+class SparseBilinearForm(_SparseForm):
+    """Coordinate-format bilinear form  [Q(u, v)]_p = Q_pij u_i v_j; apply and
+    apply_outer are _SparseForm's, over the slots (i, j)."""
 
     dim_out: int
     dim_in1: int
@@ -293,15 +315,7 @@ class SparseBilinearForm:
     i: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     j: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     val: np.ndarray = field(default_factory=lambda: np.zeros(0))
-
-    def __post_init__(self):
-        self.p = np.asarray(self.p, dtype=np.int64)
-        self.i = np.asarray(self.i, dtype=np.int64)
-        self.j = np.asarray(self.j, dtype=np.int64)
-        self.val = np.asarray(self.val)
-        n = len(self.val)
-        if not (len(self.p) == len(self.i) == len(self.j) == n):
-            raise ValueError("entry arrays must have equal length")
+    _slots = (("i", "dim_in1"), ("j", "dim_in2"))
 
     @classmethod
     def from_entries(cls, dim_out, dim_in1, dim_in2, entries):
@@ -311,16 +325,6 @@ class SparseBilinearForm:
             return cls(dim_out, dim_in1, dim_in2)
         p, i, j, v = zip(*entries)
         return cls(dim_out, dim_in1, dim_in2, np.array(p), np.array(i), np.array(j), np.array(v))
-
-    def apply(self, u, v):
-        """Q(u, v); u and v may carry leading batch axes."""
-        u = _check_vec(u, self.dim_in1, "u", batch=True)
-        v = _check_vec(v, self.dim_in2, "v", batch=True)
-        return _scatter_entries(self, self.val * u[..., self.i] * v[..., self.j])
-
-    def apply_outer(self, U1, U2, targets, n_targets):
-        """Q(U1[a], U2[b]) summed into row targets[a, b] of an (n_targets, dim_out) array."""
-        return _scatter_products(self, (self.i, self.j), (U1, U2), targets, n_targets)
 
     def contract_left(self, u):
         """Matrix Q(u, .): rows p, columns the second slot."""
@@ -336,8 +340,9 @@ class SparseBilinearForm:
 
 
 @dataclass
-class SparseTrilinearForm:
-    """Coordinate-format trilinear form  [H(u, v, w)]_p = H_pijk u_i v_j w_k."""
+class SparseTrilinearForm(_SparseForm):
+    """Coordinate-format trilinear form  [H(u, v, w)]_p = H_pijk u_i v_j w_k;
+    apply and apply_outer are _SparseForm's, over the slots (i, j, k)."""
 
     dim_out: int
     dim_in: int
@@ -346,16 +351,7 @@ class SparseTrilinearForm:
     j: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     k: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     val: np.ndarray = field(default_factory=lambda: np.zeros(0))
-
-    def __post_init__(self):
-        self.p = np.asarray(self.p, dtype=np.int64)
-        self.i = np.asarray(self.i, dtype=np.int64)
-        self.j = np.asarray(self.j, dtype=np.int64)
-        self.k = np.asarray(self.k, dtype=np.int64)
-        self.val = np.asarray(self.val)
-        n = len(self.val)
-        if not (len(self.p) == len(self.i) == len(self.j) == len(self.k) == n):
-            raise ValueError("entry arrays must have equal length")
+    _slots = (("i", "dim_in"), ("j", "dim_in"), ("k", "dim_in"))
 
     @classmethod
     def from_entries(cls, dim_out, dim_in, entries):
@@ -365,19 +361,6 @@ class SparseTrilinearForm:
         p, i, j, k, v = zip(*entries)
         return cls(dim_out, dim_in, np.array(p), np.array(i), np.array(j),
                    np.array(k), np.array(v))
-
-    def apply(self, u, v, w):
-        """H(u, v, w); the arguments may carry leading batch axes."""
-        u = _check_vec(u, self.dim_in, "u", batch=True)
-        v = _check_vec(v, self.dim_in, "v", batch=True)
-        w = _check_vec(w, self.dim_in, "w", batch=True)
-        return _scatter_entries(self, self.val * u[..., self.i] * v[..., self.j] * w[..., self.k])
-
-    def apply_outer(self, U1, U2, U3, targets, n_targets):
-        """H(U1[a], U2[b], U3[c]) summed into row targets[a, b, c] of an
-        (n_targets, dim_out) array."""
-        return _scatter_products(self, (self.i, self.j, self.k), (U1, U2, U3),
-                                 targets, n_targets)
 
 
 def monomial_count(p, nvars):

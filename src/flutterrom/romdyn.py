@@ -88,8 +88,9 @@ class RealizedReducedSystem:
     (and one for d/dmu).  Every evaluation then builds the table of powers
     u**k, k = 0..order, of u = (z_reps, conj z_reps) (numpy computes integer
     powers by repeated multiplication) and contracts that one table, for
-    one state or a block of states.  complex_field and map_to_physical keep
-    the direct polynomial evaluation as the oracle.
+    one state or a block of states.  map_to_physical evaluates the mapping
+    directly (polynomial_eval), the oracle of map_batch.  A realified state
+    is the (Re, Im) pairs of z_reps, read as complex through a view.
     """
 
     def __init__(self, rom, mu):
@@ -181,21 +182,17 @@ class RealizedReducedSystem:
 
     def complex_state(self, x):
         z = np.zeros(self.nv, dtype=complex)
-        for kk, s in enumerate(self.reps):
-            z[s] = x[2 * kk] + 1j * x[2 * kk + 1]
-            z[self.rom.conj_map[s]] = np.conj(z[s])
+        z[self.reps] = np.ascontiguousarray(x, dtype=float).view(complex)
+        z[self.rom.conj_map[self.reps]] = z[self.reps].conj()
         z[-1] = self.mu
         return z
 
     def real_state(self, z_reps):
-        x = np.zeros(2 * self.m)
-        for kk, zv in enumerate(np.atleast_1d(z_reps)):
-            x[2 * kk] = np.real(zv)
-            x[2 * kk + 1] = np.imag(zv)
-        return x
-
-    def complex_field(self, z):
-        return polynomial_eval(self.rom.table, self.rom.f, z)
+        """The realified state of z_reps, zero-padded to m coordinates."""
+        z_reps = np.atleast_1d(z_reps)
+        z = np.zeros(self.m, dtype=complex)
+        z[:len(z_reps)] = z_reps
+        return z.view(float)
 
     def rhs(self, t, x):
         return self._monomials(x, self._f_index0).T.dot(self._f_rhs).view(float)
@@ -232,7 +229,7 @@ class RealizedReducedSystem:
     def map_to_physical(self, x):
         """The mapping at one realified state; raises when its imaginary
         part exceeds 1e-8 of its size (W breaks conjugate symmetry)."""
-        y = self.rom.evaluate_mapping(self.complex_state(x))
+        y = polynomial_eval(self.rom.table, self.rom.W, self.complex_state(x))
         if np.abs(y.imag).max() > 1e-8 * max(np.abs(y).max(), 1e-30):
             raise RuntimeError("mapped state has a non-negligible imaginary part")
         return y.real

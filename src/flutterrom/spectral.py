@@ -172,8 +172,7 @@ def solve_master_eigen(system, d):
         At, B = system.tangent_matrix(), system.B
         n, disp = None, np.asarray(system.displacement_indices)
     else:  # second-order mechanical system
-        At, B = _first_order_pencil(*(np.asarray(a) for a in (
-            system.mass(), system.damping(), system.tangent_stiffness())))
+        At, B = _first_order_pencil(*(np.asarray(a) for a in (system.M, system.C, system.Kt)))
         n = B.shape[0] // 2
         disp = np.arange(n)
     w, vl, vr = _pencil_eig(At, B, left=True, right=True)
@@ -221,9 +220,8 @@ def parameter_eigenvector(system):
             near = w[np.argmin(np.abs(w))]
             raise SpectralError(
                 f"A_t singular: eigenvalue {near:.3e} is at/near zero") from exc
-    Kt = np.asarray(system.tangent_stiffness())
-    out = np.zeros(2 * Kt.shape[0], dtype=complex)
-    out[:Kt.shape[0]] = sla.solve(Kt, system.rt())
+    out = np.zeros(2 * system.n, dtype=complex)
+    out[:system.n] = sla.solve(system.Kt, system.Rt)
     return out
 
 
@@ -232,7 +230,7 @@ def parameter_eigenvector(system):
 @dataclass
 class EigenTrajectory:
     P: np.ndarray
-    lam: np.ndarray           # (npoints, ntrack), tracked mode identity
+    lam: np.ndarray           # (npoints, nmodes), tracked mode identity
     events: dict
     warnings: list = field(default_factory=list)   # weak matches, {P, mode, mac}
 
@@ -301,7 +299,7 @@ def _golden_min(f, a, b, xtol, max_iter=200):
     return 0.5 * (a + b)
 
 
-def eigen_sweep(model, param_range, n_points, n_track=None, mac_threshold=0.8):
+def eigen_sweep(model, param_range, n_points, mac_threshold=0.8):
     """Track the spectrum over a load range and locate P_c, P_H, P_d.
 
     Mode identity is maintained by greedy modal-assurance matching between
@@ -311,8 +309,8 @@ def eigen_sweep(model, param_range, n_points, n_track=None, mac_threshold=0.8):
     with fresh eigenvalue-only solves (gap minimization for the
     coalescence, Brent roots for the Hopf and divergence points), so they do
     not depend on the mode matching.  Every solve is dense and covers the
-    whole spectrum, which n_track (default: all of it) only trims for the
-    tracked output; only the grid solves compute (right) eigenvectors.
+    whole spectrum, every mode is tracked, and only the grid solves
+    compute (right) eigenvectors.
     events["ep"] flags a coalescence gap below 1e-6 of the spectral scale.
     """
     P0, P1 = param_range
@@ -321,9 +319,6 @@ def eigen_sweep(model, param_range, n_points, n_track=None, mac_threshold=0.8):
 
     w, vr = _pencil_eigs_at(model, grid[0], right=True)
     order = np.lexsort((-w.imag, np.abs(w.imag)))
-    if n_track is None:
-        n_track = len(w)
-    order = order[:n_track]
     lam_rows = [w[order]]
     vec_prev = vr[:, order]
     spectra = [w]
@@ -334,7 +329,7 @@ def eigen_sweep(model, param_range, n_points, n_track=None, mac_threshold=0.8):
         mac = np.abs(vec_prev.conj().T @ vr) ** 2 / np.outer(
             np.sum(np.abs(vec_prev) ** 2, axis=0), np.sum(np.abs(vr) ** 2, axis=0))
         cols = []
-        for m in range(n_track):
+        for m in range(len(w)):
             best = int(np.argmax(mac[m]))
             if mac[m, best] < mac_threshold:
                 warnings.append({"P": float(P), "mode": m, "mac": float(mac[m, best])})
@@ -395,11 +390,10 @@ def detect_exceptional_point(traj, model):
     """Exceptional point of a sweep; returns (P_c, pair) or None.
 
     Reads the sweep's refined coalescence: its minimum-gap search ran over
-    the whole spectrum at every grid load, for any n_track, and
-    events["ep"] flags a relative gap below 1e-6 at P_c (for real
-    asymmetric Jacobians, coalescence implies a Jordan block).  The pair
-    holds the two closest upper-half-plane eigenvalues of one
-    eigenvalue-only solve at P_c.
+    the whole spectrum at every grid load, and events["ep"] flags a
+    relative gap below 1e-6 at P_c (for real asymmetric Jacobians,
+    coalescence implies a Jordan block).  The pair holds the two closest
+    upper-half-plane eigenvalues of one eigenvalue-only solve at P_c.
     """
     if not traj.events["ep"]:
         return None

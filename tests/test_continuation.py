@@ -40,8 +40,9 @@ from flutterrom.continuation import (
     continue_periodic,
     find_hopf,
 )
-from flutterrom.dpim import build_rom_firstorder
+from flutterrom.dpim import ParametrisationROM, build_rom_firstorder
 from flutterrom.models import build_ziegler2, recast_to_dae
+from flutterrom.polytensor import MonomialTable
 from flutterrom.romdyn import BlowUpError, RealizedReducedSystem, measure_limit_cycle
 from flutterrom.spectral import (
     detect_exceptional_point,
@@ -755,3 +756,133 @@ def test_branch_closes_at_the_second_hopf_point():
     assert abs(mu_end - mu_H2) < 2e-3
     assert diag.mu().max() < opts.mu_max
     assert sum(rec["accepted"] for rec in diag.meta["trace"]) == len(diag.points)
+
+
+# -- stop reasons of the corrector and the branch walk ------------------------
+
+
+def two_mode_normal_form_rom():
+    """Hand-built d = 4 ROM with reduced dynamics
+
+        z1' = (i + mu) z1 - z1|z1|^2,    z2' = (-0.1 + 1.7 i + mu) z2,
+
+    mapped to (Re z1, Im z1, Re z2, Im z2).  Its branch from mu = 0 has
+    z2 = 0 and |z1|^2 = mu; the z2 mode turns unstable on it at mu = 0.1,
+    through a complex pair of Floquet multipliers."""
+    table = MonomialTable(5, 3)
+    lam = np.array([1j, -1j, -0.1 + 1.7j, -0.1 - 1.7j])
+    W = np.zeros((len(table), 4), dtype=complex)
+    f = np.zeros((len(table), 5), dtype=complex)
+    e = np.eye(5, dtype=int)
+    for s in (0, 1, 2, 3):
+        W[table.index_of(e[s]), 2 * (s // 2):2 * (s // 2) + 2] = [0.5, 0.5j if s % 2 else -0.5j]
+        f[table.index_of(e[s]), s] = lam[s]
+        f[table.index_of(e[s] + e[4]), s] = 1.0
+    f[table.index_of((2, 1, 0, 0, 0)), 0] = f[table.index_of((1, 2, 0, 0, 0)), 1] = -1.0
+    return ParametrisationROM(table, W, f, lam, np.diag(lam), conj_map=np.array([1, 0, 3, 2]),
+                              meta={"engine": "hand-built", "mu0": 0.0})
+
+
+def test_neimark_sacker_event_on_a_hand_built_rom():
+    diag = continue_periodic(two_mode_normal_form_rom(), ContinuationOptions(mu_max=0.2))
+    assert diag.meta["truncated"] == "" and diag.mu()[-1] == 0.2
+    (mu_ns, event), = diag.events()
+    assert event == "neimark-sacker"
+    # the first point past mu = 0.1, where the z2 pair leaves the unit circle
+    k = next(i for i, pt in enumerate(diag.points) if pt.event)
+    assert diag.points[k - 1].mu < 0.1 < mu_ns < 0.11
+    for pt in diag.points:
+        assert abs(pt.amplitude[0] - np.sqrt(pt.mu)) < 1e-8 and pt.amplitude[2] < 1e-12
+        # the z2 pair, turned by the rotating frame: e^{(-0.1 + mu) T}
+        pair = np.exp((-0.1 + pt.mu) * pt.period)
+        assert np.abs(np.abs(pt.floquet) - pair).min() < 1e-8
+        assert pt.stable == (pt.mu < 0.1)
+
+
+def test_a_load_past_the_second_hopf_point_names_it(branch_rom):
+    # past its second Hopf point the two-mode ROM's fixed point is stable
+    # again; the measurement names that falling crossing without a walk
+    # (today through its Hopf cycle, whose correction fails)
+    rom = replace(branch_rom[1])
+
+    def growth(mu):
+        return float(np.max(np.linalg.eigvals(rom.linear_block(mu)).real))
+
+    mu_H2 = brentq(growth, 3.3, 3.6, xtol=1e-12)
+    assert growth(3.3) > 0 > growth(3.6)
+    out = measure_limit_cycle(rom, 4.0)
+    assert f"mu = {mu_H2:.6g}" in out.reason
+    assert out.newton == 0 and not out.amplitude.any()
+
+
+def test_corrector_stops_on_a_bad_iterate():
+    # each reason of _correct, from the normal form's corrected Hopf cycle q
+    hopf = _hopf_cycle(hopf_normal_form_rom(), 0.0)
+    sysr, q, K = hopf.sysr, hopf.q.copy(), hopf.K
+    T_range = (q[-2] / 4.0, 4.0 * q[-2])
+    tangent = np.array([1.0, 0.0, 0.0, 0.0])
+    # an anchor of 1e200 overflows the cubic term
+    far = q.copy()
+    far[:2] *= 1e200
+    out = _correct(sysr, q, K, tangent, 0.0, far, K, np.inf, T_range)
+    assert out[3] == 0 and not np.isfinite(out[4][0]) and out[5] == "iterate not finite"
+    # a zero arclength row makes the Newton matrix singular
+    out = _correct(sysr, q, K, 0.0 * tangent, 0.01, q, K, np.inf, T_range)
+    assert out[3] == 0 and out[5] == "singular corrector matrix"
+    # the first Newton step already moves the anchor by about ds
+    out = _correct(sysr, q, K, tangent, 0.01, q, K, 1e-3, T_range)
+    assert out[3] == 1 and out[5] == "iterate left the trust region"
+
+
+def test_corrector_failure_at_the_minimum_step_ends_the_branch():
+    # zdot = (10 i + mu) z - (1 + 40 i) z|z|^2: radius sqrt(mu), angular
+    # frequency 10 - 40 mu, so the period leaves [T0/4, 4 T0] at mu = 0.1875
+    diag = continue_periodic(hopf_normal_form_rom(omega=10.0, c3=-1 - 40j),
+                             ContinuationOptions(mu_max=0.3))
+    assert diag.meta["truncated"] == ("corrector failed at the minimum step: "
+                                      "iterate period left [T0/4, 4 T0]")
+    last = diag.meta["trace"][-1]
+    assert last["ds"] == _DS_MIN and not last["accepted"]
+    for pt in diag.points:
+        assert abs(pt.amplitude[0] - np.sqrt(pt.mu)) < 1e-8
+        assert abs(pt.period - 2 * np.pi / (10.0 - 40.0 * pt.mu)) < 1e-8 * pt.period
+    # the last point lies at the edge, a period of 4 (2 pi / 10)
+    assert abs(diag.points[-1].period / (0.8 * np.pi) - 1.0) < 1e-3
+
+
+def test_branch_stops_at_the_reduced_coordinate_trust_region():
+    # zdot = (i + mu) z - (100 - 1000 mu) z|z|^2: radius sqrt(mu / (100 - 1000 mu))
+    # grows without bound as mu nears 0.1; the walk stops at 40 times the
+    # seed's anchor norm (at least 0.05)
+    rom = hopf_normal_form_rom(c3=-100.0, order=4)
+    rom.f[rom.table.index_of((2, 1, 1)), 0] = rom.f[rom.table.index_of((1, 2, 1)), 1] = 1000.0
+    diag = continue_periodic(rom, ContinuationOptions(mu_max=1.0, max_points=400))
+    assert diag.meta["truncated"] == "branch left the reduced-coordinate trust region"
+    last = diag.meta["trace"][-1]
+    assert last["reason"] == diag.meta["truncated"] and not last["accepted"]
+    cap = 40.0 * max(np.linalg.norm(diag.points[0].anchor), 0.05)
+    for pt in diag.points:
+        assert abs(pt.amplitude[0] - np.sqrt(pt.mu / (100.0 - 1000.0 * pt.mu))) < 1e-8
+        assert np.linalg.norm(pt.anchor) <= cap
+    assert np.linalg.norm(diag.points[-1].anchor) > cap - 4 * _DS0
+
+
+def test_step_shrinks_after_a_slow_correction(monkeypatch):
+    # with _TARGET_NEWTON = 1 and _MAX_NEWTON = 4, a step that took one
+    # correction grows by 1.4 (to _DS0 at most) and one that took two or
+    # more shrinks by 1.5; the normal form's steps take one or two
+    monkeypatch.setattr(continuation, "_TARGET_NEWTON", 1)
+    monkeypatch.setattr(continuation, "_MAX_NEWTON", 4)
+    diag = continue_periodic(hopf_normal_form_rom(omega=1.3), ContinuationOptions(mu_max=0.3))
+    assert diag.meta["truncated"] == ""
+    steps = [rec for rec in diag.meta["trace"] if rec["ds"] > 0.0]
+    assert all(rec["accepted"] for rec in steps[:-1])
+    assert steps[-1]["reason"] == "stepped past mu_max"
+    shrunk = 0
+    for rec, nxt in zip(steps[:-1], steps[1:]):
+        if rec["newton"] >= 2:
+            assert nxt["ds"] == max(rec["ds"] / 1.5, _DS_MIN)
+            shrunk += 1
+        else:
+            assert nxt["ds"] == min(rec["ds"] * 1.4, _DS0)
+    assert shrunk >= 5

@@ -329,6 +329,25 @@ class TestSecondOrderEngine:
         slope, _ = residual_slope(rom, model, radii=np.logspace(-2.5, -1.2, 7))
         assert slope >= 6 - 0.2
 
+    def test_invariance_residual_with_quadratic_force(self):
+        model = with_quadratic_force(make_cubic_test_model(2.6)[0])
+        rom = build_rom_secondorder(model, solve_master_eigen(model, d=4), order=5)
+        slope, _ = residual_slope(rom, model, radii=np.logspace(-2.5, -1.2, 7))
+        assert slope >= 6 - 0.3
+        # the defect at one point, with the forces written out:
+        # Gt(U, U) = (0.3 U0 U1, 0.15 U0^2 - 0.2 U1^2), H(U, U, U) = ((U0 - U1)^3 / 6, 0)
+        z = dpim.conjugate_sample(rom, 0.2, np.random.default_rng(4))
+        Wz = polynomial_eval(rom.table, rom.W, z)
+        flow = rom.mapping_gradient(z) @ polynomial_eval(rom.table, rom.f, z)
+        (U0, U1), V, dU, dV, mu = Wz[:2], Wz[2:], flow[:2], flow[2:], z[-1]
+        force = np.array([0.3 * U0 * U1 + (U0 - U1) ** 3 / 6.0, 0.15 * U0**2 - 0.2 * U1**2])
+        r1 = model.M @ (dU - V)
+        r2 = (model.M @ dV + model.C @ V + model.Kt @ Wz[:2] - mu * model.Rt
+              - mu * model.Ru @ Wz[:2] + force)
+        ref = np.linalg.norm(np.concatenate([r1, r2]))
+        assert ref > 1e-8
+        assert abs(invariance_residual(rom, model, z) - ref) <= 1e-10 * ref
+
     def test_cubic_index_constraint(self):
         # H contributions only come from order triples summing to p
         model, _ = make_cubic_test_model(2.6)
@@ -716,11 +735,10 @@ def pointwise_residual(rom, system, z):
         rhs = (system.tangent_matrix() @ Wz + system.parameter_column() * mu
                + system.Q1.apply(Wz, Wz) + (system.Q2m @ Wz) * mu + system.q3 * mu**2)
         return np.linalg.norm(system.B @ flow - rhs)
-    n = system.ndof
-    M, C, Kt = system.mass(), system.damping(), system.tangent_stiffness()
+    n, M, C, Kt = system.n, system.M, system.C, system.Kt
     U, V, dU, dV = Wz[:n], Wz[n:], flow[:n], flow[n:]
     r1 = M @ dU - M @ V
-    r2 = (M @ dV + C @ V + Kt @ U - mu * system.rt() - mu * (system.ru() @ U)
+    r2 = (M @ dV + C @ V + Kt @ U - mu * system.Rt - mu * (system.Ru @ U)
           + system.nonlinear_force(U))
     return np.linalg.norm(np.concatenate([r1, r2]))
 

@@ -363,6 +363,8 @@ class TestBilinear:
         Q = SparseBilinearForm(4, 4, 4)
         with pytest.raises(ValueError):
             Q.apply(np.ones(3), np.ones(4))
+        with pytest.raises(TypeError):
+            Q.apply(np.ones(4))
 
 
 class TestTrilinear:

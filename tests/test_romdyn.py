@@ -1,3 +1,4 @@
+import importlib
 import logging
 import warnings
 from dataclasses import replace
@@ -12,6 +13,7 @@ from flutterrom.continuation import ContinuationOptions, continue_periodic, find
 from flutterrom.dpim import build_rom_firstorder
 from flutterrom.models import build_ziegler, build_ziegler2, recast_to_dae
 from flutterrom.models.ziegler import ZieglerFirstOrder
+from flutterrom.polytensor import polynomial_eval
 from flutterrom.romdyn import (
     BlowUpError,
     RealizedReducedSystem,
@@ -46,10 +48,24 @@ class TestRealified:
         rng = np.random.default_rng(0)
         x = 0.1 * rng.standard_normal(4)
         z = sysr.complex_state(x)
-        fz = sysr.complex_field(z)
+        fz = polynomial_eval(rom.table, rom.f, z)
         out = sysr.rhs(0.0, x)
         expect = np.array([fz[0].real, fz[0].imag, fz[2].real, fz[2].imag])
         assert np.abs(out - expect).max() < 1e-12
+
+    def test_state_conversions_against_pairs(self):
+        _, _, rom = ziegler_rom()
+        sysr = RealizedReducedSystem(rom, 0.05)
+        x = np.array([0.1, -0.02, 0.03, 0.04])
+        z = sysr.complex_state(x)
+        for kk, s in enumerate(sysr.reps):
+            assert z[s] == complex(x[2 * kk], x[2 * kk + 1])
+            assert z[rom.conj_map[s]] == complex(x[2 * kk], -x[2 * kk + 1])
+        assert z[-1] == 0.05
+        assert np.array_equal(sysr.real_state(z[sysr.reps]), x)
+        # a short z_reps is zero-padded, a scalar is one coordinate
+        assert np.array_equal(sysr.real_state([0.1 - 0.02j]), [0.1, -0.02, 0.0, 0.0])
+        assert np.array_equal(sysr.real_state(0.3), [0.3, 0.0, 0.0, 0.0])
 
     def test_jacobian_matches_fd(self):
         _, _, rom = ziegler_rom()
@@ -87,7 +103,7 @@ def realified_oracle(sysr, x):
     """rhs, Jacobian and dfdmu from the direct polynomial evaluation of f."""
     rom = sysr.rom
     z = sysr.complex_state(x)
-    fz = sysr.complex_field(z)
+    fz = polynomial_eval(rom.table, rom.f, z)
     gf = replace(rom, W=rom.f).mapping_gradient(z)  # gf[r, s] = df_r/dz_s
     reps = sysr.reps
     J = np.zeros((2 * sysr.m, 2 * sysr.m))
@@ -972,6 +988,13 @@ class TestFomAnalysis:
         assert [r.args for r in records] == [(meas.mu, meas.newton, meas.reason)
                                              for meas in quiet]
         assert all(r.levelno == logging.DEBUG for r in records)
+
+    def test_reimports_keep_one_null_handler(self):
+        import flutterrom
+        for _ in range(3):
+            importlib.reload(flutterrom)
+        handlers = logging.getLogger("flutterrom").handlers
+        assert sum(isinstance(h, logging.NullHandler) for h in handlers) == 1
 
 
 def hausdorff(a, b):

@@ -343,12 +343,10 @@ def test_closest_pair_matches_pairwise_loop():
 
 
 class TestExceptionalPointReuse:
-    @pytest.mark.parametrize("xi_m,span,n_track", [(0.2, (1.5, 3.0), None),
-                                                   (0.2, (1.5, 3.0), 2),
-                                                   (0.0, (1.0, 3.0), None)])
-    def test_one_pencil_solve_at_the_sweep_pc(self, xi_m, span, n_track, monkeypatch):
+    @pytest.mark.parametrize("xi_m,span", [(0.2, (1.5, 3.0)), (0.0, (1.0, 3.0))])
+    def test_one_pencil_solve_at_the_sweep_pc(self, xi_m, span, monkeypatch):
         m = build_ziegler2(1, 1, 1, 1, 1, xi_m=xi_m)
-        traj = eigen_sweep(m, span, 40, n_track=n_track)
+        traj = eigen_sweep(m, span, 40)
         calls = {"pencil": 0}
         pencil = m.linear_pencil
 
