@@ -55,7 +55,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .models.dae import FirstOrderDAE
-from .polytensor import MonomialTable
+from .polytensor import MonomialTable, power_index, power_values
 
 class ResonanceError(RuntimeError):
     pass
@@ -145,16 +145,22 @@ class ParametrisationROM:
 
     def linear_block(self, mu):
         """mu-dressed linear reduced dynamics J(mu) at the fixed point z = 0;
-        a 1-D array of loads gives one matrix per load, stacked."""
+        a 1-D array of loads gives one matrix per load, stacked.
+
+        J[r, s] sums f[row, r] mu^k over the rows e_s + k e_mu in row order,
+        elementwise, so each matrix is the one a single load gives."""
         d = self.d
-        w = self.table.code_weights
-        ids = self.table.ids_of_codes(w[:d, None] + np.arange(self.order) * w[-1])
+        exps = self.table.exponents
+        rows = np.flatnonzero(exps[:, :d].sum(axis=1) == 1)
         mus = np.atleast_1d(mu)
-        # scalar powers, so that each matrix is the one a single load gives
-        powers = np.array([[x**m for m in range(self.order)] for x in mus])
+        # as complex numbers the loads are raised by repeated multiplication,
+        # several times faster than numpy's float power
+        powers = power_values(mus[:, None] + 0j, power_index(exps[rows, -1:]), self.order)
+        # flat position of (load, r, s) for each load, row and r
+        flat = (np.arange(len(mus))[:, None, None] * d * d + np.arange(d) * d
+                + np.argmax(exps[rows, :d], axis=1)[:, None])
         J = np.zeros((len(mus), d, d), dtype=complex)
-        for m in range(self.order):
-            J += self.f[ids[:, m], :d].T * powers[:, m, None, None]
+        np.add.at(J.reshape(-1), flat.ravel(), (self.f[rows, :d] * powers[:, :, None]).ravel())
         return J if np.ndim(mu) else J[0]
 
     def mapping_gradient(self, ztilde):
@@ -175,11 +181,15 @@ class ParametrisationROM:
     def mapping_and_flow(self, Z):
         """W(z), f(z) and (dW/dz) f(z) at every row of Z, one row each.
 
-        All three come from one table of monomial values; the derivative
-        term reads the lowered-exponent columns of the same table.
+        All three come from one table of monomial values (power_values); the
+        derivative term reads the lowered-exponent columns of the same table.
         """
-        vals = self.table.batch_values(Z)
-        mono = vals[:, :-1]
+        Z = np.asarray(Z)
+        if Z.ndim != 2 or Z.shape[1] != self.table.nvars:
+            raise ValueError(f"points must be rows of {self.table.nvars} components")
+        mono = power_values(Z, power_index(self.table.exponents), self.order)
+        # the constant monomial 1, which the lowered id -1 reads
+        vals = np.concatenate((mono, np.ones((len(Z), 1))), axis=1)
         fz = mono @ self.f
         dflow = np.zeros_like(mono)
         for s, (ids, low, alpha_s) in enumerate(self.table.lowered):
@@ -223,11 +233,22 @@ class ParametrisationROM:
         f = np.array([fromc(r) for r in data["f"]])
         lam = fromc(data["eigenvalues"])
         Lam = np.array([fromc(r) for r in data["Lam"]])
-        conj_map = data.get("conj_map")
+        conj_map, n_disp = data.get("conj_map"), data.get("n_disp")
+        d = table.nvars - 1
+        fits = {"W": W.ndim == 2 and len(W) == len(table),
+                "f": f.shape == (len(table), table.nvars),
+                "eigenvalues": lam.shape == (d,),
+                "Lam": Lam.shape == (d, d),
+                "conj_map": conj_map is None or len(conj_map) == d,
+                "n_disp": n_disp is None or n_disp <= W.shape[-1]}
+        for name, ok in fits.items():
+            if not ok:
+                raise ValueError(f"ROM file field {name!r} does not fit a table of "
+                                 f"{len(table)} monomials in {table.nvars} variables")
         # a stored "style" key (always "normal-form") is ignored
         return cls(table, W, f, lam, Lam,
                    None if conj_map is None else np.array(conj_map, dtype=np.int64),
-                   data.get("n_disp"), data.get("meta", {}))
+                   n_disp, data.get("meta", {}))
 
 
 # -- shared engine pieces -----------------------------------------------------

@@ -19,10 +19,12 @@ gather from a raise table through the parents and is kept on the table;
 the forms are then applied to whole blocks of mapping coefficients at
 once (`apply_outer`) instead of pair by pair.
 
-The invariance check evaluates every monomial at a block of points at
-once (`MonomialTable.batch_values`): each monomial is its parent times one
-variable, order by order, and the partial derivatives read the
-lowered-exponent columns (`MonomialTable.lowered`) of the same table.
+Monomials are evaluated in one place, at one point or a block of points:
+`power_values` gathers powers u_s^k from a table of them by a
+`power_index` of exponent rows and multiplies them out.  The realified
+reduced dynamics, `ParametrisationROM.linear_block` and the invariance
+check evaluate through it; `MonomialTable.monomial_values` and
+`polynomial_eval` are their pointwise oracles.
 """
 
 from __future__ import annotations
@@ -185,7 +187,7 @@ class MonomialTable:
     def lowered(self):
         """Per variable s: (ids, lowered ids, alpha_s) over the monomials with
         alpha_s > 0; the lowered id is that of alpha - e_s, or -1 for the
-        constant monomial, which is the last column of `batch_values`.
+        constant monomial (a last column of ones after the monomial values).
         Every alpha + e_s of a raise table lowers back to alpha."""
         low = np.full((len(self), self.nvars), -1)
         for ids, up in self._raised():
@@ -209,29 +211,43 @@ class MonomialTable:
             parent[up[rows, cols]] = ids[rows]
         return parent, var
 
-    def batch_values(self, Z):
-        """Every monomial at each row of Z, shape (len(Z), len(self) + 1).
-
-        Order by order, a monomial's value is its parent's value times one
-        variable.  The extra last column holds the constant monomial 1, so
-        that the id -1 of `lowered` reads it.
-        """
-        Z = np.asarray(Z)
-        if Z.ndim != 2 or Z.shape[1] != self.nvars:
-            raise ValueError(f"points must be rows of {self.nvars} components")
-        parent, var = self._parents
-        vals = np.empty((len(Z), len(self) + 1), dtype=np.result_type(Z, float))
-        vals[:, -1] = 1.0
-        for lo, hi in zip(self._order_starts[:-1], self._order_starts[1:]):
-            vals[:, lo:hi] = vals[:, parent[lo:hi]] * Z[:, var[lo:hi]]
-        return vals
-
     def monomial_values(self, z):
         """Evaluate every monomial at the point z (length nvars)."""
         z = np.asarray(z)
         if z.shape != (self.nvars,):
             raise ValueError(f"point must have {self.nvars} components")
         return np.prod(z[None, :] ** self.exponents, axis=1)
+
+
+def power_index(exps, lowered=False):
+    """Gather index of u^alpha into a power table (`power_values`) for the
+    exponent rows alpha of exps, shape (..., nu), variable axis first.
+
+    With lowered the rows gain a leading axis of 1 + nu: alpha, then each
+    alpha - e_s (zero where alpha_s is), whose value times alpha_s is the
+    derivative of u^alpha by u_s.
+    """
+    exps = np.asarray(exps)
+    nu = exps.shape[-1]
+    if lowered:
+        down = np.maximum(exps - np.eye(nu, dtype=exps.dtype)[:, None], 0)
+        exps = np.concatenate((exps[None], down))
+    return np.ascontiguousarray(np.moveaxis(exps * nu + np.arange(nu), -1, 0))
+
+
+def power_values(U, index, order):
+    """The monomials of a power_index at the point U (1-D) or at each row of
+    U, shape U.shape[:-1] + index.shape[1:].
+
+    The power table holds u_s^k at k * nu + s, k = 0..order (a complex
+    power by repeated multiplication); each point multiplies its gathered
+    powers in variable order, so a row of a block has the bits of its
+    point alone.
+    """
+    U = np.asarray(U)
+    k = np.arange(order + 1, dtype=U.dtype)  # no cast in u ** k
+    P = (U[..., None, :] ** k[:, None]).reshape(U.shape[:-1] + (-1,))
+    return np.multiply.reduce(P.take(index, axis=-1), axis=U.ndim - 1)
 
 
 def polynomial_eval(table, coeffs, z):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .polytensor import polynomial_eval
+from .polytensor import polynomial_eval, power_index, power_values
 
 
 # the tolerances of trace_unstable_manifold's integrations
@@ -82,15 +82,13 @@ def periodic_peak(Y):
 class RealizedReducedSystem:
     """Real 2m-dimensional form of the reduced dynamics at fixed mu.
 
-    The reduced field is compiled once into the nonzero representative
-    rows of f, grouped by z-exponent; assigning mu substitutes it and sums
-    each group's mu powers into one coefficient per distinct z-monomial
-    (and one for d/dmu).  Every evaluation then builds the table of powers
-    u**k, k = 0..order, of u = (z_reps, conj z_reps) (numpy computes integer
-    powers by repeated multiplication) and contracts that one table, for
-    one state or a block of states.  map_to_physical evaluates the mapping
-    directly (polynomial_eval), the oracle of map_batch.  A realified state
-    is the (Re, Im) pairs of z_reps, read as complex through a view.
+    The nonzero representative rows of f and the nonzero rows of W get
+    power_index gathers over u = (z_reps, conj z_reps); assigning mu scales
+    each row by its power of mu (f's also by the mu derivative).  Every
+    evaluation is one power_values call at one state or a block of states,
+    contracted with those rows.  map_to_physical (polynomial_eval) is the
+    oracle of map_batch.  A realified state is the (Re, Im) pairs of z_reps,
+    read as complex through a view.
     """
 
     def __init__(self, rom, mu):
@@ -102,27 +100,19 @@ class RealizedReducedSystem:
         self.nv = rom.table.nvars
         if 2 * m != rom.d:
             raise ValueError("every master coordinate needs a distinct conjugate partner")
-        # position of each master coordinate in u
-        self._upos = np.empty(rom.d, dtype=np.int64)
-        self._upos[self.reps] = np.arange(m)
-        self._upos[rom.conj_map[self.reps]] = m + np.arange(m)
-        self._exponents = np.arange(rom.order + 1, dtype=complex)  # no cast in u ** k
-        self._f_support = self._support(rom.f[:, self.reps])
-        zexp = self._f_support[0]
-        # power-table gathers: row 0 evaluates the monomials, row 1 + p their
-        # derivatives by u_p (that variable's exponent lowered)
-        lowered = np.repeat(zexp[None], rom.d + 1, axis=0)
-        factors = np.ones((rom.d + 1, len(zexp)))
-        for s in range(rom.d):
-            p = 1 + self._upos[s]
-            lowered[p, :, s] = np.maximum(zexp[:, s] - 1, 0)
-            factors[p] = zexp[:, s]
-        self._f_index = self._power_index(lowered)
+        exps = rom.table.exponents[:, np.r_[self.reps, rom.conj_map[self.reps], rom.d]]
+        f = rom.f[:, self.reps]
+        keep = np.flatnonzero(np.any(f != 0, axis=1))
+        self._f_rows, self._f_kmu, zexp = f[keep], exps[keep, -1], exps[keep, :-1]
+        # row 0 evaluates the monomials, row 1 + p their derivatives by u_p
+        self._f_index = power_index(zexp, lowered=True)
         # row 0 again, contiguous: gathering through the strided view
         # self._f_index[:, 0] made rhs ~10% slower
-        self._f_index0 = self._power_index(zexp)
-        self._f_factors = factors
-        self._W_support = None
+        self._f_index0 = power_index(zexp)
+        self._f_factors = np.vstack((np.ones(len(keep)), zexp.T))
+        keep = np.flatnonzero(np.any(rom.W != 0, axis=1))
+        self._W_rows, self._W_kmu = rom.W[keep], exps[keep, -1]
+        self._W_index = power_index(exps[keep, :-1])
         self.mu = mu
 
     @property
@@ -131,54 +121,17 @@ class RealizedReducedSystem:
 
     @mu.setter
     def mu(self, value):
-        if getattr(self, "_mu", None) == float(value):
-            return   # the tables of this mu are in place
         self._mu = float(value)
-        kmu, rows = self._f_support[2:]
-        dpowers = kmu * self._mu ** np.maximum(kmu - 1, 0)
-        self._f_rhs = self._collapse(self._f_support, rows * (self._mu ** kmu)[:, None])
-        self._f_dmu = self._collapse(self._f_support, rows * dpowers[:, None])
-        self._W_coef = None
-
-    def _support(self, coeffs):
-        """Nonzero rows of a coefficient table grouped by z-exponent.
-
-        Returns (distinct z-exponents, group of each row, mu exponent of
-        each row, the rows).
-        """
-        exps = self.rom.table.exponents
-        keep = np.flatnonzero(np.any(coeffs != 0, axis=1))
-        zexp, group = np.unique(exps[keep, :-1], axis=0, return_inverse=True)
-        return zexp, group.ravel(), exps[keep, -1], coeffs[keep]
-
-    @staticmethod
-    def _collapse(support, weighted_rows):
-        """Sum rows into one row per distinct z-monomial."""
-        zexp, group = support[:2]
-        out = np.zeros((len(zexp), weighted_rows.shape[1]), dtype=complex)
-        np.add.at(out, group, weighted_rows)
-        return out
-
-    def _power_index(self, zexp):
-        """Flat positions of u^e in the power table for (..., ngroups, d)
-        exponents, with the variable axis moved first: (d, ..., ngroups)."""
-        return np.ascontiguousarray(np.moveaxis(zexp * self.rom.d + self._upos, -1, 0))
-
-    def _powers(self, X):
-        """Flat power table at one realified state or at each row of X.
-
-        Each state becomes u = (z_reps, conj z_reps) through a complex view
-        of its (Re, Im) pairs (X may be a list or strided); u_s^k sits at
-        k*d + s, with the states on a trailing axis.
-        """
-        Z = np.ascontiguousarray(X, dtype=float).view(complex).T
-        U = np.concatenate((Z, Z.conj()))
-        P = U ** self._exponents.reshape((-1,) + (1,) * U.ndim)
-        return P.reshape((-1,) + Z.shape[1:])
+        k = self._f_kmu
+        self._f_rhs = self._f_rows * (self._mu ** k)[:, None]
+        self._f_dmu = self._f_rows * (k * self._mu ** np.maximum(k - 1, 0))[:, None]
+        self._W_coef = None   # map_batch scales W when it needs it
 
     def _monomials(self, X, index):
-        """Monomials gathered by index, (..., ngroups) plus the states' axis."""
-        return np.multiply.reduce(self._powers(X)[index], axis=0)
+        """power_values at one realified state or at each row of X (which
+        may be a list or strided), as u = (z_reps, conj z_reps)."""
+        Z = np.ascontiguousarray(X, dtype=float).view(complex)
+        return power_values(np.concatenate((Z, Z.conj()), axis=-1), index, self.rom.order)
 
     def complex_state(self, x):
         z = np.zeros(self.nv, dtype=complex)
@@ -195,7 +148,7 @@ class RealizedReducedSystem:
         return z.view(float)
 
     def rhs(self, t, x):
-        return self._monomials(x, self._f_index0).T.dot(self._f_rhs).view(float)
+        return self._monomials(x, self._f_index0).dot(self._f_rhs).view(float)
 
     def linearize(self, X):
         """(rhs, jacobian, dfdmu) from one power table, at one realified state
@@ -206,8 +159,6 @@ class RealizedReducedSystem:
         d/d(Re z) = d/dz + d/dconj(z) and d/d(Im z) = i (d/dz - d/dconj(z)).
         """
         mono = self._monomials(X, self._f_index)
-        if mono.ndim == 3:
-            mono = np.moveaxis(mono, -1, 0)
         mono = (mono * self._f_factors).reshape(-1, mono.shape[-1])
         m, rows = self.m, len(self._f_factors)
         out = (mono @ self._f_rhs).reshape(-1, rows, m)
@@ -224,7 +175,7 @@ class RealizedReducedSystem:
         return self.linearize(x)[1]
 
     def dfdmu(self, x):
-        return self._monomials(x, self._f_index0).T.dot(self._f_dmu).view(float)
+        return self._monomials(x, self._f_index0).dot(self._f_dmu).view(float)
 
     def map_to_physical(self, x):
         """The mapping at one realified state; raises when its imaginary
@@ -236,13 +187,9 @@ class RealizedReducedSystem:
 
     def map_batch(self, X):
         """Real parts of the mapping at each row of X, shape (npoints, dim)."""
-        if self._W_support is None:
-            self._W_support = self._support(self.rom.W)
-            self._W_index = self._power_index(self._W_support[0])
         if self._W_coef is None:
-            kmu, rows = self._W_support[2:]
-            self._W_coef = self._collapse(self._W_support, rows * (self._mu ** kmu)[:, None])
-        return (self._monomials(X, self._W_index).T @ self._W_coef).real
+            self._W_coef = self._W_rows * (self._mu ** self._W_kmu)[:, None]
+        return (self._monomials(X, self._W_index) @ self._W_coef).real
 
 
 def integrate_reduced(rom, mu, z0, t_end, rtol=1e-10, atol=1e-12, t_eval=None,

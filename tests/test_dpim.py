@@ -774,6 +774,12 @@ class TestBatchedInvariance:
                     assert rel_diff(fz[k], f_ref) < 1e-13
                     assert rel_diff(flow[k], flow_ref) < 1e-13
 
+    def test_rejects_a_single_point(self, cases):
+        rom = cases[0][0]
+        nv = rom.table.nvars
+        with pytest.raises(ValueError, match=f"rows of {nv} components"):
+            rom.mapping_and_flow(np.ones(nv))
+
     def test_residual_against_pointwise_formula(self, cases):
         # the defect is a difference of terms of the size of W(z); where it
         # has cancelled to round-off of those terms, that round-off is the bound
@@ -870,6 +876,30 @@ class TestRomSerialization:
         assert "style" not in data
         back = ParametrisationROM.from_dict({**data, "style": "normal-form"})
         assert back.to_dict() == data
+
+    @pytest.fixture(scope="class")
+    def rom_data(self):
+        dae = recast_to_dae(build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2), mu0=2.6)
+        return build_rom_firstorder(dae, solve_master_eigen(dae, d=4), order=3).to_dict()
+
+    @pytest.mark.parametrize("field,cut", [
+        ("W", lambda data: data["W"][:-10]),
+        ("f", lambda data: data["f"][:-10]),
+        ("f", lambda data: [row[:-1] for row in data["f"]]),
+        ("eigenvalues", lambda data: data["eigenvalues"][:2]),
+        ("Lam", lambda data: [row[:2] for row in data["Lam"][:2]]),
+        ("conj_map", lambda data: data["conj_map"][:2]),
+        ("n_disp", lambda data: len(data["W"][0]) + 1),
+    ], ids=["W-rows", "f-rows", "f-columns", "eigenvalues", "Lam", "conj_map", "n_disp"])
+    def test_rejects_fields_that_do_not_fit_the_table(self, rom_data, field, cut):
+        # each loaded without complaint and failed later, or not at all: a
+        # short eigenvalue list moved find_hopf, and short W rows gave
+        # amplitudes with an empty reason
+        data = dict(rom_data)
+        data[field] = cut(data)
+        with pytest.raises(ValueError, match=f"field '{field}'"):
+            ParametrisationROM.from_dict(data)
+        ParametrisationROM.from_dict(rom_data)  # the file as written loads
 
     def test_rejects_bad_version(self):
         m = build_ziegler2(1, 1, 1, 1, 1)

@@ -13,6 +13,8 @@ from flutterrom.polytensor import (
     SparseTrilinearForm,
     monomial_count,
     polynomial_eval,
+    power_index,
+    power_values,
 )
 from flutterrom.spectral import solve_master_eigen
 
@@ -229,18 +231,38 @@ class TestProductMemo:
 
 
 class TestBatchValues:
+    """Monomial values at a block of points: power_index and power_values
+    against the pointwise monomial_values."""
+
     @pytest.mark.parametrize("nvars,order", [(2, 1), (3, 5), (5, 7)])
     def test_against_pointwise_values(self, nvars, order):
         table = MonomialTable(nvars, order)
         rng = np.random.default_rng(nvars + order)
         Z = 0.7 * (rng.standard_normal((4, nvars)) + 1j * rng.standard_normal((4, nvars)))
-        vals = table.batch_values(Z)
-        assert vals.shape == (4, len(table) + 1)
-        assert np.all(vals[:, -1] == 1.0)
+        index = power_index(table.exponents)
+        vals = power_values(Z, index, order)
+        assert vals.shape == (4, len(table))
         expect = np.array([table.monomial_values(z) for z in Z])
-        assert np.abs(vals[:, :-1] - expect).max() <= 1e-14 * np.abs(expect).max()
-        # one row is the one-point case of the same block evaluation
-        assert np.array_equal(table.batch_values(Z[:1])[0], vals[0])
+        assert np.abs(vals - expect).max() <= 1e-14 * np.abs(expect).max()
+        # one point alone, 1-D, gives the bits of its row in the block
+        for z, row in zip(Z, vals):
+            assert np.array_equal(power_values(z, index, order), row)
+
+    @pytest.mark.parametrize("nvars,order", [(3, 5), (5, 4)])
+    def test_lowered_rows_are_derivatives(self, nvars, order):
+        # row 1 + s of a lowered index times alpha_s is d/du_s of u^alpha:
+        # against central differences of monomial_values (error ~ h^2)
+        table = MonomialTable(nvars, order)
+        rng = np.random.default_rng(7 * nvars + order)
+        z = 0.8 * (rng.standard_normal(nvars) + 1j * rng.standard_normal(nvars))
+        vals = power_values(z, power_index(table.exponents, lowered=True), order)
+        assert vals.shape == (1 + nvars, len(table))
+        assert np.array_equal(vals[0], power_values(z, power_index(table.exponents), order))
+        h = 1e-5
+        for s, e in enumerate(np.eye(nvars)):
+            fd = (table.monomial_values(z + h * e) - table.monomial_values(z - h * e)) / (2 * h)
+            got = table.exponents[:, s] * vals[1 + s]
+            assert np.abs(got - fd).max() <= 1e-8 * np.abs(fd).max()
 
     def test_lowered_ids_brute_force(self):
         table = MonomialTable(4, 5)
@@ -251,10 +273,6 @@ class TestBatchValues:
                 e = table.exponents[mid].copy()
                 e[s] -= 1
                 assert lid == (table.index_of(e) if e.sum() else -1)
-
-    def test_rejects_a_single_point(self):
-        with pytest.raises(ValueError):
-            MonomialTable(3, 2).batch_values(np.ones(3))
 
 
 class TestBatchedApply:

@@ -131,7 +131,8 @@ def compiled_case(request):
 
 
 class TestCompiledEvaluator:
-    """The compiled realified evaluator against the direct polynomial oracles."""
+    """The realified evaluator, power_values gathers over the rows of f and
+    W, against the direct polynomial oracles."""
 
     @pytest.mark.parametrize("reassign", [False, True])
     def test_against_oracles(self, compiled_case, reassign):
@@ -528,6 +529,25 @@ def ziegler2():
     return model, P_H, roms
 
 
+@pytest.mark.parametrize("label", ["one-mode", "two-mode", "jordan", "hopf"])
+def test_linear_block_is_the_gradient_of_f_at_the_fixed_point(ziegler2, label):
+    # J(mu)[r, s] = df_r/dz_s at z = 0, from the pointwise gradient of the
+    # table f; the hand-built ROM's mu^2 z term exercises the powers of mu
+    if label == "hopf":
+        rom = hopf_normal_form_rom(rho=-0.1, c_mu=0.7 - 0.2j, c_mu2=0.3)
+    else:
+        rom = ziegler2[2][label][0]
+    d = rom.d
+    mus = np.linspace(-0.5, 0.5, 5)
+    stack = rom.linear_block(mus)
+    for mu, J in zip(mus, stack):
+        z = np.zeros(rom.table.nvars, dtype=complex)
+        z[-1] = mu
+        ref = replace(rom, W=rom.f).mapping_gradient(z)[:d, :d]
+        assert rel_diff(rom.linear_block(mu), ref) <= 1e-14
+        assert rel_diff(J, ref) <= 1e-14
+
+
 class TestLanding:
     """A cycle at a load is the Hopf seed corrected at that load; the branch
     walked there from the Hopf point is the oracle and the fallback."""
@@ -750,12 +770,11 @@ class TestLinearAnalysis:
     @pytest.mark.parametrize("label", ["one-mode", "two-mode", "jordan", "chain"])
     def test_one_analysis_for_four_loads(self, ziegler2, chain8, label, monkeypatch):
         # four loads on one fresh ROM: one 201-load linear_block stack, one
-        # realified system whose f and W supports compile once, and one
-        # correction per Hopf cycle (the corrections whose tangent fixes the
-        # amplitude instead of mu): one Hopf point serves every load but the
-        # one-mode ROM's last, past its second one; each measurement and the
-        # branch after them equal those of a cold copy bit for bit, newton
-        # and meta["seed"] included
+        # realified system and one correction per Hopf cycle (the
+        # corrections whose tangent fixes the amplitude instead of mu): one
+        # Hopf point serves every load but the one-mode ROM's last, past its
+        # second one; each measurement and the branch after them equal those
+        # of a cold copy bit for bit, newton and meta["seed"] included
         if label == "chain":
             _, P_H, rom = chain8
             loads, mu_max = [frac * P_H for frac in (0.005, 0.01, 0.02, 0.05)], 0.05 * P_H
@@ -763,25 +782,25 @@ class TestLinearAnalysis:
             _, P_H, roms = ziegler2
             rom, P = roms[label]
             loads, mu_max = [P_H + mu - P for mu in (0.02, 0.05, 0.1, 0.2)], 0.3
-        once = {"stacks": 1, "supports": 2, "hopf": 2 if label == "one-mode" else 1}
-        calls = {"stacks": 0, "supports": 0, "hopf": 0}
-        linear_block, support = type(rom).linear_block, RealizedReducedSystem._support
+        once = {"stacks": 1, "systems": 1, "hopf": 2 if label == "one-mode" else 1}
+        calls = {"stacks": 0, "systems": 0, "hopf": 0}
+        linear_block, init = type(rom).linear_block, RealizedReducedSystem.__init__
         correct = continuation._correct
 
         def counted_block(self, mu):
             calls["stacks"] += np.ndim(mu) == 1 and len(mu) == 201
             return linear_block(self, mu)
 
-        def counted_support(self, coeffs):
-            calls["supports"] += 1
-            return support(self, coeffs)
+        def counted_init(self, *args):
+            calls["systems"] += 1
+            init(self, *args)
 
         def counted_correct(sysr, q, K, tangent, *args):
             calls["hopf"] += int(tangent[-1] == 0.0)
             return correct(sysr, q, K, tangent, *args)
 
         monkeypatch.setattr(type(rom), "linear_block", counted_block)
-        monkeypatch.setattr(RealizedReducedSystem, "_support", counted_support)
+        monkeypatch.setattr(RealizedReducedSystem, "__init__", counted_init)
         monkeypatch.setattr(continuation, "_correct", counted_correct)
         warm = replace(rom)
         measured = [measure_limit_cycle(warm, mu) for mu in loads]
