@@ -29,16 +29,22 @@ matrix product per pair of orders and scatter through the same product
 tables.
 
 Both engines then solve each order in stacks: the monomials of one
-resonant set share the matrix size, so each set is one stacked
-`scipy.linalg.solve` of bordered systems, and with Jordan couplings an
-order splits into waves whose Jordan terms read only earlier waves.  The
-first-order engine stacks sigma B - At; the second-order one stacks the
-displacement-sized sigma^2 M + sigma C + Kt with sigma-dependent borders
-and recovers the velocity rows from each stack's solutions.  Every
-bordered system's relative residual is checked.  Each build records
-per-order statistics in `rom.meta["stats"]`: monomial and resonant counts,
-assembly, cross-term and solve times, factorizations (one per monomial)
-and the largest relative homological residual.
+resonant set share the matrix size, so each set is one stack of bordered
+systems, and with Jordan couplings an order splits into waves whose
+Jordan terms read only earlier waves.  The first-order engine stacks
+sigma B - At; the second-order one stacks the displacement-sized
+sigma^2 M + sigma C + Kt with sigma-dependent borders and recovers the
+velocity rows from each stack's solutions.  The load's eigenvalue is
+exactly 0, so alpha mu^k has the sigma, the resonant set and the matrix
+of alpha mu^(k-1): only the monomials without mu, and those of order 2,
+meet a matrix for the first time.  Those go through `scipy.linalg.solve`,
+whose condition estimate reports a missed resonance; the repeats, whose
+matrix was checked at a lower order, go through `numpy.linalg.solve`,
+the same LU without the estimate.  Every bordered system's relative
+residual is checked.  Each build records per-order statistics in
+`rom.meta["stats"]`: monomial and resonant counts, assembly, cross-term
+and solve times, factorizations (one per monomial), condition-checked
+solves and the largest relative homological residual.
 
 `invariance_residual` checks a ROM against its full model at a block of
 sample points at once, from one table of monomial values
@@ -50,6 +56,7 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -143,6 +150,17 @@ class ParametrisationROM:
     def dim(self):
         return self.W.shape[1]
 
+    @cached_property
+    def _linear_rows(self):
+        """linear_block's table structure, kept per ROM: the rows e_s + k e_mu,
+        the power_index of their mu powers and, for each row and r, the flat
+        position of (r, s) in a d x d matrix."""
+        d = self.d
+        exps = self.table.exponents
+        rows = np.flatnonzero(exps[:, :d].sum(axis=1) == 1)
+        rs = np.arange(d) * d + np.argmax(exps[rows, :d], axis=1)[:, None]
+        return rows, power_index(exps[rows, -1:]), rs
+
     def linear_block(self, mu):
         """mu-dressed linear reduced dynamics J(mu) at the fixed point z = 0;
         a 1-D array of loads gives one matrix per load, stacked.
@@ -150,15 +168,12 @@ class ParametrisationROM:
         J[r, s] sums f[row, r] mu^k over the rows e_s + k e_mu in row order,
         elementwise, so each matrix is the one a single load gives."""
         d = self.d
-        exps = self.table.exponents
-        rows = np.flatnonzero(exps[:, :d].sum(axis=1) == 1)
+        rows, index, rs = self._linear_rows
         mus = np.atleast_1d(mu)
         # as complex numbers the loads are raised by repeated multiplication,
         # several times faster than numpy's float power
-        powers = power_values(mus[:, None] + 0j, power_index(exps[rows, -1:]), self.order)
-        # flat position of (load, r, s) for each load, row and r
-        flat = (np.arange(len(mus))[:, None, None] * d * d + np.arange(d) * d
-                + np.argmax(exps[rows, :d], axis=1)[:, None])
+        powers = power_values(mus[:, None] + 0j, index, self.order)
+        flat = np.arange(len(mus))[:, None, None] * d * d + rs  # (load, row, r)
         J = np.zeros((len(mus), d, d), dtype=complex)
         np.add.at(J.reshape(-1), flat.ravel(), (self.f[rows, :d] * powers[:, :, None]).ravel())
         return J if np.ndim(mu) else J[0]
@@ -354,21 +369,23 @@ def _check_solve(residual_norm, rhs_norm, sigma, lam, table, mids):
     return float(rel.max())
 
 
-def _order_record(p, ids, res, marks, max_rel):
-    """Per-order build statistics; marks are the clock readings before
-    assembly, cross terms, solves and after the solves."""
+def _order_record(p, ids, res, new, marks, max_rel):
+    """Per-order build statistics; new marks the condition-checked solves,
+    and marks are the clock readings before assembly, cross terms, solves
+    and after the solves."""
     t0, t1, t2, t3 = marks
     return {"order": p, "monomials": len(ids),
             "resonant": int(np.count_nonzero(res.keys[ids])),
             "assembly_s": t1 - t0, "cross_s": t2 - t1, "solve_s": t3 - t2,
-            "factorizations": len(ids), "max_rel_residual": float(max_rel)}
+            "factorizations": len(ids), "checked": int(np.count_nonzero(new)),
+            "max_rel_residual": float(max_rel)}
 
 
-def _solve_groups(res, ids, jdeps):
+def _solve_groups(res, ids, new, jdeps):
     """The order-p positions in solve order, one group per Jordan wave and
-    resonant set: yields (locs, mids, R).  A group's Jordan term reads only
-    rows that earlier groups wrote, so the caller writes each group before
-    taking the next."""
+    resonant set: yields (locs, mids, R, new[locs]).  A group's Jordan term
+    reads only rows that earlier groups wrote, so the caller writes each
+    group before taking the next."""
     d = len(res.lam_classified) - 1
     wave = _jordan_waves(jdeps, ids[0], len(ids))
     for w in range(wave.max() + 1):
@@ -376,7 +393,7 @@ def _solve_groups(res, ids, jdeps):
         keys, group = np.unique(res.keys[ids[in_wave]], return_inverse=True)
         for g, key in enumerate(keys):
             locs = in_wave[group == g]
-            yield locs, ids[locs], _masters(key, d)
+            yield locs, ids[locs], _masters(key, d), new[locs]
 
 
 def _bordered(S, cols, rows, corner):
@@ -392,20 +409,27 @@ def _bordered(S, cols, rows, corner):
     return A
 
 
-def _stacked_solve(A, b, sigma, lam, table, mids):
+def _stacked_solve(A, b, new, sigma, lam, table, mids):
     """Homological solves of one group, one monomial per stack entry.
 
-    A is the stack of bordered matrices and b their right-hand sides;
-    returns the solutions and the largest residual of the whole bordered
-    systems relative to |b|, which _check_solve bounds.  A singular or
-    ill-conditioned entry (LinAlgWarning) is a missed resonance.
+    A is the stack of bordered matrices, b their right-hand sides and new
+    marks the entries whose matrix no earlier order solved.  Those go
+    through scipy's solve, which estimates each entry's condition: a
+    singular or ill-conditioned one (LinAlgWarning) is a missed resonance.
+    The others repeat a matrix already checked at a lower order and go
+    through numpy's solve, the same LU without the estimate.  Returns the
+    solutions and the largest residual of the whole bordered systems
+    relative to |b|, which _check_solve bounds.
     """
+    sol = np.empty_like(b)
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", sla.LinAlgWarning)
-            # scipy's solve estimates each entry's condition and warns on an
-            # ill-conditioned one; numpy's raises only on an exactly singular one
-            sol = sla.solve(A, b[..., None], assume_a="gen", check_finite=False)[..., 0]
+        if new.any():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", sla.LinAlgWarning)
+                sol[new] = sla.solve(A[new], b[new, :, None], assume_a="gen",
+                                     check_finite=False)[..., 0]
+        if not new.all():
+            sol[~new] = np.linalg.solve(A[~new], b[~new, :, None])[..., 0]
     except (sla.LinAlgError, sla.LinAlgWarning):
         bad = int(np.argmin(np.abs(np.linalg.det(A))))
         raise _resonance_error(sigma[bad], lam, table, mids[bad]) from None
@@ -420,9 +444,10 @@ def _build(spectrum, order, r_tol, series, solve, meta, n_disp=None):
 
     The engine supplies its order-p nonlinear series, series(table, W, p),
     one row per order-p monomial, and its stacked solve,
-    solve(table, res, ids, rhs, g, jdeps, W, f), which writes the order-p
-    rows of W and f from that series, the gradient cross terms g and the
-    Jordan dependencies and returns the largest relative residual; meta
+    solve(table, res, ids, new, rhs, g, jdeps, W, f), which writes the
+    order-p rows of W and f from that series, the gradient cross terms g and
+    the Jordan dependencies and returns the largest relative residual; new
+    marks the monomials whose bordered matrix no lower order solved.  meta
     holds the engine's own keys.  Two-mode (d = 4) runs classify resonances
     with the 1:1 enforcement.
     """
@@ -452,9 +477,13 @@ def _build(spectrum, order, r_tol, series, solve, meta, n_disp=None):
         t1 = time.perf_counter()
         g = _gradient_cross_lower(table, W, f, p)
         jdeps = _jordan_within_order(table, p, jp)
+        # the load's eigenvalue is exactly 0, so alpha mu^k has the sigma, the
+        # resonant set and so the bordered matrix of alpha mu^(k-1), solved at
+        # order p - 1 unless that is 1
+        new = (table.exponents[ids, -1] == 0) | (p == 2)
         t2 = time.perf_counter()
-        max_rel = solve(table, res, ids, rhs, g, jdeps, W, f)
-        stats.append(_order_record(p, ids, res, (t0, t1, t2, time.perf_counter()), max_rel))
+        max_rel = solve(table, res, ids, new, rhs, g, jdeps, W, f)
+        stats.append(_order_record(p, ids, res, new, (t0, t1, t2, time.perf_counter()), max_rel))
 
     meta.update(r_tol=r_tol, one_to_one=one_to_one,
                 jordan_pairs=[(int(i), int(j), complex(t).real) for i, j, t in jp], stats=stats)
@@ -480,7 +509,7 @@ def _quadratic_rhs(table, dae, W, p):
     return rhs
 
 
-def _solve_order(table, res, spectrum, B, At, ids, rhs, jdeps, W, f):
+def _solve_order(table, res, spectrum, B, At, ids, new, rhs, jdeps, W, f):
     """Solves the order-p monomials ids into W and f, one stacked bordered
     system [[sigma B - At, B Y_R], [X_R^H B, 0]] per Jordan wave and resonant
     set R; returns the largest relative residual.
@@ -490,13 +519,19 @@ def _solve_order(table, res, spectrum, B, At, ids, rhs, jdeps, W, f):
     """
     D = rhs.shape[1]
     lam = np.diag(spectrum.Lam)
+    BY, XHB = B @ spectrum.Y, spectrum.X.conj().T @ B
+    # the right-hand sides with room for every border, which reads zero
+    padded = np.zeros((len(ids), D + len(lam)), dtype=complex)
+    padded[:, :D] = rhs
     max_rel = 0.0
-    for locs, mids, R in _solve_groups(res, ids, jdeps):
+    for locs, mids, R, new_here in _solve_groups(res, ids, new, jdeps):
         sigma = res.sigma[mids]
-        A = _bordered(sigma[:, None, None] * B - At, B @ spectrum.Y[:, R],
-                      spectrum.X[:, R].conj().T @ B, np.zeros((len(R), len(R))))
-        b = rhs[locs] - _jordan_term(jdeps, W, locs) @ B.T
-        sol, rel = _stacked_solve(A, np.pad(b, ((0, 0), (0, len(R)))), sigma, lam, table, mids)
+        A = _bordered(sigma[:, None, None] * B - At, BY[:, R], XHB[R],
+                      np.zeros((len(R), len(R))))
+        b = padded[locs, :D + len(R)]
+        if jdeps:
+            b[:, :D] -= _jordan_term(jdeps, W, locs) @ B.T
+        sol, rel = _stacked_solve(A, b, new_here, sigma, lam, table, mids)
         max_rel = max(max_rel, rel)
         W[mids] = sol[:, :D]
         f[np.ix_(mids, R)] = sol[:, D:]
@@ -507,8 +542,8 @@ def build_rom_firstorder(dae: FirstOrderDAE, spectrum, order, r_tol=0.05):
     """Parametrisation of the augmented quadratic DAE around its fixed point."""
     B, At = dae.B, np.asarray(spectrum.ops["At"])
 
-    def solve(table, res, ids, rhs, g, jdeps, W, f):
-        return _solve_order(table, res, spectrum, B, At, ids, rhs - g @ B.T, jdeps, W, f)
+    def solve(table, res, ids, new, rhs, g, jdeps, W, f):
+        return _solve_order(table, res, spectrum, B, At, ids, new, rhs - g @ B.T, jdeps, W, f)
 
     meta = {"engine": "first-order", "mu0": dae.mu0}
     return _build(spectrum, order, r_tol, lambda table, W, p: _quadratic_rhs(table, dae, W, p),
@@ -517,7 +552,7 @@ def build_rom_firstorder(dae: FirstOrderDAE, spectrum, order, r_tol=0.05):
 
 # -- second-order engine ------------------------------------------------------
 
-def _solve_order_secondorder(table, res, spectrum, mck, ids, fnl, g, jdeps, W, f):
+def _solve_order_secondorder(table, res, spectrum, mck, ids, new, fnl, g, jdeps, W, f):
     """Displacement-sized counterpart of _solve_order.
 
     With the gradient term g = [gU, gV] (cross terms plus the Jordan term)
@@ -534,21 +569,22 @@ def _solve_order_secondorder(table, res, spectrum, mck, ids, fnl, g, jdeps, W, f
     M, C, Kt = mck
     n = M.shape[0]
     Yu, XvH = spectrum.Yu(), spectrum.Xv().conj().T
-    XvHM = XvH @ M
-    cols_base = C @ Yu + M @ Yu @ spectrum.Lam
+    XvHM, MYu = XvH @ M, M @ Yu
+    cols_base = C @ Yu + MYu @ spectrum.Lam
     rows_base = XvH @ C + spectrum.Lam @ XvHM
     lam = np.diag(spectrum.Lam)
     max_rel = 0.0
-    for locs, mids, R in _solve_groups(res, ids, jdeps):
+    for locs, mids, R, new_here in _solve_groups(res, ids, new, jdeps):
         sigma = res.sigma[mids]
         s = sigma[:, None, None]
-        gm = g[locs] + _jordan_term(jdeps, W, locs)
+        gm = g[locs] + _jordan_term(jdeps, W, locs) if jdeps else g[locs]
         gU, gV = gm[:, :n], gm[:, n:]
-        A = _bordered(s**2 * M + s * C + Kt, s * (M @ Yu[:, R]) + cols_base[:, R],
+        A = _bordered(s**2 * M + s * C + Kt, s * MYu[:, R] + cols_base[:, R],
                       s * XvHM[R] + rows_base[R], XvHM[R] @ Yu[:, R])
-        Xi = fnl[locs] - gV @ M.T - sigma[:, None] * (gU @ M.T) - gU @ C.T
-        sol, rel = _stacked_solve(A, np.concatenate([Xi, -gU @ XvHM[R].T], axis=1),
-                                  sigma, lam, table, mids)
+        b = np.empty((len(locs), n + len(R)), dtype=complex)
+        b[:, :n] = fnl[locs] - gV @ M.T - sigma[:, None] * (gU @ M.T) - gU @ C.T
+        b[:, n:] = -gU @ XvHM[R].T
+        sol, rel = _stacked_solve(A, b, new_here, sigma, lam, table, mids)
         max_rel = max(max_rel, rel)
         U, fR = sol[:, :n], sol[:, n:]
         W[mids, :n] = U
@@ -577,8 +613,8 @@ def build_rom_secondorder(model, spectrum, order, r_tol=0.05):
         fnl[table.product_ids(p - 1, 1)[:, -1]] += (Ru @ W[table.ids_of_order(p - 1), :n].T).T
         return fnl
 
-    def solve(table, res, ids, fnl, g, jdeps, W, f):
-        return _solve_order_secondorder(table, res, spectrum, mck, ids, fnl, g, jdeps, W, f)
+    def solve(table, res, ids, new, fnl, g, jdeps, W, f):
+        return _solve_order_secondorder(table, res, spectrum, mck, ids, new, fnl, g, jdeps, W, f)
 
     meta = {"engine": "second-order", "mu0": getattr(model, "p0", 0.0)}
     return _build(spectrum, order, r_tol, series, solve, meta, n)

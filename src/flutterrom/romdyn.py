@@ -231,11 +231,14 @@ def trace_unstable_manifold(rom, mu, n_radial=4, n_angle=12, r_scale=1e-3,
 
     Returns a list of (trajectory id, times, physical coordinates) tuples;
     blow-ups are flagged per trajectory instead of aborting the family.
+    The default horizon is 12 e-folds of the fixed point's growth rate at
+    mu, at most 200 linear periods.
     """
+    from .continuation import _growth
     sysr = RealizedReducedSystem(rom, mu)
     T0 = 2 * np.pi / abs(rom.lam[0].imag)
     if t_end is None:
-        growth = max(rom.lam[0].real, 1e-3)
+        growth = max(float(_growth(mu, rom)), 1e-3)
         t_end = min(12.0 / growth, 200.0 * T0)
     out = []
     tid = 0

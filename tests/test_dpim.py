@@ -555,9 +555,10 @@ class TestProductTableAssembly:
 
 # -- the per-monomial solve loop: reference for the stacked solves -----------
 
-def naive_solve_order(table, res, spectrum, B, At, ids, rhs, jdeps, W, f):
+def naive_solve_order(table, res, spectrum, B, At, ids, new, rhs, jdeps, W, f):
     """One bordered LU solve per monomial, in table order, so that each
-    Jordan term reads monomials solved before it."""
+    Jordan term reads monomials solved before it; new or not, every
+    monomial's matrix is factored afresh."""
     D = rhs.shape[1]
     max_rel = 0.0
     for loc, mid in enumerate(ids):
@@ -583,9 +584,9 @@ def naive_solve_order(table, res, spectrum, B, At, ids, rhs, jdeps, W, f):
     return max_rel
 
 
-def naive_solve_order_secondorder(table, res, spectrum, mck, ids, fnl, g, jdeps, W, f):
+def naive_solve_order_secondorder(table, res, spectrum, mck, ids, new, fnl, g, jdeps, W, f):
     """One bordered displacement-sized LU solve per monomial, in table order,
-    with the velocity rows recovered after each solve."""
+    with the velocity rows recovered after each solve; new is not read."""
     M, C, Kt = mck
     n = M.shape[0]
     Yu, Lam = spectrum.Yu(), spectrum.Lam
@@ -632,9 +633,10 @@ def firstorder_case(case):
 
 
 def solve_groups(table, res, jordan_pairs):
-    """Distinct (order, wave, resonant set) of a build, with the waves found
-    by a forward pass: one past the deepest Jordan dependency."""
-    groups = set()
+    """The monomials of each distinct (order, wave, resonant set) of a build,
+    with the waves found by a forward pass: one past the deepest Jordan
+    dependency."""
+    groups = {}
     for p in range(2, table.max_order + 1):
         ids = list(table.ids_of_order(p))
         jdeps = naive_jordan_within_order(table, p, jordan_pairs)
@@ -643,8 +645,37 @@ def solve_groups(table, res, jordan_pairs):
             for dep, _ in jdeps:
                 if dep[loc] >= 0:
                     wave[loc] = max(wave[loc], wave[dep[loc] - ids[0]] + 1)
-            groups.add((p, wave[loc], tuple(res.sets[ids[loc]])))
+            groups.setdefault((p, wave[loc], tuple(res.sets[ids[loc]])), []).append(ids[loc])
     return groups
+
+
+def first_appearances(table):
+    """For each solved monomial (order 2 and up), the id of the first one in
+    table order with the same master exponents, the exponents of every
+    variable but the load."""
+    first, out = {}, {}
+    for mid in range(table.count_of_order(1), len(table)):
+        out[mid] = first.setdefault(tuple(table.exponents[mid, :-1]), mid)
+    return out
+
+
+def resonance_error_cases(engine):
+    """(system, its one-mode spectrum) with a slave mode at exactly three
+    times the master frequency, damped by about 1e-16: the z^3 matrix is
+    singular to working precision, yet not flagged, since only resonances
+    with the masters are.  The system is linear, so every right-hand side is
+    zero and the residual check alone cannot see the missed resonance."""
+    if engine == "first-order":
+        A = np.zeros((4, 4))
+        A[:2, :2] = [[0.0, -1.0], [1.0, 0.0]]
+        A[2:, 2:] = [[-1e-16, -3.0], [3.0, -1e-16]]
+        system = FirstOrderDAE(np.eye(4), A, SparseBilinearForm.from_entries(4, 4, 4, []),
+                               np.zeros((4, 4)), np.zeros(4), np.zeros(4), 0.0)
+        return system, build_rom_firstorder
+    system = PolynomialSecondOrderModel(n=2, M=np.eye(2), C=np.diag([0.0, 2e-16]),
+                                        Kt=np.diag([1.0, 9.0]), Rt=np.zeros(2),
+                                        Ru=np.zeros((2, 2)))
+    return system, build_rom_secondorder
 
 
 class TestStackedSolves:
@@ -659,17 +690,34 @@ class TestStackedSolves:
 
     @staticmethod
     def count_solves(monkeypatch):
-        """Counts of stacked solves and of the matrices they factor."""
+        """Counts of the stacked solves of scipy (condition-checked) and of
+        numpy, and of the matrices each factors."""
         calls = Counter()
-        solve = sla.solve
 
-        def counted(A, *args, **kwargs):
-            calls["solves"] += 1
-            calls["matrices"] += len(A)
-            return solve(A, *args, **kwargs)
+        def counted(lib, solve):
+            def wrapper(A, *args, **kwargs):
+                calls[lib, "solves"] += 1
+                calls[lib, "matrices"] += len(A)
+                return solve(A, *args, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr(dpim.sla, "solve", counted)
+        monkeypatch.setattr(dpim.sla, "solve", counted("scipy", sla.solve))
+        monkeypatch.setattr(dpim.np.linalg, "solve", counted("numpy", np.linalg.solve))
         return calls
+
+    @staticmethod
+    def expected_solves(table, res, jordan_pairs):
+        """The counts count_solves should read: scipy solves the first
+        appearance of each master exponent, numpy the rest, each at most
+        once per wave and resonant set."""
+        first = first_appearances(table)
+        expect = Counter()
+        for mids in solve_groups(table, res, jordan_pairs).values():
+            new = sum(first[mid] == mid for mid in mids)
+            for lib, count in (("scipy", new), ("numpy", len(mids) - new)):
+                expect[lib, "solves"] += count > 0
+                expect[lib, "matrices"] += count
+        return expect
 
     @pytest.mark.parametrize("case", ["hopf-o7", "jordan-o7"])
     def test_one_solve_per_wave_and_resonant_set(self, case, monkeypatch):
@@ -677,11 +725,39 @@ class TestStackedSolves:
         calls = self.count_solves(monkeypatch)
         rom = build_rom_firstorder(dae, spec, order)
         res = classify_resonances(rom.table, np.append(rom.lam, 0.0), enforce_one_to_one=True)
-        groups = solve_groups(rom.table, res, spec.jordan_pairs)
-        assert calls["solves"] == len(groups)
-        assert calls["matrices"] == len(rom.table) - 5
+        assert calls == self.expected_solves(rom.table, res, spec.jordan_pairs)
+        # 330 distinct master exponents among the 791 - 5 solved monomials
+        assert calls["scipy", "matrices"] == 330
+        assert calls["numpy", "matrices"] == len(rom.table) - 5 - 330
         if case.startswith("jordan"):
+            groups = solve_groups(rom.table, res, spec.jordan_pairs)
             assert max(w for _, w, _ in groups) > 0  # the Jordan build has several waves
+
+    @pytest.mark.parametrize("case", ["hopf-o7", "jordan-o7"])
+    @pytest.mark.parametrize("one_to_one", [False, True])
+    def test_repeats_share_sigma_and_resonant_set(self, case, one_to_one):
+        # the premise of solving repeats unchecked: alpha mu^k has the very
+        # sigma and resonance key of its first appearance, so the same matrix
+        _, spec, order = firstorder_case(case)
+        table = MonomialTable(5, order)
+        res = classify_resonances(table, np.append(np.diag(spec.Lam), 0.0),
+                                  enforce_one_to_one=one_to_one)
+        first = np.array(list(first_appearances(table).items())).T
+        repeats = first[:, first[0] != first[1]]
+        assert repeats.shape[1] == len(table) - 5 - 330
+        mids, firsts = repeats
+        assert np.array_equal(res.sigma[mids].view(np.uint64), res.sigma[firsts].view(np.uint64))
+        assert np.array_equal(res.keys[mids], res.keys[firsts])
+
+    @pytest.mark.parametrize("engine", ["first-order", "second-order"])
+    def test_ill_conditioned_first_appearance_raises(self, engine):
+        system, build = resonance_error_cases(engine)
+        spec = solve_master_eigen(system, d=2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ResonanceError, match=r"monomial \(3, 0, 0\)"):
+                build(system, spec, 3)
+        assert caught == []
 
     @pytest.mark.parametrize("case", ["hopf-o5", "hopf-o7", "jordan-o5"])
     def test_secondorder_against_per_monomial_loop(self, case, monkeypatch):
@@ -704,8 +780,8 @@ class TestStackedSolves:
         calls = self.count_solves(monkeypatch)
         rom = build_rom_secondorder(model, spec, 5)
         res = classify_resonances(rom.table, np.append(rom.lam, 0.0), enforce_one_to_one=True)
-        assert calls["solves"] == len(solve_groups(rom.table, res, spec.jordan_pairs))
-        assert calls["matrices"] == len(rom.table) - 5
+        assert calls == self.expected_solves(rom.table, res, spec.jordan_pairs)
+        assert calls["scipy", "matrices"] + calls["numpy", "matrices"] == len(rom.table) - 5
 
     def test_residual_slope_one_batched_evaluation_per_radius(self, monkeypatch):
         dae, spec, _ = firstorder_case("hopf-o5")
@@ -824,8 +900,14 @@ class TestBuildStats:
             assert r["resonant"] == sum(1 for mid in ids if res.sets[mid])
             assert min(r["assembly_s"], r["cross_s"], r["solve_s"]) >= 0
             assert r["max_rel_residual"] < 1e-6
-        # stacked solves factor every monomial's matrix: 791 - 5 order-1 rows
+        # stacked solves factor every monomial's matrix: 791 - 5 order-1 rows;
+        # the first appearance of each master exponent is condition-checked
         assert sum(r["factorizations"] for r in stats) == len(rom.table) - 5 == 786
+        first = first_appearances(rom.table)
+        for r in stats:
+            assert r["checked"] == sum(first[mid] == mid
+                                       for mid in rom.table.ids_of_order(r["order"]))
+        assert sum(r["checked"] for r in stats) == 330
 
         back = ParametrisationROM.from_dict(json.loads(json.dumps(rom.to_dict())))
         assert back.meta["stats"] == stats

@@ -548,6 +548,20 @@ def test_linear_block_is_the_gradient_of_f_at_the_fixed_point(ziegler2, label):
         assert rel_diff(J, ref) <= 1e-14
 
 
+def test_unstable_manifold_horizon_from_the_growth_at_the_load(ziegler2):
+    # at P_H the expansion eigenvalue's real part is ~1e-11 (1e-3 after the
+    # clamp, a horizon of 200 periods: 1307.9); at mu = 0.05 the fixed point
+    # grows at 0.0570, the largest real part of df/dz at z = 0
+    rom = ziegler2[2]["two-mode"][0]
+    z = np.zeros(rom.table.nvars, dtype=complex)
+    z[-1] = 0.05
+    growth = np.linalg.eigvals(replace(rom, W=rom.f).mapping_gradient(z)[:rom.d, :rom.d]).real.max()
+    [(_, ts, Y, flag)] = trace_unstable_manifold(rom, 0.05, n_radial=1, n_angle=1)
+    assert flag == "" and np.all(np.isfinite(Y))
+    assert ts[-1] == pytest.approx(12.0 / growth, rel=1e-12)
+    assert 210.5 < ts[-1] < 210.7
+
+
 class TestLanding:
     """A cycle at a load is the Hopf seed corrected at that load; the branch
     walked there from the Hopf point is the oracle and the fallback."""
