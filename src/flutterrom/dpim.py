@@ -350,22 +350,31 @@ def _jordan_waves(jdeps, start, n):
         wave = deeper
 
 
-def _resonance_error(sigma, lam, table, mid):
-    near = lam[np.argmin(np.abs(lam - sigma))]
+def _resonance_error(sigma, spectrum, table, mid):
+    """The missed resonance of monomial mid, named by the eigenvalue of the
+    whole pencil (spectrum.ops) nearest to sigma, with the remedy that
+    applies: the resonance tolerance flags resonances with the masters only,
+    so a slave mode near sigma has to join the masters.  The pencil is
+    solved on this error path only."""
+    w = sla.eigvals(spectrum.ops["At"], spectrum.ops["B"])
+    near = min(w[np.isfinite(w)], key=lambda x: abs(x - sigma))
     alpha = tuple(int(e) for e in table.exponents[mid])
+    if np.min(np.abs(np.diag(spectrum.Lam) - near)) <= 1e-6 * max(abs(near), 1.0):
+        remedy = "a master mode: revisit the resonance tolerance"
+    else:
+        remedy = "a slave mode: take that mode among the masters"
     return ResonanceError(
         f"homological solve failed for monomial {alpha}: sigma = {sigma:.6g} "
-        f"is unflagged-resonant with lambda = {near:.6g}; "
-        "revisit the resonance tolerance")
+        f"is unflagged-resonant with lambda = {near:.6g}, {remedy}")
 
 
-def _check_solve(residual_norm, rhs_norm, sigma, lam, table, mids):
+def _check_solve(residual_norm, rhs_norm, sigma, spectrum, table, mids):
     """Largest relative homological residual of a stack of solves; raises at
     the first that flags a missed resonance."""
     rel = residual_norm / np.maximum(rhs_norm, 1e-300)
     bad = np.flatnonzero(~(rel <= 1e-6))  # also catches NaN from a singular system
     if bad.size:
-        raise _resonance_error(sigma[bad[0]], lam, table, mids[bad[0]])
+        raise _resonance_error(sigma[bad[0]], spectrum, table, mids[bad[0]])
     return float(rel.max())
 
 
@@ -409,7 +418,7 @@ def _bordered(S, cols, rows, corner):
     return A
 
 
-def _stacked_solve(A, b, new, sigma, lam, table, mids):
+def _stacked_solve(A, b, new, sigma, spectrum, table, mids):
     """Homological solves of one group, one monomial per stack entry.
 
     A is the stack of bordered matrices, b their right-hand sides and new
@@ -432,9 +441,9 @@ def _stacked_solve(A, b, new, sigma, lam, table, mids):
             sol[~new] = np.linalg.solve(A[~new], b[~new, :, None])[..., 0]
     except (sla.LinAlgError, sla.LinAlgWarning):
         bad = int(np.argmin(np.abs(np.linalg.det(A))))
-        raise _resonance_error(sigma[bad], lam, table, mids[bad]) from None
+        raise _resonance_error(sigma[bad], spectrum, table, mids[bad]) from None
     resid = np.linalg.norm((A @ sol[..., None])[..., 0] - b, axis=1)
-    return sol, _check_solve(resid, np.linalg.norm(b, axis=1), sigma, lam, table, mids)
+    return sol, _check_solve(resid, np.linalg.norm(b, axis=1), sigma, spectrum, table, mids)
 
 
 # -- the order loop -----------------------------------------------------------
@@ -518,10 +527,9 @@ def _solve_order(table, res, spectrum, B, At, ids, new, rhs, jdeps, W, f):
     the W rows that earlier waves wrote.
     """
     D = rhs.shape[1]
-    lam = np.diag(spectrum.Lam)
     BY, XHB = B @ spectrum.Y, spectrum.X.conj().T @ B
     # the right-hand sides with room for every border, which reads zero
-    padded = np.zeros((len(ids), D + len(lam)), dtype=complex)
+    padded = np.zeros((len(ids), D + spectrum.d), dtype=complex)
     padded[:, :D] = rhs
     max_rel = 0.0
     for locs, mids, R, new_here in _solve_groups(res, ids, new, jdeps):
@@ -531,7 +539,7 @@ def _solve_order(table, res, spectrum, B, At, ids, new, rhs, jdeps, W, f):
         b = padded[locs, :D + len(R)]
         if jdeps:
             b[:, :D] -= _jordan_term(jdeps, W, locs) @ B.T
-        sol, rel = _stacked_solve(A, b, new_here, sigma, lam, table, mids)
+        sol, rel = _stacked_solve(A, b, new_here, sigma, spectrum, table, mids)
         max_rel = max(max_rel, rel)
         W[mids] = sol[:, :D]
         f[np.ix_(mids, R)] = sol[:, D:]
@@ -572,7 +580,6 @@ def _solve_order_secondorder(table, res, spectrum, mck, ids, new, fnl, g, jdeps,
     XvHM, MYu = XvH @ M, M @ Yu
     cols_base = C @ Yu + MYu @ spectrum.Lam
     rows_base = XvH @ C + spectrum.Lam @ XvHM
-    lam = np.diag(spectrum.Lam)
     max_rel = 0.0
     for locs, mids, R, new_here in _solve_groups(res, ids, new, jdeps):
         sigma = res.sigma[mids]
@@ -584,7 +591,7 @@ def _solve_order_secondorder(table, res, spectrum, mck, ids, new, fnl, g, jdeps,
         b = np.empty((len(locs), n + len(R)), dtype=complex)
         b[:, :n] = fnl[locs] - gV @ M.T - sigma[:, None] * (gU @ M.T) - gU @ C.T
         b[:, n:] = -gU @ XvHM[R].T
-        sol, rel = _stacked_solve(A, b, new_here, sigma, lam, table, mids)
+        sol, rel = _stacked_solve(A, b, new_here, sigma, spectrum, table, mids)
         max_rel = max(max_rel, rel)
         U, fR = sol[:, :n], sol[:, n:]
         W[mids, :n] = U

@@ -5,10 +5,19 @@ Master spectra are bi-normalized (X* B Y = I) triplets over the augmented
 first-order form of the model; for second-order mechanical systems the
 eigenvectors are stored stacked as [displacement; velocity] and the
 velocity part is tied analytically to the displacement part.
+
+A parameter sweep (`eigen_sweep`) solves its whole grid in one stacked
+`np.linalg.eig` call on the state matrices B^-1 At(P), which exist because
+B = blockdiag(M, M) is nonsingular, and tracks every mode across the grid.
+It refines its events with fresh eigenvalue-only solves of the pencil: the
+Hopf and divergence points are Brent roots, and the coalescence is the
+Brent root of the squared gap of the closest pair where that changes sign
+(an exceptional point), else the minimum of the gap.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -235,11 +244,39 @@ class EigenTrajectory:
     warnings: list = field(default_factory=list)   # weak matches, {P, mode, mac}
 
 
-def _pencil_eigs_at(model, P, right=False):
-    """The whole finite spectrum of the linear pencil at load P, and its
-    right vectors when asked for."""
-    M, C, K = (np.asarray(a) for a in model.linear_pencil(P))
-    return _pencil_eig(*_first_order_pencil(M, C, K), right=right)
+def _state_matrices(pencils):
+    """Stack of B^-1 At = [[0, I], [-M^-1 K, -M^-1 C]], one per (M, C, K):
+    B = blockdiag(M, M) is nonsingular for every linear_pencil, so the
+    state matrix has the pencil's whole spectrum and no infinite eigenvalue."""
+    M, C, K = (np.array(a) for a in zip(*pencils))
+    n = M.shape[-1]
+    try:
+        MinvKC = np.linalg.solve(M, np.concatenate([K, C], axis=-1))
+    except np.linalg.LinAlgError as exc:
+        raise SpectralError("singular mass matrix: the pencil has infinite eigenvalues") from exc
+    A = np.zeros((len(M), 2 * n, 2 * n))
+    A[:, :n, n:] = np.eye(n)
+    A[:, n:] = -MinvKC
+    return A
+
+
+def _grid_eigs(model, grid):
+    """Eigenvalues and right eigenvectors of the linear pencil at every grid
+    load, from one np.linalg.eig call on the stack of state matrices."""
+    w, vr = np.linalg.eig(_state_matrices([model.linear_pencil(P) for P in grid]))
+    return w.astype(complex, copy=False), vr.astype(complex, copy=False)
+
+
+def _pencil_eigs_at(model, P):
+    """The whole finite spectrum of the linear pencil at load P, from
+    scipy's QZ on (At, B); where QZ does not converge (it fails at a few
+    loads within 4 ulp of the exact EP of undamped Ziegler-2), from the
+    state matrix."""
+    mck = [np.asarray(a) for a in model.linear_pencil(P)]
+    try:
+        return _pencil_eig(*_first_order_pencil(*mck))
+    except sla.LinAlgError:
+        return np.linalg.eigvals(_state_matrices([mck])[0]).astype(complex, copy=False)
 
 
 def _closest_pair(w):
@@ -280,6 +317,12 @@ def _root_in(f, a, b, rtol, args=()):
         raise SpectralError(f"no sign change in [{a}, {b}]") from exc
 
 
+# a relative xtol for _root_in that never binds, so brentq stops at its own
+# rtol of 4 eps: the gap grows like sqrt|P - P_c| from an EP, and every bit of
+# P_c shows in it
+_EXACT = np.finfo(float).tiny
+
+
 def _golden_min(f, a, b, xtol, max_iter=200):
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
@@ -302,29 +345,41 @@ def _golden_min(f, a, b, xtol, max_iter=200):
 def eigen_sweep(model, param_range, n_points, mac_threshold=0.8):
     """Track the spectrum over a load range and locate P_c, P_H, P_d.
 
-    Mode identity is maintained by greedy modal-assurance matching between
-    neighbouring grid points, from one MAC matrix per step; a match below
-    mac_threshold adds a warning record {P, mode, mac}.  The event scans
-    read the grid spectra the tracking solved; the events are then refined
-    with fresh eigenvalue-only solves (gap minimization for the
-    coalescence, Brent roots for the Hopf and divergence points), so they do
-    not depend on the mode matching.  Every solve is dense and covers the
-    whole spectrum, every mode is tracked, and only the grid solves
-    compute (right) eigenvectors.
+    The grid loads are solved in one stacked np.linalg.eig call on the state
+    matrices B^-1 At(P).  Mode identity is maintained by greedy
+    modal-assurance matching between neighbouring grid points, from one MAC
+    matrix per step; a match below mac_threshold adds a warning record
+    {P, mode, mac}.  The event scans read the grid spectra; the events are
+    then refined with fresh eigenvalue-only solves (_pencil_eigs_at), so
+    they do not depend on the mode matching:
+
+    - P_H and P_d are Brent roots of the largest growth rate and, past P_H,
+      of the unstable mode's frequency;
+    - P_c is where the closest upper-half-plane pair coalesces.  Through an
+      EP, D = (lam_a - lam_b)^2 of that pair is analytic and real and
+      changes sign, so P_c is a Brent root of Re D on the grid step beside
+      the smallest grid gap where Re D changes sign, to a few ulp; the gap
+      at an EP grows like sqrt|P - P_c|.  Where Re D does not change sign
+      there, or its root is no EP, P_c is a golden-section minimum of the
+      gap to 1e-12.  events["P_c_method"] names the path ("brent" or
+      "golden"), and events["pair_at_Pc"] holds the closest pair at P_c.
+
+    Every solve is dense and covers the whole spectrum, every mode is
+    tracked, and only the grid solve computes (right) eigenvectors.
     events["ep"] flags a coalescence gap below 1e-6 of the spectral scale.
+    A singular mass matrix raises SpectralError.
     """
     P0, P1 = param_range
     grid = np.linspace(P0, P1, n_points)
     warnings = []
 
-    w, vr = _pencil_eigs_at(model, grid[0], right=True)
+    spectra, vectors = _grid_eigs(model, grid)
+    w, vr = spectra[0], vectors[0]
     order = np.lexsort((-w.imag, np.abs(w.imag)))
     lam_rows = [w[order]]
     vec_prev = vr[:, order]
-    spectra = [w]
 
-    for P in grid[1:]:
-        w, vr = _pencil_eigs_at(model, P, right=True)
+    for P, w, vr in zip(grid[1:], spectra[1:], vectors[1:]):
         # modal assurance |a* b|^2 / (|a|^2 |b|^2) of each (tracked, candidate) pair
         mac = np.abs(vec_prev.conj().T @ vr) ** 2 / np.outer(
             np.sum(np.abs(vec_prev) ** 2, axis=0), np.sum(np.abs(vr) ** 2, axis=0))
@@ -337,7 +392,6 @@ def eigen_sweep(model, param_range, n_points, mac_threshold=0.8):
             cols.append(best)
         lam_rows.append(w[cols])
         vec_prev = vr[:, cols]
-        spectra.append(w)
 
     lam = np.array(lam_rows)
     events = {}
@@ -355,23 +409,36 @@ def eigen_sweep(model, param_range, n_points, mac_threshold=0.8):
 
     events["P_H"] = _first_root(grid, [max_real(w) for w in spectra], fresh(max_real), 1e-8)
 
-    # coalescence: minimize the smallest pairwise eigenvalue gap
+    # coalescence: D = (lam_a - lam_b)^2 of the closest pair is analytic in
+    # the load and real through an EP, where it changes sign; elsewhere P_c is
+    # the minimum of the smallest gap
     def gap(w):
         return _closest_pair(w)[0]
+
+    def split(w):
+        a, b = _closest_pair(w)[2]
+        return ((a - b) ** 2).real
 
     gaps = np.array([gap(w) for w in spectra])
     events["P_c"] = None
     events["ep"] = False
     i_min = int(np.argmin(gaps))
     if np.isfinite(gaps[i_min]):
-        a = grid[max(i_min - 1, 0)]
-        b = grid[min(i_min + 1, len(grid) - 1)]
-        P_c = _golden_min(fresh(gap), a, b, xtol=1e-12 * max(abs(b), 1.0))
-        gap_min, scale, _ = _closest_pair(_pencil_eigs_at(model, P_c))
-        events["P_c"] = P_c
-        events["gap_at_Pc"] = gap_min
-        events["scale_at_Pc"] = scale
-        events["ep"] = bool(gap_min < 1e-6 * scale)
+        lo, hi = max(i_min - 1, 0), min(i_min + 1, len(grid) - 1)
+        P_c, method = None, "brent"
+        for k in range(lo, hi):   # the grid step beside the minimum where Re D turns
+            if np.isfinite(gaps[k:k + 2]).all() and split(spectra[k]) * split(spectra[k + 1]) < 0:
+                with contextlib.suppress(SpectralError):   # fresh values lost the turn
+                    P_c = _root_in(fresh(split), grid[k], grid[k + 1], _EXACT)
+                break
+        if P_c is not None:
+            gap_min, scale, pair = _closest_pair(_pencil_eigs_at(model, P_c))
+        if P_c is None or not gap_min < 1e-6 * scale:   # no EP there: D is complex
+            P_c, method = _golden_min(fresh(gap), grid[lo], grid[hi],
+                                      xtol=1e-12 * max(abs(grid[hi]), 1.0)), "golden"
+            gap_min, scale, pair = _closest_pair(_pencil_eigs_at(model, P_c))
+        events.update(P_c=P_c, P_c_method=method, gap_at_Pc=gap_min, scale_at_Pc=scale,
+                      pair_at_Pc=pair, ep=bool(gap_min < 1e-6 * scale))
 
     # divergence: past P_H, the imaginary part of the unstable mode vanishes
     events["P_d"] = None
@@ -389,16 +456,16 @@ def eigen_sweep(model, param_range, n_points, mac_threshold=0.8):
 def detect_exceptional_point(traj, model):
     """Exceptional point of a sweep; returns (P_c, pair) or None.
 
-    Reads the sweep's refined coalescence: its minimum-gap search ran over
-    the whole spectrum at every grid load, and events["ep"] flags a
+    Reads the sweep's refined coalescence, and solves nothing: its search
+    ran over the whole spectrum at every grid load, and events["ep"] flags a
     relative gap below 1e-6 at P_c (for real asymmetric Jacobians,
     coalescence implies a Jordan block).  The pair holds the two closest
-    upper-half-plane eigenvalues of one eigenvalue-only solve at P_c.
+    upper-half-plane eigenvalues of the sweep's eigenvalue-only solve at P_c.
+    model is not read; the benchmark's workloads still pass it.
     """
     if not traj.events["ep"]:
         return None
-    P_c = traj.events["P_c"]
-    return P_c, _closest_pair(_pencil_eigs_at(model, P_c))[2]
+    return traj.events["P_c"], traj.events["pair_at_Pc"]
 
 
 # -- Jordan enforcement -------------------------------------------------------

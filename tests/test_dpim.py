@@ -123,7 +123,8 @@ class TestFirstOrderEngine:
         # matrix is exactly singular and the residual check must reject it
         dae = hopf_oracle_system()
         spec = solve_master_eigen(dae, d=2)
-        with pytest.raises(ResonanceError):
+        with pytest.raises(ResonanceError, match=r"lambda = \S*1j, a master mode: revisit the "
+                                                 r"resonance tolerance"):
             build_rom_firstorder(dae, spec, order=3, r_tol=-1.0)
 
     def test_resonant_monomial_structure(self):
@@ -317,7 +318,7 @@ class TestSecondOrderEngine:
         # an ill-conditioned stack is the missed resonance, not a LinAlgWarning
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            with pytest.raises(ResonanceError):
+            with pytest.raises(ResonanceError, match="a master mode: revisit the resonance"):
                 build_rom_secondorder(model, spec, 3, r_tol=-1.0)
         assert caught == []
 
@@ -755,7 +756,10 @@ class TestStackedSolves:
         spec = solve_master_eigen(system, d=2)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            with pytest.raises(ResonanceError, match=r"monomial \(3, 0, 0\)"):
+            # the slave at 3i, not the master at i, and the remedy for a slave
+            with pytest.raises(ResonanceError, match=r"monomial \(3, 0, 0\): sigma = \S*3j .*"
+                                                     r"lambda = \S*3j, a slave mode: take that "
+                                                     r"mode among the masters"):
                 build(system, spec, 3)
         assert caught == []
 

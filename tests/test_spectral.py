@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 from scipy.linalg import block_diag
+from scipy.optimize import brentq
 
 from flutterrom import spectral
 from flutterrom.models import (
@@ -213,10 +214,14 @@ class TestExceptionalPoint:
 
 
 def pair_gap(model, P):
-    """Gap of the closest upper-half-plane pair at load P, and max |w|."""
+    """Gap of the closest upper-half-plane pair at load P (inf below two
+    such eigenvalues), and max |w|."""
     w = pencil_eigvals(model, P)
+    scale = max(np.abs(w).max(), 1e-30)
+    if np.count_nonzero(w.imag > 1e-12 * scale) < 2:
+        return np.inf, scale
     a, b = closest_upper_pair(w)
-    return abs(a - b), max(np.abs(w).max(), 1e-30)
+    return abs(a - b), scale
 
 
 def coalescence_by_fresh_solves(model, grid):
@@ -230,19 +235,62 @@ def coalescence_by_fresh_solves(model, grid):
     return {"P_c": P_c, "gap_at_Pc": gap_min, "ep": bool(gap_min < 1e-6 * scale)}
 
 
-def track_pairwise(model, grid, mac_threshold):
-    """eigen_sweep's mode tracking with one modal_assurance call per
-    (tracked, candidate) pair: (tracked spectra, warning records)."""
-    def eig(P):
-        w, vr = sla.eig(*pencil(model, P))
-        keep = np.isfinite(w)
-        return w[keep], vr[:, keep]
+def hopf_and_divergence_by_fresh_solves(model, grid):
+    """P_H and P_d as eigen_sweep refines them: brentq to 1e-8 on the first
+    grid step where the growth rate, then past P_H the unstable mode's
+    frequency margin, turns non-negative, with a fresh pencil solve at every
+    grid load."""
+    spectra = [pencil_eigvals(model, P) for P in grid]
+    scale0 = max(np.abs(spectra[0]).max(), 1.0)
 
-    w, vr = eig(grid[0])
+    def first_root(value, loads, vals):
+        turns = [i for i in range(len(loads) - 1) if vals[i] < 0 <= vals[i + 1]]
+        if not turns:
+            return None
+        a, b = loads[turns[0]], loads[turns[0] + 1]
+        return brentq(lambda P: value(pencil_eigvals(model, P)), a, b,
+                      xtol=1e-8 * max(abs(b), 1.0))
+
+    def max_real(w):
+        return np.max(w.real) - 1e-11 * scale0
+
+    def real_unstable(w):
+        return 1e-9 * scale0 - abs(w[np.argmax(w.real)].imag)
+
+    P_H = first_root(max_real, grid, [max_real(w) for w in spectra])
+    P_d = None
+    if P_H is not None:
+        s = np.searchsorted(grid, P_H)
+        P_d = first_root(real_unstable, grid[s:], [real_unstable(w) for w in spectra[s:]])
+    return {"P_H": P_H, "P_d": P_d}
+
+
+def sweep_with_grid_spectra(monkeypatch, model, span, n_points, **kwargs):
+    """eigen_sweep, and the (eigenvalues, right vectors) of each grid load
+    that its one stacked np.linalg.eig call returned."""
+    calls = []
+    eig = np.linalg.eig
+
+    def recording(a):
+        calls.append(eig(a))
+        return calls[-1]
+
+    monkeypatch.setattr(np.linalg, "eig", recording)
+    traj = eigen_sweep(model, span, n_points, **kwargs)
+    monkeypatch.undo()
+    assert len(calls) == 1
+    w, vr = calls[0]
+    return traj, list(zip(w.astype(complex), vr.astype(complex)))
+
+
+def track_pairwise(grid, spectra, mac_threshold):
+    """eigen_sweep's mode tracking of the grid spectra [(w, vr), ...] with
+    one modal_assurance call per (tracked, candidate) pair: (tracked
+    spectra, warning records)."""
+    w, vr = spectra[0]
     order = np.lexsort((-w.imag, np.abs(w.imag)))
     rows, vec_prev, warnings = [w[order]], vr[:, order], []
-    for P in grid[1:]:
-        w, vr = eig(P)
+    for P, (w, vr) in zip(grid[1:], spectra[1:]):
         cols, used = [], set()
         for m in range(len(order)):
             best, best_mac = None, -1.0
@@ -266,9 +314,10 @@ def track_pairwise(model, grid, mac_threshold):
     (build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2), (1.5, 3.0)),
     (build_ziegler3(1, 1, 1, 1, 1, 1, 1, xi_m=0.2), (0.0, 6.0)),
 ])
-def test_mac_matrix_tracking_matches_pairwise_loop(model, span, mac_threshold):
-    traj = eigen_sweep(model, span, 60, mac_threshold=mac_threshold)
-    lam, warnings = track_pairwise(model, traj.P, mac_threshold)
+def test_mac_matrix_tracking_matches_pairwise_loop(model, span, mac_threshold, monkeypatch):
+    traj, spectra = sweep_with_grid_spectra(monkeypatch, model, span, 60,
+                                            mac_threshold=mac_threshold)
+    lam, warnings = track_pairwise(traj.P, spectra, mac_threshold)
     assert np.array_equal(traj.lam, lam)
     assert [(w["P"], w["mode"]) for w in traj.warnings] == [(w["P"], w["mode"]) for w in warnings]
     for got, ref in zip(traj.warnings, warnings):
@@ -304,23 +353,32 @@ class TestSweepSolves:
         # tracking, each refinement evaluation, and the scale solve at P_c
         assert calls["pencil"] == n_points + calls["refine"] + 1
         monkeypatch.undo()
-        expect = coalescence_by_fresh_solves(m, traj.P)
+        expect = hopf_and_divergence_by_fresh_solves(m, traj.P)
         assert {k: traj.events[k] for k in expect} == expect
+        golden = coalescence_by_fresh_solves(m, traj.P)
+        assert traj.events["ep"] == golden["ep"]
+        assert abs(traj.events["P_c"] - golden["P_c"]) <= 1e-12 * golden["P_c"]
 
     def test_only_the_grid_solves_compute_vectors(self, monkeypatch):
         m = build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2)
-        asked = []
-        eig = sla.eig
+        asked, stacks = [], []
+        eig, np_eig = sla.eig, np.linalg.eig
 
         def recording(a, b=None, left=False, right=True, **kwargs):
             asked.append((left, right))
             return eig(a, b, left=left, right=right, **kwargs)
 
+        def recording_stack(a):
+            stacks.append(np.shape(a))
+            return np_eig(a)
+
         monkeypatch.setattr(sla, "eig", recording)
+        monkeypatch.setattr(np.linalg, "eig", recording_stack)
         traj = eigen_sweep(m, (1.5, 3.0), 40)
         assert detect_exceptional_point(traj, m) is not None
-        assert asked.count((False, True)) == 40
-        assert set(asked) == {(False, True), (False, False)}
+        # the benchmark's sweep: 40 loads in one stack, at most 55 loads solved
+        assert stacks == [(40, 4, 4)]
+        assert asked and set(asked) == {(False, False)} and 40 + len(asked) <= 55
 
 
 def closest_upper_pair(w):
@@ -344,31 +402,166 @@ def test_closest_pair_matches_pairwise_loop():
 
 class TestExceptionalPointReuse:
     @pytest.mark.parametrize("xi_m,span", [(0.2, (1.5, 3.0)), (0.0, (1.0, 3.0))])
-    def test_one_pencil_solve_at_the_sweep_pc(self, xi_m, span, monkeypatch):
+    def test_no_solve_at_the_sweep_pc(self, xi_m, span, monkeypatch):
         m = build_ziegler2(1, 1, 1, 1, 1, xi_m=xi_m)
         traj = eigen_sweep(m, span, 40)
-        calls = {"pencil": 0}
-        pencil = m.linear_pencil
-
-        def counted_pencil(P):
-            calls["pencil"] += 1
-            return pencil(P)
-
-        monkeypatch.setattr(m, "linear_pencil", counted_pencil)
+        monkeypatch.setattr(m, "linear_pencil", None)
         out = detect_exceptional_point(traj, m)
-        assert calls["pencil"] == 1
         monkeypatch.undo()
-        # the same P_c and pair as a gap search over fresh solves at every grid load
-        assert out is not None and out[0] == coalescence_by_fresh_solves(m, traj.P)["P_c"]
+        # P_c of a gap search over fresh solves at every grid load, and the
+        # closest pair of a fresh solve at the sweep's P_c
+        golden = coalescence_by_fresh_solves(m, traj.P)
+        assert out is not None and abs(out[0] - golden["P_c"]) <= 1e-12 * golden["P_c"]
         assert out[1] == closest_upper_pair(pencil_eigvals(m, out[0]))
-        if xi_m > 0:
-            assert abs(out[0] - 2.0) < 1e-8
+        assert abs(out[0] - 2.0) < 1e-12
 
     def test_no_solve_without_coalescence(self, monkeypatch):
         m = build_ziegler2(1, 1, 1, 1, 1, xi_k=0.1)
         traj = eigen_sweep(m, (1.0, 3.0), 40)
         monkeypatch.setattr(m, "linear_pencil", None)
         assert detect_exceptional_point(traj, m) is None
+
+
+def ziegler2_quartic_roots(m1, m2, k1, k2, L, xi_m, P):
+    """Roots of det(lam^2 M + lam C + K - P Ru), from the textbook 2-DOF
+    matrices (no model object)."""
+    M = L**2 * np.array([[m1 + m2, m2], [m2, m2]])
+    K = np.array([[k1 + k2, -k2], [-k2, k2]]) - P * L * np.array([[1.0, -1.0], [0.0, 0.0]])
+    E = [[np.array([M[i, j], 2 * xi_m * M[i, j], K[i, j]]) for j in range(2)] for i in range(2)]
+    return np.roots(np.polysub(np.polymul(E[0][0], E[1][1]), np.polymul(E[0][1], E[1][0])))
+
+
+def assert_same_multiset(got, ref, rtol):
+    """Each value of got has a partner in ref, and each of ref one in got."""
+    dist = np.abs(np.asarray(got)[:, None] - np.asarray(ref)[None, :])
+    assert len(got) == len(ref)
+    assert max(dist.min(0).max(), dist.min(1).max()) <= rtol * np.abs(ref).max()
+
+
+def assert_conjugate_pairs_up_first(row):
+    osc = row[row.imag != 0]
+    assert (osc[::2].imag > 0).all() and np.array_equal(osc[1::2], osc[::2].conj())
+
+
+class TestBatchedGrid:
+    """The stacked grid solve against solvers that share nothing with it.
+    The grids keep off the exceptional points, where no eigensolver
+    resolves the double root beyond sqrt(eps)."""
+
+    @pytest.mark.parametrize("params,span,n_points", [
+        ((1, 1, 1, 1, 1, 0.2), (1.0, 3.0), 40),
+        ((1, 1, 1, 1, 1, 0.0), (1.0, 3.0), 40),
+        ((25 / 4, 1.0, 41 / 4, 1.0, 1.0, 0.0), (0.0, 20.0), 220),
+    ])
+    def test_ziegler2_rows_are_the_quartic_roots(self, params, span, n_points):
+        traj = eigen_sweep(build_ziegler2(*params[:5], xi_m=params[5]), span, n_points)
+        for P, row in zip(traj.P, traj.lam):
+            assert_same_multiset(row, ziegler2_quartic_roots(*params, P), 1e-10)
+        assert_conjugate_pairs_up_first(traj.lam[0])
+
+    @pytest.mark.parametrize("model,span,n_points", [
+        (build_ziegler3(1, 1, 1, 1, 1, 1, 1, xi_m=0.2), (0.0, 6.0), 60),
+        (build_ziegler(np.full(8, 1 / 8), np.full(8, 8.0), 1 / 8, xi_m=0.05), (1.0, 30.0), 60),
+    ])
+    def test_rows_are_the_pencil_eigenvalues(self, model, span, n_points):
+        traj = eigen_sweep(model, span, n_points)
+        for P, row in zip(traj.P, traj.lam):
+            assert_same_multiset(row, pencil_eigvals(model, P), 1e-10)
+        assert_conjugate_pairs_up_first(traj.lam[0])
+
+    def test_fresh_solve_where_qz_does_not_converge(self, monkeypatch):
+        # scipy's QZ stops unconverged at a few loads within 4 ulp of the
+        # undamped pendulum's EP; the fresh solve then reads the state matrix
+        def unconverged(*args, **kwargs):
+            raise sla.LinAlgError("generalized eig algorithm (ggev) did not converge")
+
+        monkeypatch.setattr(sla, "eig", unconverged)
+        w = spectral._pencil_eigs_at(build_ziegler2(1, 1, 1, 1, 1), 2.5)
+        assert_same_multiset(w, ziegler2_quartic_roots(1, 1, 1, 1, 1, 0.0, 2.5), 1e-12)
+
+    def test_singular_mass_matrix_is_named(self):
+        m = build_ziegler2(1, 1, 1, 1, 1)
+        m.M = np.array([[1.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(spectral.SpectralError, match="singular mass matrix"):
+            eigen_sweep(m, (1.0, 3.0), 10)
+
+
+def count_root_evaluations(monkeypatch):
+    """(root, evaluations) of every brentq call eigen_sweep makes."""
+    calls = []
+    search = spectral.brentq
+
+    def counted(f, *args, **kwargs):
+        n = [0]
+
+        def counted_f(P):
+            n[0] += 1
+            return f(P)
+        root = search(counted_f, *args, **kwargs)
+        calls.append((root, n[0]))
+        return root
+
+    monkeypatch.setattr(spectral, "brentq", counted)
+    return calls
+
+
+class TestCoalescenceRoot:
+    @pytest.mark.parametrize("gamma2,delta2,span,n_points", [
+        (1.0, 1.0, (1.0, 3.0), 40),      # the grid gaps tie across the symmetric EP
+        (1.0, 1.0, (0.0, 4.5), 90),
+        (25 / 4, 41 / 4, (0.0, 20.0), 220),
+        (2.0, 3.0, (1.0, 4.0), 30),
+        (0.5, 1.5, (1.0, 3.0), 25),
+    ])
+    def test_pc_against_the_closed_form(self, gamma2, delta2, span, n_points, monkeypatch):
+        calls = count_root_evaluations(monkeypatch)
+        traj = eigen_sweep(build_ziegler2(gamma2, 1.0, delta2, 1.0, 1.0), span, n_points)
+        P_c_ref = char_quartic_roots(gamma2, delta2)[0]
+        ev = traj.events
+        assert ev["P_c_method"] == "brent" and ev["ep"]
+        assert abs(ev["P_c"] - P_c_ref) <= 1e-12 * P_c_ref
+        assert [n for root, n in calls if root == ev["P_c"]][0] <= 8
+
+    @pytest.mark.parametrize("xi_k", [0.05, 0.1])
+    def test_no_ep_falls_back_to_the_golden_section(self, xi_k):
+        m = build_ziegler2(1, 1, 1, 1, 1, xi_k=xi_k)
+        traj = eigen_sweep(m, (1.0, 3.0), 40)
+        golden = coalescence_by_fresh_solves(m, traj.P)
+        assert traj.events["P_c_method"] == "golden" and not traj.events["ep"]
+        assert {k: traj.events[k] for k in golden} == golden
+        assert golden["gap_at_Pc"] > 0.6
+
+    @pytest.mark.parametrize("model,span,n_points", [
+        (build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2), (1.5, 3.0), 40),
+        (build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2), (0.5, 3.5), 60),
+        (build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2), (1.0, 3.5), 50),
+        (build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2), (1.5, 3.0), 60),
+        (build_ziegler2(1, 1, 1, 1, 1), (0.5, 3.5), 60),
+        (build_ziegler3(1, 1, 1, 1, 1, 1, 1, xi_m=0.2), (0.0, 6.0), 60),
+        (build_ziegler3(1, 1, 1, 1, 1, 1, 1, xi_m=0.2), (0.5, 4.0), 60),
+        (build_ziegler(np.full(8, 1 / 8), np.full(8, 8.0), 1 / 8, xi_m=0.05), (1.0, 30.0), 60),
+        (build_ziegler(np.full(16, 1 / 16), np.full(16, 16.0), 1 / 16), (15.0, 21.0), 13),
+        (build_ziegler(np.full(32, 1 / 32), np.full(32, 32.0), 1 / 32), (15.0, 21.0), 13),
+    ])
+    def test_root_against_the_golden_section(self, model, span, n_points):
+        # the sweeps of this suite: the root keeps the EP flag, lands within
+        # 1e-12 of the gap minimum and leaves at most twice its gap
+        traj = eigen_sweep(model, span, n_points)
+        golden = coalescence_by_fresh_solves(model, traj.P)
+        ev = traj.events
+        assert ev["ep"] == golden["ep"]
+        assert abs(ev["P_c"] - golden["P_c"]) <= 1e-12 * abs(golden["P_c"])
+        assert ev["gap_at_Pc"] <= 2 * golden["gap_at_Pc"]
+
+    def test_root_flags_an_ep_the_golden_section_missed(self):
+        # k1 = k2 = 0.88 scales the unit pendulum's stiffness: its EP is at
+        # P_c = 2 k exactly.  The gap minimum over the same 12-point grid
+        # stops at a gap of 1.03e-6 against a scale of 0.94 and so does
+        # not flag it
+        m = build_ziegler2(1, 1, 0.88, 0.88, 1, xi_m=0.2)
+        traj = eigen_sweep(m, (1.0, 3.0), 12)
+        assert traj.events["P_c_method"] == "brent" and traj.events["ep"]
+        assert abs(traj.events["P_c"] - 1.76) <= 1e-12 * 1.76
 
 
 class TestJordan:
