@@ -10,7 +10,8 @@ with a flow-orthogonal phase condition, and one of two correctors:
   where R turns each (Re, Im) pair by 90 degrees.  A correction is one
   single-state linearize and one (2m + 2)-square solve; the Floquet
   multipliers are exp(T eig(J(x*) - (2 pi / T) R)), and the amplitudes come
-  from the orbit's harmonics, which reach only the mapping's order.  A ROM
+  from the orbit's harmonics, W's terms at the anchor summed by charge,
+  which reach only the mapping's order.  A ROM
   whose f has a monomial of another charge is refused (ValueError).
 - A system with RealizedReducedSystem's interface (the full-order
   ZieglerFirstOrder) is collocated: Gauss-Legendre collocation (seven
@@ -39,7 +40,8 @@ that load, or the end of the one walked up to it where that is refused.
 
 A ROM's linear analysis is a property of the ROM, not of a load: the
 crossings of each scanned tile of the load axis, its realified system and
-each Hopf cycle are computed once and kept on the ROM (_analysis) while its
+its plan, and each Hopf cycle are computed once and kept on the ROM
+(_analysis) while its
 f, W, conj_map and meta["mu0"] stay as they were.  The tiles are fixed by
 meta["mu0"] alone (_tiles), and a reused Hopf cycle's correction still counts
 in every measurement's newton and branch's meta["seed"], so no result
@@ -52,6 +54,7 @@ record (load, newton, reason) to the "flutterrom" logger.
 
 from __future__ import annotations
 
+import functools
 import logging
 import time
 from dataclasses import dataclass, field
@@ -112,7 +115,9 @@ def find_hopf(model):
 def _analysis(model):
     """The memo of a model's linear analysis: "scan", the crossings of each
     tile _stability_scan has scanned, by tile index; "sysr", a ROM's
-    realified system; and ("hopf", mu_H, rising), each _HopfCycle.
+    realified system; "plan", the mu-independent part of every
+    RealizedReducedSystem of a ROM (romdyn._realified_plan); and ("hopf",
+    mu_H, rising), each _HopfCycle.
 
     A ROM keeps it (ParametrisationROM._analysis), emptied whenever the data
     it was computed from (f, W, conj_map, meta["mu0"]) no longer equal the
@@ -237,6 +242,7 @@ _RTOL, _N_SAMPLE, _SEED_AMP = 1e-9, 512, 1e-3
 # phases that locate a rotating wave's peaks, and the Newton steps that
 # polish them (from a phase within pi / _N_COARSE of the peak)
 _N_COARSE, _PEAK_NEWTON = 64, 5
+_GRID = 2 * np.pi * np.arange(_N_COARSE) / _N_COARSE
 
 
 # the seven Gauss-Legendre points on [0, 1]; column k of _LAGRANGE holds the
@@ -643,25 +649,28 @@ def _fixed_mu(sysr, trace, T_range, q, K):
         K = _refine(col, q[m2], N)
 
 
+@functools.cache
+def _phase_basis(order):
+    """e^{i k theta} at the _N_COARSE phases theta (rows) for k = 0 .. order,
+    read-only."""
+    return _read_only(np.exp(1j * _GRID[:, None] * np.arange(order + 1)))
+
+
 def _wave_peak(sysr, x):
     """Largest |coordinate| of the mapped orbit W(e^{i theta} z*) of the
     rotating wave with anchor x (sysr.mu must be its mu).
 
-    A monomial of W turns with e^{i k theta}, |k| <= the order o, so each
-    coordinate is a trigonometric polynomial Re sum_k c_k e^{i k theta},
-    k = 0 .. o, whose coefficients 2 max(o + 1, 8) equispaced phases give
-    exactly.  Its largest value over _N_COARSE phases starts Newton's
-    method on its derivative, which polishes the peak to round-off.
+    Each coordinate is the trigonometric polynomial Re sum_k c_k e^{i k
+    theta}, k = 0 .. the order o, whose coefficients are the orbit's
+    harmonics, W's terms at the anchor summed by charge
+    (RealizedReducedSystem.harmonics).  Its largest value over _N_COARSE
+    phases starts Newton's method on its derivative, which polishes the
+    peak to round-off.
     """
-    order = sysr.rom.order
-    N = 2 * max(order + 1, 8)
-    Z = np.exp(2j * np.pi * np.arange(N) / N)[:, None] * np.ascontiguousarray(x).view(complex)
-    Y = sysr.map_batch(Z.view(float))
-    k = np.arange(order + 1)[:, None]
-    c = np.fft.rfft(Y, axis=0)[:order + 1] * np.where(k > 0, 2.0 / N, 1.0 / N)
-    grid = 2 * np.pi * np.arange(_N_COARSE) / _N_COARSE
-    coarse = np.abs((np.exp(1j * grid[:, None] * k.T) @ c).real)
-    theta = grid[np.argmax(coarse, axis=0)]
+    c = sysr.harmonics(x)
+    k = np.arange(len(c))[:, None]
+    coarse = np.abs((_phase_basis(len(c) - 1) @ c).real)
+    theta = _GRID[np.argmax(coarse, axis=0)]
     for _ in range(_PEAK_NEWTON):
         e = c * np.exp(1j * k * theta)
         slope, curv = (1j * k * e).real.sum(axis=0), (-k ** 2 * e).real.sum(axis=0)

@@ -59,10 +59,13 @@ class FirstOrderDAE:
         return np.linalg.norm(self.rhs_absolute(self.y0, self.mu0))
 
     def tangent_matrix(self):
-        """A_t = A + Q1(y0, I) + Q1(I, y0) + Q2(I, mu0)."""
-        At = (self.A + self.Q1.contract_left(self.y0).toarray()
-              + self.Q1.contract_right(self.y0).toarray() + self.mu0 * self.Q2m)
-        return At
+        """A_t = A + Q1(y0, I) + Q1(I, y0) + Q2(I, mu0), assembled dense: each
+        contraction of Q1 sums its entries into its matrix in entry order."""
+        Q, y0 = self.Q1, self.y0
+        left, right = np.zeros((2, self.dim, self.dim), dtype=np.result_type(Q.val, y0))
+        np.add.at(left, (Q.p, Q.j), Q.val * y0[Q.i])
+        np.add.at(right, (Q.p, Q.i), Q.val * y0[Q.j])
+        return self.A + left + right + self.mu0 * self.Q2m
 
     def parameter_column(self):
         """A_0 = Q2(y0, 1) + Q3(mu0, 1) + Q3(1, mu0)."""

@@ -4,7 +4,7 @@ This is the arithmetic substrate shared by the model builders and the
 reduction engines: graded-lexicographic monomial enumeration over the
 normal coordinates plus the control-parameter slot, and coordinate-format
 bilinear and trilinear forms, one body (`_SparseForm`) over two or three
-slots, with vector, blockwise and partial contractions.
+slots, with vector and blockwise contractions.
 
 Each monomial also carries a mixed-radix integer code with radix
 max_order + 1, so that code(a + b) = code(a) + code(b).  Codes are looked
@@ -34,7 +34,6 @@ from functools import cached_property
 from math import comb
 
 import numpy as np
-import scipy.sparse as sp
 
 
 def _graded_desc_lex(nvars, max_order):
@@ -262,10 +261,10 @@ def polynomial_eval(table, coeffs, z):
     return coeffs.T @ vals
 
 
-def _check_vec(u, dim, name, batch=False):
-    """u as an array of length dim, or of rows of length dim when batch."""
+def _check_vec(u, dim, name):
+    """u as an array of length dim, or of rows of length dim."""
     u = np.asarray(u)
-    if u.shape[-1:] != (dim,) or (u.ndim > 1 and not batch):
+    if u.shape[-1:] != (dim,):
         raise ValueError(f"{name} must have length {dim}, got shape {u.shape}")
     return u
 
@@ -289,7 +288,7 @@ class _SparseForm:
             raise TypeError(f"{type(self).__name__}.apply takes {len(self._slots)} arguments")
         terms = self.val
         for name, x, (slot, dim) in zip("uvw", args, self._slots):
-            x = _check_vec(x, getattr(self, dim), name, batch=True)
+            x = _check_vec(x, getattr(self, dim), name)
             terms = terms * x[..., getattr(self, slot)]
         out = np.zeros(terms.shape[:-1] + (self.dim_out,), dtype=terms.dtype)
         np.add.at(out, (..., self.p), terms)
@@ -341,18 +340,6 @@ class SparseBilinearForm(_SparseForm):
             return cls(dim_out, dim_in1, dim_in2)
         p, i, j, v = zip(*entries)
         return cls(dim_out, dim_in1, dim_in2, np.array(p), np.array(i), np.array(j), np.array(v))
-
-    def contract_left(self, u):
-        """Matrix Q(u, .): rows p, columns the second slot."""
-        u = _check_vec(u, self.dim_in1, "u")
-        return sp.coo_matrix((self.val * u[self.i], (self.p, self.j)),
-                             shape=(self.dim_out, self.dim_in2)).tocsr()
-
-    def contract_right(self, v):
-        """Matrix Q(., v): rows p, columns the first slot."""
-        v = _check_vec(v, self.dim_in2, "v")
-        return sp.coo_matrix((self.val * v[self.j], (self.p, self.i)),
-                             shape=(self.dim_out, self.dim_in1)).tocsr()
 
 
 @dataclass

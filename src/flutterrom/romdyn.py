@@ -10,7 +10,13 @@ load, or where that landing is refused, the branch continued from the Hopf
 point up to it.  A ROM's cycles are rotating waves of its realified system,
 solved as algebraic equations; the full-order model's are collocated.
 Each ROM, and the one full-order system a ZieglerModel holds, keeps its
-linear analysis (stability scan, Hopf cycles; continuation._analysis).
+linear analysis (stability scan, Hopf cycles; continuation._analysis); a
+ROM keeps there its realified plan too, the mu-independent part of every
+RealizedReducedSystem built on it (_realified_plan), in which W's rows are
+grouped by z exponent and ordered by charge.  So a load costs a system only
+the mu scaling, and a rotating wave's mapped harmonics are W's terms at its
+anchor summed by charge (RealizedReducedSystem.harmonics), with no phase
+sampled.
 """
 
 from __future__ import annotations
@@ -79,40 +85,79 @@ def periodic_peak(Y):
     return top - 0.125 * (after - before) ** 2 / np.minimum(curv, -1e-300)
 
 
+def _realified_plan(rom):
+    """The mu-independent part of a ROM's RealizedReducedSystem, as the
+    attributes it sets; a ROM keeps it in its memo (continuation._analysis)
+    until f, W, conj_map or meta["mu0"] change.
+
+    The nonzero representative rows of f get power_index gathers over u =
+    (z_reps, conj z_reps), their mu exponents and derivative factors.  The
+    nonzero rows of W are grouped by their z exponent (the rows of one
+    group differ only in their power of mu), and the groups are ordered by
+    charge (a representative coordinate counts +1, its conjugate -1): one
+    power_index gather per group, the integer charge of each group, and
+    where each group and each charge starts.  Its arrays are read-only.
+    """
+    if rom.conj_map is None:
+        raise ValueError("ROM lacks conjugate-pair structure")
+    reps = [s for s in range(rom.d) if rom.conj_map[s] > s]
+    m = len(reps)
+    if 2 * m != rom.d:
+        raise ValueError("every master coordinate needs a distinct conjugate partner")
+    exps = rom.table.exponents[:, np.r_[reps, rom.conj_map[reps], rom.d]]
+    f = rom.f[:, reps]
+    keep = np.flatnonzero(np.any(f != 0, axis=1))
+    zexp, kmu = exps[keep, :-1], exps[keep, -1]
+    plan = {
+        "reps": reps, "m": m, "nv": rom.table.nvars,
+        "_f_rows": f[keep], "_f_kmu": kmu, "_f_kdown": np.maximum(kmu - 1, 0),
+        # row 0 evaluates the monomials, row 1 + p their derivatives by u_p
+        "_f_index": power_index(zexp, lowered=True),
+        # row 0 again, contiguous: gathering through the strided view
+        # self._f_index[:, 0] made rhs ~10% slower
+        "_f_index0": power_index(zexp),
+        "_f_factors": np.vstack((np.ones(len(keep)), zexp.T)),
+    }
+    keep = np.flatnonzero(np.any(rom.W != 0, axis=1))
+    zexp = exps[keep, :-1]
+    charge = zexp[:, :m].sum(axis=1) - zexp[:, m:].sum(axis=1)
+    rows = np.lexsort((*zexp.T[::-1], charge))   # by charge, then z exponent
+    zexp, charge = zexp[rows], charge[rows]
+    first = np.flatnonzero(np.r_[True, np.any(zexp[1:] != zexp[:-1], axis=1)])
+    charges, at = np.unique(charge[first], return_index=True)
+    plan.update({
+        "_W_rows": rom.W[keep[rows]], "_W_kmu": exps[keep[rows], -1], "_W_groups": first,
+        "_W_index": power_index(zexp[first]), "_W_charges": charges, "_W_charge_starts": at,
+    })
+    for a in plan.values():
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    return plan
+
+
 class RealizedReducedSystem:
     """Real 2m-dimensional form of the reduced dynamics at fixed mu.
 
-    The nonzero representative rows of f and the nonzero rows of W get
-    power_index gathers over u = (z_reps, conj z_reps); assigning mu scales
-    each row by its power of mu (f's also by the mu derivative).  Every
-    evaluation is one power_values call at one state or a block of states,
-    contracted with those rows.  map_to_physical (polynomial_eval) is the
-    oracle of map_batch.  A realified state is the (Re, Im) pairs of z_reps,
-    read as complex through a view.
+    Its mu-independent part, the gathers of f's and W's rows, is the ROM's
+    one realified plan (_realified_plan), so a system built at another load
+    costs only the mu scaling.  Assigning mu scales f's rows by their power
+    of mu (and by the mu derivative) and drops W's group coefficients, each
+    group's rows summed with their powers of mu, which the mapping folds
+    again when it needs them; assigning the value mu already has does
+    nothing.  Every evaluation is one power_values call at one state or a
+    block of states, contracted with those rows.  map_to_physical
+    (polynomial_eval) is the oracle of map_batch and harmonics.  A realified
+    state is the (Re, Im) pairs of z_reps, read as complex through a view.
     """
 
     def __init__(self, rom, mu):
-        if rom.conj_map is None:
-            raise ValueError("ROM lacks conjugate-pair structure")
+        from .continuation import _analysis
+        memo = _analysis(rom)
+        if "plan" not in memo:
+            memo["plan"] = _realified_plan(rom)
+        vars(self).update(memo["plan"])
         self.rom = rom
-        self.reps = [s for s in range(rom.d) if rom.conj_map[s] > s]
-        self.m = m = len(self.reps)
-        self.nv = rom.table.nvars
-        if 2 * m != rom.d:
-            raise ValueError("every master coordinate needs a distinct conjugate partner")
-        exps = rom.table.exponents[:, np.r_[self.reps, rom.conj_map[self.reps], rom.d]]
-        f = rom.f[:, self.reps]
-        keep = np.flatnonzero(np.any(f != 0, axis=1))
-        self._f_rows, self._f_kmu, zexp = f[keep], exps[keep, -1], exps[keep, :-1]
-        # row 0 evaluates the monomials, row 1 + p their derivatives by u_p
-        self._f_index = power_index(zexp, lowered=True)
-        # row 0 again, contiguous: gathering through the strided view
-        # self._f_index[:, 0] made rhs ~10% slower
-        self._f_index0 = power_index(zexp)
-        self._f_factors = np.vstack((np.ones(len(keep)), zexp.T))
-        keep = np.flatnonzero(np.any(rom.W != 0, axis=1))
-        self._W_rows, self._W_kmu = rom.W[keep], exps[keep, -1]
-        self._W_index = power_index(exps[keep, :-1])
+        self._mu = None
         self.mu = mu
 
     @property
@@ -121,11 +166,15 @@ class RealizedReducedSystem:
 
     @mu.setter
     def mu(self, value):
-        self._mu = float(value)
-        k = self._f_kmu
-        self._f_rhs = self._f_rows * (self._mu ** k)[:, None]
-        self._f_dmu = self._f_rows * (k * self._mu ** np.maximum(k - 1, 0))[:, None]
-        self._W_coef = None   # map_batch scales W when it needs it
+        value = float(value)
+        if value == self._mu:
+            return
+        self._mu = value
+        powers = value ** np.arange(self.rom.order + 1)
+        self._mu_powers = powers
+        self._f_rhs = self._f_rows * powers[self._f_kmu][:, None]
+        self._f_dmu = self._f_rows * (self._f_kmu * powers[self._f_kdown])[:, None]
+        self._W_coef = None   # _mapping folds W's groups when it needs them
 
     def _monomials(self, X, index):
         """power_values at one realified state or at each row of X (which
@@ -185,11 +234,34 @@ class RealizedReducedSystem:
             raise RuntimeError("mapped state has a non-negligible imaginary part")
         return y.real
 
+    def _mapping(self):
+        """W's group coefficients at mu: each group's rows times their
+        powers of mu, summed."""
+        if self._W_coef is None:
+            self._W_coef = np.add.reduceat(self._W_rows * self._mu_powers[self._W_kmu][:, None],
+                                           self._W_groups)
+        return self._W_coef
+
     def map_batch(self, X):
         """Real parts of the mapping at each row of X, shape (npoints, dim)."""
-        if self._W_coef is None:
-            self._W_coef = self._W_rows * (self._mu ** self._W_kmu)[:, None]
-        return (self._monomials(X, self._W_index) @ self._W_coef).real
+        return (self._monomials(X, self._W_index) @ self._mapping()).real
+
+    def harmonics(self, x):
+        """The mapped rotating wave W(e^{i theta} z*) of the anchor x as the
+        real trigonometric polynomial Re sum_k c_k e^{i k theta}: c, shape
+        (order + 1, dim).
+
+        A monomial of W turns with e^{i q theta}, q its charge, so the
+        charge-q sum C_q of the terms at the anchor is the orbit's q-th
+        harmonic, |q| <= order; then c_k = C_k + conj(C_-k) and c_0 = Re C_0.
+        """
+        o = self.rom.order
+        terms = self._monomials(x, self._W_index)[:, None] * self._mapping()
+        C = np.zeros((2 * o + 1, terms.shape[1]), dtype=complex)
+        C[o + self._W_charges] = np.add.reduceat(terms, self._W_charge_starts)
+        c = C[o:] + C[o::-1].conj()
+        c[0] = C[o].real
+        return c
 
 
 def integrate_reduced(rom, mu, z0, t_end, rtol=1e-10, atol=1e-12, t_eval=None,

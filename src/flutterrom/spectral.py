@@ -310,10 +310,15 @@ def _root_in(f, a, b, rtol, args=()):
     sign, to rtol max(|b|, 1).  Brent's method: superlinear on the smooth
     growth rates this serves, and it bisects wherever interpolation stalls.
     scipy keeps the function it wraps in a reference cycle, so a model passed
-    in args, not captured by f, is freed when its last reference goes."""
+    in args, not captured by f, is freed when its last reference goes.
+    Where the fresh values at a and b lost the sign change, raises
+    SpectralError; any error of f itself (a LinAlgError is a ValueError)
+    propagates."""
     try:
         return brentq(f, a, b, args=args, xtol=rtol * max(abs(b), 1.0))
-    except ValueError as exc:   # the fresh values at a and b lost the sign change
+    except ValueError as exc:
+        if type(exc) is not ValueError or "different signs" not in str(exc):
+            raise
         raise SpectralError(f"no sign change in [{a}, {b}]") from exc
 
 

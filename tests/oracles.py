@@ -6,9 +6,12 @@ loop that runs a trajectory until its per-period amplitude stops changing,
 and the first return to a flow-orthogonal section, which gives the period
 of a settled orbit.  The ROM oracle, CollocatedROM, hands a ROM's realified
 system to continuation as a system, so that its cycles are collocated.
+contract_left and contract_right are the sparse matrices of a bilinear
+form with one slot filled, the oracle of FirstOrderDAE.tangent_matrix.
 """
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.integrate import DOP853, solve_ivp
 
 from flutterrom.romdyn import BlowUpError, RealizedReducedSystem
@@ -39,6 +42,17 @@ class CollocatedROM:
     @mu.setter
     def mu(self, value):
         self.sysr.mu = value
+
+
+def contract_left(Q, u):
+    """CSR matrix Q(u, .) of a SparseBilinearForm: rows p, columns the
+    second slot."""
+    return sp.coo_matrix((Q.val * u[Q.i], (Q.p, Q.j)), shape=(Q.dim_out, Q.dim_in2)).tocsr()
+
+
+def contract_right(Q, v):
+    """CSR matrix Q(., v): rows p, columns the first slot."""
+    return sp.coo_matrix((Q.val * v[Q.j], (Q.p, Q.i)), shape=(Q.dim_out, Q.dim_in1)).tocsr()
 
 
 def return_time(rhs, anchor, T0, rtol, atol):

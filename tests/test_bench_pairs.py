@@ -46,3 +46,21 @@ def test_claim_needs_nine_wins_in_ten_and_a_gain_past_the_parent_spread():
     assert not bench_pairs.claim_verdict(eight_wins, "w:pass_s", "layer")["met"]
     within_spread = summary(parent, [p - 0.005 for p in parent])
     assert not bench_pairs.claim_verdict(within_spread, "w:pass_s", "layer")["met"]
+
+
+def test_line_change_sums_the_numstat_rows():
+    numstat = ("12\t30\tsrc/flutterrom/romdyn.py\n"
+               "0\t7\tsrc/flutterrom/polytensor.py\n"
+               "-\t-\tsrc/flutterrom/data.bin\n"
+               "5\t0\tsrc/flutterrom/new file.py\n")
+    assert bench_pairs.line_change(numstat) == {"added": 17, "deleted": 37, "net": -20}
+    assert bench_pairs.line_change("") == {"added": 0, "deleted": 0, "net": 0}
+
+
+def test_src_line_change_of_two_trees(tmp_path):
+    trees = {side: tmp_path / side for side in ("parent", "change")}
+    for side, text in (("parent", "a\nb\nc\n"), ("change", "a\nc\nd\ne\n")):
+        (trees[side] / "src").mkdir(parents=True)
+        (trees[side] / "src" / "m.py").write_text(text)
+    (trees["change"] / "src" / "new.py").write_text("x\n")
+    assert bench_pairs.src_line_change(trees) == {"added": 3, "deleted": 1, "net": 2}

@@ -350,6 +350,22 @@ def test_find_hopf_on_the_normal_form():
                            "scanned loads [-1.05, 0.35]")
 
 
+def test_a_failed_eigenvalue_solve_in_the_scan_propagates(monkeypatch):
+    # the scan's stacked solve succeeds, the refinement of its crossing
+    # (spectral._root_in on _growth, one load at a time) fails: the
+    # LinAlgError is raised as it is, not named a lost sign change
+    growth = continuation._growth
+
+    def failing(mus, model):
+        if np.ndim(mus) == 0:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return growth(mus, model)
+
+    monkeypatch.setattr(continuation, "_growth", failing)
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        find_hopf(hopf_normal_form_rom(rho=-0.1))
+
+
 def test_degenerate_hopf_point_raises():
     # without the cubic term every circle at mu = 0 is a cycle: mu does not
     # move with the amplitude, so no amplitude law scales the seed

@@ -11,6 +11,7 @@ from flutterrom.models import (
     recast_to_dae,
 )
 from flutterrom.spectral import _pencil_eigs_at, eigen_sweep
+from tests.oracles import contract_left, contract_right
 
 
 def test_every_public_model_name_imports():
@@ -289,6 +290,19 @@ class TestRecast:
         At = dae.tangent_matrix()
         # v-rows pick up +mu0*Ru on the theta block
         assert np.allclose(At[2:4, 0:2], -m.K + 2.0 * m.Ru)
+
+    @pytest.mark.parametrize("P", [2.0, 2.6])
+    def test_tangent_matrix_against_the_sparse_contractions(self, P):
+        # off the upright state, so Q1's contractions are not zero: the dense
+        # assembly sums each contraction's entries in entry order, as the
+        # CSR matrices of the oracle do, so the two agree bit for bit
+        dae = recast_to_dae(build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2), mu0=P)
+        dae.y0 = np.random.default_rng(4).standard_normal(dae.dim)
+        Q = dae.Q1
+        assert len(set(zip(Q.p.tolist(), Q.j.tolist()))) < len(Q.p)   # duplicates to sum
+        expect = (dae.A + contract_left(Q, dae.y0).toarray()
+                  + contract_right(Q, dae.y0).toarray() + P * dae.Q2m)
+        assert np.array_equal(dae.tangent_matrix(), expect)
 
     def test_parameter_column_zero(self):
         # no load-only force for the pendulum: A0 = 0 at the upright state

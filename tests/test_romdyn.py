@@ -181,6 +181,53 @@ class TestCompiledEvaluator:
             assert np.array_equal(a, b)
         assert np.array_equal(sysr.map_batch(x[None]), fresh.map_batch(x[None]))
 
+    def test_same_mu_keeps_the_scaling(self, compiled_case):
+        # assigning the value mu has recomputes nothing; another value drops
+        # W's folded groups and rescales f
+        sysr = RealizedReducedSystem(compiled_case, 0.05)
+        x = 0.2 * np.random.default_rng(7).standard_normal(2 * sysr.m)
+        sysr.map_batch(x[None])
+        f_rhs, W_coef = sysr._f_rhs, sysr._W_coef
+        sysr.mu = np.float64(0.05)
+        assert sysr._f_rhs is f_rhs and sysr._W_coef is W_coef
+        sysr.mu = 0.06
+        assert sysr._W_coef is None and sysr._f_rhs is not f_rhs
+
+    def test_one_plan_per_rom_grouped_by_z_exponent(self, compiled_case):
+        # systems at two loads share the ROM's plan; W's nonzero rows fall
+        # into one group per distinct z exponent (246 rows into 125 groups
+        # on the d = 4 ROM), ordered by charge
+        rom = compiled_case
+        a, b = RealizedReducedSystem(rom, 0.05), RealizedReducedSystem(rom, -0.1)
+        assert a._W_index is b._W_index and a._f_index is b._f_index
+        nonzero = np.flatnonzero(np.any(rom.W != 0, axis=1))
+        exps = rom.table.exponents[nonzero][:, np.r_[a.reps, rom.conj_map[a.reps]]]
+        assert len(a._W_rows) == len(nonzero)
+        assert len(a._W_groups) == len(np.unique(exps, axis=0))
+        if rom.d == 4 and rom.order == 5:
+            assert (len(a._W_rows), len(a._W_groups)) == (246, 125)
+        charges = np.repeat(a._W_charges, np.diff(np.r_[a._W_charge_starts, len(a._W_groups)]))
+        z = a._W_index // (2 * a.m)   # each group's exponents, variable axis first
+        assert np.array_equal(z[:a.m].sum(axis=0) - z[a.m:].sum(axis=0), charges)
+
+    @pytest.mark.parametrize("edit", ["W", "f"])
+    def test_an_in_place_edit_builds_a_fresh_plan(self, compiled_case, edit):
+        # a system built after an edit of W or f in place equals one built
+        # on a fresh copy of the edited ROM, bit for bit, and differs from
+        # the one built before the edit
+        rom = replace(compiled_case, W=compiled_case.W.copy(), f=compiled_case.f.copy())
+        x = 0.2 * np.random.default_rng(9).standard_normal(rom.d)
+        before = RealizedReducedSystem(rom, 0.05)
+        rows = np.flatnonzero(np.any(getattr(rom, edit) != 0, axis=1))
+        getattr(rom, edit)[rows[-1]] *= 1.5
+        getattr(rom, edit)[rows[0]] = 0.0
+        edited = RealizedReducedSystem(rom, 0.05)
+        fresh = RealizedReducedSystem(replace(rom, W=rom.W.copy(), f=rom.f.copy()), 0.05)
+        outputs = [(*s.linearize(x), s.map_batch(x[None]), s.harmonics(x))
+                   for s in (before, edited, fresh)]
+        assert all(np.array_equal(a, b) for a, b in zip(outputs[1], outputs[2]))
+        assert not all(np.array_equal(a, b) for a, b in zip(outputs[0], outputs[1]))
+
 
 class TestSingleState:
     """One-state rhs/linearize against the batched path and the oracles."""
@@ -1094,6 +1141,38 @@ class TestRotatingWaves:
         ref = periodic_peak(np.concatenate([sysr.map_batch(block.view(float))
                                             for block in np.array_split(Z, 17)]))
         assert np.abs(pt.amplitude - ref).max() < 1e-9 * ref.max()
+
+    @pytest.mark.parametrize("label", ["one-mode", "two-mode", "jordan"])
+    def test_harmonics_against_sampled_phases(self, ziegler2, label):
+        # the charge sums at the anchor against the rfft of 64 phases of the
+        # mapped orbit, which resolve every harmonic up to the order
+        rom = ziegler2[2][label][0]
+        rng = np.random.default_rng(11)
+        for mu in (0.0, 0.1):
+            sysr = RealizedReducedSystem(rom, mu)
+            x = 0.3 * rng.standard_normal(2 * sysr.m)
+            Z = np.exp(2j * np.pi * np.arange(64) / 64)[:, None] * x.view(complex)
+            ref = np.fft.rfft(sysr.map_batch(Z.view(float)), axis=0)[:rom.order + 1] / 64
+            ref[1:] *= 2.0
+            c = sysr.harmonics(x)
+            assert c.shape == ref.shape
+            assert np.abs(c - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("label", ["one-mode", "two-mode", "jordan"])
+    def test_peak_against_dense_phases(self, ziegler2, label):
+        # the polished peak is no lower than the largest of 4096 phases of
+        # the mapped orbit, and above it by at most what a phase spacing h
+        # can hide: the curvature bound sum_k k^2 |c_k| times h^2 / 8
+        rom = ziegler2[2][label][0]
+        sysr = RealizedReducedSystem(rom, 0.1)
+        x = 0.3 * np.random.default_rng(12).standard_normal(2 * sysr.m)
+        Z = np.exp(2j * np.pi * np.arange(4096) / 4096)[:, None] * x.view(complex)
+        dense = np.abs(sysr.map_batch(Z.view(float))).max(axis=0)
+        peak = continuation._wave_peak(sysr, x)
+        k = np.arange(rom.order + 1)[:, None]
+        slack = (k ** 2 * np.abs(sysr.harmonics(x))).sum(axis=0) * (2 * np.pi / 4096) ** 2 / 8
+        assert np.all(peak >= dense - 1e-14 * dense.max())
+        assert np.all(peak - dense <= slack + 1e-14 * dense.max())
 
     def test_no_rom_cycle_is_collocated(self, ziegler2, monkeypatch):
         def refuse(*args):

@@ -505,6 +505,28 @@ def count_root_evaluations(monkeypatch):
     return calls
 
 
+class TestRootIn:
+    """spectral._root_in: a lost sign change is a SpectralError, an error
+    of the function it searches is that error."""
+
+    def test_a_solver_failure_inside_the_bracket_propagates(self):
+        # f changes sign over [0, 1]; a LinAlgError (a ValueError) raised
+        # past the bracket ends is not read as a lost sign change
+        def f(P):
+            if 0.0 < P < 1.0:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return P - 0.5
+
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            spectral._root_in(f, 0.0, 1.0, 1e-12)
+
+    def test_a_lost_sign_change_keeps_its_message(self):
+        with pytest.raises(spectral.SpectralError,
+                           match=r"^no sign change in \[0\.0, 1\.0\]$"):
+            spectral._root_in(lambda P: P + 1.0, 0.0, 1.0, 1e-12)
+        assert abs(spectral._root_in(lambda P: P - 0.25, 0.0, 1.0, 1e-12) - 0.25) <= 1e-12
+
+
 class TestCoalescenceRoot:
     @pytest.mark.parametrize("gamma2,delta2,span,n_points", [
         (1.0, 1.0, (1.0, 3.0), 40),      # the grid gaps tie across the symmetric EP

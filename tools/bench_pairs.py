@@ -27,7 +27,8 @@ ones. Each end-to-end metric of BENCHMARK.json gets, per workload:
 A claim (--claim workload:metric) is met when the change wins at least nine
 pairs in ten and its median is better than the parent's by more than the
 parent's quartile spread. --traced-seconds adds one --trace 1 run per side
-and workload (seed 1) with the per-layer metrics.
+and workload (seed 1) with the per-layer metrics. src_lines is the line
+change of src/ from the parent's copy to the change's (git diff --numstat).
 """
 
 import argparse
@@ -89,6 +90,27 @@ def run_once(tree, workload, seed, seconds, trace):
     prefix = "# environment: "
     env_line = next((ln[len(prefix):] for ln in lines if ln.startswith(prefix)), "")
     return result, env_line
+
+
+def line_change(numstat):
+    """Lines added, deleted and net over the rows of `git diff --numstat`
+    output; a binary file's row ("-" counts) adds nothing."""
+    added = deleted = 0
+    for row in numstat.splitlines():
+        a, d, _ = row.split("\t", 2)
+        if a != "-":
+            added, deleted = added + int(a), deleted + int(d)
+    return {"added": added, "deleted": deleted, "net": added - deleted}
+
+
+def src_line_change(trees):
+    """line_change of src/ from trees["parent"] to trees["change"]."""
+    proc = subprocess.run(["git", "diff", "--no-index", "--numstat", "--",
+                           str(trees["parent"] / "src"), str(trees["change"] / "src")],
+                          capture_output=True, text=True)
+    if proc.returncode not in (0, 1):   # 1: the trees differ
+        raise RuntimeError(f"git diff --no-index failed: {proc.stderr}")
+    return line_change(proc.stdout)
 
 
 def quartiles(values):
@@ -221,6 +243,7 @@ def write_report(args, spec, workloads, work):
         "run_seconds": args.seconds,
         "seeds": seeds,
         "environment": environment,
+        "src_lines": src_line_change(trees),
     }
     if args.claim:
         report["claim"] = claim_verdict(summary, args.claim, args.layer)
