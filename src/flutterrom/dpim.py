@@ -28,23 +28,24 @@ W from the raise tables, contract them with the nonzero rows of f by one
 matrix product per pair of orders and scatter through the same product
 tables.
 
-Both engines then solve each order in stacks: the monomials of one
-resonant set share the matrix size, so each set is one stack of bordered
-systems, and with Jordan couplings an order splits into waves whose
-Jordan terms read only earlier waves.  The first-order engine stacks
-sigma B - At; the second-order one stacks the displacement-sized
+Both engines then solve each order in one stack of bordered systems per
+Jordan wave (the whole order without Jordan couplings; with them, waves
+whose Jordan terms read only earlier waves).  A monomial's border spans
+the masters its resonance key's bits name, padded to the wave's largest
+set with decoupled slots that never reach f.  The first-order engine
+stacks sigma B - At; the second-order one stacks the displacement-sized
 sigma^2 M + sigma C + Kt with sigma-dependent borders and recovers the
 velocity rows from each stack's solutions.  The load's eigenvalue is
 exactly 0, so alpha mu^k has the sigma, the resonant set and the matrix
 of alpha mu^(k-1): only the monomials without mu, and those of order 2,
-meet a matrix for the first time.  Those go through `scipy.linalg.solve`,
-whose condition estimate reports a missed resonance; the repeats, whose
-matrix was checked at a lower order, go through `numpy.linalg.solve`,
-the same LU without the estimate.  Every bordered system's relative
-residual is checked.  Each build records per-order statistics in
-`rom.meta["stats"]`: monomial and resonant counts, assembly, cross-term
-and solve times, factorizations (one per monomial), condition-checked
-solves and the largest relative homological residual.
+meet a matrix for the first time.  Per wave, those go in one call through
+`scipy.linalg.solve`, whose condition estimate reports a missed
+resonance, and the repeats in one call through `numpy.linalg.solve`, the
+same LU without the estimate.  Every bordered system's relative residual
+is checked.  `rom.meta["stats"]` records per order the monomial and
+resonant counts, assembly, cross-term and solve times, factorizations
+(one per monomial), condition-checked solves, stacks (one per wave) and
+the largest relative homological residual.
 
 `invariance_residual` checks a ROM against its full model at a block of
 sample points at once, from one table of monomial values
@@ -70,11 +71,9 @@ class ResonanceError(RuntimeError):
 
 @dataclass
 class ResonanceSet:
-    """Per-monomial sigma = alpha . diag(Lam) and the resonant master sets;
-    keys encode each set as a bit mask (bit r for master r)."""
+    """Per-monomial sigma = alpha . diag(Lam) and resonance key (bit r: master r)."""
 
     sigma: np.ndarray
-    sets: list
     lam_classified: np.ndarray
     keys: np.ndarray
 
@@ -103,16 +102,7 @@ def classify_resonances(table, lam_vec, r_tol=0.05, enforce_one_to_one=False):
     sigma_cls = table.exponents @ lam_cls
     lam_r = lam_cls[:d].imag
     hit = np.abs(sigma_cls.imag[:, None] - lam_r) <= r_tol * np.maximum(1.0, np.abs(lam_r))
-    keys = hit @ (1 << np.arange(d))
-    # each distinct key is decoded once; every monomial gets its own list
-    distinct, inverse = np.unique(keys, return_inverse=True)
-    decoded = [_masters(key, d) for key in distinct]
-    return ResonanceSet(sigma, [list(decoded[k]) for k in inverse.tolist()], lam_cls, keys)
-
-
-def _masters(key, d):
-    """The master set a resonance key encodes: bit r is master r."""
-    return [r for r in range(d) if int(key) >> r & 1]
+    return ResonanceSet(sigma, lam_cls, hit @ (1 << np.arange(d)))
 
 
 @dataclass
@@ -335,18 +325,21 @@ def _jordan_term(jdeps, W, locs):
     return out
 
 
-def _jordan_waves(jdeps, start, n):
-    """Wave of each order-p position: one past the waves of the monomials its
-    Jordan term reads, so that a wave reads only earlier waves.  Without
-    couplings the whole order is wave 0."""
-    wave = np.zeros(n, dtype=np.int64)
+def _jordan_waves(jdeps, start, new):
+    """The order-p positions of each Jordan wave in solve order, each with
+    the count of those marked new, which it lists first.  A position's wave
+    is one past the waves of the monomials its Jordan term reads, so that a
+    wave reads only earlier waves; without couplings the whole order is one
+    wave."""
+    wave = np.zeros(len(new), dtype=np.int64)
     while True:
         deeper = wave.copy()
         for dep, _ in jdeps:
             has = dep >= 0
             deeper[has] = np.maximum(deeper[has], wave[dep[has] - start] + 1)
         if np.array_equal(deeper, wave):
-            return wave
+            locs = np.split(np.lexsort((~new, wave)), np.cumsum(np.bincount(wave))[:-1])
+            return [(w, int(np.count_nonzero(new[w]))) for w in locs]
         wave = deeper
 
 
@@ -378,67 +371,72 @@ def _check_solve(residual_norm, rhs_norm, sigma, spectrum, table, mids):
     return float(rel.max())
 
 
-def _order_record(p, ids, res, new, marks, max_rel):
+def _order_record(p, ids, res, new, waves, marks, max_rel):
     """Per-order build statistics; new marks the condition-checked solves,
-    and marks are the clock readings before assembly, cross terms, solves
-    and after the solves."""
+    waves holds one stacked solve each, and marks are the clock readings
+    before assembly, cross terms, solves and after the solves."""
     t0, t1, t2, t3 = marks
     return {"order": p, "monomials": len(ids),
             "resonant": int(np.count_nonzero(res.keys[ids])),
             "assembly_s": t1 - t0, "cross_s": t2 - t1, "solve_s": t3 - t2,
             "factorizations": len(ids), "checked": int(np.count_nonzero(new)),
-            "max_rel_residual": float(max_rel)}
+            "stacks": len(waves), "max_rel_residual": float(max_rel)}
 
 
-def _solve_groups(res, ids, new, jdeps):
-    """The order-p positions in solve order, one group per Jordan wave and
-    resonant set: yields (locs, mids, R, new[locs]).  A group's Jordan term
-    reads only rows that earlier groups wrote, so the caller writes each
-    group before taking the next."""
-    d = len(res.lam_classified) - 1
-    wave = _jordan_waves(jdeps, ids[0], len(ids))
-    for w in range(wave.max() + 1):
-        in_wave = np.flatnonzero(wave == w)
-        keys, group = np.unique(res.keys[ids[in_wave]], return_inverse=True)
-        for g, key in enumerate(keys):
-            locs = in_wave[group == g]
-            yield locs, ids[locs], _masters(key, d), new[locs]
+def _padded_system(sigma, pencil, cols, rows, corner, rhs, border_rhs, keys):
+    """Stack of bordered systems [[S_k, cols_k[:, R_k]], [rows_k[R_k],
+    corner[R_k][:, R_k]]] x_k = [rhs_k; border_rhs_k[R_k]], with S_k =
+    sum_i sigma_k^i pencil[i] and R_k the masters whose bits keys[k] sets.
+
+    cols (.., N, d), rows (.., d, N) and border_rhs (.., d) are shared or
+    one per entry.  Each R_k is padded to the stack's largest with slots of
+    zero border column, row and right-hand side and unit diagonal corner.
+    Returns the matrices, right-hand sides and slots (d marks a padded one).
+    """
+    d = len(corner)
+    bits = keys[:, None] >> np.arange(d) & 1 == 1
+    sel = np.sort(np.where(bits, np.arange(d), d), axis=1)[:, :bits.sum(axis=1).max()]
+    (k, N), m = rhs.shape, sel.shape[1]
+    A = np.zeros((k, N + m, N + m), dtype=complex)
+    # in place, highest power first: the operations of sigma B - At and sigma^2 M + sigma C + Kt
+    S, s = A[:, :N, :N], sigma[:, None, None]
+    np.multiply(s ** (len(pencil) - 1), pencil[-1], out=S)
+    for i in range(len(pencil) - 2, 0, -1):
+        S += s**i * pencil[i]
+    S += pencil[0]
+    b = np.concatenate((rhs, np.zeros((k, m))), axis=1)
+    e, j = np.nonzero(sel < d)
+    A[e, :N, N + j] = np.broadcast_to(cols, (k, N, d))[e, :, sel[e, j]]
+    A[e, N + j, :N] = np.broadcast_to(rows, (k, d, N))[e, sel[e, j]]
+    b[e, N + j] = np.broadcast_to(border_rhs, (k, d))[e, sel[e, j]]
+    padded = np.zeros((d + 1, d + 1), dtype=complex)
+    padded[:d, :d] = corner
+    A[:, N:, N:] = padded[sel[..., None], sel[:, None]] + np.eye(m) * (sel == d)[:, None]
+    return A, b, sel
 
 
-def _bordered(S, cols, rows, corner):
-    """Stack of bordered matrices [[S_k, cols_k], [rows_k, corner]]; the
-    borders broadcast over the stack."""
-    k, D = S.shape[:2]
-    n = D + corner.shape[-1]
-    A = np.empty((k, n, n), dtype=complex)
-    A[:, :D, :D] = S
-    A[:, :D, D:] = cols
-    A[:, D:, :D] = rows
-    A[:, D:, D:] = corner
-    return A
+def _stacked_solve(A, b, n_new, sigma, spectrum, table, mids):
+    """Homological solves of one Jordan wave, one monomial per stack entry.
 
-
-def _stacked_solve(A, b, new, sigma, spectrum, table, mids):
-    """Homological solves of one group, one monomial per stack entry.
-
-    A is the stack of bordered matrices, b their right-hand sides and new
-    marks the entries whose matrix no earlier order solved.  Those go
-    through scipy's solve, which estimates each entry's condition: a
-    singular or ill-conditioned one (LinAlgWarning) is a missed resonance.
-    The others repeat a matrix already checked at a lower order and go
-    through numpy's solve, the same LU without the estimate.  Returns the
-    solutions and the largest residual of the whole bordered systems
-    relative to |b|, which _check_solve bounds.
+    A and b are a wave's padded systems (_padded_system); its first n_new
+    entries have a matrix no earlier order solved.  Those go through scipy's
+    solve, which estimates each entry's condition: a singular or
+    ill-conditioned one (LinAlgWarning) is a missed resonance.  The others
+    repeat a matrix checked at a lower order and go through numpy's solve,
+    the same LU without the estimate.  A padded slot decouples with a unit
+    diagonal, so a padded matrix's 1-norm condition number, max(|A|, 1)
+    max(|A^-1|, 1), is at least the unpadded one's.  Returns the solutions
+    and the largest residual relative to |b|, which _check_solve bounds.
     """
     sol = np.empty_like(b)
     try:
-        if new.any():
+        if n_new:
             with warnings.catch_warnings():
                 warnings.simplefilter("error", sla.LinAlgWarning)
-                sol[new] = sla.solve(A[new], b[new, :, None], assume_a="gen",
-                                     check_finite=False)[..., 0]
-        if not new.all():
-            sol[~new] = np.linalg.solve(A[~new], b[~new, :, None])[..., 0]
+                sol[:n_new] = sla.solve(A[:n_new], b[:n_new, :, None], assume_a="gen",
+                                        check_finite=False)[..., 0]
+        if n_new < len(A):
+            sol[n_new:] = np.linalg.solve(A[n_new:], b[n_new:, :, None])[..., 0]
     except (sla.LinAlgError, sla.LinAlgWarning):
         bad = int(np.argmin(np.abs(np.linalg.det(A))))
         raise _resonance_error(sigma[bad], spectrum, table, mids[bad]) from None
@@ -453,10 +451,11 @@ def _build(spectrum, order, r_tol, series, solve, meta, n_disp=None):
 
     The engine supplies its order-p nonlinear series, series(table, W, p),
     one row per order-p monomial, and its stacked solve,
-    solve(table, res, ids, new, rhs, g, jdeps, W, f), which writes the
+    solve(table, res, ids, rhs, g, jdeps, waves, W, f), which writes the
     order-p rows of W and f from that series, the gradient cross terms g and
-    the Jordan dependencies and returns the largest relative residual; new
-    marks the monomials whose bordered matrix no lower order solved.  meta
+    the Jordan dependencies, one stack per Jordan wave (_jordan_waves: the
+    positions and how many lead with a bordered matrix no lower order
+    solved), and returns the largest relative residual.  meta
     holds the engine's own keys.  Two-mode (d = 4) runs classify resonances
     with the 1:1 enforcement.
     """
@@ -490,9 +489,11 @@ def _build(spectrum, order, r_tol, series, solve, meta, n_disp=None):
         # resonant set and so the bordered matrix of alpha mu^(k-1), solved at
         # order p - 1 unless that is 1
         new = (table.exponents[ids, -1] == 0) | (p == 2)
+        waves = _jordan_waves(jdeps, ids[0], new)
         t2 = time.perf_counter()
-        max_rel = solve(table, res, ids, new, rhs, g, jdeps, W, f)
-        stats.append(_order_record(p, ids, res, new, (t0, t1, t2, time.perf_counter()), max_rel))
+        max_rel = solve(table, res, ids, rhs, g, jdeps, waves, W, f)
+        stats.append(_order_record(p, ids, res, new, waves, (t0, t1, t2, time.perf_counter()),
+                                   max_rel))
 
     meta.update(r_tol=r_tol, one_to_one=one_to_one,
                 jordan_pairs=[(int(i), int(j), complex(t).real) for i, j, t in jp], stats=stats)
@@ -518,31 +519,30 @@ def _quadratic_rhs(table, dae, W, p):
     return rhs
 
 
-def _solve_order(table, res, spectrum, B, At, ids, new, rhs, jdeps, W, f):
-    """Solves the order-p monomials ids into W and f, one stacked bordered
-    system [[sigma B - At, B Y_R], [X_R^H B, 0]] per Jordan wave and resonant
-    set R; returns the largest relative residual.
+def _solve_order(table, res, spectrum, B, At, ids, rhs, jdeps, waves, W, f):
+    """Solves the order-p monomials ids into W and f, one stack of bordered
+    systems [[sigma B - At, B Y_R], [X_R^H B, 0]] per Jordan wave, with
+    resonant sets R padded to the wave's largest (_padded_system); returns
+    the largest relative residual.
 
     rhs holds one row per order-p monomial; the Jordan term of a wave reads
     the W rows that earlier waves wrote.
     """
-    D = rhs.shape[1]
+    D, d = rhs.shape[1], spectrum.d
     BY, XHB = B @ spectrum.Y, spectrum.X.conj().T @ B
-    # the right-hand sides with room for every border, which reads zero
-    padded = np.zeros((len(ids), D + spectrum.d), dtype=complex)
-    padded[:, :D] = rhs
+    zero = np.zeros((d, d))
     max_rel = 0.0
-    for locs, mids, R, new_here in _solve_groups(res, ids, new, jdeps):
+    for locs, n_new in waves:
+        mids = ids[locs]
         sigma = res.sigma[mids]
-        A = _bordered(sigma[:, None, None] * B - At, BY[:, R], XHB[R],
-                      np.zeros((len(R), len(R))))
-        b = padded[locs, :D + len(R)]
-        if jdeps:
-            b[:, :D] -= _jordan_term(jdeps, W, locs) @ B.T
-        sol, rel = _stacked_solve(A, b, new_here, sigma, spectrum, table, mids)
+        b = rhs[locs] - _jordan_term(jdeps, W, locs) @ B.T if jdeps else rhs[locs]
+        A, b, sel = _padded_system(sigma, (-At, B), BY[None], XHB[None], zero, b, zero[:1],
+                                   res.keys[mids])
+        sol, rel = _stacked_solve(A, b, n_new, sigma, spectrum, table, mids)
         max_rel = max(max_rel, rel)
         W[mids] = sol[:, :D]
-        f[np.ix_(mids, R)] = sol[:, D:]
+        k, j = np.nonzero(sel < d)
+        f[mids[k], sel[k, j]] = sol[k, D + j]
     return max_rel
 
 
@@ -550,8 +550,8 @@ def build_rom_firstorder(dae: FirstOrderDAE, spectrum, order, r_tol=0.05):
     """Parametrisation of the augmented quadratic DAE around its fixed point."""
     B, At = dae.B, np.asarray(spectrum.ops["At"])
 
-    def solve(table, res, ids, new, rhs, g, jdeps, W, f):
-        return _solve_order(table, res, spectrum, B, At, ids, new, rhs - g @ B.T, jdeps, W, f)
+    def solve(table, res, ids, rhs, g, jdeps, waves, W, f):
+        return _solve_order(table, res, spectrum, B, At, ids, rhs - g @ B.T, jdeps, waves, W, f)
 
     meta = {"engine": "first-order", "mu0": dae.mu0}
     return _build(spectrum, order, r_tol, lambda table, W, p: _quadratic_rhs(table, dae, W, p),
@@ -560,43 +560,43 @@ def build_rom_firstorder(dae: FirstOrderDAE, spectrum, order, r_tol=0.05):
 
 # -- second-order engine ------------------------------------------------------
 
-def _solve_order_secondorder(table, res, spectrum, mck, ids, new, fnl, g, jdeps, W, f):
+def _solve_order_secondorder(table, res, spectrum, mck, ids, fnl, g, jdeps, waves, W, f):
     """Displacement-sized counterpart of _solve_order.
 
     With the gradient term g = [gU, gV] (cross terms plus the Jordan term)
-    and Xi = fnl - M gV - (sigma M + C) gU, each Jordan wave and resonant
-    set R is one stacked system
+    and Xi = fnl - M gV - (sigma M + C) gU, each monomial with resonant set
+    R solves
 
         [[sigma^2 M + sigma C + Kt, (sigma M + C) Yu_R + M (Yu Lam)_R],
          [Xv_R^H (sigma M + C) + (Lam Xv^H M)_R, Xv_R^H M Yu_R]] [U; f_R]
             = [Xi; -Xv_R^H M gU],
 
-    and the velocity rows follow as V = sigma U + Yu_R f_R + gU.  Returns
-    the largest relative residual.
+    in one padded stack per Jordan wave, and the velocity rows follow as
+    V = sigma U + Yu_R f_R + gU.  Returns the largest relative residual.
     """
     M, C, Kt = mck
-    n = M.shape[0]
+    n, d = M.shape[0], spectrum.d
     Yu, XvH = spectrum.Yu(), spectrum.Xv().conj().T
     XvHM, MYu = XvH @ M, M @ Yu
     cols_base = C @ Yu + MYu @ spectrum.Lam
     rows_base = XvH @ C + spectrum.Lam @ XvHM
     max_rel = 0.0
-    for locs, mids, R, new_here in _solve_groups(res, ids, new, jdeps):
+    for locs, n_new in waves:
+        mids = ids[locs]
         sigma = res.sigma[mids]
         s = sigma[:, None, None]
         gm = g[locs] + _jordan_term(jdeps, W, locs) if jdeps else g[locs]
         gU, gV = gm[:, :n], gm[:, n:]
-        A = _bordered(s**2 * M + s * C + Kt, s * MYu[:, R] + cols_base[:, R],
-                      s * XvHM[R] + rows_base[R], XvHM[R] @ Yu[:, R])
-        b = np.empty((len(locs), n + len(R)), dtype=complex)
-        b[:, :n] = fnl[locs] - gV @ M.T - sigma[:, None] * (gU @ M.T) - gU @ C.T
-        b[:, n:] = -gU @ XvHM[R].T
-        sol, rel = _stacked_solve(A, b, new_here, sigma, spectrum, table, mids)
+        Xi = fnl[locs] - gV @ M.T - sigma[:, None] * (gU @ M.T) - gU @ C.T
+        A, b, sel = _padded_system(sigma, (Kt, C, M), s * MYu + cols_base,
+                                   s * XvHM + rows_base, XvHM @ Yu, Xi, -gU @ XvHM.T,
+                                   res.keys[mids])
+        sol, rel = _stacked_solve(A, b, n_new, sigma, spectrum, table, mids)
         max_rel = max(max_rel, rel)
-        U, fR = sol[:, :n], sol[:, n:]
-        W[mids, :n] = U
-        W[mids, n:] = sigma[:, None] * U + fR @ Yu[:, R].T + gU
-        f[np.ix_(mids, R)] = fR
+        k, j = np.nonzero(sel < d)
+        f[mids[k], sel[k, j]] = sol[k, n + j]
+        W[mids, :n] = sol[:, :n]
+        W[mids, n:] = sigma[:, None] * sol[:, :n] + f[mids, :d] @ Yu.T + gU
     return max_rel
 
 
@@ -620,8 +620,8 @@ def build_rom_secondorder(model, spectrum, order, r_tol=0.05):
         fnl[table.product_ids(p - 1, 1)[:, -1]] += (Ru @ W[table.ids_of_order(p - 1), :n].T).T
         return fnl
 
-    def solve(table, res, ids, new, fnl, g, jdeps, W, f):
-        return _solve_order_secondorder(table, res, spectrum, mck, ids, new, fnl, g, jdeps, W, f)
+    def solve(table, res, ids, fnl, g, jdeps, waves, W, f):
+        return _solve_order_secondorder(table, res, spectrum, mck, ids, fnl, g, jdeps, waves, W, f)
 
     meta = {"engine": "second-order", "mu0": getattr(model, "p0", 0.0)}
     return _build(spectrum, order, r_tol, series, solve, meta, n)

@@ -64,3 +64,19 @@ def test_src_line_change_of_two_trees(tmp_path):
         (trees[side] / "src" / "m.py").write_text(text)
     (trees["change"] / "src" / "new.py").write_text("x\n")
     assert bench_pairs.src_line_change(trees) == {"added": 3, "deleted": 1, "net": 2}
+
+
+@pytest.mark.parametrize("stdout", ["", "# environment: fake\n"])
+def test_a_crashed_run_names_tree_workload_seed_and_exit_code(tmp_path, stdout):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import sys\n"
+        f"sys.stdout.write({stdout!r})\n"
+        "sys.stderr.write('Traceback: the pass failed\\n')\n"
+        "sys.exit(1)\n")
+    with pytest.raises(RuntimeError) as err:
+        bench_pairs.run_once(tmp_path, "w", 7, 1, 0)
+    msg = str(err.value)
+    assert str(tmp_path) in msg and "w seed 7" in msg
+    assert "exit code 1" in msg and "the pass failed" in msg
+    assert ("printed nothing" in msg) == (stdout == "")

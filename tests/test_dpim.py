@@ -20,6 +20,7 @@ from flutterrom.dpim import (
 from flutterrom.models import (
     FirstOrderDAE,
     PolynomialSecondOrderModel,
+    build_ziegler,
     build_ziegler2,
     recast_to_dae,
 )
@@ -29,7 +30,7 @@ from flutterrom.polytensor import (
     SparseTrilinearForm,
     polynomial_eval,
 )
-from flutterrom.spectral import enforce_jordan, solve_master_eigen
+from flutterrom.spectral import eigen_sweep, enforce_jordan, solve_master_eigen
 
 
 def hopf_oracle_system(seed=4):
@@ -62,6 +63,13 @@ def first_lyapunov_cubic_coefficient(dae, q, p):
     return (1j / (2 * omega)) * (g20 * g11 - 2 * abs(g11) ** 2 - abs(g02) ** 2 / 3.0)
 
 
+def resonant_set(res, mid):
+    """The resonant masters of monomial mid, decoded from its resonance key:
+    bit r is master r."""
+    d = len(res.lam_classified) - 1
+    return [r for r in range(d) if int(res.keys[mid]) >> r & 1]
+
+
 class TestResonances:
     def test_mu_powers_keep_sigma(self):
         table = MonomialTable(3, 4)
@@ -72,7 +80,7 @@ class TestResonances:
             dressed = table.index_of((2, 1, m)) if 3 + m <= 4 else None
             if dressed is not None:
                 assert res.sigma[dressed] == res.sigma[base]
-                assert res.sets[dressed] == res.sets[base]
+                assert resonant_set(res, dressed) == resonant_set(res, base)
 
     def test_one_to_one_couples_detuned_modes(self):
         # with 2% frequency detuning, z1 z2 z2b stays resonant with lambda1
@@ -83,10 +91,10 @@ class TestResonances:
         strict = classify_resonances(table, lam, r_tol=0.005, enforce_one_to_one=False)
         coupled = classify_resonances(table, lam, r_tol=0.005, enforce_one_to_one=True)
         mixed = table.index_of((1, 0, 1, 1, 0))
-        assert 0 in coupled.sets[mixed]
+        assert 0 in resonant_set(coupled, mixed)
         cross = table.index_of((0, 0, 2, 1, 0))
-        assert 0 not in strict.sets[cross]
-        assert 0 in coupled.sets[cross]
+        assert 0 not in resonant_set(strict, cross)
+        assert 0 in resonant_set(coupled, cross)
 
     def test_single_mode_hopf_set(self):
         # brute-force sigma scan: resonant-with-lambda1 monomials up to order 3
@@ -99,7 +107,7 @@ class TestResonances:
             a = table.exponents[mid]
             if a[0] - a[1] == 1:  # Im sigma = omega
                 expect.add(mid)
-        got = {mid for mid in range(len(table)) if 0 in res.sets[mid]}
+        got = {mid for mid in range(len(table)) if 0 in resonant_set(res, mid)}
         assert got == expect
         names = {tuple(table.exponents[m]) for m in got}
         assert names == {(1, 0, 0), (1, 0, 1), (1, 0, 2), (2, 1, 0)}
@@ -556,14 +564,14 @@ class TestProductTableAssembly:
 
 # -- the per-monomial solve loop: reference for the stacked solves -----------
 
-def naive_solve_order(table, res, spectrum, B, At, ids, new, rhs, jdeps, W, f):
-    """One bordered LU solve per monomial, in table order, so that each
-    Jordan term reads monomials solved before it; new or not, every
-    monomial's matrix is factored afresh."""
+def naive_solve_order(table, res, spectrum, B, At, ids, rhs, jdeps, waves, W, f):
+    """One unpadded bordered LU solve per monomial, in table order, so that
+    each Jordan term reads monomials solved before it; every monomial's
+    matrix is factored afresh, and waves are not read."""
     D = rhs.shape[1]
     max_rel = 0.0
     for loc, mid in enumerate(ids):
-        sigma, R = res.sigma[mid], res.sets[mid]
+        sigma, R = res.sigma[mid], resonant_set(res, mid)
         nR = len(R)
         Mtx = sigma * B - At
         if nR:
@@ -585,9 +593,10 @@ def naive_solve_order(table, res, spectrum, B, At, ids, new, rhs, jdeps, W, f):
     return max_rel
 
 
-def naive_solve_order_secondorder(table, res, spectrum, mck, ids, new, fnl, g, jdeps, W, f):
-    """One bordered displacement-sized LU solve per monomial, in table order,
-    with the velocity rows recovered after each solve; new is not read."""
+def naive_solve_order_secondorder(table, res, spectrum, mck, ids, fnl, g, jdeps, waves, W, f):
+    """One unpadded bordered displacement-sized LU solve per monomial, in
+    table order, with the velocity rows recovered after each solve; waves
+    are not read."""
     M, C, Kt = mck
     n = M.shape[0]
     Yu, Lam = spectrum.Yu(), spectrum.Lam
@@ -600,7 +609,7 @@ def naive_solve_order_secondorder(table, res, spectrum, mck, ids, new, fnl, g, j
             if dep[loc] >= 0:
                 gm += weight[loc] * W[dep[loc]]
         gU, gV = gm[:n], gm[n:]
-        sigma, R = res.sigma[mid], res.sets[mid]
+        sigma, R = res.sigma[mid], resonant_set(res, mid)
         nR = len(R)
         Xi = fnl[loc] - M @ gV - sigma * (M @ gU) - C @ gU
         Mtx = np.block([[sigma**2 * M + sigma * C + Kt,
@@ -624,6 +633,12 @@ def firstorder_case(case):
     if case.startswith("hopf"):
         dae = recast_to_dae(m, mu0=P_H)
         spec = solve_master_eigen(dae, d=4)
+    elif case.startswith("chain"):
+        # the chain n = 8 (masses 1/n, springs n, L = 1/n), D = 4n - 2 = 30
+        n = 8
+        chain = build_ziegler(np.full(n, 1.0 / n), np.full(n, float(n)), 1.0 / n, xi_m=0.05)
+        dae = recast_to_dae(chain, mu0=eigen_sweep(chain, (1.0, 30.0), 60).events["P_H"])
+        spec = solve_master_eigen(dae, d=4)
     elif case.startswith("jordan"):
         dae = recast_to_dae(m, mu0=2.0)
         spec = enforce_jordan(solve_master_eigen(dae, d=4), (0, 2))
@@ -633,11 +648,10 @@ def firstorder_case(case):
     return dae, spec, int(case.rsplit("-o", 1)[1])
 
 
-def solve_groups(table, res, jordan_pairs):
-    """The monomials of each distinct (order, wave, resonant set) of a build,
-    with the waves found by a forward pass: one past the deepest Jordan
-    dependency."""
-    groups = {}
+def solve_waves(table, jordan_pairs):
+    """The monomials of each (order, Jordan wave) of a build, with the waves
+    found by a forward pass: one past the deepest Jordan dependency."""
+    waves = {}
     for p in range(2, table.max_order + 1):
         ids = list(table.ids_of_order(p))
         jdeps = naive_jordan_within_order(table, p, jordan_pairs)
@@ -646,8 +660,8 @@ def solve_groups(table, res, jordan_pairs):
             for dep, _ in jdeps:
                 if dep[loc] >= 0:
                     wave[loc] = max(wave[loc], wave[dep[loc] - ids[0]] + 1)
-            groups.setdefault((p, wave[loc], tuple(res.sets[ids[loc]])), []).append(ids[loc])
-    return groups
+            waves.setdefault((p, wave[loc]), []).append(ids[loc])
+    return waves
 
 
 def first_appearances(table):
@@ -680,7 +694,8 @@ def resonance_error_cases(engine):
 
 
 class TestStackedSolves:
-    @pytest.mark.parametrize("case", ["hopf-o7", "jordan-o5", "jordan-o7", "cubic-o7"])
+    @pytest.mark.parametrize("case", ["hopf-o7", "jordan-o5", "jordan-o7", "cubic-o7",
+                                      "chain-o5"])
     def test_against_per_monomial_loop(self, case, monkeypatch):
         dae, spec, order = firstorder_case(case)
         rom = build_rom_firstorder(dae, spec, order)
@@ -692,13 +707,27 @@ class TestStackedSolves:
     @staticmethod
     def count_solves(monkeypatch):
         """Counts of the stacked solves of scipy (condition-checked) and of
-        numpy, and of the matrices each factors."""
-        calls = Counter()
+        numpy, and of the matrices each factors.  Every matrix numpy gets
+        must have gone through scipy before, up to its padded slots (the
+        trailing unit rows and columns); calls["unchecked"] counts those
+        that did not."""
+        calls, checked = Counter(), set()
+
+        def core(a):
+            n = len(a)
+            while n and a[n - 1, n - 1] == 1 and np.count_nonzero(a[n - 1]) == 1 \
+                    and np.count_nonzero(a[:, n - 1]) == 1:
+                n -= 1
+            return a[:n, :n].tobytes()
 
         def counted(lib, solve):
             def wrapper(A, *args, **kwargs):
                 calls[lib, "solves"] += 1
                 calls[lib, "matrices"] += len(A)
+                if lib == "scipy":
+                    checked.update(core(a) for a in A)
+                else:
+                    calls["unchecked"] += sum(core(a) not in checked for a in A)
                 return solve(A, *args, **kwargs)
             return wrapper
 
@@ -707,13 +736,13 @@ class TestStackedSolves:
         return calls
 
     @staticmethod
-    def expected_solves(table, res, jordan_pairs):
+    def expected_solves(table, jordan_pairs):
         """The counts count_solves should read: scipy solves the first
-        appearance of each master exponent, numpy the rest, each at most
-        once per wave and resonant set."""
+        appearance of each master exponent, numpy the rest, one call of each
+        per wave that has any."""
         first = first_appearances(table)
         expect = Counter()
-        for mids in solve_groups(table, res, jordan_pairs).values():
+        for mids in solve_waves(table, jordan_pairs).values():
             new = sum(first[mid] == mid for mid in mids)
             for lib, count in (("scipy", new), ("numpy", len(mids) - new)):
                 expect[lib, "solves"] += count > 0
@@ -721,18 +750,21 @@ class TestStackedSolves:
         return expect
 
     @pytest.mark.parametrize("case", ["hopf-o7", "jordan-o7"])
-    def test_one_solve_per_wave_and_resonant_set(self, case, monkeypatch):
+    def test_one_solve_per_wave(self, case, monkeypatch):
         dae, spec, order = firstorder_case(case)
         calls = self.count_solves(monkeypatch)
         rom = build_rom_firstorder(dae, spec, order)
-        res = classify_resonances(rom.table, np.append(rom.lam, 0.0), enforce_one_to_one=True)
-        assert calls == self.expected_solves(rom.table, res, spec.jordan_pairs)
+        assert calls.pop("unchecked") == 0
+        assert calls == self.expected_solves(rom.table, spec.jordan_pairs)
         # 330 distinct master exponents among the 791 - 5 solved monomials
         assert calls["scipy", "matrices"] == 330
-        assert calls["numpy", "matrices"] == len(rom.table) - 5 - 330
+        assert calls["numpy", "matrices"] == len(rom.table) - 5 - 330 == 456
+        waves = solve_waves(rom.table, spec.jordan_pairs)
+        assert calls["scipy", "solves"] <= len(waves) and calls["numpy", "solves"] <= len(waves)
         if case.startswith("jordan"):
-            groups = solve_groups(rom.table, res, spec.jordan_pairs)
-            assert max(w for _, w, _ in groups) > 0  # the Jordan build has several waves
+            assert len(waves) > order - 1  # the Jordan build has several waves per order
+        else:
+            assert calls["scipy", "solves"] == len(waves) == order - 1
 
     @pytest.mark.parametrize("case", ["hopf-o7", "jordan-o7"])
     @pytest.mark.parametrize("one_to_one", [False, True])
@@ -778,14 +810,67 @@ class TestStackedSolves:
         assert rel_diff(rom.W, ref.W) < 1e-12
         assert rel_diff(rom.f, ref.f) < 1e-12
 
-    def test_secondorder_one_solve_per_wave_and_resonant_set(self, monkeypatch):
+    def test_secondorder_one_solve_per_wave(self, monkeypatch):
         model, _ = make_cubic_test_model(2.0)
         spec = enforce_jordan(solve_master_eigen(model, d=4), (0, 2))
         calls = self.count_solves(monkeypatch)
-        rom = build_rom_secondorder(model, spec, 5)
+        rom = build_rom_secondorder(model, spec, 7)
+        assert calls.pop("unchecked") == 0
+        assert calls == self.expected_solves(rom.table, spec.jordan_pairs)
+        assert calls["scipy", "matrices"] == 330
+        assert calls["numpy", "matrices"] == len(rom.table) - 5 - 330 == 456
+        assert sum(r["stacks"] for r in rom.meta["stats"]) == len(
+            solve_waves(rom.table, spec.jordan_pairs))
+
+    @pytest.mark.parametrize("case", ["first-order-hopf", "first-order-jordan",
+                                      "first-order-cubic", "second-order-hopf",
+                                      "second-order-jordan", "second-order-cubic"])
+    def test_f_pattern_is_the_resonance_keys(self, case):
+        # a padded border slot that leaked into f would put a nonzero off the
+        # monomial's resonant set (or in the load's column)
+        engine, kind = case.rsplit("-", 1)
+        if engine == "first-order":
+            dae, spec, _ = firstorder_case(f"{kind}-o5")
+            rom = build_rom_firstorder(dae, spec, 5)
+        else:
+            model, _ = make_cubic_test_model(2.0 if kind == "jordan" else 2.6)
+            if kind == "cubic":
+                model = with_quadratic_force(model)
+            spec = solve_master_eigen(model, d=4)
+            if kind == "jordan":
+                spec = enforce_jordan(spec, (0, 2))
+            rom = build_rom_secondorder(model, spec, 5)
         res = classify_resonances(rom.table, np.append(rom.lam, 0.0), enforce_one_to_one=True)
-        assert calls == self.expected_solves(rom.table, res, spec.jordan_pairs)
-        assert calls["scipy", "matrices"] + calls["numpy", "matrices"] == len(rom.table) - 5
+        for mid in range(rom.table.count_of_order(1), len(rom.table)):
+            assert list(np.flatnonzero(rom.f[mid])) == resonant_set(res, mid)
+
+    def test_padded_system_against_per_monomial_bordered_lu(self):
+        # resonant sets of sizes 0, 1 and 2 in one stack, borders one per
+        # entry as in the second-order engine, against unpadded solves
+        rng = np.random.default_rng(7)
+        N, d = 6, 4
+        keys = np.array([0, 0b0001, 0b0100, 0b0101, 0b1010, 0b0110, 0])
+        k = len(keys)
+
+        def crandn(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        sigma, pencil = crandn(k), (crandn(N, N), crandn(N, N), crandn(N, N))
+        cols, rows, corner = crandn(k, N, d), crandn(k, d, N), crandn(d, d)
+        rhs, border_rhs = crandn(k, N), crandn(k, d)
+        A, b, sel = dpim._padded_system(sigma, pencil, cols, rows, corner, rhs, border_rhs, keys)
+        assert A.shape == (k, N + 2, N + 2) and b.shape == (k, N + 2)
+        # scipy solves sizes 0, 1, 1, 2 and numpy 2, 2, 0
+        sol, rel = dpim._stacked_solve(A, b, 4, np.zeros(k), None, None, np.arange(k))
+        assert rel < 1e-13
+        assert np.all(sol[:, N:][sel == d] == 0)   # the padded unknowns stay 0
+        for e in range(k):
+            R = [r for r in range(d) if keys[e] >> r & 1]
+            assert list(sel[e]) == R + [d] * (2 - len(R))
+            S = pencil[0] + sigma[e] * pencil[1] + sigma[e] ** 2 * pencil[2]
+            Mtx = np.block([[S, cols[e][:, R]], [rows[e][R], corner[np.ix_(R, R)]]])
+            ref = sla.lu_solve(sla.lu_factor(Mtx), np.concatenate((rhs[e], border_rhs[e, R])))
+            assert rel_diff(sol[e, :N + len(R)], ref) < 1e-13
 
     def test_residual_slope_one_batched_evaluation_per_radius(self, monkeypatch):
         dae, spec, _ = firstorder_case("hopf-o5")
@@ -901,9 +986,10 @@ class TestBuildStats:
         for r in stats:
             ids = rom.table.ids_of_order(r["order"])
             assert r["monomials"] == len(ids)
-            assert r["resonant"] == sum(1 for mid in ids if res.sets[mid])
+            assert r["resonant"] == sum(1 for mid in ids if resonant_set(res, mid))
             assert min(r["assembly_s"], r["cross_s"], r["solve_s"]) >= 0
             assert r["max_rel_residual"] < 1e-6
+            assert r["stacks"] == 1   # no Jordan couplings: one wave per order
         # stacked solves factor every monomial's matrix: 791 - 5 order-1 rows;
         # the first appearance of each master exponent is condition-checked
         assert sum(r["factorizations"] for r in stats) == len(rom.table) - 5 == 786
@@ -913,6 +999,17 @@ class TestBuildStats:
                                        for mid in rom.table.ids_of_order(r["order"]))
         assert sum(r["checked"] for r in stats) == 330
 
+        back = ParametrisationROM.from_dict(json.loads(json.dumps(rom.to_dict())))
+        assert back.meta["stats"] == stats
+
+    def test_stacks_count_the_jordan_waves(self):
+        dae, spec, order = firstorder_case("jordan-o5")
+        rom = build_rom_firstorder(dae, spec, order)
+        waves = solve_waves(rom.table, spec.jordan_pairs)
+        stats = rom.meta["stats"]
+        assert [r["stacks"] for r in stats] == [sum(p == r["order"] for p, _ in waves)
+                                                for r in stats]
+        assert sum(r["stacks"] for r in stats) == 18
         back = ParametrisationROM.from_dict(json.loads(json.dumps(rom.to_dict())))
         assert back.meta["stats"] == stats
 
@@ -938,7 +1035,8 @@ def test_resonance_sets_match_loop(seed, one_to_one):
     table = MonomialTable(5, 6)
     for r_tol in (0.005, 0.05, 0.2):
         res = classify_resonances(table, lam, r_tol, enforce_one_to_one=one_to_one)
-        assert res.sets == loop_resonance_sets(table, res.lam_classified, r_tol)
+        assert ([resonant_set(res, mid) for mid in range(len(table))]
+                == loop_resonance_sets(table, res.lam_classified, r_tol))
 
 
 class TestRomSerialization:

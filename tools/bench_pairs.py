@@ -84,9 +84,14 @@ def run_once(tree, workload, seed, seconds, trace):
                            "--trace", str(trace)],
                           cwd=tree, env=env, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
-    if not lines:
-        raise RuntimeError(f"{tree}: {workload} seed {seed} printed nothing\n{proc.stderr}")
-    result = json.loads(lines[-1])
+    try:
+        result = json.loads(lines[-1]) if lines else None
+    except json.JSONDecodeError:
+        result = None
+    if result is None:
+        ended = f"ended on {lines[-1]!r}" if lines else "printed nothing"
+        raise RuntimeError(f"{tree}: {workload} seed {seed} {ended} (exit code "
+                           f"{proc.returncode})\n{proc.stderr[-2000:]}")
     prefix = "# environment: "
     env_line = next((ln[len(prefix):] for ln in lines if ln.startswith(prefix)), "")
     return result, env_line
