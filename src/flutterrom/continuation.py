@@ -239,9 +239,11 @@ _TARGET_NEWTON, _MAX_NEWTON, _NEWTON_TOL = 3, 10, 1e-9
 # mesh error target, samples of a recorded collocated orbit, and the anchor
 # norm under which a cycle has shrunk onto the fixed point
 _RTOL, _N_SAMPLE, _SEED_AMP = 1e-9, 512, 1e-3
-# phases that locate a rotating wave's peaks, and the Newton steps that
-# polish them (from a phase within pi / _N_COARSE of the peak)
-_N_COARSE, _PEAK_NEWTON = 64, 5
+# phases that locate a rotating wave's peaks, the Newton steps that polish
+# them (from a phase within pi / _N_COARSE of the peak) at most, and the
+# phase step that ends the polish: Newton converges quadratically there, so
+# the step after it would be at round-off
+_N_COARSE, _PEAK_NEWTON, _PEAK_STEP_TOL = 64, 5, np.sqrt(np.finfo(float).eps)
 _GRID = 2 * np.pi * np.arange(_N_COARSE) / _N_COARSE
 
 
@@ -665,19 +667,25 @@ def _wave_peak(sysr, x):
     harmonics, W's terms at the anchor summed by charge
     (RealizedReducedSystem.harmonics).  Its largest value over _N_COARSE
     phases starts Newton's method on its derivative, which polishes the
-    peak to round-off.
+    peak to round-off: it stops once no coordinate's phase step is above
+    _PEAK_STEP_TOL, or after _PEAK_NEWTON steps.
     """
     c = sysr.harmonics(x)
-    k = np.arange(len(c))[:, None]
+    ik = 1j * np.arange(len(c))[:, None]
     coarse = np.abs((_phase_basis(len(c) - 1) @ c).real)
     theta = _GRID[np.argmax(coarse, axis=0)]
+    # the harmonics of the first and second phase derivatives
+    dc, d2c = ik * c, ik * ik * c
     for _ in range(_PEAK_NEWTON):
-        e = c * np.exp(1j * k * theta)
-        slope, curv = (1j * k * e).real.sum(axis=0), (-k ** 2 * e).real.sum(axis=0)
+        e = np.exp(ik * theta)
+        slope, curv = (dc * e).real.sum(axis=0), (d2c * e).real.sum(axis=0)
         # the curvature is 0 only on a coordinate that stays 0
-        theta = theta - slope / np.where(curv == 0.0, 1.0, curv)
+        step = slope / np.where(curv == 0.0, 1.0, curv)
+        theta = theta - step
+        if np.all(np.abs(step) <= _PEAK_STEP_TOL):
+            break
     # a Newton step that left the peak's basin keeps the best phase sampled
-    peak = np.abs((c * np.exp(1j * k * theta)).real.sum(axis=0))
+    peak = np.abs((c * np.exp(ik * theta)).real.sum(axis=0))
     return np.maximum(peak, coarse.max(axis=0))
 
 

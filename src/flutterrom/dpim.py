@@ -30,22 +30,31 @@ tables.
 
 Both engines then solve each order in one stack of bordered systems per
 Jordan wave (the whole order without Jordan couplings; with them, waves
-whose Jordan terms read only earlier waves).  A monomial's border spans
-the masters its resonance key's bits name, padded to the wave's largest
-set with decoupled slots that never reach f.  The first-order engine
-stacks sigma B - At; the second-order one stacks the displacement-sized
-sigma^2 M + sigma C + Kt with sigma-dependent borders and recovers the
-velocity rows from each stack's solutions.  The load's eigenvalue is
-exactly 0, so alpha mu^k has the sigma, the resonant set and the matrix
-of alpha mu^(k-1): only the monomials without mu, and those of order 2,
+whose Jordan terms read only earlier waves).  The systems are real and
+their master modes come in conjugate pairs, so the coefficients of alpha
+and of its conjugate (each z_s swapped with its partner, mu kept) are
+conjugates: W[conj alpha] = conj W[alpha] and f[conj alpha, conj s] = conj
+f[alpha, s].  Only the monomial of each pair first in table order, and
+every self-conjugate one, is solved; after each wave its partners are
+written by conjugation, so that a later wave's Jordan term can read them.
+Conjugation maps each Jordan coupling onto the conjugate one, so each wave
+holds the partners of its monomials.  A monomial's border spans the masters
+its resonance key's bits name, padded to the wave's largest set with
+decoupled slots that never reach f.  The first-order engine stacks sigma B
+- At; the second-order one stacks the displacement-sized sigma^2 M + sigma
+C + Kt with sigma-dependent borders and recovers the velocity rows from
+each stack's solutions.  The load's eigenvalue is exactly 0, so alpha mu^k
+has the sigma, the resonant set and the matrix of alpha mu^(k-1), and is
+solved when alpha is: only the monomials without mu, and those of order 2,
 meet a matrix for the first time.  Per wave, those go in one call through
-`scipy.linalg.solve`, whose condition estimate reports a missed
-resonance, and the repeats in one call through `numpy.linalg.solve`, the
-same LU without the estimate.  Every bordered system's relative residual
-is checked.  `rom.meta["stats"]` records per order the monomial and
-resonant counts, assembly, cross-term and solve times, factorizations
-(one per monomial), condition-checked solves, stacks (one per wave) and
-the largest relative homological residual.
+`scipy.linalg.solve`, whose condition estimate reports a missed resonance,
+and the repeats in one call through `numpy.linalg.solve`, the same LU
+without the estimate.  Every solved bordered system's relative residual is
+checked.  `rom.meta["stats"]` records per order the monomial and resonant
+counts, assembly, cross-term and solve times, factorizations (one per
+solved monomial), the rows mirrored by conjugation, condition-checked
+solves, stacks (one per wave) and the largest relative homological
+residual.
 
 `invariance_residual` checks a ROM against its full model at a block of
 sample points at once, from one table of monomial values
@@ -325,12 +334,12 @@ def _jordan_term(jdeps, W, locs):
     return out
 
 
-def _jordan_waves(jdeps, start, new):
-    """The order-p positions of each Jordan wave in solve order, each with
-    the count of those marked new, which it lists first.  A position's wave
-    is one past the waves of the monomials its Jordan term reads, so that a
-    wave reads only earlier waves; without couplings the whole order is one
-    wave."""
+def _jordan_waves(jdeps, start, new, rep):
+    """The order-p positions marked rep of each Jordan wave, in solve order,
+    each with the count of those marked new, which it lists first.  A
+    position's wave is one past the waves of the monomials its Jordan term
+    reads, so that a wave reads only earlier waves; without couplings the
+    whole order is one wave."""
     wave = np.zeros(len(new), dtype=np.int64)
     while True:
         deeper = wave.copy()
@@ -338,9 +347,22 @@ def _jordan_waves(jdeps, start, new):
             has = dep >= 0
             deeper[has] = np.maximum(deeper[has], wave[dep[has] - start] + 1)
         if np.array_equal(deeper, wave):
-            locs = np.split(np.lexsort((~new, wave)), np.cumsum(np.bincount(wave))[:-1])
+            keep = np.flatnonzero(rep)
+            locs = keep[np.lexsort((~new[keep], wave[keep]))]
+            locs = np.split(locs, np.cumsum(np.bincount(wave[keep]))[:-1])
             return [(w, int(np.count_nonzero(new[w]))) for w in locs]
         wave = deeper
+
+
+def _mirror(W, f, mids, partner):
+    """Writes the conjugate partners of the solved monomials mids, W[partner]
+    = conj W and f[partner, conj s] = conj f[s], in one write each; a
+    self-conjugate monomial keeps its solution.  partner[:nvars] is the
+    conjugation of the variables, whose order-1 monomials come first in
+    table order."""
+    pair = mids[partner[mids] != mids]
+    W[partner[pair]] = W[pair].conj()
+    f[partner[pair, None], partner[:f.shape[1]]] = f[pair].conj()
 
 
 def _resonance_error(sigma, spectrum, table, mid):
@@ -371,16 +393,18 @@ def _check_solve(residual_norm, rhs_norm, sigma, spectrum, table, mids):
     return float(rel.max())
 
 
-def _order_record(p, ids, res, new, waves, marks, max_rel):
-    """Per-order build statistics; new marks the condition-checked solves,
-    waves holds one stacked solve each, and marks are the clock readings
-    before assembly, cross terms, solves and after the solves."""
+def _order_record(p, ids, res, waves, mirrored, marks, max_rel):
+    """Per-order build statistics; waves holds the solved positions and
+    condition-checked counts of one stacked solve each, mirrored counts the
+    rows filled by conjugation, and marks are the clock readings before
+    assembly, cross terms, solves and after the solves."""
     t0, t1, t2, t3 = marks
     return {"order": p, "monomials": len(ids),
             "resonant": int(np.count_nonzero(res.keys[ids])),
             "assembly_s": t1 - t0, "cross_s": t2 - t1, "solve_s": t3 - t2,
-            "factorizations": len(ids), "checked": int(np.count_nonzero(new)),
-            "stacks": len(waves), "max_rel_residual": float(max_rel)}
+            "factorizations": sum(len(w) for w, _ in waves), "mirrored": mirrored,
+            "checked": sum(n for _, n in waves), "stacks": len(waves),
+            "max_rel_residual": float(max_rel)}
 
 
 def _padded_system(sigma, pencil, cols, rows, corner, rhs, border_rhs, keys):
@@ -416,17 +440,20 @@ def _padded_system(sigma, pencil, cols, rows, corner, rhs, border_rhs, keys):
 
 
 def _stacked_solve(A, b, n_new, sigma, spectrum, table, mids):
-    """Homological solves of one Jordan wave, one monomial per stack entry.
+    """Homological solves of one Jordan wave, one solved monomial per stack
+    entry.
 
-    A and b are a wave's padded systems (_padded_system); its first n_new
-    entries have a matrix no earlier order solved.  Those go through scipy's
-    solve, which estimates each entry's condition: a singular or
-    ill-conditioned one (LinAlgWarning) is a missed resonance.  The others
-    repeat a matrix checked at a lower order and go through numpy's solve,
-    the same LU without the estimate.  A padded slot decouples with a unit
-    diagonal, so a padded matrix's 1-norm condition number, max(|A|, 1)
-    max(|A^-1|, 1), is at least the unpadded one's.  Returns the solutions
-    and the largest residual relative to |b|, which _check_solve bounds.
+    A and b are a wave's padded systems (_padded_system), of the monomials
+    that are solved rather than mirrored; its first n_new entries have a
+    matrix no earlier order solved.  Those go through scipy's solve, which
+    estimates each entry's condition: a singular or ill-conditioned one
+    (LinAlgWarning) is a missed resonance.  The others repeat a matrix
+    checked at a lower order (alpha mu^k is solved, not mirrored, exactly
+    when alpha is) and go through numpy's solve, the same LU without the
+    estimate.  A padded slot decouples with a unit diagonal, so a padded
+    matrix's 1-norm condition number, max(|A|, 1) max(|A^-1|, 1), is at
+    least the unpadded one's.  Returns the solutions and the largest
+    residual relative to |b|, which _check_solve bounds.
     """
     sol = np.empty_like(b)
     try:
@@ -451,13 +478,20 @@ def _build(spectrum, order, r_tol, series, solve, meta, n_disp=None):
 
     The engine supplies its order-p nonlinear series, series(table, W, p),
     one row per order-p monomial, and its stacked solve,
-    solve(table, res, ids, rhs, g, jdeps, waves, W, f), which writes the
-    order-p rows of W and f from that series, the gradient cross terms g and
-    the Jordan dependencies, one stack per Jordan wave (_jordan_waves: the
-    positions and how many lead with a bordered matrix no lower order
-    solved), and returns the largest relative residual.  meta
-    holds the engine's own keys.  Two-mode (d = 4) runs classify resonances
-    with the 1:1 enforcement.
+    solve(table, res, ids, rhs, g, jdeps, waves, partner, W, f), which
+    writes the order-p rows of W and f from that series, the gradient cross
+    terms g and the Jordan dependencies, one stack per Jordan wave, and
+    returns the largest relative residual.  The waves (_jordan_waves) hold
+    the positions to solve, which lead with those whose bordered matrix no
+    lower order solved; after each wave the engine writes the conjugate
+    partners of what it solved (_mirror).  partner is the table's
+    conjugation permutation (MonomialTable.conjugation_permutation of the
+    spectrum's conj_map, the identity without one), and the monomials solved
+    are those with partner[id] >= id.  The mirror assumes a real system, as
+    the spectrum's exact conjugate masters do
+    (spectral._assemble_conjugate_masters).  meta holds the engine's own
+    keys.  Two-mode (d = 4) runs classify resonances with the 1:1
+    enforcement.
     """
     d = spectrum.d
     nv = d + 1
@@ -467,6 +501,8 @@ def _build(spectrum, order, r_tol, series, solve, meta, n_disp=None):
     lam_vec = np.zeros(nv, dtype=complex)
     lam_vec[:d] = np.diag(spectrum.Lam)
     res = classify_resonances(table, lam_vec, r_tol, one_to_one)
+    conj_map = np.arange(d) if spectrum.conj_map is None else spectrum.conj_map
+    partner = table.conjugation_permutation(np.append(conj_map, d))
 
     W = np.zeros((len(table), spectrum.Y.shape[0]), dtype=complex)
     f = np.zeros((len(table), nv), dtype=complex)
@@ -489,11 +525,11 @@ def _build(spectrum, order, r_tol, series, solve, meta, n_disp=None):
         # resonant set and so the bordered matrix of alpha mu^(k-1), solved at
         # order p - 1 unless that is 1
         new = (table.exponents[ids, -1] == 0) | (p == 2)
-        waves = _jordan_waves(jdeps, ids[0], new)
+        waves = _jordan_waves(jdeps, ids[0], new, partner[ids] >= ids)
         t2 = time.perf_counter()
-        max_rel = solve(table, res, ids, rhs, g, jdeps, waves, W, f)
-        stats.append(_order_record(p, ids, res, new, waves, (t0, t1, t2, time.perf_counter()),
-                                   max_rel))
+        max_rel = solve(table, res, ids, rhs, g, jdeps, waves, partner, W, f)
+        stats.append(_order_record(p, ids, res, waves, int(np.count_nonzero(partner[ids] > ids)),
+                                   (t0, t1, t2, time.perf_counter()), max_rel))
 
     meta.update(r_tol=r_tol, one_to_one=one_to_one,
                 jordan_pairs=[(int(i), int(j), complex(t).real) for i, j, t in jp], stats=stats)
@@ -519,14 +555,15 @@ def _quadratic_rhs(table, dae, W, p):
     return rhs
 
 
-def _solve_order(table, res, spectrum, B, At, ids, rhs, jdeps, waves, W, f):
-    """Solves the order-p monomials ids into W and f, one stack of bordered
-    systems [[sigma B - At, B Y_R], [X_R^H B, 0]] per Jordan wave, with
-    resonant sets R padded to the wave's largest (_padded_system); returns
+def _solve_order(table, res, spectrum, B, At, ids, rhs, jdeps, waves, partner, W, f):
+    """Solves the order-p monomials the waves hold into W and f, one stack
+    of bordered systems [[sigma B - At, B Y_R], [X_R^H B, 0]] per Jordan
+    wave, with resonant sets R padded to the wave's largest
+    (_padded_system), and mirrors each wave's conjugate partners; returns
     the largest relative residual.
 
     rhs holds one row per order-p monomial; the Jordan term of a wave reads
-    the W rows that earlier waves wrote.
+    the W rows that earlier waves wrote or mirrored.
     """
     D, d = rhs.shape[1], spectrum.d
     BY, XHB = B @ spectrum.Y, spectrum.X.conj().T @ B
@@ -543,6 +580,7 @@ def _solve_order(table, res, spectrum, B, At, ids, rhs, jdeps, waves, W, f):
         W[mids] = sol[:, :D]
         k, j = np.nonzero(sel < d)
         f[mids[k], sel[k, j]] = sol[k, D + j]
+        _mirror(W, f, mids, partner)
     return max_rel
 
 
@@ -550,8 +588,9 @@ def build_rom_firstorder(dae: FirstOrderDAE, spectrum, order, r_tol=0.05):
     """Parametrisation of the augmented quadratic DAE around its fixed point."""
     B, At = dae.B, np.asarray(spectrum.ops["At"])
 
-    def solve(table, res, ids, rhs, g, jdeps, waves, W, f):
-        return _solve_order(table, res, spectrum, B, At, ids, rhs - g @ B.T, jdeps, waves, W, f)
+    def solve(table, res, ids, rhs, g, jdeps, waves, partner, W, f):
+        return _solve_order(table, res, spectrum, B, At, ids, rhs - g @ B.T, jdeps, waves,
+                            partner, W, f)
 
     meta = {"engine": "first-order", "mu0": dae.mu0}
     return _build(spectrum, order, r_tol, lambda table, W, p: _quadratic_rhs(table, dae, W, p),
@@ -560,7 +599,8 @@ def build_rom_firstorder(dae: FirstOrderDAE, spectrum, order, r_tol=0.05):
 
 # -- second-order engine ------------------------------------------------------
 
-def _solve_order_secondorder(table, res, spectrum, mck, ids, fnl, g, jdeps, waves, W, f):
+def _solve_order_secondorder(table, res, spectrum, mck, ids, fnl, g, jdeps, waves, partner,
+                             W, f):
     """Displacement-sized counterpart of _solve_order.
 
     With the gradient term g = [gU, gV] (cross terms plus the Jordan term)
@@ -572,7 +612,9 @@ def _solve_order_secondorder(table, res, spectrum, mck, ids, fnl, g, jdeps, wave
             = [Xi; -Xv_R^H M gU],
 
     in one padded stack per Jordan wave, and the velocity rows follow as
-    V = sigma U + Yu_R f_R + gU.  Returns the largest relative residual.
+    V = sigma U + Yu_R f_R + gU; the conjugate partners of each wave's
+    monomials are mirrored, velocity rows included.  Returns the largest
+    relative residual.
     """
     M, C, Kt = mck
     n, d = M.shape[0], spectrum.d
@@ -597,6 +639,7 @@ def _solve_order_secondorder(table, res, spectrum, mck, ids, fnl, g, jdeps, wave
         f[mids[k], sel[k, j]] = sol[k, n + j]
         W[mids, :n] = sol[:, :n]
         W[mids, n:] = sigma[:, None] * sol[:, :n] + f[mids, :d] @ Yu.T + gU
+        _mirror(W, f, mids, partner)
     return max_rel
 
 
@@ -620,8 +663,9 @@ def build_rom_secondorder(model, spectrum, order, r_tol=0.05):
         fnl[table.product_ids(p - 1, 1)[:, -1]] += (Ru @ W[table.ids_of_order(p - 1), :n].T).T
         return fnl
 
-    def solve(table, res, ids, fnl, g, jdeps, waves, W, f):
-        return _solve_order_secondorder(table, res, spectrum, mck, ids, fnl, g, jdeps, waves, W, f)
+    def solve(table, res, ids, fnl, g, jdeps, waves, partner, W, f):
+        return _solve_order_secondorder(table, res, spectrum, mck, ids, fnl, g, jdeps, waves,
+                                        partner, W, f)
 
     meta = {"engine": "second-order", "mu0": getattr(model, "p0", 0.0)}
     return _build(spectrum, order, r_tol, series, solve, meta, n)

@@ -80,3 +80,17 @@ def test_a_crashed_run_names_tree_workload_seed_and_exit_code(tmp_path, stdout):
     assert str(tmp_path) in msg and "w seed 7" in msg
     assert "exit code 1" in msg and "the pass failed" in msg
     assert ("printed nothing" in msg) == (stdout == "")
+
+
+@pytest.mark.parametrize("pairs", ["1", "0", "-3"])
+def test_fewer_than_two_pairs_is_refused_before_any_run(pairs, monkeypatch, tmp_path, capsys):
+    def refuse(*args):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(bench_pairs, "write_report", refuse)
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as stop:
+        bench_pairs.main(["--pairs", pairs, "--out", str(out)])
+    assert stop.value.code == 2
+    assert "the quartiles need at least 2" in capsys.readouterr().err
+    assert not out.exists()

@@ -63,6 +63,18 @@ def first_lyapunov_cubic_coefficient(dae, q, p):
     return (1j / (2 * omega)) * (g20 * g11 - 2 * abs(g11) ** 2 - abs(g02) ** 2 / 3.0)
 
 
+def brute_force_partners(table, conj_vars):
+    """Id of each monomial's conjugate, its exponents moved to the
+    conjugate variables, looked up in a dict of the table's rows."""
+    ids = {tuple(row): mid for mid, row in enumerate(table.exponents.tolist())}
+    out = np.empty(len(table), dtype=np.int64)
+    for mid, alpha in enumerate(table.exponents):
+        swapped = np.zeros_like(alpha)
+        swapped[conj_vars] = alpha
+        out[mid] = ids[tuple(swapped.tolist())]
+    return out
+
+
 def resonant_set(res, mid):
     """The resonant masters of monomial mid, decoded from its resonance key:
     bit r is master r."""
@@ -111,6 +123,38 @@ class TestResonances:
         assert got == expect
         names = {tuple(table.exponents[m]) for m in got}
         assert names == {(1, 0, 0), (1, 0, 1), (1, 0, 2), (2, 1, 0)}
+
+    @pytest.mark.parametrize("one_to_one", [False, True])
+    def test_conjugates_get_the_conjugate_resonant_set(self, one_to_one):
+        # the mirror writes f[partner, conj s] = conj f[s]: f keeps the
+        # pattern of the resonance keys only if the partner's key is the key
+        # with each master's bit moved to its conjugate's
+        dae = recast_to_dae(build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2), mu0=P_H)
+        specs = [solve_master_eigen(dae, d=4), enforce_jordan(
+            solve_master_eigen(recast_to_dae(build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2), 2.0),
+                               d=4), (0, 2))]
+        lams = [np.append(spec.lam, 0.0) for spec in specs]
+        rng = np.random.default_rng(5)
+        for ratio in (1.0, 2.0, 3.0, 0.5):   # near 1:1, 1:2, 1:3 and 2:1
+            w1 = rng.uniform(0.5, 2.0)
+            w2 = w1 * ratio * (1 + 0.02 * rng.standard_normal())
+            re = 0.1 * rng.standard_normal(2)
+            lams.append(np.array([re[0] + 1j * w1, re[0] - 1j * w1,
+                                  re[1] + 1j * w2, re[1] - 1j * w2, 0]))
+        if not one_to_one:
+            lams.append(np.append(solve_master_eigen(dae, d=2).lam, 0.0))
+        hits = 0
+        for lam in lams:
+            d = len(lam) - 1
+            conj = np.append(np.arange(d) ^ 1, d)   # (z1, z1b, z2, z2b, mu)
+            table = MonomialTable(d + 1, 7)
+            partner = brute_force_partners(table, conj)
+            for r_tol in (0.005, 0.05, 0.2):
+                res = classify_resonances(table, lam, r_tol, enforce_one_to_one=one_to_one)
+                moved = sum((res.keys >> r & 1) << conj[r] for r in range(d))
+                assert np.array_equal(res.keys[partner], moved)
+                hits += np.count_nonzero(res.keys)
+        assert hits > 0
 
 
 class TestFirstOrderEngine:
@@ -183,17 +227,30 @@ class TestFirstOrderEngine:
         assert np.allclose(rom.W[mid], expect, atol=1e-12)
 
     def test_conjugate_symmetry(self):
+        # of each conjugate pair one monomial is solved and the other mirrored,
+        # so the pair is conjugate to the bit; a self-conjugate monomial is
+        # solved, real to round-off
         m = build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2)
         dae = recast_to_dae(m, mu0=2.6)
-        spec = solve_master_eigen(dae, d=4)
-        rom = build_rom_firstorder(dae, spec, order=5)
-        conj_vars = np.array([1, 0, 3, 2, 4])
-        perm = rom.table.conjugation_permutation(conj_vars)
-        scale_W = np.abs(rom.W).max()
-        scale_f = np.abs(rom.f).max()
-        assert np.abs(rom.W[perm] - np.conj(rom.W)).max() < 1e-10 * scale_W
-        f_perm_vars = rom.f[:, conj_vars]
-        assert np.abs(f_perm_vars[perm] - np.conj(rom.f)).max() < 1e-10 * scale_f
+        jordan_dae, _, _ = firstorder_case("jordan-o7")
+        model, _ = make_cubic_test_model(2.0)
+        roms = [build_rom_firstorder(dae, solve_master_eigen(dae, d=4), order=5),
+                build_rom_firstorder(dae, solve_master_eigen(dae, d=2), order=5),
+                build_rom_firstorder(jordan_dae, enforce_jordan(
+                    solve_master_eigen(jordan_dae, d=4), (0, 2)), order=7),
+                build_rom_secondorder(model, enforce_jordan(
+                    solve_master_eigen(model, d=4), (0, 2)), order=5)]
+        for rom in roms:
+            conj_vars = np.append(rom.conj_map, rom.d)
+            perm = brute_force_partners(rom.table, conj_vars)
+            pair, own = perm != np.arange(len(perm)), perm == np.arange(len(perm))
+            f_perm_vars = rom.f[:, conj_vars]
+            assert np.array_equal(rom.W[perm][pair], np.conj(rom.W[pair]))
+            assert np.array_equal(f_perm_vars[perm][pair], np.conj(rom.f[pair]))
+            assert own.sum() > 1   # mu and z1 z1b at least
+            scale_W, scale_f = np.abs(rom.W).max(), np.abs(rom.f).max()
+            assert np.abs(rom.W[own] - np.conj(rom.W[own])).max() < 1e-15 * scale_W
+            assert np.abs(f_perm_vars[own] - np.conj(rom.f[own])).max() < 1e-15 * scale_f
 
 
 class TestInvariance:
@@ -564,10 +621,11 @@ class TestProductTableAssembly:
 
 # -- the per-monomial solve loop: reference for the stacked solves -----------
 
-def naive_solve_order(table, res, spectrum, B, At, ids, rhs, jdeps, waves, W, f):
+def naive_solve_order(table, res, spectrum, B, At, ids, rhs, jdeps, waves, partner, W, f):
     """One unpadded bordered LU solve per monomial, in table order, so that
     each Jordan term reads monomials solved before it; every monomial's
-    matrix is factored afresh, and waves are not read."""
+    matrix is factored afresh, both monomials of a conjugate pair are
+    solved, and waves and partner are not read."""
     D = rhs.shape[1]
     max_rel = 0.0
     for loc, mid in enumerate(ids):
@@ -593,10 +651,12 @@ def naive_solve_order(table, res, spectrum, B, At, ids, rhs, jdeps, waves, W, f)
     return max_rel
 
 
-def naive_solve_order_secondorder(table, res, spectrum, mck, ids, fnl, g, jdeps, waves, W, f):
+def naive_solve_order_secondorder(table, res, spectrum, mck, ids, fnl, g, jdeps, waves, partner,
+                                  W, f):
     """One unpadded bordered displacement-sized LU solve per monomial, in
-    table order, with the velocity rows recovered after each solve; waves
-    are not read."""
+    table order, with the velocity rows recovered after each solve; both
+    monomials of a conjugate pair are solved, and waves and partner are not
+    read."""
     M, C, Kt = mck
     n = M.shape[0]
     Yu, Lam = spectrum.Yu(), spectrum.Lam
@@ -662,6 +722,15 @@ def solve_waves(table, jordan_pairs):
                     wave[loc] = max(wave[loc], wave[dep[loc] - ids[0]] + 1)
             waves.setdefault((p, wave[loc]), []).append(ids[loc])
     return waves
+
+
+def self_conjugate_count(table, orders):
+    """Monomials of the given orders whose exponents are equal on each
+    conjugate pair of variables (z1, z1b), (z2, z2b), ...; the load is its
+    own conjugate."""
+    d = table.nvars - 1
+    return sum(all(alpha[v] == alpha[v + 1] for v in range(0, d, 2))
+               for p in orders for alpha in table.exponents[table.ids_of_order(p)])
 
 
 def first_appearances(table):
@@ -736,13 +805,17 @@ class TestStackedSolves:
         return calls
 
     @staticmethod
-    def expected_solves(table, jordan_pairs):
-        """The counts count_solves should read: scipy solves the first
-        appearance of each master exponent, numpy the rest, one call of each
-        per wave that has any."""
+    def expected_solves(table, jordan_pairs, conj_vars):
+        """The counts count_solves should read, from a forward pass over the
+        representatives of the conjugate pairs (the monomial of each pair
+        first in table order) and the self-conjugate monomials: scipy solves
+        the first appearance of each master exponent, numpy the rest, one
+        call of each per wave that has any."""
         first = first_appearances(table)
+        partner = brute_force_partners(table, conj_vars)
         expect = Counter()
         for mids in solve_waves(table, jordan_pairs).values():
+            mids = [mid for mid in mids if partner[mid] >= mid]
             new = sum(first[mid] == mid for mid in mids)
             for lib, count in (("scipy", new), ("numpy", len(mids) - new)):
                 expect[lib, "solves"] += count > 0
@@ -755,16 +828,45 @@ class TestStackedSolves:
         calls = self.count_solves(monkeypatch)
         rom = build_rom_firstorder(dae, spec, order)
         assert calls.pop("unchecked") == 0
-        assert calls == self.expected_solves(rom.table, spec.jordan_pairs)
-        # 330 distinct master exponents among the 791 - 5 solved monomials
-        assert calls["scipy", "matrices"] == 330
-        assert calls["numpy", "matrices"] == len(rom.table) - 5 - 330 == 456
+        assert calls == self.expected_solves(rom.table, spec.jordan_pairs,
+                                             np.append(spec.conj_map, 4))
+        # of the 791 - 5 monomials from order 2, 38 are self-conjugate: 412
+        # are solved, with 170 distinct master exponents among them
+        own = self_conjugate_count(rom.table, range(2, order + 1))
+        assert own == 38 and (len(rom.table) - 5 + own) // 2 == 412
+        assert calls["scipy", "matrices"] == 170
+        assert calls["numpy", "matrices"] == 412 - 170 == 242
         waves = solve_waves(rom.table, spec.jordan_pairs)
         assert calls["scipy", "solves"] <= len(waves) and calls["numpy", "solves"] <= len(waves)
         if case.startswith("jordan"):
             assert len(waves) > order - 1  # the Jordan build has several waves per order
         else:
             assert calls["scipy", "solves"] == len(waves) == order - 1
+
+    def test_jordan_waves_are_closed_under_conjugation(self):
+        # a wave's Jordan terms read rows that earlier waves solved or
+        # mirrored, so each wave has to hold the partner of each of its
+        # monomials: the coupling (0, 2, tau) conjugates to (1, 3, conj tau)
+        dae, spec, order = firstorder_case("jordan-o7")
+        table = MonomialTable(5, order)
+        partner = brute_force_partners(table, np.append(spec.conj_map, 4))
+        waves = solve_waves(table, spec.jordan_pairs)
+        assert len(waves) > order - 1
+        for mids in waves.values():
+            assert set(partner[mids]) == set(mids)
+        # the engine's waves, all positions and the representatives alone
+        for p in range(2, order + 1):
+            ids = np.asarray(table.ids_of_order(p))
+            jdeps = dpim._jordan_within_order(table, p, spec.jordan_pairs)
+            new = table.exponents[ids, -1] == 0
+            every = dpim._jordan_waves(jdeps, ids[0], new, np.ones(len(ids), bool))
+            reps = dpim._jordan_waves(jdeps, ids[0], new, partner[ids] >= ids)
+            assert len(every) == len(reps) == sum(q == p for q, _ in waves)
+            for w, ((locs, _), (rlocs, r_new)) in enumerate(zip(every, reps)):
+                assert sorted(ids[locs]) == waves[p, w]
+                assert list(rlocs) == [loc for loc in locs if partner[ids[loc]] >= ids[loc]]
+                assert r_new == np.count_nonzero(new[rlocs])
+                assert np.all(new[rlocs[:r_new]]) and not np.any(new[rlocs[r_new:]])
 
     @pytest.mark.parametrize("case", ["hopf-o7", "jordan-o7"])
     @pytest.mark.parametrize("one_to_one", [False, True])
@@ -816,9 +918,10 @@ class TestStackedSolves:
         calls = self.count_solves(monkeypatch)
         rom = build_rom_secondorder(model, spec, 7)
         assert calls.pop("unchecked") == 0
-        assert calls == self.expected_solves(rom.table, spec.jordan_pairs)
-        assert calls["scipy", "matrices"] == 330
-        assert calls["numpy", "matrices"] == len(rom.table) - 5 - 330 == 456
+        assert calls == self.expected_solves(rom.table, spec.jordan_pairs,
+                                             np.append(spec.conj_map, 4))
+        assert calls["scipy", "matrices"] == 170
+        assert calls["numpy", "matrices"] == 242
         assert sum(r["stacks"] for r in rom.meta["stats"]) == len(
             solve_waves(rom.table, spec.jordan_pairs))
 
@@ -990,14 +1093,22 @@ class TestBuildStats:
             assert min(r["assembly_s"], r["cross_s"], r["solve_s"]) >= 0
             assert r["max_rel_residual"] < 1e-6
             assert r["stacks"] == 1   # no Jordan couplings: one wave per order
-        # stacked solves factor every monomial's matrix: 791 - 5 order-1 rows;
-        # the first appearance of each master exponent is condition-checked
-        assert sum(r["factorizations"] for r in stats) == len(rom.table) - 5 == 786
+            # each conjugate pair is one solve and one mirrored row
+            own = self_conjugate_count(rom.table, [r["order"]])
+            assert r["factorizations"] + r["mirrored"] == r["monomials"]
+            assert r["mirrored"] == (r["monomials"] - own) // 2
+        # stacked solves factor the matrix of one monomial of each conjugate
+        # pair and of each self-conjugate one: 412 of the 791 - 5 rows from
+        # order 2; the first appearance of each master exponent among them
+        # is condition-checked
+        assert sum(r["factorizations"] for r in stats) == 412
+        assert sum(r["mirrored"] for r in stats) == len(rom.table) - 5 - 412
         first = first_appearances(rom.table)
+        partner = brute_force_partners(rom.table, np.append(rom.conj_map, 4))
         for r in stats:
-            assert r["checked"] == sum(first[mid] == mid
+            assert r["checked"] == sum(first[mid] == mid and partner[mid] >= mid
                                        for mid in rom.table.ids_of_order(r["order"]))
-        assert sum(r["checked"] for r in stats) == 330
+        assert sum(r["checked"] for r in stats) == 170
 
         back = ParametrisationROM.from_dict(json.loads(json.dumps(rom.to_dict())))
         assert back.meta["stats"] == stats

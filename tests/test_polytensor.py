@@ -166,15 +166,32 @@ class TestEnumeration:
             assert parent[mid] == (table.index_of(low) if low.sum() else -1)
 
     def test_conjugation_permutation(self):
+        # against swapping each exponent row's entries and looking the result
+        # up in a dict of the table's rows; the last variable is the load
+        for nvars, conj in ((3, [1, 0, 2]), (5, [1, 0, 3, 2, 4]), (5, [0, 1, 3, 2, 4])):
+            table = MonomialTable(nvars, 6)
+            ids = {tuple(row): mid for mid, row in enumerate(table.exponents.tolist())}
+            perm = table.conjugation_permutation(conj)
+            for mid, alpha in enumerate(table.exponents):
+                swapped = np.zeros(nvars, dtype=np.int64)
+                swapped[conj] = alpha
+                assert perm[mid] == ids[tuple(swapped.tolist())]
+                self_conjugate = all(alpha[v] == alpha[conj[v]] for v in range(nvars))
+                assert (perm[mid] == mid) == self_conjugate
+            assert np.array_equal(perm[perm], np.arange(len(table)))   # an involution
+            # the load's powers are kept, and so is each monomial's order
+            assert np.array_equal(table.exponents[perm, -1], table.exponents[:, -1])
+            assert np.array_equal(table.exponents[perm].sum(axis=1),
+                                  table.exponents.sum(axis=1))
         table = MonomialTable(5, 3)
-        conj = [1, 0, 3, 2, 4]  # (z1, z1b, z2, z2b, mu)
-        perm = table.conjugation_permutation(conj)
-        # involution
-        assert (perm[perm] == np.arange(len(table))).all()
-        mid = table.index_of((2, 1, 0, 0, 0))
-        assert perm[mid] == table.index_of((1, 2, 0, 0, 0))
-        with pytest.raises(ValueError):
-            table.conjugation_permutation([1, 1, 3, 2, 4])
+        perm = table.conjugation_permutation([1, 0, 3, 2, 4])
+        assert perm[table.index_of((2, 1, 0, 0, 0))] == table.index_of((1, 2, 0, 0, 0))
+
+    @pytest.mark.parametrize("conj,match", [([1, 0, 3, 2], "one entry per variable"),
+                                            ([1, 1, 3, 2, 4], "a permutation")])
+    def test_conjugation_permutation_rejects_bad_maps(self, conj, match):
+        with pytest.raises(ValueError, match=match):
+            MonomialTable(5, 3).conjugation_permutation(conj)
 
 
 def assert_product_ids_brute_force(table, orders):
@@ -193,7 +210,8 @@ def assert_product_ids_brute_force(table, orders):
 class TestProductMemo:
     def test_one_lookup_per_raise_table_in_a_build(self, monkeypatch):
         # a first-order o9 build looks codes up once per raise table (q, 1),
-        # q = 1 .. 8, and never for a pair table or a Jordan dependency
+        # q = 1 .. 8, once over the whole table for the conjugate partners,
+        # and never for a pair table or a Jordan dependency
         dae = recast_to_dae(build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2), mu0=2.076805)
         spec = solve_master_eigen(dae, d=4)
         shapes = []
@@ -205,7 +223,8 @@ class TestProductMemo:
 
         monkeypatch.setattr(MonomialTable, "ids_of_codes", counted)
         rom = build_rom_firstorder(dae, spec, 9)
-        assert sorted(shapes) == sorted((rom.table.count_of_order(q), 5) for q in range(1, 9))
+        assert sorted(shapes) == sorted([(rom.table.count_of_order(q), 5) for q in range(1, 9)]
+                                        + [(len(rom.table),)])
 
     def test_memo_is_read_only_and_transposes(self):
         table = MonomialTable(5, 9)

@@ -1174,6 +1174,24 @@ class TestRotatingWaves:
         assert np.all(peak >= dense - 1e-14 * dense.max())
         assert np.all(peak - dense <= slack + 1e-14 * dense.max())
 
+    @pytest.mark.parametrize("label", ["one-mode", "two-mode", "jordan"])
+    def test_peak_polish_stops_at_convergence(self, ziegler2, label, monkeypatch):
+        # stopping once the phase steps are small gives the peak of the five
+        # fixed Newton steps (a step tolerance of 0) to round-off, in fewer
+        # steps: one phase exponential per step and one for the peak
+        sysr = RealizedReducedSystem(ziegler2[2][label][0], 0.1)
+        x = 0.3 * np.random.default_rng(12).standard_normal(2 * sysr.m)
+        continuation._wave_peak(sysr, x)   # builds the order's coarse phase basis
+        exps, exp = [], np.exp
+        monkeypatch.setattr(np, "exp", lambda a: exps.append(1) or exp(a))
+        peak = continuation._wave_peak(sysr, x)
+        steps = len(exps) - 1
+        monkeypatch.setattr(continuation, "_PEAK_STEP_TOL", 0.0)
+        exps.clear()
+        fixed = continuation._wave_peak(sysr, x)
+        assert len(exps) - 1 == continuation._PEAK_NEWTON > steps
+        assert np.abs(peak - fixed).max() <= 1e-14 * fixed.max()
+
     def test_no_rom_cycle_is_collocated(self, ziegler2, monkeypatch):
         def refuse(*args):
             raise AssertionError("a ROM cycle was collocated")

@@ -185,10 +185,19 @@ def claim_verdict(summary, claim, layer):
             "met": met}
 
 
+def pair_count(text):
+    """--pairs, refused below 2 before any run: each side's quartiles need
+    two runs at least."""
+    pairs = int(text)
+    if pairs < 2:
+        raise argparse.ArgumentTypeError(f"{pairs} pairs: the quartiles need at least 2")
+    return pairs
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", default="HEAD", help="git revision of the parent side")
-    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--pairs", type=pair_count, default=10)
     parser.add_argument("--seconds", type=float, default=30)
     parser.add_argument("--seed0", type=int, default=801)
     parser.add_argument("--workloads", nargs="+")
