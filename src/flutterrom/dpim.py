@@ -21,12 +21,20 @@ descending-lexicographic monomial ordering.
 The nonlinear right-hand side of each order is assembled from product
 index tables (`MonomialTable.product_ids`), which the table keeps and
 composes from its raise tables, so a build looks monomial codes up only
-once per raise table: per order split, each form is applied to the whole
+once per raise table: per order split, each form is applied to whole
 blocks of lower-order mapping coefficients at once and scattered by
 target monomial.  The gradient cross terms read the derivative blocks of
-W from the raise tables, contract them with the nonzero rows of f by one
-matrix product per pair of orders and scatter through the same product
-tables.
+W from the raise tables, once per build and order, contract them with the
+nonzero rows of f by one matrix product per pair of orders and scatter
+through the same product tables.  Every such sum is conjugate-symmetric,
+because the mapping and reduced dynamics of lower orders are (see below)
+and the forms are real.  So each sum runs over one monomial of each
+conjugate pair of its first block alone, weighted 1, and over every
+self-conjugate one, weighted 1/2, and is completed by adding its
+conjugate at the conjugate targets (`polytensor.ConjugateHalf`).  A
+bilinear form is summed over the splits p1 >= p - p1 alone, off the
+diagonal as the slot-swapped form Q(u, v) + Q(v, u).  The load terms,
+linear in the mapping, are added after the completion.
 
 Both engines then solve each order in one stack of bordered systems per
 Jordan wave (the whole order without Jordan couplings; with them, waves
@@ -51,10 +59,10 @@ meet a matrix for the first time.  Per wave, those go in one call through
 and the repeats in one call through `numpy.linalg.solve`, the same LU
 without the estimate.  Every solved bordered system's relative residual is
 checked.  `rom.meta["stats"]` records per order the monomial and resonant
-counts, assembly, cross-term and solve times, factorizations (one per
-solved monomial), the rows mirrored by conjugation, condition-checked
-solves, stacks (one per wave) and the largest relative homological
-residual.
+counts, assembly, cross-term and solve times, the (row, row) products
+that assembly and cross terms scattered, factorizations (one per solved
+monomial), the rows mirrored by conjugation, condition-checked solves,
+stacks (one per wave) and the largest relative homological residual.
 
 `invariance_residual` checks a ROM against its full model at a block of
 sample points at once, from one table of monomial values
@@ -72,7 +80,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .models.dae import FirstOrderDAE
-from .polytensor import MonomialTable, power_index, power_values
+from .polytensor import ConjugateHalf, MonomialTable, power_index, power_values
 
 class ResonanceError(RuntimeError):
     pass
@@ -267,18 +275,23 @@ class ParametrisationROM:
 
 # -- shared engine pieces -----------------------------------------------------
 
-def _gradient_cross_lower(table, W, f, p):
+def _gradient_cross_lower(table, W, f, p, half, blocks):
     """N3: sum over lower orders of (dW/dz_s) f_s collecting at order p.
 
     Only reduced-dynamics coefficients of orders 2..p-1 enter (the linear
     part is the sigma term plus the Jordan correction handled separately).
     Per order qf of f, the derivative block of W over the monomials a of
-    order p - qf is dW[a, s] = (a_s + 1) W[a + e_s], read through the raise
-    table (p - qf, 1); one matrix product contracts it over s with the
+    order q = p - qf is dW[a, s] = (a_s + 1) W[a + e_s], read through the
+    raise table (q, 1) at the weighted representatives a of half (a
+    ConjugateHalf) alone; one matrix product contracts it over s with the
     nonzero order-qf rows of f, and the term of a and row kf lands on
-    a + alpha(kf), read from the product table (p - qf, qf) and summed
-    there by one bincount per output column.  Returns one row per order-p
-    monomial.
+    a + alpha(kf), read from the product table (q, qf) and summed there by
+    one bincount per output column.  half.complete then adds the other
+    monomials' part, which needs W and f of the lower orders
+    conjugate-symmetric, as the mirror writes them.  blocks memoises each
+    order's derivative block for the build: it is gathered when first
+    needed, at order q + 2 or later, once W of order q + 1 is final.
+    Returns one row per order-p monomial.
     """
     n_p = table.count_of_order(p)
     out = np.zeros((n_p, W.shape[1]), dtype=complex)
@@ -287,14 +300,18 @@ def _gradient_cross_lower(table, W, f, p):
         rows = np.flatnonzero(np.any(fq, axis=1))
         if not len(rows):
             continue
-        raised = table.product_ids(p - qf, 1) + table.ids_of_order(p - qf + 1)[0]
-        dW = W[raised] * (table.exponents[table.ids_of_order(p - qf)] + 1)[:, :, None]
-        terms = dW.transpose(2, 0, 1) @ fq[rows].T  # (column, a, row of f)
+        q = p - qf
+        if q not in blocks:
+            reps = half.rows[q]
+            raised = table.product_ids(q, 1)[reps] + table.ids_of_order(q + 1).start
+            scale = (table.exponents[table.ids_of_order(q).start + reps] + 1) * half.weights[q]
+            blocks[q] = np.ascontiguousarray((W[raised] * scale[:, :, None]).transpose(2, 0, 1))
+        terms = blocks[q] @ fq[rows].T  # (column, a, row of f)
         # real and imaginary parts side by side: one bincount sums both
-        targets = np.ravel(2 * table.product_ids(p - qf, qf)[:, rows, None] + np.arange(2))
+        targets = np.ravel(2 * half.targets((q, qf), rows)[:, :, None] + np.arange(2))
         for c, col in enumerate(terms):
             out[:, c] += np.bincount(targets, col.view(float).ravel(), 2 * n_p).view(complex)
-    return out
+    return half.complete(out, p)
 
 
 def _jordan_within_order(table, p, jordan_pairs):
@@ -334,9 +351,9 @@ def _jordan_term(jdeps, W, locs):
     return out
 
 
-def _jordan_waves(jdeps, start, new, rep):
-    """The order-p positions marked rep of each Jordan wave, in solve order,
-    each with the count of those marked new, which it lists first.  A
+def _jordan_waves(jdeps, start, new, reps):
+    """The order-p positions reps of each Jordan wave, in solve order, each
+    with the count of those marked new, which it lists first.  A
     position's wave is one past the waves of the monomials its Jordan term
     reads, so that a wave reads only earlier waves; without couplings the
     whole order is one wave."""
@@ -347,9 +364,8 @@ def _jordan_waves(jdeps, start, new, rep):
             has = dep >= 0
             deeper[has] = np.maximum(deeper[has], wave[dep[has] - start] + 1)
         if np.array_equal(deeper, wave):
-            keep = np.flatnonzero(rep)
-            locs = keep[np.lexsort((~new[keep], wave[keep]))]
-            locs = np.split(locs, np.cumsum(np.bincount(wave[keep]))[:-1])
+            locs = reps[np.lexsort((~new[reps], wave[reps]))]
+            locs = np.split(locs, np.cumsum(np.bincount(wave[reps]))[:-1])
             return [(w, int(np.count_nonzero(new[w]))) for w in locs]
         wave = deeper
 
@@ -393,15 +409,17 @@ def _check_solve(residual_norm, rhs_norm, sigma, spectrum, table, mids):
     return float(rel.max())
 
 
-def _order_record(p, ids, res, waves, mirrored, marks, max_rel):
+def _order_record(p, ids, res, waves, mirrored, products, marks, max_rel):
     """Per-order build statistics; waves holds the solved positions and
     condition-checked counts of one stacked solve each, mirrored counts the
-    rows filled by conjugation, and marks are the clock readings before
-    assembly, cross terms, solves and after the solves."""
+    rows filled by conjugation, products the (row, row) products that
+    assembly and cross terms scattered, and marks are the clock readings
+    before assembly, cross terms, solves and after the solves."""
     t0, t1, t2, t3 = marks
     return {"order": p, "monomials": len(ids),
             "resonant": int(np.count_nonzero(res.keys[ids])),
             "assembly_s": t1 - t0, "cross_s": t2 - t1, "solve_s": t3 - t2,
+            "products": int(products),
             "factorizations": sum(len(w) for w, _ in waves), "mirrored": mirrored,
             "checked": sum(n for _, n in waves), "stacks": len(waves),
             "max_rel_residual": float(max_rel)}
@@ -476,23 +494,31 @@ def _stacked_solve(A, b, n_new, sigma, spectrum, table, mids):
 def _build(spectrum, order, r_tol, series, solve, meta, n_disp=None):
     """Solves the homological equations order by order, for either engine.
 
-    The engine supplies its order-p nonlinear series, series(table, W, p),
-    one row per order-p monomial, and its stacked solve,
+    The engine supplies its order-p nonlinear series, series(table, W, p,
+    half), one row per order-p monomial, and its stacked solve,
     solve(table, res, ids, rhs, g, jdeps, waves, partner, W, f), which
     writes the order-p rows of W and f from that series, the gradient cross
     terms g and the Jordan dependencies, one stack per Jordan wave, and
-    returns the largest relative residual.  The waves (_jordan_waves) hold
-    the positions to solve, which lead with those whose bordered matrix no
-    lower order solved; after each wave the engine writes the conjugate
-    partners of what it solved (_mirror).  partner is the table's
+    returns the largest relative residual.  partner is the table's
     conjugation permutation (MonomialTable.conjugation_permutation of the
-    spectrum's conj_map, the identity without one), and the monomials solved
-    are those with partner[id] >= id.  The mirror assumes a real system, as
-    the spectrum's exact conjugate masters do
-    (spectral._assemble_conjugate_masters).  meta holds the engine's own
-    keys.  Two-mode (d = 4) runs classify resonances with the 1:1
-    enforcement.
+    spectrum's conj_map; a spectrum without one is refused) and half its
+    representatives per order (polytensor.ConjugateHalf): the positions with
+    partner[id] >= id, weighted 1, or 1/2 if self-conjugate.  The series and
+    the cross terms sum their products over the weighted representative
+    rows of their first block alone and complete the sum by conjugation
+    (ConjugateHalf.complete); that needs W and f of the lower orders
+    conjugate-symmetric, which the mirror writes.  The waves (_jordan_waves)
+    hold the same representatives, to solve, led by those whose bordered
+    matrix no lower order solved; after each wave the engine writes the
+    conjugate partners of what it solved (_mirror).  The mirror and the
+    completion assume a real system, as the spectrum's exact conjugate
+    masters do (spectral._assemble_conjugate_masters).  meta holds the
+    engine's own keys.  Two-mode (d = 4) runs classify resonances with the
+    1:1 enforcement.
     """
+    if spectrum.conj_map is None:
+        raise ValueError("the homological build needs the conjugate pairing of the master "
+                         "modes (spectrum.conj_map), which this spectrum lacks")
     d = spectrum.d
     nv = d + 1
     one_to_one = d == 4
@@ -501,8 +527,8 @@ def _build(spectrum, order, r_tol, series, solve, meta, n_disp=None):
     lam_vec = np.zeros(nv, dtype=complex)
     lam_vec[:d] = np.diag(spectrum.Lam)
     res = classify_resonances(table, lam_vec, r_tol, one_to_one)
-    conj_map = np.arange(d) if spectrum.conj_map is None else spectrum.conj_map
-    partner = table.conjugation_permutation(np.append(conj_map, d))
+    partner = table.conjugation_permutation(np.append(spectrum.conj_map, d))
+    half = ConjugateHalf(table, partner)
 
     W = np.zeros((len(table), spectrum.Y.shape[0]), dtype=complex)
     f = np.zeros((len(table), nv), dtype=complex)
@@ -513,23 +539,24 @@ def _build(spectrum, order, r_tol, series, solve, meta, n_disp=None):
     W[o1[d]] = spectrum.Ypar
     # normal-form choice for the parameter column: f^(1, d+1) = 0
 
-    stats = []
+    stats, blocks = [], {}
     for p in range(2, order + 1):
         ids = np.asarray(table.ids_of_order(p))
+        half.products = 0
         t0 = time.perf_counter()
-        rhs = series(table, W, p)
+        rhs = series(table, W, p, half)
         t1 = time.perf_counter()
-        g = _gradient_cross_lower(table, W, f, p)
+        g = _gradient_cross_lower(table, W, f, p, half, blocks)
         jdeps = _jordan_within_order(table, p, jp)
         # the load's eigenvalue is exactly 0, so alpha mu^k has the sigma, the
         # resonant set and so the bordered matrix of alpha mu^(k-1), solved at
         # order p - 1 unless that is 1
         new = (table.exponents[ids, -1] == 0) | (p == 2)
-        waves = _jordan_waves(jdeps, ids[0], new, partner[ids] >= ids)
+        waves = _jordan_waves(jdeps, ids[0], new, half.rows[p])
         t2 = time.perf_counter()
         max_rel = solve(table, res, ids, rhs, g, jdeps, waves, partner, W, f)
-        stats.append(_order_record(p, ids, res, waves, int(np.count_nonzero(partner[ids] > ids)),
-                                   (t0, t1, t2, time.perf_counter()), max_rel))
+        stats.append(_order_record(p, ids, res, waves, len(ids) - len(half.rows[p]),
+                                   half.products, (t0, t1, t2, time.perf_counter()), max_rel))
 
     meta.update(r_tol=r_tol, one_to_one=one_to_one,
                 jordan_pairs=[(int(i), int(j), complex(t).real) for i, j, t in jp], stats=stats)
@@ -539,14 +566,25 @@ def _build(spectrum, order, r_tol, series, solve, meta, n_disp=None):
 
 # -- first-order engine -------------------------------------------------------
 
-def _quadratic_rhs(table, dae, W, p):
+def _quadratic_rhs(table, dae, W, p, half):
     """Order-p coefficients of Q1(W, W) + Q2m W mu + q3 mu^2, one row per
-    order-p monomial."""
+    order-p monomial.
+
+    Q1 is summed over the splits p1 >= p - p1 alone: off the diagonal the
+    two orders' terms are the one slot-swapped form Q1(u, v) + Q1(v, u)
+    (SparseBilinearForm.swapped_sum) of order-p1 u and order-(p - p1) v.
+    Each split runs over the weighted representative rows of its order-p1
+    block (half, a ConjugateHalf) and the sum is completed by conjugation,
+    which needs W of the lower orders conjugate-symmetric; the load terms
+    follow, over every row.
+    """
     n_p = table.count_of_order(p)
     rhs = np.zeros((n_p, dae.dim), dtype=complex)
-    for p1 in range(1, p):
-        rhs += dae.Q1.apply_outer(W[table.ids_of_order(p1)], W[table.ids_of_order(p - p1)],
-                                  table.product_ids(p1, p - p1), n_p)
+    for p1 in range((p + 1) // 2, p):
+        form = dae.Q1 if 2 * p1 == p else dae.Q1.swapped_sum
+        rhs += form.apply_outer(half.first(W, p1), W[table.ids_of_order(p - p1)],
+                                half.targets((p1, p - p1)), n_p)
+    rhs = half.complete(rhs, p)
     # the last order-1 monomial is mu: its column of the product table maps
     # each order-(p-1) alpha to alpha + e_mu
     rhs[table.product_ids(p - 1, 1)[:, -1]] += W[table.ids_of_order(p - 1)] @ dae.Q2m.T
@@ -593,8 +631,8 @@ def build_rom_firstorder(dae: FirstOrderDAE, spectrum, order, r_tol=0.05):
                             partner, W, f)
 
     meta = {"engine": "first-order", "mu0": dae.mu0}
-    return _build(spectrum, order, r_tol, lambda table, W, p: _quadratic_rhs(table, dae, W, p),
-                  solve, meta)
+    return _build(spectrum, order, r_tol,
+                  lambda table, W, p, half: _quadratic_rhs(table, dae, W, p, half), solve, meta)
 
 
 # -- second-order engine ------------------------------------------------------
@@ -658,8 +696,8 @@ def build_rom_secondorder(model, spectrum, order, r_tol=0.05):
     n, Ru = model.n, model.Ru
     mck = tuple(np.asarray(a) for a in (model.M, model.C, model.Kt))
 
-    def series(table, W, p):
-        fnl = model.nl_rhs_series(table, W[:, :n], p)
+    def series(table, W, p, half):
+        fnl = model.nl_rhs_series(table, W[:, :n], p, half)
         fnl[table.product_ids(p - 1, 1)[:, -1]] += (Ru @ W[table.ids_of_order(p - 1), :n].T).T
         return fnl
 

@@ -17,7 +17,9 @@ the homological assembly, the ids of every sum of one monomial of each of
 a few given orders (`MonomialTable.product_ids`).  A pair table is a
 gather from a raise table through the parents and is kept on the table;
 the forms are then applied to whole blocks of mapping coefficients at
-once (`apply_outer`) instead of pair by pair.
+once (`apply_outer`) instead of pair by pair.  A `ConjugateHalf` holds
+one monomial of each conjugate pair per order, over which such a sum runs
+when conjugation maps it onto itself, and completes the sum.
 
 Monomials are evaluated in one place, at one point or a block of points:
 `power_values` gathers powers u_s^k from a table of them by a
@@ -218,6 +220,55 @@ class MonomialTable:
         return np.prod(z[None, :] ** self.exponents, axis=1)
 
 
+class ConjugateHalf:
+    """One monomial of each conjugate pair of a table, per order, for sums
+    that conjugation maps onto themselves.
+
+    partner is the table's conjugation permutation (conjugation_permutation).
+    At order q, rows[q] holds the positions within the order of the
+    representatives, partner[id] >= id (the first monomial of each pair in
+    table order and every self-conjugate one), weights[q] their weights, 1,
+    or exactly 1/2 if self-conjugate, and partners[q] is partner within the
+    order.  If conjugating a term's first factor, of order q, and its other
+    factors conjugates the term and its order-p target, the sum S over every
+    first factor is S_h + conj S_h[partners[p]], where S_h sums over the
+    weighted representatives alone: first() and targets() gather those rows
+    and complete() adds the conjugate.  products counts the entries of the
+    product tables that targets() handed out.
+    """
+
+    def __init__(self, table, partner):
+        self.table = table
+        self.rows, self.weights, self.partners = {}, {}, {}
+        for q in range(1, table.max_order + 1):
+            ids = table.ids_of_order(q)
+            local = partner[ids.start:ids.stop] - ids.start
+            rows = np.flatnonzero(local >= np.arange(len(local)))
+            self.rows[q], self.partners[q] = rows, local
+            self.weights[q] = np.where(local[rows] == rows, 0.5, 1.0)[:, None]
+        self.products = 0
+
+    def first(self, U, q):
+        """The weighted representative rows of the order-q rows of U (one row
+        per table monomial)."""
+        return U[self.table.ids_of_order(q).start + self.rows[q]] * self.weights[q]
+
+    def targets(self, orders, cols=None):
+        """table.product_ids(*orders) at the representative rows of the first
+        order (and at the positions cols of the second, if given), gathered
+        row by row before the further orders; adds its size to products."""
+        rows, product_ids = self.rows[orders[0]], self.table.product_ids
+        out = product_ids(*orders[:2])[rows if cols is None else np.ix_(rows, cols)]
+        for k in range(2, len(orders)):
+            out = product_ids(sum(orders[:k]), orders[k])[out]
+        self.products += out.size
+        return out
+
+    def complete(self, S, p):
+        """S + conj S at the conjugate order-p targets."""
+        return S + S[self.partners[p]].conj()
+
+
 def power_index(exps, lowered=False):
     """Gather index of u^alpha into a power table (`power_values`) for the
     exponent rows alpha of exps, shape (..., nu), variable axis first.
@@ -331,6 +382,17 @@ class SparseBilinearForm(_SparseForm):
     j: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     val: np.ndarray = field(default_factory=lambda: np.zeros(0))
     _slots = (("i", "dim_in1"), ("j", "dim_in2"))
+
+    @cached_property
+    def swapped_sum(self):
+        """The form Q(u, v) + Q(v, u): the entries and their slot-swapped
+        copies, made once per form."""
+        if self.dim_in1 != self.dim_in2:
+            raise ValueError("swapping the slots needs equal input dimensions")
+        twice = lambda a: np.concatenate((a, a))
+        return SparseBilinearForm(self.dim_out, self.dim_in1, self.dim_in2, twice(self.p),
+                                  np.concatenate((self.i, self.j)),
+                                  np.concatenate((self.j, self.i)), twice(self.val))
 
     @classmethod
     def from_entries(cls, dim_out, dim_in1, dim_in2, entries):

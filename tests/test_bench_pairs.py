@@ -1,6 +1,8 @@
 """The wording and the claim rule of tools/bench_pairs.py."""
 
+import argparse
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -94,3 +96,50 @@ def test_fewer_than_two_pairs_is_refused_before_any_run(pairs, monkeypatch, tmp_
     assert stop.value.code == 2
     assert "the quartiles need at least 2" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("pairs,traced_pairs", [(5, 3), (2, 2)])
+def test_traced_runs_in_the_first_pairs_in_their_order(pairs, traced_pairs, monkeypatch,
+                                                        tmp_path):
+    # run_once stubbed: each run reports a per-layer value that names its
+    # side and pair, so the medians and the order can be read back
+    calls = []
+
+    def fake_run(tree, workload, seed, seconds, trace):
+        side = tree.name
+        calls.append((side, workload, seed, trace))
+        value = seed - 100 + (1000 if side == "change" else 0)
+        metrics = {"pass_s": {"value": 1.0}, "work_per_s": {"value": 1.0},
+                   "dpim.build_s": {"value": value}}
+        return {"failed": 0, "attempted": 1, "correct": True, "metrics": metrics}, "env"
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    monkeypatch.setattr(bench_pairs, "export_revision", lambda rev, dest: dest.mkdir())
+    monkeypatch.setattr(bench_pairs, "export_working_tree", lambda dest: dest.mkdir())
+    monkeypatch.setattr(bench_pairs, "src_line_change", lambda trees: {})
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: "parent")
+    out = tmp_path / "bench.json"
+    args = argparse.Namespace(parent="HEAD", pairs=pairs, seconds=1, seed0=100,
+                                          claim=None, layer="", change_note="",
+                                          traced_seconds=2, out=str(out))
+    bench_pairs.write_report(args, SPEC, ["w1", "w2"], tmp_path)
+
+    traced = [(side, w, seed) for side, w, seed, trace in calls if trace]
+    expect = []
+    for i in range(traced_pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        expect += [(side, w, 100 + i) for w in ("w1", "w2") for side in order]
+    assert traced == expect
+    # each pair's traced runs follow its untraced ones
+    for i in range(traced_pairs):
+        pair = [trace for _, _, seed, trace in calls if seed == 100 + i]
+        assert pair == [0] * 4 + [1] * 4
+    assert sum(not trace for *_, trace in calls) == 4 * pairs
+
+    report = json.loads(out.read_text())
+    for w in ("w1", "w2"):
+        layer = report["traced"][w]["dpim.build_s"]
+        assert layer["parent"]["values"] == list(range(traced_pairs))
+        assert layer["change"]["values"] == [1000 + i for i in range(traced_pairs)]
+        assert layer["parent"]["median"] == (traced_pairs - 1) / 2
+        assert layer["change"]["median"] == 1000 + (traced_pairs - 1) / 2

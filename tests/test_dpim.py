@@ -25,6 +25,7 @@ from flutterrom.models import (
     recast_to_dae,
 )
 from flutterrom.polytensor import (
+    ConjugateHalf,
     MonomialTable,
     SparseBilinearForm,
     SparseTrilinearForm,
@@ -226,6 +227,20 @@ class TestFirstOrderEngine:
         expect = np.linalg.solve(dae.tangent_matrix(), -dae.parameter_column())
         assert np.allclose(rom.W[mid], expect, atol=1e-12)
 
+    @pytest.mark.parametrize("engine", ["first-order", "second-order"])
+    def test_spectrum_without_conjugate_pairing_is_refused(self, engine):
+        # the completion by conjugation would double the real part of every
+        # sum under the identity pairing: a spectrum without one is refused
+        if engine == "first-order":
+            system = recast_to_dae(build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2), mu0=P_H)
+            build = build_rom_firstorder
+        else:
+            system, build = make_cubic_test_model(2.6)[0], build_rom_secondorder
+        spec = solve_master_eigen(system, d=4).copy()
+        spec.conj_map = None
+        with pytest.raises(ValueError, match=r"conjugate pairing of the master modes"):
+            build(system, spec, 3)
+
     def test_conjugate_symmetry(self):
         # of each conjugate pair one monomial is solved and the other mirrored,
         # so the pair is conjugate to the bit; a self-conjugate monomial is
@@ -423,7 +438,8 @@ class TestSecondOrderEngine:
         for s, mid in enumerate(table.ids_of_order(1)):
             if s < 4:
                 U[mid] = spec.Y[:2, s]
-        out = model.nl_rhs_series(table, U, 3)
+        half = ConjugateHalf(table, table.conjugation_permutation(np.append(spec.conj_map, 4)))
+        out = model.nl_rhs_series(table, U, 3, half)
         # with only order-1 mappings, order-3 terms exist (1+1+1) and are the
         # cubic applied to eigenvectors
         loc = table.index_of((3, 0, 0, 0, 0)) - table.ids_of_order(3)[0]
@@ -508,10 +524,48 @@ def naive_nl_rhs_series(model, table, U, p):
 
 
 def use_naive_assembly(monkeypatch):
-    monkeypatch.setattr(dpim, "_quadratic_rhs", naive_quadratic_rhs)
-    monkeypatch.setattr(dpim, "_gradient_cross_lower", naive_gradient_cross_lower)
+    """The builds' assembly through the loops above, which sum over every
+    monomial and read neither the representatives nor the block memo."""
+    monkeypatch.setattr(dpim, "_quadratic_rhs",
+                        lambda table, dae, W, p, half: naive_quadratic_rhs(table, dae, W, p))
+    monkeypatch.setattr(dpim, "_gradient_cross_lower",
+                        lambda table, W, f, p, half, blocks:
+                        naive_gradient_cross_lower(table, W, f, p))
     monkeypatch.setattr(dpim, "_jordan_within_order", naive_jordan_within_order)
-    monkeypatch.setattr(PolynomialSecondOrderModel, "nl_rhs_series", naive_nl_rhs_series)
+    monkeypatch.setattr(PolynomialSecondOrderModel, "nl_rhs_series",
+                        lambda model, table, U, p, half: naive_nl_rhs_series(model, table, U, p))
+
+
+def conjugate_consistent(table, conj_vars, X, columns=False):
+    """X with the conjugation symmetry of a build's W (columns False) or f
+    (columns True): the row of each monomial's conjugate is the conjugate
+    row, its columns moved to the conjugate variables for f, and a
+    self-conjugate row is its own conjugate (real, for W).  The pairing is
+    MonomialTable.conjugation_permutation's."""
+    partner = table.conjugation_permutation(conj_vars)
+    cols = np.asarray(conj_vars) if columns else np.arange(X.shape[1])
+    mids = np.arange(len(table))
+    own, rep = partner == mids, partner > mids
+    X = X.copy()
+    X[own] = (X[own] + X[own][:, cols].conj()) / 2
+    X[partner[rep][:, None], cols] = X[rep].conj()
+    return X
+
+
+def random_conjugate_inputs(table, conj_vars, dim, seed):
+    """Conjugate-consistent random W (dim columns) and a sparse f: its
+    order-3 and order-5 rows are all zero, the other orders have a few
+    nonzero rows (with their conjugates), the parameter column among them."""
+    rng = np.random.default_rng(seed)
+    W = rng.standard_normal((len(table), dim)) + 1j * rng.standard_normal((len(table), dim))
+    f = np.zeros((len(table), table.nvars), dtype=complex)
+    for q in range(2, table.max_order + 1, 2):
+        rows = rng.choice(np.asarray(table.ids_of_order(q)), 4, replace=False)
+        vals = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        f[rows, rng.integers(0, table.nvars, 4)] = vals
+        f[rows[0], -1] = 0.7 - 0.2j
+    return (conjugate_consistent(table, conj_vars, W),
+            conjugate_consistent(table, conj_vars, f, columns=True))
 
 
 def rel_diff(a, b):
@@ -526,6 +580,9 @@ def with_quadratic_force(model):
 
 
 P_H = 2.076805  # Hopf point of build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2)
+# conjugations of (z1, z1b, z2, z2b, mu): the builds' pairing, and one that
+# pairs each variable of the first mode with one of the second
+CONJ_VARS = ([1, 0, 3, 2, 4], [3, 2, 1, 0, 4])
 
 
 class TestProductTableAssembly:
@@ -553,40 +610,67 @@ class TestProductTableAssembly:
         assert rel_diff(rom.W, ref.W) < 1e-12
         assert rel_diff(rom.f, ref.f) < 1e-12
 
+    # the halved sums need conjugate-symmetric inputs, as a build's mirror
+    # writes them: the random inputs below are drawn with that symmetry, on
+    # the pairings CONJ_VARS
+
     def test_nl_rhs_series_against_loops(self):
         model = with_quadratic_force(make_cubic_test_model(2.6)[0])
         table = MonomialTable(5, 5)
-        rng = np.random.default_rng(2)
-        U = rng.standard_normal((len(table), 2)) + 1j * rng.standard_normal((len(table), 2))
-        for p in range(2, 6):
-            got = model.nl_rhs_series(table, U, p)
-            assert rel_diff(got, naive_nl_rhs_series(model, table, U, p)) < 1e-12
+        for conj_vars in CONJ_VARS:
+            half = ConjugateHalf(table, table.conjugation_permutation(conj_vars))
+            U, _ = random_conjugate_inputs(table, conj_vars, 2, 2)
+            for p in range(2, 6):
+                got = model.nl_rhs_series(table, U, p, half)
+                assert rel_diff(got, naive_nl_rhs_series(model, table, U, p)) < 1e-12
 
     def test_gradient_cross_lower_random_against_loops(self):
-        # random W, and an f whose order-3 and order-5 rows are all zero and
-        # whose other rows have a few entries, the parameter column among them
         table = MonomialTable(5, 7)
-        rng = np.random.default_rng(5)
-        W = rng.standard_normal((len(table), 3)) + 1j * rng.standard_normal((len(table), 3))
-        f = np.zeros((len(table), 5), dtype=complex)
-        for q in (2, 4, 6):
-            ids = np.asarray(table.ids_of_order(q))
-            rows = rng.choice(ids, 4, replace=False)
-            f[rows, rng.integers(0, 5, 4)] = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            f[rows[0], -1] = 0.7 - 0.2j
-        for p in range(2, 8):
-            got = dpim._gradient_cross_lower(table, W, f, p)
-            ref = naive_gradient_cross_lower(table, W, f, p)
-            assert got.shape == ref.shape
-            assert rel_diff(got, ref) < 1e-13
+        for conj_vars in CONJ_VARS:
+            half = ConjugateHalf(table, table.conjugation_permutation(conj_vars))
+            W, f = random_conjugate_inputs(table, conj_vars, 3, 5)
+            blocks = {}
+            for p in range(2, 8):
+                got = dpim._gradient_cross_lower(table, W, f, p, half, blocks)
+                ref = naive_gradient_cross_lower(table, W, f, p)
+                assert got.shape == ref.shape
+                assert rel_diff(got, ref) < 1e-13
+            # one derivative block per order q = p - qf it was needed at, qf
+            # in (2, 4, 6), the orders of f's nonzero rows
+            assert sorted(blocks) == list(range(1, 6))
 
     def test_gradient_cross_lower_jordan_against_loops(self):
         dae = recast_to_dae(build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2), mu0=2.0)
         spec = enforce_jordan(solve_master_eigen(dae, d=4), (0, 2))
         rom = build_rom_firstorder(dae, spec, 5)
+        half = ConjugateHalf(rom.table, rom.table.conjugation_permutation(
+            np.append(rom.conj_map, 4)))
+        blocks = {}
         for p in range(3, 6):
-            got = dpim._gradient_cross_lower(rom.table, rom.W, rom.f, p)
+            got = dpim._gradient_cross_lower(rom.table, rom.W, rom.f, p, half, blocks)
             assert rel_diff(got, naive_gradient_cross_lower(rom.table, rom.W, rom.f, p)) < 1e-13
+
+    def test_completed_sums_are_conjugate_symmetric_to_the_bit(self):
+        # a completed sum is S + conj S at the conjugate rows: conjugate
+        # pairs are exact conjugates and self-conjugate rows exactly real
+        table = MonomialTable(5, 6)
+        partner = table.conjugation_permutation(CONJ_VARS[0])
+        half = ConjugateHalf(table, partner)
+        W, f = random_conjugate_inputs(table, CONJ_VARS[0], 5, 11)
+        model, dae = make_cubic_test_model(2.6)
+        model = with_quadratic_force(model)
+        blocks = {}
+        for p in range(2, 7):
+            ids = np.asarray(table.ids_of_order(p))
+            own = partner[ids] == ids
+            sums = (dpim._quadratic_rhs(table, dae, W, p, half),
+                    model.nl_rhs_series(table, W[:, :2], p, half),
+                    dpim._gradient_cross_lower(table, W, f, p, half, blocks))
+            # not trivially real: only the cross terms vanish, at order 2
+            assert [bool(np.any(series[own])) for series in sums] == [True, True, p > 2]
+            for series in sums:
+                assert np.array_equal(series[own].imag, np.zeros(series[own].shape))
+                assert np.array_equal(series[partner[ids] - ids[0]], series.conj())
 
     def test_no_per_pair_calls(self, monkeypatch):
         # guard against the per-pair loops coming back: builds apply no form
@@ -859,8 +943,8 @@ class TestStackedSolves:
             ids = np.asarray(table.ids_of_order(p))
             jdeps = dpim._jordan_within_order(table, p, spec.jordan_pairs)
             new = table.exponents[ids, -1] == 0
-            every = dpim._jordan_waves(jdeps, ids[0], new, np.ones(len(ids), bool))
-            reps = dpim._jordan_waves(jdeps, ids[0], new, partner[ids] >= ids)
+            every = dpim._jordan_waves(jdeps, ids[0], new, np.arange(len(ids)))
+            reps = dpim._jordan_waves(jdeps, ids[0], new, np.flatnonzero(partner[ids] >= ids))
             assert len(every) == len(reps) == sum(q == p for q, _ in waves)
             for w, ((locs, _), (rlocs, r_new)) in enumerate(zip(every, reps)):
                 assert sorted(ids[locs]) == waves[p, w]
@@ -1066,6 +1150,35 @@ class TestBatchedInvariance:
                     assert one == invariance_residual(rom, system, z[None])[0]
 
 
+def product_counts(rom, engine):
+    """Per order from 2, the (row, row) products of the assembly and of the
+    cross terms: each sum runs over the representatives of its first block
+    (partner[id] >= id, by brute force) and over every row of the others;
+    the bilinear forms over the splits p1 >= p - p1, the second-order
+    model's cubic over every composition, and the cross terms over the
+    nonzero f rows of each order qf."""
+    table = rom.table
+    partner = brute_force_partners(table, np.append(rom.conj_map, rom.d))
+    n = [0] + [table.count_of_order(q) for q in range(1, rom.order + 1)]
+    reps = [0] + [sum(partner[mid] >= mid for mid in table.ids_of_order(q))
+                  for q in range(1, rom.order + 1)]
+    out = []
+    for p in range(2, rom.order + 1):
+        if engine == "first-order":
+            series = sum(reps[p1] * n[p - p1] for p1 in range((p + 1) // 2, p))
+        else:  # the cubic test model: H alone
+            series = sum(reps[p1] * n[p2] * n[p - p1 - p2]
+                         for p1 in range(1, p - 1) for p2 in range(1, p - p1))
+        cross = sum(reps[p - qf] * int(np.any(rom.f[table.ids_of_order(qf)], axis=1).sum())
+                    for qf in range(2, p))
+        out.append((series, cross))
+    return out
+
+
+def expected_products(rom, engine):
+    return [series + cross for series, cross in product_counts(rom, engine)]
+
+
 class TestBuildStats:
     @pytest.mark.parametrize("engine", ["first-order", "second-order"])
     def test_per_order_stats(self, engine):
@@ -1097,6 +1210,7 @@ class TestBuildStats:
             own = self_conjugate_count(rom.table, [r["order"]])
             assert r["factorizations"] + r["mirrored"] == r["monomials"]
             assert r["mirrored"] == (r["monomials"] - own) // 2
+        assert [r["products"] for r in stats] == expected_products(rom, engine)
         # stacked solves factor the matrix of one monomial of each conjugate
         # pair and of each self-conjugate one: 412 of the 791 - 5 rows from
         # order 2; the first appearance of each master exponent among them
@@ -1112,6 +1226,17 @@ class TestBuildStats:
 
         back = ParametrisationROM.from_dict(json.loads(json.dumps(rom.to_dict())))
         assert back.meta["stats"] == stats
+
+    def test_quadratic_products_at_order_11(self):
+        # of the 343,981 (row, row) products of every split and monomial,
+        # the splits p1 >= p - p1 over the representatives keep 95,296
+        dae = recast_to_dae(build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2), mu0=P_H)
+        rom = build_rom_firstorder(dae, solve_master_eigen(dae, d=4), 11)
+        n = [0] + [rom.table.count_of_order(q) for q in range(1, 12)]
+        assert sum(n[p1] * n[p - p1] for p in range(2, 12) for p1 in range(1, p)) == 343981
+        products = [r["products"] for r in rom.meta["stats"]]
+        cross = [c for _, c in product_counts(rom, "first-order")]
+        assert sum(products) - sum(cross) == 95296
 
     def test_stacks_count_the_jordan_waves(self):
         dae, spec, order = firstorder_case("jordan-o5")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from flutterrom.dpim import build_rom_firstorder
 from flutterrom.models import build_ziegler2, recast_to_dae
 from flutterrom.polytensor import (
+    ConjugateHalf,
     MonomialTable,
     SparseBilinearForm,
     SparseTrilinearForm,
@@ -192,6 +193,60 @@ class TestEnumeration:
     def test_conjugation_permutation_rejects_bad_maps(self, conj, match):
         with pytest.raises(ValueError, match=match):
             MonomialTable(5, 3).conjugation_permutation(conj)
+
+
+class TestConjugateHalf:
+    @pytest.mark.parametrize("conj", [[1, 0, 3, 2, 4], [3, 2, 1, 0, 4], [0, 1, 3, 2, 4]])
+    def test_representatives_and_weights(self, conj):
+        # against the exponents: of each conjugate pair the monomial first in
+        # table order, weighted 1, and every self-conjugate one, weighted 1/2
+        table = MonomialTable(5, 5)
+        half = ConjugateHalf(table, table.conjugation_permutation(conj))
+        for q in range(1, 6):
+            ids = table.ids_of_order(q)
+            rows, weights = [], []
+            for loc, alpha in enumerate(table.exponents[ids.start:ids.stop]):
+                swapped = np.zeros(5, dtype=np.int64)
+                swapped[conj] = alpha
+                mate = table.index_of(swapped) - ids.start
+                assert half.partners[q][loc] == mate
+                if mate >= loc:
+                    rows.append(loc)
+                    weights.append(0.5 if mate == loc else 1.0)
+            assert half.rows[q].tolist() == rows
+            assert half.weights[q].ravel().tolist() == weights
+
+    def test_completes_a_sum_over_every_monomial(self):
+        # sum over all order-2 a and order-1 b of x[a] y[b] at a + b, with x
+        # and y conjugate-symmetric, from the representatives a alone
+        conj = [1, 0, 3, 2, 4]
+        table = MonomialTable(5, 3)
+        partner = table.conjugation_permutation(conj)
+        half = ConjugateHalf(table, partner)
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal(len(table)) + 1j * rng.standard_normal(len(table))
+        x = np.where(partner > np.arange(len(table)), x, x[partner].conj())
+        x[partner == np.arange(len(table))] = x[partner == np.arange(len(table))].real
+        start = table.ids_of_order(3).start
+        expect = np.zeros(table.count_of_order(3), dtype=complex)
+        for a in table.ids_of_order(2):
+            for b in table.ids_of_order(1):
+                expect[table.index_of(table.exponents[a] + table.exponents[b]) - start] += \
+                    x[a] * x[b]
+        half.products = 0
+        targets = half.targets((2, 1))
+        terms = half.first(x[:, None], 2) * x[table.ids_of_order(1)]
+        got = np.zeros(len(expect), dtype=complex)
+        np.add.at(got, targets, terms)
+        assert np.allclose(half.complete(got, 3), expect, rtol=0, atol=1e-13)
+        assert half.products == targets.size == len(half.rows[2]) * 5
+        # gathers of three orders and of chosen columns
+        for orders in ((1, 1, 1), (2, 1), (1, 2)):
+            full = table.product_ids(*orders)
+            assert np.array_equal(half.targets(orders), full[half.rows[orders[0]]])
+        cols = np.array([4, 0])
+        assert np.array_equal(half.targets((1, 2), cols),
+                              table.product_ids(1, 2)[half.rows[1]][:, cols])
 
 
 def assert_product_ids_brute_force(table, orders):
@@ -391,6 +446,16 @@ class TestBilinear:
         for a, b in np.ndindex(4, 3):
             expect[targets[a, b]] += Q.apply(U1[a], U2[b])
         assert np.allclose(Q.apply_outer(U1, U2, targets, 6), expect, rtol=0, atol=1e-13)
+
+    def test_swapped_sum_against_two_applies(self):
+        rng = np.random.default_rng(12)
+        Q = random_bilinear(rng, 5, nnz=20)
+        u, v = rng.standard_normal((2, 3, 5)) + 1j * rng.standard_normal((2, 3, 5))
+        assert np.allclose(Q.swapped_sum.apply(u, v), Q.apply(u, v) + Q.apply(v, u),
+                           rtol=0, atol=1e-13)
+        assert Q.swapped_sum is Q.swapped_sum   # made once per form
+        with pytest.raises(ValueError, match="equal input dimensions"):
+            SparseBilinearForm(2, 2, 3).swapped_sum
 
     def test_zero_form_gives_zero_matrix(self):
         Q = SparseBilinearForm(4, 4, 4)

@@ -26,9 +26,12 @@ ones. Each end-to-end metric of BENCHMARK.json gets, per workload:
 
 A claim (--claim workload:metric) is met when the change wins at least nine
 pairs in ten and its median is better than the parent's by more than the
-parent's quartile spread. --traced-seconds adds one --trace 1 run per side
-and workload (seed 1) with the per-layer metrics. src_lines is the line
-change of src/ from the parent's copy to the change's (git diff --numstat).
+parent's quartile spread. --traced-seconds adds a --trace 1 run per side
+and workload to each of the first TRACED_PAIRS pairs (all of them, if there
+are fewer), after its untraced runs, with the pair's seed and in the pair's
+order; "traced" then holds, per workload and per-layer metric, each side's
+median and every value in pair order. src_lines is the line change of src/
+from the parent's copy to the change's (git diff --numstat).
 """
 
 import argparse
@@ -45,6 +48,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TREE = ("src", "perfbench", "BENCHMARK.json")
+TRACED_PAIRS = 3
 
 
 def git(*args):
@@ -165,6 +169,20 @@ def summarise(spec, runs):
     return out
 
 
+def summarise_traced(traced):
+    """Per workload and per-layer metric, each side's median and values;
+    traced[workload][side] lists the traced runs' metrics in pair order."""
+    out = {}
+    for workload, sides in traced.items():
+        names = [name for name in sides["parent"][0] if name in sides["change"][0]]
+        out[workload] = {}
+        for name in names:
+            vals = {side: [run[name]["value"] for run in runs] for side, runs in sides.items()}
+            out[workload][name] = {side: {"median": statistics.median(v), "values": v}
+                                   for side, v in vals.items()}
+    return out
+
+
 def summary_line(entry):
     p, c = entry["parent"], entry["change"]
     return (f"{p['median']:.6g} -> {c['median']:.6g} (median {entry['median_change']}, "
@@ -230,6 +248,7 @@ def write_report(args, spec, workloads, work):
     export_working_tree(trees["change"])
 
     runs = {w: {"parent": [], "change": []} for w in workloads}
+    traced = {w: {"parent": [], "change": []} for w in workloads}
     environment = ""
     seeds = [args.seed0 + i for i in range(args.pairs)]
     for i, seed in enumerate(seeds):
@@ -241,6 +260,11 @@ def write_report(args, spec, workloads, work):
                 environment = environment or env_line
                 print(f"pair {i} seed {seed} {workload} {side}: pass_s "
                       f"{result['metrics']['pass_s']['value']:.6g}", file=sys.stderr, flush=True)
+        if args.traced_seconds and i < TRACED_PAIRS:
+            for workload in workloads:
+                for side in order:
+                    result, _ = run_once(trees[side], workload, seed, args.traced_seconds, 1)
+                    traced[workload][side].append(result["metrics"])
 
     summary = summarise(spec, runs)
     report = {
@@ -267,10 +291,7 @@ def write_report(args, spec, workloads, work):
         for w, s in summary.items()}
     report["workloads"] = summary
     if args.traced_seconds:
-        report["traced"] = {
-            w: {side: run_once(trees[side], w, 1, args.traced_seconds, 1)[0]["metrics"]
-                for side in ("parent", "change")}
-            for w in workloads}
+        report["traced"] = summarise_traced(traced)
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
     if args.claim:
         print(json.dumps(report["claim"]), flush=True)
