@@ -65,8 +65,15 @@ monomial), the rows mirrored by conjugation, condition-checked solves,
 stacks (one per wave) and the largest relative homological residual.
 
 `invariance_residual` checks a ROM against its full model at a block of
-sample points at once, from one table of monomial values
-(`ParametrisationROM.mapping_and_flow`).
+sample points at once, from one table of monomial values times W, times f
+and times the derivative blocks dW/dz_s side by side
+(`ParametrisationROM.mapping_and_flow`).  The blocks have no rows for the
+top order, which raises out of the table, and W and f are not copied
+beside them: one matrix [W | f | blocks] takes 2.4 MB at order 11, against
+0.9 MB, and raised the peak memory of a check.  `residual_slope`
+evaluates its directions once and reads every radius r from per-order
+pieces of those products weighted by r^|alpha|, with one evaluation of
+the defect (`_defect_norms`) for all radii.
 """
 
 from __future__ import annotations
@@ -200,23 +207,44 @@ class ParametrisationROM:
             grad[:, s] = (self.W[mask].T * (exps[mask, s] * vals)) @ np.ones(mask.sum())
         return grad
 
+    def _derivative_blocks(self):
+        """dW/dz_s of each master variable s, side by side: the row of a
+        monomial beta holds (beta_s + 1) W[beta + e_s], gathered through the
+        raise tables (table.product_ids(q, 1)).  Row 0 is the constant
+        monomial and row 1 + id the table's monomial id; the top order raises
+        out of the table, so its rows are left out.  The load needs no
+        block: its column of f is zero."""
+        table, d = self.table, self.d
+        up = np.concatenate([np.arange(d)[None]] + [
+            table.product_ids(q, 1)[:, :d] + table.ids_of_order(q + 1).start
+            for q in range(1, self.order)])
+        weights = np.concatenate((np.zeros((1, d)), table.exponents[:len(up) - 1, :d])) + 1.0
+        # real weights on W's (Re, Im) view: complex times real costs several times more
+        D = np.take(np.ascontiguousarray(self.W, dtype=complex).view(float), up, axis=0)
+        D *= weights[..., None]
+        return D.reshape(len(up), -1).view(complex)
+
+    def _flow(self, fz, dWz):
+        """(dW/dz) f(z) at each point: the values of the derivative blocks'
+        columns contracted with f(z)."""
+        return (fz[:, None, :self.d] @ dWz.reshape(len(dWz), self.d, self.dim))[:, 0]
+
     def mapping_and_flow(self, Z):
         """W(z), f(z) and (dW/dz) f(z) at every row of Z, one row each.
 
-        All three come from one table of monomial values (power_values); the
-        derivative term reads the lowered-exponent columns of the same table.
+        One table of the monomial values of Z (power_values, with the
+        table's own power_index) times W, times f, and, with a constant 1,
+        times the derivative blocks (_derivative_blocks) gives W(z), f(z)
+        and every dW/dz_s(z); the flow contracts the blocks with f(z) at
+        each point.
         """
         Z = np.asarray(Z)
         if Z.ndim != 2 or Z.shape[1] != self.table.nvars:
             raise ValueError(f"points must be rows of {self.table.nvars} components")
-        mono = power_values(Z, power_index(self.table.exponents), self.order)
-        # the constant monomial 1, which the lowered id -1 reads
-        vals = np.concatenate((mono, np.ones((len(Z), 1))), axis=1)
+        mono = power_values(Z, self.table.power_index, self.order)
+        D = self._derivative_blocks()
         fz = mono @ self.f
-        dflow = np.zeros_like(mono)
-        for s, (ids, low, alpha_s) in enumerate(self.table.lowered):
-            dflow[:, ids] += alpha_s * vals[:, low] * fz[:, s, None]
-        return mono @ self.W, fz, dflow @ self.W
+        return mono @ self.W, fz, self._flow(fz, D[0] + mono[:, :len(D) - 1] @ D[1:])
 
     def to_dict(self):
         def c2(arr):
@@ -721,9 +749,14 @@ def invariance_residual(rom, system, ztilde):
     """
     ztilde = np.asarray(ztilde, dtype=complex)
     Z = np.atleast_2d(ztilde)
-    Wz, fz, dWf = rom.mapping_and_flow(Z)
-    mu = Z[:, -1, None]
+    Wz, _, dWf = rom.mapping_and_flow(Z)
+    norms = _defect_norms(system, Wz, dWf, Z[:, -1, None])
+    return float(norms[0]) if ztilde.ndim == 1 else norms
 
+
+def _defect_norms(system, Wz, dWf, mu):
+    """Norm of the invariance defect of each row of W(z), (dW/dz) f(z) and
+    the load column mu."""
     if isinstance(system, FirstOrderDAE):
         lhs = dWf @ system.B.T
         rhs = (Wz @ system.tangent_matrix().T + system.parameter_column() * mu
@@ -737,8 +770,7 @@ def invariance_residual(rom, system, ztilde):
         r2 = ((M @ dV.T + C @ V.T + Kt @ U.T).T - mu * system.Rt - mu * (Ru @ U.T).T
               + system.nonlinear_force(U))
         defect = np.concatenate([r1, r2], axis=1)
-    norms = np.linalg.norm(defect, axis=1)
-    return float(norms[0]) if ztilde.ndim == 1 else norms
+    return np.linalg.norm(defect, axis=1)
 
 
 # sample directions of residual_slope and the seed that draws them
@@ -762,11 +794,41 @@ def conjugate_sample(rom, radius, rng):
 def residual_slope(rom, system, radii=None):
     """Log-log slope of the invariance residual against the sample radius;
     the residual of a radius is the largest over _SLOPE_DIRS sample points
-    (the same seeded directions for every ROM)."""
+    (the same seeded directions for every ROM).
+
+    A monomial of order p at r d is r^p times its value at d, in the rows
+    of the derivative blocks too (the constant row has order 0).  So the
+    directions d are evaluated once, and each order's rows of W, f and the
+    derivative blocks (ParametrisationROM._derivative_blocks) give one piece
+    G_p of mapping_and_flow's products; the products at radius r are
+    sum_p r^p G_p, and the defect of every radius and direction is
+    evaluated in one call.  The radii are not stacked into one table of
+    monomial values: it would be len(radii) times the directions' table
+    (its power gather takes 10 MB at order 11 with five radii), where the
+    pieces take a few kB.
+    """
     if radii is None:
         radii = np.logspace(-4, -2, 7)
+    radii = np.asarray(radii, dtype=float)
     rng = np.random.default_rng(_SLOPE_SEED)
     dirs = np.array([conjugate_sample(rom, 1.0, rng) for _ in range(_SLOPE_DIRS)])
-    vals = np.array([invariance_residual(rom, system, r * dirs).max() for r in radii])
+    table, dim, nv = rom.table, rom.dim, rom.table.nvars
+    mono = power_values(dirs, table.power_index, rom.order)
+    D = rom._derivative_blocks()
+    # G[p]: the order-p part of [W | f | derivative blocks] at each direction
+    G = np.zeros((rom.order + 1, len(dirs), dim + nv + D.shape[1]), dtype=complex)
+    G[0, :, dim + nv:] = D[0]
+    for p in range(1, rom.order + 1):
+        ids = table.ids_of_order(p)
+        lo, hi = ids.start, ids.stop
+        m = mono[:, lo:hi]
+        G[p, :, :dim], G[p, :, dim:dim + nv] = m @ rom.W[lo:hi], m @ rom.f[lo:hi]
+        if p < rom.order:
+            G[p, :, dim + nv:] = m @ D[lo + 1:hi + 1]
+    graded = np.tensordot(radii[:, None] ** np.arange(rom.order + 1), G, axes=1)
+    graded = graded.reshape(-1, G.shape[2])
+    Wz, dWf = graded[:, :dim], rom._flow(graded[:, dim:dim + nv], graded[:, dim + nv:])
+    mu = (radii[:, None] * dirs[:, -1]).reshape(-1, 1)
+    vals = _defect_norms(system, Wz, dWf, mu).reshape(len(radii), -1).max(axis=1)
     slope = np.polyfit(np.log(radii), np.log(vals), 1)[0]
     return float(slope), vals

@@ -200,6 +200,12 @@ class MonomialTable:
         return out
 
     @cached_property
+    def power_index(self):
+        """power_index of the table's exponents: power_values with it
+        evaluates every monomial of the table."""
+        return power_index(self.exponents)
+
+    @cached_property
     def _parents(self):
         """(parent id, variable) of each monomial: its first nonzero variable
         and the id of alpha minus that variable (-1 for order 1).  Each

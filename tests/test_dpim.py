@@ -1059,22 +1059,29 @@ class TestStackedSolves:
             ref = sla.lu_solve(sla.lu_factor(Mtx), np.concatenate((rhs[e], border_rhs[e, R])))
             assert rel_diff(sol[e, :N + len(R)], ref) < 1e-13
 
-    def test_residual_slope_one_batched_evaluation_per_radius(self, monkeypatch):
+    def test_residual_slope_one_evaluation_of_its_directions(self, monkeypatch):
+        # the directions' monomials are evaluated once, never stacked over
+        # the radii, and the defect of every radius and direction is one
+        # application of the quadratic form
         dae, spec, _ = firstorder_case("hopf-o5")
         rom = build_rom_firstorder(dae, spec, 5)
-        calls = Counter()
+        rows, applies = [], Counter()
+        power_values, apply = dpim.power_values, SparseBilinearForm.apply
 
-        def counted(key, fn):
-            def wrapper(*args, **kwargs):
-                calls[key] += 1
-                return fn(*args, **kwargs)
-            return wrapper
+        def counted_power_values(U, *args):
+            rows.append(len(U))
+            return power_values(U, *args)
 
-        for cls, attr in ((ParametrisationROM, "mapping_and_flow"), (SparseBilinearForm, "apply")):
-            monkeypatch.setattr(cls, attr, counted(attr, getattr(cls, attr)))
+        def counted_apply(self, *args):
+            applies[len(args[0])] += 1
+            return apply(self, *args)
+
+        monkeypatch.setattr(dpim, "power_values", counted_power_values)
+        monkeypatch.setattr(SparseBilinearForm, "apply", counted_apply)
         radii = np.logspace(-2, -1, 4)
         residual_slope(rom, dae, radii)
-        assert calls == {"mapping_and_flow": 4, "apply": 4}
+        assert rows == [dpim._SLOPE_DIRS]
+        assert applies == {len(radii) * dpim._SLOPE_DIRS: 1}
 
 
 def pointwise_residual(rom, system, z):
@@ -1099,8 +1106,13 @@ def invariance_cases():
     dae, spec, _ = firstorder_case("hopf-o7")
     model, _ = make_cubic_test_model(2.6)
     spec2 = solve_master_eigen(model, d=4)
+    # at the exceptional point, with the Jordan block imposed: f's linear
+    # part is off-diagonal
+    ep = recast_to_dae(build_ziegler2(1, 1, 1, 1, 1), mu0=2.0)
+    jordan = enforce_jordan(solve_master_eigen(ep, d=4), (0, 2))
     return [(build_rom_firstorder(dae, spec, 7), dae),
-            (build_rom_secondorder(model, spec2, 5), model)]
+            (build_rom_secondorder(model, spec2, 5), model),
+            (build_rom_firstorder(ep, jordan, 5), ep)]
 
 
 class TestBatchedInvariance:
@@ -1148,6 +1160,24 @@ class TestBatchedInvariance:
                     one = invariance_residual(rom, system, z)
                     assert isinstance(one, float)
                     assert one == invariance_residual(rom, system, z[None])[0]
+
+    def test_residual_slope_against_invariance_residual(self, cases):
+        # each radius's value, read from the per-order pieces at the
+        # directions, is the largest defect at the directions scaled by the
+        # radius, within test_residual_against_pointwise_formula's bound
+        radii = np.array([1e-2, 0.1, 0.3, 0.5, 1.0])
+        for rom, system in cases:
+            rng = np.random.default_rng(dpim._SLOPE_SEED)
+            dirs = np.array([dpim.conjugate_sample(rom, 1.0, rng)
+                             for _ in range(dpim._SLOPE_DIRS)])
+            slope, vals = residual_slope(rom, system, radii)
+            assert vals.shape == radii.shape
+            for r, got in zip(radii, vals):
+                ref = invariance_residual(rom, system, r * dirs).max()
+                floor = 1e-13 * max(np.linalg.norm(polynomial_eval(rom.table, rom.W, r * d))
+                                    for d in dirs)
+                assert abs(got - ref) <= max(1e-10 * ref, floor), (rom.order, r)
+            assert slope == np.polyfit(np.log(radii), np.log(vals), 1)[0]
 
 
 def product_counts(rom, engine):

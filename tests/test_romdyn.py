@@ -927,6 +927,21 @@ class TestLinearAnalysis:
         rom.W *= 2.0
         assert abs(measure_limit_cycle(rom, mu).amplitude[0] - 2.0 * np.sqrt(mu / 4.0)) < 2e-8
 
+    def test_the_memo_key_reads_both_parts(self):
+        # the key compares complex arrays part by part: W and f replaced by
+        # equal copies keep the memo; one imaginary part of W changed in
+        # place clears it, and so does one real part of f
+        rom = hopf_normal_form_rom()
+        continuation._analysis(rom)["probe"] = True
+        rom.W, rom.f = rom.W.copy(), rom.f.copy()
+        assert continuation._analysis(rom)["probe"]
+        mid = rom.table.index_of((1, 0, 0))
+        rom.W[mid, 0] += 1e-3j
+        assert rom.W[mid, 0].real == 0.5 and "probe" not in continuation._analysis(rom)
+        continuation._analysis(rom)["probe"] = True
+        rom.f[mid, 0] += 1e-3
+        assert "probe" not in continuation._analysis(rom)
+
     def test_a_new_expansion_load_is_analysed_again(self):
         # the growth rate 2 + mu crosses 0 at mu = -2, outside the tiles a
         # ROM expanded at 0 scans (+-0.35 and [-1.05, -0.35]) and inside

@@ -5,6 +5,7 @@ from scipy.linalg import block_diag
 from scipy.optimize import brentq
 
 from flutterrom import spectral
+from flutterrom.dpim import build_rom_firstorder
 from flutterrom.models import (
     ZieglerModel,
     build_ziegler,
@@ -21,6 +22,7 @@ from flutterrom.spectral import (
     solve_master_eigen,
     solve_pencil_spectrum,
 )
+from flutterrom.romdyn import measure_limit_cycle
 
 
 def modal_assurance(a, b):
@@ -668,6 +670,30 @@ class TestJordan:
         assert (0, 2, 1.0) in out.jordan_pairs
         assert any(p[:2] == (1, 3) for p in out.jordan_pairs)
         assert np.allclose(out.Y[:, 1], np.conj(out.Y[:, 0]))
+
+    @pytest.mark.parametrize("order", [5, 7])
+    def test_coupling_is_a_gauge(self, order, monkeypatch):
+        # the imposed coupling only scales the generalised eigenvector: the
+        # Jordan ROM at the exceptional point of Ziegler-2 (xi_m = 0.2)
+        # predicts the same theta2 amplitude and period at P_H + 0.3, with
+        # the same Newton corrections, whatever its value
+        m = build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2)
+        traj = eigen_sweep(m, (1.5, 3.0), 40)
+        P_H, P_c = traj.events["P_H"], detect_exceptional_point(traj, m)[0]
+        dae = recast_to_dae(m, mu0=P_c)
+        cycles = []
+        for tau in (0.25, 1.0, 4.0):
+            monkeypatch.setattr(spectral, "_TAU", tau)
+            spec = enforce_jordan(solve_master_eigen(dae, d=4), (0, 2))
+            assert (0, 2, tau) in spec.jordan_pairs
+            cycle = measure_limit_cycle(build_rom_firstorder(dae, spec, order), P_H + 0.3 - P_c)
+            assert cycle.converged and cycle.reason == ""
+            cycles.append(cycle)
+        ref = cycles[1]
+        for cycle in cycles:
+            assert abs(cycle.amp(1) / ref.amp(1) - 1.0) <= 1e-14
+            assert abs(cycle.period / ref.period - 1.0) <= 1e-14
+            assert cycle.newton == ref.newton
 
     def test_mac(self):
         a = np.array([1.0, 2.0, 3.0])
