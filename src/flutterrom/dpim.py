@@ -7,11 +7,15 @@ systems with parameter-independent quadratic/cubic forces, where the
 velocity mappings are recovered a posteriori and only displacement-sized
 linear systems are factored.
 
-One order loop (`_build`) serves both engines: it holds the monomial
-table, the resonance classification, the order-1 mapping from the master
-spectrum, the gradient cross terms, the Jordan dependencies, the per-order
-statistics and the ROM assembly.  An engine supplies only two things: its
-order-p nonlinear series and its stacked solve of one order.
+One order loop (`_build`) and one Jordan-wave loop (`_solve_order`) serve
+both engines.  They hold the monomial table, the resonance classification,
+the order-1 mapping from the master spectrum, the gradient cross terms, the
+Jordan dependencies and waves, the padded stacks and their checked solves,
+the scatter of f's resonant entries, the mirror, the per-order statistics
+and the ROM assembly.  An engine is its force series and its bordered
+operator: it supplies its order-p nonlinear series, the bordered systems of
+a wave from their right-hand sides and gradient terms, and the mapping rows
+of their solutions.
 
 Both engines support imposed Jordan couplings in the linear reduced
 dynamics: the off-diagonal entries of Lam feed an extra within-order term
@@ -33,8 +37,9 @@ conjugate pair of its first block alone, weighted 1, and over every
 self-conjugate one, weighted 1/2, and is completed by adding its
 conjugate at the conjugate targets (`polytensor.ConjugateHalf`).  A
 bilinear form is summed over the splits p1 >= p - p1 alone, off the
-diagonal as the slot-swapped form Q(u, v) + Q(v, u).  The load terms,
-linear in the mapping, are added after the completion.
+diagonal as the slot-swapped form Q(u, v) + Q(v, u)
+(`ConjugateHalf.bilinear`).  The load terms, linear in the mapping, are
+added after the completion.
 
 Both engines then solve each order in one stack of bordered systems per
 Jordan wave (the whole order without Jordan couplings; with them, waves
@@ -49,12 +54,13 @@ Conjugation maps each Jordan coupling onto the conjugate one, so each wave
 holds the partners of its monomials.  A monomial's border spans the masters
 its resonance key's bits name, padded to the wave's largest set with
 decoupled slots that never reach f.  The first-order engine stacks sigma B
-- At; the second-order one stacks the displacement-sized sigma^2 M + sigma
-C + Kt with sigma-dependent borders and recovers the velocity rows from
-each stack's solutions.  The load's eigenvalue is exactly 0, so alpha mu^k
-has the sigma, the resonant set and the matrix of alpha mu^(k-1), and is
-solved when alpha is: only the monomials without mu, and those of order 2,
-meet a matrix for the first time.  Per wave, those go in one call through
+- At, and its mapping rows are the solutions; the second-order one stacks
+the displacement-sized sigma^2 M + sigma C + Kt with sigma-dependent
+borders, and its mapping recovers the velocity rows from the solutions.
+The load's eigenvalue is exactly 0, so alpha mu^k has the sigma, the
+resonant set and the matrix of alpha mu^(k-1), and is solved when alpha
+is: only the monomials without mu, and those of order 2, meet a matrix for
+the first time.  Per wave, those go in one call through
 `scipy.linalg.solve`, whose condition estimate reports a missed resonance,
 and the repeats in one call through `numpy.linalg.solve`, the same LU
 without the estimate.  Every solved bordered system's relative residual is
@@ -314,15 +320,16 @@ def _gradient_cross_lower(table, W, f, p, half, blocks):
     ConjugateHalf) alone; one matrix product contracts it over s with the
     nonzero order-qf rows of f, and the term of a and row kf lands on
     a + alpha(kf), read from the product table (q, qf) and summed there by
-    one bincount per output column.  half.complete then adds the other
+    one bincount over every output column, each column's targets offset by
+    its own block of bins.  half.complete then adds the other
     monomials' part, which needs W and f of the lower orders
     conjugate-symmetric, as the mirror writes them.  blocks memoises each
     order's derivative block for the build: it is gathered when first
     needed, at order q + 2 or later, once W of order q + 1 is final.
     Returns one row per order-p monomial.
     """
-    n_p = table.count_of_order(p)
-    out = np.zeros((n_p, W.shape[1]), dtype=complex)
+    n_p, dim = table.count_of_order(p), W.shape[1]
+    out = np.zeros((n_p, dim), dtype=complex)
     for qf in range(2, p):
         fq = f[table.ids_of_order(qf)]
         rows = np.flatnonzero(np.any(fq, axis=1))
@@ -335,10 +342,11 @@ def _gradient_cross_lower(table, W, f, p, half, blocks):
             scale = (table.exponents[table.ids_of_order(q).start + reps] + 1) * half.weights[q]
             blocks[q] = np.ascontiguousarray((W[raised] * scale[:, :, None]).transpose(2, 0, 1))
         terms = blocks[q] @ fq[rows].T  # (column, a, row of f)
-        # real and imaginary parts side by side: one bincount sums both
-        targets = np.ravel(2 * half.targets((q, qf), rows)[:, :, None] + np.arange(2))
-        for c, col in enumerate(terms):
-            out[:, c] += np.bincount(targets, col.view(float).ravel(), 2 * n_p).view(complex)
+        # real and imaginary parts side by side, column c in bins 2 n_p c on
+        targets = 2 * half.targets((q, qf), rows)[:, :, None] + np.arange(2)
+        targets = np.ravel(targets + 2 * n_p * np.arange(dim)[:, None, None, None])
+        sums = np.bincount(targets, terms.view(float).ravel(), 2 * n_p * dim)
+        out += sums.view(complex).reshape(dim, n_p).T
     return half.complete(out, p)
 
 
@@ -517,32 +525,65 @@ def _stacked_solve(A, b, n_new, sigma, spectrum, table, mids):
     return sol, _check_solve(resid, np.linalg.norm(b, axis=1), sigma, spectrum, table, mids)
 
 
+def _solve_order(bordered, mapping, table, res, spectrum, ids, rhs, g, jdeps, waves, partner,
+                 W, f):
+    """Solves the order-p monomials the waves hold into W and f, one padded
+    stack of the engine's bordered systems per Jordan wave, and mirrors each
+    wave's conjugate partners; returns the largest relative residual.
+
+    rhs and the gradient cross terms g hold one row per order-p monomial.
+    A wave's gradient term is g plus its Jordan term, which reads the W rows
+    that earlier waves wrote or mirrored.  bordered(sigma, rhs_rows,
+    g_rows) gives the wave's bordered operator in _padded_system's terms
+    (pencil, border columns, border rows, corner, right-hand side, border
+    right-hand side); f's resonant entries are read from the border slots
+    of the solutions, and mapping(sigma, x, f_rows, g_rows) gives the W rows
+    from their leading part x and those rows of f.
+    """
+    d = spectrum.d
+    max_rel = 0.0
+    for locs, n_new in waves:
+        mids = ids[locs]
+        sigma = res.sigma[mids]
+        g_rows = g[locs] + _jordan_term(jdeps, W, locs) if jdeps else g[locs]
+        A, b, sel = _padded_system(sigma, *bordered(sigma, rhs[locs], g_rows), res.keys[mids])
+        sol, rel = _stacked_solve(A, b, n_new, sigma, spectrum, table, mids)
+        max_rel = max(max_rel, rel)
+        N = A.shape[1] - sel.shape[1]
+        k, j = np.nonzero(sel < d)
+        f[mids[k], sel[k, j]] = sol[k, N + j]
+        W[mids] = mapping(sigma, sol[:, :N], f[mids, :d], g_rows)
+        _mirror(W, f, mids, partner)
+    return max_rel
+
+
 # -- the order loop -----------------------------------------------------------
 
-def _build(spectrum, order, r_tol, series, solve, meta, n_disp=None):
+def _build(spectrum, order, r_tol, series, bordered, mapping, meta, n_disp=None):
     """Solves the homological equations order by order, for either engine.
 
-    The engine supplies its order-p nonlinear series, series(table, W, p,
-    half), one row per order-p monomial, and its stacked solve,
-    solve(table, res, ids, rhs, g, jdeps, waves, partner, W, f), which
-    writes the order-p rows of W and f from that series, the gradient cross
-    terms g and the Jordan dependencies, one stack per Jordan wave, and
-    returns the largest relative residual.  partner is the table's
-    conjugation permutation (MonomialTable.conjugation_permutation of the
-    spectrum's conj_map; a spectrum without one is refused) and half its
-    representatives per order (polytensor.ConjugateHalf): the positions with
-    partner[id] >= id, weighted 1, or 1/2 if self-conjugate.  The series and
-    the cross terms sum their products over the weighted representative
-    rows of their first block alone and complete the sum by conjugation
+    An engine is its force series and its bordered operator: series(table,
+    W, p, half) gives the order-p nonlinear series, one row per order-p
+    monomial, and bordered and mapping, which _solve_order calls per Jordan
+    wave, give the wave's bordered systems and the W rows of their
+    solutions.  Everything else is shared: the gradient cross terms g, the
+    Jordan term, the padded stacks and their checked solves, f's resonant
+    entries and the mirror.  partner is the table's conjugation permutation
+    (MonomialTable.conjugation_permutation of the spectrum's conj_map; a
+    spectrum without one is refused) and half its representatives per order
+    (polytensor.ConjugateHalf): the positions with partner[id] >= id,
+    weighted 1, or 1/2 if self-conjugate.  The series and the cross terms
+    sum their products over the weighted representative rows of their first
+    block alone and complete the sum by conjugation
     (ConjugateHalf.complete); that needs W and f of the lower orders
     conjugate-symmetric, which the mirror writes.  The waves (_jordan_waves)
     hold the same representatives, to solve, led by those whose bordered
-    matrix no lower order solved; after each wave the engine writes the
-    conjugate partners of what it solved (_mirror).  The mirror and the
-    completion assume a real system, as the spectrum's exact conjugate
-    masters do (spectral._assemble_conjugate_masters).  meta holds the
-    engine's own keys.  Two-mode (d = 4) runs classify resonances with the
-    1:1 enforcement.
+    matrix no lower order solved; after each wave the conjugate partners of
+    what it solved are written (_mirror).  The mirror and the completion
+    assume a real system, as the spectrum's exact conjugate masters do
+    (spectral._assemble_conjugate_masters).  meta holds the engine's own
+    keys.  Two-mode (d = 4) runs classify resonances with the 1:1
+    enforcement.
     """
     if spectrum.conj_map is None:
         raise ValueError("the homological build needs the conjugate pairing of the master "
@@ -582,9 +623,12 @@ def _build(spectrum, order, r_tol, series, solve, meta, n_disp=None):
         new = (table.exponents[ids, -1] == 0) | (p == 2)
         waves = _jordan_waves(jdeps, ids[0], new, half.rows[p])
         t2 = time.perf_counter()
-        max_rel = solve(table, res, ids, rhs, g, jdeps, waves, partner, W, f)
+        max_rel = _solve_order(bordered, mapping, table, res, spectrum, ids, rhs, g, jdeps, waves,
+                               partner, W, f)
         stats.append(_order_record(p, ids, res, waves, len(ids) - len(half.rows[p]),
                                    half.products, (t0, t1, t2, time.perf_counter()), max_rel))
+        # not held into the next order's cross terms, where the build peaks in memory
+        del rhs, g
 
     meta.update(r_tol=r_tol, one_to_one=one_to_one,
                 jordan_pairs=[(int(i), int(j), complex(t).real) for i, j, t in jp], stats=stats)
@@ -598,21 +642,13 @@ def _quadratic_rhs(table, dae, W, p, half):
     """Order-p coefficients of Q1(W, W) + Q2m W mu + q3 mu^2, one row per
     order-p monomial.
 
-    Q1 is summed over the splits p1 >= p - p1 alone: off the diagonal the
-    two orders' terms are the one slot-swapped form Q1(u, v) + Q1(v, u)
-    (SparseBilinearForm.swapped_sum) of order-p1 u and order-(p - p1) v.
-    Each split runs over the weighted representative rows of its order-p1
-    block (half, a ConjugateHalf) and the sum is completed by conjugation,
-    which needs W of the lower orders conjugate-symmetric; the load terms
-    follow, over every row.
+    Q1 is summed over the splits p1 >= p - p1 (ConjugateHalf.bilinear) over
+    the weighted representative rows of the order-p1 block (half, a
+    ConjugateHalf) and the sum is completed by conjugation, which needs W of
+    the lower orders conjugate-symmetric; the load terms follow, over every
+    row.
     """
-    n_p = table.count_of_order(p)
-    rhs = np.zeros((n_p, dae.dim), dtype=complex)
-    for p1 in range((p + 1) // 2, p):
-        form = dae.Q1 if 2 * p1 == p else dae.Q1.swapped_sum
-        rhs += form.apply_outer(half.first(W, p1), W[table.ids_of_order(p - p1)],
-                                half.targets((p1, p - p1)), n_p)
-    rhs = half.complete(rhs, p)
+    rhs = half.complete(half.bilinear(dae.Q1, W, p), p)
     # the last order-1 monomial is mu: its column of the product table maps
     # each order-(p-1) alpha to alpha + e_mu
     rhs[table.product_ids(p - 1, 1)[:, -1]] += W[table.ids_of_order(p - 1)] @ dae.Q2m.T
@@ -621,93 +657,23 @@ def _quadratic_rhs(table, dae, W, p, half):
     return rhs
 
 
-def _solve_order(table, res, spectrum, B, At, ids, rhs, jdeps, waves, partner, W, f):
-    """Solves the order-p monomials the waves hold into W and f, one stack
-    of bordered systems [[sigma B - At, B Y_R], [X_R^H B, 0]] per Jordan
-    wave, with resonant sets R padded to the wave's largest
-    (_padded_system), and mirrors each wave's conjugate partners; returns
-    the largest relative residual.
-
-    rhs holds one row per order-p monomial; the Jordan term of a wave reads
-    the W rows that earlier waves wrote or mirrored.
-    """
-    D, d = rhs.shape[1], spectrum.d
-    BY, XHB = B @ spectrum.Y, spectrum.X.conj().T @ B
-    zero = np.zeros((d, d))
-    max_rel = 0.0
-    for locs, n_new in waves:
-        mids = ids[locs]
-        sigma = res.sigma[mids]
-        b = rhs[locs] - _jordan_term(jdeps, W, locs) @ B.T if jdeps else rhs[locs]
-        A, b, sel = _padded_system(sigma, (-At, B), BY[None], XHB[None], zero, b, zero[:1],
-                                   res.keys[mids])
-        sol, rel = _stacked_solve(A, b, n_new, sigma, spectrum, table, mids)
-        max_rel = max(max_rel, rel)
-        W[mids] = sol[:, :D]
-        k, j = np.nonzero(sel < d)
-        f[mids[k], sel[k, j]] = sol[k, D + j]
-        _mirror(W, f, mids, partner)
-    return max_rel
-
-
 def build_rom_firstorder(dae: FirstOrderDAE, spectrum, order, r_tol=0.05):
-    """Parametrisation of the augmented quadratic DAE around its fixed point."""
+    """Parametrisation of the augmented quadratic DAE around its fixed point:
+    each monomial solves [[sigma B - At, B Y_R], [X_R^H B, 0]] [W; f_R] =
+    [rhs - B g; 0], with g its gradient term."""
     B, At = dae.B, np.asarray(spectrum.ops["At"])
+    BY, XHB, zero = B @ spectrum.Y, spectrum.X.conj().T @ B, np.zeros((spectrum.d,) * 2)
 
-    def solve(table, res, ids, rhs, g, jdeps, waves, partner, W, f):
-        return _solve_order(table, res, spectrum, B, At, ids, rhs - g @ B.T, jdeps, waves,
-                            partner, W, f)
+    def bordered(sigma, rhs, g):
+        return (-At, B), BY[None], XHB[None], zero, rhs - g @ B.T, zero[:1]
 
     meta = {"engine": "first-order", "mu0": dae.mu0}
     return _build(spectrum, order, r_tol,
-                  lambda table, W, p, half: _quadratic_rhs(table, dae, W, p, half), solve, meta)
+                  lambda table, W, p, half: _quadratic_rhs(table, dae, W, p, half), bordered,
+                  lambda sigma, x, f, g: x, meta)
 
 
 # -- second-order engine ------------------------------------------------------
-
-def _solve_order_secondorder(table, res, spectrum, mck, ids, fnl, g, jdeps, waves, partner,
-                             W, f):
-    """Displacement-sized counterpart of _solve_order.
-
-    With the gradient term g = [gU, gV] (cross terms plus the Jordan term)
-    and Xi = fnl - M gV - (sigma M + C) gU, each monomial with resonant set
-    R solves
-
-        [[sigma^2 M + sigma C + Kt, (sigma M + C) Yu_R + M (Yu Lam)_R],
-         [Xv_R^H (sigma M + C) + (Lam Xv^H M)_R, Xv_R^H M Yu_R]] [U; f_R]
-            = [Xi; -Xv_R^H M gU],
-
-    in one padded stack per Jordan wave, and the velocity rows follow as
-    V = sigma U + Yu_R f_R + gU; the conjugate partners of each wave's
-    monomials are mirrored, velocity rows included.  Returns the largest
-    relative residual.
-    """
-    M, C, Kt = mck
-    n, d = M.shape[0], spectrum.d
-    Yu, XvH = spectrum.Yu(), spectrum.Xv().conj().T
-    XvHM, MYu = XvH @ M, M @ Yu
-    cols_base = C @ Yu + MYu @ spectrum.Lam
-    rows_base = XvH @ C + spectrum.Lam @ XvHM
-    max_rel = 0.0
-    for locs, n_new in waves:
-        mids = ids[locs]
-        sigma = res.sigma[mids]
-        s = sigma[:, None, None]
-        gm = g[locs] + _jordan_term(jdeps, W, locs) if jdeps else g[locs]
-        gU, gV = gm[:, :n], gm[:, n:]
-        Xi = fnl[locs] - gV @ M.T - sigma[:, None] * (gU @ M.T) - gU @ C.T
-        A, b, sel = _padded_system(sigma, (Kt, C, M), s * MYu + cols_base,
-                                   s * XvHM + rows_base, XvHM @ Yu, Xi, -gU @ XvHM.T,
-                                   res.keys[mids])
-        sol, rel = _stacked_solve(A, b, n_new, sigma, spectrum, table, mids)
-        max_rel = max(max_rel, rel)
-        k, j = np.nonzero(sel < d)
-        f[mids[k], sel[k, j]] = sol[k, n + j]
-        W[mids, :n] = sol[:, :n]
-        W[mids, n:] = sigma[:, None] * sol[:, :n] + f[mids, :d] @ Yu.T + gU
-        _mirror(W, f, mids, partner)
-    return max_rel
-
 
 def build_rom_secondorder(model, spectrum, order, r_tol=0.05):
     """Halved-size parametrisation for second-order mechanical systems.
@@ -716,25 +682,42 @@ def build_rom_secondorder(model, spectrum, order, r_tol=0.05):
     models without it, whose cubic scales with the load, go through the
     quadratic recast and the first-order engine); each monomial solves a
     displacement-sized bordered system and its velocity mapping is
-    recovered algebraically afterwards.
+    recovered algebraically afterwards.  With the gradient term g = [gU, gV]
+    (cross terms plus the Jordan term) and Xi = fnl - M gV - (sigma M + C)
+    gU, a monomial with resonant set R solves
+
+        [[sigma^2 M + sigma C + Kt, (sigma M + C) Yu_R + M (Yu Lam)_R],
+         [Xv_R^H (sigma M + C) + (Lam Xv^H M)_R, Xv_R^H M Yu_R]] [U; f_R]
+            = [Xi; -Xv_R^H M gU],
+
+    and its velocity rows follow as V = sigma U + Yu_R f_R + gU.
     """
     if not hasattr(model, "nl_rhs_series"):
         raise ValueError("load-scaled cubic forces require the quadratic recast "
                          "and the first-order engine")
     n, Ru = model.n, model.Ru
-    mck = tuple(np.asarray(a) for a in (model.M, model.C, model.Kt))
+    M, C, Kt = (np.asarray(a) for a in (model.M, model.C, model.Kt))
+    Yu, XvH = spectrum.Yu(), spectrum.Xv().conj().T
+    XvHM, MYu = XvH @ M, M @ Yu
+    cols_base = C @ Yu + MYu @ spectrum.Lam
+    rows_base = XvH @ C + spectrum.Lam @ XvHM
+    corner = XvHM @ Yu
 
     def series(table, W, p, half):
         fnl = model.nl_rhs_series(table, W[:, :n], p, half)
         fnl[table.product_ids(p - 1, 1)[:, -1]] += (Ru @ W[table.ids_of_order(p - 1), :n].T).T
         return fnl
 
-    def solve(table, res, ids, fnl, g, jdeps, waves, partner, W, f):
-        return _solve_order_secondorder(table, res, spectrum, mck, ids, fnl, g, jdeps, waves,
-                                        partner, W, f)
+    def bordered(sigma, fnl, g):
+        s, gU, gV = sigma[:, None, None], g[:, :n], g[:, n:]
+        Xi = fnl - gV @ M.T - sigma[:, None] * (gU @ M.T) - gU @ C.T
+        return (Kt, C, M), s * MYu + cols_base, s * XvHM + rows_base, corner, Xi, -gU @ XvHM.T
+
+    def mapping(sigma, U, f, g):
+        return np.concatenate((U, sigma[:, None] * U + f @ Yu.T + g[:, :n]), axis=1)
 
     meta = {"engine": "second-order", "mu0": getattr(model, "p0", 0.0)}
-    return _build(spectrum, order, r_tol, series, solve, meta, n)
+    return _build(spectrum, order, r_tol, series, bordered, mapping, meta, n)
 
 
 # -- invariance diagnostics ---------------------------------------------------

@@ -47,21 +47,18 @@ class PolynomialSecondOrderModel:
         F = -Gt(U,U) - H(U,U,U); returns one row per order-p monomial, in
         table order, assembled from the displacement mapping coefficients
         U (one row per table monomial; rows of order p and above are not
-        read).  Gt is summed over the splits p1 >= p - p1, off the diagonal
-        as the slot-swapped form Gt(u, v) + Gt(v, u); H over every
-        composition (p1, p2, p3).  Each is one product-table contraction
-        over the weighted representative rows of its order-p1 block (half,
-        a polytensor.ConjugateHalf), and the sum is completed by
-        conjugation, which needs U of the lower orders conjugate-symmetric
-        and the forms real.
+        read).  Gt is summed over the splits p1 >= p - p1
+        (ConjugateHalf.bilinear), H over every composition (p1, p2, p3).
+        Each is one product-table contraction over the weighted
+        representative rows of its order-p1 block (half, a
+        polytensor.ConjugateHalf), and the sum is completed by conjugation,
+        which needs U of the lower orders conjugate-symmetric and the forms
+        real.
         """
         n_p = table.count_of_order(p)
         out = np.zeros((n_p, self.n), dtype=complex)
         if self.Gt is not None:
-            for p1 in range((p + 1) // 2, p):
-                form = self.Gt if 2 * p1 == p else self.Gt.swapped_sum
-                out -= form.apply_outer(half.first(U, p1), U[table.ids_of_order(p - p1)],
-                                        half.targets((p1, p - p1)), n_p)
+            out -= half.bilinear(self.Gt, U, p)
         if self.H is not None:
             for p1 in range(1, p - 1):
                 for p2 in range(1, p - p1):

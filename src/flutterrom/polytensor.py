@@ -238,9 +238,10 @@ class ConjugateHalf:
     order.  If conjugating a term's first factor, of order q, and its other
     factors conjugates the term and its order-p target, the sum S over every
     first factor is S_h + conj S_h[partners[p]], where S_h sums over the
-    weighted representatives alone: first() and targets() gather those rows
-    and complete() adds the conjugate.  products counts the entries of the
-    product tables that targets() handed out.
+    weighted representatives alone: first() and targets() gather those rows,
+    bilinear() sums a bilinear form over them, and complete() adds the
+    conjugate.  products counts the entries of the product tables that
+    targets() handed out.
     """
 
     def __init__(self, table, partner):
@@ -268,6 +269,19 @@ class ConjugateHalf:
         for k in range(2, len(orders)):
             out = product_ids(sum(orders[:k]), orders[k])[out]
         self.products += out.size
+        return out
+
+    def bilinear(self, form, U, p):
+        """The order-p rows of form(U, U) over the weighted representatives,
+        not yet completed: summed over the splits p1 >= p - p1 alone, off the
+        diagonal as the slot-swapped form Q(u, v) + Q(v, u) of order-p1 u and
+        order-(p - p1) v (SparseBilinearForm.swapped_sum)."""
+        n_p = self.table.count_of_order(p)
+        out = np.zeros((n_p, form.dim_out), dtype=complex)
+        for p1 in range((p + 1) // 2, p):
+            split = form if 2 * p1 == p else form.swapped_sum
+            out += split.apply_outer(self.first(U, p1), U[self.table.ids_of_order(p - p1)],
+                                     self.targets((p1, p - p1)), n_p)
         return out
 
     def complete(self, S, p):
@@ -391,14 +405,17 @@ class SparseBilinearForm(_SparseForm):
 
     @cached_property
     def swapped_sum(self):
-        """The form Q(u, v) + Q(v, u): the entries and their slot-swapped
-        copies, made once per form."""
+        """The form Q(u, v) + Q(v, u): the entries and the slot-swapped copies
+        of those off the diagonal, made once per form.  A diagonal entry (i ==
+        j) is its own swap, so it is kept once at twice its value."""
         if self.dim_in1 != self.dim_in2:
             raise ValueError("swapping the slots needs equal input dimensions")
-        twice = lambda a: np.concatenate((a, a))
-        return SparseBilinearForm(self.dim_out, self.dim_in1, self.dim_in2, twice(self.p),
-                                  np.concatenate((self.i, self.j)),
-                                  np.concatenate((self.j, self.i)), twice(self.val))
+        off = self.i != self.j
+        return SparseBilinearForm(self.dim_out, self.dim_in1, self.dim_in2,
+                                  np.concatenate((self.p, self.p[off])),
+                                  np.concatenate((self.i, self.j[off])),
+                                  np.concatenate((self.j, self.i[off])),
+                                  np.concatenate((np.where(off, 1, 2) * self.val, self.val[off])))
 
     @classmethod
     def from_entries(cls, dim_out, dim_in1, dim_in2, entries):

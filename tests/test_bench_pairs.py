@@ -143,3 +143,16 @@ def test_traced_runs_in_the_first_pairs_in_their_order(pairs, traced_pairs, monk
         assert layer["change"]["values"] == [1000 + i for i in range(traced_pairs)]
         assert layer["parent"]["median"] == (traced_pairs - 1) / 2
         assert layer["change"]["median"] == 1000 + (traced_pairs - 1) / 2
+        assert layer["parent"]["min"] == 0
+        assert layer["change"]["min"] == 1000
+
+
+def test_traced_min_is_the_least_value_of_each_side():
+    # outside load only adds time: a slow traced run moves the median of
+    # three, never the min
+    runs = {"parent": [5.0, 3.0, 4.0], "change": [9.0, 2.0, 2.5]}
+    traced = {"w": {side: [{"dpim.build_s": {"value": v}} for v in vals]
+                    for side, vals in runs.items()}}
+    layer = bench_pairs.summarise_traced(traced)["w"]["dpim.build_s"]
+    assert layer["parent"] == {"median": 4.0, "min": 3.0, "values": [5.0, 3.0, 4.0]}
+    assert layer["change"] == {"median": 2.5, "min": 2.0, "values": [9.0, 2.0, 2.5]}

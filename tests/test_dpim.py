@@ -705,11 +705,12 @@ class TestProductTableAssembly:
 
 # -- the per-monomial solve loop: reference for the stacked solves -----------
 
-def naive_solve_order(table, res, spectrum, B, At, ids, rhs, jdeps, waves, partner, W, f):
-    """One unpadded bordered LU solve per monomial, in table order, so that
-    each Jordan term reads monomials solved before it; every monomial's
-    matrix is factored afresh, both monomials of a conjugate pair are
-    solved, and waves and partner are not read."""
+def naive_solve_order(dae, table, res, spectrum, ids, rhs, g, jdeps, waves, partner, W, f):
+    """One unpadded bordered LU solve per monomial of the DAE's engine, in
+    table order, so that each Jordan term reads monomials solved before it;
+    every monomial's matrix is factored afresh, both monomials of a
+    conjugate pair are solved, and waves and partner are not read."""
+    B, At = dae.B, dae.tangent_matrix()
     D = rhs.shape[1]
     max_rel = 0.0
     for loc, mid in enumerate(ids):
@@ -721,11 +722,11 @@ def naive_solve_order(table, res, spectrum, B, At, ids, rhs, jdeps, waves, partn
                             [spectrum.X[:, R].conj().T @ B, np.zeros((nR, nR))]])
         b = np.zeros(D + nR, dtype=complex)
         b[:D] = rhs[loc]
-        jordan = np.zeros(D, dtype=complex)
+        gm = g[loc].copy()
         for dep, weight in jdeps:
             if dep[loc] >= 0:
-                jordan += weight[loc] * W[dep[loc]]
-        b[:D] -= B @ jordan
+                gm += weight[loc] * W[dep[loc]]
+        b[:D] -= B @ gm
         sol = sla.lu_solve(sla.lu_factor(Mtx), b)
         rel = np.linalg.norm(Mtx @ sol - b) / max(np.linalg.norm(b), 1e-300)
         assert rel <= 1e-6
@@ -735,13 +736,13 @@ def naive_solve_order(table, res, spectrum, B, At, ids, rhs, jdeps, waves, partn
     return max_rel
 
 
-def naive_solve_order_secondorder(table, res, spectrum, mck, ids, fnl, g, jdeps, waves, partner,
-                                  W, f):
-    """One unpadded bordered displacement-sized LU solve per monomial, in
-    table order, with the velocity rows recovered after each solve; both
-    monomials of a conjugate pair are solved, and waves and partner are not
-    read."""
-    M, C, Kt = mck
+def naive_solve_order_secondorder(model, table, res, spectrum, ids, fnl, g, jdeps, waves,
+                                  partner, W, f):
+    """One unpadded bordered displacement-sized LU solve per monomial of the
+    model's engine, in table order, with the velocity rows recovered after
+    each solve; both monomials of a conjugate pair are solved, and waves and
+    partner are not read."""
+    M, C, Kt = model.M, model.C, model.Kt
     n = M.shape[0]
     Yu, Lam = spectrum.Yu(), spectrum.Lam
     XvHM = spectrum.Xv().conj().T @ M
@@ -769,6 +770,12 @@ def naive_solve_order_secondorder(table, res, spectrum, mck, ids, fnl, g, jdeps,
         W[mid, n:] = sigma * U + Yu[:, R] @ fR + gU
         f[mid, R] = fR
     return max_rel
+
+
+def naive_wave_loop(oracle, system):
+    """dpim._solve_order replaced by a per-monomial oracle of the system's
+    engine; the engine's bordered and mapping callbacks are not called."""
+    return lambda bordered, mapping, *args: oracle(system, *args)
 
 
 def firstorder_case(case):
@@ -852,7 +859,7 @@ class TestStackedSolves:
     def test_against_per_monomial_loop(self, case, monkeypatch):
         dae, spec, order = firstorder_case(case)
         rom = build_rom_firstorder(dae, spec, order)
-        monkeypatch.setattr(dpim, "_solve_order", naive_solve_order)
+        monkeypatch.setattr(dpim, "_solve_order", naive_wave_loop(naive_solve_order, dae))
         ref = build_rom_firstorder(dae, spec, order)
         assert rel_diff(rom.W, ref.W) < 1e-12
         assert rel_diff(rom.f, ref.f) < 1e-12
@@ -991,7 +998,8 @@ class TestStackedSolves:
             model, _ = make_cubic_test_model(2.0)
             spec = enforce_jordan(solve_master_eigen(model, d=4), (0, 2))
         rom = build_rom_secondorder(model, spec, order)
-        monkeypatch.setattr(dpim, "_solve_order_secondorder", naive_solve_order_secondorder)
+        monkeypatch.setattr(dpim, "_solve_order",
+                            naive_wave_loop(naive_solve_order_secondorder, model))
         ref = build_rom_secondorder(model, spec, order)
         assert rel_diff(rom.W, ref.W) < 1e-12
         assert rel_diff(rom.f, ref.f) < 1e-12

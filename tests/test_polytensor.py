@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flutterrom.dpim import build_rom_firstorder
-from flutterrom.models import build_ziegler2, recast_to_dae
+from flutterrom.models import build_ziegler, build_ziegler2, recast_to_dae
 from flutterrom.polytensor import (
     ConjugateHalf,
     MonomialTable,
@@ -248,6 +248,36 @@ class TestConjugateHalf:
         assert np.array_equal(half.targets((1, 2), cols),
                               table.product_ids(1, 2)[half.rows[1]][:, cols])
 
+    @pytest.mark.parametrize("p", [2, 3, 4, 5])
+    def test_bilinear_against_every_split(self, p):
+        # a real form Q, diagonal entries among them, over every pair of a
+        # of order p1 and b of order p - p1, p1 = 1 .. p - 1, at a + b, with
+        # U conjugate-symmetric, from the splits p1 >= p - p1 and the
+        # representatives alone
+        table = MonomialTable(5, 5)
+        partner = table.conjugation_permutation([1, 0, 3, 2, 4])
+        half = ConjugateHalf(table, partner)
+        rng = np.random.default_rng(p)
+        Q = random_bilinear(rng, 3, nnz=12)
+        Q = SparseBilinearForm(3, 3, 3, np.append(Q.p, [0, 2]), np.append(Q.i, [1, 2]),
+                               np.append(Q.j, [1, 2]), np.append(Q.val, [0.7, -1.3]))
+        U = rng.standard_normal((len(table), 3)) + 1j * rng.standard_normal((len(table), 3))
+        own = partner == np.arange(len(table))
+        U = np.where((partner > np.arange(len(table)))[:, None], U, U[partner].conj())
+        U[own] = U[own].real
+        start = table.ids_of_order(p).start
+        expect = np.zeros((table.count_of_order(p), 3), dtype=complex)
+        for p1 in range(1, p):
+            for a in table.ids_of_order(p1):
+                for b in table.ids_of_order(p - p1):
+                    mid = table.index_of(table.exponents[a] + table.exponents[b])
+                    expect[mid - start] += Q.apply(U[a], U[b])
+        half.products = 0
+        got = half.complete(half.bilinear(Q, U, p), p)
+        assert np.allclose(got, expect, rtol=0, atol=1e-12 * np.abs(expect).max())
+        assert half.products == sum(len(half.rows[p1]) * table.count_of_order(p - p1)
+                                    for p1 in range((p + 1) // 2, p))
+
 
 def assert_product_ids_brute_force(table, orders):
     """product_ids(*orders) against the sum of exponents of every tuple of
@@ -456,6 +486,21 @@ class TestBilinear:
         assert Q.swapped_sum is Q.swapped_sum   # made once per form
         with pytest.raises(ValueError, match="equal input dimensions"):
             SparseBilinearForm(2, 2, 3).swapped_sum
+
+    @pytest.mark.parametrize("n,entries,diagonal", [(2, 6, 2), (8, 42, 14)])
+    def test_swapped_sum_folds_its_diagonal(self, n, entries, diagonal):
+        # the recast Q1 of the Ziegler chain: a diagonal entry (i == j) is its
+        # own swap, kept once at twice its value; the others twice
+        chain = build_ziegler(np.full(n, 1.0 / n), np.full(n, float(n)), 1.0 / n)
+        Q = recast_to_dae(chain, mu0=1.0).Q1
+        assert len(Q.val) == entries and np.count_nonzero(Q.i == Q.j) == diagonal
+        S = Q.swapped_sum
+        assert len(S.val) == 2 * entries - diagonal   # 10 for n = 2, 70 for n = 8
+        assert np.count_nonzero(S.i == S.j) == diagonal
+        rng = np.random.default_rng(n)
+        u, v = rng.standard_normal((2, 4, Q.dim_in1)) + 1j * rng.standard_normal((2, 4, Q.dim_in1))
+        expect = Q.apply(u, v) + Q.apply(v, u)
+        assert np.allclose(S.apply(u, v), expect, rtol=0, atol=1e-15 * np.abs(expect).max())
 
     def test_zero_form_gives_zero_matrix(self):
         Q = SparseBilinearForm(4, 4, 4)

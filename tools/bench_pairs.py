@@ -30,7 +30,7 @@ parent's quartile spread. --traced-seconds adds a --trace 1 run per side
 and workload to each of the first TRACED_PAIRS pairs (all of them, if there
 are fewer), after its untraced runs, with the pair's seed and in the pair's
 order; "traced" then holds, per workload and per-layer metric, each side's
-median and every value in pair order. src_lines is the line change of src/
+median, min and every value in pair order. src_lines is the line change of src/
 from the parent's copy to the change's (git diff --numstat).
 """
 
@@ -170,16 +170,17 @@ def summarise(spec, runs):
 
 
 def summarise_traced(traced):
-    """Per workload and per-layer metric, each side's median and values;
-    traced[workload][side] lists the traced runs' metrics in pair order."""
+    """Per workload and per-layer metric, each side's median, min and values;
+    traced[workload][side] lists the traced runs' metrics in pair order.
+    Outside load only adds time, so the min is the run least disturbed by it."""
     out = {}
     for workload, sides in traced.items():
         names = [name for name in sides["parent"][0] if name in sides["change"][0]]
         out[workload] = {}
         for name in names:
             vals = {side: [run[name]["value"] for run in runs] for side, runs in sides.items()}
-            out[workload][name] = {side: {"median": statistics.median(v), "values": v}
-                                   for side, v in vals.items()}
+            out[workload][name] = {side: {"median": statistics.median(v), "min": min(v),
+                                          "values": v} for side, v in vals.items()}
     return out
 
 
