@@ -41,12 +41,13 @@ that load, or the end of the one walked up to it where that is refused.
 A ROM's linear analysis is a property of the ROM, not of a load: the
 crossings of each scanned tile of the load axis, its realified system and
 its plan, and each Hopf cycle are computed once and kept on the ROM
-(_analysis) while its
-f, W, conj_map and meta["mu0"] stay as they were.  The tiles are fixed by
-meta["mu0"] alone (_tiles), and a reused Hopf cycle's correction still counts
-in every measurement's newton and branch's meta["seed"], so no result
-depends on that memo or on what was measured before.  The same memo is kept
-on the one full-order system a ZieglerModel holds for
+(_analysis).  A built ROM is a value, its fields fixed and its arrays
+read-only, so that memo cannot go stale; dataclasses.replace gives a
+changed ROM with an empty one.  The tiles are fixed by meta["mu0"] alone
+(_tiles), which keys the scan, and a reused Hopf cycle's correction still
+counts in every measurement's newton and branch's meta["seed"], so no
+result depends on that memo or on what was measured before.  The same
+memo is kept on the one full-order system a ZieglerModel holds for
 romdyn.measure_limit_cycle_fom (romdyn._held_system); a system a caller
 builds is analysed afresh on every call.  Each measurement logs one DEBUG
 record (load, newton, reason) to the "flutterrom" logger.
@@ -113,43 +114,17 @@ def find_hopf(model):
 
 
 def _analysis(model):
-    """The memo of a model's linear analysis: "scan", the crossings of each
-    tile _stability_scan has scanned, by tile index; "sysr", a ROM's
-    realified system; "plan", the mu-independent part of every
-    RealizedReducedSystem of a ROM (romdyn._realified_plan); and ("hopf",
-    mu_H, rising), each _HopfCycle.
+    """The memo of a model's linear analysis: ("scan", mu0), the crossings
+    of each tile _stability_scan has scanned about the expansion load mu0,
+    by tile index; "sysr", a ROM's realified system; "plan", the
+    mu-independent part of every RealizedReducedSystem of a ROM
+    (romdyn._realified_plan); and ("hopf", mu_H, rising), each _HopfCycle.
 
-    A ROM keeps it (ParametrisationROM._analysis), emptied whenever the data
-    it was computed from (f, W, conj_map, meta["mu0"]) no longer equal the
-    copies kept under "key", so a ROM edited in place is analysed again.  So
-    does the system a ZieglerModel holds (romdyn._held_system), which the
-    model drops when its matrices change; any other system gets an empty
-    memo that nothing keeps."""
-    memo = getattr(model, "_analysis", None)
-    if memo is None:
-        return {}
-    if isinstance(model, ParametrisationROM):
-        _keyed(memo, (model.f, model.W, model.conj_map, model.meta.get("mu0", 0.0)))
-    return memo
-
-
-def _keyed(memo, key):
-    """memo, emptied unless the data under key equal the read-only copies
-    it keeps of them under "key"."""
-    if "key" not in memo or not all(map(_equal, memo["key"], key)):
-        memo.clear()
-        memo["key"] = tuple(_read_only(np.array(a)) for a in key)
-    return memo
-
-
-def _equal(a, b):
-    """np.array_equal; two complex arrays are compared as their float views,
-    the same equality (complex == compares each part) at a third of the
-    cost."""
-    a, b = np.asarray(a), np.asarray(b)
-    if a.dtype == b.dtype == complex:
-        a, b = np.ascontiguousarray(a).view(float), np.ascontiguousarray(b).view(float)
-    return np.array_equal(a, b)
+    A ROM keeps it (ParametrisationROM._analysis), and so does the system a
+    ZieglerModel holds (romdyn._held_system).  Both are values, so the memo
+    cannot go stale; meta["mu0"] stays mutable, and keys the scan.  Any
+    other system gets an empty memo that nothing keeps."""
+    return getattr(model, "_analysis", {})
 
 
 def _read_only(a):
@@ -202,7 +177,7 @@ def _stability_scan(model, mu=np.inf):
     (_analysis).  Raises when no crossing rises.
     """
     mu0 = model.meta.get("mu0", 0.0)
-    tiles = _analysis(model).setdefault("scan", {})
+    tiles = _analysis(model).setdefault(("scan", mu0), {})
     crossings = []
     for n, (k, lo, hi) in enumerate(_tiles(mu0, mu)):
         if k not in tiles:

@@ -70,16 +70,16 @@ that assembly and cross terms scattered, factorizations (one per solved
 monomial), the rows mirrored by conjugation, condition-checked solves,
 stacks (one per wave) and the largest relative homological residual.
 
-`invariance_residual` checks a ROM against its full model at a block of
-sample points at once, from one table of monomial values times W, times f
-and times the derivative blocks dW/dz_s side by side
-(`ParametrisationROM.mapping_and_flow`).  The blocks have no rows for the
-top order, which raises out of the table, and W and f are not copied
-beside them: one matrix [W | f | blocks] takes 2.4 MB at order 11, against
-0.9 MB, and raised the peak memory of a check.  `residual_slope`
-evaluates its directions once and reads every radius r from per-order
-pieces of those products weighted by r^|alpha|, with one evaluation of
-the defect (`_defect_norms`) for all radii.
+`invariance_residual` and `residual_slope` check a ROM against its full
+model through one graded evaluation (`_graded_pieces`): one table of
+monomial values at a block of points, times W, times f and times the
+derivative blocks dW/dz_s side by side, order by order.  The blocks have
+no rows for the top order, which raises out of the table, and W and f are
+not copied beside them: one matrix [W | f | blocks] takes 2.4 MB at order
+11, against 0.9 MB, and raised the peak memory of a check.  The residual
+sums the pieces; the slope evaluates its directions once and reads every
+radius r from the pieces weighted by r^p, with one evaluation of the
+defect (`_defect_norms`) for all radii.
 """
 
 from __future__ import annotations
@@ -135,7 +135,7 @@ def classify_resonances(table, lam_vec, r_tol=0.05, enforce_one_to_one=False):
     return ResonanceSet(sigma, lam_cls, hit @ (1 << np.arange(d)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ParametrisationROM:
     """Polynomial mapping W and reduced dynamics f over (z, mu).
 
@@ -144,6 +144,13 @@ class ParametrisationROM:
     second-order ones); f rows hold the reduced-dynamics coefficients with
     the parameter slot last, identically zero (the parameter dynamics stays
     trivial at every order).
+
+    A built ROM is a value: its fields cannot be assigned, and its arrays
+    are taken as given, without a copy, and made read-only, so an edit
+    raises where it is made and the linear analysis kept on the ROM
+    (continuation._analysis) cannot go stale.  dataclasses.replace gives a
+    changed ROM, which starts with an empty memo.  meta stays a mutable
+    record.
     """
 
     table: MonomialTable
@@ -157,6 +164,11 @@ class ParametrisationROM:
     # continuation's memo of the ROM's linear analysis (continuation._analysis):
     # not an input, not saved, and dataclasses.replace starts a copy without it
     _analysis: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for a in (self.W, self.f, self.lam, self.Lam, self.conj_map):
+            if a is not None:
+                a.flags.writeable = False
 
     @property
     def d(self):
@@ -229,28 +241,6 @@ class ParametrisationROM:
         D = np.take(np.ascontiguousarray(self.W, dtype=complex).view(float), up, axis=0)
         D *= weights[..., None]
         return D.reshape(len(up), -1).view(complex)
-
-    def _flow(self, fz, dWz):
-        """(dW/dz) f(z) at each point: the values of the derivative blocks'
-        columns contracted with f(z)."""
-        return (fz[:, None, :self.d] @ dWz.reshape(len(dWz), self.d, self.dim))[:, 0]
-
-    def mapping_and_flow(self, Z):
-        """W(z), f(z) and (dW/dz) f(z) at every row of Z, one row each.
-
-        One table of the monomial values of Z (power_values, with the
-        table's own power_index) times W, times f, and, with a constant 1,
-        times the derivative blocks (_derivative_blocks) gives W(z), f(z)
-        and every dW/dz_s(z); the flow contracts the blocks with f(z) at
-        each point.
-        """
-        Z = np.asarray(Z)
-        if Z.ndim != 2 or Z.shape[1] != self.table.nvars:
-            raise ValueError(f"points must be rows of {self.table.nvars} components")
-        mono = power_values(Z, self.table.power_index, self.order)
-        D = self._derivative_blocks()
-        fz = mono @ self.f
-        return mono @ self.W, fz, self._flow(fz, D[0] + mono[:, :len(D) - 1] @ D[1:])
 
     def to_dict(self):
         def c2(arr):
@@ -633,7 +623,7 @@ def _build(spectrum, order, r_tol, series, bordered, mapping, meta, n_disp=None)
     meta.update(r_tol=r_tol, one_to_one=one_to_one,
                 jordan_pairs=[(int(i), int(j), complex(t).real) for i, j, t in jp], stats=stats)
     return ParametrisationROM(table, W, f, lam_vec[:d].copy(), spectrum.Lam.copy(),
-                              spectrum.conj_map, n_disp, meta)
+                              spectrum.conj_map.copy(), n_disp, meta)
 
 
 # -- first-order engine -------------------------------------------------------
@@ -728,13 +718,53 @@ def invariance_residual(rom, system, ztilde):
     Substitutes the truncated mapping and reduced dynamics into the full
     model; the result decays like |z|^(order+1) inside the validity domain
     and vanishes identically for linear systems at order 1.  A block of
-    points (one per row) gives one norm per point, evaluated together.
+    points (one per row) gives one norm per point, evaluated together: the
+    sum of their graded pieces (_graded_pieces), the radius 1 of
+    residual_slope.
     """
     ztilde = np.asarray(ztilde, dtype=complex)
     Z = np.atleast_2d(ztilde)
-    Wz, _, dWf = rom.mapping_and_flow(Z)
+    Wz, _, dWf = _evaluated(rom, _graded_pieces(rom, Z).sum(axis=0))
     norms = _defect_norms(system, Wz, dWf, Z[:, -1, None])
     return float(norms[0]) if ztilde.ndim == 1 else norms
+
+
+def _graded_pieces(rom, Z):
+    """G[p], the order-p part of [W(z) | f(z) | dW/dz_s(z) of each master
+    s] at every row z of Z.
+
+    One table of the monomial values of Z (power_values, with the table's
+    own power_index) is multiplied order by order with the rows of W, f and
+    the derivative blocks (ParametrisationROM._derivative_blocks); G[0]
+    holds the blocks' constant row.  A monomial of order p at r z is r^p
+    times its value at z, in the blocks' rows too (the constant row has
+    order 0), so sum_p r^p G[p] holds the values at the rows of r Z.
+    """
+    Z = np.asarray(Z)
+    table, dim, nv = rom.table, rom.dim, rom.table.nvars
+    if Z.ndim != 2 or Z.shape[1] != nv:
+        raise ValueError(f"points must be rows of {nv} components")
+    mono = power_values(Z, table.power_index, rom.order)
+    D = rom._derivative_blocks()
+    G = np.zeros((rom.order + 1, len(Z), dim + nv + D.shape[1]), dtype=complex)
+    G[0, :, dim + nv:] = D[0]
+    for p in range(1, rom.order + 1):
+        ids = table.ids_of_order(p)
+        lo, hi = ids.start, ids.stop
+        m = mono[:, lo:hi]
+        G[p, :, :dim], G[p, :, dim:dim + nv] = m @ rom.W[lo:hi], m @ rom.f[lo:hi]
+        if p < rom.order:
+            G[p, :, dim + nv:] = m @ D[lo + 1:hi + 1]
+    return G
+
+
+def _evaluated(rom, S):
+    """W(z), f(z) and (dW/dz) f(z) from rows S of [W(z) | f(z) | dW/dz_s(z)]
+    (_graded_pieces): the derivative blocks' values contracted with f(z) at
+    each point."""
+    dim, nv, d = rom.dim, rom.table.nvars, rom.d
+    fz = S[:, dim:dim + nv]
+    return S[:, :dim], fz, (fz[:, None, :d] @ S[:, dim + nv:].reshape(len(S), d, dim))[:, 0]
 
 
 def _defect_norms(system, Wz, dWf, mu):
@@ -779,38 +809,21 @@ def residual_slope(rom, system, radii=None):
     the residual of a radius is the largest over _SLOPE_DIRS sample points
     (the same seeded directions for every ROM).
 
-    A monomial of order p at r d is r^p times its value at d, in the rows
-    of the derivative blocks too (the constant row has order 0).  So the
-    directions d are evaluated once, and each order's rows of W, f and the
-    derivative blocks (ParametrisationROM._derivative_blocks) give one piece
-    G_p of mapping_and_flow's products; the products at radius r are
-    sum_p r^p G_p, and the defect of every radius and direction is
-    evaluated in one call.  The radii are not stacked into one table of
-    monomial values: it would be len(radii) times the directions' table
-    (its power gather takes 10 MB at order 11 with five radii), where the
-    pieces take a few kB.
+    The directions are evaluated once, as graded pieces G_p
+    (_graded_pieces); the values at radius r are sum_p r^p G_p, and the
+    defect of every radius and direction is evaluated in one call.  The
+    radii are not stacked into one table of monomial values: it would be
+    len(radii) times the directions' table (its power gather takes 10 MB at
+    order 11 with five radii), where the pieces take a few kB.
     """
     if radii is None:
         radii = np.logspace(-4, -2, 7)
     radii = np.asarray(radii, dtype=float)
     rng = np.random.default_rng(_SLOPE_SEED)
     dirs = np.array([conjugate_sample(rom, 1.0, rng) for _ in range(_SLOPE_DIRS)])
-    table, dim, nv = rom.table, rom.dim, rom.table.nvars
-    mono = power_values(dirs, table.power_index, rom.order)
-    D = rom._derivative_blocks()
-    # G[p]: the order-p part of [W | f | derivative blocks] at each direction
-    G = np.zeros((rom.order + 1, len(dirs), dim + nv + D.shape[1]), dtype=complex)
-    G[0, :, dim + nv:] = D[0]
-    for p in range(1, rom.order + 1):
-        ids = table.ids_of_order(p)
-        lo, hi = ids.start, ids.stop
-        m = mono[:, lo:hi]
-        G[p, :, :dim], G[p, :, dim:dim + nv] = m @ rom.W[lo:hi], m @ rom.f[lo:hi]
-        if p < rom.order:
-            G[p, :, dim + nv:] = m @ D[lo + 1:hi + 1]
+    G = _graded_pieces(rom, dirs)
     graded = np.tensordot(radii[:, None] ** np.arange(rom.order + 1), G, axes=1)
-    graded = graded.reshape(-1, G.shape[2])
-    Wz, dWf = graded[:, :dim], rom._flow(graded[:, dim:dim + nv], graded[:, dim + nv:])
+    Wz, _, dWf = _evaluated(rom, graded.reshape(-1, G.shape[2]))
     mu = (radii[:, None] * dirs[:, -1]).reshape(-1, 1)
     vals = _defect_norms(system, Wz, dWf, mu).reshape(len(radii), -1).max(axis=1)
     slope = np.polyfit(np.log(radii), np.log(vals), 1)[0]

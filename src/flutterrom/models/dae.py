@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.optimize
 
 from ..polytensor import SparseBilinearForm
 
@@ -50,14 +48,6 @@ class FirstOrderDAE:
     def dim(self):
         return self.A.shape[0]
 
-    def rhs_absolute(self, y_tot, mu_tot):
-        """A y + Q1(y, y) + Q2(y, mu) + Q3(mu, mu) in absolute variables."""
-        return (self.A @ y_tot + self.Q1.apply(y_tot, y_tot)
-                + self.Q2m @ y_tot * mu_tot + self.q3 * mu_tot**2)
-
-    def fixed_point_residual(self):
-        return np.linalg.norm(self.rhs_absolute(self.y0, self.mu0))
-
     def tangent_matrix(self):
         """A_t = A + Q1(y0, I) + Q1(I, y0) + Q2(I, mu0), assembled dense: each
         contraction of Q1 sums its entries into its matrix in entry order."""
@@ -70,45 +60,3 @@ class FirstOrderDAE:
     def parameter_column(self):
         """A_0 = Q2(y0, 1) + Q3(mu0, 1) + Q3(1, mu0)."""
         return self.Q2m @ self.y0 + 2.0 * self.mu0 * self.q3
-
-    # -- time integration of the underlying ODE ------------------------------
-
-    def differential_rows(self):
-        return np.where(np.abs(self.B).sum(axis=1) > 0)[0]
-
-    def algebraic_rows(self):
-        return np.where(np.abs(self.B).sum(axis=1) == 0)[0]
-
-    def make_reduced_rhs(self, mu):
-        """Index-reduced ODE for the differential states at parameter offset mu.
-
-        Algebraic components are resolved per evaluation with a small Newton
-        solve; exact in one step for the recast systems where the algebraic
-        rows are linear in the auxiliaries.
-        """
-        drows = self.differential_rows()
-        arows = self.algebraic_rows()
-        if np.abs(self.B[np.ix_(drows, arows)]).max(initial=0.0) > 0:
-            raise ValueError("differential rows may not couple to algebraic states through B")
-        Bdd = self.B[np.ix_(drows, drows)]
-        lu = sla.lu_factor(Bdd)
-        mu_tot = self.mu0 + mu
-        D = self.dim
-
-        def assemble(y_d):
-            y = np.zeros(D)
-            y[drows] = y_d
-            if len(arows):
-                def alg_res(y_a):
-                    y[arows] = y_a
-                    return self.rhs_absolute(y, mu_tot)[arows]
-                sol = scipy.optimize.root(alg_res, np.zeros(len(arows)), tol=1e-13)
-                y[arows] = sol.x
-            return y
-
-        def rhs(t, y_d):
-            y = assemble(y_d)
-            return sla.lu_solve(lu, self.rhs_absolute(y, mu_tot)[drows])
-
-        rhs.assemble_full_state = assemble
-        return rhs

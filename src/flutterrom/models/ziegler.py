@@ -19,12 +19,18 @@ from ..polytensor import SparseBilinearForm
 from .dae import FirstOrderDAE
 
 
-@dataclass
+@dataclass(frozen=True)
 class ZieglerModel:
     """Second-order Ziegler model with load-scaled cubic forces.
 
     cubic_terms entries (row, a, b, coeff) put +coeff * P * (th_a - th_b)^3
     on the left-hand side of row `row`.
+
+    A built model is a value: its fields cannot be assigned, it keeps
+    read-only float copies of M, K, C and Ru and its cubic terms as a tuple
+    of tuples, so the first-order system it holds with its linear analysis
+    cannot go stale.  dataclasses.replace gives a changed model, which
+    starts without that system.
     """
 
     n: int
@@ -33,11 +39,18 @@ class ZieglerModel:
     C: np.ndarray
     Ru: np.ndarray
     L: float
-    cubic_terms: list[tuple[int, int, int, float]] = field(default_factory=list)
+    cubic_terms: tuple[tuple[int, int, int, float], ...] = ()
     # the one first-order system romdyn.measure_limit_cycle_fom measures on,
     # with its linear analysis (romdyn._held_system): not an input, and
     # dataclasses.replace starts a copy without it
     _systems: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for name in ("M", "K", "C", "Ru"):
+            a = np.array(getattr(self, name), dtype=float)
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+        object.__setattr__(self, "cubic_terms", tuple(map(tuple, self.cubic_terms)))
 
     def linear_pencil(self, P):
         """(M, C, K_eff) of the linearization about the upright equilibrium."""
@@ -69,8 +82,6 @@ class ZieglerFirstOrder:
     accelerations.  Each state goes through its own matrix-vector products,
     so a row of a block of states gives the bits of the single-state call.
     """
-
-    _analysis = None   # continuation's memo, once a ZieglerModel holds the system
 
     def __init__(self, model, P0):
         n = self.m = model.n   # half the state dimension

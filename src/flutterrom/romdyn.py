@@ -10,13 +10,14 @@ load, or where that landing is refused, the branch continued from the Hopf
 point up to it.  A ROM's cycles are rotating waves of its realified system,
 solved as algebraic equations; the full-order model's are collocated.
 Each ROM, and the one full-order system a ZieglerModel holds, keeps its
-linear analysis (stability scan, Hopf cycles; continuation._analysis); a
-ROM keeps there its realified plan too, the mu-independent part of every
-RealizedReducedSystem built on it (_realified_plan), in which W's rows are
-grouped by z exponent and ordered by charge.  So a load costs a system only
-the mu scaling, and a rotating wave's mapped harmonics are W's terms at its
-anchor summed by charge (RealizedReducedSystem.harmonics), with no phase
-sampled.
+linear analysis (stability scan, Hopf cycles; continuation._analysis).
+Built ROMs and models are values, with fixed fields and read-only arrays,
+so that memo needs no key and cannot go stale.  A ROM keeps there its
+realified plan too, the mu-independent part of every RealizedReducedSystem
+built on it (_realified_plan), in which W's rows are grouped by z exponent
+and ordered by charge.  So a load costs a system only the mu scaling, and a
+rotating wave's mapped harmonics are W's terms at its anchor summed by
+charge (RealizedReducedSystem.harmonics), with no phase sampled.
 """
 
 from __future__ import annotations
@@ -87,8 +88,7 @@ def periodic_peak(Y):
 
 def _realified_plan(rom):
     """The mu-independent part of a ROM's RealizedReducedSystem, as the
-    attributes it sets; a ROM keeps it in its memo (continuation._analysis)
-    until f, W, conj_map or meta["mu0"] change.
+    attributes it sets; a ROM keeps it in its memo (continuation._analysis).
 
     The nonzero representative rows of f get power_index gathers over u =
     (z_reps, conj z_reps), their mu exponents and derivative factors.  The
@@ -151,8 +151,7 @@ class RealizedReducedSystem:
     """
 
     def __init__(self, rom, mu):
-        from .continuation import _analysis
-        memo = _analysis(rom)
+        memo = rom._analysis
         if "plan" not in memo:
             memo["plan"] = _realified_plan(rom)
         vars(self).update(memo["plan"])
@@ -350,11 +349,9 @@ def measure_limit_cycle_fom(model, p, coord=0):
 
 def _held_system(model):
     """measure_limit_cycle_fom's system, model.first_order(0.0), held in
-    model._systems with its linear analysis and keyed on read-only copies of
-    M, K, C, Ru and cubic_terms, so an edit of any of those in place drops
-    it."""
-    from .continuation import _keyed
-    held = _keyed(model._systems, (model.M, model.K, model.C, model.Ru, model.cubic_terms))
+    model._systems with its linear analysis; the model is a value, so the
+    system it holds cannot go stale."""
+    held = model._systems
     if "system" not in held:
         held["system"] = model.first_order(0.0)
         held["system"]._analysis = {}

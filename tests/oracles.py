@@ -8,11 +8,14 @@ of a settled orbit.  The ROM oracle, CollocatedROM, hands a ROM's realified
 system to continuation as a system, so that its cycles are collocated.
 contract_left and contract_right are the sparse matrices of a bilinear
 form with one slot filled, the oracle of FirstOrderDAE.tangent_matrix.
+orbit_error compares two sampled orbits as point sets, with no phase
+alignment.
 """
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import DOP853, solve_ivp
+from scipy.spatial import cKDTree
 
 from flutterrom.romdyn import BlowUpError, RealizedReducedSystem
 
@@ -53,6 +56,20 @@ def contract_left(Q, u):
 def contract_right(Q, v):
     """CSR matrix Q(., v): rows p, columns the first slot."""
     return sp.coo_matrix((Q.val * v[Q.j], (Q.p, Q.i)), shape=(Q.dim_out, Q.dim_in1)).tocsr()
+
+
+def orbit_error(rom_orbit, fom_orbit):
+    """Symmetric Hausdorff distance between two sampled orbits, one state
+    per row, over the FOM orbit's largest state norm.
+
+    Each set's nearest neighbours in the other come from a k-d tree, so the
+    samples need no common phase or count.  Sampling alone leaves a floor:
+    a point of a circle lies up to 2 sin(pi / 2n) of its radius from the
+    nearest of n uniform samples of it.
+    """
+    a, b = np.asarray(rom_orbit, dtype=float), np.asarray(fom_orbit, dtype=float)
+    far = max(cKDTree(b).query(a)[0].max(), cKDTree(a).query(b)[0].max())
+    return float(far / np.linalg.norm(b, axis=1).max())
 
 
 def return_time(rhs, anchor, T0, rtol, atol):

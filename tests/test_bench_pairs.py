@@ -50,6 +50,37 @@ def test_claim_needs_nine_wins_in_ten_and_a_gain_past_the_parent_spread():
     assert not bench_pairs.claim_verdict(within_spread, "w:pass_s", "layer")["met"]
 
 
+MODULE = '''"""A module docstring
+over two lines."""
+
+import math
+
+
+def root(x):
+    """One line."""
+    # a comment
+    return math.sqrt(x)   # a trailing comment
+'''
+
+
+def code_line_change(tmp_path, parent, change):
+    trees = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
+    for side, text in (("parent", parent), ("change", change)):
+        (trees[side] / "src" / "pkg").mkdir(parents=True)
+        (trees[side] / "src" / "pkg" / "mod.py").write_text(text)
+    return bench_pairs.src_code_lines(trees)
+
+
+def test_a_docstring_edit_changes_no_code_line(tmp_path):
+    edited = MODULE.replace('"""One line."""', '"""One line,\n\n    now three."""')
+    assert code_line_change(tmp_path, MODULE, edited) == {"parent": 3, "change": 3, "net": 0}
+
+
+def test_an_added_statement_is_one_code_line(tmp_path):
+    edited = MODULE.replace("    return", "    x = abs(x)\n\n    return")
+    assert code_line_change(tmp_path, MODULE, edited) == {"parent": 3, "change": 4, "net": 1}
+
+
 def test_line_change_sums_the_numstat_rows():
     numstat = ("12\t30\tsrc/flutterrom/romdyn.py\n"
                "0\t7\tsrc/flutterrom/polytensor.py\n"

@@ -871,7 +871,9 @@ def test_branch_stops_at_the_reduced_coordinate_trust_region():
     # grows without bound as mu nears 0.1; the walk stops at 40 times the
     # seed's anchor norm (at least 0.05)
     rom = hopf_normal_form_rom(c3=-100.0, order=4)
-    rom.f[rom.table.index_of((2, 1, 1)), 0] = rom.f[rom.table.index_of((1, 2, 1)), 1] = 1000.0
+    f = rom.f.copy()
+    f[rom.table.index_of((2, 1, 1)), 0] = f[rom.table.index_of((1, 2, 1)), 1] = 1000.0
+    rom = replace(rom, f=f)
     diag = continue_periodic(rom, ContinuationOptions(mu_max=1.0, max_points=400))
     assert diag.meta["truncated"] == "branch left the reduced-coordinate trust region"
     last = diag.meta["trace"][-1]

@@ -1,7 +1,7 @@
 import importlib
 import logging
 import warnings
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from functools import partial
 
 import numpy as np
@@ -212,15 +212,20 @@ class TestCompiledEvaluator:
 
     @pytest.mark.parametrize("edit", ["W", "f"])
     def test_an_in_place_edit_builds_a_fresh_plan(self, compiled_case, edit):
-        # a system built after an edit of W or f in place equals one built
-        # on a fresh copy of the edited ROM, bit for bit, and differs from
-        # the one built before the edit
-        rom = replace(compiled_case, W=compiled_case.W.copy(), f=compiled_case.f.copy())
+        # an edit of W or f in place raises; a system built on the ROM
+        # replaced with the edited array, after the ROM built its plan,
+        # equals one built on a fresh copy of that ROM, bit for bit, and
+        # differs from the one built before the edit
+        rom = replace(compiled_case)
         x = 0.2 * np.random.default_rng(9).standard_normal(rom.d)
         before = RealizedReducedSystem(rom, 0.05)
         rows = np.flatnonzero(np.any(getattr(rom, edit) != 0, axis=1))
-        getattr(rom, edit)[rows[-1]] *= 1.5
-        getattr(rom, edit)[rows[0]] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(rom, edit)[rows[-1]] *= 1.5
+        a = getattr(rom, edit).copy()
+        a[rows[-1]] *= 1.5
+        a[rows[0]] = 0.0
+        rom = replace(rom, **{edit: a})
         edited = RealizedReducedSystem(rom, 0.05)
         fresh = RealizedReducedSystem(replace(rom, W=rom.W.copy(), f=rom.f.copy()), 0.05)
         outputs = [(*s.linearize(x), s.map_batch(x[None]), s.harmonics(x))
@@ -329,7 +334,11 @@ def test_map_to_physical_rejects_a_broken_conjugate_mapping():
     rom = hopf_normal_form_rom()
     x = np.array([0.1, 0.05])
     assert np.allclose(RealizedReducedSystem(rom, 0.0).map_to_physical(x), x)
-    rom.W[rom.table.index_of((0, 1, 0))] = rom.W[rom.table.index_of((1, 0, 0))]
+    W = rom.W.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        rom.W[:] = W
+    W[rom.table.index_of((0, 1, 0))] = W[rom.table.index_of((1, 0, 0))]
+    rom = replace(rom, W=W)
     with pytest.raises(RuntimeError, match="non-negligible imaginary part"):
         RealizedReducedSystem(rom, 0.0).map_to_physical(x)
 
@@ -895,7 +904,8 @@ class TestLinearAnalysis:
             meas = measure_limit_cycle(warm, mu)
             assert same_bits(meas, measure_limit_cycle(replace(rom), mu)), mu
             assert meas.reason == "" and meas.converged, mu
-        assert warm._analysis["scan"] == {0: warm._analysis["scan"][0], 1: ()}
+        tiles = warm._analysis["scan", P]
+        assert tiles == {0: tiles[0], 1: ()}
 
     def test_a_load_tiles_above_the_expansion_load(self, ziegler2):
         # the two-mode ROM at P_H, at P_H + 3 in tile 2, [2.6895, 6.0259],
@@ -911,36 +921,47 @@ class TestLinearAnalysis:
         assert same_bits(meas, measure_limit_cycle(replace(rom), P_H + 3.0 - P))
         assert meas.amplitude.max() == 0.0 and meas.newton == 333
         assert meas.reason == "branch turned back at a fold near mu = 2.83361"
-        assert sorted(warm._analysis["scan"]) == [0, 1, 2]
+        assert sorted(warm._analysis["scan", P]) == [0, 1, 2]
 
     def test_an_edited_rom_is_analysed_again(self):
         # zdot = (mu + i) z + c3 z|z|^2 has the cycle rho = sqrt(mu / |c3|):
-        # a measurement after c3 changes in place is a fresh ROM's; so is one
-        # after the mapping doubles in place
+        # c3 changed in place raises, and a measured ROM replaced with the
+        # changed f measures as a fresh ROM; so does one replaced with the
+        # mapping doubled
         rom, mu = hopf_normal_form_rom(), 0.04
         assert abs(measure_limit_cycle(rom, mu).amplitude[0] - np.sqrt(mu)) < 1e-8
-        rom.f[rom.table.index_of((2, 1, 0)), 0] = -4.0
-        rom.f[rom.table.index_of((1, 2, 0)), 1] = -4.0
+        with pytest.raises(ValueError, match="read-only"):
+            rom.f[rom.table.index_of((2, 1, 0)), 0] = -4.0
+        f = rom.f.copy()
+        f[rom.table.index_of((2, 1, 0)), 0] = f[rom.table.index_of((1, 2, 0)), 1] = -4.0
+        rom = replace(rom, f=f)
         meas = measure_limit_cycle(rom, mu)
         assert same_bits(meas, measure_limit_cycle(hopf_normal_form_rom(c3=-4.0), mu))
         assert meas.reason == "" and abs(meas.amplitude[0] - np.sqrt(mu / 4.0)) < 1e-8
-        rom.W *= 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            rom.W *= 2.0
+        rom = replace(rom, W=2.0 * rom.W)
         assert abs(measure_limit_cycle(rom, mu).amplitude[0] - 2.0 * np.sqrt(mu / 4.0)) < 2e-8
 
-    def test_the_memo_key_reads_both_parts(self):
-        # the key compares complex arrays part by part: W and f replaced by
-        # equal copies keep the memo; one imaginary part of W changed in
-        # place clears it, and so does one real part of f
-        rom = hopf_normal_form_rom()
-        continuation._analysis(rom)["probe"] = True
-        rom.W, rom.f = rom.W.copy(), rom.f.copy()
-        assert continuation._analysis(rom)["probe"]
-        mid = rom.table.index_of((1, 0, 0))
-        rom.W[mid, 0] += 1e-3j
-        assert rom.W[mid, 0].real == 0.5 and "probe" not in continuation._analysis(rom)
-        continuation._analysis(rom)["probe"] = True
-        rom.f[mid, 0] += 1e-3
-        assert "probe" not in continuation._analysis(rom)
+    def test_built_roms_and_models_are_values(self, ziegler2):
+        # a field assignment or a write into an array of a ROM or a model
+        # raises where it is made; the spectrum a ROM is built from and the
+        # arrays a model is built from stay writeable
+        model, P_H, _ = ziegler2
+        dae = recast_to_dae(model, mu0=P_H)
+        spec = solve_master_eigen(dae, d=2)
+        rom = build_rom_firstorder(dae, spec, order=3)
+        for obj, name in ((rom, "W"), (rom, "meta"), (model, "C"), (model, "cubic_terms")):
+            with pytest.raises(FrozenInstanceError):
+                setattr(obj, name, getattr(obj, name))
+        for a in (rom.W, rom.f, rom.lam, rom.Lam, rom.conj_map, model.M, model.C, model.Ru):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = a[0]
+        with pytest.raises(TypeError):
+            model.cubic_terms[0] = model.cubic_terms[0]
+        assert spec.conj_map.flags.writeable
+        M = model.M.copy()
+        assert replace(model, M=M).M is not M and M.flags.writeable
 
     def test_a_new_expansion_load_is_analysed_again(self):
         # the growth rate 2 + mu crosses 0 at mu = -2, outside the tiles a
@@ -980,7 +1001,7 @@ class TestFomAnalysis:
                 cold[p] = measure_limit_cycle_fom(replace(model), p)
             assert same_bits(meas, cold[p]), p
             assert meas.converged and (meas.reason == "") == (p > P_H), p
-        assert sorted(warm._systems["system"]._analysis["scan"]) == [0, 1, 2, 3, 4]
+        assert sorted(warm._systems["system"]._analysis["scan", 0.0]) == [0, 1, 2, 3, 4]
 
     def test_warm_within_round_off_of_cold_on_the_chain(self, chain8):
         # the loads 0.5%, 2% and 5% past P_H share P_H's tile
@@ -991,7 +1012,7 @@ class TestFomAnalysis:
             p = P_H + frac * P_H
             assert same_bits(measure_limit_cycle_fom(warm, p),
                              measure_limit_cycle_fom(replace(m), p)), frac
-        assert list(warm._systems["system"]._analysis["scan"]) == [7]
+        assert list(warm._systems["system"]._analysis["scan", 0.0]) == [7]
 
     def test_a_load_after_another_is_a_fresh_models(self, ziegler2):
         # 1.56 measured after 1.5 on one model is a fresh model's 1.56:
@@ -1019,7 +1040,7 @@ class TestFomAnalysis:
         assert same_bits(meas, measure_limit_cycle_fom(replace(model), 5.5))
         assert meas.amplitude.max() == 0.0 and meas.newton == 379
         assert meas.reason == "branch turned back at a fold near P = 3.67758"
-        assert sorted(warm._systems["system"]._analysis["scan"]) == [3, 4, 5]
+        assert sorted(warm._systems["system"]._analysis["scan", 0.0]) == [3, 4, 5]
 
     def test_one_analysis_for_four_loads(self, ziegler2, monkeypatch):
         # one 201-load linear_block stack and one Hopf-cycle correction (the
@@ -1053,12 +1074,15 @@ class TestFomAnalysis:
 
     @pytest.mark.parametrize("name", ["C", "Ru"])
     def test_an_edited_model_is_analysed_again(self, ziegler2, name):
-        # a 10% edit in place moves the Hopf point: the measurement after it
-        # is a fresh model's, bit for bit
+        # a 10% edit in place raises; a measured model replaced with the
+        # edited matrix moves the Hopf point, and its measurement is a fresh
+        # model's, bit for bit
         model, P_H, _ = ziegler2
-        model, p = replace(model, **{name: getattr(model, name).copy()}), P_H + 0.1
+        model, p = replace(model), P_H + 0.1
         before = measure_limit_cycle_fom(model, p)
-        getattr(model, name)[...] *= 1.1
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(model, name)[...] *= 1.1
+        model = replace(model, **{name: getattr(model, name) * 1.1})
         after = measure_limit_cycle_fom(model, p)
         assert same_bits(after, measure_limit_cycle_fom(replace(model), p))
         assert after.amplitude[1] != before.amplitude[1]
@@ -1133,12 +1157,16 @@ class TestRotatingWaves:
     def test_a_field_off_charge_one_is_refused(self):
         # z^3 turns three times as fast as z: the field is not S1-equivariant,
         # so neither a branch nor a cycle is solved, also where the ROM was
-        # measured before the edit
+        # measured before it was replaced with the edited f
         for measured_first in (False, True):
             rom = hopf_normal_form_rom()
             if measured_first:
                 assert measure_limit_cycle(rom, 0.04).reason == ""
-            rom.f[rom.table.index_of((3, 0, 0)), 0] = 0.1
+            with pytest.raises(ValueError, match="read-only"):
+                rom.f[rom.table.index_of((3, 0, 0)), 0] = 0.1
+            f = rom.f.copy()
+            f[rom.table.index_of((3, 0, 0)), 0] = 0.1
+            rom = replace(rom, f=f)
             for run in (partial(measure_limit_cycle, rom, 0.04), partial(continue_periodic, rom)):
                 with pytest.raises(ValueError, match=r"monomial \(3, 0, 0\) of charge 3: .* "
                                                      "not S1-equivariant"):

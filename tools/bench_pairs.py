@@ -31,10 +31,13 @@ and workload to each of the first TRACED_PAIRS pairs (all of them, if there
 are fewer), after its untraced runs, with the pair's seed and in the pair's
 order; "traced" then holds, per workload and per-layer metric, each side's
 median, min and every value in pair order. src_lines is the line change of src/
-from the parent's copy to the change's (git diff --numstat).
+from the parent's copy to the change's (git diff --numstat); src_code_lines
+counts only the Python lines of each side's src/ that hold code, not blank,
+not comment-only and not inside a docstring, and their change.
 """
 
 import argparse
+import ast
 import json
 import math
 import os
@@ -120,6 +123,29 @@ def src_line_change(trees):
     if proc.returncode not in (0, 1):   # 1: the trees differ
         raise RuntimeError(f"git diff --no-index failed: {proc.stderr}")
     return line_change(proc.stdout)
+
+
+def code_lines(path):
+    """Lines of a Python file that hold code: not blank, not comment-only
+    and not inside a module, class or function docstring (found with ast)."""
+    source = Path(path).read_text()
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                docstrings.update(range(first.lineno, first.end_lineno + 1))
+    return sum(1 for i, line in enumerate(source.splitlines(), 1)
+               if line.strip() and not line.lstrip().startswith("#") and i not in docstrings)
+
+
+def src_code_lines(trees):
+    """code_lines summed over the Python files under each tree's src/, and
+    the change from trees["parent"] to trees["change"]."""
+    count = {side: sum(map(code_lines, sorted((tree / "src").rglob("*.py"))))
+             for side, tree in trees.items()}
+    return {**count, "net": count["change"] - count["parent"]}
 
 
 def quartiles(values):
@@ -283,6 +309,7 @@ def write_report(args, spec, workloads, work):
         "seeds": seeds,
         "environment": environment,
         "src_lines": src_line_change(trees),
+        "src_code_lines": src_code_lines(trees),
     }
     if args.claim:
         report["claim"] = claim_verdict(summary, args.claim, args.layer)
