@@ -38,18 +38,22 @@ past a return to stability that crossing's cycles lie below it, which
 alone shows there is no cycle.  Otherwise it is the branch that starts at
 that load, or the end of the one walked up to it where that is refused.
 
-A ROM's linear analysis is a property of the ROM, not of a load: the
-crossings of each scanned tile of the load axis, its realified system and
-its plan, and each Hopf cycle are computed once and kept on the ROM
-(_analysis).  A built ROM is a value, its fields fixed and its arrays
-read-only, so that memo cannot go stale; dataclasses.replace gives a
+A model's linear analysis is a property of the model, not of a load, and
+every ROM and system keeps its own in the memo model._analysis: ("scan",
+mu0), the crossings of each tile of the load axis _stability_scan has
+scanned about the expansion load mu0, by tile index; for a ROM "sysr", its
+realified system, and "plan", the mu-independent part of every
+RealizedReducedSystem built on it (romdyn._realified_plan); and ("hopf",
+mu_H, rising), each _HopfCycle.  A built ROM and a ZieglerFirstOrder are
+values, their arrays read-only (a system sets only mu, where it is
+evaluated), so that memo cannot go stale; dataclasses.replace gives a
 changed ROM with an empty one.  The tiles are fixed by meta["mu0"] alone
-(_tiles), which keys the scan, and a reused Hopf cycle's correction still
-counts in every measurement's newton and branch's meta["seed"], so no
-result depends on that memo or on what was measured before.  The same
-memo is kept on the one full-order system a ZieglerModel holds for
-romdyn.measure_limit_cycle_fom (romdyn._held_system); a system a caller
-builds is analysed afresh on every call.  Each measurement logs one DEBUG
+(_tiles), which stays mutable and keys the scan, and a reused Hopf
+cycle's correction still counts in every measurement's newton and
+branch's meta["seed"], so no result depends on that memo or on what was
+measured before.  romdyn.measure_limit_cycle_fom measures on the one
+system a ZieglerModel holds (ZieglerModel.system), so its analysis serves
+every load the model is measured at.  Each measurement logs one DEBUG
 record (load, newton, reason) to the "flutterrom" logger.
 """
 
@@ -64,6 +68,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dpim import ParametrisationROM
+from .polytensor import _read_only
 from .romdyn import LimitCycleMeasurement, RealizedReducedSystem, periodic_peak
 from .spectral import _root_in
 
@@ -113,25 +118,6 @@ def find_hopf(model):
     return next(c for c, rising in _stability_scan(model) if rising)
 
 
-def _analysis(model):
-    """The memo of a model's linear analysis: ("scan", mu0), the crossings
-    of each tile _stability_scan has scanned about the expansion load mu0,
-    by tile index; "sysr", a ROM's realified system; "plan", the
-    mu-independent part of every RealizedReducedSystem of a ROM
-    (romdyn._realified_plan); and ("hopf", mu_H, rising), each _HopfCycle.
-
-    A ROM keeps it (ParametrisationROM._analysis), and so does the system a
-    ZieglerModel holds (romdyn._held_system).  Both are values, so the memo
-    cannot go stale; meta["mu0"] stays mutable, and keys the scan.  Any
-    other system gets an empty memo that nothing keeps."""
-    return getattr(model, "_analysis", {})
-
-
-def _read_only(a):
-    a.flags.writeable = False
-    return a
-
-
 def _window(mu0):
     """Half-width of tile 0 (_tiles), the load increments within
     +-_window(mu0) of the load mu0."""
@@ -173,11 +159,11 @@ def _stability_scan(model, mu=np.inf):
     then those of each tile below it, until a rising crossing lies at or
     below mu or a tile below mu's reaches down to the load mu0 + mu = 0;
     each sign change is refined to 1e-12 max(|mu|, 1) with eigenvalue-only
-    solves (spectral._root_in).  A ROM or held system scans each tile once
-    (_analysis).  Raises when no crossing rises.
+    solves (spectral._root_in).  A model scans each tile once (its
+    _analysis).  Raises when no crossing rises.
     """
     mu0 = model.meta.get("mu0", 0.0)
-    tiles = _analysis(model).setdefault(("scan", mu0), {})
+    tiles = model._analysis.setdefault(("scan", mu0), {})
     crossings = []
     for n, (k, lo, hi) in enumerate(_tiles(mu0, mu)):
         if k not in tiles:
@@ -427,7 +413,7 @@ def _tangent(sysr, q, col):
 # a diverging iterate overflows; its residual is not finite, which ends the
 # correction with a reason instead of a numpy warning
 @np.errstate(over="ignore", invalid="ignore")
-def _correct(sysr, q, K, tangent, ds, qn, Kn, radius, T_range):
+def _correct(sysr, q, K, tangent, ds, qn, Kn, radius):
     """Newton on the periodicity rows (_periodicity) of the collocation
     equations or of a rotating wave, the phase row and the last row
     tangent . (qn - q) = ds, from the guess (qn, Kn).
@@ -436,14 +422,16 @@ def _correct(sysr, q, K, tangent, ds, qn, Kn, radius, T_range):
     the Newton matrix is exact; for a rotating wave f(x) is (2 pi / T) R x,
     so the row fixes the anchor's phase against q's.  The residual norm
     covers those rows and the stage residuals.  An iterate whose mu or
-    anchor moves more than `radius` from q, whose period leaves T_range, or
-    whose residual is not finite, is rejected.  The iteration stops below
+    anchor moves more than `radius` from q, whose period leaves [T0/4,
+    4 T0] about the period T0 of q, the point the correction starts from,
+    or whose residual is not finite, is rejected.  The iteration stops below
     _NEWTON_TOL max(1, |(anchor, period)|), which does not depend on where
     mu = 0 lies.  Returns (qn, Kn, _linearize at qn, corrections, residual
     norm of each iterate evaluated, reason); reason is "" on convergence.  A
     rotating wave has no stage values: its Kn passes through.
     """
     n = len(q) - 2
+    T0 = q[n]
     sysr.mu = q[n + 1]
     nvec = sysr.rhs(0.0, q[:n])
     nvec /= np.linalg.norm(nvec)
@@ -468,7 +456,7 @@ def _correct(sysr, q, K, tangent, ds, qn, Kn, radius, T_range):
             Kn = Kn + _stage_change(col, np.append(dq, 1.0))
         if abs(qn[n + 1] - q[n + 1]) > radius or np.linalg.norm(qn[:n] - q[:n]) > radius:
             return qn, Kn, col, it + 1, residuals, "iterate left the trust region"
-        if not T_range[0] <= qn[n] <= T_range[1]:
+        if not T0 / 4.0 <= qn[n] <= 4.0 * T0:
             return qn, Kn, col, it + 1, residuals, "iterate period left [T0/4, 4 T0]"
     return qn, Kn, col, _MAX_NEWTON, residuals, "no convergence"
 
@@ -510,12 +498,11 @@ def _hopf_cycle(model, mu_H, rising=True):
     spans the ellipse eps Re(v e^{2 pi i tau}) of period 2 pi / omega,
     corrected with its amplitude along Re v fixed and mu free; for a ROM
     (checked by _realize) its anchor eps Re v is the rotating wave's.  A
-    ROM realifies itself and corrects each Hopf cycle once, and so does a
-    held system (_analysis); the cycle's q and K are read-only.  The Hopf
-    point is degenerate when mu moves by no more than _correct's stopping
-    tolerance.
+    ROM realifies itself once, and a model corrects each Hopf cycle once
+    (its _analysis); the cycle's q and K are read-only.  The Hopf point is
+    degenerate when mu moves by no more than _correct's stopping tolerance.
     """
-    memo = _analysis(model)
+    memo = model._analysis
     if ("hopf", mu_H, rising) in memo:
         return memo["hopf", mu_H, rising]
     sysr = model
@@ -539,8 +526,7 @@ def _hopf_cycle(model, mu_H, rising=True):
         K = _HOPF_EPS * (phase[:, None] * v).real.reshape(_MESH0, len(_NODES), n)
     q = np.concatenate([_HOPF_EPS * v.real, [T, mu_H]])
     tangent = np.concatenate([v.real / np.linalg.norm(v.real), [0.0, 0.0]])
-    q, K, _, it, res, reason = _correct(sysr, q, K, tangent, 0.0, q, K, np.inf,
-                                        (T / 4.0, 4.0 * T))
+    q, K, _, it, res, reason = _correct(sysr, q, K, tangent, 0.0, q, K, np.inf)
     if reason:
         raise ContinuationError(f"Hopf seed corrector at {_load(sysr, mu_H)}: {reason}")
     if abs(q[n + 1] - mu_H) <= _NEWTON_TOL * max(1.0, np.linalg.norm(q[:n + 1])):
@@ -594,7 +580,7 @@ def _ns_test(others):
     return float(max(abs(m) for m in cplx) - 1.0)
 
 
-def _attempt(sysr, trace, T_range, q, K, tangent, ds, tK, radius):
+def _attempt(sysr, trace, q, K, tangent, ds, tK, radius):
     """Correct from the predictor (q + ds tangent, K + ds tK) and append the
     attempt's record to trace.  Returns _correct's (qn, Kn, collocation,
     corrections), the record, and the number of mesh intervals the orbit
@@ -603,7 +589,7 @@ def _attempt(sysr, trace, T_range, q, K, tangent, ds, tK, radius):
     says so."""
     t0 = time.perf_counter()
     qn, Kn, col, it, res, reason = _correct(sysr, q, K, tangent, ds, q + ds * tangent,
-                                            K + ds * tK, radius, T_range)
+                                            K + ds * tK, radius)
     N = len(Kn) if reason or _rotating(sysr) else _mesh_size(sysr, col, qn[-2], _RTOL)
     if N > _MESH_MAX:
         reason = f"orbit needs {N} mesh intervals, more than {_MESH_MAX}"
@@ -620,7 +606,7 @@ def _refine(col, T, N):
     return _sample(col, T, _stage_times(N)).reshape(N, len(_NODES), col.X.shape[1])
 
 
-def _fixed_mu(sysr, trace, T_range, q, K):
+def _fixed_mu(sysr, trace, q, K):
     """Correct at q's mu with mu fixed (the arclength row becomes mu = q's
     mu), growing the mesh until the orbit meets _RTOL.  Returns (q, K,
     collocation, record of the last attempt); the record's reason is "" on
@@ -628,8 +614,8 @@ def _fixed_mu(sysr, trace, T_range, q, K):
     m2 = len(q) - 2
     e_mu, mu = np.eye(m2 + 2)[-1], q[m2 + 1]
     while True:
-        q, K, col, _, rec, N = _attempt(sysr, trace, T_range, q, K, e_mu, 0.0,
-                                        np.zeros_like(K), np.inf)
+        q, K, col, _, rec, N = _attempt(sysr, trace, q, K, e_mu, 0.0, np.zeros_like(K),
+                                        np.inf)
         q[m2 + 1] = mu
         if N == len(K) or N > _MESH_MAX:
             return q, K, col, rec
@@ -714,7 +700,7 @@ def continue_periodic(model, options=None):
 
     meta["seed"] is the Hopf seed's record {mu_H, newton, residual, scale},
     whose newton is the Hopf cycle's correction, also where the ROM had
-    already corrected that cycle (_analysis);
+    already corrected that cycle (its _analysis);
     meta["trace"] holds one record per attempted correction (ds, Newton
     corrections, residual norms of the iterates, mesh intervals, accepted,
     reason, wall time); the fixed-mu corrections have ds = 0.  For a ROM
@@ -747,9 +733,8 @@ def _walk(model, hopf, mu_start, opts):
     x, K, T, seed = _hopf_seed(hopf, mu_start)
     points, trace = [], []
     meta = {"mu0": model.meta.get("mu0", 0.0), "seed": seed, "trace": trace}
-    T_range = (T / 4.0, 4.0 * T)
 
-    q, K, q_col, rec = _fixed_mu(sysr, trace, T_range, np.concatenate([x, [T, mu_start]]), K)
+    q, K, q_col, rec = _fixed_mu(sysr, trace, np.concatenate([x, [T, mu_start]]), K)
     if rec["reason"]:
         meta["truncated"] = f"seed corrector: {rec['reason']}"
         return BifurcationDiagram(points, meta)
@@ -767,8 +752,7 @@ def _walk(model, hopf, mu_start, opts):
         if len(points) == opts.max_points:
             truncated_reason = f"max_points = {opts.max_points} reached"
             break
-        qn, Kn, col, it, rec, N = _attempt(sysr, trace, T_range, q, K, tangent, ds, tK,
-                                           4.0 * ds)
+        qn, Kn, col, it, rec, N = _attempt(sysr, trace, q, K, tangent, ds, tK, 4.0 * ds)
         if N > _MESH_MAX:
             truncated_reason = rec["reason"]
             break
@@ -798,7 +782,7 @@ def _walk(model, hopf, mu_start, opts):
             s = (opts.mu_max - q[m2 + 1]) / (qn[m2 + 1] - q[m2 + 1])
             qn, Kn = q + s * (qn - q), K + s * (Kn - K)
             qn[m2 + 1] = opts.mu_max
-            qn, Kn, col, rec = _fixed_mu(sysr, trace, T_range, qn, Kn)
+            qn, Kn, col, rec = _fixed_mu(sysr, trace, qn, Kn)
             if rec["reason"]:
                 truncated_reason = f"corrector failed at mu_max: {rec['reason']}"
                 break
@@ -849,8 +833,8 @@ def _cycle_at(model, mu, param, dim):
     itself, it is the landing again, and the refusal is final.  A seed error
     is final and comes before any walk: both seeds lie on the same side of
     the Hopf point.  newton counts the Hopf cycle's correction too, also
-    where an earlier measurement of the ROM or held system made it
-    (_analysis), so that it does not depend on what was measured before.
+    where an earlier measurement of the model made it (its _analysis), so
+    that it does not depend on what was measured before.
     Logs one DEBUG record: param, newton and reason.
     """
     opts = ContinuationOptions(mu_max=mu)

@@ -148,9 +148,9 @@ class ParametrisationROM:
     A built ROM is a value: its fields cannot be assigned, and its arrays
     are taken as given, without a copy, and made read-only, so an edit
     raises where it is made and the linear analysis kept on the ROM
-    (continuation._analysis) cannot go stale.  dataclasses.replace gives a
-    changed ROM, which starts with an empty memo.  meta stays a mutable
-    record.
+    (_analysis, continuation's memo) cannot go stale.  dataclasses.replace
+    gives a changed ROM, which starts with an empty memo.  meta stays a
+    mutable record.
     """
 
     table: MonomialTable
@@ -159,10 +159,9 @@ class ParametrisationROM:
     lam: np.ndarray
     Lam: np.ndarray
     conj_map: np.ndarray | None = None
-    n_disp: int | None = None
     meta: dict = field(default_factory=dict)
-    # continuation's memo of the ROM's linear analysis (continuation._analysis):
-    # not an input, not saved, and dataclasses.replace starts a copy without it
+    # continuation's memo of the ROM's linear analysis: not an input, not
+    # saved, and dataclasses.replace starts a copy without it
     _analysis: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -251,7 +250,6 @@ class ParametrisationROM:
             "version": 1,
             "nvars": self.table.nvars,
             "order": self.table.max_order,
-            "n_disp": self.n_disp,
             "conj_map": None if self.conj_map is None else [int(v) for v in self.conj_map],
             "eigenvalues": c2(self.lam),
             "Lam": [c2(row) for row in self.Lam],
@@ -279,22 +277,21 @@ class ParametrisationROM:
         f = np.array([fromc(r) for r in data["f"]])
         lam = fromc(data["eigenvalues"])
         Lam = np.array([fromc(r) for r in data["Lam"]])
-        conj_map, n_disp = data.get("conj_map"), data.get("n_disp")
+        conj_map = data.get("conj_map")
         d = table.nvars - 1
         fits = {"W": W.ndim == 2 and len(W) == len(table),
                 "f": f.shape == (len(table), table.nvars),
                 "eigenvalues": lam.shape == (d,),
                 "Lam": Lam.shape == (d, d),
-                "conj_map": conj_map is None or len(conj_map) == d,
-                "n_disp": n_disp is None or n_disp <= W.shape[-1]}
+                "conj_map": conj_map is None or len(conj_map) == d}
         for name, ok in fits.items():
             if not ok:
                 raise ValueError(f"ROM file field {name!r} does not fit a table of "
                                  f"{len(table)} monomials in {table.nvars} variables")
-        # a stored "style" key (always "normal-form") is ignored
+        # a stored "style" (always "normal-form") or "n_disp" key is ignored
         return cls(table, W, f, lam, Lam,
                    None if conj_map is None else np.array(conj_map, dtype=np.int64),
-                   n_disp, data.get("meta", {}))
+                   data.get("meta", {}))
 
 
 # -- shared engine pieces -----------------------------------------------------
@@ -549,7 +546,7 @@ def _solve_order(bordered, mapping, table, res, spectrum, ids, rhs, g, jdeps, wa
 
 # -- the order loop -----------------------------------------------------------
 
-def _build(spectrum, order, r_tol, series, bordered, mapping, meta, n_disp=None):
+def _build(spectrum, order, r_tol, series, bordered, mapping, meta):
     """Solves the homological equations order by order, for either engine.
 
     An engine is its force series and its bordered operator: series(table,
@@ -623,7 +620,7 @@ def _build(spectrum, order, r_tol, series, bordered, mapping, meta, n_disp=None)
     meta.update(r_tol=r_tol, one_to_one=one_to_one,
                 jordan_pairs=[(int(i), int(j), complex(t).real) for i, j, t in jp], stats=stats)
     return ParametrisationROM(table, W, f, lam_vec[:d].copy(), spectrum.Lam.copy(),
-                              spectrum.conj_map.copy(), n_disp, meta)
+                              spectrum.conj_map.copy(), meta)
 
 
 # -- first-order engine -------------------------------------------------------
@@ -707,7 +704,7 @@ def build_rom_secondorder(model, spectrum, order, r_tol=0.05):
         return np.concatenate((U, sigma[:, None] * U + f @ Yu.T + g[:, :n]), axis=1)
 
     meta = {"engine": "second-order", "mu0": getattr(model, "p0", 0.0)}
-    return _build(spectrum, order, r_tol, series, bordered, mapping, meta, n)
+    return _build(spectrum, order, r_tol, series, bordered, mapping, meta)
 
 
 # -- invariance diagnostics ---------------------------------------------------

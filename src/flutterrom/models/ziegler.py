@@ -12,7 +12,9 @@ generic first-order engine rather than the second-order one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+
 import numpy as np
 
 from ..polytensor import SparseBilinearForm
@@ -28,9 +30,10 @@ class ZieglerModel:
 
     A built model is a value: its fields cannot be assigned, it keeps
     read-only float copies of M, K, C and Ru and its cubic terms as a tuple
-    of tuples, so the first-order system it holds with its linear analysis
-    cannot go stale.  dataclasses.replace gives a changed model, which
-    starts without that system.
+    of tuples, so the first-order system it holds (system), with that
+    system's linear analysis, cannot go stale.  dataclasses.replace gives a
+    changed model, which starts without a system.  A singular mass matrix
+    is refused (ValueError).
     """
 
     n: int
@@ -40,10 +43,6 @@ class ZieglerModel:
     Ru: np.ndarray
     L: float
     cubic_terms: tuple[tuple[int, int, int, float], ...] = ()
-    # the one first-order system romdyn.measure_limit_cycle_fom measures on,
-    # with its linear analysis (romdyn._held_system): not an input, and
-    # dataclasses.replace starts a copy without it
-    _systems: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("M", "K", "C", "Ru"):
@@ -51,6 +50,18 @@ class ZieglerModel:
             a.flags.writeable = False
             object.__setattr__(self, name, a)
         object.__setattr__(self, "cubic_terms", tuple(map(tuple, self.cubic_terms)))
+        try:
+            np.linalg.inv(self.M)
+        except np.linalg.LinAlgError as exc:
+            raise ValueError("singular mass matrix: the first-order form needs M^-1") from exc
+
+    @cached_property
+    def system(self):
+        """The model's one first-order system, first_order(0.0), whose mu is
+        the load P: the eigen sweep reads its state matrices, and
+        romdyn.measure_limit_cycle_fom collocates on it, so its linear
+        analysis is kept for every later load."""
+        return self.first_order(0.0)
 
     def linear_pencil(self, P):
         """(M, C, K_eff) of the linearization about the upright equilibrium."""
@@ -81,6 +92,10 @@ class ZieglerFirstOrder:
     cubic term and S1 scatters -M^-1 coeff times its cube onto the
     accelerations.  Each state goes through its own matrix-vector products,
     so a row of a block of states gives the bits of the single-state call.
+
+    A system is a value: A0, A1, D and S1 are read-only, and only mu, the
+    evaluation point, is set.  So it keeps its own linear analysis
+    (_analysis, continuation's memo of stability scans and Hopf cycles).
     """
 
     def __init__(self, model, P0):
@@ -94,7 +109,10 @@ class ZieglerFirstOrder:
             self.D[t, a] += 1.0
             self.D[t, b] -= 1.0
             self.S1[n:, t] = -coeff * Minv[:, row]
+        for a in (self.A0, self.A1, self.D, self.S1):
+            a.flags.writeable = False
         self.meta = {"mu0": float(P0), "load": "P"}
+        self._analysis = {}
         self.mu = 0.0
 
     @property

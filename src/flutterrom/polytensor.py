@@ -58,6 +58,11 @@ def _graded_desc_lex(nvars, max_order):
     return np.column_stack(cols + [rem])
 
 
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
 class MonomialTable:
     """All monomials of orders 1..max_order in `nvars` variables.
 
@@ -66,6 +71,10 @@ class MonomialTable:
     that ordering, the within-order dependency alpha + e_s - e_j (s < j)
     used by the Jordan coupling term always points to an earlier id, so a
     single forward pass over each order resolves it.
+
+    Every array the table holds is read-only (exponents, codes,
+    power_index, lowered, the product tables), so what a ROM derives from
+    its table cannot go stale.
     """
 
     def __init__(self, nvars, max_order):
@@ -88,6 +97,9 @@ class MonomialTable:
         self.codes = self.exponents @ self.code_weights
         self._code_order = np.argsort(self.codes)
         self._sorted_codes = self.codes[self._code_order]
+        for a in (self.exponents, self.code_weights, self.codes, self._code_order,
+                  self._sorted_codes):
+            _read_only(a)
         self._pairs = {}  # product_ids memo of pair tables (a, b) with a >= b
 
     def __len__(self):
@@ -145,8 +157,7 @@ class MonomialTable:
                 lo, hi = self._order_starts[b - 1], self._order_starts[b]
                 inner = self.product_ids(a, b - 1)[:, parent[lo:hi] - self._order_starts[b - 2]]
                 ids = self.product_ids(p - 1, 1)[inner, var[lo:hi]]
-            ids.flags.writeable = False
-            self._pairs[a, b] = ids
+            self._pairs[a, b] = _read_only(ids)
         return self._pairs[a, b]
 
     def get(self, exps):
@@ -196,14 +207,14 @@ class MonomialTable:
         out = []
         for s in range(self.nvars):
             ids = np.flatnonzero(self.exponents[:, s])
-            out.append((ids, low[ids, s], self.exponents[ids, s]))
+            out.append(tuple(map(_read_only, (ids, low[ids, s], self.exponents[ids, s]))))
         return out
 
     @cached_property
     def power_index(self):
         """power_index of the table's exponents: power_values with it
         evaluates every monomial of the table."""
-        return power_index(self.exponents)
+        return _read_only(power_index(self.exponents))
 
     @cached_property
     def _parents(self):
@@ -216,7 +227,7 @@ class MonomialTable:
         for ids, up in self._raised():
             rows, cols = np.nonzero(np.arange(self.nvars) <= var[ids, None])
             parent[up[rows, cols]] = ids[rows]
-        return parent, var
+        return _read_only(parent), _read_only(var)
 
     def monomial_values(self, z):
         """Evaluate every monomial at the point z (length nvars)."""

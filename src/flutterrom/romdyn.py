@@ -8,16 +8,17 @@ polynomial mapping and are real up to round-off for real models.  A limit
 cycle at a load comes from continuation: the branch that starts at that
 load, or where that landing is refused, the branch continued from the Hopf
 point up to it.  A ROM's cycles are rotating waves of its realified system,
-solved as algebraic equations; the full-order model's are collocated.
-Each ROM, and the one full-order system a ZieglerModel holds, keeps its
-linear analysis (stability scan, Hopf cycles; continuation._analysis).
-Built ROMs and models are values, with fixed fields and read-only arrays,
-so that memo needs no key and cannot go stale.  A ROM keeps there its
-realified plan too, the mu-independent part of every RealizedReducedSystem
-built on it (_realified_plan), in which W's rows are grouped by z exponent
-and ordered by charge.  So a load costs a system only the mu scaling, and a
-rotating wave's mapped harmonics are W's terms at its anchor summed by
-charge (RealizedReducedSystem.harmonics), with no phase sampled.
+solved as algebraic equations; the full-order model's are collocated on
+the one first-order system a ZieglerModel holds (ZieglerModel.system).
+Each ROM and system keeps its linear analysis (stability scan, Hopf
+cycles) in its own memo, _analysis (see continuation).  Built ROMs and
+systems are values, with read-only arrays, so that memo needs no key and
+cannot go stale.  A ROM keeps there its realified plan too, the
+mu-independent part of every RealizedReducedSystem built on it
+(_realified_plan), in which W's rows are grouped by z exponent and ordered
+by charge.  So a load costs a system only the mu scaling, and a rotating
+wave's mapped harmonics are W's terms at its anchor summed by charge
+(RealizedReducedSystem.harmonics), with no phase sampled.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ def periodic_peak(Y):
 
 def _realified_plan(rom):
     """The mu-independent part of a ROM's RealizedReducedSystem, as the
-    attributes it sets; a ROM keeps it in its memo (continuation._analysis).
+    attributes it sets; a ROM keeps it in its memo (_analysis).
 
     The nonzero representative rows of f get power_index gathers over u =
     (z_reps, conj z_reps), their mu exponents and derivative factors.  The
@@ -333,26 +334,16 @@ def trace_unstable_manifold(rom, mu, n_radial=4, n_angle=12, r_scale=1e-3,
 def measure_limit_cycle_fom(model, p, coord=0):
     """The full-order model's limit cycle at load p (see measure_limit_cycle),
     collocated on the one first-order system the model holds
-    (_held_system), whose mu is the load P.  That system keeps its stability
-    scan per tile of the load axis (continuation._tiles) and its Hopf cycles,
-    so later loads skip both where they were computed; the tiles do not move
-    with the loads measured, so the result does not depend on what the
-    model measured before, bit for bit.  Reasons name loads P.
+    (model.system), whose mu is the load P.  That system keeps its
+    stability scan per tile of the load axis (continuation._tiles) and its
+    Hopf cycles, so later loads skip both where they were computed; the
+    tiles do not move with the loads measured, so the result does not
+    depend on what the model measured before, bit for bit.  Reasons name
+    loads P.
 
     Past some loads the model is bistable: at p = 3.3 (Ziegler-2, xi_m =
     0.2) this reports the Hopf branch's cycle (theta2 1.78206), not the
     larger one (theta2 2.97) that DOP853 settles on from near the fixed point.
     """
     from .continuation import _cycle_at
-    return _cycle_at(_held_system(model), float(p), p, 2 * model.n)
-
-
-def _held_system(model):
-    """measure_limit_cycle_fom's system, model.first_order(0.0), held in
-    model._systems with its linear analysis; the model is a value, so the
-    system it holds cannot go stale."""
-    held = model._systems
-    if "system" not in held:
-        held["system"] = model.first_order(0.0)
-        held["system"]._analysis = {}
-    return held["system"]
+    return _cycle_at(model.system, float(p), p, 2 * model.n)

@@ -7,12 +7,13 @@ eigenvectors are stored stacked as [displacement; velocity] and the
 velocity part is tied analytically to the displacement part.
 
 A parameter sweep (`eigen_sweep`) solves its whole grid in one stacked
-`np.linalg.eig` call on the state matrices B^-1 At(P), which exist because
-B = blockdiag(M, M) is nonsingular, and tracks every mode across the grid.
-It refines its events with fresh eigenvalue-only solves of the pencil: the
-Hopf and divergence points are Brent roots, and the coalescence is the
-Brent root of the squared gap of the closest pair where that changes sign
-(an exceptional point), else the minimum of the gap.
+`np.linalg.eig` call on the state matrices B^-1 At(P) of the first-order
+system the model holds (ZieglerModel.system, whose mass matrix the model
+checked nonsingular), and tracks every mode across the grid.  It refines
+its events with fresh eigenvalue-only solves of the pencil: the Hopf and
+divergence points are Brent roots, and the coalescence is the Brent root
+of the squared gap of the closest pair where that changes sign (an
+exceptional point), else the minimum of the gap.
 """
 
 from __future__ import annotations
@@ -244,39 +245,15 @@ class EigenTrajectory:
     warnings: list = field(default_factory=list)   # weak matches, {P, mode, mac}
 
 
-def _state_matrices(pencils):
-    """Stack of B^-1 At = [[0, I], [-M^-1 K, -M^-1 C]], one per (M, C, K):
-    B = blockdiag(M, M) is nonsingular for every linear_pencil, so the
-    state matrix has the pencil's whole spectrum and no infinite eigenvalue."""
-    M, C, K = (np.array(a) for a in zip(*pencils))
-    n = M.shape[-1]
-    try:
-        MinvKC = np.linalg.solve(M, np.concatenate([K, C], axis=-1))
-    except np.linalg.LinAlgError as exc:
-        raise SpectralError("singular mass matrix: the pencil has infinite eigenvalues") from exc
-    A = np.zeros((len(M), 2 * n, 2 * n))
-    A[:, :n, n:] = np.eye(n)
-    A[:, n:] = -MinvKC
-    return A
-
-
-def _grid_eigs(model, grid):
-    """Eigenvalues and right eigenvectors of the linear pencil at every grid
-    load, from one np.linalg.eig call on the stack of state matrices."""
-    w, vr = np.linalg.eig(_state_matrices([model.linear_pencil(P) for P in grid]))
-    return w.astype(complex, copy=False), vr.astype(complex, copy=False)
-
-
 def _pencil_eigs_at(model, P):
     """The whole finite spectrum of the linear pencil at load P, from
     scipy's QZ on (At, B); where QZ does not converge (it fails at a few
     loads within 4 ulp of the exact EP of undamped Ziegler-2), from the
-    state matrix."""
-    mck = [np.asarray(a) for a in model.linear_pencil(P)]
+    state matrix of the model's system."""
     try:
-        return _pencil_eig(*_first_order_pencil(*mck))
+        return _pencil_eig(*_first_order_pencil(*model.linear_pencil(P)))
     except sla.LinAlgError:
-        return np.linalg.eigvals(_state_matrices([mck])[0]).astype(complex, copy=False)
+        return np.linalg.eigvals(model.system.linear_block(P)).astype(complex, copy=False)
 
 
 def _closest_pair(w):
@@ -351,7 +328,7 @@ def eigen_sweep(model, param_range, n_points, mac_threshold=0.8):
     """Track the spectrum over a load range and locate P_c, P_H, P_d.
 
     The grid loads are solved in one stacked np.linalg.eig call on the state
-    matrices B^-1 At(P).  Mode identity is maintained by greedy
+    matrices B^-1 At(P) of model.system.  Mode identity is maintained by greedy
     modal-assurance matching between neighbouring grid points, from one MAC
     matrix per step; a match below mac_threshold adds a warning record
     {P, mode, mac}.  The event scans read the grid spectra; the events are
@@ -372,13 +349,13 @@ def eigen_sweep(model, param_range, n_points, mac_threshold=0.8):
     Every solve is dense and covers the whole spectrum, every mode is
     tracked, and only the grid solve computes (right) eigenvectors.
     events["ep"] flags a coalescence gap below 1e-6 of the spectral scale.
-    A singular mass matrix raises SpectralError.
     """
     P0, P1 = param_range
     grid = np.linspace(P0, P1, n_points)
     warnings = []
 
-    spectra, vectors = _grid_eigs(model, grid)
+    spectra, vectors = (a.astype(complex, copy=False)
+                        for a in np.linalg.eig(model.system.linear_block(grid)))
     w, vr = spectra[0], vectors[0]
     order = np.lexsort((-w.imag, np.abs(w.imag)))
     lam_rows = [w[order]]

@@ -25,8 +25,9 @@ class CollocatedROM:
     collocates its cycles, as it does the full-order model's.
 
     It has the realified system's interface (settable mu, rhs, linearize,
-    jacobian, map_batch, m) and the ROM's linear_block and meta, which
-    find_hopf scans.  continue_periodic(CollocatedROM(rom), options) is the
+    jacobian, map_batch, m), the ROM's linear_block and meta, which
+    find_hopf scans, and its own linear-analysis memo (_analysis), apart
+    from the ROM's.  continue_periodic(CollocatedROM(rom), options) is the
     ROM's branch by collocation, and continuation._cycle_at(
     CollocatedROM(rom), mu, mu, rom.dim) its limit cycle at load mu.
     """
@@ -34,6 +35,7 @@ class CollocatedROM:
     def __init__(self, rom, mu=0.0):
         self.sysr = RealizedReducedSystem(rom, mu)
         self.linear_block, self.meta = rom.linear_block, rom.meta
+        self._analysis = {}
 
     def __getattr__(self, name):
         return getattr(self.sysr, name)

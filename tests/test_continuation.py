@@ -430,8 +430,7 @@ def fixed_mu_cycle(sysr, x, K, T, mu):
     q = np.append(x, [T, mu])
     fixed_mu = np.eye(len(q))[-1]
     while True:
-        q, K, col, _, _, reason = _correct(sysr, q, K, fixed_mu, 0.0, q, K, np.inf,
-                                           (T / 4, 4 * T))
+        q, K, col, _, _, reason = _correct(sysr, q, K, fixed_mu, 0.0, q, K, np.inf)
         assert reason == ""
         N = _mesh_size(sysr, col, q[-2], _RTOL)
         if N == len(K):
@@ -477,7 +476,7 @@ def test_hopf_seed_matches_settled_seed(seed_roms, label):
     mu = mu_H + max(4 * _DS0, 0.01 * max(abs(mu_H), 1.0))
     x, K, T, seed = _hopf_seed(hopf, mu)
     assert seed["newton"] >= 1 and seed["scale"] > 1.0
-    q, _, _, rec = continuation._fixed_mu(sysr, [], (T / 4, 4 * T), np.append(x, [T, mu]), K)
+    q, _, _, rec = continuation._fixed_mu(sysr, [], np.append(x, [T, mu]), K)
     assert rec["reason"] == ""
 
     xs, Ts, record = _initial_cycle(rom, mu)
@@ -560,8 +559,7 @@ def test_mesh_meets_rtol_against_the_flow(branch_rom):
     t = np.linspace(0.0, 1.0, 401)
 
     def corrected_error(K):
-        qn, _, col, _, _, reason = _correct(sysr, q, K, fixed_mu, 0.0, q, K, np.inf,
-                                            (T / 4, 4 * T))
+        qn, _, col, _, _, reason = _correct(sysr, q, K, fixed_mu, 0.0, q, K, np.inf)
         assert reason == ""
         flow = solve_ivp(sysr.rhs, (0.0, qn[-2]), qn[:-2], method="DOP853", rtol=1e-13,
                          atol=1e-15, dense_output=True).sol(qn[-2] * t).T
@@ -618,8 +616,7 @@ def test_mesh_error_estimate_is_sharp(branch_rom, ziegler2_fom, case, monkeypatc
     t = np.linspace(0.0, 1.0, 4001)
     for N in (4, 6, 8, 10):
         KN = continuation._refine(col, q[-2], N)
-        qn, _, colN, _, _, reason = _correct(sysr, q, KN, fixed_mu, 0.0, q, KN, np.inf,
-                                             (T / 4, 4 * T))
+        qn, _, colN, _, _, reason = _correct(sysr, q, KN, fixed_mu, 0.0, q, KN, np.inf)
         assert reason == ""
         flow = solve_ivp(sysr.rhs, (0.0, qn[-2]), qn[:-2], method="DOP853", rtol=1e-13,
                          atol=1e-15, dense_output=True).sol(qn[-2] * t).T
@@ -835,35 +832,53 @@ def test_corrector_stops_on_a_bad_iterate():
     # each reason of _correct, from the normal form's corrected Hopf cycle q
     hopf = _hopf_cycle(hopf_normal_form_rom(), 0.0)
     sysr, q, K = hopf.sysr, hopf.q.copy(), hopf.K
-    T_range = (q[-2] / 4.0, 4.0 * q[-2])
     tangent = np.array([1.0, 0.0, 0.0, 0.0])
     # an anchor of 1e200 overflows the cubic term
     far = q.copy()
     far[:2] *= 1e200
-    out = _correct(sysr, q, K, tangent, 0.0, far, K, np.inf, T_range)
+    out = _correct(sysr, q, K, tangent, 0.0, far, K, np.inf)
     assert out[3] == 0 and not np.isfinite(out[4][0]) and out[5] == "iterate not finite"
     # a zero arclength row makes the Newton matrix singular
-    out = _correct(sysr, q, K, 0.0 * tangent, 0.01, q, K, np.inf, T_range)
+    out = _correct(sysr, q, K, 0.0 * tangent, 0.01, q, K, np.inf)
     assert out[3] == 0 and out[5] == "singular corrector matrix"
     # the first Newton step already moves the anchor by about ds
-    out = _correct(sysr, q, K, tangent, 0.01, q, K, 1e-3, T_range)
+    out = _correct(sysr, q, K, tangent, 0.01, q, K, 1e-3)
     assert out[3] == 1 and out[5] == "iterate left the trust region"
 
 
-def test_corrector_failure_at_the_minimum_step_ends_the_branch():
+def test_the_period_window_follows_the_branch():
     # zdot = (10 i + mu) z - (1 + 40 i) z|z|^2: radius sqrt(mu), angular
-    # frequency 10 - 40 mu, so the period leaves [T0/4, 4 T0] at mu = 0.1875
+    # frequency 10 - 40 mu.  The period passes 4 times the seed's at mu =
+    # 0.1875; each correction takes its window [T0/4, 4 T0] about the point
+    # it starts from, so the branch reaches mu_max on the closed form
     diag = continue_periodic(hopf_normal_form_rom(omega=10.0, c3=-1 - 40j),
-                             ContinuationOptions(mu_max=0.3))
-    assert diag.meta["truncated"] == ("corrector failed at the minimum step: "
-                                      "iterate period left [T0/4, 4 T0]")
-    last = diag.meta["trace"][-1]
-    assert last["ds"] == _DS_MIN and not last["accepted"]
+                             ContinuationOptions(mu_max=0.2))
+    assert diag.meta["truncated"] == "" and diag.mu()[-1] == 0.2
+    # past 4 times the Hopf cycle's period, 2 pi / 10
+    assert diag.points[-1].period > 4.0 * (2 * np.pi / 10.0)
     for pt in diag.points:
         assert abs(pt.amplitude[0] - np.sqrt(pt.mu)) < 1e-8
         assert abs(pt.period - 2 * np.pi / (10.0 - 40.0 * pt.mu)) < 1e-8 * pt.period
-    # the last point lies at the edge, a period of 4 (2 pi / 10)
-    assert abs(diag.points[-1].period / (0.8 * np.pi) - 1.0) < 1e-3
+
+
+def test_corrector_failure_at_the_minimum_step_ends_the_branch(monkeypatch):
+    # a corrector that refuses every step from a point past mu = 0.1: the
+    # step halves from the last accepted one down to _DS_MIN, where the
+    # branch ends with the corrector's reason
+    correct = continuation._correct
+
+    def refusing(sysr, q, *args):
+        out = correct(sysr, q, *args)
+        return out[:5] + ("refused past mu = 0.1",) if q[-1] > 0.1 else out
+
+    monkeypatch.setattr(continuation, "_correct", refusing)
+    diag = continue_periodic(hopf_normal_form_rom(), ContinuationOptions(mu_max=0.3))
+    assert diag.meta["truncated"] == ("corrector failed at the minimum step: "
+                                      "refused past mu = 0.1")
+    refused = [rec["ds"] for rec in diag.meta["trace"] if rec["reason"]]
+    assert len(refused) > 5 and refused[-1] == _DS_MIN
+    assert refused == [max(refused[0] / 2.0 ** k, _DS_MIN) for k in range(len(refused))]
+    assert diag.points[-2].mu <= 0.1 < diag.points[-1].mu
 
 
 def test_branch_stops_at_the_reduced_coordinate_trust_region():

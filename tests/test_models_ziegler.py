@@ -6,6 +6,7 @@ import pytest
 import flutterrom.models
 from flutterrom.continuation import find_hopf
 from flutterrom.models import (
+    ZieglerModel,
     build_ziegler,
     build_ziegler2,
     build_ziegler3,
@@ -236,6 +237,39 @@ class TestFirstOrder:
         m = build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2)
         P_H = eigen_sweep(m, (1.5, 3.0), 40).events["P_H"]
         assert abs(2.0 + find_hopf(m.first_order(2.0)) - P_H) < 1e-8
+
+
+class TestSystem:
+    """A model holds one first-order system, model.system at P0 = 0, which
+    the sweep reads and measure_limit_cycle_fom collocates on."""
+
+    def test_one_system_per_model(self):
+        m = build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2)
+        copy = replace(m)
+        assert "system" not in vars(copy)
+        assert m.system is m.system and copy.system is not m.system
+        assert m.system.meta == {"mu0": 0.0, "load": "P"} and m.system._analysis == {}
+        assert "system" not in repr(m)
+
+    @pytest.mark.parametrize("make", [
+        lambda: build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2), ziegler_without_cubics,
+    ], ids=["ziegler2", "no-cubics"])
+    def test_a_system_is_a_value(self, make):
+        # its matrices are read-only; only mu, the evaluation point, is set
+        system = make().first_order(1.5)
+        for name in ("A0", "A1", "D", "S1"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(system, name)[...] = 1.0
+        system.mu = 0.5
+        assert np.array_equal(system.jacobian(np.zeros(len(system.A0))), system.linear_block(0.5))
+
+    def test_singular_mass_matrix_is_named(self):
+        m = build_ziegler2(1, 1, 1, 1, 1)
+        singular = np.array([[1.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(ValueError, match="singular mass matrix"):
+            replace(m, M=singular)
+        with pytest.raises(ValueError, match="singular mass matrix"):
+            ZieglerModel(2, singular, m.K, m.C, m.Ru, m.L)
 
 
 class TestRecast:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from flutterrom import continuation, romdyn
+from flutterrom import continuation
 from flutterrom.continuation import ContinuationOptions, continue_periodic, find_hopf
 from flutterrom.dpim import build_rom_firstorder
 from flutterrom.models import build_ziegler, build_ziegler2, recast_to_dae
@@ -484,7 +484,7 @@ def held_branch(model, p):
     the last rising crossing at or below p of that system's stability scan
     (find_hopf scans tile 0, the loads within 0.35 of P = 0, and the tile
     below it)."""
-    system = romdyn._held_system(model)
+    system = model.system
     crossings = continuation._stability_scan(system, p)
     mu_H = [c for c, rising in crossings if rising and c <= p][-1]
     hopf = continuation._hopf_cycle(system, mu_H)
@@ -834,7 +834,7 @@ def same_bits(a, b):
 
 class TestLinearAnalysis:
     """A ROM's stability intervals, realified system and Hopf cycles are
-    computed once per ROM (continuation._analysis), and no result depends on
+    computed once per ROM (its _analysis), and no result depends on
     whether they were."""
 
     @pytest.mark.parametrize("label", ["one-mode", "two-mode", "jordan", "chain"])
@@ -963,6 +963,15 @@ class TestLinearAnalysis:
         M = model.M.copy()
         assert replace(model, M=M).M is not M and M.flags.writeable
 
+    def test_a_rom_table_is_a_value(self, ziegler2):
+        # the realified plan and linear_block's rows are derived from the
+        # table, so a write into any of its arrays raises where it is made
+        table = ziegler2[2]["two-mode"][0].table
+        for a in (table.exponents, table.power_index, table.codes, *table.lowered[0],
+                  *table._parents, table.product_ids(2, 1)):
+            with pytest.raises(ValueError, match="read-only"):
+                a.flat[0] = a.flat[0]
+
     def test_a_new_expansion_load_is_analysed_again(self):
         # the growth rate 2 + mu crosses 0 at mu = -2, outside the tiles a
         # ROM expanded at 0 scans (+-0.35 and [-1.05, -0.35]) and inside
@@ -1001,7 +1010,7 @@ class TestFomAnalysis:
                 cold[p] = measure_limit_cycle_fom(replace(model), p)
             assert same_bits(meas, cold[p]), p
             assert meas.converged and (meas.reason == "") == (p > P_H), p
-        assert sorted(warm._systems["system"]._analysis["scan", 0.0]) == [0, 1, 2, 3, 4]
+        assert sorted(warm.system._analysis["scan", 0.0]) == [0, 1, 2, 3, 4]
 
     def test_warm_within_round_off_of_cold_on_the_chain(self, chain8):
         # the loads 0.5%, 2% and 5% past P_H share P_H's tile
@@ -1012,7 +1021,7 @@ class TestFomAnalysis:
             p = P_H + frac * P_H
             assert same_bits(measure_limit_cycle_fom(warm, p),
                              measure_limit_cycle_fom(replace(m), p)), frac
-        assert list(warm._systems["system"]._analysis["scan", 0.0]) == [7]
+        assert list(warm.system._analysis["scan", 0.0]) == [7]
 
     def test_a_load_after_another_is_a_fresh_models(self, ziegler2):
         # 1.56 measured after 1.5 on one model is a fresh model's 1.56:
@@ -1040,7 +1049,7 @@ class TestFomAnalysis:
         assert same_bits(meas, measure_limit_cycle_fom(replace(model), 5.5))
         assert meas.amplitude.max() == 0.0 and meas.newton == 379
         assert meas.reason == "branch turned back at a fold near P = 3.67758"
-        assert sorted(warm._systems["system"]._analysis["scan", 0.0]) == [3, 4, 5]
+        assert sorted(warm.system._analysis["scan", 0.0]) == [3, 4, 5]
 
     def test_one_analysis_for_four_loads(self, ziegler2, monkeypatch):
         # one 201-load linear_block stack and one Hopf-cycle correction (the
@@ -1065,12 +1074,28 @@ class TestFomAnalysis:
         assert calls == {"stacks": 1, "hopf": 1}
         assert [meas.newton for meas in measured] == [4, 5, 5, 5]
         # the memo's arrays are read-only, and a copy of the model starts cold
-        memo = warm._systems["system"]._analysis
+        memo = warm.system._analysis
         hopf, = (cycle for key, cycle in memo.items() if key[0] == "hopf")
         for a in (hopf.q, hopf.K):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.0
-        assert replace(warm)._systems == {} and "_systems" not in repr(warm)
+        assert "system" not in vars(replace(warm)) and "system" not in repr(warm)
+
+    def test_a_caller_built_system_keeps_its_own_analysis(self, ziegler2):
+        # a system expanded at P_H, measured at two loads, is a cold
+        # system's measurement at the second bit for bit; the model's own
+        # system is never asked for
+        model, P_H, _ = ziegler2
+        model = replace(model)
+        system = model.first_order(P_H)
+        cycle_at = continuation._cycle_at
+        first = cycle_at(system, 0.05, P_H + 0.05, 4)
+        second = cycle_at(system, 0.2, P_H + 0.2, 4)
+        assert sorted(system._analysis["scan", P_H]) == [0]
+        assert sum(key[0] == "hopf" for key in system._analysis) == 1
+        assert same_bits(second, cycle_at(model.first_order(P_H), 0.2, P_H + 0.2, 4))
+        assert first.reason == second.reason == "" and second.newton > 0
+        assert "system" not in vars(model)
 
     @pytest.mark.parametrize("name", ["C", "Ru"])
     def test_an_edited_model_is_analysed_again(self, ziegler2, name):
