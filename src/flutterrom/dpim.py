@@ -143,7 +143,9 @@ class ParametrisationROM:
     for first-order systems, displacement stacked with velocity for
     second-order ones); f rows hold the reduced-dynamics coefficients with
     the parameter slot last, identically zero (the parameter dynamics stays
-    trivial at every order).
+    trivial at every order).  Lam, the reduced linear dynamics, is the one
+    store of the master eigenvalues, its diagonal (lam), and of the imposed
+    Jordan couplings above it.
 
     A built ROM is a value: its fields cannot be assigned, and its arrays
     are taken as given, without a copy, and made read-only, so an edit
@@ -156,7 +158,6 @@ class ParametrisationROM:
     table: MonomialTable
     W: np.ndarray
     f: np.ndarray
-    lam: np.ndarray
     Lam: np.ndarray
     conj_map: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
@@ -165,13 +166,17 @@ class ParametrisationROM:
     _analysis: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for a in (self.W, self.f, self.lam, self.Lam, self.conj_map):
+        for a in (self.W, self.f, self.Lam, self.conj_map):
             if a is not None:
                 a.flags.writeable = False
 
     @property
+    def lam(self):
+        return np.diag(self.Lam)
+
+    @property
     def d(self):
-        return len(self.lam)
+        return len(self.Lam)
 
     @property
     def order(self):
@@ -251,6 +256,7 @@ class ParametrisationROM:
             "nvars": self.table.nvars,
             "order": self.table.max_order,
             "conj_map": None if self.conj_map is None else [int(v) for v in self.conj_map],
+            # Lam's diagonal, for readers that take the eigenvalues from here
             "eigenvalues": c2(self.lam),
             "Lam": [c2(row) for row in self.Lam],
             "monomials": [[int(e) for e in row] for row in self.table.exponents],
@@ -275,23 +281,27 @@ class ParametrisationROM:
             raise ValueError("monomial list does not match the canonical ordering")
         W = np.array([fromc(r) for r in data["W"]])
         f = np.array([fromc(r) for r in data["f"]])
-        lam = fromc(data["eigenvalues"])
         Lam = np.array([fromc(r) for r in data["Lam"]])
         conj_map = data.get("conj_map")
         d = table.nvars - 1
         fits = {"W": W.ndim == 2 and len(W) == len(table),
                 "f": f.shape == (len(table), table.nvars),
-                "eigenvalues": lam.shape == (d,),
                 "Lam": Lam.shape == (d, d),
                 "conj_map": conj_map is None or len(conj_map) == d}
         for name, ok in fits.items():
             if not ok:
                 raise ValueError(f"ROM file field {name!r} does not fit a table of "
                                  f"{len(table)} monomials in {table.nvars} variables")
-        # a stored "style" (always "normal-form") or "n_disp" key is ignored
-        return cls(table, W, f, lam, Lam,
-                   None if conj_map is None else np.array(conj_map, dtype=np.int64),
-                   data.get("meta", {}))
+        if conj_map is not None:
+            conj_map = np.array(conj_map, dtype=np.int64)
+            if not (np.array_equal(np.sort(conj_map), np.arange(d))
+                    and np.array_equal(conj_map[conj_map], np.arange(d))
+                    and np.all(conj_map != np.arange(d))):
+                raise ValueError(f"ROM file field 'conj_map' {conj_map.tolist()} is not a "
+                                 f"pairing of the {d} master coordinates")
+        # a stored "style" (always "normal-form"), "n_disp" or "eigenvalues"
+        # (the diagonal of Lam) is ignored
+        return cls(table, W, f, Lam, conj_map, data.get("meta", {}))
 
 
 # -- shared engine pieces -----------------------------------------------------
@@ -343,22 +353,19 @@ def _jordan_within_order(table, p, jordan_pairs):
 
     For each coupling f_s^(1,j) = tau (s < j), the monomial alpha(mid)
     receives alpha_s(kW) * tau * W(kW) with alpha(kW) = alpha(mid)+e_s-e_j
-    when alpha_j(mid) > 0, found by lowering alpha by e_j (`lowered`) and
-    raising the result by e_s (the raise table of order p - 1); the table
-    ordering guarantees kW was already solved.  Returns one (kW or -1,
-    weight) pair of arrays per coupling, indexed by position within the
-    order.
+    when alpha_j(mid) > 0.  Such an alpha is beta + e_j for exactly one
+    beta of order p - 1, and alpha(kW) is beta + e_s: both are read from
+    beta's row of the raise table (p - 1, 1).  The table ordering
+    guarantees kW was already solved.  Returns one (kW or -1, weight) pair
+    of arrays per coupling, indexed by position within the order.
     """
     ids = table.ids_of_order(p)
     exps = table.exponents[ids.start:ids.stop]
-    raised = table.product_ids(p - 1, 1) + ids.start
-    below = table.ids_of_order(p - 1).start
+    raised = table.product_ids(p - 1, 1)
     out = []
     for (s, j, tau) in jordan_pairs:
-        has, low, _ = table.lowered[j]
-        here = (has >= ids.start) & (has < ids.stop)
         dep = np.full(len(ids), -1)
-        dep[has[here] - ids.start] = raised[low[here] - below, s]
+        dep[raised[:, j]] = raised[:, s] + ids.start
         if np.any(dep >= np.asarray(ids)):
             raise AssertionError("monomial ordering violated the Jordan dependency")
         out.append((dep, (exps[:, s] + 1) * tau))
@@ -581,7 +588,7 @@ def _build(spectrum, order, r_tol, series, bordered, mapping, meta):
     table = MonomialTable(nv, order)
     jp = spectrum.jordan_pairs
     lam_vec = np.zeros(nv, dtype=complex)
-    lam_vec[:d] = np.diag(spectrum.Lam)
+    lam_vec[:d] = spectrum.lam
     res = classify_resonances(table, lam_vec, r_tol, one_to_one)
     partner = table.conjugation_permutation(np.append(spectrum.conj_map, d))
     half = ConjugateHalf(table, partner)
@@ -618,9 +625,8 @@ def _build(spectrum, order, r_tol, series, bordered, mapping, meta):
         del rhs, g
 
     meta.update(r_tol=r_tol, one_to_one=one_to_one,
-                jordan_pairs=[(int(i), int(j), complex(t).real) for i, j, t in jp], stats=stats)
-    return ParametrisationROM(table, W, f, lam_vec[:d].copy(), spectrum.Lam.copy(),
-                              spectrum.conj_map.copy(), meta)
+                jordan_pairs=[(i, j, complex(t).real) for i, j, t in jp], stats=stats)
+    return ParametrisationROM(table, W, f, spectrum.Lam, spectrum.conj_map, meta)
 
 
 # -- first-order engine -------------------------------------------------------

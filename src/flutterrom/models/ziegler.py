@@ -33,15 +33,13 @@ class ZieglerModel:
     of tuples, so the first-order system it holds (system), with that
     system's linear analysis, cannot go stale.  dataclasses.replace gives a
     changed model, which starts without a system.  A singular mass matrix
-    is refused (ValueError).
+    is refused (ValueError).  The number of angles n is M's size.
     """
 
-    n: int
     M: np.ndarray
     K: np.ndarray
     C: np.ndarray
     Ru: np.ndarray
-    L: float
     cubic_terms: tuple[tuple[int, int, int, float], ...] = ()
 
     def __post_init__(self):
@@ -54,6 +52,10 @@ class ZieglerModel:
             np.linalg.inv(self.M)
         except np.linalg.LinAlgError as exc:
             raise ValueError("singular mass matrix: the first-order form needs M^-1") from exc
+
+    @property
+    def n(self):
+        return len(self.M)
 
     @cached_property
     def system(self):
@@ -188,7 +190,7 @@ def build_ziegler(masses, stiffnesses, L, xi_m=0.0, xi_k=0.0):
     K = np.diag(k + np.append(k[1:], 0.0)) - np.diag(k[1:], 1) - np.diag(k[1:], -1)
     Ru = np.eye(n)
     Ru[:, -1] -= 1.0
-    return ZieglerModel(n, M, K, _rayleigh(K, M, xi_m, xi_k), L * Ru, L,
+    return ZieglerModel(M, K, _rayleigh(K, M, xi_m, xi_k), L * Ru,
                         cubic_terms=[(i, i, n - 1, L / 6.0) for i in range(n - 1)])
 
 

@@ -12,14 +12,16 @@ up only to build the raise tables, the ids of alpha + e_s over the
 monomials of one order and every variable s (one outer sum of codes and
 one vectorised lookup per order).  Everything else is read from them:
 each monomial's parent (alpha less one unit of its first nonzero
-variable), the lowered ids alpha - e_s, and the product index tables of
-the homological assembly, the ids of every sum of one monomial of each of
-a few given orders (`MonomialTable.product_ids`).  A pair table is a
-gather from a raise table through the parents and is kept on the table;
-the forms are then applied to whole blocks of mapping coefficients at
-once (`apply_outer`) instead of pair by pair.  A `ConjugateHalf` holds
-one monomial of each conjugate pair per order, over which such a sum runs
-when conjugation maps it onto itself, and completes the sum.
+variable), the Jordan dependencies of the homological build (alpha and
+alpha + e_s - e_j are the raises of one lower monomial by e_j and by
+e_s), and the product index tables of the homological assembly, the ids
+of every sum of one monomial of each of a few given orders
+(`MonomialTable.product_ids`).  A pair table is a gather from a raise
+table through the parents and is kept on the table; the forms are then
+applied to whole blocks of mapping coefficients at once (`apply_outer`)
+instead of pair by pair.  A `ConjugateHalf` holds one monomial of each
+conjugate pair per order, over which such a sum runs when conjugation
+maps it onto itself, and completes the sum.
 
 Monomials are evaluated in one place, at one point or a block of points:
 `power_values` gathers powers u_s^k from a table of them by a
@@ -73,8 +75,8 @@ class MonomialTable:
     single forward pass over each order resolves it.
 
     Every array the table holds is read-only (exponents, codes,
-    power_index, lowered, the product tables), so what a ROM derives from
-    its table cannot go stale.
+    power_index, the parents, the product tables), so what a ROM derives
+    from its table cannot go stale.
     """
 
     def __init__(self, nvars, max_order):
@@ -188,28 +190,6 @@ class MonomialTable:
             raise ValueError("conj_map must be a permutation of the variables")
         return self.ids_of_codes(self.exponents @ self.code_weights[conj_map])
 
-    def _raised(self):
-        """(order-q ids, their raise table) for q = 1 .. max_order - 1; the
-        raise table holds global ids."""
-        for q in range(1, self.max_order):
-            lo, hi = self._order_starts[q - 1], self._order_starts[q]
-            yield np.arange(lo, hi), self.product_ids(q, 1) + hi
-
-    @cached_property
-    def lowered(self):
-        """Per variable s: (ids, lowered ids, alpha_s) over the monomials with
-        alpha_s > 0; the lowered id is that of alpha - e_s, or -1 for the
-        constant monomial (a last column of ones after the monomial values).
-        Every alpha + e_s of a raise table lowers back to alpha."""
-        low = np.full((len(self), self.nvars), -1)
-        for ids, up in self._raised():
-            low[up, np.arange(self.nvars)] = ids[:, None]
-        out = []
-        for s in range(self.nvars):
-            ids = np.flatnonzero(self.exponents[:, s])
-            out.append(tuple(map(_read_only, (ids, low[ids, s], self.exponents[ids, s]))))
-        return out
-
     @cached_property
     def power_index(self):
         """power_index of the table's exponents: power_values with it
@@ -224,9 +204,10 @@ class MonomialTable:
         no later than the parent's own first nonzero one."""
         var = np.argmax(self.exponents > 0, axis=1)
         parent = np.full(len(self), -1)
-        for ids, up in self._raised():
-            rows, cols = np.nonzero(np.arange(self.nvars) <= var[ids, None])
-            parent[up[rows, cols]] = ids[rows]
+        for q in range(1, self.max_order):
+            lo, hi = self._order_starts[q - 1], self._order_starts[q]
+            rows, cols = np.nonzero(np.arange(self.nvars) <= var[lo:hi, None])
+            parent[self.product_ids(q, 1)[rows, cols] + hi] = lo + rows
         return _read_only(parent), _read_only(var)
 
     def monomial_values(self, z):

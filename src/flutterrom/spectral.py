@@ -19,7 +19,7 @@ exceptional point), else the minimum of the gap.
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -36,30 +36,50 @@ class JordanEnforcementError(RuntimeError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class Spectrum:
     """Master eigen-triplet of the augmented system.
 
-    lam holds the diagonal of the reduced linear dynamics Lam; Lam carries
-    the imposed off-diagonal couplings when Jordan pairs are declared.  The
-    parameter eigenvector Ypar is the state part of the mode attached to
-    the control parameter (its parameter component is fixed to one and its
-    eigenvalue is exactly zero).
+    Lam, the reduced linear dynamics, is the one store of the master
+    eigenvalues, its diagonal (lam), and of the imposed Jordan couplings,
+    its nonzero entries above the diagonal (jordan_pairs).  The parameter
+    eigenvector Ypar is the state part of the mode attached to the control
+    parameter (its parameter component is fixed to one and its eigenvalue
+    is exactly zero).
+
+    A spectrum is a value: its fields cannot be assigned, and Lam, Y, X,
+    Ypar and conj_map are taken as given, without a copy, and made
+    read-only; dataclasses.replace gives a changed spectrum.  ops, the
+    pencil (At, B), is left as given: it holds the caller's B.
     """
 
-    lam: np.ndarray
     Lam: np.ndarray
     Y: np.ndarray
     X: np.ndarray
     Ypar: np.ndarray
     conj_map: np.ndarray | None = None
-    jordan_pairs: list = field(default_factory=list)
     n_disp: int | None = None
     ops: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        for a in (self.Lam, self.Y, self.X, self.Ypar, self.conj_map):
+            if a is not None:
+                a.flags.writeable = False
+
+    @property
+    def lam(self):
+        return np.diag(self.Lam)
+
+    @property
+    def jordan_pairs(self):
+        """(i, j, Lam[i, j]) of each nonzero entry above Lam's diagonal, row
+        by row."""
+        i, j = np.nonzero(np.triu(self.Lam, 1))
+        return [(int(a), int(b), self.Lam[a, b]) for a, b in zip(i, j)]
+
     @property
     def d(self):
-        return len(self.lam)
+        return len(self.Lam)
 
     def Yu(self):
         if self.n_disp is None:
@@ -70,12 +90,6 @@ class Spectrum:
         if self.n_disp is None:
             raise SpectralError("not a second-order spectrum")
         return self.X[self.n_disp:]
-
-    def copy(self):
-        return Spectrum(self.lam.copy(), self.Lam.copy(), self.Y.copy(), self.X.copy(),
-                        self.Ypar.copy(),
-                        None if self.conj_map is None else self.conj_map.copy(),
-                        list(self.jordan_pairs), self.n_disp, dict(self.ops))
 
 
 # -- raw pencil solves --------------------------------------------------------
@@ -192,7 +206,7 @@ def solve_master_eigen(system, d):
         # tie velocities analytically to displacements
         Y[n:] = lam * Y[:n]
         X = _binormalize(X, Y, B)
-    return Spectrum(lam, np.diag(lam), Y, X, parameter_eigenvector(system), conj_map,
+    return Spectrum(np.diag(lam), Y, X, parameter_eigenvector(system), conj_map,
                     n_disp=n, ops={"B": B, "At": At})
 
 
@@ -209,7 +223,7 @@ def solve_pencil_spectrum(At, B, d):
     lam = w[order]
     Y = _canonicalize(vr[:, order].astype(complex), np.arange(At.shape[0]))
     X = _binormalize(vl[:, order].astype(complex), Y, B)
-    return Spectrum(lam, np.diag(lam), Y, X, np.zeros(At.shape[0], dtype=complex),
+    return Spectrum(np.diag(lam), Y, X, np.zeros(At.shape[0], dtype=complex),
                     ops={"B": B, "At": At})
 
 
@@ -324,13 +338,17 @@ def _golden_min(f, a, b, xtol, max_iter=200):
     return 0.5 * (a + b)
 
 
-def eigen_sweep(model, param_range, n_points, mac_threshold=0.8):
+# the modal assurance below which eigen_sweep records a weak match
+_MAC_THRESHOLD = 0.8
+
+
+def eigen_sweep(model, param_range, n_points):
     """Track the spectrum over a load range and locate P_c, P_H, P_d.
 
     The grid loads are solved in one stacked np.linalg.eig call on the state
     matrices B^-1 At(P) of model.system.  Mode identity is maintained by greedy
     modal-assurance matching between neighbouring grid points, from one MAC
-    matrix per step; a match below mac_threshold adds a warning record
+    matrix per step; a match below _MAC_THRESHOLD adds a warning record
     {P, mode, mac}.  The event scans read the grid spectra; the events are
     then refined with fresh eigenvalue-only solves (_pencil_eigs_at), so
     they do not depend on the mode matching:
@@ -368,7 +386,7 @@ def eigen_sweep(model, param_range, n_points, mac_threshold=0.8):
         cols = []
         for m in range(len(w)):
             best = int(np.argmax(mac[m]))
-            if mac[m, best] < mac_threshold:
+            if mac[m, best] < _MAC_THRESHOLD:
                 warnings.append({"P": float(P), "mode": m, "mac": float(mac[m, best])})
             mac[:, best] = -1.0
             cols.append(best)
@@ -500,7 +518,8 @@ def enforce_jordan(spectrum, pair):
     null/chain solves of (At - mean(lam) B), which is the numerically
     stable formulation of the identical construction; the pair then shares
     the mean eigenvalue.  A spectrum with a conj_map gets the conjugate
-    pair mirrored.
+    pair mirrored.  Returns a new spectrum (dataclasses.replace), whose Lam
+    holds the coupling above its diagonal.
 
     Refuses diabolic-like pairs whose eigenvectors are not nearly aligned
     (normalized overlap below 0.5).
@@ -508,9 +527,9 @@ def enforce_jordan(spectrum, pair):
     i, j = pair
     if not i < j:
         raise ValueError("pair must be ordered i < j")
-    spec = spectrum.copy()
-    lam_i, lam_j = spec.lam[i], spec.lam[j]
-    Y_i, Y_j = spec.Y[:, i], spec.Y[:, j]
+    Lam, Y, X = spectrum.Lam.copy(), spectrum.Y.copy(), spectrum.X.copy()
+    lam_i, lam_j = Lam[i, i], Lam[j, j]
+    Y_i, Y_j = Y[:, i], Y[:, j]
     align = abs(np.vdot(Y_i, Y_j)) / (np.linalg.norm(Y_i) * np.linalg.norm(Y_j))
     if align < 0.5:
         raise JordanEnforcementError(
@@ -519,47 +538,32 @@ def enforce_jordan(spectrum, pair):
 
     gap = abs(lam_i - lam_j)
     lam_bar = 0.5 * (lam_i + lam_j)
-    B, At = spec.ops["B"], spec.ops["At"]
+    B, At = spectrum.ops["B"], spectrum.ops["At"]
 
     if gap > 1e-7 * max(abs(lam_bar), 1.0):
         gamma = np.vdot(Y_i, Y_j) / np.vdot(Y_i, Y_i)
-        mu = np.eye(spec.d, dtype=complex)
+        mu = np.eye(spectrum.d, dtype=complex)
         mu[i, j] = _TAU / (lam_i - lam_j)
         mu[j, j] = -_TAU / (gamma * (lam_i - lam_j))
-        Ybar = spec.Y @ mu
-        G = spec.X.conj().T @ (B @ Ybar)
-        nu = np.linalg.inv(G.conj().T)
-        Xbar = spec.X @ nu
-        spec.Y = Ybar
-        spec.X = Xbar
-        spec.Lam[i, j] = _TAU
+        Y = Y @ mu
+        G = X.conj().T @ (B @ Y)
+        X = X @ np.linalg.inv(G.conj().T)
     else:
         v, w, xi, ul = _null_pair_construction(B, At, lam_bar, Y_i)
         Ypair = np.column_stack([v, w])
         Xdir = np.column_stack([xi, ul])
         G = Xdir.conj().T @ (B @ Ypair)
-        N = np.linalg.inv(G).conj().T
-        Xpair = Xdir @ N
-        spec.Y[:, [i, j]] = Ypair
-        spec.X[:, [i, j]] = Xpair
-        spec.lam[i] = spec.lam[j] = lam_bar
-        spec.Lam[i, i] = spec.Lam[j, j] = lam_bar
-        spec.Lam[i, j] = _TAU
+        Y[:, [i, j]] = Ypair
+        X[:, [i, j]] = Xdir @ np.linalg.inv(G).conj().T
+        Lam[i, i] = Lam[j, j] = lam_bar
+    Lam[i, j] = _TAU
 
-    spec.jordan_pairs = list(spec.jordan_pairs) + [(i, j, _TAU)]
-
-    if spec.conj_map is not None:
-        ic, jc = int(spec.conj_map[i]), int(spec.conj_map[j])
+    if spectrum.conj_map is not None:
+        ic, jc = int(spectrum.conj_map[i]), int(spectrum.conj_map[j])
         if {ic, jc} != {i, j}:
             ic, jc = min(ic, jc), max(ic, jc)
-            spec.Y[:, ic] = np.conj(spec.Y[:, i])
-            spec.Y[:, jc] = np.conj(spec.Y[:, j])
-            spec.X[:, ic] = np.conj(spec.X[:, i])
-            spec.X[:, jc] = np.conj(spec.X[:, j])
-            spec.lam[ic] = np.conj(spec.lam[i])
-            spec.lam[jc] = np.conj(spec.lam[j])
-            spec.Lam[ic, ic] = np.conj(spec.Lam[i, i])
-            spec.Lam[jc, jc] = np.conj(spec.Lam[j, j])
-            spec.Lam[ic, jc] = np.conj(_TAU)
-            spec.jordan_pairs.append((ic, jc, np.conj(_TAU)))
-    return spec
+            Y[:, [ic, jc]] = Y[:, [i, j]].conj()
+            X[:, [ic, jc]] = X[:, [i, j]].conj()
+            Lam[[ic, jc], [ic, jc]] = Lam[[i, j], [i, j]].conj()
+            Lam[ic, jc] = np.conj(_TAU)
+    return replace(spectrum, Lam=Lam, Y=Y, X=X)

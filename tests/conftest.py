@@ -34,8 +34,7 @@ def hopf_normal_form_rom(rho=0.0, omega=1.0, c_mu=1.0, c3=-1.0, c5=0.0, order=3,
     if c5:
         f[table.index_of((3, 2, 0)), 0] = c5
         f[table.index_of((2, 3, 0)), 1] = np.conj(c5)
-    lam = np.array([lam0, np.conj(lam0)])
-    return ParametrisationROM(table, W, f, lam, np.diag(lam),
+    return ParametrisationROM(table, W, f, np.diag([lam0, np.conj(lam0)]),
                               conj_map=np.array([1, 0]),
                               meta={"engine": "hand-built", "mu0": 0.0})
 

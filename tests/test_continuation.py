@@ -792,7 +792,7 @@ def two_mode_normal_form_rom():
         f[table.index_of(e[s]), s] = lam[s]
         f[table.index_of(e[s] + e[4]), s] = 1.0
     f[table.index_of((2, 1, 0, 0, 0)), 0] = f[table.index_of((1, 2, 0, 0, 0)), 1] = -1.0
-    return ParametrisationROM(table, W, f, lam, np.diag(lam), conj_map=np.array([1, 0, 3, 2]),
+    return ParametrisationROM(table, W, f, np.diag(lam), conj_map=np.array([1, 0, 3, 2]),
                               meta={"engine": "hand-built", "mu0": 0.0})
 
 

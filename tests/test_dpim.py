@@ -32,6 +32,7 @@ from flutterrom.polytensor import (
     polynomial_eval,
 )
 from flutterrom.spectral import eigen_sweep, enforce_jordan, solve_master_eigen
+from tests.conftest import hopf_normal_form_rom
 
 
 def hopf_oracle_system(seed=4):
@@ -236,8 +237,7 @@ class TestFirstOrderEngine:
             build = build_rom_firstorder
         else:
             system, build = make_cubic_test_model(2.6)[0], build_rom_secondorder
-        spec = solve_master_eigen(system, d=4).copy()
-        spec.conj_map = None
+        spec = dataclasses.replace(solve_master_eigen(system, d=4), conj_map=None)
         with pytest.raises(ValueError, match=r"conjugate pairing of the master modes"):
             build(system, spec, 3)
 
@@ -638,6 +638,22 @@ class TestProductTableAssembly:
             # one derivative block per order q = p - qf it was needed at, qf
             # in (2, 4, 6), the orders of f's nonzero rows
             assert sorted(blocks) == list(range(1, 6))
+
+    @pytest.mark.parametrize("pairs", [[(0, 2, 1.0), (1, 3, 1.0)], [(0, 1, 0.5 + 0.25j)]],
+                             ids=["0-2-and-1-3", "0-1"])
+    def test_jordan_within_order_against_loops(self, pairs):
+        # each alpha with alpha_j > 0 is one raise of a lower monomial by e_j,
+        # and its dependency alpha + e_s - e_j the raise of that one by e_s;
+        # a weight is read only where there is a dependency
+        table = MonomialTable(5, 9)
+        for p in range(2, 10):
+            got = dpim._jordan_within_order(table, p, pairs)
+            ref = naive_jordan_within_order(table, p, pairs)
+            assert len(got) == len(ref) == len(pairs)
+            for (dep, weight), (dep_ref, weight_ref) in zip(got, ref):
+                assert np.array_equal(dep, dep_ref)
+                has = dep_ref >= 0
+                assert has.any() and np.array_equal(weight[has], weight_ref[has])
 
     def test_gradient_cross_lower_jordan_against_loops(self):
         dae = recast_to_dae(build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2), mu0=2.0)
@@ -1355,19 +1371,41 @@ class TestRomSerialization:
         ("W", lambda data: data["W"][:-10]),
         ("f", lambda data: data["f"][:-10]),
         ("f", lambda data: [row[:-1] for row in data["f"]]),
-        ("eigenvalues", lambda data: data["eigenvalues"][:2]),
         ("Lam", lambda data: [row[:2] for row in data["Lam"][:2]]),
         ("conj_map", lambda data: data["conj_map"][:2]),
-    ], ids=["W-rows", "f-rows", "f-columns", "eigenvalues", "Lam", "conj_map"])
+    ], ids=["W-rows", "f-rows", "f-columns", "Lam", "conj_map"])
     def test_rejects_fields_that_do_not_fit_the_table(self, rom_data, field, cut):
-        # each loaded without complaint and failed later, or not at all: a
-        # short eigenvalue list moved find_hopf, and short W rows gave
-        # amplitudes with an empty reason
+        # each loaded without complaint and failed later, or not at all:
+        # short W rows gave amplitudes with an empty reason
         data = dict(rom_data)
         data[field] = cut(data)
         with pytest.raises(ValueError, match=f"field '{field}'"):
             ParametrisationROM.from_dict(data)
         ParametrisationROM.from_dict(rom_data)  # the file as written loads
+
+    def test_stored_eigenvalues_are_not_read(self, rom_data):
+        # the eigenvalues are Lam's diagonal, written for readers that take
+        # them from the file; a stored list that disagrees is ignored
+        rom = ParametrisationROM.from_dict({**rom_data, "eigenvalues": [[9.0, 9.0]] * 2})
+        assert np.array_equal(rom.lam, np.diag(rom.Lam))
+        assert rom.to_dict() == rom_data
+
+    def test_lam_is_the_diagonal_of_Lam(self, rom_data):
+        rom = ParametrisationROM.from_dict(rom_data)
+        L2 = np.diag([1j, -1j, 2j, -2j]) + np.eye(4, k=2)
+        assert np.array_equal(dataclasses.replace(rom, Lam=L2).lam, np.diag(L2))
+        assert dataclasses.replace(rom, Lam=L2).d == 4
+
+    @pytest.mark.parametrize("conj_map", [[5, 0], [1, 1], [0, 1], [-1, 0]],
+                             ids=["out-of-range", "repeated", "fixed-points", "negative"])
+    def test_rejects_a_conj_map_that_is_not_a_pairing(self, conj_map):
+        # each loaded: with [5, 0] the first cycle measurement raised an
+        # IndexError, [1, 1] was measured as [1, 0], and [0, 1] and [-1, 0]
+        # failed later for want of distinct conjugate partners
+        data = json.loads(json.dumps(hopf_normal_form_rom().to_dict()))
+        with pytest.raises(ValueError, match="field 'conj_map'"):
+            ParametrisationROM.from_dict({**data, "conj_map": conj_map})
+        assert ParametrisationROM.from_dict(data).to_dict() == data
 
     def test_rejects_bad_version(self):
         m = build_ziegler2(1, 1, 1, 1, 1)

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -117,7 +117,7 @@ class TestZieglerChain:
         diff = np.eye(n) - np.eye(n, k=-1)
         Kref = sum(ki * np.outer(diff[i], diff[i]) for i, ki in enumerate(stiff))
         Ruref = L * np.array([np.eye(n)[i] - np.eye(n)[-1] for i in range(n)])
-        assert m.n == n and m.L == L
+        assert m.n == n
         assert np.allclose(m.M, Mref, rtol=1e-14, atol=0)
         assert np.allclose(m.K, Kref, rtol=1e-14, atol=1e-15)
         assert np.array_equal(m.Ru, Ruref)
@@ -243,6 +243,12 @@ class TestSystem:
     """A model holds one first-order system, model.system at P0 = 0, which
     the sweep reads and measure_limit_cycle_fom collocates on."""
 
+    def test_the_angle_count_is_the_mass_matrix_size(self):
+        # n is read from M, so a model cannot be built with a count that
+        # does not fit it; the link length is not stored
+        assert {f.name for f in fields(ZieglerModel)}.isdisjoint({"n", "L"})
+        assert build_ziegler3(1, 1, 1, 1, 1, 1, 0.5).n == 3
+
     def test_one_system_per_model(self):
         m = build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2)
         copy = replace(m)
@@ -269,7 +275,7 @@ class TestSystem:
         with pytest.raises(ValueError, match="singular mass matrix"):
             replace(m, M=singular)
         with pytest.raises(ValueError, match="singular mass matrix"):
-            ZieglerModel(2, singular, m.K, m.C, m.Ru, m.L)
+            ZieglerModel(singular, m.K, m.C, m.Ru)
 
 
 class TestRecast:

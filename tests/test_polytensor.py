@@ -369,16 +369,6 @@ class TestBatchValues:
             got = table.exponents[:, s] * vals[1 + s]
             assert np.abs(got - fd).max() <= 1e-8 * np.abs(fd).max()
 
-    def test_lowered_ids_brute_force(self):
-        table = MonomialTable(4, 5)
-        for s, (ids, low, alpha_s) in enumerate(table.lowered):
-            assert ids.tolist() == [m for m in range(len(table)) if table.exponents[m, s] > 0]
-            assert np.array_equal(alpha_s, table.exponents[ids, s])
-            for mid, lid in zip(ids, low):
-                e = table.exponents[mid].copy()
-                e[s] -= 1
-                assert lid == (table.index_of(e) if e.sum() else -1)
-
 
 class TestBatchedApply:
     def test_bilinear_rows_match_single_applies(self):

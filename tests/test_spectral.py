@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -172,8 +174,8 @@ class TestSweep:
         # copy's to lose stability
         scales = 0.8 + 0.04 * np.random.default_rng(0).permutation(31)
         copies = [build_ziegler2(1, 1, k, k, 1, xi_m=0.2) for k in scales]
-        m = ZieglerModel(62, *(block_diag(*(getattr(c, a) for c in copies))
-                               for a in ("M", "K", "C", "Ru")), L=1.0)
+        m = ZieglerModel(*(block_diag(*(getattr(c, a) for c in copies))
+                           for a in ("M", "K", "C", "Ru")))
         traj = eigen_sweep(m, (1.0, 3.0), 12)
         assert traj.lam.shape == (12, 124)
         own = [eigen_sweep(c, (1.0, 3.0), 12).events["P_H"] for c in copies]
@@ -317,8 +319,8 @@ def track_pairwise(grid, spectra, mac_threshold):
     (build_ziegler3(1, 1, 1, 1, 1, 1, 1, xi_m=0.2), (0.0, 6.0)),
 ])
 def test_mac_matrix_tracking_matches_pairwise_loop(model, span, mac_threshold, monkeypatch):
-    traj, spectra = sweep_with_grid_spectra(monkeypatch, model, span, 60,
-                                            mac_threshold=mac_threshold)
+    monkeypatch.setattr(spectral, "_MAC_THRESHOLD", mac_threshold)
+    traj, spectra = sweep_with_grid_spectra(monkeypatch, model, span, 60)
     lam, warnings = track_pairwise(traj.P, spectra, mac_threshold)
     assert np.array_equal(traj.lam, lam)
     assert [(w["P"], w["mode"]) for w in traj.warnings] == [(w["P"], w["mode"]) for w in warnings]
@@ -646,6 +648,37 @@ class TestJordan:
         spec = solve_master_eigen(dae, d=4)
         assert spec.jordan_pairs == []
         assert np.allclose(spec.Lam, np.diag(spec.lam))
+
+    def test_a_spectrum_is_a_value(self):
+        # its arrays are read-only and its fields cannot be assigned; ops
+        # keeps the caller's B as it was given
+        dae = recast_to_dae(build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2), mu0=2.6)
+        spec = solve_master_eigen(dae, d=4)
+        for name in ("Lam", "Y", "X", "Ypar", "conj_map"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(spec, name)[0] = getattr(spec, name)[0]
+        for name in ("Lam", "ops"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(spec, name, getattr(spec, name))
+        assert spec.ops["B"] is dae.B and dae.B.flags.writeable
+
+    @pytest.mark.parametrize("P", [2.0, 1.99], ids=["null-chain", "closed-form"])
+    def test_enforcement_leaves_its_input_as_it_was(self, P, monkeypatch):
+        # at the EP of Ziegler-2 (xi_m = 0.2) the pair's gap is round-off and
+        # the chains come from null spaces; at 1.99 it is 0.14, and the
+        # closed-form combination applies.  The coupling, a complex one here,
+        # is stored in Lam alone, its conjugate on the mirrored pair
+        tau = 0.5 + 0.25j
+        monkeypatch.setattr(spectral, "_TAU", tau)
+        spec = solve_master_eigen(recast_to_dae(build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2), P), 4)
+        names = ("Lam", "Y", "X", "Ypar", "conj_map")
+        before = [getattr(spec, name).tobytes() for name in names]
+        out = enforce_jordan(spec, (0, 2))
+        assert [getattr(spec, name).tobytes() for name in names] == before
+        assert spec.jordan_pairs == []
+        assert np.array_equal(out.lam, np.diag(out.Lam))
+        assert out.jordan_pairs == [(0, 2, tau), (1, 3, np.conj(tau))]
+        assert out.Ypar is spec.Ypar and out.ops is spec.ops
 
     def test_ziegler_ep_enforcement(self):
         # expansion exactly at the exceptional point of the undamped pendulum
