@@ -93,7 +93,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .models.dae import FirstOrderDAE
-from .polytensor import ConjugateHalf, MonomialTable, power_index, power_values
+from .polytensor import ConjugateHalf, MonomialTable, _rebuilt, power_index, power_values
 
 class ResonanceError(RuntimeError):
     pass
@@ -151,8 +151,8 @@ class ParametrisationROM:
     are taken as given, without a copy, and made read-only, so an edit
     raises where it is made and the linear analysis kept on the ROM
     (_analysis, continuation's memo) cannot go stale.  dataclasses.replace
-    gives a changed ROM, which starts with an empty memo.  meta stays a
-    mutable record.
+    gives a changed ROM, with an empty memo, and so does copy.deepcopy or
+    a pickle.  meta stays a mutable record.
     """
 
     table: MonomialTable
@@ -169,6 +169,8 @@ class ParametrisationROM:
         for a in (self.W, self.f, self.Lam, self.conj_map):
             if a is not None:
                 a.flags.writeable = False
+
+    __reduce__ = _rebuilt
 
     @property
     def lam(self):

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ..polytensor import SparseBilinearForm
+from ..polytensor import SparseBilinearForm, _rebuilt
 from .dae import FirstOrderDAE
 
 
@@ -32,8 +32,9 @@ class ZieglerModel:
     read-only float copies of M, K, C and Ru and its cubic terms as a tuple
     of tuples, so the first-order system it holds (system), with that
     system's linear analysis, cannot go stale.  dataclasses.replace gives a
-    changed model, which starts without a system.  A singular mass matrix
-    is refused (ValueError).  The number of angles n is M's size.
+    changed model, which starts without a system, and so does copy.deepcopy
+    or a pickle.  A singular mass matrix is refused (ValueError).  The number of
+    angles n is M's size.
     """
 
     M: np.ndarray
@@ -52,6 +53,8 @@ class ZieglerModel:
             np.linalg.inv(self.M)
         except np.linalg.LinAlgError as exc:
             raise ValueError("singular mass matrix: the first-order form needs M^-1") from exc
+
+    __reduce__ = _rebuilt
 
     @property
     def n(self):
@@ -76,11 +79,6 @@ class ZieglerModel:
     def fom_rhs(self, P):
         """First-order RHS rhs(t, x) at load P, for direct integration."""
         return self.first_order(P).rhs
-
-    def energy(self, x):
-        """Mechanical energy of the conservative truncation (valid at P = 0)."""
-        th, v = x[:self.n], x[self.n:]
-        return 0.5 * v @ self.M @ v + 0.5 * th @ self.K @ th
 
 
 class ZieglerFirstOrder:

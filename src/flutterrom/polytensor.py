@@ -33,7 +33,7 @@ check evaluate through it; `MonomialTable.monomial_values` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from math import comb
 
@@ -65,6 +65,12 @@ def _read_only(a):
     return a
 
 
+def _rebuilt(value):
+    """__reduce__ of a value: a copy or a pickle is rebuilt through the
+    constructor, with read-only arrays and empty memos."""
+    return type(value), tuple(getattr(value, f.name) for f in fields(value) if f.init)
+
+
 class MonomialTable:
     """All monomials of orders 1..max_order in `nvars` variables.
 
@@ -75,8 +81,8 @@ class MonomialTable:
     single forward pass over each order resolves it.
 
     Every array the table holds is read-only (exponents, codes,
-    power_index, the parents, the product tables), so what a ROM derives
-    from its table cannot go stale.
+    power_index, the parents, the product tables), also in a deep copy or
+    a pickle, so what a ROM derives from its table cannot go stale.
     """
 
     def __init__(self, nvars, max_order):
@@ -103,6 +109,9 @@ class MonomialTable:
                   self._sorted_codes):
             _read_only(a)
         self._pairs = {}  # product_ids memo of pair tables (a, b) with a >= b
+
+    def __reduce__(self):
+        return MonomialTable, (self.nvars, self.max_order)
 
     def __len__(self):
         return self.exponents.shape[0]

@@ -1,13 +1,13 @@
-"""Using built ROMs: realified reduced integration, limit cycles at a
-load, and unstable-manifold tracing.
+"""Using built ROMs: the realified reduced system and limit cycles at a
+load.
 
 The reduced complex coordinates come in conjugate pairs; the realified
-state stacks (Re z, Im z) per representative coordinate with the parameter
-increment held constant during a run.  Physical outputs go through the
-polynomial mapping and are real up to round-off for real models.  A limit
-cycle at a load comes from continuation: the branch that starts at that
-load, or where that landing is refused, the branch continued from the Hopf
-point up to it.  A ROM's cycles are rotating waves of its realified system,
+state stacks (Re z, Im z) per representative coordinate at a fixed
+parameter increment.  Physical outputs go through the polynomial mapping
+and are real up to round-off for real models.  A limit cycle at a load
+comes from continuation: the branch that starts at that load, or where
+that landing is refused, the branch continued from the Hopf point up to
+it.  A ROM's cycles are rotating waves of its realified system,
 solved as algebraic equations; the full-order model's are collocated on
 the one first-order system a ZieglerModel holds (ZieglerModel.system).
 Each ROM and system keeps its linear analysis (stability scan, Hopf
@@ -26,19 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .polytensor import polynomial_eval, power_index, power_values
-
-
-# the tolerances of trace_unstable_manifold's integrations
-_ROM_RTOL, _ATOL = 1e-9, 1e-12
-
-
-class BlowUpError(RuntimeError):
-    def __init__(self, message, t_blowup=None):
-        super().__init__(message)
-        self.t_blowup = t_blowup
 
 
 @dataclass
@@ -187,13 +176,6 @@ class RealizedReducedSystem:
         z[-1] = self.mu
         return z
 
-    def real_state(self, z_reps):
-        """The realified state of z_reps, zero-padded to m coordinates."""
-        z_reps = np.atleast_1d(z_reps)
-        z = np.zeros(self.m, dtype=complex)
-        z[:len(z_reps)] = z_reps
-        return z.view(float)
-
     def rhs(self, t, x):
         return self._monomials(x, self._f_index[:, 0]).dot(self._f_rhs).view(float)
 
@@ -262,71 +244,12 @@ class RealizedReducedSystem:
         return c
 
 
-def integrate_reduced(rom, mu, z0, t_end, rtol=1e-10, atol=1e-12, t_eval=None,
-                      dense_output=False):
-    """Adaptive integration of the realified reduced dynamics.
-
-    z0 is one complex amplitude per representative coordinate.  Raises
-    BlowUpError when the reduced state leaves the escape radius
-    1e3 max(|x0|, 1e-2).
-    """
-    sysr = RealizedReducedSystem(rom, mu)
-    x0 = sysr.real_state(z0)
-    escape_radius = 1e3 * max(np.linalg.norm(x0), 1e-2)
-
-    def escape(t, x):
-        return np.linalg.norm(x) - escape_radius
-
-    escape.terminal = True
-    sol = solve_ivp(sysr.rhs, (0.0, t_end), x0, method="DOP853", rtol=rtol, atol=atol,
-                    events=escape, t_eval=t_eval, dense_output=dense_output)
-    if sol.status == 1:
-        raise BlowUpError(f"reduced trajectory left the escape radius at t = "
-                          f"{sol.t_events[0][0]:.6g}", t_blowup=float(sol.t_events[0][0]))
-    sol.system = sysr
-    return sol
-
-
 def measure_limit_cycle(rom, mu, coord=0):
     """The ROM's limit cycle at load increment mu, a rotating wave, with max
     |coordinate| per physical coordinate (continuation._cycle_at).  coord
     selects nothing and stays for callers."""
     from .continuation import _cycle_at
     return _cycle_at(rom, mu, mu, rom.dim)
-
-
-def trace_unstable_manifold(rom, mu, n_radial=4, n_angle=12, r_scale=1e-3,
-                            t_end=None, n_samples=400):
-    """Family of trajectories spanned by the leading master coordinate.
-
-    Returns a list of (trajectory id, times, physical coordinates) tuples;
-    blow-ups are flagged per trajectory instead of aborting the family.
-    The default horizon is 12 e-folds of the fixed point's growth rate at
-    mu, at most 200 linear periods.
-    """
-    from .continuation import _growth
-    sysr = RealizedReducedSystem(rom, mu)
-    T0 = 2 * np.pi / abs(rom.lam[0].imag)
-    if t_end is None:
-        growth = max(float(_growth(mu, rom)), 1e-3)
-        t_end = min(12.0 / growth, 200.0 * T0)
-    out = []
-    tid = 0
-    for ir in range(1, n_radial + 1):
-        r = r_scale * ir / n_radial
-        for ia in range(n_angle):
-            phi = 2 * np.pi * ia / n_angle
-            z0 = [r * np.exp(1j * phi)] + [0.0] * (sysr.m - 1)
-            ts = np.linspace(0.0, t_end, n_samples)
-            try:
-                sol = integrate_reduced(rom, mu, z0, t_end, rtol=_ROM_RTOL, atol=_ATOL,
-                                        t_eval=ts)
-                Y = sysr.map_batch(sol.y.T)
-                out.append((tid, ts, Y, ""))
-            except BlowUpError as exc:
-                out.append((tid, ts, None, f"blow-up at t = {exc.t_blowup:.4g}"))
-            tid += 1
-    return out
 
 
 def measure_limit_cycle_fom(model, p, coord=0):

@@ -26,6 +26,7 @@ import scipy.linalg as sla
 from scipy.optimize import brentq
 
 from .models.dae import FirstOrderDAE
+from .polytensor import _rebuilt
 
 
 class SpectralError(RuntimeError):
@@ -49,8 +50,9 @@ class Spectrum:
 
     A spectrum is a value: its fields cannot be assigned, and Lam, Y, X,
     Ypar and conj_map are taken as given, without a copy, and made
-    read-only; dataclasses.replace gives a changed spectrum.  ops, the
-    pencil (At, B), is left as given: it holds the caller's B.
+    read-only; dataclasses.replace gives a changed spectrum, and so does
+    copy.deepcopy or a pickle.  ops, the pencil (At, B), is left as given:
+    it holds the caller's B.
     """
 
     Lam: np.ndarray
@@ -65,6 +67,8 @@ class Spectrum:
         for a in (self.Lam, self.Y, self.X, self.Ypar, self.conj_map):
             if a is not None:
                 a.flags.writeable = False
+
+    __reduce__ = _rebuilt
 
     @property
     def lam(self):
@@ -208,23 +212,6 @@ def solve_master_eigen(system, d):
         X = _binormalize(X, Y, B)
     return Spectrum(np.diag(lam), Y, X, parameter_eigenvector(system), conj_map,
                     n_disp=n, ops={"B": B, "At": At})
-
-
-def solve_pencil_spectrum(At, B, d):
-    """Spectrum of a bare matrix pencil, top-d modes by descending real part.
-
-    No conjugate pairing is imposed; intended for generic systems and the
-    Jordan enforcement tests.
-    """
-    At = np.asarray(At, dtype=float)
-    B = np.asarray(B, dtype=float)
-    w, vl, vr = _pencil_eig(At, B, left=True, right=True)
-    order = np.lexsort((np.abs(w.imag), -w.real))[:d]
-    lam = w[order]
-    Y = _canonicalize(vr[:, order].astype(complex), np.arange(At.shape[0]))
-    X = _binormalize(vl[:, order].astype(complex), Y, B)
-    return Spectrum(np.diag(lam), Y, X, np.zeros(At.shape[0], dtype=complex),
-                    ops={"B": B, "At": At})
 
 
 def parameter_eigenvector(system):

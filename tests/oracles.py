@@ -17,7 +17,11 @@ import scipy.sparse as sp
 from scipy.integrate import DOP853, solve_ivp
 from scipy.spatial import cKDTree
 
-from flutterrom.romdyn import BlowUpError, RealizedReducedSystem
+from flutterrom.romdyn import RealizedReducedSystem
+
+
+class BlowUpError(RuntimeError):
+    """A settle run failed a step or left its escape radius."""
 
 
 class CollocatedROM:
@@ -125,15 +129,14 @@ def measure_settled_cycle(rhs, x0, T0, observe, settle_rtol, max_periods, rtol, 
                 message = solver.step()
                 dense = None
                 if solver.status == "failed":
-                    raise BlowUpError(f"integration failed at t = {solver.t:.6g}: {message}",
-                                      solver.t)
+                    raise BlowUpError(f"integration failed at t = {solver.t:.6g}: {message}")
             upto = np.searchsorted(ts, solver.t, side="right")
             if dense is None:
                 dense = solver.dense_output()
             X[done:upto] = dense(ts[done:upto]).T
             done = upto
         if np.linalg.norm(X[-1]) > escape_radius:
-            raise BlowUpError("trajectory left the escape radius", ts[-1])
+            raise BlowUpError(f"trajectory left the escape radius at t = {ts[-1]:.6g}")
         if np.linalg.norm(X, axis=1).max() < floor:
             return "decayed", k + 1, X[-1].copy()
         amp = observe(X)

@@ -68,7 +68,7 @@ def code_line_change(tmp_path, parent, change):
     for side, text in (("parent", parent), ("change", change)):
         (trees[side] / "src" / "pkg").mkdir(parents=True)
         (trees[side] / "src" / "pkg" / "mod.py").write_text(text)
-    return bench_pairs.src_code_lines(trees)
+    return bench_pairs.tree_code_lines(trees, "src")
 
 
 def test_a_docstring_edit_changes_no_code_line(tmp_path):
@@ -91,12 +91,15 @@ def test_line_change_sums_the_numstat_rows():
 
 
 def test_src_line_change_of_two_trees(tmp_path):
+    # and of tests/, so that code moved from src/ into tests/ shows
     trees = {side: tmp_path / side for side in ("parent", "change")}
     for side, text in (("parent", "a\nb\nc\n"), ("change", "a\nc\nd\ne\n")):
-        (trees[side] / "src").mkdir(parents=True)
-        (trees[side] / "src" / "m.py").write_text(text)
+        for sub in ("src", "tests"):
+            (trees[side] / sub).mkdir(parents=True)
+            (trees[side] / sub / "m.py").write_text(text)
     (trees["change"] / "src" / "new.py").write_text("x\n")
-    assert bench_pairs.src_line_change(trees) == {"added": 3, "deleted": 1, "net": 2}
+    assert bench_pairs.tree_line_change(trees, "src") == {"added": 3, "deleted": 1, "net": 2}
+    assert bench_pairs.tree_line_change(trees, "tests") == {"added": 2, "deleted": 1, "net": 1}
 
 
 @pytest.mark.parametrize("stdout", ["", "# environment: fake\n"])
@@ -147,7 +150,7 @@ def test_traced_runs_in_the_first_pairs_in_their_order(pairs, traced_pairs, monk
     monkeypatch.setattr(bench_pairs, "run_once", fake_run)
     monkeypatch.setattr(bench_pairs, "export_revision", lambda rev, dest: dest.mkdir())
     monkeypatch.setattr(bench_pairs, "export_working_tree", lambda dest: dest.mkdir())
-    monkeypatch.setattr(bench_pairs, "src_line_change", lambda trees: {})
+    monkeypatch.setattr(bench_pairs, "tree_line_change", lambda trees, sub: sub)
     monkeypatch.setattr(bench_pairs, "git", lambda *args: "parent")
     out = tmp_path / "bench.json"
     args = argparse.Namespace(parent="HEAD", pairs=pairs, seconds=1, seed0=100,
@@ -168,6 +171,8 @@ def test_traced_runs_in_the_first_pairs_in_their_order(pairs, traced_pairs, monk
     assert sum(not trace for *_, trace in calls) == 4 * pairs
 
     report = json.loads(out.read_text())
+    assert (report["src_lines"], report["tests_lines"]) == ("src", "tests")
+    assert report["tests_code_lines"] == {"parent": 0, "change": 0, "net": 0}
     for w in ("w1", "w2"):
         layer = report["traced"][w]["dpim.build_s"]
         assert layer["parent"]["values"] == list(range(traced_pairs))

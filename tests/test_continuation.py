@@ -43,7 +43,7 @@ from flutterrom.continuation import (
 from flutterrom.dpim import ParametrisationROM, build_rom_firstorder
 from flutterrom.models import build_ziegler2, recast_to_dae
 from flutterrom.polytensor import MonomialTable
-from flutterrom.romdyn import BlowUpError, RealizedReducedSystem, measure_limit_cycle
+from flutterrom.romdyn import RealizedReducedSystem, measure_limit_cycle
 from flutterrom.spectral import (
     detect_exceptional_point,
     eigen_sweep,
@@ -51,7 +51,7 @@ from flutterrom.spectral import (
     solve_master_eigen,
 )
 from tests.conftest import hopf_normal_form_rom
-from tests.oracles import CollocatedROM, measure_settled_cycle, return_time
+from tests.oracles import BlowUpError, CollocatedROM, measure_settled_cycle, return_time
 from tests.test_romdyn import ziegler_rom
 
 
@@ -68,7 +68,7 @@ def _initial_cycle(rom, mu, max_periods=600):
     max_periods ran out first."""
     sysr = RealizedReducedSystem(rom, mu)
     T0 = 2 * np.pi / abs(rom.lam[0].imag)
-    x0 = sysr.real_state([_SEED_AMP] + [0.0] * (sysr.m - 1))
+    x0 = np.r_[_SEED_AMP, np.zeros(2 * sysr.m - 1)]
     try:
         status, periods, x = measure_settled_cycle(
             sysr.rhs, x0, T0, lambda X: float(np.max(np.abs(X))), 3e-4,

