@@ -108,30 +108,32 @@ class ResonanceSet:
     keys: np.ndarray
 
 
-def classify_resonances(table, lam_vec, r_tol=0.05, enforce_one_to_one=False):
+# the resonance tolerance of classify_resonances, relative to max(1, |Im lam_r|)
+_R_TOL = 0.05
+
+
+def classify_resonances(table, lam_vec):
     """Resonance bookkeeping over a monomial table.
 
     lam_vec has one entry per variable, zero in the parameter slot; the
-    comparison |Im sigma - Im lam_r| <= r_tol * max(1, |Im lam_r|) ignores
+    comparison |Im sigma - Im lam_r| <= _R_TOL * max(1, |Im lam_r|) ignores
     real parts so that damping does not unflag physically resonant
-    monomials.  With enforce_one_to_one the master imaginary parts are
-    replaced, for classification only, by their common average (the exact
-    1:1 relationship of the two-mode strategy); appending powers of the
-    parameter never changes the classification since its eigenvalue is
+    monomials.  With four masters (two modes) the master imaginary parts
+    are replaced, for classification only, by their common average (the
+    exact 1:1 relationship of the two-mode strategy); appending powers of
+    the parameter never changes the classification since its eigenvalue is
     exactly zero.
     """
     lam_vec = np.asarray(lam_vec, dtype=complex)
     d = len(lam_vec) - 1
     lam_cls = lam_vec.copy()
-    if enforce_one_to_one:
-        if d != 4:
-            raise ValueError("the 1:1 enforcement applies to two-mode (d = 4) runs")
+    if d == 4:
         om = np.mean(np.abs(lam_vec[:4].imag))
         lam_cls[:4] = lam_vec[:4].real + 1j * om * np.sign(lam_vec[:4].imag)
     sigma = table.exponents @ lam_vec
     sigma_cls = table.exponents @ lam_cls
     lam_r = lam_cls[:d].imag
-    hit = np.abs(sigma_cls.imag[:, None] - lam_r) <= r_tol * np.maximum(1.0, np.abs(lam_r))
+    hit = np.abs(sigma_cls.imag[:, None] - lam_r) <= _R_TOL * np.maximum(1.0, np.abs(lam_r))
     return ResonanceSet(sigma, lam_cls, hit @ (1 << np.arange(d)))
 
 
@@ -555,7 +557,7 @@ def _solve_order(bordered, mapping, table, res, spectrum, ids, rhs, g, jdeps, wa
 
 # -- the order loop -----------------------------------------------------------
 
-def _build(spectrum, order, r_tol, series, bordered, mapping, meta):
+def _build(spectrum, order, series, bordered, mapping, meta):
     """Solves the homological equations order by order, for either engine.
 
     An engine is its force series and its bordered operator: series(table,
@@ -578,20 +580,18 @@ def _build(spectrum, order, r_tol, series, bordered, mapping, meta):
     what it solved are written (_mirror).  The mirror and the completion
     assume a real system, as the spectrum's exact conjugate masters do
     (spectral._assemble_conjugate_masters).  meta holds the engine's own
-    keys.  Two-mode (d = 4) runs classify resonances with the 1:1
-    enforcement.
+    keys; the build adds its per-order statistics.
     """
     if spectrum.conj_map is None:
         raise ValueError("the homological build needs the conjugate pairing of the master "
                          "modes (spectrum.conj_map), which this spectrum lacks")
     d = spectrum.d
     nv = d + 1
-    one_to_one = d == 4
     table = MonomialTable(nv, order)
     jp = spectrum.jordan_pairs
     lam_vec = np.zeros(nv, dtype=complex)
     lam_vec[:d] = spectrum.lam
-    res = classify_resonances(table, lam_vec, r_tol, one_to_one)
+    res = classify_resonances(table, lam_vec)
     partner = table.conjugation_permutation(np.append(spectrum.conj_map, d))
     half = ConjugateHalf(table, partner)
 
@@ -626,8 +626,7 @@ def _build(spectrum, order, r_tol, series, bordered, mapping, meta):
         # not held into the next order's cross terms, where the build peaks in memory
         del rhs, g
 
-    meta.update(r_tol=r_tol, one_to_one=one_to_one,
-                jordan_pairs=[(i, j, complex(t).real) for i, j, t in jp], stats=stats)
+    meta["stats"] = stats
     return ParametrisationROM(table, W, f, spectrum.Lam, spectrum.conj_map, meta)
 
 
@@ -652,7 +651,7 @@ def _quadratic_rhs(table, dae, W, p, half):
     return rhs
 
 
-def build_rom_firstorder(dae: FirstOrderDAE, spectrum, order, r_tol=0.05):
+def build_rom_firstorder(dae: FirstOrderDAE, spectrum, order):
     """Parametrisation of the augmented quadratic DAE around its fixed point:
     each monomial solves [[sigma B - At, B Y_R], [X_R^H B, 0]] [W; f_R] =
     [rhs - B g; 0], with g its gradient term."""
@@ -663,23 +662,26 @@ def build_rom_firstorder(dae: FirstOrderDAE, spectrum, order, r_tol=0.05):
         return (-At, B), BY[None], XHB[None], zero, rhs - g @ B.T, zero[:1]
 
     meta = {"engine": "first-order", "mu0": dae.mu0}
-    return _build(spectrum, order, r_tol,
+    return _build(spectrum, order,
                   lambda table, W, p, half: _quadratic_rhs(table, dae, W, p, half), bordered,
                   lambda sigma, x, f, g: x, meta)
 
 
 # -- second-order engine ------------------------------------------------------
 
-def build_rom_secondorder(model, spectrum, order, r_tol=0.05):
+def build_rom_secondorder(model, spectrum, order):
     """Halved-size parametrisation for second-order mechanical systems.
 
     Requires parameter-independent quadratic/cubic forces (nl_rhs_series;
     models without it, whose cubic scales with the load, go through the
     quadratic recast and the first-order engine); each monomial solves a
     displacement-sized bordered system and its velocity mapping is
-    recovered algebraically afterwards.  With the gradient term g = [gU, gV]
-    (cross terms plus the Jordan term) and Xi = fnl - M gV - (sigma M + C)
-    gU, a monomial with resonant set R solves
+    recovered algebraically afterwards.  The spectrum's vectors stack
+    displacement over velocity, 2n rows for the model's n (a spectrum of
+    another size is refused, ValueError): Yu is Y's displacement rows and
+    Xv X's velocity rows.  With the gradient term g = [gU, gV] (cross terms
+    plus the Jordan term) and Xi = fnl - M gV - (sigma M + C) gU, a
+    monomial with resonant set R solves
 
         [[sigma^2 M + sigma C + Kt, (sigma M + C) Yu_R + M (Yu Lam)_R],
          [Xv_R^H (sigma M + C) + (Lam Xv^H M)_R, Xv_R^H M Yu_R]] [U; f_R]
@@ -691,8 +693,11 @@ def build_rom_secondorder(model, spectrum, order, r_tol=0.05):
         raise ValueError("load-scaled cubic forces require the quadratic recast "
                          "and the first-order engine")
     n, Ru = model.n, model.Ru
+    if spectrum.Y.shape[0] != 2 * n:
+        raise ValueError(f"spectrum has {spectrum.Y.shape[0]} state rows, not the 2n = {2 * n} "
+                         "of the model's displacements and velocities")
     M, C, Kt = (np.asarray(a) for a in (model.M, model.C, model.Kt))
-    Yu, XvH = spectrum.Yu(), spectrum.Xv().conj().T
+    Yu, XvH = spectrum.Y[:n], spectrum.X[n:].conj().T
     XvHM, MYu = XvH @ M, M @ Yu
     cols_base = C @ Yu + MYu @ spectrum.Lam
     rows_base = XvH @ C + spectrum.Lam @ XvHM
@@ -712,7 +717,7 @@ def build_rom_secondorder(model, spectrum, order, r_tol=0.05):
         return np.concatenate((U, sigma[:, None] * U + f @ Yu.T + g[:, :n]), axis=1)
 
     meta = {"engine": "second-order", "mu0": getattr(model, "p0", 0.0)}
-    return _build(spectrum, order, r_tol, series, bordered, mapping, meta)
+    return _build(spectrum, order, series, bordered, mapping, meta)
 
 
 # -- invariance diagnostics ---------------------------------------------------
@@ -809,8 +814,8 @@ def conjugate_sample(rom, radius, rng):
     return z
 
 
-def residual_slope(rom, system, radii=None):
-    """Log-log slope of the invariance residual against the sample radius;
+def residual_slope(rom, system, radii):
+    """Log-log slope of the invariance residual against the sample radii;
     the residual of a radius is the largest over _SLOPE_DIRS sample points
     (the same seeded directions for every ROM).
 
@@ -821,8 +826,6 @@ def residual_slope(rom, system, radii=None):
     len(radii) times the directions' table (its power gather takes 10 MB at
     order 11 with five radii), where the pieces take a few kB.
     """
-    if radii is None:
-        radii = np.logspace(-4, -2, 7)
     radii = np.asarray(radii, dtype=float)
     rng = np.random.default_rng(_SLOPE_SEED)
     dirs = np.array([conjugate_sample(rom, 1.0, rng) for _ in range(_SLOPE_DIRS)])

@@ -8,6 +8,11 @@ The system is
 with A full rank and B possibly rank-deficient (zero rows mark algebraic
 constraints).  Q2m is the matrix of the mixed state/parameter quadratic
 form and q3 the coefficient vector of the parameter-only quadratic.
+displacement_indices names the states that hold displacements, on whose
+block the master eigenvectors are normalised.  Every field must fit the D
+states of A: B and Q2m D x D, q3 and y0 of length D, Q1 from two D-vectors
+to a D-vector and the displacement indices in range(D) (ValueError naming
+the field otherwise).
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ class FirstOrderDAE:
     q3: np.ndarray
     y0: np.ndarray
     mu0: float
-    displacement_indices: np.ndarray | None = None
+    displacement_indices: np.ndarray
 
     def __post_init__(self):
         self.B = np.asarray(self.B, dtype=float)
@@ -36,13 +41,19 @@ class FirstOrderDAE:
         self.Q2m = np.asarray(self.Q2m, dtype=float)
         self.q3 = np.asarray(self.q3, dtype=float)
         self.y0 = np.asarray(self.y0, dtype=float)
+        self.displacement_indices = np.asarray(self.displacement_indices, dtype=np.int64)
         D = self.A.shape[0]
         if self.B.shape != (D, D) or self.Q2m.shape != (D, D):
             raise ValueError("B, A, Q2m must be square with matching size")
+        fits = {"q3": self.q3.shape == (D,), "y0": self.y0.shape == (D,),
+                "Q1": (self.Q1.dim_out, self.Q1.dim_in1, self.Q1.dim_in2) == (D, D, D),
+                "displacement_indices": np.all((0 <= self.displacement_indices)
+                                               & (self.displacement_indices < D))}
+        for name, ok in fits.items():
+            if not ok:
+                raise ValueError(f"{name} does not fit the {D} states of A")
         if np.linalg.matrix_rank(self.A) < D:
             raise ValueError("A must have full rank")
-        if self.displacement_indices is None:
-            self.displacement_indices = np.arange(D)
 
     @property
     def dim(self):

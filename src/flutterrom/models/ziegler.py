@@ -33,8 +33,9 @@ class ZieglerModel:
     of tuples, so the first-order system it holds (system), with that
     system's linear analysis, cannot go stale.  dataclasses.replace gives a
     changed model, which starts without a system, and so does copy.deepcopy
-    or a pickle.  A singular mass matrix is refused (ValueError).  The number of
-    angles n is M's size.
+    or a pickle.  The number of angles n is M's size; K, C and Ru must be
+    n x n, each cubic term's row, a and b must index an angle, and M must
+    be nonsingular (ValueError otherwise).
     """
 
     M: np.ndarray
@@ -49,6 +50,13 @@ class ZieglerModel:
             a.flags.writeable = False
             object.__setattr__(self, name, a)
         object.__setattr__(self, "cubic_terms", tuple(map(tuple, self.cubic_terms)))
+        n = self.n
+        for name in ("M", "K", "C", "Ru"):
+            if getattr(self, name).shape != (n, n):
+                raise ValueError(f"{name} is not {n} x {n}, the size of M")
+        for term in self.cubic_terms:
+            if not all(0 <= i < n for i in term[:3]):
+                raise ValueError(f"cubic term {term} indexes an angle outside range({n})")
         try:
             np.linalg.inv(self.M)
         except np.linalg.LinAlgError as exc:
@@ -177,6 +185,9 @@ def build_ziegler(masses, stiffnesses, L, xi_m=0.0, xi_k=0.0):
     gives Ru = L (I - 1 e_n^T) (its last row is zero) and each of the first
     n - 1 rows gets the cubic term (i, i, n - 1, L/6).
     """
+    if len(masses) != len(stiffnesses):
+        raise ValueError(f"{len(masses)} masses but {len(stiffnesses)} stiffnesses: "
+                         "each link has one of each")
     _check_positive(**{f"m{i + 1}": v for i, v in enumerate(masses)},
                     **{f"k{i + 1}": v for i, v in enumerate(stiffnesses)}, L=L)
     m = np.asarray(masses, dtype=float)

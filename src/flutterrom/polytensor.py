@@ -171,19 +171,14 @@ class MonomialTable:
             self._pairs[a, b] = _read_only(ids)
         return self._pairs[a, b]
 
-    def get(self, exps):
-        """index_of without raising; returns None for unknown monomials."""
+    def index_of(self, exps):
+        """Id of the monomial with exponent vector exps; ValueError if it is
+        not in the table."""
         e = np.asarray(exps, dtype=np.int64)
         # a vector outside the table could alias a table code: reject it first
         if e.shape != (self.nvars,) or e.min() < 0 or not 1 <= e.sum() <= self.max_order:
-            return None
-        return int(self.ids_of_codes(e @ self.code_weights))
-
-    def index_of(self, exps):
-        mid = self.get(exps)
-        if mid is None:
             raise ValueError(f"monomial {tuple(np.ravel(exps))} not in table")
-        return mid
+        return int(self.ids_of_codes(e @ self.code_weights))
 
     def conjugation_permutation(self, conj_map):
         """Monomial permutation induced by a variable conjugation map.

@@ -60,7 +60,6 @@ class Spectrum:
     X: np.ndarray
     Ypar: np.ndarray
     conj_map: np.ndarray | None = None
-    n_disp: int | None = None
     ops: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -84,16 +83,6 @@ class Spectrum:
     @property
     def d(self):
         return len(self.Lam)
-
-    def Yu(self):
-        if self.n_disp is None:
-            raise SpectralError("not a second-order spectrum")
-        return self.Y[: self.n_disp]
-
-    def Xv(self):
-        if self.n_disp is None:
-            raise SpectralError("not a second-order spectrum")
-        return self.X[self.n_disp:]
 
 
 # -- raw pencil solves --------------------------------------------------------
@@ -198,7 +187,7 @@ def solve_master_eigen(system, d):
         raise ValueError("d must be 2 (one master mode) or 4 (two master modes)")
     if isinstance(system, FirstOrderDAE):
         At, B = system.tangent_matrix(), system.B
-        n, disp = None, np.asarray(system.displacement_indices)
+        n, disp = None, system.displacement_indices
     else:  # second-order mechanical system
         At, B = _first_order_pencil(*(np.asarray(a) for a in (system.M, system.C, system.Kt)))
         n = B.shape[0] // 2
@@ -211,7 +200,7 @@ def solve_master_eigen(system, d):
         Y[n:] = lam * Y[:n]
         X = _binormalize(X, Y, B)
     return Spectrum(np.diag(lam), Y, X, parameter_eigenvector(system), conj_map,
-                    n_disp=n, ops={"B": B, "At": At})
+                    ops={"B": B, "At": At})
 
 
 def parameter_eigenvector(system):
@@ -354,8 +343,14 @@ def eigen_sweep(model, param_range, n_points):
     Every solve is dense and covers the whole spectrum, every mode is
     tracked, and only the grid solve computes (right) eigenvectors.
     events["ep"] flags a coalescence gap below 1e-6 of the spectral scale.
+    param_range (P0, P1) must rise and n_points be at least 2 (ValueError
+    otherwise).
     """
     P0, P1 = param_range
+    if not P0 < P1:
+        raise ValueError(f"param_range {param_range} must rise: the event scans walk up the load")
+    if n_points < 2:
+        raise ValueError(f"n_points = {n_points}: the sweep needs at least one grid step")
     grid = np.linspace(P0, P1, n_points)
     warnings = []
 
@@ -508,12 +503,14 @@ def enforce_jordan(spectrum, pair):
     pair mirrored.  Returns a new spectrum (dataclasses.replace), whose Lam
     holds the coupling above its diagonal.
 
-    Refuses diabolic-like pairs whose eigenvectors are not nearly aligned
+    Refuses a pair that is not 0 <= i < j < d (ValueError) and
+    diabolic-like pairs whose eigenvectors are not nearly aligned
     (normalized overlap below 0.5).
     """
     i, j = pair
-    if not i < j:
-        raise ValueError("pair must be ordered i < j")
+    if not 0 <= i < j < spectrum.d:
+        raise ValueError(f"pair {pair} must be ordered 0 <= i < j < {spectrum.d}, "
+                         "the number of masters")
     Lam, Y, X = spectrum.Lam.copy(), spectrum.Y.copy(), spectrum.X.copy()
     lam_i, lam_j = Lam[i, i], Lam[j, j]
     Y_i, Y_j = Y[:, i], Y[:, j]

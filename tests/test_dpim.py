@@ -46,7 +46,7 @@ def hopf_oracle_system(seed=4):
                 entries.append((p, i, j, float(rng.integers(-2, 3)) / 2.0))
     Q1 = SparseBilinearForm.from_entries(2, 2, 2, entries)
     return FirstOrderDAE(np.eye(2), A, Q1, np.zeros((2, 2)), np.zeros(2),
-                         np.zeros(2), 0.0)
+                         np.zeros(2), 0.0, np.arange(2))
 
 
 def first_lyapunov_cubic_coefficient(dae, q, p):
@@ -96,18 +96,19 @@ class TestResonances:
                 assert res.sigma[dressed] == res.sigma[base]
                 assert resonant_set(res, dressed) == resonant_set(res, base)
 
-    def test_one_to_one_couples_detuned_modes(self):
+    def test_one_to_one_couples_detuned_modes(self, monkeypatch):
         # with 2% frequency detuning, z1 z2 z2b stays resonant with lambda1
-        # under the enforced 1:1 rule, and the cross monomial z2^2 z2b (whose
-        # raw sigma is detuned from lambda1) gets coupled only by it
+        # under the 1:1 rule of two-mode runs, and the cross monomial z2^2 z2b,
+        # whose raw sigma is detuned from lambda1 by 4 times the tolerance,
+        # gets coupled only by it
+        monkeypatch.setattr(dpim, "_R_TOL", 0.005)
         table = MonomialTable(5, 3)
         lam = np.array([0.05 + 1.0j, 0.05 - 1.0j, -0.05 + 1.02j, -0.05 - 1.02j, 0.0])
-        strict = classify_resonances(table, lam, r_tol=0.005, enforce_one_to_one=False)
-        coupled = classify_resonances(table, lam, r_tol=0.005, enforce_one_to_one=True)
+        coupled = classify_resonances(table, lam)
         mixed = table.index_of((1, 0, 1, 1, 0))
         assert 0 in resonant_set(coupled, mixed)
         cross = table.index_of((0, 0, 2, 1, 0))
-        assert 0 not in resonant_set(strict, cross)
+        assert abs(coupled.sigma[cross].imag - lam[0].imag) > 3 * 0.005
         assert 0 in resonant_set(coupled, cross)
 
     def test_single_mode_hopf_set(self):
@@ -115,7 +116,7 @@ class TestResonances:
         # are exactly the mu-dressed Hopf set
         table = MonomialTable(3, 3)
         lam = np.array([0.02 + 1.0j, 0.02 - 1.0j, 0.0])
-        res = classify_resonances(table, lam, r_tol=0.05)
+        res = classify_resonances(table, lam)
         expect = set()
         for mid in range(len(table)):
             a = table.exponents[mid]
@@ -126,33 +127,36 @@ class TestResonances:
         names = {tuple(table.exponents[m]) for m in got}
         assert names == {(1, 0, 0), (1, 0, 1), (1, 0, 2), (2, 1, 0)}
 
-    @pytest.mark.parametrize("one_to_one", [False, True])
-    def test_conjugates_get_the_conjugate_resonant_set(self, one_to_one):
+    @pytest.mark.parametrize("two_modes", [False, True])
+    def test_conjugates_get_the_conjugate_resonant_set(self, two_modes, monkeypatch):
         # the mirror writes f[partner, conj s] = conj f[s]: f keeps the
         # pattern of the resonance keys only if the partner's key is the key
-        # with each master's bit moved to its conjugate's
+        # with each master's bit moved to its conjugate's; two modes (d = 4)
+        # are classified with the 1:1 average, one (d = 2) without
         dae = recast_to_dae(build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2), mu0=P_H)
-        specs = [solve_master_eigen(dae, d=4), enforce_jordan(
-            solve_master_eigen(recast_to_dae(build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2), 2.0),
-                               d=4), (0, 2))]
-        lams = [np.append(spec.lam, 0.0) for spec in specs]
         rng = np.random.default_rng(5)
+        if two_modes:
+            specs = [solve_master_eigen(dae, d=4), enforce_jordan(
+                solve_master_eigen(recast_to_dae(build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2), 2.0),
+                                   d=4), (0, 2))]
+        else:
+            specs = [solve_master_eigen(dae, d=2)]
+        lams = [np.append(spec.lam, 0.0) for spec in specs]
         for ratio in (1.0, 2.0, 3.0, 0.5):   # near 1:1, 1:2, 1:3 and 2:1
             w1 = rng.uniform(0.5, 2.0)
             w2 = w1 * ratio * (1 + 0.02 * rng.standard_normal())
             re = 0.1 * rng.standard_normal(2)
-            lams.append(np.array([re[0] + 1j * w1, re[0] - 1j * w1,
-                                  re[1] + 1j * w2, re[1] - 1j * w2, 0]))
-        if not one_to_one:
-            lams.append(np.append(solve_master_eigen(dae, d=2).lam, 0.0))
+            lam = [re[0] + 1j * w1, re[0] - 1j * w1, re[1] + 1j * w2, re[1] - 1j * w2, 0]
+            lams.append(np.array(lam if two_modes else lam[:2] + [0]))
         hits = 0
         for lam in lams:
             d = len(lam) - 1
-            conj = np.append(np.arange(d) ^ 1, d)   # (z1, z1b, z2, z2b, mu)
+            conj = np.append(np.arange(d) ^ 1, d)   # (z1, z1b(, z2, z2b), mu)
             table = MonomialTable(d + 1, 7)
             partner = brute_force_partners(table, conj)
             for r_tol in (0.005, 0.05, 0.2):
-                res = classify_resonances(table, lam, r_tol, enforce_one_to_one=one_to_one)
+                monkeypatch.setattr(dpim, "_R_TOL", r_tol)
+                res = classify_resonances(table, lam)
                 moved = sum((res.keys >> r & 1) << conj[r] for r in range(d))
                 assert np.array_equal(res.keys[partner], moved)
                 hits += np.count_nonzero(res.keys)
@@ -172,14 +176,15 @@ class TestFirstOrderEngine:
         assert abs(rom.f[mid, 0] - c1) < 1e-10
 
     @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
-    def test_unflagged_exact_resonance_raises(self):
+    def test_unflagged_exact_resonance_raises(self, monkeypatch):
         # with nothing flagged, z^2 zb has sigma = i exactly: its homological
         # matrix is exactly singular and the residual check must reject it
         dae = hopf_oracle_system()
         spec = solve_master_eigen(dae, d=2)
+        monkeypatch.setattr(dpim, "_R_TOL", -1.0)
         with pytest.raises(ResonanceError, match=r"lambda = \S*1j, a master mode: revisit the "
                                                  r"resonance tolerance"):
-            build_rom_firstorder(dae, spec, order=3, r_tol=-1.0)
+            build_rom_firstorder(dae, spec, order=3)
 
     def test_resonant_monomial_structure(self):
         dae = hopf_oracle_system()
@@ -221,7 +226,7 @@ class TestFirstOrderEngine:
         Q2m = 0.1 * rng.standard_normal((3, 3))
         dae = FirstOrderDAE(np.eye(3), A, SparseBilinearForm(3, 3, 3), Q2m,
                             q3=0.05 * rng.standard_normal(3),
-                            y0=np.zeros(3), mu0=0.3)
+                            y0=np.zeros(3), mu0=0.3, displacement_indices=np.arange(3))
         spec = solve_master_eigen(dae, d=2)
         rom = build_rom_firstorder(dae, spec, order=2)
         mid = rom.table.index_of((0, 0, 1))
@@ -283,7 +288,7 @@ class TestInvariance:
         A[1, 0] -= 2.0
         dae = FirstOrderDAE(np.eye(3), A, SparseBilinearForm(3, 3, 3),
                             0.1 * rng.standard_normal((3, 3)), np.zeros(3),
-                            np.zeros(3), 0.0)
+                            np.zeros(3), 0.0, np.arange(3))
         spec = solve_master_eigen(dae, d=2)
         rom = build_rom_firstorder(dae, spec, order=1)
         for r in (1e-3, 0.1, 1.0):
@@ -303,7 +308,7 @@ class TestInvariance:
         dae = recast_to_dae(m, mu0=2.6)
         spec = solve_master_eigen(dae, d=4)
         rom = build_rom_firstorder(dae, spec, order=3)
-        slope, _ = residual_slope(rom, dae)
+        slope, _ = residual_slope(rom, dae, np.logspace(-4, -2, 7))
         assert slope >= 4 - 0.2
 
     def test_jordan_build_at_ep(self):
@@ -387,20 +392,29 @@ class TestSecondOrderEngine:
                                                            (0, 2)), order=5)
         rom1 = build_rom_firstorder(dae, enforce_jordan(solve_master_eigen(dae, d=4), (0, 2)),
                                     order=5)
-        assert rom2.meta["jordan_pairs"] == rom1.meta["jordan_pairs"] != []
+        couplings = np.triu(rom1.Lam, 1)
+        assert np.array_equal(np.triu(rom2.Lam, 1), couplings) and couplings.any()
         assert rel_diff(rom1.W[:, :2], rom2.W[:, :2]) < 1e-7
         assert rel_diff(rom1.f, rom2.f) < 1e-7
 
-    def test_rejects_unflagged_resonance(self):
+    def test_rejects_unflagged_resonance(self, monkeypatch):
         # with nothing flagged, the z mu monomials have sigma = lambda exactly
         model, _ = make_cubic_test_model(2.6)
         spec = solve_master_eigen(model, d=4)
+        monkeypatch.setattr(dpim, "_R_TOL", -1.0)
         # an ill-conditioned stack is the missed resonance, not a LinAlgWarning
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(ResonanceError, match="a master mode: revisit the resonance"):
-                build_rom_secondorder(model, spec, 3, r_tol=-1.0)
+                build_rom_secondorder(model, spec, 3)
         assert caught == []
+
+    def test_rejects_a_spectrum_of_another_size(self):
+        # the recast's spectrum stacks 2n + 1 states (the auxiliary w last),
+        # so its rows past n are not the velocities
+        model, dae = make_cubic_test_model(2.6)
+        with pytest.raises(ValueError, match=r"spectrum has 5 state rows, not the 2n = 4"):
+            build_rom_secondorder(model, solve_master_eigen(dae, d=4), 3)
 
     def test_invariance_residual_secondorder(self):
         model, _ = make_cubic_test_model(2.6)
@@ -706,8 +720,7 @@ class TestProductTableAssembly:
 
         for cls, attr, key in ((SparseBilinearForm, "apply", "bilinear"),
                                (SparseTrilinearForm, "apply", "trilinear"),
-                               (MonomialTable, "index_of", "lookup"),
-                               (MonomialTable, "get", "lookup")):
+                               (MonomialTable, "index_of", "lookup")):
             monkeypatch.setattr(cls, attr, counted(key, getattr(cls, attr)))
         order = 7
         for build, system, spec in ((build_rom_firstorder, dae, spec1),
@@ -760,9 +773,9 @@ def naive_solve_order_secondorder(model, table, res, spectrum, ids, fnl, g, jdep
     partner are not read."""
     M, C, Kt = model.M, model.C, model.Kt
     n = M.shape[0]
-    Yu, Lam = spectrum.Yu(), spectrum.Lam
-    XvHM = spectrum.Xv().conj().T @ M
-    row_base = spectrum.Xv().conj().T @ C + Lam @ XvHM
+    Yu, XvH, Lam = spectrum.Y[:n], spectrum.X[n:].conj().T, spectrum.Lam
+    XvHM = XvH @ M
+    row_base = XvH @ C + Lam @ XvHM
     max_rel = 0.0
     for loc, mid in enumerate(ids):
         gm = g[loc].copy()
@@ -861,7 +874,7 @@ def resonance_error_cases(engine):
         A[:2, :2] = [[0.0, -1.0], [1.0, 0.0]]
         A[2:, 2:] = [[-1e-16, -3.0], [3.0, -1e-16]]
         system = FirstOrderDAE(np.eye(4), A, SparseBilinearForm.from_entries(4, 4, 4, []),
-                               np.zeros((4, 4)), np.zeros(4), np.zeros(4), 0.0)
+                               np.zeros((4, 4)), np.zeros(4), np.zeros(4), 0.0, np.arange(4))
         return system, build_rom_firstorder
     system = PolynomialSecondOrderModel(n=2, M=np.eye(2), C=np.diag([0.0, 2e-16]),
                                         Kt=np.diag([1.0, 9.0]), Rt=np.zeros(2),
@@ -976,17 +989,20 @@ class TestStackedSolves:
                 assert np.all(new[rlocs[:r_new]]) and not np.any(new[rlocs[r_new:]])
 
     @pytest.mark.parametrize("case", ["hopf-o7", "jordan-o7"])
-    @pytest.mark.parametrize("one_to_one", [False, True])
-    def test_repeats_share_sigma_and_resonant_set(self, case, one_to_one):
+    @pytest.mark.parametrize("two_modes", [False, True])
+    def test_repeats_share_sigma_and_resonant_set(self, case, two_modes):
         # the premise of solving repeats unchecked: alpha mu^k has the very
-        # sigma and resonance key of its first appearance, so the same matrix
-        _, spec, order = firstorder_case(case)
-        table = MonomialTable(5, order)
-        res = classify_resonances(table, np.append(np.diag(spec.Lam), 0.0),
-                                  enforce_one_to_one=one_to_one)
+        # sigma and resonance key of its first appearance, so the same matrix;
+        # one mode (d = 2) is the case's system's one-mode spectrum
+        dae, spec, order = firstorder_case(case)
+        if not two_modes:
+            spec = solve_master_eigen(dae, d=2)
+        table = MonomialTable(spec.d + 1, order)
+        res = classify_resonances(table, np.append(np.diag(spec.Lam), 0.0))
         first = np.array(list(first_appearances(table).items())).T
         repeats = first[:, first[0] != first[1]]
-        assert repeats.shape[1] == len(table) - 5 - 330
+        # the first appearances: mu^k, z_s mu^k and each master part of order 2..7
+        assert repeats.shape[1] == len(table) - (spec.d + 1) - (330 if two_modes else 36)
         mids, firsts = repeats
         assert np.array_equal(res.sigma[mids].view(np.uint64), res.sigma[firsts].view(np.uint64))
         assert np.array_equal(res.keys[mids], res.keys[firsts])
@@ -1051,7 +1067,7 @@ class TestStackedSolves:
             if kind == "jordan":
                 spec = enforce_jordan(spec, (0, 2))
             rom = build_rom_secondorder(model, spec, 5)
-        res = classify_resonances(rom.table, np.append(rom.lam, 0.0), enforce_one_to_one=True)
+        res = classify_resonances(rom.table, np.append(rom.lam, 0.0))
         for mid in range(rom.table.count_of_order(1), len(rom.table)):
             assert list(np.flatnonzero(rom.f[mid])) == resonant_set(res, mid)
 
@@ -1253,8 +1269,7 @@ class TestBuildStats:
 
         stats = rom.meta["stats"]
         assert [r["order"] for r in stats] == list(range(2, order + 1))
-        res = classify_resonances(rom.table, np.append(rom.lam, 0.0),
-                                  enforce_one_to_one=True)
+        res = classify_resonances(rom.table, np.append(rom.lam, 0.0))
         for r in stats:
             ids = rom.table.ids_of_order(r["order"])
             assert r["monomials"] == len(ids)
@@ -1316,19 +1331,29 @@ def loop_resonance_sets(table, lam_cls, r_tol):
 
 
 @pytest.mark.parametrize("seed", range(6))
-@pytest.mark.parametrize("one_to_one", [False, True])
-def test_resonance_sets_match_loop(seed, one_to_one):
+@pytest.mark.parametrize("two_modes", [False, True])
+def test_resonance_sets_match_loop(seed, two_modes, monkeypatch):
+    # one mode (d = 2) is classified on its own eigenvalues; two (d = 4) on
+    # the 1:1 average, each imaginary part replaced by the mean frequency
     rng = np.random.default_rng(seed)
     # frequencies near 1:1, 1:2 and 1:3 ratios so that many monomials are hit
     w1 = rng.uniform(0.5, 2.0)
     w2 = w1 * rng.choice([1.0, 2.0, 3.0, 0.5]) * (1 + 0.02 * rng.standard_normal())
     re = 0.1 * rng.standard_normal(2)
     lam = np.array([re[0] + 1j * w1, re[0] - 1j * w1, re[1] + 1j * w2, re[1] - 1j * w2, 0])
-    table = MonomialTable(5, 6)
+    lam_cls = lam.copy()
+    if two_modes:
+        om = (w1 + abs(w2)) / 2
+        lam_cls[:4] = np.array([re[0] + 1j * om, re[0] - 1j * om, re[1] + 1j * om, re[1] - 1j * om])
+    else:
+        lam, lam_cls = lam[[0, 1, 4]], lam_cls[[0, 1, 4]]
+    table = MonomialTable(len(lam), 6)
     for r_tol in (0.005, 0.05, 0.2):
-        res = classify_resonances(table, lam, r_tol, enforce_one_to_one=one_to_one)
+        monkeypatch.setattr(dpim, "_R_TOL", r_tol)
+        res = classify_resonances(table, lam)
+        assert np.allclose(res.lam_classified, lam_cls, rtol=1e-15, atol=0)
         assert ([resonant_set(res, mid) for mid in range(len(table))]
-                == loop_resonance_sets(table, res.lam_classified, r_tol))
+                == loop_resonance_sets(table, lam_cls, r_tol))
 
 
 class TestRomSerialization:
@@ -1361,6 +1386,17 @@ class TestRomSerialization:
         assert "n_disp" not in rom_data
         back = ParametrisationROM.from_dict({**rom_data, "n_disp": n_disp})
         assert back.to_dict() == rom_data
+
+    def test_reads_files_with_the_dropped_build_settings(self, rom_data):
+        # files written before the resonance tolerance became a constant and
+        # Lam the one store of the couplings hold r_tol, one_to_one and
+        # jordan_pairs in meta; meta is a record, written back as read
+        assert not {"r_tol", "one_to_one", "jordan_pairs"} & set(rom_data["meta"])
+        data = {**rom_data, "meta": {**rom_data["meta"], "r_tol": 0.05, "one_to_one": True,
+                                     "jordan_pairs": [[0, 2, 1.0], [1, 3, 1.0]]}}
+        back = ParametrisationROM.from_dict(data)
+        assert back.to_dict() == data
+        assert np.array_equal(back.W, ParametrisationROM.from_dict(rom_data).W)
 
     @pytest.fixture(scope="class")
     def rom_data(self):

@@ -6,12 +6,14 @@ import pytest
 import flutterrom.models
 from flutterrom.continuation import find_hopf
 from flutterrom.models import (
+    FirstOrderDAE,
     ZieglerModel,
     build_ziegler,
     build_ziegler2,
     build_ziegler3,
     recast_to_dae,
 )
+from flutterrom.polytensor import SparseBilinearForm
 from flutterrom.spectral import _pencil_eigs_at, eigen_sweep
 from tests.oracles import contract_left, contract_right
 
@@ -129,6 +131,11 @@ class TestZieglerChain:
             build_ziegler([1, 1, 0, 1], [1, 1, 1, 1], 0.25)
         with pytest.raises(ValueError, match="k2 must be positive"):
             build_ziegler([1, 1], [1, -1], 0.5)
+
+    def test_rejects_a_spring_count_that_is_not_the_link_count(self):
+        # numpy's broadcast error came from the stiffness matrix before
+        with pytest.raises(ValueError, match="2 masses but 3 stiffnesses"):
+            build_ziegler([1, 1], [1, 1, 1], 1.0)
 
 
 def fom_rhs_by_loop(model, P, x):
@@ -277,6 +284,24 @@ class TestSystem:
         with pytest.raises(ValueError, match="singular mass matrix"):
             ZieglerModel(singular, m.K, m.C, m.Ru)
 
+    @pytest.mark.parametrize("name", ["K", "C", "Ru"])
+    def test_a_matrix_that_does_not_fit_M_is_named(self, name):
+        # a 3 x 3 K beside a 2 x 2 M failed in a matmul on the first .system
+        m = build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2)
+        with pytest.raises(ValueError, match=f"{name} is not 2 x 2, the size of M"):
+            replace(m, **{name: np.eye(3)})
+        with pytest.raises(ValueError, match=f"{name} is not 2 x 2"):
+            replace(m, **{name: np.ones(2)})
+
+    @pytest.mark.parametrize("term", [(0, 0, 5, 1.0), (2, 0, 1, 1.0), (0, -1, 1, 1.0)],
+                             ids=["b", "row", "negative-a"])
+    def test_a_cubic_term_outside_the_angles_is_named(self, term):
+        # an index of 5 raised an IndexError on the first .system; a
+        # negative one wrapped round to the last angle
+        m = build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2)
+        with pytest.raises(ValueError, match=r"cubic term .* indexes an angle outside range\(2\)"):
+            replace(m, cubic_terms=[term])
+
 
 class TestRecast:
     def test_state_dimension(self):
@@ -355,3 +380,26 @@ class TestRecast:
         m = build_ziegler2(1, 1, 1, 1, 1)
         dae = recast_to_dae(m, mu0=2.0)
         assert np.allclose(dae.parameter_column(), 0)
+
+
+class TestFirstOrderDAE:
+    @staticmethod
+    def dae(**changes):
+        """A 3-state DAE with a load-only force, and the given fields replaced."""
+        given = dict(B=np.eye(3), A=-np.eye(3) + np.eye(3, k=1), Q1=SparseBilinearForm(3, 3, 3),
+                     Q2m=np.zeros((3, 3)), q3=np.full(3, 0.5), y0=np.zeros(3), mu0=0.3,
+                     displacement_indices=np.arange(1))
+        return FirstOrderDAE(**{**given, **changes})
+
+    @pytest.mark.parametrize("name,value", [
+        ("q3", [0.5]), ("y0", np.zeros(4)), ("Q1", SparseBilinearForm(2, 2, 2)),
+        ("Q1", SparseBilinearForm(3, 3, 2)), ("displacement_indices", [0, 3]),
+        ("displacement_indices", [-1]),
+    ], ids=["q3", "y0", "Q1-2-states", "Q1-second-slot", "index-past-D", "negative-index"])
+    def test_a_field_that_does_not_fit_the_states_is_named(self, name, value):
+        # q3 = [0.5] broadcast: parameter_column() read [0.3, 0.3, 0.3] at
+        # mu0 = 0.3, and a build ran on that other model; a 2-state Q1 was
+        # accepted
+        assert np.array_equal(self.dae().parameter_column(), [0.3, 0.3, 0.3])
+        with pytest.raises(ValueError, match=f"{name} does not fit the 3 states of A"):
+            self.dae(**{name: value})

@@ -196,6 +196,21 @@ class TestSweep:
         assert P_c[16] < P_c[32] < 20.05
         assert abs(2 * P_c[32] - P_c[16] - 20.05) < 0.01 * 20.05
 
+    @pytest.mark.parametrize("span,n_points,name", [
+        ((3.0, 1.5), 40, "param_range"), ((1.5, 1.5), 40, "param_range"),
+        ((1.5, 3.0), 0, "n_points"), ((1.5, 3.0), 1, "n_points"),
+    ], ids=["falling", "empty", "no-points", "one-point"])
+    def test_refuses_a_grid_without_a_rising_step(self, span, n_points, name):
+        # on Ziegler-2 (xi_m = 0.2) the falling range gave P_H = None with
+        # P_H = 2.0768 inside it, as the scans read rising sign changes on an
+        # ascending grid; no points raised an IndexError, and one point
+        # reported a golden P_c = 1.5 from no grid step at all
+        m = build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2)
+        with pytest.raises(ValueError, match=name):
+            eigen_sweep(m, span, n_points)
+        # one step is enough for the Hopf point
+        assert abs(eigen_sweep(m, (1.5, 3.0), 2).events["P_H"] - 2.076805) < 1e-6
+
 
 class TestExceptionalPoint:
     def test_undamped_ep_at_2(self):
@@ -654,6 +669,16 @@ class TestJordan:
         spec = pencil_spectrum(At, B, d=3)
         with pytest.raises(JordanEnforcementError):
             enforce_jordan(spec, (0, 1))
+
+    @pytest.mark.parametrize("pair", [(-1, 2), (0, 7), (2, 1)],
+                             ids=["negative", "past-d", "reversed"])
+    def test_refuses_a_pair_outside_the_masters(self, pair):
+        # (-1, 2) passed the i < j check and put the coupling below the
+        # diagonal (Lam[3, 2] = 1), with X entries near 1e15; (0, 7) raised an
+        # IndexError
+        spec = solve_master_eigen(recast_to_dae(build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2), 2.0), 4)
+        with pytest.raises(ValueError, match=r"pair \(.*\) must be ordered 0 <= i < j < 4"):
+            enforce_jordan(spec, pair)
 
     def test_no_pair_spectrum_unchanged(self):
         m = build_ziegler2(1, 1, 1, 1, 1, xi_m=0.2)
