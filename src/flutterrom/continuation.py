@@ -8,11 +8,15 @@ with a flow-orthogonal phase condition, and one of two correctors:
   each of its cycles is a rotating wave z(t) = e^{2 pi i t / T} z*: the
   algebraic equations f(x, mu) = (2 pi / T) R x on its realified state,
   where R turns each (Re, Im) pair by 90 degrees.  A correction is one
-  single-state linearize and one (2m + 2)-square solve; the Floquet
-  multipliers are exp(T eig(J(x*) - (2 pi / T) R)), and the amplitudes come
-  from the orbit's harmonics, W's terms at the anchor summed by charge,
-  which reach only the mapping's order.  A ROM
-  whose f has a monomial of another charge is refused (ValueError).
+  single-state linearize, whose periodicity rows are written into one
+  array, and one (2m + 2)-square solve; the Floquet multipliers are
+  exp(T eig(J(x*) - (2 pi / T) R)) from the rows of the last iterate, and
+  the amplitudes come from the orbit's harmonics, W's terms at the anchor
+  summed by charge, which reach only the mapping's order.  No amplitude
+  steers a walk, so a branch of rotating waves evaluates the amplitudes of
+  all its points once, after the walk: one block of harmonics, each point
+  at its own load (_wave_peak).  A ROM whose f has a monomial of another
+  charge is refused (ValueError).
 - A system with RealizedReducedSystem's interface (the full-order
   ZieglerFirstOrder) is collocated: Gauss-Legendre collocation (seven
   points per interval, degree 7, uniform mesh over the scaled period).
@@ -364,13 +368,29 @@ def _load(sysr, mu):
     return f"{meta['load']} = {meta['mu0'] + mu:.6g}" if "load" in meta else f"mu = {mu:.6g}"
 
 
+@functools.cache
+def _turn(n):
+    """2 pi R on n realified coordinates, where R is i on each (Re z, Im z)
+    pair: -2 pi at (2j, 2j + 1), 2 pi at (2j + 1, 2j); read-only."""
+    R = np.zeros((n, n))
+    R[0::2, 1::2] = -np.eye(n // 2)
+    R[1::2, 0::2] = np.eye(n // 2)
+    return _read_only(2.0 * np.pi * R)
+
+
 def _linearize(sysr, q, K):
     """The orbit q = (x, T, mu) with stage values K, linearised: its
-    collocation, or for a rotating wave (f, J, dfdmu) at (x, mu)."""
+    collocation, or for a rotating wave f at (x, mu) and its periodicity
+    rows (T J - 2 pi R, f, T dfdmu), written into one array."""
     n = len(q) - 2
     if _rotating(sysr):
         sysr.mu = q[n + 1]
-        return sysr.linearize(q[:n])
+        f, J, g = sysr.linearize(q[:n])
+        rows = np.empty((n, n + 2))
+        np.subtract(q[n] * J, _turn(n), out=rows[:, :n])
+        rows[:, n] = f
+        np.multiply(q[n], g, out=rows[:, n + 1])
+        return f, rows
     return _collocate(sysr, q[:n], K, q[n], q[n + 1])
 
 
@@ -383,16 +403,14 @@ def _periodicity(sysr, q, col):
     condensed stage residuals' share of x_N.  A rotating wave's rows are
     T f - 2 pi R x, where R is i on each (Re z, Im z) pair: scaled by T,
     they are the drift of the anchor over one period (to first order),
-    measured as the collocation's are.
+    measured as the collocation's are.  Its linearisation holds their
+    derivative (_linearize).
     """
     n = len(q) - 2
     if _rotating(sysr):
-        f, J, g = col
-        R = np.zeros((n, n))
-        pairs = np.arange(0, n, 2)
-        R[pairs, pairs + 1], R[pairs + 1, pairs] = -1.0, 1.0
-        rows = np.column_stack([q[n] * J - 2.0 * np.pi * R, f, q[n] * g])
-        return q[n] * f - 2.0 * np.pi * R @ q[:n], rows, 0.0, 0.0
+        f, rows = col
+        turned = (q[:n].view(complex) * 1j).view(float)   # R x
+        return q[n] * f - 2.0 * np.pi * turned, rows, 0.0, 0.0
     end = col.Psi[-1]
     return col.X[-1] - q[:n], end[:, :n + 2] - np.eye(n, n + 2), end[:, n + 2], np.sum(col.G ** 2)
 
@@ -400,10 +418,11 @@ def _periodicity(sysr, q, col):
 def _tangent(sysr, q, col):
     """Unit tangent (dx_0, dT, dmu) of the branch at the corrected orbit q,
     oriented to increasing mu: the null vector of its periodicity and phase
-    rows (sysr.mu must be q's mu); and the stage values' part of it, the
-    linearised collocation's response with the residual column weighted 0
-    (none for a rotating wave)."""
+    rows; and the stage values' part of it, the linearised collocation's
+    response with the residual column weighted 0 (none for a rotating
+    wave)."""
     n = len(q) - 2
+    sysr.mu = q[n + 1]
     rows = _periodicity(sysr, q, col)[1]
     t = np.linalg.svd(np.vstack([rows, np.append(sysr.rhs(0.0, q[:n]), [0.0, 0.0])]))[2][-1]
     t = np.copysign(1.0, t[-1]) * t
@@ -629,46 +648,58 @@ def _phase_basis(order):
     return _read_only(np.exp(1j * _GRID[:, None] * np.arange(order + 1)))
 
 
-def _wave_peak(sysr, x):
-    """Largest |coordinate| of the mapped orbit W(e^{i theta} z*) of the
-    rotating wave with anchor x (sysr.mu must be its mu).
+def _wave_peak(sysr, X, mus):
+    """Largest |coordinate| of the mapped orbit W(e^{i theta} z*, mu) of the
+    rotating wave of each anchor row of X at its load, the entry of mus,
+    shape (len(X), dim).
 
     Each coordinate is the trigonometric polynomial Re sum_k c_k e^{i k
     theta}, k = 0 .. the order o, whose coefficients are the orbit's
     harmonics, W's terms at the anchor summed by charge
     (RealizedReducedSystem.harmonics).  Its largest value over _N_COARSE
     phases starts Newton's method on its derivative, which polishes the
-    peak to round-off: it stops once no coordinate's phase step is above
-    _PEAK_STEP_TOL, or after _PEAK_NEWTON steps.
+    peak to round-off: a row stops once none of its coordinates' phase
+    steps is above _PEAK_STEP_TOL, or after _PEAK_NEWTON steps.  Every row
+    goes through the products of an anchor alone, so it has the bits of a
+    block of one.
     """
-    c = sysr.harmonics(x)
-    ik = 1j * np.arange(len(c))[:, None]
-    coarse = np.abs((_phase_basis(len(c) - 1) @ c).real)
-    theta = _GRID[np.argmax(coarse, axis=0)]
-    # the harmonics of the first and second phase derivatives
+    c = sysr.harmonics(X, mus)
+    ik = 1j * np.arange(c.shape[1])[:, None]
+    coarse = np.abs((_phase_basis(c.shape[1] - 1) @ c).real)
+    theta = _GRID[np.argmax(coarse, axis=1)]
+    # the harmonics of the first and second phase derivatives, and the phases
+    # of the rows still polished; a row that converged leaves them
     dc, d2c = ik * c, ik * ik * c
+    rows, th = np.arange(len(c)), theta
     for _ in range(_PEAK_NEWTON):
-        e = np.exp(ik * theta)
-        slope, curv = (dc * e).real.sum(axis=0), (d2c * e).real.sum(axis=0)
+        e = np.exp(ik * th[:, None])
+        slope, curv = (dc * e).real.sum(axis=1), (d2c * e).real.sum(axis=1)
         # the curvature is 0 only on a coordinate that stays 0
         step = slope / np.where(curv == 0.0, 1.0, curv)
-        theta = theta - step
-        if np.all(np.abs(step) <= _PEAK_STEP_TOL):
+        th = th - step
+        done = np.all(np.abs(step) <= _PEAK_STEP_TOL, axis=1)
+        if done.all():
             break
+        if done.any():
+            theta[rows[done]] = th[done]
+            keep = ~done
+            rows, th, dc, d2c = rows[keep], th[keep], dc[keep], d2c[keep]
+    theta[rows] = th
     # a Newton step that left the peak's basin keeps the best phase sampled
-    peak = np.abs((c * np.exp(ik * theta)).real.sum(axis=0))
-    return np.maximum(peak, coarse.max(axis=0))
+    peak = np.abs((c * np.exp(ik * theta[:, None])).real.sum(axis=1))
+    return np.maximum(peak, coarse.max(axis=1))
 
 
 def _branch_point(sysr, q, col):
-    """BranchPoint of the corrected orbit q, and its Floquet multipliers
-    other than the trivial one."""
+    """BranchPoint of the corrected orbit q, linearised as col, and its
+    Floquet multipliers other than the trivial one.  A rotating wave's
+    multipliers come from col's periodicity rows; its amplitude stays None
+    until _walk evaluates those of all its points at once (_wave_peak)."""
     m2 = len(q) - 2
-    sysr.mu = q[m2 + 1]
     if _rotating(sysr):
-        mult = np.exp(np.linalg.eigvals(_periodicity(sysr, q, col)[1][:, :m2]))
-        amp = _wave_peak(sysr, q[:m2])
+        mult, amp = np.exp(np.linalg.eigvals(col[1][:, :m2])), None
     else:
+        sysr.mu = q[m2 + 1]
         mult = np.linalg.eigvals(col.Psi[-1, :, :m2])
         amp = periodic_peak(sysr.map_batch(_sample(col, q[m2], np.linspace(0.0, 1.0, _N_SAMPLE))))
     mult, others, stable = _floquet_and_stability(mult)
@@ -688,7 +719,8 @@ def continue_periodic(model, options=None):
     then the branch is followed in (anchor, period, mu) with arclength
     steps of at most _DS0.  Each accepted point records physical amplitudes
     (all mapped coordinates), the period, Floquet multipliers, stability,
-    and any event marker.  On a collocated orbit the mesh grows whenever
+    and any event marker; a ROM's amplitudes are evaluated once, after the
+    walk, for all its points together (_wave_peak).  On a collocated orbit the mesh grows whenever
     its error estimate exceeds _RTOL, and an orbit that would need more
     than _MESH_MAX intervals ends the branch.  A step past mu_max is
     corrected again with mu fixed at mu_max, from the secant through the
@@ -727,7 +759,10 @@ def _walk(model, hopf, mu_start, opts):
     point corrected at mu_start; a branch that starts at mu_max takes no
     tangent.  The corrector, the tangent and the branch points are those of
     hopf.sysr: rotating waves for a ROM's realified system, collocation for
-    any other system."""
+    any other system.  The walk decides with anchors, periods, loads and
+    Floquet multipliers alone; a rotating wave's amplitudes are written
+    into its points once the walk ends, from one _wave_peak block of all
+    of them (a collocated orbit's come with its point)."""
     sysr = hopf.sysr
     m2 = 2 * sysr.m
     x, K, T, seed = _hopf_seed(hopf, mu_start)
@@ -812,6 +847,11 @@ def _walk(model, hopf, mu_start, opts):
             ds = max(ds / 1.5, _DS_MIN)
 
     meta["truncated"] = truncated_reason
+    if _rotating(sysr):
+        amps = _wave_peak(sysr, np.array([pt.anchor for pt in points]),
+                          [pt.mu for pt in points])
+        for pt, amp in zip(points, amps):
+            pt.amplitude = amp
     return BifurcationDiagram(points, meta)
 
 

@@ -18,7 +18,8 @@ mu-independent part of every RealizedReducedSystem built on it
 (_realified_plan), in which W's rows are grouped by z exponent and ordered
 by charge.  So a load costs a system only the mu scaling, and a rotating
 wave's mapped harmonics are W's terms at its anchor summed by charge
-(RealizedReducedSystem.harmonics), with no phase sampled.
+(RealizedReducedSystem.harmonics), with no phase sampled: for a block of
+anchors at once, each at its own load.
 """
 
 from __future__ import annotations
@@ -214,34 +215,45 @@ class RealizedReducedSystem:
             raise RuntimeError("mapped state has a non-negligible imaginary part")
         return y.real
 
+    def _coefficients(self, powers):
+        """W's group coefficients at each load whose powers of mu, 0 .. the
+        order, are a column of powers: each group's rows times their powers
+        of mu, summed; shape (groups, loads, dim)."""
+        return np.add.reduceat(self._W_rows[:, None] * powers[self._W_kmu, :, None],
+                               self._W_groups)
+
     def _mapping(self):
-        """W's group coefficients at mu: each group's rows times their
-        powers of mu, summed."""
+        """W's group coefficients at mu."""
         if self._W_coef is None:
-            self._W_coef = np.add.reduceat(self._W_rows * self._mu_powers[self._W_kmu][:, None],
-                                           self._W_groups)
+            self._W_coef = self._coefficients(self._mu_powers[:, None])[:, 0]
         return self._W_coef
 
     def map_batch(self, X):
         """Real parts of the mapping at each row of X, shape (npoints, dim)."""
         return (self._monomials(X, self._W_index) @ self._mapping()).real
 
-    def harmonics(self, x):
-        """The mapped rotating wave W(e^{i theta} z*) of the anchor x as the
-        real trigonometric polynomial Re sum_k c_k e^{i k theta}: c, shape
-        (order + 1, dim).
+    def harmonics(self, X, mus):
+        """The mapped rotating wave W(e^{i theta} z*, mu) of each anchor x
+        of the block X (rows) at its load, the entry of mus, as the real
+        trigonometric polynomial Re sum_k c_k e^{i k theta}: c, shape
+        (len(X), order + 1, dim).
 
         A monomial of W turns with e^{i q theta}, q its charge, so the
         charge-q sum C_q of the terms at the anchor is the orbit's q-th
         harmonic, |q| <= order; then c_k = C_k + conj(C_-k) and c_0 = Re C_0.
+        Each row takes W's group coefficients at its own load, and gets the
+        bits of a system at that load alone.
         """
         o = self.rom.order
-        terms = self._monomials(x, self._W_index)[:, None] * self._mapping()
-        C = np.zeros((2 * o + 1, terms.shape[1]), dtype=complex)
+        powers = np.asarray(mus, dtype=float) ** np.arange(o + 1)[:, None]
+        # groups, then charges, along the first axis: each sum adds whole
+        # (anchor, coordinate) planes, in the order of a single anchor's
+        terms = self._monomials(X, self._W_index).T[..., None] * self._coefficients(powers)
+        C = np.zeros((2 * o + 1,) + terms.shape[1:], dtype=complex)
         C[o + self._W_charges] = np.add.reduceat(terms, self._W_charge_starts)
         c = C[o:] + C[o::-1].conj()
         c[0] = C[o].real
-        return c
+        return np.ascontiguousarray(c.transpose(1, 0, 2))
 
 
 def measure_limit_cycle(rom, mu, coord=0):

@@ -19,6 +19,7 @@ exceptional point), else the minimum of the gap.
 from __future__ import annotations
 
 import contextlib
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -26,7 +27,7 @@ import scipy.linalg as sla
 from scipy.optimize import brentq
 
 from .models.dae import FirstOrderDAE
-from .polytensor import _rebuilt
+from .polytensor import _read_only, _rebuilt
 
 
 class SpectralError(RuntimeError):
@@ -246,6 +247,12 @@ def _pencil_eigs_at(model, P):
         return np.linalg.eigvals(model.system.linear_block(P)).astype(complex, copy=False)
 
 
+@functools.cache
+def _pairs(n):
+    """np.triu_indices(n, 1), read-only: every index pair i < j of n values."""
+    return tuple(_read_only(a) for a in np.triu_indices(n, 1))
+
+
 def _closest_pair(w):
     """(gap, scale, pair): the smallest distance among the distinct
     upper-half-plane eigenvalues of w, the spectral scale max |w|, and the
@@ -254,7 +261,7 @@ def _closest_pair(w):
     up = np.sort_complex(w[w.imag > 1e-12 * scale])
     if len(up) < 2:
         return np.inf, scale, None
-    ia, ib = np.triu_indices(len(up), 1)
+    ia, ib = _pairs(len(up))
     diff = up[ia] - up[ib]
     # libm's hypot, as abs() of one complex scalar; np.abs of an array rounds differently
     gaps = np.hypot(diff.real, diff.imag)

@@ -145,7 +145,9 @@ def test_traced_runs_in_the_first_pairs_in_their_order(pairs, traced_pairs, monk
         value = seed - 100 + (1000 if side == "change" else 0)
         metrics = {"pass_s": {"value": 1.0}, "work_per_s": {"value": 1.0},
                    "dpim.build_s": {"value": value}}
-        return {"failed": 0, "attempted": 1, "correct": True, "metrics": metrics}, "env"
+        extras = {"continuation.s_per_point": value / 10.0} if trace else {}
+        return {"failed": 0, "attempted": 1, "correct": True, "metrics": metrics,
+                "extras": extras}, "env"
 
     monkeypatch.setattr(bench_pairs, "run_once", fake_run)
     monkeypatch.setattr(bench_pairs, "export_revision", lambda rev, dest: dest.mkdir())
@@ -181,6 +183,10 @@ def test_traced_runs_in_the_first_pairs_in_their_order(pairs, traced_pairs, monk
         assert layer["change"]["median"] == 1000 + (traced_pairs - 1) / 2
         assert layer["parent"]["min"] == 0
         assert layer["change"]["min"] == 1000
+        # a traced run's workload-specific numbers sit beside its metrics
+        extra = report["traced"][w]["continuation.s_per_point"]
+        assert extra["parent"]["values"] == [i / 10.0 for i in range(traced_pairs)]
+        assert extra["change"]["values"] == [100.0 + i / 10.0 for i in range(traced_pairs)]
 
 
 def test_traced_min_is_the_least_value_of_each_side():
@@ -192,3 +198,20 @@ def test_traced_min_is_the_least_value_of_each_side():
     layer = bench_pairs.summarise_traced(traced)["w"]["dpim.build_s"]
     assert layer["parent"] == {"median": 4.0, "min": 3.0, "values": [5.0, 3.0, 4.0]}
     assert layer["change"] == {"median": 2.5, "min": 2.0, "values": [9.0, 2.0, 2.5]}
+
+
+def test_a_run_reports_its_workload_specific_lines(tmp_path):
+    # the "# (workload-specific)" lines of perfbench/run.py, by name
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "print('# environment: fake')\n"
+        "print('# (workload-specific) continuation.continue_s = 0.0074')\n"
+        "print('# (workload-specific) continuation.s_per_point = 0.000435294')\n"
+        "print('# (workload-specific) dpim.build.o7_s = 1.5e-02')\n"
+        "print('# pass_s = 0.02 s')\n"
+        "print('{\"correct\": true, \"metrics\": {}}')\n")
+    result, env = bench_pairs.run_once(tmp_path, "w", 7, 1, 1)
+    assert env == "fake"
+    assert result["extras"] == {"continuation.continue_s": 0.0074,
+                                "continuation.s_per_point": 0.000435294,
+                                "dpim.build.o7_s": 0.015}

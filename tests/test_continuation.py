@@ -278,6 +278,7 @@ def test_fold_of_the_quintic_normal_form():
     events = diag.events()
     assert [event for _, event in events] == ["fold"]
     assert abs(events[0][0] - 0.25) < 1e-3
+    assert diag.meta["truncated"] == f"branch turned back at a fold near mu = {events[0][0]:.6g}"
     k = next(i for i, pt in enumerate(diag.points) if pt.event)
     assert all(pt.stable for pt in diag.points[:k])
     assert not any(pt.stable for pt in diag.points[k:])
@@ -799,6 +800,7 @@ def two_mode_normal_form_rom():
 def test_neimark_sacker_event_on_a_hand_built_rom():
     diag = continue_periodic(two_mode_normal_form_rom(), ContinuationOptions(mu_max=0.2))
     assert diag.meta["truncated"] == "" and diag.mu()[-1] == 0.2
+    assert [rec["reason"] for rec in diag.meta["trace"] if rec["reason"]] == ["stepped past mu_max"]
     (mu_ns, event), = diag.events()
     assert event == "neimark-sacker"
     # the first point past mu = 0.1, where the z2 pair leaves the unit circle
@@ -919,3 +921,43 @@ def test_step_shrinks_after_a_slow_correction(monkeypatch):
         else:
             assert nxt["ds"] == min(rec["ds"] * 1.4, _DS0)
     assert shrunk >= 5
+
+
+@pytest.mark.parametrize("label", ["normal form", "d = 4"])
+def test_rotating_wave_rows_against_a_rotation_matrix(branch_rom, label):
+    # the periodicity rows written in place against R built as a matrix and
+    # the rows stacked column by column, bit for bit, at random iterates
+    rom = hopf_normal_form_rom(c5=1.0, order=5) if label == "normal form" else branch_rom[1]
+    sysr = RealizedReducedSystem(rom, 0.0)
+    n = 2 * sysr.m
+    R = np.zeros((n, n))
+    pairs = np.arange(0, n, 2)
+    R[pairs, pairs + 1], R[pairs + 1, pairs] = -1.0, 1.0
+    rng = np.random.default_rng(21)
+    for _ in range(5):
+        q = np.concatenate([0.3 * rng.standard_normal(n), [6.0 + rng.random(), 0.2 * rng.random()]])
+        periodic, rows, column, stages = continuation._periodicity(
+            sysr, q, continuation._linearize(sysr, q, np.zeros(0)))
+        f, J, g = sysr.linearize(q[:n])
+        assert sysr.mu == q[n + 1]
+        assert np.array_equal(rows, np.column_stack([q[n] * J - 2.0 * np.pi * R, f, q[n] * g]))
+        assert np.array_equal(periodic, q[n] * f - 2.0 * np.pi * R @ q[:n])
+        assert column == 0.0 and stages == 0.0
+
+
+def test_one_amplitude_evaluation_per_walk(branch_rom, monkeypatch):
+    # a ROM branch's amplitudes are one block of harmonics, a row per point,
+    # taken after the walk; a measurement's landing is a block of one
+    blocks, peak = [], continuation._wave_peak
+
+    def counted(sysr, X, mus):
+        blocks.append(len(X))
+        return peak(sysr, X, mus)
+
+    monkeypatch.setattr(continuation, "_wave_peak", counted)
+    rom = replace(branch_rom[1])
+    diag = continue_periodic(rom, ContinuationOptions(mu_max=0.3, max_points=20))
+    assert blocks == [len(diag.points)] and len(diag.points) > 10
+    assert all(pt.amplitude.shape == (rom.dim,) for pt in diag.points)
+    blocks.clear()
+    assert measure_limit_cycle(rom, 0.2).reason == "" and blocks == [1]

@@ -223,7 +223,7 @@ class TestCompiledEvaluator:
         rom = replace(rom, **{edit: a})
         edited = RealizedReducedSystem(rom, 0.05)
         fresh = RealizedReducedSystem(replace(rom, W=rom.W.copy(), f=rom.f.copy()), 0.05)
-        outputs = [(*s.linearize(x), s.map_batch(x[None]), s.harmonics(x))
+        outputs = [(*s.linearize(x), s.map_batch(x[None]), s.harmonics(x[None], [0.05]))
                    for s in (before, edited, fresh)]
         assert all(np.array_equal(a, b) for a, b in zip(outputs[1], outputs[2]))
         assert not all(np.array_equal(a, b) for a, b in zip(outputs[0], outputs[1]))
@@ -677,7 +677,10 @@ class TestLanding:
             return scale * x, scale * K, T, rec
 
         def record(sysr, q, col):
+            # a ROM point's amplitude is written into this BranchPoint once
+            # the walk ends (one block of harmonics per walk)
             pt, others = branch_point(sysr, q, col)
+            assert pt.amplitude is None
             recorded.append(pt)
             return pt, others
 
@@ -1217,9 +1220,27 @@ class TestRotatingWaves:
             Z = np.exp(2j * np.pi * np.arange(64) / 64)[:, None] * x.view(complex)
             ref = np.fft.rfft(sysr.map_batch(Z.view(float)), axis=0)[:rom.order + 1] / 64
             ref[1:] *= 2.0
-            c = sysr.harmonics(x)
-            assert c.shape == ref.shape
-            assert np.abs(c - ref).max() <= 1e-13 * np.abs(ref).max()
+            c = sysr.harmonics(x[None], [mu])
+            assert c.shape == (1,) + ref.shape
+            assert np.abs(c[0] - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("label", ["one-mode", "two-mode", "jordan"])
+    def test_harmonics_at_per_row_loads_equal_a_system_at_each_load(self, ziegler2, label):
+        # a block's rows at their own loads against a system built at each
+        # load alone, bit for bit: W's group coefficients against its
+        # mapping, and each row's harmonics against a block of one
+        rom = ziegler2[2][label][0]
+        sysr = RealizedReducedSystem(rom, 0.3)
+        X = 0.3 * np.random.default_rng(13).standard_normal((5, 2 * sysr.m))
+        mus = np.array([0.0, 0.1, -0.05, 0.2, 0.1])
+        coef = sysr._coefficients(mus ** np.arange(rom.order + 1)[:, None])
+        block = sysr.harmonics(X, mus)
+        assert block.shape == (5, rom.order + 1, rom.dim)
+        for i, mu in enumerate(mus):
+            alone = RealizedReducedSystem(rom, mu)
+            assert np.array_equal(coef[:, i], alone._mapping())
+            assert np.array_equal(block[i], alone.harmonics(X[i:i + 1], [mu])[0])
+        assert not np.array_equal(block[1], block[2])
 
     @pytest.mark.parametrize("label", ["one-mode", "two-mode", "jordan"])
     def test_peak_against_dense_phases(self, ziegler2, label):
@@ -1231,9 +1252,10 @@ class TestRotatingWaves:
         x = 0.3 * np.random.default_rng(12).standard_normal(2 * sysr.m)
         Z = np.exp(2j * np.pi * np.arange(4096) / 4096)[:, None] * x.view(complex)
         dense = np.abs(sysr.map_batch(Z.view(float))).max(axis=0)
-        peak = continuation._wave_peak(sysr, x)
+        peak = continuation._wave_peak(sysr, x[None], [0.1])[0]
         k = np.arange(rom.order + 1)[:, None]
-        slack = (k ** 2 * np.abs(sysr.harmonics(x))).sum(axis=0) * (2 * np.pi / 4096) ** 2 / 8
+        slack = (k ** 2 * np.abs(sysr.harmonics(x[None], [0.1])[0])).sum(axis=0) \
+            * (2 * np.pi / 4096) ** 2 / 8
         assert np.all(peak >= dense - 1e-14 * dense.max())
         assert np.all(peak - dense <= slack + 1e-14 * dense.max())
 
@@ -1242,16 +1264,30 @@ class TestRotatingWaves:
         # stopping once the phase steps are small gives the peak of the five
         # fixed Newton steps (a step tolerance of 0) to round-off, in fewer
         # steps: one phase exponential per step and one for the peak
+        # (the single-anchor case); a block's rows, which stop at different
+        # steps, each keep the bits of the anchor alone
         sysr = RealizedReducedSystem(ziegler2[2][label][0], 0.1)
-        x = 0.3 * np.random.default_rng(12).standard_normal(2 * sysr.m)
-        continuation._wave_peak(sysr, x)   # builds the order's coarse phase basis
+        X = 0.3 * np.random.default_rng(12).standard_normal((8, 2 * sysr.m))
+        mus = np.linspace(-0.1, 0.25, 8)
+        continuation._wave_peak(sysr, X[:1], [0.1])   # builds the order's coarse phase basis
         exps, exp = [], np.exp
         monkeypatch.setattr(np, "exp", lambda a: exps.append(1) or exp(a))
-        peak = continuation._wave_peak(sysr, x)
+        peak = continuation._wave_peak(sysr, X[:1], [0.1])
         steps = len(exps) - 1
+        alone, row_steps = [], []
+        for x, mu in zip(X, mus):
+            exps.clear()
+            alone.append(continuation._wave_peak(sysr, x[None], [mu])[0])
+            row_steps.append(len(exps) - 1)
+        exps.clear()
+        block = continuation._wave_peak(sysr, X, mus)
+        # one phase exponential per step of the slowest row, one for the peaks
+        assert len(exps) - 1 == max(row_steps)
+        assert len(set(row_steps)) > 1
+        assert np.array_equal(block, np.array(alone))
         monkeypatch.setattr(continuation, "_PEAK_STEP_TOL", 0.0)
         exps.clear()
-        fixed = continuation._wave_peak(sysr, x)
+        fixed = continuation._wave_peak(sysr, X[:1], [0.1])
         assert len(exps) - 1 == continuation._PEAK_NEWTON > steps
         assert np.abs(peak - fixed).max() <= 1e-14 * fixed.max()
 

@@ -31,7 +31,10 @@ parent's quartile spread. --traced-seconds adds a --trace 1 run per side
 and workload to each of the first TRACED_PAIRS pairs (all of them, if there
 are fewer), after its untraced runs, with the pair's seed and in the pair's
 order; "traced" then holds, per workload and per-layer metric, each side's
-median, min and every value in pair order. src_lines is the line change of src/
+median, min and every value in pair order, and the same for each
+workload-specific number a traced run prints (its "# (workload-specific)"
+lines, such as continuation.s_per_point or dpim.build.o7_s), so that a claim
+on a layer carries that layer's before and after. src_lines is the line change of src/
 from the parent's copy to the change's (git diff --numstat); src_code_lines
 counts only the Python lines of each side's src/ that hold code, not blank,
 not comment-only and not inside a docstring, and their change. tests_lines
@@ -55,6 +58,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TREE = ("src", "perfbench", "BENCHMARK.json", "tests")
 TRACED_PAIRS = 3
+EXTRA = "# (workload-specific) "
 
 
 def git(*args):
@@ -87,7 +91,9 @@ def export_working_tree(dest):
 
 
 def run_once(tree, workload, seed, seconds, trace):
-    """One perfbench run in tree: (result JSON, environment line)."""
+    """One perfbench run in tree: (result JSON, environment line).  The
+    result's "extras" holds the numbers of the run's "# (workload-specific)"
+    lines by name."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds),
@@ -104,6 +110,8 @@ def run_once(tree, workload, seed, seconds, trace):
                            f"{proc.returncode})\n{proc.stderr[-2000:]}")
     prefix = "# environment: "
     env_line = next((ln[len(prefix):] for ln in lines if ln.startswith(prefix)), "")
+    result["extras"] = {name: float(value) for name, value in
+                        (ln[len(EXTRA):].split(" = ") for ln in lines if ln.startswith(EXTRA))}
     return result, env_line
 
 
@@ -295,7 +303,8 @@ def write_report(args, spec, workloads, work):
             for workload in workloads:
                 for side in order:
                     result, _ = run_once(trees[side], workload, seed, args.traced_seconds, 1)
-                    traced[workload][side].append(result["metrics"])
+                    extras = {k: {"value": v} for k, v in result.get("extras", {}).items()}
+                    traced[workload][side].append({**result["metrics"], **extras})
 
     summary = summarise(spec, runs)
     report = {
